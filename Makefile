@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-race bench figures cover fmt vet check chaos goldens serve-smoke ingest-smoke dist-smoke loadgen-smoke partition-smoke partition-layout-smoke bench-trace bench-partition
+.PHONY: all build test test-race bench benchmark benchmark-smoke figures cover fmt vet check chaos goldens serve-smoke ingest-smoke dist-smoke loadgen-smoke partition-smoke partition-layout-smoke bench-trace bench-partition
 
 all: build check test
 
@@ -43,6 +43,17 @@ chaos:
 # One testing.B target per paper figure/table + per-query micros.
 bench:
 	go test -bench=. -benchmem ./...
+
+# The repository's one yardstick (BENCHMARK.json): every workload, both
+# passes, per-metric report on stderr. Pass harness flags through ARGS, e.g.
+# `make benchmark ARGS="-workload batch_flat -out a.json"`.
+benchmark:
+	bash benchmark/run.sh $(ARGS)
+
+# The harness's own tests at smoke sizes (about 15 s). The nested module is
+# invisible to `go test ./...` at the root; the root guard test only vets it.
+benchmark-smoke:
+	cd benchmark && go test ./...
 
 # Regenerate every figure of the paper's evaluation as text tables.
 figures:

@@ -123,7 +123,7 @@ func main() {
 	}
 
 	if *analyze {
-		runs, err := explain.AnalyzePartitioned(cat, g, q, *partBkts, explain.Engines())
+		runs, err := explain.Analyze(cat, g, q, *partBkts, explain.Engines())
 		if err != nil {
 			fatal(err)
 		}
@@ -140,7 +140,7 @@ func main() {
 		return
 	}
 
-	costs := explain.ForQueryPartitioned(cat, q, part, explain.Engines())
+	costs := explain.ForQuery(cat, q, plan.Source{Base: explain.Input, Part: part}, explain.Engines())
 	if *jsonOut {
 		s, err := explain.RenderJSON(costs)
 		if err != nil {

@@ -270,7 +270,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "partition: built layout %s (%s)\n", *partOut, part)
 			}
 		}
-		res, err := engine.RunWithDeltas(eng, mr, q, base, deltas, part)
+		res, err := engine.Run(eng, mr, q, plan.Source{Base: base, Deltas: deltas, Part: part})
 		if tracer != nil {
 			// Export whatever spans were recorded even on failure — a trace
 			// of a failed workflow is exactly when you want the profile.

@@ -19,6 +19,7 @@ import (
 	"ntga/internal/hdfs"
 	"ntga/internal/mapreduce"
 	"ntga/internal/ntgamr"
+	"ntga/internal/plan"
 	"ntga/internal/query"
 	"ntga/internal/sparql"
 	"ntga/internal/stats"
@@ -59,7 +60,7 @@ func main() {
 	var sepCycles int
 	var sepReads, sepShuffle int64
 	for qi, q := range qs {
-		res, err := lazy.Run(mr, q, input)
+		res, err := engine.Run(lazy, mr, q, plan.Source{Base: input})
 		if err != nil {
 			log.Fatalf("%s: %v", ids[qi], err)
 		}

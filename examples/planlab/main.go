@@ -1,7 +1,11 @@
 // Planlab: plan inspection across the engine families. For a selection of
 // catalog queries it prints the star decomposition and the MapReduce plan
 // every engine would run — the cycle counts and triple-relation scans
-// behind the Figure 3 case study — without executing anything.
+// behind the Figure 3 case study — without executing anything. It closes
+// with one query planned by one engine over three plan.Sources (flat file,
+// bucketed layout, layout beside an uncompacted delta chain): where the
+// triple relation sits is plan input, and it alone decides which cycles
+// shuffle.
 //
 // Run with:
 //
@@ -15,6 +19,7 @@ import (
 	"ntga/internal/bench"
 	"ntga/internal/engine"
 	"ntga/internal/ntgamr"
+	"ntga/internal/plan"
 	"ntga/internal/query"
 	"ntga/internal/relmr"
 	"ntga/internal/sparql"
@@ -26,7 +31,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	const input = "T"
+	flat := plan.Source{Base: "T"}
 
 	table := &stats.Table{
 		Title:  "MR cycles / full scans per engine (plan-level, no execution)",
@@ -49,7 +54,7 @@ func main() {
 		for _, e := range []engine.QueryEngine{
 			relmr.NewPig(), relmr.NewHive(), relmr.NewSelSJFirst(), ntgamr.NewLazy(),
 		} {
-			row = append(row, planShape(e, q, input))
+			row = append(row, planShape(e, q, flat))
 		}
 		table.AddRow(row...)
 	}
@@ -64,11 +69,33 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nlogical plan for B1:\n%s", q.Explain())
+
+	// The same query and engine over three sources.
+	part, err := plan.NewPartitioning(plan.PartitionKeySubject, 8, "part/T", "")
+	if err != nil {
+		log.Fatal(err)
+	}
+	chain := []string{"T_delta/block-1", "T_delta/block-2"}
+	for _, s := range []struct {
+		name string
+		src  plan.Source
+	}{
+		{"flat file", flat},
+		{"hash-of-subject layout", plan.Source{Base: flat.Base, Part: part}},
+		{"layout beside two uncompacted delta blocks", plan.Source{Base: flat.Base, Deltas: chain, Part: part}},
+	} {
+		var cl engine.Cleaner
+		p, err := engine.Plan(ntgamr.NewLazy(), q, s.src, &cl, nil)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("\nNTGA-Lazy plan for B1 over a %s:\n%s", s.name, p.Summary())
+	}
 }
 
-func planShape(e engine.QueryEngine, q *query.Query, input string) string {
+func planShape(e engine.QueryEngine, q *query.Query, src plan.Source) string {
 	var cl engine.Cleaner
-	p, err := e.Plan(q, input, &cl, nil)
+	p, err := engine.Plan(e, q, src, &cl, nil)
 	if err != nil {
 		return "n/a"
 	}

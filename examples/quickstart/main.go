@@ -15,6 +15,7 @@ import (
 	"ntga/internal/hdfs"
 	"ntga/internal/mapreduce"
 	"ntga/internal/ntgamr"
+	"ntga/internal/plan"
 	"ntga/internal/query"
 	"ntga/internal/rdf"
 	"ntga/internal/sparql"
@@ -60,7 +61,7 @@ SELECT ?p ?x ?xl WHERE {
 	if err := engine.LoadGraph(mr.DFS(), "triples", g); err != nil {
 		log.Fatal(err)
 	}
-	res, err := ntgamr.NewLazy().Run(mr, compiled, "triples")
+	res, err := engine.Run(ntgamr.NewLazy(), mr, compiled, plan.Source{Base: "triples"})
 	if err != nil {
 		log.Fatal(err)
 	}

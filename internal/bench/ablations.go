@@ -7,6 +7,7 @@ import (
 	"ntga/internal/datagen"
 	"ntga/internal/engine"
 	"ntga/internal/ntgamr"
+	"ntga/internal/plan"
 	"ntga/internal/query"
 	"ntga/internal/relmr"
 	"ntga/internal/sparql"
@@ -270,7 +271,7 @@ func AblationScanSharing(opt Options) (*Report, error) {
 	var sepDur time.Duration
 	sepRows := make([]int64, len(qs))
 	for qi, q := range qs {
-		res, err := lazy.Run(mr, q, input)
+		res, err := engine.Run(lazy, mr, q, plan.Source{Base: input})
 		if err != nil {
 			return nil, fmt.Errorf("bench: separate run %s: %w", ids[qi], err)
 		}

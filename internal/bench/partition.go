@@ -121,11 +121,11 @@ func partitionRun(opt Options, buckets int) (*Report, *PartitionDoc, error) {
 			return nil, nil, err
 		}
 		for _, eng := range partitionEngines(phiM) {
-			flat, err := eng.Run(mr, q, input)
+			flat, err := engine.Run(eng, mr, q, plan.Source{Base: input})
 			if err != nil {
 				return nil, nil, fmt.Errorf("bench: %s flat on %s: %w", eng.Name(), cq.ID, err)
 			}
-			bucketed, err := engine.RunMaybePartitioned(eng, mr, q, input, part)
+			bucketed, err := engine.Run(eng, mr, q, plan.Source{Base: input, Part: part})
 			if err != nil {
 				return nil, nil, fmt.Errorf("bench: %s partitioned on %s: %w", eng.Name(), cq.ID, err)
 			}

@@ -8,6 +8,7 @@ import (
 	"ntga/internal/codec"
 	"ntga/internal/datagen"
 	"ntga/internal/engine"
+	"ntga/internal/engines"
 	"ntga/internal/hdfs"
 	"ntga/internal/mapreduce"
 	"ntga/internal/ntgamr"
@@ -207,7 +208,7 @@ func RunQuery(spec ClusterSpec, g *rdf.Graph, cq CatalogQuery, engines []engine.
 	var refRows int64 = -1
 	for _, eng := range engines {
 		estCycles, estShuffle := estimateRun(cat, eng, q, input)
-		res, runErr := eng.Run(mr, q, input)
+		res, runErr := engine.Run(eng, mr, q, plan.Source{Base: input})
 		run := EngineRun{
 			Engine:          eng.Name(),
 			OK:              runErr == nil,
@@ -307,29 +308,10 @@ func Fig3Engines() []engine.QueryEngine {
 	return []engine.QueryEngine{relmr.NewSJPerCycle(), relmr.NewSelSJFirst(), ntgamr.NewLazy()}
 }
 
-// EngineByName resolves a CLI engine name. phiM <= 0 selects the default
-// partition range for the NTGA engines that use one.
+// EngineByName forwards to engines.ByName; benchmark/adapter.go and ntga-run
+// call it by this name.
 func EngineByName(name string, phiM int) (engine.QueryEngine, error) {
-	switch name {
-	case "pig":
-		return relmr.NewPig(), nil
-	case "hive":
-		return relmr.NewHive(), nil
-	case "sj-per-cycle":
-		return relmr.NewSJPerCycle(), nil
-	case "sel-sj-first":
-		return relmr.NewSelSJFirst(), nil
-	case "ntga-eager":
-		return ntgamr.NewEager(), nil
-	case "ntga-lazy":
-		return ntgamr.New(ntgamr.LazyAuto, phiM), nil
-	case "ntga-lazy-full":
-		return ntgamr.New(ntgamr.LazyFull, phiM), nil
-	case "ntga-lazy-partial":
-		return ntgamr.New(ntgamr.LazyPartial, phiM), nil
-	default:
-		return nil, fmt.Errorf("bench: unknown engine %q (want pig, hive, sj-per-cycle, sel-sj-first, ntga-eager, ntga-lazy, ntga-lazy-full, ntga-lazy-partial)", name)
-	}
+	return engines.ByName(name, phiM)
 }
 
 // estimateRun plans the query with a throwaway cleaner and prices the plan
@@ -339,7 +321,7 @@ func EngineByName(name string, phiM int) (engine.QueryEngine, error) {
 // subsequent Run records the real error.
 func estimateRun(cat *plan.Catalog, eng engine.QueryEngine, q *query.Query, input string) (int, int64) {
 	var cl engine.Cleaner
-	p, err := eng.Plan(q, input, &cl, nil)
+	p, err := engine.Plan(eng, q, plan.Source{Base: input}, &cl, nil)
 	if err != nil {
 		return 0, 0
 	}

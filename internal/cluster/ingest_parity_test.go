@@ -17,6 +17,7 @@ import (
 	"ntga/internal/hdfs"
 	"ntga/internal/ingest"
 	"ntga/internal/mapreduce"
+	"ntga/internal/plan"
 	"ntga/internal/query"
 )
 
@@ -64,7 +65,7 @@ func runLocalDeltas(t *testing.T, src string, batches []string) *engine.Result {
 		t.Fatal(err)
 	}
 	man := st.Manifest()
-	res, err := engine.RunWithDeltas(eng, mr, q, man.Base, man.DeltaFiles(), nil)
+	res, err := engine.Run(eng, mr, q, plan.Source{Base: man.Base, Deltas: man.DeltaFiles()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"ntga/internal/engine"
+	"ntga/internal/engines"
 	"ntga/internal/hdfs"
 	"ntga/internal/ingest"
 	"ntga/internal/mapreduce"
@@ -1229,7 +1230,7 @@ func (m *Master) RunQuery(ctx context.Context, args *RunArgs) (*RunReply, error)
 			phiM = ua.PhiM
 		}
 	}
-	eng, err := engineByName(engName, phiM)
+	eng, err := engines.ByName(engName, phiM)
 	if err != nil {
 		return nil, err
 	}
@@ -1240,11 +1241,12 @@ func (m *Master) RunQuery(ctx context.Context, args *RunArgs) (*RunReply, error)
 	// here finishes on its pinned version even if an ingest lands mid-run.
 	man := m.store.Manifest()
 	base, deltas := man.Base, man.DeltaFiles()
-	var part *plan.Partitioning
-	if m.part != nil && !args.NoPartition && len(deltas) == 0 {
-		// Any uncompacted delta makes the layout stale by definition; the
-		// flat plan with the delta overlay runs instead until compaction.
-		part = m.part
+	// The source says what the warehouse holds; engine.Plan decides, the
+	// same way here and in every worker's rebuild, what of it the plan uses
+	// (an uncompacted delta chain sets the layout aside until compaction).
+	src := plan.Source{Base: base, Deltas: deltas}
+	if !args.NoPartition {
+		src.Part = m.part
 	}
 	spec := QuerySpec{
 		Query:    args.Query,
@@ -1256,9 +1258,9 @@ func (m *Master) RunQuery(ctx context.Context, args *RunArgs) (*RunReply, error)
 		Deltas:   deltas,
 		DictLen:  m.dict.Len(),
 	}
-	if part != nil {
-		spec.PartDir = part.Dir
-		spec.PartBuckets = part.Buckets
+	if src.Part != nil {
+		spec.PartDir = src.Part.Dir
+		spec.PartBuckets = src.Part.Buckets
 	}
 	qs := m.registerQuery(spec)
 	defer m.releaseQuery(qs.id)
@@ -1278,7 +1280,7 @@ func (m *Master) RunQuery(ctx context.Context, args *RunArgs) (*RunReply, error)
 		Tracer:          m.cfg.Tracer,
 	}).WithContext(ctx)
 
-	res, err := engine.RunWithDeltas(eng, mr, q, base, deltas, part)
+	res, err := engine.Run(eng, mr, q, src)
 	if err != nil {
 		return nil, err
 	}

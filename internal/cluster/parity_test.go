@@ -18,6 +18,7 @@ import (
 	"ntga/internal/enginetest"
 	"ntga/internal/hdfs"
 	"ntga/internal/mapreduce"
+	"ntga/internal/plan"
 	"ntga/internal/query"
 	"ntga/internal/rdf"
 	"ntga/internal/refengine"
@@ -106,7 +107,7 @@ func runLocal(t *testing.T, g *rdf.Graph, q *query.Query, engName string) (*engi
 	if err := engine.LoadGraph(mr.DFS(), input, g); err != nil {
 		t.Fatal(err)
 	}
-	return eng.Run(mr, q, input)
+	return engine.Run(eng, mr, q, plan.Source{Base: input})
 }
 
 func sameRows(a, b []query.Row) bool {
@@ -303,5 +304,5 @@ func runLocalSplit(t *testing.T, g *rdf.Graph, q *query.Query, engName string, s
 	if err := engine.LoadGraph(mr.DFS(), input, g); err != nil {
 		t.Fatal(err)
 	}
-	return eng.Run(mr, q, input)
+	return engine.Run(eng, mr, q, plan.Source{Base: input})
 }

@@ -34,14 +34,16 @@ type QuerySpec struct {
 	Order    []int
 	HasOrder bool
 	Input    string
-	// PartDir/PartBuckets describe the master's partitioned triple layout
-	// when this query runs against it (PartBuckets 0 = flat). Workers
-	// rebuild the same Partitioning — the bucket-file names are
-	// deterministic under the dir — so their plans rewrite identically.
+	// Input, Deltas and PartDir/PartBuckets are the master's plan.Source.
+	// PartDir/PartBuckets name its partitioned triple layout (PartBuckets
+	// 0 = none, or the request opted out). Workers rebuild the same
+	// Partitioning — the bucket-file names are deterministic under the dir
+	// — and plan through the same engine.Plan, so whether the layout is
+	// used (not beside an uncompacted chain) is decided identically.
 	PartDir     string
 	PartBuckets int
 	// Deltas is the uncompacted delta chain the master overlays on the base
-	// relation (plan.ApplyDeltaOverlay). Delta-block names are
+	// relation (engine.Plan). Delta-block names are
 	// process-independent (they come from the manifest sequence, not a
 	// process counter), so workers widen their rebuilt scans identically and
 	// the positional JobInputs translation stays aligned.

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"ntga/internal/engine"
+	"ntga/internal/engines"
 	"ntga/internal/mapreduce"
 	"ntga/internal/plan"
 	"ntga/internal/query"
@@ -626,7 +627,7 @@ func (w *Worker) planFor(qid string, spec *QuerySpec) (*queryPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := engineByName(spec.Engine, spec.PhiM)
+	eng, err := engines.ByName(spec.Engine, spec.PhiM)
 	if err != nil {
 		return nil, err
 	}
@@ -639,14 +640,14 @@ func (w *Worker) planFor(qid string, spec *QuerySpec) (*queryPlan, error) {
 	}
 	counters := mapreduce.NewCounters()
 	var cl engine.Cleaner
-	p, err := engine.PlanMaybePartitioned(eng, q, spec.Input, part, &cl, counters)
+	// The master planned through engine.Plan over this same source, delta
+	// overlay included: the widened scan inputs are appended in chain order,
+	// so the positional JobInputs translation stays aligned (delta-block
+	// names are process-independent).
+	p, err := engine.Plan(eng, q, plan.Source{Base: spec.Input, Deltas: spec.Deltas, Part: part}, &cl, counters)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: rebuilding plan: %w", err)
 	}
-	// Mirror the master's delta overlay: the widened scan inputs are
-	// appended in chain order, so the positional JobInputs translation
-	// stays aligned (delta-block names are process-independent).
-	p.ApplyDeltaOverlay(spec.Deltas)
 	stages, err := p.Lower()
 	if err != nil {
 		return nil, fmt.Errorf("cluster: lowering rebuilt plan: %w", err)

@@ -40,90 +40,93 @@ type Result struct {
 	PeakDFSUsed int64
 }
 
-// QueryEngine plans and executes compiled queries as MapReduce workflows.
+// QueryEngine is what an engine contributes to a query: a name, one plan
+// builder and one decoder of its final output. What of the source a plan may
+// use, the delta overlay, lowering, execution and cleanup are Plan and Run
+// below, the same for every engine.
 type QueryEngine interface {
 	// Name identifies the engine in reports ("Pig", "Hive", "NTGA-Eager", ...).
 	Name() string
-	// Plan builds the engine's physical plan for the query over the triple
-	// relation stored in the DFS file named input, without executing
-	// anything. Intermediate file names are registered with cl for later
-	// cleanup; engines that maintain run counters draw them from counters
-	// (nil selects a throwaway set). The plan's typed nodes drive the cost
-	// model and EXPLAIN; Physical.Lower yields the executable stages.
+	// PlanSource builds the engine's physical plan over the triple relation
+	// src.Base, without executing anything. An engine that can exploit the
+	// bucketed layout src.Part rewrites eligible cycles to their map-only
+	// form and records on the first cycle it cannot why; one that cannot
+	// ignores it. No builder reads src.Deltas (Plan overlays the chain).
+	// Intermediate file names are registered with cl for later cleanup;
+	// engines that maintain run counters draw them from counters (nil
+	// selects a throwaway set). The plan's typed nodes drive the cost model
+	// and EXPLAIN; Physical.Lower yields the executable stages.
+	PlanSource(q *query.Query, src plan.Source, cl *Cleaner, counters *mapreduce.Counters) (*plan.Physical, error)
+	// Decoder returns the function that turns one record of the plan's final
+	// file into binding rows — or, for a COUNT(*) query, into no rows and
+	// the record's share of the answer added to *count.
+	Decoder(q *query.Query, count *int64) DecodeFunc
+
+	// Plan and Run are harness-facing: the frozen benchmark/adapter.go calls
+	// them with these signatures. Implementations forward to the package's
+	// Plan and Run over Source{Base: input}; the root module never calls them.
 	Plan(q *query.Query, input string, cl *Cleaner, counters *mapreduce.Counters) (*plan.Physical, error)
-	// Run plans and executes the query. Implementations must clean up every
-	// intermediate and output file they create, even on failure, and
-	// return a Result whose Workflow reflects the executed jobs. The
-	// returned error is non-nil when the workflow failed (e.g. disk full);
-	// the partial Result is still returned for metric inspection.
 	Run(mr *mapreduce.Engine, q *query.Query, input string) (*Result, error)
 }
 
-// PartitionedRunner is the optional capability of engines that can exploit a
-// partitioned triple layout (plan.BuildPartitionLayout). A nil or mismatched
-// partitioning must behave exactly like Run.
-type PartitionedRunner interface {
-	QueryEngine
-	// RunPartitioned plans and executes the query, rewriting eligible cycles
-	// to their no-shuffle map-only form over the layout's bucket files.
-	RunPartitioned(mr *mapreduce.Engine, q *query.Query, input string, part *plan.Partitioning) (*Result, error)
-}
-
-// PartitionedPlanner is the planning half of PartitionedRunner: engines that
-// can rewrite their physical plan against a layout without executing it
-// (EXPLAIN, and the cluster workers' deterministic plan rebuild).
-type PartitionedPlanner interface {
-	QueryEngine
-	PlanPartitioned(q *query.Query, input string, part *plan.Partitioning, cl *Cleaner, counters *mapreduce.Counters) (*plan.Physical, error)
-}
-
-// PlanMaybePartitioned plans e over the layout when it supports it, falling
-// back to the flat plan otherwise.
-func PlanMaybePartitioned(e QueryEngine, q *query.Query, input string,
-	part *plan.Partitioning, cl *Cleaner, counters *mapreduce.Counters) (*plan.Physical, error) {
-	if pp, ok := e.(PartitionedPlanner); ok {
-		return pp.PlanPartitioned(q, input, part, cl, counters)
+// Plan builds e's physical plan for the query over src — the one way any
+// caller obtains a plan. An uncompacted delta makes any layout stale by
+// definition, so beside a non-empty chain the layout is dropped before the
+// engine sees it and the first scan of T says so (part-miss in EXPLAIN); the
+// chain is then overlaid on every scan of T.
+func Plan(e QueryEngine, q *query.Query, src plan.Source, cl *Cleaner,
+	counters *mapreduce.Counters) (*plan.Physical, error) {
+	stale := src.Part != nil && len(src.Deltas) > 0
+	if stale {
+		src.Part = nil
 	}
-	return e.Plan(q, input, cl, counters)
+	p, err := e.PlanSource(q, src, cl, counters)
+	if err != nil {
+		return nil, err
+	}
+	if stale {
+		if node := p.FirstScan(); node != nil {
+			node.PartReason = fmt.Sprintf("layout stale: %d uncompacted delta blocks", len(src.Deltas))
+		}
+	}
+	p.ApplyDeltaOverlay(src.Deltas)
+	return p, nil
 }
 
-// RunMaybePartitioned runs e over the layout when it supports it, falling
-// back to the flat path otherwise — the seam the parity suite and the CLIs
-// dispatch through.
+// Run plans the query over src, lowers and executes the plan, and decodes
+// its final file. Every file the run created is removed, even on failure,
+// and the Result is never nil: beside an error it carries the metrics of the
+// jobs that did run (e.g. up to a disk-full one). Workflow.FullScans comes
+// from the plan (the Figure 3 "full scans of T" accounting).
+func Run(e QueryEngine, mr *mapreduce.Engine, q *query.Query, src plan.Source) (*Result, error) {
+	var cl Cleaner
+	var stages []mapreduce.Stage
+	counters := mapreduce.NewCounters()
+	p, err := Plan(e, q, src, &cl, counters)
+	if err == nil {
+		stages, err = p.Lower()
+	}
+	if err != nil {
+		cl.Clean(mr)
+		return &Result{Engine: e.Name()}, err
+	}
+	var count int64
+	res, err := Execute(mr, p.Engine, stages, p.Final, &cl, counters, e.Decoder(q, &count))
+	res.Workflow.FullScans = p.ScanCount()
+	res.IsCount, res.Count = q.IsCount(), count
+	return res, err
+}
+
+// RunMaybePartitioned is harness-facing (benchmark/adapter.go only); use Run.
 func RunMaybePartitioned(e QueryEngine, mr *mapreduce.Engine, q *query.Query,
 	input string, part *plan.Partitioning) (*Result, error) {
-	if pr, ok := e.(PartitionedRunner); ok {
-		return pr.RunPartitioned(mr, q, input, part)
-	}
-	return e.Run(mr, q, input)
+	return Run(e, mr, q, plan.Source{Base: input, Part: part})
 }
 
-// DeltaRunner is the optional capability of engines that can overlay an
-// uncompacted delta chain on the base relation (plan.ApplyDeltaOverlay):
-// every scan of T reads base ∪ deltas, with results byte-identical to
-// running over the compacted (merged) relation. An empty chain must behave
-// exactly like Run.
-type DeltaRunner interface {
-	QueryEngine
-	RunDeltas(mr *mapreduce.Engine, q *query.Query, input string, deltas []string) (*Result, error)
-}
-
-// RunWithDeltas dispatches a query over a dataset that may carry an
-// uncompacted delta chain and/or a partition layout — the serve-path and
-// CLI seam for the ingest subsystem. With no deltas it defers to
-// RunMaybePartitioned (a layout, when valid, is usable only then: any
-// uncompacted delta makes it stale by definition, so part and deltas are
-// mutually exclusive here). With deltas it requires a DeltaRunner.
+// RunWithDeltas is harness-facing (benchmark/adapter.go only); use Run.
 func RunWithDeltas(e QueryEngine, mr *mapreduce.Engine, q *query.Query,
 	input string, deltas []string, part *plan.Partitioning) (*Result, error) {
-	if len(deltas) == 0 {
-		return RunMaybePartitioned(e, mr, q, input, part)
-	}
-	dr, ok := e.(DeltaRunner)
-	if !ok {
-		return nil, fmt.Errorf("engine: %s cannot query an uncompacted delta chain (no DeltaRunner); compact first", e.Name())
-	}
-	return dr.RunDeltas(mr, q, input, deltas)
+	return Run(e, mr, q, plan.Source{Base: input, Deltas: deltas, Part: part})
 }
 
 var tempSeq atomic.Int64

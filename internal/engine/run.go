@@ -6,7 +6,6 @@ import (
 	"ntga/internal/codec"
 	"ntga/internal/hdfs"
 	"ntga/internal/mapreduce"
-	"ntga/internal/plan"
 	"ntga/internal/query"
 	"ntga/internal/rdf"
 )
@@ -39,28 +38,12 @@ func LoadGraph(dfs *hdfs.DFS, name string, g *rdf.Graph) error {
 // client never materializes the full output.
 type DecodeFunc func(record []byte) ([]query.Row, error)
 
-// ExecutePlan lowers a physical plan and executes it — the shared tail of
-// every engine's Run. Beyond Execute it fills in the plan-derived workflow
-// metrics: Workflow.FullScans is set from the plan's scan count (the
-// Figure 3 "full scans of T" accounting).
-func ExecutePlan(mr *mapreduce.Engine, name string, p *plan.Physical,
-	cleaner *Cleaner, counters *mapreduce.Counters, decode DecodeFunc) (*Result, error) {
-	stages, err := p.Lower()
-	if err != nil {
-		cleaner.Clean(mr)
-		return &Result{Engine: name}, err
-	}
-	res, err := Execute(mr, name, stages, p.Final, cleaner, counters, decode)
-	res.Workflow.FullScans = p.ScanCount()
-	return res, err
-}
-
 // Execute runs a planned workflow, decodes the final output, fills in the
-// Result, and removes every tracked intermediate file. It is the shared
-// tail of every engine's Run method. On workflow failure the partial
-// Result (metrics only) and the error are returned. The final file is
-// streamed, not read wholesale: records are decoded one at a time and the
-// output counters accumulate as they are consumed.
+// Result, and removes every tracked intermediate file — the tail of Run. On
+// workflow failure the partial Result (metrics only) and the error are
+// returned. The final file is streamed, not read wholesale: records are
+// decoded one at a time and the output counters accumulate as they are
+// consumed.
 func Execute(mr *mapreduce.Engine, name string, stages []mapreduce.Stage,
 	finalFile string, cleaner *Cleaner, counters *mapreduce.Counters,
 	decode DecodeFunc) (*Result, error) {

@@ -11,6 +11,7 @@ import (
 	"ntga/internal/engine"
 	"ntga/internal/hdfs"
 	"ntga/internal/mapreduce"
+	"ntga/internal/plan"
 	"ntga/internal/query"
 	"ntga/internal/rdf"
 	"ntga/internal/refengine"
@@ -139,7 +140,7 @@ func RunAndCompareOn(t *testing.T, mr *mapreduce.Engine, eng engine.QueryEngine,
 	}
 	q := Compile(t, g, src)
 	want := refengine.Evaluate(q, g)
-	res, err := eng.Run(mr, q, input)
+	res, err := engine.Run(eng, mr, q, plan.Source{Base: input})
 	if err != nil {
 		t.Fatalf("%s.Run: %v", eng.Name(), err)
 	}

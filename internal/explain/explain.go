@@ -57,23 +57,18 @@ func Engines() []engine.QueryEngine {
 	}
 }
 
-// ForQuery plans the query on every engine and prices each plan against
-// the catalog. Engines that cannot plan the shape report Supported=false
-// with the planner's reason.
-func ForQuery(cat *plan.Catalog, q *query.Query, engines []engine.QueryEngine) []EngineCost {
-	return ForQueryPartitioned(cat, q, nil, engines)
-}
-
-// ForQueryPartitioned is ForQuery over a hash-partitioned input layout:
-// engines that understand the physical data property plan their map-only
-// variants (visible as map-only/part/part-miss attributes in the plan
-// text); the rest plan exactly as they would flat.
-func ForQueryPartitioned(cat *plan.Catalog, q *query.Query, part *plan.Partitioning, engines []engine.QueryEngine) []EngineCost {
+// ForQuery plans the query over src on every engine and prices each plan
+// against the catalog. Engines that cannot plan the shape report
+// Supported=false with the planner's reason. What src holds shows in the
+// plan text: engines that understand a layout plan their map-only variants
+// (map-only/part/part-miss attributes), a delta chain adds the DeltaUnion
+// node, and the rest plan exactly as they would over the flat base.
+func ForQuery(cat *plan.Catalog, q *query.Query, src plan.Source, engines []engine.QueryEngine) []EngineCost {
 	out := make([]EngineCost, 0, len(engines))
 	for _, e := range engines {
 		var cl engine.Cleaner
 		ec := EngineCost{Engine: e.Name()}
-		p, err := engine.PlanMaybePartitioned(e, q, Input, part, &cl, nil)
+		p, err := engine.Plan(e, q, src, &cl, nil)
 		if err != nil {
 			ec.Reason = err.Error()
 			out = append(out, ec)
@@ -143,16 +138,11 @@ type RunCost struct {
 
 // Analyze executes the query with every supported engine on a fresh
 // in-memory cluster and pairs each estimate with the measured cycle count,
-// triple-relation scans, and shuffle volume.
-func Analyze(cat *plan.Catalog, g *rdf.Graph, q *query.Query, engines []engine.QueryEngine) ([]RunCost, error) {
-	return AnalyzePartitioned(cat, g, q, 0, engines)
-}
-
-// AnalyzePartitioned is Analyze over a hash-of-subject bucketed layout:
-// each engine's cluster additionally gets the partitioned layout built
-// (buckets > 0), the plan estimates come from the partitioned planner, and
-// execution goes through the engine's map-only path where it applies.
-func AnalyzePartitioned(cat *plan.Catalog, g *rdf.Graph, q *query.Query, buckets int, engines []engine.QueryEngine) ([]RunCost, error) {
+// triple-relation scans, and shuffle volume. With buckets > 0 each cluster
+// additionally gets the hash-of-subject bucketed layout built, the estimates
+// come from plans over that layout, and execution takes the engine's
+// map-only path where it applies.
+func Analyze(cat *plan.Catalog, g *rdf.Graph, q *query.Query, buckets int, engines []engine.QueryEngine) ([]RunCost, error) {
 	var estPart *plan.Partitioning
 	if buckets > 0 {
 		var err error
@@ -161,7 +151,7 @@ func AnalyzePartitioned(cat *plan.Catalog, g *rdf.Graph, q *query.Query, buckets
 			return nil, err
 		}
 	}
-	costs := ForQueryPartitioned(cat, q, estPart, engines)
+	costs := ForQuery(cat, q, plan.Source{Base: Input, Part: estPart}, engines)
 	out := make([]RunCost, 0, len(costs))
 	for i, ec := range costs {
 		rc := RunCost{EngineCost: ec}
@@ -185,7 +175,7 @@ func AnalyzePartitioned(cat *plan.Catalog, g *rdf.Graph, q *query.Query, buckets
 				return nil, err
 			}
 		}
-		res, err := engine.RunMaybePartitioned(engines[i], mr, q, input, part)
+		res, err := engine.Run(engines[i], mr, q, plan.Source{Base: input, Part: part})
 		if err != nil {
 			rc.RunErr = err.Error()
 			out = append(out, rc)

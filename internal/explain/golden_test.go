@@ -93,5 +93,5 @@ func renderWith(t *testing.T, src string, cat *plan.Catalog, dict *rdf.Dict, par
 	if err != nil {
 		t.Fatal(err)
 	}
-	return explain.Render(explain.ForQueryPartitioned(cat, q, part, explain.Engines()))
+	return explain.Render(explain.ForQuery(cat, q, plan.Source{Base: explain.Input, Part: part}, explain.Engines()))
 }

@@ -16,6 +16,7 @@ import (
 	"ntga/internal/hdfs"
 	"ntga/internal/mapreduce"
 	"ntga/internal/ntgamr"
+	"ntga/internal/plan"
 	"ntga/internal/query"
 	"ntga/internal/refengine"
 	"ntga/internal/relmr"
@@ -83,7 +84,7 @@ func TestChaosCatalogQueriesSurviveFaults(t *testing.T) {
 			if err := engine.LoadGraph(mr.DFS(), input, g); err != nil {
 				t.Fatal(err)
 			}
-			res, err := eng.Run(mr, q, input)
+			res, err := engine.Run(eng, mr, q, plan.Source{Base: input})
 			if err != nil {
 				t.Fatalf("%s on %s (seed %d) failed under chaos: %v", eng.Name(), cq.ID, seed, err)
 			}

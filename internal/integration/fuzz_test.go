@@ -14,6 +14,7 @@ import (
 	"ntga/internal/enginetest"
 	"ntga/internal/mapreduce"
 	"ntga/internal/ntgamr"
+	"ntga/internal/plan"
 	"ntga/internal/query"
 	"ntga/internal/refengine"
 	"ntga/internal/relmr"
@@ -160,7 +161,7 @@ func TestFuzzEnginesAgainstReference(t *testing.T) {
 				if err := engine.LoadGraph(mr.DFS(), "in", g); err != nil {
 					t.Fatal(err)
 				}
-				res, err := eng.Run(mr, q, "in")
+				res, err := engine.Run(eng, mr, q, plan.Source{Base: "in"})
 				if err != nil {
 					t.Fatalf("round %d: %s (%s) failed on\n%s\n%v", round, eng.Name(), variant.name, src, err)
 				}
@@ -184,7 +185,7 @@ func TestFuzzEnginesAgainstReference(t *testing.T) {
 			if err := engine.LoadGraph(mr.DFS(), "in", g); err != nil {
 				t.Fatal(err)
 			}
-			res, err := eng.Run(mr, cq, "in")
+			res, err := engine.Run(eng, mr, cq, plan.Source{Base: "in"})
 			if err != nil {
 				t.Fatalf("round %d: %s failed on count variant of\n%s\n%v", round, eng.Name(), src, err)
 			}
@@ -230,7 +231,7 @@ func TestFuzzCountAgainstReference(t *testing.T) {
 			if err := engine.LoadGraph(mr.DFS(), "in", g); err != nil {
 				t.Fatal(err)
 			}
-			res, err := eng.Run(mr, q, "in")
+			res, err := engine.Run(eng, mr, q, plan.Source{Base: "in"})
 			if err != nil {
 				t.Fatalf("round %d: %s failed on\n%s\n%v", round, eng.Name(), src, err)
 			}

@@ -125,7 +125,7 @@ func TestIngestOverlayCatalogParity(t *testing.T) {
 				if err := engine.LoadGraph(oracle.DFS(), ingestInput, pr.gMerged); err != nil {
 					t.Fatal(err)
 				}
-				fresh, err := eng.Run(oracle, q, ingestInput)
+				fresh, err := engine.Run(eng, oracle, q, plan.Source{Base: ingestInput})
 				if err != nil {
 					t.Fatalf("%s fresh run: %v", eng.Name(), err)
 				}
@@ -156,7 +156,7 @@ func TestIngestOverlayCatalogParity(t *testing.T) {
 					t.Fatalf("%s: incremental version %s != fresh reload %s",
 						eng.Name(), st.Version(), pr.gMerged.Version())
 				}
-				overlay, err := engine.RunWithDeltas(eng, mr, q, ingestInput, st.DeltaFiles(), nil)
+				overlay, err := engine.Run(eng, mr, q, plan.Source{Base: ingestInput, Deltas: st.DeltaFiles()})
 				if err != nil {
 					t.Fatalf("%s overlay run: %v", eng.Name(), err)
 				}
@@ -170,7 +170,7 @@ func TestIngestOverlayCatalogParity(t *testing.T) {
 				if st.Version() != pr.gMerged.Version() {
 					t.Fatalf("%s: compaction changed the version", eng.Name())
 				}
-				post, err := engine.RunWithDeltas(eng, mr, q, st.Base(), st.DeltaFiles(), nil)
+				post, err := engine.Run(eng, mr, q, plan.Source{Base: st.Base(), Deltas: st.DeltaFiles()})
 				if err != nil {
 					t.Fatalf("%s post-compact run: %v", eng.Name(), err)
 				}
@@ -209,7 +209,7 @@ SELECT * WHERE {
 		if err := engine.LoadGraph(oracle.DFS(), ingestInput, gMerged); err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := eng.Run(oracle, q, ingestInput)
+		fresh, err := engine.Run(eng, oracle, q, plan.Source{Base: ingestInput})
 		if err != nil {
 			t.Fatalf("query %d fresh: %v", qi, err)
 		}
@@ -231,7 +231,7 @@ SELECT * WHERE {
 				t.Fatal(err)
 			}
 		}
-		overlay, err := engine.RunWithDeltas(eng, mr, q, ingestInput, st.DeltaFiles(), nil)
+		overlay, err := engine.Run(eng, mr, q, plan.Source{Base: ingestInput, Deltas: st.DeltaFiles()})
 		if err != nil {
 			t.Fatalf("query %d overlay: %v", qi, err)
 		}
@@ -289,7 +289,7 @@ func TestIngestMakesLayoutStale(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := enginetest.Compile(t, gMerged, cq.Src)
-	res, err := engine.RunWithDeltas(ntgamr.NewLazy(), mr, q, ingestInput, st.DeltaFiles(), nil)
+	res, err := engine.Run(ntgamr.NewLazy(), mr, q, plan.Source{Base: ingestInput, Deltas: st.DeltaFiles()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestIngestMakesLayoutStale(t *testing.T) {
 	if err != nil {
 		t.Fatalf("layout after compaction: %v", err)
 	}
-	res2, err := engine.RunWithDeltas(ntgamr.NewLazy(), mr, q, st.Base(), st.DeltaFiles(), part)
+	res2, err := engine.Run(ntgamr.NewLazy(), mr, q, plan.Source{Base: st.Base(), Deltas: st.DeltaFiles(), Part: part})
 	if err != nil {
 		t.Fatal(err)
 	}

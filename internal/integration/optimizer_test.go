@@ -83,7 +83,7 @@ func runMeasured(t *testing.T, eng engine.QueryEngine, g *rdf.Graph, q *query.Qu
 	if err := engine.LoadGraph(mr.DFS(), input, g); err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Run(mr, q, input)
+	res, err := engine.Run(eng, mr, q, plan.Source{Base: input})
 	if err != nil {
 		t.Fatalf("%s.Run: %v", eng.Name(), err)
 	}

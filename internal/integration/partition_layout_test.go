@@ -93,11 +93,11 @@ func TestPartitionedLayoutCatalogParity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("building layout: %v", err)
 				}
-				flat, err := eng.Run(mr, q, input)
+				flat, err := engine.Run(eng, mr, q, plan.Source{Base: input})
 				if err != nil {
 					t.Fatalf("%s flat: %v", eng.Name(), err)
 				}
-				bucketed, err := engine.RunMaybePartitioned(eng, mr, q, input, part)
+				bucketed, err := engine.Run(eng, mr, q, plan.Source{Base: input, Part: part})
 				if err != nil {
 					t.Fatalf("%s partitioned: %v", eng.Name(), err)
 				}
@@ -151,7 +151,7 @@ func TestPartitionedLayoutSurvivesFaults(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s on %s (seed %d): layout build failed under chaos: %v", eng.Name(), id, seed, err)
 			}
-			res, err := engine.RunMaybePartitioned(eng, mr, q, input, part)
+			res, err := engine.Run(eng, mr, q, plan.Source{Base: input, Part: part})
 			if err != nil {
 				t.Fatalf("%s on %s (seed %d) failed under chaos: %v", eng.Name(), id, seed, err)
 			}
@@ -282,7 +282,7 @@ func TestStaleLayoutFallsBackToShuffle(t *testing.T) {
 	}
 	q := enginetest.Compile(t, g, cq.Src)
 	eng := ntgamr.NewLazy()
-	res, err := engine.RunMaybePartitioned(eng, mr, q, input, nil)
+	res, err := engine.Run(eng, mr, q, plan.Source{Base: input})
 	if err != nil {
 		t.Fatal(err)
 	}

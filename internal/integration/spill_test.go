@@ -9,6 +9,7 @@ import (
 
 	"ntga/internal/engine"
 	"ntga/internal/enginetest"
+	"ntga/internal/plan"
 	"ntga/internal/query"
 	"ntga/internal/refengine"
 )
@@ -37,7 +38,7 @@ func TestSpillBoundedBufferMatchesReference(t *testing.T) {
 			if err := engine.LoadGraph(mr.DFS(), "in", g); err != nil {
 				t.Fatal(err)
 			}
-			res, err := eng.Run(mr, q, "in")
+			res, err := engine.Run(eng, mr, q, plan.Source{Base: "in"})
 			if err != nil {
 				t.Fatalf("%s under 256B sort buffer: %v", eng.Name(), err)
 			}
@@ -72,7 +73,7 @@ func TestSpillUnboundedIsZero(t *testing.T) {
 		if err := engine.LoadGraph(mr.DFS(), "in", g); err != nil {
 			t.Fatal(err)
 		}
-		res, err := eng.Run(mr, q, "in")
+		res, err := engine.Run(eng, mr, q, plan.Source{Base: "in"})
 		if err != nil {
 			t.Fatalf("%s: %v", eng.Name(), err)
 		}

@@ -138,12 +138,6 @@ type JobMetrics struct {
 	Err      string
 }
 
-// Name returns the job's name.
-//
-// Deprecated: JobMetrics used to carry a Name field duplicating Job; use
-// the Job field.
-func (m JobMetrics) Name() string { return m.Job }
-
 // WorkflowMetrics aggregates the jobs of one workflow run.
 type WorkflowMetrics struct {
 	Jobs []JobMetrics

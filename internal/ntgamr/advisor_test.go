@@ -6,6 +6,7 @@ import (
 
 	"ntga/internal/engine"
 	"ntga/internal/enginetest"
+	"ntga/internal/plan"
 	"ntga/internal/query"
 	"ntga/internal/rdf"
 	"ntga/internal/refengine"
@@ -134,7 +135,7 @@ SELECT * WHERE {
 		if err := engine.LoadGraph(mr.DFS(), "in", g); err != nil {
 			t.Fatal(err)
 		}
-		res, err := eng.Run(mr, q, "in")
+		res, err := engine.Run(eng, mr, q, plan.Source{Base: "in"})
 		if err != nil {
 			t.Fatalf("%s: %v", eng.Name(), err)
 		}

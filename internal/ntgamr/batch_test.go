@@ -5,6 +5,7 @@ import (
 
 	"ntga/internal/engine"
 	"ntga/internal/enginetest"
+	"ntga/internal/plan"
 	"ntga/internal/query"
 	"ntga/internal/refengine"
 )
@@ -90,7 +91,7 @@ func TestRunBatchSharesTheScan(t *testing.T) {
 	// on the triple relation.
 	var individualInputReads int64
 	for _, q := range qs {
-		res, err := lazy.Run(mr, q, "in")
+		res, err := engine.Run(lazy, mr, q, plan.Source{Base: "in"})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package ntgamr
 import (
 	"fmt"
 
+	"ntga/internal/codec"
 	"ntga/internal/core"
 	"ntga/internal/engine"
 	"ntga/internal/mapreduce"
@@ -127,35 +128,113 @@ func (n *NTGA) unnestFor(j query.Join, mode joinMode) plan.UnnestMode {
 	return plan.UnnestLazy
 }
 
-// Plan implements engine.QueryEngine: one grouping cycle computing every
-// star subpattern, one triplegroup-join cycle per inter-star join, and —
-// for COUNT(*) queries — a final count-fold cycle over the implicit
+// PlanSource implements engine.QueryEngine: one grouping cycle computing
+// every star subpattern, one triplegroup-join cycle per inter-star join, and
+// — for COUNT(*) queries — a final count-fold cycle over the implicit
 // representation.
-func (n *NTGA) Plan(q *query.Query, input string, cl *engine.Cleaner,
+//
+// Over a subject-partitioned layout (src.Part) the grouping cycle runs
+// map-only over the bucket files, and so does the longest subject-bound
+// prefix of the join chain (left sides pre-routed by join value). The first
+// join the layout cannot serve — and everything after it — runs the shuffle
+// cycle, with the reason recorded on the node for EXPLAIN. Without a layout
+// (nil or mismatched) the grouping cycle is the shuffled job1 and that prefix
+// is empty.
+func (n *NTGA) PlanSource(q *query.Query, src plan.Source, cl *engine.Cleaner,
 	counters *mapreduce.Counters) (*plan.Physical, error) {
+	part := src.Part
+	if !part.Matches(plan.PartitionKeySubject) {
+		part = nil
+	} else if err := plan.CheckBuckets(part.Buckets); err != nil {
+		return nil, err
+	}
 	if len(q.Stars) == 0 {
 		return nil, fmt.Errorf("ntgamr: query has no stars")
 	}
 	if counters == nil {
 		counters = mapreduce.NewCounters()
 	}
+	input := src.Base
+	eager := n.strategy == Eager
+
 	grouped := cl.Track(engine.TempName(n.name, "group"))
-	groupUnnest := plan.UnnestNone
-	if n.strategy == Eager {
-		groupUnnest = plan.UnnestEager
+	group := &plan.Node{
+		Kind: plan.KindGroupFilter, Name: "ntga-group", Star: -1,
+		Inputs: []string{input}, Output: grouped,
+	}
+	if eager {
+		group.Unnest = plan.UnnestEager
 	}
 	p := &plan.Physical{Engine: n.name, Input: input, Final: grouped}
-	p.Stages = append(p.Stages, plan.Stage{{
-		Kind: plan.KindGroupFilter, Name: "ntga-group", Star: -1,
-		Inputs: []string{input}, Output: grouped, Unnest: groupUnnest,
-		Job: job1(q, n.strategy == Eager, counters, input, grouped),
-	}})
+	prefix := MapOnlyPrefix(part, q.Joins) // 0 without a layout
+	var grpFiles []string
+	var jl *jlRoute
+	if prefix > 0 {
+		grpFiles = tempBuckets(cl, engine.TempName(n.name, "group-b"), part.Buckets)
+		jl = &jlRoute{
+			pos:   q.Joins[0].Left,
+			files: tempBuckets(cl, engine.TempName(n.name, "jl0"), part.Buckets),
+		}
+	}
+	if part == nil {
+		group.Job = job1(q, eager, counters, input, grouped)
+	} else {
+		p.PartInput = part.Dir
+		group.Inputs = []string{part.Dir}
+		group.MapSide, group.Part = true, part
+		group.Job = &mapreduce.Job{
+			Name:            "ntga-group",
+			Inputs:          part.Files(),
+			Output:          grouped,
+			ExtraOutputs:    append(append([]string(nil), grpFiles...), jlFilesOf(jl)...),
+			WholeFileSplits: true,
+			MapOnlyFactory: &groupTaskFactory{
+				q: q, eager: eager, counters: counters,
+				grpFiles: grpFiles, jl: jl,
+			},
+		}
+	}
+	p.Stages = append(p.Stages, plan.Stage{group})
+
 	acc := grouped
 	for ji := range q.Joins {
 		j := q.Joins[ji]
 		out := cl.Track(engine.TempName(n.name, fmt.Sprintf("join%d", ji)))
-		mode := n.joinModeFor(q, j)
 		name := fmt.Sprintf("%s-join%d", n.name, ji)
+		if ji < prefix {
+			var next *jlRoute
+			if ji+1 < prefix {
+				next = &jlRoute{
+					pos:   q.Joins[ji+1].Left,
+					files: tempBuckets(cl, engine.TempName(n.name, fmt.Sprintf("jl%d", ji+1)), part.Buckets),
+				}
+			}
+			job := &mapreduce.Job{
+				Name:            name,
+				Inputs:          grpFiles,
+				Output:          out,
+				ExtraOutputs:    jlFilesOf(next),
+				WholeFileSplits: true,
+				TaskSideInputs:  jl.files,
+				MapOnlyFactory:  &joinTaskFactory{q: q, join: j, counters: counters, next: next},
+			}
+			inputs := []string{grouped}
+			if ji > 0 {
+				inputs = []string{acc, grouped}
+			}
+			p.Stages = append(p.Stages, plan.Stage{{
+				Kind: plan.KindTGJoin, Name: name, Star: -1,
+				Inputs: inputs, Output: out, Join: &q.Joins[ji],
+				Unnest:  n.unnestFor(j, directMode),
+				MapSide: true, Part: part, Job: job,
+			}})
+			jl = next
+			acc = out
+			continue
+		}
+		// The shuffle cycle, reading the accumulated result and the (flat)
+		// grouping output.
+		mode := n.joinModeFor(q, j)
 		job := tgJoinJob(q, name, j, mode, n.phiM, counters, acc, grouped, out)
 		node := &plan.Node{
 			Kind: plan.KindTGJoin, Name: name, Star: -1,
@@ -164,6 +243,9 @@ func (n *NTGA) Plan(q *query.Query, input string, cl *engine.Cleaner,
 		}
 		if node.Unnest == plan.UnnestPartial {
 			node.PhiM = n.phiM
+		}
+		if part != nil && ji == prefix {
+			node.PartReason = partMissReason(j)
 		}
 		p.Stages = append(p.Stages, plan.Stage{node})
 		acc = out
@@ -181,9 +263,24 @@ func (n *NTGA) Plan(q *query.Query, input string, cl *engine.Cleaner,
 	return p, nil
 }
 
-// DecodeRows converts one final triplegroup record into binding rows by
-// expanding its (possibly still nested) components.
-func DecodeRows(q *query.Query) engine.DecodeFunc {
+// Decoder implements engine.QueryEngine. A final record is a triplegroup
+// whose (possibly still nested) components expand into binding rows. COUNT(*)
+// queries use aggregation pushdown over the implicit representation: the
+// plan's count-fold cycle sums the expansion counts of the still-nested
+// triplegroups — no β-unnest happens at all for non-joining slots, and the
+// sum Combiner folds partial counts at spill time — so each final record is
+// a uvarint partial count.
+func (n *NTGA) Decoder(q *query.Query, count *int64) engine.DecodeFunc {
+	if q.IsCount() {
+		return func(record []byte) ([]query.Row, error) {
+			c, err := codec.NewReader(record).Uvarint()
+			if err != nil {
+				return nil, err
+			}
+			*count += int64(c)
+			return nil, nil
+		}
+	}
 	return func(record []byte) ([]query.Row, error) {
 		comps, err := core.DecodeJoined(record)
 		if err != nil {
@@ -193,29 +290,13 @@ func DecodeRows(q *query.Query) engine.DecodeFunc {
 	}
 }
 
-// Run implements engine.QueryEngine. COUNT(*) queries use aggregation
-// pushdown over the implicit representation: the plan's count-fold cycle
-// sums the expansion counts of the (still nested) triplegroups — no β-unnest
-// happens at all for non-joining slots, and the sum Combiner folds partial
-// counts at spill time.
-func (n *NTGA) Run(mr *mapreduce.Engine, q *query.Query, input string) (*engine.Result, error) {
-	return n.RunPartitioned(mr, q, input, nil)
+// Plan is harness-facing (benchmark/adapter.go); use engine.Plan.
+func (n *NTGA) Plan(q *query.Query, input string, cl *engine.Cleaner,
+	counters *mapreduce.Counters) (*plan.Physical, error) {
+	return engine.Plan(n, q, plan.Source{Base: input}, cl, counters)
 }
 
-// RunDeltas implements engine.DeltaRunner: the flat plan with the ingest
-// delta chain overlaid on every scan of the triple relation. The grouping
-// mapper is input-name-agnostic, so the widened scan shuffles base and delta
-// records through the same grouping — with outputs byte-identical to the
-// compacted relation's, because the shuffle totally orders (key, value).
-func (n *NTGA) RunDeltas(mr *mapreduce.Engine, q *query.Query, input string,
-	deltas []string) (*engine.Result, error) {
-	var cl engine.Cleaner
-	counters := mapreduce.NewCounters()
-	p, err := n.Plan(q, input, &cl, counters)
-	if err != nil {
-		cl.Clean(mr)
-		return &engine.Result{Engine: n.name}, err
-	}
-	p.ApplyDeltaOverlay(deltas)
-	return n.executePlan(mr, q, p, &cl, counters)
+// Run is harness-facing (benchmark/adapter.go); use engine.Run.
+func (n *NTGA) Run(mr *mapreduce.Engine, q *query.Query, input string) (*engine.Result, error) {
+	return engine.Run(n, mr, q, plan.Source{Base: input})
 }

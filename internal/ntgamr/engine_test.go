@@ -8,6 +8,7 @@ import (
 	"ntga/internal/enginetest"
 	"ntga/internal/hdfs"
 	"ntga/internal/mapreduce"
+	"ntga/internal/plan"
 	"ntga/internal/refengine"
 	"ntga/internal/relmr"
 )
@@ -163,7 +164,7 @@ func TestNTGAWorkflowShape(t *testing.T) {
 		t.Errorf("NTGA cycles = %d, want 2", res.Workflow.Cycles)
 	}
 	var cl engine.Cleaner
-	p, err := NewLazy().Plan(enginetest.Compile(t, g, twoStar), "in", &cl, mapreduce.NewCounters())
+	p, err := engine.Plan(NewLazy(), enginetest.Compile(t, g, twoStar), plan.Source{Base: "in"}, &cl, mapreduce.NewCounters())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +291,7 @@ SELECT * WHERE {
 			t.Fatal(err)
 		}
 		q := enginetest.Compile(t, g, src)
-		_, err := eng.Run(mr, q, "in")
+		_, err := engine.Run(eng, mr, q, plan.Source{Base: "in"})
 		return err
 	}
 	if err := run(NewEager()); err == nil {
@@ -341,7 +342,7 @@ SELECT (COUNT(*) AS ?n) WHERE {
 			relmr.NewPig(), relmr.NewHive(),
 		}
 		for _, eng := range engines {
-			res, err := eng.Run(mr, q, "in")
+			res, err := engine.Run(eng, mr, q, plan.Source{Base: "in"})
 			if err != nil {
 				t.Fatalf("%s: %v", eng.Name(), err)
 			}
@@ -370,7 +371,7 @@ SELECT (COUNT(*) AS ?n) WHERE { ?g ex:label ?l . ?g ex:xGO ?go . ?g ?p ?o . }`
 			t.Fatal(err)
 		}
 		q := enginetest.Compile(t, g, src)
-		res, err := eng.Run(mr, q, "in")
+		res, err := engine.Run(eng, mr, q, plan.Source{Base: "in"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -423,7 +424,7 @@ func TestNTGAResilientToTaskFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := enginetest.Compile(t, g, src)
-	res, err := NewLazy().Run(faulty, q, "in")
+	res, err := engine.Run(NewLazy(), faulty, q, plan.Source{Base: "in"})
 	if err != nil {
 		t.Fatalf("faulty run: %v", err)
 	}

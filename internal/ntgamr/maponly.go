@@ -359,170 +359,9 @@ func tempBuckets(cl *engine.Cleaner, base string, n int) []string {
 	return files
 }
 
-// PlanPartitioned is Plan over a subject-partitioned layout: the grouping
-// cycle always runs map-only over the bucket files, and the longest
-// subject-bound prefix of the join chain runs map-only too (left sides
-// pre-routed by join value). The first join the layout cannot serve — and
-// everything after it — falls back to the flat shuffle cycles, with the
-// reason recorded on the node for EXPLAIN. A nil (or mismatched)
-// partitioning delegates to Plan exactly.
-func (n *NTGA) PlanPartitioned(q *query.Query, input string, part *plan.Partitioning,
-	cl *engine.Cleaner, counters *mapreduce.Counters) (*plan.Physical, error) {
-	if !part.Matches(plan.PartitionKeySubject) {
-		return n.Plan(q, input, cl, counters)
-	}
-	if err := plan.CheckBuckets(part.Buckets); err != nil {
-		return nil, err
-	}
-	if len(q.Stars) == 0 {
-		return nil, fmt.Errorf("ntgamr: query has no stars")
-	}
-	if counters == nil {
-		counters = mapreduce.NewCounters()
-	}
-	prefix := MapOnlyPrefix(part, q.Joins)
-	buckets := part.Buckets
-
-	grouped := cl.Track(engine.TempName(n.name, "group"))
-	groupUnnest := plan.UnnestNone
-	if n.strategy == Eager {
-		groupUnnest = plan.UnnestEager
-	}
-	var grpFiles []string
-	var jl *jlRoute
-	if prefix > 0 {
-		grpFiles = tempBuckets(cl, engine.TempName(n.name, "group-b"), buckets)
-		jl = &jlRoute{
-			pos:   q.Joins[0].Left,
-			files: tempBuckets(cl, engine.TempName(n.name, "jl0"), buckets),
-		}
-	}
-	groupJob := &mapreduce.Job{
-		Name:            "ntga-group",
-		Inputs:          part.Files(),
-		Output:          grouped,
-		ExtraOutputs:    append(append([]string(nil), grpFiles...), jlFilesOf(jl)...),
-		WholeFileSplits: true,
-		MapOnlyFactory: &groupTaskFactory{
-			q: q, eager: n.strategy == Eager, counters: counters,
-			grpFiles: grpFiles, jl: jl,
-		},
-	}
-	p := &plan.Physical{Engine: n.name, Input: input, PartInput: part.Dir, Final: grouped}
-	p.Stages = append(p.Stages, plan.Stage{{
-		Kind: plan.KindGroupFilter, Name: "ntga-group", Star: -1,
-		Inputs: []string{part.Dir}, Output: grouped, Unnest: groupUnnest,
-		MapSide: true, Part: part, Job: groupJob,
-	}})
-
-	acc := grouped
-	for ji := range q.Joins {
-		j := q.Joins[ji]
-		out := cl.Track(engine.TempName(n.name, fmt.Sprintf("join%d", ji)))
-		name := fmt.Sprintf("%s-join%d", n.name, ji)
-		if ji < prefix {
-			var next *jlRoute
-			if ji+1 < prefix {
-				next = &jlRoute{
-					pos:   q.Joins[ji+1].Left,
-					files: tempBuckets(cl, engine.TempName(n.name, fmt.Sprintf("jl%d", ji+1)), buckets),
-				}
-			}
-			job := &mapreduce.Job{
-				Name:            name,
-				Inputs:          grpFiles,
-				Output:          out,
-				ExtraOutputs:    jlFilesOf(next),
-				WholeFileSplits: true,
-				TaskSideInputs:  jl.files,
-				MapOnlyFactory:  &joinTaskFactory{q: q, join: j, counters: counters, next: next},
-			}
-			inputs := []string{grouped}
-			if ji > 0 {
-				inputs = []string{acc, grouped}
-			}
-			p.Stages = append(p.Stages, plan.Stage{{
-				Kind: plan.KindTGJoin, Name: name, Star: -1,
-				Inputs: inputs, Output: out, Join: &q.Joins[ji],
-				Unnest:  n.unnestFor(j, directMode),
-				MapSide: true, Part: part, Job: job,
-			}})
-			jl = next
-			acc = out
-			continue
-		}
-		// Shuffle fallback: the flat join cycle, reading the accumulated
-		// result and the (flat) grouping output.
-		mode := n.joinModeFor(q, j)
-		job := tgJoinJob(q, name, j, mode, n.phiM, counters, acc, grouped, out)
-		node := &plan.Node{
-			Kind: plan.KindTGJoin, Name: name, Star: -1,
-			Inputs: append([]string(nil), job.Inputs...), Output: out,
-			Join: &q.Joins[ji], Unnest: n.unnestFor(j, mode), Job: job,
-		}
-		if node.Unnest == plan.UnnestPartial {
-			node.PhiM = n.phiM
-		}
-		if ji == prefix {
-			node.PartReason = partMissReason(j)
-		}
-		p.Stages = append(p.Stages, plan.Stage{node})
-		acc = out
-	}
-	p.Final = acc
-	if q.IsCount() {
-		cntFile := cl.Track(engine.TempName(n.name, "count"))
-		p.Stages = append(p.Stages, plan.Stage{{
-			Kind: plan.KindCountFold, Name: "ntga-count", Star: -1,
-			Inputs: []string{acc}, Output: cntFile,
-			Job: countFoldJob(q, acc, cntFile),
-		}})
-		p.Final = cntFile
-	}
-	return p, nil
-}
-
 func jlFilesOf(r *jlRoute) []string {
 	if r == nil {
 		return nil
 	}
 	return r.files
-}
-
-// RunPartitioned is Run over a partitioned layout; a nil partitioning runs
-// the flat path. Result rows are the same set as the flat run's (the map-only
-// path emits them in bucket order rather than shuffle order).
-func (n *NTGA) RunPartitioned(mr *mapreduce.Engine, q *query.Query, input string,
-	part *plan.Partitioning) (*engine.Result, error) {
-	var cl engine.Cleaner
-	counters := mapreduce.NewCounters()
-	p, err := n.PlanPartitioned(q, input, part, &cl, counters)
-	if err != nil {
-		cl.Clean(mr)
-		return &engine.Result{Engine: n.name}, err
-	}
-	return n.executePlan(mr, q, p, &cl, counters)
-}
-
-// executePlan runs a bound NTGA plan: COUNT(*) queries fold the uvarint
-// partial counts of the count cycle, everything else decodes triplegroup
-// rows.
-func (n *NTGA) executePlan(mr *mapreduce.Engine, q *query.Query, p *plan.Physical,
-	cl *engine.Cleaner, counters *mapreduce.Counters) (*engine.Result, error) {
-	if q.IsCount() {
-		var count int64
-		res, err := engine.ExecutePlan(mr, n.name, p, cl, counters,
-			func(record []byte) ([]query.Row, error) {
-				c, err := codec.NewReader(record).Uvarint()
-				if err != nil {
-					return nil, err
-				}
-				count += int64(c)
-				return nil, nil
-			})
-		res.IsCount = true
-		res.Count = count
-		return res, err
-	}
-	return engine.ExecutePlan(mr, n.name, p, cl, counters, DecodeRows(q))
 }

@@ -47,12 +47,12 @@ func TestPartitionedParity(t *testing.T) {
 					t.Fatal(err)
 				}
 				q := enginetest.Compile(t, g, tq.src)
-				flat, err := eng.Run(mr, q, input)
+				flat, err := engine.Run(eng, mr, q, plan.Source{Base: input})
 				if err != nil {
 					t.Fatalf("flat run: %v", err)
 				}
 				q2 := enginetest.Compile(t, g, tq.src)
-				pr, err := eng.RunPartitioned(mr, q2, input, part)
+				pr, err := engine.Run(eng, mr, q2, plan.Source{Base: input, Part: part})
 				if err != nil {
 					t.Fatalf("partitioned run: %v", err)
 				}
@@ -101,7 +101,7 @@ SELECT * WHERE {
   ?go ex:label ?gol . ?go ex:type ?t .
 }`)
 	eng := NewLazy()
-	res, err := eng.RunPartitioned(mr, q, input, part)
+	res, err := engine.Run(eng, mr, q, plan.Source{Base: input, Part: part})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ SELECT * WHERE {
   ?go ex:label ?gol . ?go ex:type ?t .
 }`)
 	var cl engine.Cleaner
-	p, err := eng.PlanPartitioned(q, "data/triples", part, &cl, nil)
+	p, err := engine.Plan(eng, q, plan.Source{Base: "data/triples", Part: part}, &cl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ SELECT * WHERE {
   ?b ex:synonym ?bs . ?b ex:xGO ?x .
 }`)
 	var cl2 engine.Cleaner
-	p2, err := eng.PlanPartitioned(q2, "data/triples", part, &cl2, nil)
+	p2, err := engine.Plan(eng, q2, plan.Source{Base: "data/triples", Part: part}, &cl2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,12 +173,12 @@ SELECT * WHERE {
 
 	// Nil partitioning: identical to the flat plan.
 	var cl3 engine.Cleaner
-	p3, err := eng.PlanPartitioned(q2, "data/triples", nil, &cl3, nil)
+	p3, err := engine.Plan(eng, q2, plan.Source{Base: "data/triples"}, &cl3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var cl4 engine.Cleaner
-	p4, err := eng.Plan(q2, "data/triples", &cl4, nil)
+	p4, err := engine.Plan(eng, q2, plan.Source{Base: "data/triples"}, &cl4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

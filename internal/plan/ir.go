@@ -17,6 +17,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"ntga/internal/mapreduce"
@@ -208,22 +209,32 @@ func (p *Physical) Cycles() int {
 	return n
 }
 
+// scans reports whether the node reads the base triple relation T.
+func (p *Physical) scans(node *Node) bool {
+	return node.Kind != KindDeltaUnion && slices.Contains(node.Inputs, p.Input)
+}
+
 // ScanCount counts how many jobs scan the base triple relation — the
 // Figure 3 "full scans of T" metric.
 func (p *Physical) ScanCount() int {
 	n := 0
 	for _, node := range p.Nodes() {
-		if node.Kind == KindDeltaUnion {
-			continue
-		}
-		for _, in := range node.Inputs {
-			if in == p.Input {
-				n++
-				break
-			}
+		if p.scans(node) {
+			n++
 		}
 	}
 	return n
+}
+
+// FirstScan returns the first node, in execution order, that scans T (nil
+// when none does: a plan reading only a bucketed layout).
+func (p *Physical) FirstScan() *Node {
+	for _, node := range p.Nodes() {
+		if p.scans(node) {
+			return node
+		}
+	}
+	return nil
 }
 
 // ApplyDeltaOverlay rewrites the plan to read base ∪ deltas wherever it
@@ -234,23 +245,15 @@ func (p *Physical) ScanCount() int {
 // pairs, the overlaid plan's outputs are byte-identical to running the
 // original plan over a compacted (or freshly reloaded) merged relation —
 // the invariant the ingest parity suite pins down. A nil/empty chain is a
-// no-op. The overlay must not be combined with a partitioned plan: an
-// uncompacted delta makes any layout stale by definition, so planners fall
-// back to the flat path first.
+// no-op. A map-only node reads bucket files, not T, and would miss the
+// deltas: engine.Plan, the overlay's one caller, plans flat first.
 func (p *Physical) ApplyDeltaOverlay(deltas []string) {
 	if len(deltas) == 0 {
 		return
 	}
 	p.Deltas = append([]string(nil), deltas...)
 	for _, node := range p.Nodes() {
-		scansT := false
-		for _, in := range node.Inputs {
-			if in == p.Input {
-				scansT = true
-				break
-			}
-		}
-		if !scansT {
+		if !p.scans(node) {
 			continue
 		}
 		node.Inputs = append(node.Inputs, p.Deltas...)

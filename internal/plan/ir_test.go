@@ -7,6 +7,7 @@ import (
 	"ntga/internal/engine"
 	"ntga/internal/enginetest"
 	"ntga/internal/ntgamr"
+	"ntga/internal/plan"
 	"ntga/internal/relmr"
 )
 
@@ -24,11 +25,11 @@ func TestSummaryNormalizesTempNames(t *testing.T) {
 	q := enginetest.Compile(t, g, irQuery)
 	for _, eng := range []engine.QueryEngine{ntgamr.NewLazy(), relmr.NewPig(), relmr.NewHive()} {
 		var cl1, cl2 engine.Cleaner
-		p1, err := eng.Plan(q, "T", &cl1, nil)
+		p1, err := engine.Plan(eng, q, plan.Source{Base: "T"}, &cl1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p2, err := eng.Plan(q, "T", &cl2, nil)
+		p2, err := engine.Plan(eng, q, plan.Source{Base: "T"}, &cl2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +50,7 @@ func TestPhysicalCountsAndLower(t *testing.T) {
 	g := enginetest.BioGraph()
 	q := enginetest.Compile(t, g, irQuery)
 	var cl engine.Cleaner
-	p, err := ntgamr.NewLazy().Plan(q, "T", &cl, nil)
+	p, err := engine.Plan(ntgamr.NewLazy(), q, plan.Source{Base: "T"}, &cl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,18 +60,35 @@ func NewSJPerCycle() *Relational { return &Relational{style: StyleHive, name: "S
 // Name implements engine.QueryEngine.
 func (r *Relational) Name() string { return r.name }
 
-// Plan implements engine.QueryEngine: it builds the physical plan without
-// executing anything. Exposed for plan inspection (cmd/ntga-explain) and
-// the Figure 3 cycle/scan accounting. The counters argument is unused —
-// the relational engines keep no run counters.
-func (r *Relational) Plan(q *query.Query, input string, cl *engine.Cleaner,
+// PlanSource implements engine.QueryEngine: it builds the physical plan
+// without executing anything. The counters argument is unused — the
+// relational engines keep no run counters.
+//
+// Over a subject-partitioned layout (src.Part) Hive-style star-join cycles
+// become map-only scans of the bucket files; the relational join cycles still
+// shuffle (and the first says why). Pig-style plans ignore the layout — the
+// SPLIT pass re-materializes the input, discarding it before any star-join
+// could use it.
+func (r *Relational) PlanSource(q *query.Query, src plan.Source, cl *engine.Cleaner,
 	_ *mapreduce.Counters) (*plan.Physical, error) {
 	if len(q.Stars) == 0 {
 		return nil, fmt.Errorf("relmr: query has no stars")
 	}
+	input := src.Base
+	part := src.Part
+	if r.style == StylePig || !part.Matches(plan.PartitionKeySubject) {
+		part = nil
+	}
 	p := &plan.Physical{Engine: r.name, Input: input}
 
 	scanInput := input
+	if part != nil {
+		if err := plan.CheckBuckets(part.Buckets); err != nil {
+			return nil, err
+		}
+		p.PartInput = part.Dir
+		scanInput = part.Dir
+	}
 	if r.style == StylePig {
 		vp := cl.Track(engine.TempName(r.name, "split"))
 		job := splitJob(q, input, vp)
@@ -91,7 +108,12 @@ func (r *Relational) Plan(q *query.Query, input string, cl *engine.Cleaner,
 		node := &plan.Node{
 			Kind: plan.KindStarJoin, Name: name, Star: i,
 			Inputs: []string{scanInput}, Output: starFiles[i],
-			Job: starJoinJob(name, q, st, r.w, scanInput, starFiles[i]),
+		}
+		if part != nil {
+			node.MapSide, node.Part = true, part
+			node.Job = starJoinMapOnlyJob(name, q, st, r.w, part, starFiles[i])
+		} else {
+			node.Job = starJoinJob(name, q, st, r.w, scanInput, starFiles[i])
 		}
 		if r.style == StylePig {
 			starStage = append(starStage, node)
@@ -113,11 +135,15 @@ func (r *Relational) Plan(q *query.Query, input string, cl *engine.Cleaner,
 		out := cl.Track(engine.TempName(r.name, fmt.Sprintf("join%d", ji)))
 		name := fmt.Sprintf("%s-join%d", r.name, ji)
 		right := starFiles[j.Right.Star]
-		p.Stages = append(p.Stages, plan.Stage{{
+		node := &plan.Node{
 			Kind: plan.KindRelJoin, Name: name, Star: -1,
 			Inputs: []string{acc, right}, Output: out, Join: &q.Joins[ji],
 			Job: joinJob(q, name, j, r.w, acc, right, out),
-		}})
+		}
+		if part != nil && ji == 0 {
+			node.PartReason = relJoinPartMiss(j)
+		}
+		p.Stages = append(p.Stages, plan.Stage{node})
 		acc = out
 	}
 	p.Final = acc
@@ -136,46 +162,41 @@ func splitDoubleCopies(q *query.Query) bool {
 	return false
 }
 
-// Run implements engine.QueryEngine.
+// Decoder implements engine.QueryEngine.
+func (r *Relational) Decoder(q *query.Query, count *int64) engine.DecodeFunc {
+	return decoder(q, r.w, count)
+}
+
+// Plan is harness-facing (benchmark/adapter.go); use engine.Plan.
+func (r *Relational) Plan(q *query.Query, input string, cl *engine.Cleaner,
+	counters *mapreduce.Counters) (*plan.Physical, error) {
+	return engine.Plan(r, q, plan.Source{Base: input}, cl, counters)
+}
+
+// Run is harness-facing (benchmark/adapter.go); use engine.Run.
 func (r *Relational) Run(mr *mapreduce.Engine, q *query.Query, input string) (*engine.Result, error) {
-	var cl engine.Cleaner
-	p, err := r.Plan(q, input, &cl, nil)
-	if err != nil {
-		cl.Clean(mr)
-		return &engine.Result{Engine: r.name}, err
-	}
-	return execute(mr, r.name, q, r.w, p, &cl)
+	return engine.Run(r, mr, q, plan.Source{Base: input})
 }
 
-// RunDeltas implements engine.DeltaRunner: the regular plan with the
-// ingest delta chain overlaid on every scan of the triple relation.
-func (r *Relational) RunDeltas(mr *mapreduce.Engine, q *query.Query, input string,
-	deltas []string) (*engine.Result, error) {
-	var cl engine.Cleaner
-	p, err := r.Plan(q, input, &cl, nil)
-	if err != nil {
-		cl.Clean(mr)
-		return &engine.Result{Engine: r.name}, err
-	}
-	p.ApplyDeltaOverlay(deltas)
-	return execute(mr, r.name, q, r.w, p, &cl)
-}
-
-// execute dispatches between row decoding and COUNT(*) aggregation (the
-// relational representation is fully expanded, so the count is simply the
-// final record count).
-func execute(mr *mapreduce.Engine, name string, q *query.Query, w wire,
-	p *plan.Physical, cl *engine.Cleaner) (*engine.Result, error) {
+// decoder is the result decoder of every engine in this package: one final
+// record is one tuple of either wire format. The relational representation
+// is fully expanded, so a COUNT(*) answer is simply the final record count.
+func decoder(q *query.Query, w wire, count *int64) engine.DecodeFunc {
 	if q.IsCount() {
-		var count int64
-		res, err := engine.ExecutePlan(mr, name, p, cl, nil,
-			func(record []byte) ([]query.Row, error) {
-				count++
-				return nil, nil
-			})
-		res.IsCount = true
-		res.Count = count
-		return res, err
+		return func([]byte) ([]query.Row, error) {
+			*count++
+			return nil, nil
+		}
 	}
-	return engine.ExecutePlan(mr, name, p, cl, nil, decodeRowsWire(q, w))
+	return func(record []byte) ([]query.Row, error) {
+		t, err := w.decodeTuple(q, record)
+		if err != nil {
+			return nil, err
+		}
+		row, err := TupleRow(q, t)
+		if err != nil {
+			return nil, err
+		}
+		return []query.Row{row}, nil
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"ntga/internal/engine"
 	"ntga/internal/enginetest"
 	"ntga/internal/mapreduce"
+	"ntga/internal/plan"
 	"ntga/internal/query"
 	"ntga/internal/rdf"
 	"ntga/internal/refengine"
@@ -135,14 +136,14 @@ SELECT * WHERE {
 	}
 	// Plan-level scan accounting (Figure 3): Hive scans input per star.
 	var cl engine.Cleaner
-	p, err := NewHive().Plan(enginetest.Compile(t, g, twoStar), "in", &cl, nil)
+	p, err := engine.Plan(NewHive(), enginetest.Compile(t, g, twoStar), plan.Source{Base: "in"}, &cl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if scans := p.ScanCount(); scans != 2 {
 		t.Errorf("Hive full scans = %d, want 2", scans)
 	}
-	p, err = NewPig().Plan(enginetest.Compile(t, g, twoStar), "in", &cl, nil)
+	p, err = engine.Plan(NewPig(), enginetest.Compile(t, g, twoStar), plan.Source{Base: "in"}, &cl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ SELECT * WHERE {
 		t.Errorf("Sel-SJ-first O-S cycles = %d, want 2", res.Workflow.Cycles)
 	}
 	var cl engine.Cleaner
-	p, err := NewSelSJFirst().Plan(enginetest.Compile(t, g, src), "in", &cl, nil)
+	p, err := engine.Plan(NewSelSJFirst(), enginetest.Compile(t, g, src), plan.Source{Base: "in"}, &cl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ SELECT * WHERE {
 		t.Errorf("Sel-SJ-first O-O cycles = %d, want 3", res.Workflow.Cycles)
 	}
 	var cl engine.Cleaner
-	p, err := NewSelSJFirst().Plan(enginetest.Compile(t, g, src), "in", &cl, nil)
+	p, err := engine.Plan(NewSelSJFirst(), enginetest.Compile(t, g, src), plan.Source{Base: "in"}, &cl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ SELECT * WHERE { ?g ex:label ?l . }`,
 	for _, src := range cases {
 		q := enginetest.Compile(t, g, src)
 		var cl engine.Cleaner
-		if _, err := NewSelSJFirst().Plan(q, "in", &cl, nil); err == nil {
+		if _, err := engine.Plan(NewSelSJFirst(), q, plan.Source{Base: "in"}, &cl, nil); err == nil {
 			t.Errorf("Plan(%q) succeeded, want error", src)
 		}
 	}
@@ -235,7 +236,7 @@ SELECT * WHERE {
   ?g ex:label ?gl . ?g ?p ?x . ?g ?q ?y .
   ?x ex:type ?t .
 }`)
-	res, err := NewHive().Run(mr, q, "in")
+	res, err := engine.Run(NewHive(), mr, q, plan.Source{Base: "in"})
 	if err == nil {
 		t.Fatal("expected disk-full failure")
 	}

@@ -5,7 +5,6 @@ import (
 
 	"ntga/internal/codec"
 	"ntga/internal/core"
-	"ntga/internal/engine"
 	"ntga/internal/mapreduce"
 	"ntga/internal/plan"
 	"ntga/internal/query"
@@ -111,72 +110,4 @@ func starJoinMapOnlyJob(name string, q *query.Query, st *query.Star, w wire,
 // subject hash the bucket files are laid out on.
 func relJoinPartMiss(j query.Join) string {
 	return fmt.Sprintf("join ?%s keys on a tuple binding, not the layout's subject hash", j.Var)
-}
-
-// PlanPartitioned builds the physical plan against a partitioned layout.
-// Hive-style star-join cycles become map-only scans of the bucket files;
-// the relational join cycles still shuffle (and say why). Pig-style plans
-// are unchanged — the SPLIT pass re-materializes the input, discarding the
-// layout before any star-join could use it.
-func (r *Relational) PlanPartitioned(q *query.Query, input string, part *plan.Partitioning,
-	cl *engine.Cleaner, counters *mapreduce.Counters) (*plan.Physical, error) {
-	if !part.Matches(plan.PartitionKeySubject) || r.style == StylePig {
-		return r.Plan(q, input, cl, counters)
-	}
-	if len(q.Stars) == 0 {
-		return nil, fmt.Errorf("relmr: query has no stars")
-	}
-	if err := plan.CheckBuckets(part.Buckets); err != nil {
-		return nil, err
-	}
-	p := &plan.Physical{Engine: r.name, Input: input, PartInput: part.Dir}
-
-	starFiles := make([]string, len(q.Stars))
-	for i, st := range q.Stars {
-		starFiles[i] = cl.Track(engine.TempName(r.name, fmt.Sprintf("star%d", i)))
-		name := fmt.Sprintf("%s-star%d", r.name, i)
-		p.Stages = append(p.Stages, plan.Stage{{
-			Kind: plan.KindStarJoin, Name: name, Star: i,
-			Inputs: []string{part.Dir}, Output: starFiles[i],
-			MapSide: true, Part: part,
-			Job: starJoinMapOnlyJob(name, q, st, r.w, part, starFiles[i]),
-		}})
-	}
-
-	first := 0
-	if len(q.Joins) > 0 {
-		first = q.Joins[0].Left.Star
-	}
-	acc := starFiles[first]
-	for ji := range q.Joins {
-		j := q.Joins[ji]
-		out := cl.Track(engine.TempName(r.name, fmt.Sprintf("join%d", ji)))
-		name := fmt.Sprintf("%s-join%d", r.name, ji)
-		right := starFiles[j.Right.Star]
-		node := &plan.Node{
-			Kind: plan.KindRelJoin, Name: name, Star: -1,
-			Inputs: []string{acc, right}, Output: out, Join: &q.Joins[ji],
-			Job: joinJob(q, name, j, r.w, acc, right, out),
-		}
-		if ji == 0 {
-			node.PartReason = relJoinPartMiss(j)
-		}
-		p.Stages = append(p.Stages, plan.Stage{node})
-		acc = out
-	}
-	p.Final = acc
-	return p, nil
-}
-
-// RunPartitioned runs the query against a partitioned layout; a nil or
-// mismatched layout falls back to the flat plan.
-func (r *Relational) RunPartitioned(mr *mapreduce.Engine, q *query.Query, input string,
-	part *plan.Partitioning) (*engine.Result, error) {
-	var cl engine.Cleaner
-	p, err := r.PlanPartitioned(q, input, part, &cl, nil)
-	if err != nil {
-		cl.Clean(mr)
-		return &engine.Result{Engine: r.name}, err
-	}
-	return execute(mr, r.name, q, r.w, p, &cl)
 }

@@ -26,12 +26,12 @@ func TestHivePartitionedParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				flat, err := eng.Run(mr, enginetest.Compile(t, g, tq.src), input)
+				flat, err := engine.Run(eng, mr, enginetest.Compile(t, g, tq.src), plan.Source{Base: input})
 				if err != nil {
 					t.Fatalf("flat run: %v", err)
 				}
 				q := enginetest.Compile(t, g, tq.src)
-				pr, err := eng.RunPartitioned(mr, q, input, part)
+				pr, err := engine.Run(eng, mr, q, plan.Source{Base: input, Part: part})
 				if err != nil {
 					t.Fatalf("partitioned run: %v", err)
 				}
@@ -67,7 +67,7 @@ func TestHivePlanPartitionedShape(t *testing.T) {
 	}
 	q := enginetest.Compile(t, g, testQueries[2].src) // two stars OS join
 	var cl engine.Cleaner
-	p, err := NewHive().PlanPartitioned(q, "in", part, &cl, nil)
+	p, err := engine.Plan(NewHive(), q, plan.Source{Base: "in", Part: part}, &cl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestHivePlanPartitionedShape(t *testing.T) {
 
 	// Pig ignores the layout entirely (the SPLIT pass discards it).
 	var cl2 engine.Cleaner
-	pp, err := NewPig().PlanPartitioned(q, "in", part, &cl2, nil)
+	pp, err := engine.Plan(NewPig(), q, plan.Source{Base: "in", Part: part}, &cl2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,12 +104,12 @@ func TestHivePlanPartitionedShape(t *testing.T) {
 
 	// Nil partitioning falls back to the flat plan.
 	var cl3 engine.Cleaner
-	pf, err := NewHive().PlanPartitioned(q, "in", nil, &cl3, nil)
+	pf, err := engine.Plan(NewHive(), q, plan.Source{Base: "in"}, &cl3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var cl4 engine.Cleaner
-	flat, err := NewHive().Plan(q, "in", &cl4, nil)
+	flat, err := engine.Plan(NewHive(), q, plan.Source{Base: "in"}, &cl4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

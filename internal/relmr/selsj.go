@@ -37,10 +37,12 @@ func NewSelSJFirst() *SelSJFirst { return &SelSJFirst{name: "Sel-SJ-first"} }
 // Name implements engine.QueryEngine.
 func (s *SelSJFirst) Name() string { return s.name }
 
-// Plan implements engine.QueryEngine; see the type comment for the shapes
-// produced. The counters argument is unused.
-func (s *SelSJFirst) Plan(q *query.Query, input string, cl *engine.Cleaner,
+// PlanSource implements engine.QueryEngine; see the type comment for the
+// shapes produced. The engine has no map-only form, so src.Part is ignored;
+// the counters argument is unused.
+func (s *SelSJFirst) PlanSource(q *query.Query, src plan.Source, cl *engine.Cleaner,
 	_ *mapreduce.Counters) (*plan.Physical, error) {
+	input := src.Base
 	if len(q.Stars) != 2 || len(q.Joins) != 1 {
 		return nil, fmt.Errorf("relmr: Sel-SJ-first supports exactly two stars, got %d stars / %d joins",
 			len(q.Stars), len(q.Joins))
@@ -112,31 +114,20 @@ func (s *SelSJFirst) planOO(q *query.Query, j query.Join, input string, cl *engi
 	}, nil
 }
 
-// Run implements engine.QueryEngine.
-func (s *SelSJFirst) Run(mr *mapreduce.Engine, q *query.Query, input string) (*engine.Result, error) {
-	var cl engine.Cleaner
-	p, err := s.Plan(q, input, &cl, nil)
-	if err != nil {
-		cl.Clean(mr)
-		return &engine.Result{Engine: s.Name()}, err
-	}
-	return execute(mr, s.Name(), q, s.w, p, &cl)
+// Decoder implements engine.QueryEngine.
+func (s *SelSJFirst) Decoder(q *query.Query, count *int64) engine.DecodeFunc {
+	return decoder(q, s.w, count)
 }
 
-// RunDeltas implements engine.DeltaRunner: the same plan shapes with the
-// ingest delta chain overlaid on every scan of the triple relation (the
-// completion mapper treats every non-tuple input as the relation, so delta
-// blocks route through the star filter like base records).
-func (s *SelSJFirst) RunDeltas(mr *mapreduce.Engine, q *query.Query, input string,
-	deltas []string) (*engine.Result, error) {
-	var cl engine.Cleaner
-	p, err := s.Plan(q, input, &cl, nil)
-	if err != nil {
-		cl.Clean(mr)
-		return &engine.Result{Engine: s.Name()}, err
-	}
-	p.ApplyDeltaOverlay(deltas)
-	return execute(mr, s.Name(), q, s.w, p, &cl)
+// Plan is harness-facing (benchmark/adapter.go); use engine.Plan.
+func (s *SelSJFirst) Plan(q *query.Query, input string, cl *engine.Cleaner,
+	counters *mapreduce.Counters) (*plan.Physical, error) {
+	return engine.Plan(s, q, plan.Source{Base: input}, cl, counters)
+}
+
+// Run is harness-facing (benchmark/adapter.go); use engine.Run.
+func (s *SelSJFirst) Run(mr *mapreduce.Engine, q *query.Query, input string) (*engine.Result, error) {
+	return engine.Run(s, mr, q, plan.Source{Base: input})
 }
 
 // ---- edge join (cycle 1 of the O-O plan) ----

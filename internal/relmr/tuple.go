@@ -174,24 +174,3 @@ func TupleRow(q *query.Query, t Tuple) (query.Row, error) {
 	}
 	return row, nil
 }
-
-// DecodeRows converts one final binary-wire output record into its row
-// (engine.DecodeFunc).
-func DecodeRows(q *query.Query) func(record []byte) ([]query.Row, error) {
-	return decodeRowsWire(q, wire{})
-}
-
-// decodeRowsWire converts one final output record of either wire format.
-func decodeRowsWire(q *query.Query, w wire) func(record []byte) ([]query.Row, error) {
-	return func(record []byte) ([]query.Row, error) {
-		t, err := w.decodeTuple(q, record)
-		if err != nil {
-			return nil, err
-		}
-		row, err := TupleRow(q, t)
-		if err != nil {
-			return nil, err
-		}
-		return []query.Row{row}, nil
-	}
-}

@@ -12,14 +12,13 @@ import (
 
 	"ntga/internal/cluster"
 	"ntga/internal/engine"
+	"ntga/internal/engines"
 	"ntga/internal/hdfs"
 	"ntga/internal/ingest"
 	"ntga/internal/mapreduce"
-	"ntga/internal/ntgamr"
 	"ntga/internal/plan"
 	"ntga/internal/query"
 	"ntga/internal/rdf"
-	"ntga/internal/relmr"
 	"ntga/internal/sparql"
 	"ntga/internal/trace"
 )
@@ -606,7 +605,7 @@ func (s *Server) evaluate(ctx context.Context, req Request) (*Response, error) {
 // local-mode execution path, and the byte-identical fallback a distributed
 // server degrades to when the fleet is unreachable.
 func (s *Server) evaluateLocal(ctx context.Context, req Request, q *query.Query, entry planEntry, resp *Response, ds datasetView, resultKey string, cid cacheIdentity, start time.Time) (*Response, error) {
-	eng, err := engineByName(entry.EngineName, entry.PhiM)
+	eng, err := engines.ByName(entry.EngineName, entry.PhiM)
 	if err != nil {
 		return nil, err
 	}
@@ -629,27 +628,25 @@ func (s *Server) evaluateLocal(ctx context.Context, req Request, q *query.Query,
 	// The snapshot's base and delta chain run together: uncompacted delta
 	// blocks are overlaid on every scan of the triple relation, with rows
 	// byte-identical to a from-scratch load of the merged dataset.
-	res, err := engine.RunWithDeltas(eng, mr, q, ds.input, ds.deltas, nil)
-	if res != nil {
-		resp.Cycles = len(res.Workflow.Jobs)
-		resp.ShuffleBytes = res.Workflow.TotalMapOutputBytes()
-		resp.TaskRetries = res.Workflow.TotalTaskRetries()
-		resp.TempBytesReclaimed = res.Workflow.TotalTempBytesReclaimed()
-		s.mCycles.Add(int64(resp.Cycles))
-		s.mReclaimed.Add(resp.TempBytesReclaimed)
-		if req.Metrics {
-			for _, j := range res.Workflow.Jobs {
-				resp.Jobs = append(resp.Jobs, JobSummary{
-					Job:                j.Job,
-					DurationMS:         j.Duration.Milliseconds(),
-					MapInputBytes:      j.MapInputBytes,
-					ShuffleBytes:       j.MapOutputBytes,
-					ReduceOutputBytes:  j.ReduceOutputBytes,
-					SpilledBytes:       j.SpilledBytes,
-					TaskRetries:        j.TaskRetries,
-					TempBytesReclaimed: j.TempBytesReclaimed,
-				})
-			}
+	res, err := engine.Run(eng, mr, q, plan.Source{Base: ds.input, Deltas: ds.deltas})
+	resp.Cycles = len(res.Workflow.Jobs)
+	resp.ShuffleBytes = res.Workflow.TotalMapOutputBytes()
+	resp.TaskRetries = res.Workflow.TotalTaskRetries()
+	resp.TempBytesReclaimed = res.Workflow.TotalTempBytesReclaimed()
+	s.mCycles.Add(int64(resp.Cycles))
+	s.mReclaimed.Add(resp.TempBytesReclaimed)
+	if req.Metrics {
+		for _, j := range res.Workflow.Jobs {
+			resp.Jobs = append(resp.Jobs, JobSummary{
+				Job:                j.Job,
+				DurationMS:         j.Duration.Milliseconds(),
+				MapInputBytes:      j.MapInputBytes,
+				ShuffleBytes:       j.MapOutputBytes,
+				ReduceOutputBytes:  j.ReduceOutputBytes,
+				SpilledBytes:       j.SpilledBytes,
+				TaskRetries:        j.TaskRetries,
+				TempBytesReclaimed: j.TempBytesReclaimed,
+			})
 		}
 	}
 	// Only the request-private tracer is rendered: snapshotting a shared
@@ -774,7 +771,7 @@ func (s *Server) planQuery(cat *plan.Catalog, engName string, phiM int, q *query
 			phiM = ua.PhiM
 		}
 	}
-	if _, err := engineByName(resolved, phiM); err != nil {
+	if _, err := engines.ByName(resolved, phiM); err != nil {
 		return planEntry{}, fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
 	entry := planEntry{EngineName: resolved, PhiM: phiM}
@@ -808,33 +805,6 @@ func (s *Server) renderRows(resp *Response, e resultEntry, limit int) {
 		n = limit
 	}
 	resp.Rows = e.rendered[:n:n]
-}
-
-// engineByName maps a concrete engine name (never "auto" — planQuery
-// resolves that first) to a fresh engine instance. Engines are stateless
-// between runs, but each request gets its own instance anyway so nothing
-// is shared across goroutines.
-func engineByName(name string, phiM int) (engine.QueryEngine, error) {
-	switch name {
-	case "pig":
-		return relmr.NewPig(), nil
-	case "hive":
-		return relmr.NewHive(), nil
-	case "sj-per-cycle":
-		return relmr.NewSJPerCycle(), nil
-	case "sel-sj-first":
-		return relmr.NewSelSJFirst(), nil
-	case "ntga-eager":
-		return ntgamr.NewEager(), nil
-	case "ntga-lazy":
-		return ntgamr.New(ntgamr.LazyAuto, phiM), nil
-	case "ntga-lazy-full":
-		return ntgamr.New(ntgamr.LazyFull, phiM), nil
-	case "ntga-lazy-partial":
-		return ntgamr.New(ntgamr.LazyPartial, phiM), nil
-	default:
-		return nil, fmt.Errorf("server: unknown engine %q (want auto, pig, hive, sj-per-cycle, sel-sj-first, ntga-eager, ntga-lazy, ntga-lazy-full, ntga-lazy-partial)", name)
-	}
 }
 
 // CacheStats is one cache's rollup for /metrics.
