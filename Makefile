@@ -37,6 +37,9 @@ test-race:
 
 # Full chaos sweep: every catalog query on every engine with mid-phase
 # faults, node kills, and speculation armed (internal/integration/chaos_test.go).
+# A local convenience only: `go test ./...` (the `test` target and CI's Test
+# step) runs without -short and so already executes TestChaos* and TestFuzz*;
+# CI has no separate chaos or fuzz step.
 chaos:
 	go test ./internal/integration -run TestChaos -count=1 -timeout 15m
 

@@ -401,7 +401,7 @@ func parseFaults(s string) (*mapreduce.FaultPlan, int, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("-faults: bad seed %q", parts[1])
 	}
-	plan := &mapreduce.FaultPlan{Rate: rate, Seed: seed, MidPhase: true}
+	plan := &mapreduce.FaultPlan{Rate: rate, Seed: seed}
 	if len(parts) == 3 {
 		nk, err := strconv.Atoi(parts[2])
 		if err != nil || nk < 0 {

@@ -29,7 +29,7 @@ func main() {
 
 		// Seeded network chaos on this worker's outbound edges (master RPC
 		// and peer shuffle fetches) — the wire-level counterpart of the
-		// engine's -failure-rate task chaos.
+		// engine's FaultPlan task chaos (ntga-run -faults).
 		chaosSeed   = flag.Int64("chaos-seed", 0, "seed for the network fault plan draws")
 		chaosDrop   = flag.Float64("chaos-drop", 0, "probability an outbound dial is refused")
 		chaosSever  = flag.Float64("chaos-sever", 0, "probability an outbound message severs its connection")

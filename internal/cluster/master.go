@@ -140,9 +140,7 @@ type taskState struct {
 	deadline time.Time
 	span     *trace.Span
 	dur      time.Duration
-	inPairs  int64
-	inBytes  int64
-	groups   int64
+	reduce   mapreduce.ReduceStats // what a committed reduce task consumed
 }
 
 // jobState is one job instance being scheduled across the workers. It is
@@ -152,7 +150,7 @@ type jobState struct {
 	id     int64
 	job    *mapreduce.Job
 	jsp    *trace.Span
-	splits []SplitSpec
+	splits []mapreduce.Split
 	// mapKind is "map" or "maponly"; nReducers is 0 for map-only jobs.
 	// wholeFile marks bucket-aligned jobs (task index == bucket index).
 	wholeFile bool
@@ -166,12 +164,8 @@ type jobState struct {
 	err      error
 	doneCh   chan struct{}
 
-	// written tracks the part files committed so far, for failure cleanup.
-	written map[string]bool
-
 	mapRecords, mapBytes int64
 	outRecords, outBytes int64
-	groups               int64
 	retries, recoveries  int64
 }
 
@@ -845,10 +839,7 @@ func (m *Master) report(args *ReportArgs) {
 			js.settleLocked(err)
 			return
 		}
-		ts.groups = args.Groups
-		ts.inPairs = args.InPairs
-		ts.inBytes = args.InBytes
-		js.groups += args.Groups
+		ts.reduce = mapreduce.ReduceStats{Groups: args.Groups, InPairs: args.InPairs, InBytes: args.InBytes}
 		js.outRecords += args.Records
 		js.outBytes += args.Bytes
 		if args.Kind == "maponly" {
@@ -891,7 +882,6 @@ func (m *Master) commitTaskLocked(js *jobState, args *ReportArgs) error {
 		if err := m.dfs.WriteFile(name, args.Outputs[b]); err != nil {
 			return fmt.Errorf("committing %s: %w", name, err)
 		}
-		js.written[name] = true
 	}
 	return nil
 }
@@ -1005,38 +995,13 @@ func (rc *remoteCluster) RunJob(ctx context.Context, jsp *trace.Span, job *mapre
 // job's tasks for the lease loop, wait for the reports to finish it, then
 // splice the committed part files into the job outputs. On failure every
 // written part and output base is removed — the JobRunner cleanup contract.
+// Planning, the per-task profile and the splice are the local engine's own.
 func (m *Master) runJob(ctx context.Context, qid string, jsp *trace.Span, job *mapreduce.Job, cfg mapreduce.EngineConfig) (mapreduce.JobMetrics, error) {
 	var jm mapreduce.JobMetrics
-	var splits []SplitSpec
-	for _, in := range job.Inputs {
-		n, err := m.dfs.RecordCount(in)
-		if err != nil {
-			return jm, fmt.Errorf("reading input: %w", err)
-		}
-		size, err := m.dfs.FileSize(in)
-		if err != nil {
-			return jm, fmt.Errorf("sizing input: %w", err)
-		}
-		jm.MapInputBytes += size
-		jm.MapInputRecords += int64(n)
-		if job.WholeFileSplits {
-			// Bucket-aligned: task i scans exactly Inputs[i] (empty buckets
-			// included), so task index == bucket index for affinity.
-			splits = append(splits, SplitSpec{Input: in, Off: 0, N: n})
-			continue
-		}
-		for off := 0; off < n; off += cfg.SplitRecords {
-			cnt := cfg.SplitRecords
-			if off+cnt > n {
-				cnt = n - off
-			}
-			splits = append(splits, SplitSpec{Input: in, Off: off, N: cnt})
-		}
-		if n == 0 {
-			splits = append(splits, SplitSpec{Input: in}) // keep empty inputs visible
-		}
+	splits, err := mapreduce.PlanSplits(m.dfs, job, cfg.SplitRecords, &jm)
+	if err != nil {
+		return jm, err
 	}
-	jm.MapTasks = len(splits)
 
 	js := &jobState{
 		qid:       qid,
@@ -1046,8 +1011,8 @@ func (m *Master) runJob(ctx context.Context, qid string, jsp *trace.Span, job *m
 		wholeFile: job.WholeFileSplits,
 		mapKind:   "map",
 		doneCh:    make(chan struct{}),
-		written:   make(map[string]bool),
 	}
+	nParts := len(splits)
 	if job.MapOnly != nil || job.MapOnlyFactory != nil {
 		js.mapKind = "maponly"
 	} else {
@@ -1055,6 +1020,7 @@ func (m *Master) runJob(ctx context.Context, qid string, jsp *trace.Span, job *m
 		if js.nReducers == 0 {
 			js.nReducers = cfg.DefaultReducers
 		}
+		nParts = js.nReducers
 		js.reduces = make([]*taskState, js.nReducers)
 		for p := range js.reduces {
 			js.reduces[p] = &taskState{holder: -1}
@@ -1085,21 +1051,13 @@ func (m *Master) runJob(ctx context.Context, qid string, jsp *trace.Span, job *m
 	}
 
 	m.mu.Lock()
-	err := js.err
-	nParts := js.nReducers
-	if js.mapKind == "maponly" {
-		nParts = len(splits)
+	err = js.err
+	if js.mapKind == "map" {
+		jm.MapOutputRecords = js.mapRecords
+		jm.MapOutputBytes = js.mapBytes
 	}
-	jm.MapOutputRecords = js.mapRecords
-	jm.MapOutputBytes = js.mapBytes
 	jm.TaskRetries = js.retries
 	jm.MapOutputRecoveries = js.recoveries
-	if js.mapKind == "maponly" {
-		jm.MapOutputRecords, jm.MapOutputBytes = 0, 0
-	} else {
-		jm.ReduceTasks = js.nReducers
-	}
-	jm.ReduceInputGroups = js.groups
 	jm.ReduceOutputRecords = js.outRecords
 	jm.ReduceOutputBytes = js.outBytes
 	var mapDurs, reduceDurs []time.Duration
@@ -1108,56 +1066,23 @@ func (m *Master) runJob(ctx context.Context, qid string, jsp *trace.Span, job *m
 			mapDurs = append(mapDurs, ts.dur)
 		}
 	}
-	perGroups := make([]int64, len(js.reduces))
-	perBytes := make([]int64, len(js.reduces))
+	reduces := make([]mapreduce.ReduceStats, len(js.reduces))
 	for p, ts := range js.reduces {
 		if ts.done {
 			reduceDurs = append(reduceDurs, ts.dur)
-			perGroups[p] = ts.groups
-			perBytes[p] = ts.inBytes
-			if ts.inPairs > jm.MaxReducePartitionRecords {
-				jm.MaxReducePartitionRecords = ts.inPairs
-			}
+			reduces[p] = ts.reduce
 		}
 	}
 	m.mu.Unlock()
-	jm.MapTaskStats = mapreduce.SummarizeTaskDurations(mapDurs)
-	jm.ReduceTaskStats = mapreduce.SummarizeTaskDurations(reduceDurs)
-	jm.ReduceKeySkew = mapreduce.SkewOf(perGroups)
-	jm.ReduceByteSkew = mapreduce.SkewOf(perBytes)
-	if jm.MapOutputRecords > 0 && js.nReducers > 0 {
-		jm.ReduceSkew = float64(jm.MaxReducePartitionRecords) * float64(js.nReducers) / float64(jm.MapOutputRecords)
-	}
+	jm.FoldTaskStats(mapDurs, reduceDurs, reduces)
 
-	cleanup := func() {
-		m.mu.Lock()
-		parts := make([]string, 0, len(js.written))
-		for p := range js.written {
-			parts = append(parts, p)
-		}
-		m.mu.Unlock()
-		for _, p := range parts {
-			m.dfs.DeleteIfExists(p)
-		}
-		for _, base := range job.OutputBases() {
-			m.dfs.DeleteIfExists(base)
-		}
+	if err == nil {
+		err = mapreduce.CommitParts(m.dfs, job, nParts)
 	}
 	if err != nil {
-		cleanup()
-		return jm, err
+		mapreduce.RemoveOutputs(m.dfs, job, nParts)
 	}
-	for _, base := range job.OutputBases() {
-		names := make([]string, nParts)
-		for i := range names {
-			names[i] = mapreduce.PartName(base, i)
-		}
-		if err := m.dfs.Concat(base, names); err != nil {
-			cleanup()
-			return jm, fmt.Errorf("committing output %s: %w", base, err)
-		}
-	}
-	return jm, nil
+	return jm, err
 }
 
 // dropJob unlists a settled job and finishes any dangling lease spans.

@@ -55,15 +55,6 @@ type QuerySpec struct {
 	DictLen int
 }
 
-// SplitSpec is one map task's input assignment: a record range of one
-// master-side DFS file (N < 0 means "through the end"; a zero-record file
-// still yields one empty split, mirroring the local planner).
-type SplitSpec struct {
-	Input string
-	Off   int
-	N     int
-}
-
 // MapLoc tells a reduce task where one map task's committed output lives.
 type MapLoc struct {
 	Task   int
@@ -91,8 +82,9 @@ type TaskSpec struct {
 	// JobInputs are the master-side job input names, positionally aligned
 	// with the worker's rebuilt job.Inputs — the name-translation table.
 	JobInputs []string
-	// Split is the map input range (map/maponly kinds).
-	Split SplitSpec
+	// Split is the map input range (map/maponly kinds), named by the
+	// master-side DFS file.
+	Split mapreduce.Split
 	// SideInput is the master-side DFS file whose full contents the task
 	// loads before its scan (whole-file map-only kinds; "" = none).
 	SideInput string

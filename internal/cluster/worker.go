@@ -701,7 +701,11 @@ func localInput(job *mapreduce.Job, ts *TaskSpec) (string, error) {
 	return "", fmt.Errorf("cluster: split input %q not in job %s's inputs %v (rebuilt %v)", ts.Split.Input, ts.JobName, ts.JobInputs, job.Inputs)
 }
 
-// runTask executes one attempt, filling the report's result fields.
+// runTask executes one attempt, filling the report's result fields. The task
+// bodies are the local engine's own (mapreduce.Run*Task); what is the
+// worker's is where records come from (RPC reads of the master's DFS, peer
+// fetches), where output goes (memory, shipped in the report) and the
+// checkpoint, which stops the body once the worker is closed.
 func (w *Worker) runTask(ts *TaskSpec, rep *ReportArgs) error {
 	qp, err := w.planFor(ts.QueryID, &ts.Spec)
 	if err != nil {
@@ -711,8 +715,10 @@ func (w *Worker) runTask(ts *TaskSpec, rep *ReportArgs) error {
 	if job == nil {
 		return fmt.Errorf("cluster: rebuilt plan has no job %q", ts.JobName)
 	}
+	hooks := mapreduce.TaskHooks{Checkpoint: func(string) error { return context.Cause(w.ctx) }}
+	col := mapreduce.NewMemCollector(job)
 	switch ts.Kind {
-	case "map":
+	case "map", "maponly":
 		input, err := localInput(job, ts)
 		if err != nil {
 			return err
@@ -721,40 +727,28 @@ func (w *Worker) runTask(ts *TaskSpec, rep *ReportArgs) error {
 		if err != nil {
 			return err
 		}
-		res, err := mapreduce.ExecMapTask(job, input, ts.NumReducers, mapreduce.SliceRecords(recs))
-		if err != nil {
-			return err
-		}
-		w.mu.Lock()
-		w.outs[outKey{ts.QueryID, ts.JobID, ts.Task}] = res.Parts
-		w.mu.Unlock()
-		rep.Records = res.Records
-		rep.Bytes = res.Bytes
-		return nil
-	case "maponly":
-		input, err := localInput(job, ts)
-		if err != nil {
-			return err
-		}
-		recs, err := w.readSplit(ts.Split)
-		if err != nil {
-			return err
+		src := mapreduce.NewSliceSource(recs)
+		if ts.Kind == "map" {
+			parts, records, bytes, err := mapreduce.RunMapTask(job, ts.Task, input, ts.NumReducers, src, hooks)
+			if err != nil {
+				return err
+			}
+			w.mu.Lock()
+			w.outs[outKey{ts.QueryID, ts.JobID, ts.Task}] = parts
+			w.mu.Unlock()
+			rep.Records, rep.Bytes = records, bytes
+			return nil
 		}
 		var side [][]byte
 		if ts.SideInput != "" {
-			side, err = w.readSplit(SplitSpec{Input: ts.SideInput, Off: 0, N: -1})
+			side, err = w.readSplit(mapreduce.Split{Input: ts.SideInput, N: -1})
 			if err != nil {
 				return err
 			}
 		}
-		out, err := mapreduce.ExecMapOnlyTaskN(job, ts.Task, input, side, mapreduce.SliceRecords(recs))
-		if err != nil {
+		if _, err := mapreduce.RunMapOnlyTask(job, ts.Task, input, side, src, col, hooks); err != nil {
 			return err
 		}
-		rep.Outputs = out.Outputs
-		rep.Records = out.Records
-		rep.Bytes = out.Bytes
-		return nil
 	case "reduce":
 		parts := make([][]mapreduce.KV, len(ts.Maps))
 		var lost []int
@@ -769,26 +763,22 @@ func (w *Worker) runTask(ts *TaskSpec, rep *ReportArgs) error {
 		if len(lost) > 0 {
 			return &fetchError{lost: lost}
 		}
-		out, err := mapreduce.ExecReduceTask(job, parts)
+		st, err := mapreduce.RunReduceTask(job, ts.Partition, parts, col, hooks)
 		if err != nil {
 			return err
 		}
-		rep.Outputs = out.Outputs
-		rep.Groups = out.Groups
-		rep.Records = out.Records
-		rep.Bytes = out.Bytes
-		rep.InPairs = out.InPairs
-		rep.InBytes = out.InBytes
-		return nil
+		rep.Groups, rep.InPairs, rep.InBytes = st.Groups, st.InPairs, st.InBytes
 	default:
 		return fmt.Errorf("cluster: unknown task kind %q", ts.Kind)
 	}
+	rep.Outputs, rep.Records, rep.Bytes = col.Outputs, col.Records, col.Bytes
+	return nil
 }
 
 // readSplit pulls a map split's records through the master's DFS, charging
 // the master-side read counters exactly as a local streamed scan would
 // (a retried task re-charges its re-read).
-func (w *Worker) readSplit(sp SplitSpec) ([][]byte, error) {
+func (w *Worker) readSplit(sp mapreduce.Split) ([][]byte, error) {
 	var reply ReadRangeReply
 	if err := w.master.Call(context.Background(), "Master.ReadRange", &ReadRangeArgs{Name: sp.Input, Off: sp.Off, N: sp.N}, &reply); err != nil {
 		return nil, fmt.Errorf("cluster: reading split %s[%d:+%d]: %w", sp.Input, sp.Off, sp.N, err)

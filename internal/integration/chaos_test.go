@@ -35,8 +35,8 @@ func chaosEngines() []engine.QueryEngine {
 	}
 }
 
-// newChaosMR builds a cluster with every fault mechanism armed: a 20%
-// pre-body attempt failure rate, mid-phase faults (0.2% per checkpoint —
+// newChaosMR builds a cluster with every fault mechanism armed: mid-phase
+// faults (0.2% per checkpoint —
 // the big joins' reduce attempts pass 40+ checkpoints through their merge
 // passes and group loops, so the per-attempt failure probability compounds
 // well beyond the nominal rate) that
@@ -52,13 +52,10 @@ func newChaosMR(seed int64) *mapreduce.Engine {
 			SortBufferBytes: 1 << 10,
 			MergeFactor:     4,
 			TaskMaxAttempts: 12,
-			TaskFailureRate: 0.2,
-			TaskFailureSeed: seed,
 			Speculation:     true,
 			Faults: &mapreduce.FaultPlan{
 				Rate:            0.002,
 				Seed:            seed,
-				MidPhase:        true,
 				NodeFailureRate: 0.5,
 				MaxNodeKills:    1,
 			},

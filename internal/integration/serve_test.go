@@ -234,12 +234,9 @@ func TestServeConcurrentWithChaos(t *testing.T) {
 		MaxQueue:        64,
 		SortBufferBytes: 1 << 10, // force spills so faults hit partial state
 		TaskMaxAttempts: 12,
-		TaskFailureRate: 0.15, // legacy pre-body attempt kills
-		TaskFailureSeed: 20260806,
 		Faults: &mapreduce.FaultPlan{ // mid-phase kills holding partial state
-			Rate:     0.01,
-			Seed:     20260806,
-			MidPhase: true,
+			Rate: 0.01,
+			Seed: 20260806,
 		},
 	})
 

@@ -106,12 +106,9 @@ func TestTraceReplayWithChaos(t *testing.T) {
 		MaxQueue:        2048,
 		SortBufferBytes: 1 << 10, // force spills so faults hit partial state
 		TaskMaxAttempts: 12,
-		TaskFailureRate: 0.15,
-		TaskFailureSeed: 20260808,
 		Faults: &mapreduce.FaultPlan{
-			Rate:     0.01,
-			Seed:     20260808,
-			MidPhase: true,
+			Rate: 0.01,
+			Seed: 20260808,
 		},
 	})
 }

@@ -152,18 +152,18 @@ func BenchmarkSpill_4KB(b *testing.B)       { benchmarkSpill(b, 4<<10) }
 // BenchmarkSortKVs isolates the shuffle sort.
 func BenchmarkSortKVs(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
-	base := make([]kv, 200000)
+	base := make([]KV, 200000)
 	for i := range base {
 		k := make([]byte, 8)
 		v := make([]byte, 16)
 		rng.Read(k)
 		rng.Read(v)
-		base[i] = kv{k, v}
+		base[i] = KV{k, v}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cp := make([]kv, len(base))
+		cp := make([]KV, len(base))
 		copy(cp, base)
 		sortKVs(cp)
 	}

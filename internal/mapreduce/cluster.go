@@ -219,9 +219,3 @@ func (e *Engine) taskNode(task, attempt int) int {
 	}
 	return 0
 }
-
-// PartName is the per-task part file a reduce (or map-only) task's winning
-// attempt promotes its output to; parts are spliced into the job output via
-// hdfs.Concat once every task has committed. Exported for JobRunner
-// implementations, which write and splice parts on the coordinator side.
-func PartName(base string, i int) string { return partName(base, i) }

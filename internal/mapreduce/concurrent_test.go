@@ -92,9 +92,9 @@ func TestFailedJobSweepsOnlyItsOwnWorkflow(t *testing.T) {
 	}
 
 	// Same job name, same DFS, guaranteed failure (attempt budget 1 with a
-	// 100% pre-body injection rate). Its failure path sweeps its own
-	// workflow prefix — and must not touch workflow A's files.
-	b := NewEngine(dfs, EngineConfig{TaskFailureRate: 1.0})
+	// 100% injection rate). Its failure path sweeps its own workflow prefix
+	// — and must not touch workflow A's files.
+	b := NewEngine(dfs, EngineConfig{Faults: &FaultPlan{Rate: 1.0}})
 	failing := &Job{
 		Name:    "shared-name",
 		Inputs:  []string{"in"},

@@ -4,13 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"ntga/internal/core/hash64"
 	"ntga/internal/hdfs"
 	"ntga/internal/trace"
 )
@@ -42,15 +40,6 @@ type EngineConfig struct {
 	// TaskMaxAttempts is the per-task retry budget (Hadoop's
 	// mapreduce.map.maxattempts); 0 defaults to 1 (no retries).
 	TaskMaxAttempts int
-	// TaskFailureRate injects deterministic pseudo-random task failures
-	// with the given probability (0 disables), for fault-tolerance
-	// testing. A failed attempt is retried until TaskMaxAttempts is
-	// exhausted, at which point the job fails — mirroring Hadoop's task
-	// retry semantics. This legacy mode fires *before* the attempt body
-	// runs; use Faults for failures that interrupt an attempt mid-phase.
-	TaskFailureRate float64
-	// TaskFailureSeed varies which (job, task, attempt) triples fail.
-	TaskFailureSeed int64
 	// Faults, when non-nil, is the seeded chaos schedule: mid-phase
 	// failures inside scan/map/sort/spill/merge/reduce/write, simulated
 	// node deaths (losing local spill disks and every attempt pinned to
@@ -207,13 +196,6 @@ func newWorkflowID() string {
 	return fmt.Sprintf("wf-%06d", wfSeq.Add(1))
 }
 
-// partName is the per-task part file a reduce (or map-only) task's winning
-// attempt promotes its output to; parts are spliced into the job output
-// via hdfs.Concat once every task has committed.
-func partName(base string, i int) string {
-	return fmt.Sprintf("%s._part-%05d", base, i)
-}
-
 // wfTmpRoot is the temp namespace of one whole workflow; a failed or
 // cancelled workflow may sweep the entire prefix.
 func wfTmpRoot(wf string) string {
@@ -249,7 +231,7 @@ type partOut struct {
 // streamCollector streams one task attempt's output records straight into
 // attempt-private DFS part files as they are collected, so a job that
 // overruns cluster capacity fails mid-reduce (hdfs.ErrDiskFull while
-// records are produced), not at a commit step afterwards. commit renames
+// records are produced), not at a commit step afterwards. publish renames
 // the temps to their final part names; abort deletes them.
 type streamCollector struct {
 	files   []partOut // files[0] is the main output
@@ -259,22 +241,23 @@ type streamCollector struct {
 	// timed accumulates the wall-clock spent inside DFS appends so a traced
 	// task can split its fused loop into reduce-vs-write phases; off (the
 	// default) when no tracer is configured.
-	timed    bool
-	writeDur time.Duration
+	timed     bool
+	writeDur  time.Duration
+	committed bool
 }
 
 // openParts creates the attempt-private part files for task index i of the
 // job: one for the main output and one per declared extra output.
-func (e *Engine) openParts(job *Job, ac *attemptCtx, i int) (*streamCollector, error) {
-	col := &streamCollector{}
-	for _, base := range append([]string{job.Output}, job.ExtraOutputs...) {
+func (e *Engine) openParts(job *Job, ac *attemptCtx, i int, timed bool) (*streamCollector, error) {
+	col := &streamCollector{timed: timed}
+	for _, base := range job.OutputBases() {
 		tmp := tmpPartName(ac.js.wf, job.Name, ac.kind, ac.task, ac.attempt, base, i)
 		w, err := e.dfs.Create(tmp)
 		if err != nil {
 			col.abort(ac.js)
 			return nil, fmt.Errorf("creating output %s: %w", base, err)
 		}
-		col.files = append(col.files, partOut{w: w, tmp: tmp, final: partName(base, i)})
+		col.files = append(col.files, partOut{w: w, tmp: tmp, final: PartName(base, i)})
 		if base != job.Output {
 			if col.extras == nil {
 				col.extras = make(map[string]*hdfs.Writer, len(job.ExtraOutputs))
@@ -336,24 +319,25 @@ func (c *streamCollector) written() (records, bytes int64) {
 	return r, b
 }
 
-// close seals every part file; on error the caller should abort.
-func (c *streamCollector) close() error {
+// publish seals every part file and, if the attempt wins its task's commit
+// claim, atomically promotes the temps to their final part names. On any
+// error — errLostRace included — the deferred abortUnlessCommitted reclaims
+// the attempt's files.
+func (c *streamCollector) publish(ac *attemptCtx) error {
 	for _, f := range c.files {
 		if err := f.w.Close(); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-// commit atomically promotes the attempt's temp part files to their final
-// names. Only the attempt that won the task's claim may call it.
-func (c *streamCollector) commit(d *hdfs.DFS) error {
+	if !ac.claim() {
+		return errLostRace
+	}
 	for _, f := range c.files {
-		if err := d.Rename(f.tmp, f.final); err != nil {
+		if err := ac.e.dfs.Rename(f.tmp, f.final); err != nil {
 			return fmt.Errorf("committing %s: %w", f.final, err)
 		}
 	}
+	c.committed = true
 	return nil
 }
 
@@ -371,27 +355,15 @@ func (c *streamCollector) abort(js *jobRunState) {
 	js.reclaim(reclaimed)
 }
 
-// split is one map task's input assignment: a record range of one file,
-// read through a streaming hdfs.FileReader so only scanned bytes are
-// charged (and a retried task re-charges its re-read).
-type split struct {
-	input string
-	off   int
-	n     int
+// abortUnlessCommitted is the attempt body's deferred cleanup.
+func (c *streamCollector) abortUnlessCommitted(js *jobRunState) {
+	if !c.committed {
+		c.abort(js)
+	}
 }
 
 // errInjectedFailure marks a fault-injection task failure.
 var errInjectedFailure = errors.New("mapreduce: injected task failure")
-
-// shouldInjectFailure decides deterministically whether a given task
-// attempt fails under the configured failure rate.
-func (e *Engine) shouldInjectFailure(job string, kind string, task, attempt int) bool {
-	if e.cfg.TaskFailureRate <= 0 {
-		return false
-	}
-	return float64(hash64.Mod(10000, "%s|%s|%d|%d|%d",
-		job, kind, task, attempt, e.cfg.TaskFailureSeed)) < e.cfg.TaskFailureRate*10000
-}
 
 // Run executes one job to completion. On failure the job's output files
 // (including any committed part files) are removed and the returned
@@ -415,12 +387,7 @@ func (e *Engine) run(job *Job, jsp *trace.Span, wf string) (JobMetrics, error) {
 	fail := func(err error) (JobMetrics, error) {
 		m.Failed = true
 		m.Err = err.Error()
-		for _, base := range append([]string{job.Output}, job.ExtraOutputs...) {
-			e.dfs.DeleteIfExists(base)
-			for i := 0; i < nParts; i++ {
-				e.dfs.DeleteIfExists(partName(base, i))
-			}
-		}
+		RemoveOutputs(e.dfs, job, nParts)
 		// A dead job's committed map outputs are garbage too: the spill runs
 		// its winning map attempts parked on local disk will never be merged,
 		// so tearing them down is reclamation (failed attempts already
@@ -434,6 +401,27 @@ func (e *Engine) run(job *Job, jsp *trace.Span, wf string) (JobMetrics, error) {
 		js.fold(&m)
 		m.Duration = time.Since(start)
 		return m, fmt.Errorf("job %s: %w", job.Name, err)
+	}
+	var (
+		mapDurs, reduceDurs []time.Duration
+		reduces             []ReduceStats // per partition, from the winning attempts
+		out                 outCount      // what the winning output attempts wrote
+	)
+	// finish is the success exit once every task has published its part
+	// files: fold the task profile and splice the parts into the outputs.
+	finish := func() (JobMetrics, error) {
+		m.FoldTaskStats(mapDurs, reduceDurs, reduces)
+		m.ReduceOutputRecords, m.ReduceOutputBytes = out.records.Load(), out.bytes.Load()
+		csp := jsp.Child(trace.KindCommit, "commit", len(mapDurs)+len(reduces))
+		err := CommitParts(e.dfs, job, nParts)
+		csp.Finish()
+		if err != nil {
+			return fail(err)
+		}
+		js.fold(&m)
+		jsp.SetIO(m.ReduceOutputRecords, m.ReduceOutputBytes)
+		m.Duration = time.Since(start)
+		return m, nil
 	}
 	if err := e.cfg.validate(); err != nil {
 		return fail(err)
@@ -464,48 +452,27 @@ func (e *Engine) run(job *Job, jsp *trace.Span, wf string) (JobMetrics, error) {
 
 	// Plan map splits from file metadata; the records themselves are
 	// streamed by the map tasks.
-	var splits []split
-	for _, in := range job.Inputs {
-		n, err := e.dfs.RecordCount(in)
-		if err != nil {
-			return fail(fmt.Errorf("reading input: %w", err))
-		}
-		size, err := e.dfs.FileSize(in)
-		if err != nil {
-			return fail(fmt.Errorf("sizing input: %w", err))
-		}
-		m.MapInputBytes += size
-		m.MapInputRecords += int64(n)
-		if job.WholeFileSplits {
-			// Bucket-aligned jobs: task i scans exactly Inputs[i] (empty
-			// buckets included), so task index == bucket index.
-			splits = append(splits, split{input: in, off: 0, n: n})
-			continue
-		}
-		for off := 0; off < n; off += e.cfg.SplitRecords {
-			cnt := e.cfg.SplitRecords
-			if off+cnt > n {
-				cnt = n - off
-			}
-			splits = append(splits, split{input: in, off: off, n: cnt})
-		}
-		if n == 0 {
-			splits = append(splits, split{input: in}) // keep empty inputs visible
-		}
+	splits, err := PlanSplits(e.dfs, job, e.cfg.SplitRecords, &m)
+	if err != nil {
+		return fail(err)
 	}
-	m.MapTasks = len(splits)
+	mapDurs = make([]time.Duration, len(splits))
 
 	if job.mapOnly() {
-		return e.runMapOnly(job, jsp, splits, m, start, js, &nParts, fail)
+		nParts = len(splits)
+		if err := e.dispatch("map", len(splits), func(i int) error {
+			return e.runTask(js, "map", i, mapDurs, nil, func(ac *attemptCtx) error {
+				return e.mapOnlyAttempt(job, jsp, splits[i], ac, &out)
+			})
+		}); err != nil {
+			return fail(err)
+		}
+		return finish()
 	}
 
 	nReducers := job.NumReducers
 	if nReducers == 0 {
 		nReducers = e.cfg.DefaultReducers
-	}
-	partitioner := job.Partitioner
-	if partitioner == nil {
-		partitioner = HashPartitioner
 	}
 
 	// ---- Map phase ----
@@ -520,10 +487,9 @@ func (e *Engine) run(job *Job, jsp *trace.Span, wf string) (JobMetrics, error) {
 			}
 		}
 	}()
-	mapDurs := make([]time.Duration, len(splits))
 	if err := e.dispatch("map", len(splits), func(i int) error {
 		return e.runTask(js, "map", i, mapDurs, nil, func(ac *attemptCtx) error {
-			te, err := e.mapAttempt(job, jsp, splits[i], partitioner, nReducers, ac)
+			te, err := e.mapAttempt(job, jsp, splits[i], nReducers, ac)
 			if err != nil {
 				return err
 			}
@@ -538,7 +504,8 @@ func (e *Engine) run(job *Job, jsp *trace.Span, wf string) (JobMetrics, error) {
 	}); err != nil {
 		return fail(err)
 	}
-	m.MapTaskStats = summarizeTasks(mapDurs)
+	// A job that dies in its reduce phase still reports its map profile.
+	m.FoldTaskStats(mapDurs, nil, nil)
 	for _, te := range emitters {
 		m.MapOutputRecords += te.records
 		m.MapOutputBytes += te.bytes
@@ -553,17 +520,10 @@ func (e *Engine) run(job *Job, jsp *trace.Span, wf string) (JobMetrics, error) {
 	// Each reduce task merges its partition's sorted segments (in-memory
 	// and spilled) into one stream, groups by key, and feeds the reducer,
 	// streaming output records into its attempt-private part files.
-	reducer := job.StreamReducer
-	if reducer == nil {
-		reducer = adaptedReducer{job.Reducer}
-	}
 	nParts = nReducers
-	var groups, maxPartition int64
-	var outRecords, outBytes int64
-	var spilledRecs, spilledBytes, mergePasses int64
-	reduceDurs := make([]time.Duration, nReducers)
-	perGroups := make([]int64, nReducers)
-	perBytes := make([]int64, nReducers)
+	var spilledRecs, spilledBytes, mergePasses atomic.Int64
+	reduceDurs = make([]time.Duration, nReducers)
+	reduces = make([]ReduceStats, nReducers)
 
 	// Map-output recovery: a node death loses the spill runs pinned to it.
 	// A reduce attempt that trips over a lost run fails with a wrapped
@@ -590,15 +550,11 @@ func (e *Engine) run(job *Job, jsp *trace.Span, wf string) (JobMetrics, error) {
 				a := recNext[i]
 				recNext[i]++
 				atomic.AddInt64(&js.taskRetries, 1)
-				if e.shouldInjectFailure(job.Name, "map", i, a) {
-					lastErr = fmt.Errorf("%w (map task %d attempt %d)", errInjectedFailure, i, a)
-					continue
-				}
 				ac := &attemptCtx{
 					e: e, js: js, ctl: newTaskCtl(), kind: "map", task: i,
 					attempt: a, node: e.taskNode(i, a), killed: make(chan struct{}),
 				}
-				nte, err := e.mapAttempt(job, jsp, splits[i], partitioner, nReducers, ac)
+				nte, err := e.mapAttempt(job, jsp, splits[i], nReducers, ac)
 				if err != nil {
 					lastErr = err
 					continue
@@ -670,199 +626,117 @@ func (e *Engine) run(job *Job, jsp *trace.Span, wf string) (JobMetrics, error) {
 			for _, rs := range runSrcs {
 				sources = append(sources, rs)
 			}
-			mi, err := newMergeIter(sources)
-			if err != nil {
-				return fmt.Errorf("reduce partition %d: %w", p, err)
-			}
-			col, err := e.openParts(job, ac, p)
+			col, err := e.openParts(job, ac, p, tsp != nil)
 			if err != nil {
 				return err
 			}
-			col.timed = tsp != nil
-			committed := false
-			defer func() {
-				if !committed {
-					col.abort(js)
-				}
-			}()
-			g, err := newGroupIter(mi)
+			defer col.abortUnlessCommitted(js)
+			st, err := runReduceTask(job, p, sources, col, ac.hooks(tsp))
 			if err != nil {
-				return fmt.Errorf("reduce partition %d: %w", p, err)
-			}
-			// The reduce loop fuses reducing with streaming the output; the
-			// collector times its DFS appends so the two phases can be split.
-			loopStart := time.Now()
-			var localGroups int64
-			for g.ok {
-				if localGroups%64 == 0 {
-					if err := ac.checkpoint("reduce"); err != nil {
-						return err
-					}
-				}
-				vals := &groupValues{g: g, key: g.cur.key, head: true}
-				localGroups++
-				if err := reducer.Reduce(g.cur.key, vals, col); err != nil {
-					return fmt.Errorf("reduce partition %d: %w", p, err)
-				}
-				if err := vals.drain(); err != nil {
-					return fmt.Errorf("reduce partition %d: %w", p, err)
-				}
-			}
-			if err := ac.checkpoint("write"); err != nil {
 				return err
 			}
-			if err := col.close(); err != nil {
-				return fmt.Errorf("reduce partition %d: %w", p, err)
-			}
-			if !ac.claim() {
-				col.abort(js)
-				committed = true // abort already done; skip the deferred one
-				return errLostRace
-			}
-			if err := col.commit(e.dfs); err != nil {
+			if err := col.publish(ac); err != nil {
 				return fmt.Errorf("reduce partition %d: %w", p, err)
 			}
 			if tsp != nil {
-				loopDur := time.Since(loopStart)
+				// The reduce loop fuses reducing with streaming the output;
+				// the collector timed its DFS appends so the two can be split.
 				wRecs, wBytes := col.written()
-				tsp.AddPhase(trace.KindReduce, "reduce", loopDur-col.writeDur, g.pairs, g.bytes)
+				tsp.AddPhase(trace.KindReduce, "reduce", st.LoopDur-col.writeDur, st.InPairs, st.InBytes)
 				tsp.AddPhase(trace.KindWrite, "write", col.writeDur, wRecs, wBytes)
 				tsp.SetIO(wRecs, wBytes)
 			}
-			committed = true
-			atomic.AddInt64(&groups, localGroups)
-			atomic.AddInt64(&outRecords, col.records)
-			atomic.AddInt64(&outBytes, col.bytes)
-			atomic.AddInt64(&spilledRecs, localSpilledRecs)
-			atomic.AddInt64(&spilledBytes, localSpilledBytes)
-			atomic.AddInt64(&mergePasses, localPasses)
-			perGroups[p] = localGroups
-			perBytes[p] = g.bytes
-			for n := g.pairs; ; {
-				cur := atomic.LoadInt64(&maxPartition)
-				if n <= cur || atomic.CompareAndSwapInt64(&maxPartition, cur, n) {
-					break
-				}
-			}
+			out.add(col)
+			spilledRecs.Add(localSpilledRecs)
+			spilledBytes.Add(localSpilledBytes)
+			mergePasses.Add(localPasses)
+			reduces[p] = st
 			return nil
 		})
 	}); err != nil {
 		return fail(err)
 	}
-	m.ReduceTasks = nReducers
-	m.ReduceTaskStats = summarizeTasks(reduceDurs)
-	m.ReduceKeySkew = skewOf(perGroups)
-	m.ReduceByteSkew = skewOf(perBytes)
-	m.ReduceInputGroups = groups
-	m.ReduceOutputRecords = outRecords
-	m.ReduceOutputBytes = outBytes
-	m.SpilledRecords += spilledRecs
-	m.SpilledBytes += spilledBytes
-	m.MergePasses = mergePasses
-	m.MaxReducePartitionRecords = maxPartition
-	if m.MapOutputRecords > 0 && nReducers > 0 {
-		m.ReduceSkew = float64(maxPartition) * float64(nReducers) / float64(m.MapOutputRecords)
-	}
-
-	// ---- Commit: splice part files into the job outputs ----
-	csp := jsp.Child(trace.KindCommit, "commit", len(splits)+nReducers)
-	err := e.commitParts(job, nReducers)
-	csp.Finish()
-	if err != nil {
-		return fail(err)
-	}
-	js.fold(&m)
-	jsp.SetIO(m.ReduceOutputRecords, m.ReduceOutputBytes)
-	m.Duration = time.Since(start)
-	return m, nil
+	m.SpilledRecords += spilledRecs.Load()
+	m.SpilledBytes += spilledBytes.Load()
+	m.MergePasses = mergePasses.Load()
+	return finish()
 }
 
-// mapAttempt is the body of one map task attempt: stream the split through
-// a spilling emitter pinned to the attempt's node, with fault checkpoints
-// threaded through every phase (scan, the fused map loop, each spill, and
-// the final sort). On error the attempt's spill runs are discarded before
-// returning, so a retry starts clean. The caller publishes the returned
-// emitter only after winning the task's commit claim.
-func (e *Engine) mapAttempt(job *Job, jsp *trace.Span, sp split, partitioner Partitioner, nReducers int, ac *attemptCtx) (te *taskEmitter, err error) {
+// outCount sums what the winning output attempts of one job wrote.
+type outCount struct {
+	records, bytes atomic.Int64
+}
+
+func (o *outCount) add(c *streamCollector) {
+	o.records.Add(c.records)
+	o.bytes.Add(c.bytes)
+}
+
+// mapAttempt is one map task attempt of a shuffle job: stream the split
+// through a spilling emitter pinned to the attempt's node, with the attempt's
+// fault checkpoints threaded through the body and every spill. On error the
+// attempt's spill runs are discarded before returning, so a retry starts
+// clean. The caller publishes the returned emitter only after winning the
+// task's commit claim.
+func (e *Engine) mapAttempt(job *Job, jsp *trace.Span, sp Split, nReducers int, ac *attemptCtx) (te *taskEmitter, err error) {
 	tsp := jsp.ChildTask("map", ac.task, ac.task, ac.node, ac.attempt)
 	defer tsp.Finish()
-	traced := tsp != nil
-	te = newTaskEmitter(e.dfs, partitioner, nReducers, job.Combiner, e.cfg.SortBufferBytes, ac.node, ac.checkpoint)
-	te.traced = traced
+	h := ac.hooks(tsp)
+	te = newTaskEmitter(e.dfs, job, nReducers, e.cfg.SortBufferBytes, ac.node, h)
 	defer func() {
 		if err != nil {
 			ac.js.reclaim(te.spilledBytes)
 			te.discard()
 		}
 	}()
-	if err := ac.checkpoint("scan"); err != nil {
-		return te, err
-	}
-	r, err := e.dfs.OpenRange(sp.input, sp.off, sp.n)
+	r, err := e.dfs.OpenRange(sp.Input, sp.Off, sp.N)
 	if err != nil {
-		return te, fmt.Errorf("map task %d (%s): %w", ac.task, sp.input, err)
+		return te, fmt.Errorf("map task %d (%s): %w", ac.task, sp.Input, err)
 	}
-	// The loop fuses scanning and mapping; when traced, each side's time is
-	// accumulated separately (plus the input bytes for the scan span).
-	var scanDur, mapDur time.Duration
-	var scanBytes int64
-	for n := 0; ; n++ {
-		if n%64 == 0 {
-			if err := ac.checkpoint("map"); err != nil {
-				return te, err
-			}
-		}
-		var rec []byte
+	return te, runMapTask(job, ac.task, sp.Input, r, te, h)
+}
+
+// mapOnlyAttempt is one task attempt of a map-only job: fetch the side
+// input, stream the split through the map-only body into attempt-private
+// part files, and publish them if the attempt wins the task's claim.
+func (e *Engine) mapOnlyAttempt(job *Job, jsp *trace.Span, sp Split, ac *attemptCtx, out *outCount) error {
+	i := ac.task
+	tsp := jsp.ChildTask("map", i, i, ac.node, ac.attempt)
+	defer tsp.Finish()
+	var side [][]byte
+	if i < len(job.TaskSideInputs) && job.TaskSideInputs[i] != "" {
 		var err error
-		if traced {
-			t0 := time.Now()
-			rec, err = r.Next()
-			scanDur += time.Since(t0)
-		} else {
-			rec, err = r.Next()
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return te, fmt.Errorf("map task %d (%s): %w", ac.task, sp.input, err)
-		}
-		if traced {
-			scanBytes += int64(len(rec))
-			t0 := time.Now()
-			err = job.Mapper.Map(sp.input, rec, te)
-			mapDur += time.Since(t0)
-		} else {
-			err = job.Mapper.Map(sp.input, rec, te)
-		}
-		if err != nil {
-			return te, fmt.Errorf("map task %d (%s): %w", ac.task, sp.input, err)
+		if side, err = e.dfs.ReadAll(job.TaskSideInputs[i]); err != nil {
+			return fmt.Errorf("map task %d side input %s: %w", i, job.TaskSideInputs[i], err)
 		}
 	}
-	if err := ac.checkpoint("sort"); err != nil {
-		return te, err
+	col, err := e.openParts(job, ac, i, tsp != nil)
+	if err != nil {
+		return err
 	}
-	sortStart := time.Now()
-	if err := te.seal(); err != nil {
-		return te, fmt.Errorf("map task %d (%s): %w", ac.task, sp.input, err)
+	defer col.abortUnlessCommitted(ac.js)
+	r, err := e.dfs.OpenRange(sp.Input, sp.Off, sp.N)
+	if err != nil {
+		return fmt.Errorf("map task %d (%s): %w", i, sp.Input, err)
 	}
-	if traced {
-		// Spill time happened inside Mapper.Map calls (the emitter spills
-		// when the buffer crosses the budget); carve it out of the map
-		// phase so the two aren't double-counted.
-		var spillDur time.Duration
-		for _, s := range te.spills {
-			spillDur += s.dur
-		}
-		tsp.AddPhase(trace.KindScan, "scan", scanDur, int64(sp.n), scanBytes)
-		tsp.AddPhase(trace.KindMap, "map", mapDur-spillDur, te.records, te.bytes)
-		for _, s := range te.spills {
-			tsp.AddPhase(trace.KindSpill, "spill", s.dur, s.records, s.bytes)
-		}
-		tsp.AddPhase(trace.KindSort, "sort", time.Since(sortStart), te.records, te.bytes)
-		tsp.SetIO(te.records, te.bytes)
+	st, err := RunMapOnlyTask(job, i, sp.Input, side, r, col, ac.hooks(tsp))
+	if err != nil {
+		return err
 	}
-	return te, nil
+	if err := col.publish(ac); err != nil {
+		return fmt.Errorf("map task %d (%s): %w", i, sp.Input, err)
+	}
+	if tsp != nil {
+		// As in the shuffle path, with the collector's append time carved
+		// out of the map phase as a DFS-write phase.
+		wRecs, wBytes := col.written()
+		tsp.AddPhase(trace.KindScan, "scan", st.ScanDur, st.Records, st.Bytes)
+		tsp.AddPhase(trace.KindMap, "map", st.MapDur-col.writeDur, col.records, col.bytes)
+		tsp.AddPhase(trace.KindWrite, "write", col.writeDur, wRecs, wBytes)
+		tsp.SetIO(wRecs, wBytes)
+	}
+	out.add(col)
+	return nil
 }
 
 // sweepTemps deletes every attempt-scoped temporary of a failed job (the
@@ -895,160 +769,6 @@ func (js *jobRunState) fold(m *JobMetrics) {
 	m.NodeKills += atomic.LoadInt64(&js.nodeKills)
 	m.MapOutputRecoveries += atomic.LoadInt64(&js.mapRecoveries)
 	m.TempBytesReclaimed += atomic.LoadInt64(&js.tempBytesReclaimed)
-}
-
-// commitParts assembles each output from its per-task part files in task
-// order — a pure block splice (hdfs.Concat), since every record was already
-// written (and paid for) by the task that produced it.
-func (e *Engine) commitParts(job *Job, nParts int) error {
-	for _, base := range append([]string{job.Output}, job.ExtraOutputs...) {
-		names := make([]string, nParts)
-		for i := range names {
-			names[i] = partName(base, i)
-		}
-		if err := e.dfs.Concat(base, names); err != nil {
-			return fmt.Errorf("committing output %s: %w", base, err)
-		}
-	}
-	return nil
-}
-
-func (e *Engine) runMapOnly(job *Job, jsp *trace.Span, splits []split, m JobMetrics, start time.Time,
-	js *jobRunState, nParts *int, fail func(error) (JobMetrics, error)) (JobMetrics, error) {
-	*nParts = len(splits)
-	var outRecords, outBytes int64
-	mapDurs := make([]time.Duration, len(splits))
-	if err := e.dispatch("map", len(splits), func(i int) error {
-		return e.runTask(js, "map", i, mapDurs, nil, func(ac *attemptCtx) error {
-			tsp := jsp.ChildTask("map", i, i, ac.node, ac.attempt)
-			defer tsp.Finish()
-			traced := tsp != nil
-			if err := ac.checkpoint("scan"); err != nil {
-				return err
-			}
-			// Each attempt gets a fresh TaskMapper (retries must never see
-			// another attempt's accumulated state) and fetches its side input
-			// up front, so a fault during the fetch is an attempt fault.
-			var side [][]byte
-			if i < len(job.TaskSideInputs) && job.TaskSideInputs[i] != "" {
-				s, err := e.dfs.ReadAll(job.TaskSideInputs[i])
-				if err != nil {
-					return fmt.Errorf("map task %d side input %s: %w", i, job.TaskSideInputs[i], err)
-				}
-				side = s
-			}
-			tm, err := job.taskMapper(i, side)
-			if err != nil {
-				return fmt.Errorf("map task %d (%s): %w", i, splits[i].input, err)
-			}
-			col, err := e.openParts(job, ac, i)
-			if err != nil {
-				return err
-			}
-			col.timed = traced
-			committed := false
-			defer func() {
-				if !committed {
-					col.abort(js)
-				}
-			}()
-			r, err := e.dfs.OpenRange(splits[i].input, splits[i].off, splits[i].n)
-			if err != nil {
-				return fmt.Errorf("map task %d (%s): %w", i, splits[i].input, err)
-			}
-			// As in the shuffle path: the fused loop's scan and map sides are
-			// timed separately when traced, and the collector's append time
-			// is carved out of the map phase as a DFS-write phase.
-			var scanDur, mapDur time.Duration
-			var scanBytes int64
-			for n := 0; ; n++ {
-				if n%64 == 0 {
-					if err := ac.checkpoint("map"); err != nil {
-						return err
-					}
-				}
-				var rec []byte
-				var err error
-				if traced {
-					t0 := time.Now()
-					rec, err = r.Next()
-					scanDur += time.Since(t0)
-				} else {
-					rec, err = r.Next()
-				}
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					return fmt.Errorf("map task %d (%s): %w", i, splits[i].input, err)
-				}
-				if traced {
-					scanBytes += int64(len(rec))
-					t0 := time.Now()
-					err = tm.MapRecord(splits[i].input, rec, col)
-					mapDur += time.Since(t0)
-				} else {
-					err = tm.MapRecord(splits[i].input, rec, col)
-				}
-				if err != nil {
-					return fmt.Errorf("map task %d (%s): %w", i, splits[i].input, err)
-				}
-			}
-			// End-of-input flush: stateful task mappers (streaming group
-			// builders, map-side joins) emit their trailing state here, still
-			// inside the attempt so a fault retries the whole task.
-			if traced {
-				t0 := time.Now()
-				err = tm.Flush(col)
-				mapDur += time.Since(t0)
-			} else {
-				err = tm.Flush(col)
-			}
-			if err != nil {
-				return fmt.Errorf("map task %d (%s) flush: %w", i, splits[i].input, err)
-			}
-			if err := ac.checkpoint("write"); err != nil {
-				return err
-			}
-			if err := col.close(); err != nil {
-				return fmt.Errorf("map task %d (%s): %w", i, splits[i].input, err)
-			}
-			if !ac.claim() {
-				col.abort(js)
-				committed = true // abort already done; skip the deferred one
-				return errLostRace
-			}
-			if err := col.commit(e.dfs); err != nil {
-				return fmt.Errorf("map task %d (%s): %w", i, splits[i].input, err)
-			}
-			if traced {
-				wRecs, wBytes := col.written()
-				tsp.AddPhase(trace.KindScan, "scan", scanDur, int64(splits[i].n), scanBytes)
-				tsp.AddPhase(trace.KindMap, "map", mapDur-col.writeDur, col.records, col.bytes)
-				tsp.AddPhase(trace.KindWrite, "write", col.writeDur, wRecs, wBytes)
-				tsp.SetIO(wRecs, wBytes)
-			}
-			committed = true
-			atomic.AddInt64(&outRecords, col.records)
-			atomic.AddInt64(&outBytes, col.bytes)
-			return nil
-		})
-	}); err != nil {
-		return fail(err)
-	}
-	m.MapTaskStats = summarizeTasks(mapDurs)
-	m.ReduceOutputRecords = outRecords
-	m.ReduceOutputBytes = outBytes
-	csp := jsp.Child(trace.KindCommit, "commit", len(splits))
-	err := e.commitParts(job, len(splits))
-	csp.Finish()
-	if err != nil {
-		return fail(err)
-	}
-	js.fold(&m)
-	jsp.SetIO(outRecords, outBytes)
-	m.Duration = time.Since(start)
-	return m, nil
 }
 
 // Stage is a set of jobs with no mutual dependencies; the workflow runner

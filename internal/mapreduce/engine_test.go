@@ -613,7 +613,7 @@ func TestTaskRetryRecoversInjectedFailures(t *testing.T) {
 		EngineConfig{SplitRecords: 2, DefaultReducers: 3})
 	faulty := NewEngine(hdfs.New(hdfs.Config{Nodes: 2}),
 		EngineConfig{SplitRecords: 2, DefaultReducers: 3,
-			TaskMaxAttempts: 6, TaskFailureRate: 0.2, TaskFailureSeed: 7})
+			TaskMaxAttempts: 6, Faults: &FaultPlan{Rate: 0.2, Seed: 7}})
 	var lines [][]byte
 	for j := 0; j < 40; j++ {
 		lines = append(lines, []byte(fmt.Sprintf("w%d w%d", j%5, j%11)))
@@ -648,7 +648,7 @@ func TestTaskRetryRecoversInjectedFailures(t *testing.T) {
 func TestTaskRetryBudgetExhaustion(t *testing.T) {
 	// Certain failure with a single attempt: the job must fail cleanly.
 	e := NewEngine(hdfs.New(hdfs.Config{Nodes: 1}),
-		EngineConfig{SplitRecords: 4, TaskMaxAttempts: 1, TaskFailureRate: 1.0})
+		EngineConfig{SplitRecords: 4, TaskMaxAttempts: 1, Faults: &FaultPlan{Rate: 1.0}})
 	if err := e.DFS().WriteFile("in", [][]byte{[]byte("x")}); err != nil {
 		t.Fatal(err)
 	}
@@ -694,25 +694,25 @@ func TestSortKVsProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(200)
-		kvs := make([]kv, n)
+		kvs := make([]KV, n)
 		count := map[string]int{}
 		for i := range kvs {
 			k := make([]byte, rng.Intn(6))
 			v := make([]byte, rng.Intn(6))
 			rng.Read(k)
 			rng.Read(v)
-			kvs[i] = kv{k, v}
+			kvs[i] = KV{k, v}
 			count[string(k)+"\x00"+string(v)]++
 		}
 		sortKVs(kvs)
 		for i := 1; i < len(kvs); i++ {
-			c := compareBytes(kvs[i-1].key, kvs[i].key)
-			if c > 0 || (c == 0 && compareBytes(kvs[i-1].value, kvs[i].value) > 0) {
+			c := compareBytes(kvs[i-1].Key, kvs[i].Key)
+			if c > 0 || (c == 0 && compareBytes(kvs[i-1].Value, kvs[i].Value) > 0) {
 				return false
 			}
 		}
 		for _, p := range kvs {
-			count[string(p.key)+"\x00"+string(p.value)]--
+			count[string(p.Key)+"\x00"+string(p.Value)]--
 		}
 		for _, c := range count {
 			if c != 0 {

@@ -10,6 +10,7 @@ import (
 
 	"ntga/internal/core/hash64"
 	"ntga/internal/hdfs"
+	"ntga/internal/trace"
 )
 
 // This file implements the engine's fault-tolerance machinery: the seeded
@@ -24,21 +25,17 @@ import (
 // attempt passes (one per phase boundary, plus periodic checkpoints inside
 // the record loops, plus one per spill and per merge pass) draws a seeded
 // hash over (job, kind, task, attempt, phase, sequence) and fails the
-// attempt when the draw lands under Rate. Unlike the legacy pre-body
-// injection (EngineConfig.TaskFailureRate), a mid-phase fault interrupts an
+// attempt when the draw lands under Rate. A fault therefore interrupts an
 // attempt that has already produced partial side effects — buffered map
 // output, spill runs on local disk, partially-written DFS part files — so
 // retries exercise the engine's cleanup and the attempt-scoped commit
 // protocol for real.
 type FaultPlan struct {
-	// Rate is the per-checkpoint failure probability (0 disables).
+	// Rate is the per-checkpoint failure probability (0 disables failures;
+	// a plan with only StragglerRate set injects slowdowns alone).
 	Rate float64
 	// Seed varies which checkpoints fail.
 	Seed int64
-	// MidPhase routes injection through the phase checkpoints. When false
-	// the plan only contributes straggler injection (failures stay with the
-	// legacy pre-body TaskFailureRate model).
-	MidPhase bool
 	// NodeFailureRate is the probability that a firing fault escalates to
 	// killing the attempt's data node (losing its local spill disk and
 	// failing every attempt pinned to it) instead of just the attempt.
@@ -56,7 +53,7 @@ type FaultPlan struct {
 }
 
 func (p *FaultPlan) active() bool {
-	return p != nil && (p.MidPhase && p.Rate > 0 || p.StragglerRate > 0)
+	return p != nil && (p.Rate > 0 || p.StragglerRate > 0)
 }
 
 // errAttemptKilled marks an attempt stopped because a rival attempt of the
@@ -74,7 +71,7 @@ func attemptNeutral(err error) bool {
 }
 
 // chaosDraw maps a seeded identity to [0,1) deterministically (fnv64a via
-// hash64, the same generator the legacy pre-body injection uses).
+// hash64).
 func chaosDraw(job, kind string, task, attempt int, phase string, seq int, which string, seed int64) float64 {
 	return float64(hash64.Mod(100000, "%s|%s|%d|%d|%s|%d|%s|%d",
 		job, kind, task, attempt, phase, seq, which, seed)) / 100000
@@ -261,7 +258,7 @@ func (a *attemptCtx) checkpoint(phase string) error {
 			return err
 		}
 	}
-	if !p.MidPhase || p.Rate <= 0 {
+	if p.Rate <= 0 {
 		return nil
 	}
 	if chaosDraw(a.js.job, a.kind, a.task, a.attempt, phase, a.seq, "fail", p.Seed) >= p.Rate {
@@ -306,6 +303,12 @@ func (a *attemptCtx) sleep(d time.Duration) error {
 // claim races for the task's commit right.
 func (a *attemptCtx) claim() bool { return a.ctl.claim(a.attempt) }
 
+// hooks is the attempt as the shared task bodies see it: its checkpoint and
+// its (possibly nil) trace span.
+func (a *attemptCtx) hooks(tsp *trace.Span) TaskHooks {
+	return TaskHooks{Checkpoint: a.checkpoint, Span: tsp}
+}
+
 // runTask executes one task with retries and (optionally) speculative
 // backup attempts. The body runs under an attemptCtx; it must clean up its
 // own partial state (spill runs, temp part files) before returning an
@@ -331,32 +334,28 @@ func (e *Engine) runTask(js *jobRunState, kind string, task int, durs []time.Dur
 	resCh := make(chan result, budget+1)
 	running := 0
 
-	// launch starts the next attempt that passes the legacy pre-body
-	// injection gate; it returns false when the budget is exhausted.
+	// launch starts the next attempt; it returns false when the budget is
+	// exhausted.
 	launch := func() bool {
-		for next < budget {
-			a := next
-			next++
-			if a > 0 {
-				atomic.AddInt64(&js.taskRetries, 1)
-			}
-			if e.shouldInjectFailure(js.job, kind, task, a) {
-				lastErr = fmt.Errorf("%w (%s task %d attempt %d)", errInjectedFailure, kind, task, a)
-				continue
-			}
-			ac := &attemptCtx{
-				e: e, js: js, ctl: ctl, kind: kind, task: task,
-				attempt: a, node: e.taskNode(task, a), killed: ctl.killCh(a),
-			}
-			running++
-			go func() {
-				t0 := time.Now()
-				err := body(ac)
-				resCh <- result{a, err, time.Since(t0)}
-			}()
-			return true
+		if next >= budget {
+			return false
 		}
-		return false
+		a := next
+		next++
+		if a > 0 {
+			atomic.AddInt64(&js.taskRetries, 1)
+		}
+		ac := &attemptCtx{
+			e: e, js: js, ctl: ctl, kind: kind, task: task,
+			attempt: a, node: e.taskNode(task, a), killed: ctl.killCh(a),
+		}
+		running++
+		go func() {
+			t0 := time.Now()
+			err := body(ac)
+			resCh <- result{a, err, time.Since(t0)}
+		}()
+		return true
 	}
 
 	exhausted := func() error {

@@ -81,7 +81,7 @@ func TestMidPhaseChaosByteIdenticalOutput(t *testing.T) {
 		e := NewEngine(hdfs.New(hdfs.Config{Nodes: 4}),
 			EngineConfig{SplitRecords: 8, DefaultReducers: 3, SortBufferBytes: 64,
 				MergeFactor: 2, TaskMaxAttempts: 8,
-				Faults: &FaultPlan{Rate: 0.08, Seed: seed, MidPhase: true}})
+				Faults: &FaultPlan{Rate: 0.08, Seed: seed}})
 		m, got := runWordCount(t, e, lines)
 		if !sameRecords(want, got) {
 			t.Fatalf("seed %d: chaos output differs from fault-free run", seed)
@@ -103,7 +103,7 @@ func TestMidPhaseChaosBudgetExhaustionFailsClean(t *testing.T) {
 	// The job must fail with the injected error and sweep every temporary.
 	e := NewEngine(hdfs.New(hdfs.Config{Nodes: 2}),
 		EngineConfig{SplitRecords: 4, DefaultReducers: 2, TaskMaxAttempts: 2,
-			Faults: &FaultPlan{Rate: 1.0, Seed: 3, MidPhase: true}})
+			Faults: &FaultPlan{Rate: 1.0, Seed: 3}})
 	if err := e.DFS().WriteFile("in", chaosLines(8)); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestNodeFailureRecoversMapOutput(t *testing.T) {
 		e := NewEngine(hdfs.New(hdfs.Config{Nodes: 4}),
 			EngineConfig{SplitRecords: 8, DefaultReducers: 3, SortBufferBytes: 64,
 				MergeFactor: 2, TaskMaxAttempts: 8, MapParallelism: 1, ReduceParallelism: 1,
-				Faults: &FaultPlan{Rate: 0.02, Seed: seed, MidPhase: true,
+				Faults: &FaultPlan{Rate: 0.02, Seed: seed,
 					NodeFailureRate: 1.0, MaxNodeKills: 1}})
 		m, got := runWordCount(t, e, lines)
 		if !sameRecords(want, got) {
@@ -289,7 +289,7 @@ func TestStageFailureLeavesEarlierStageIntact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e.cfg.Faults = &FaultPlan{Rate: 1.0, Seed: 9, MidPhase: true}
+	e.cfg.Faults = &FaultPlan{Rate: 1.0, Seed: 9}
 	if _, err := e.Run(wordCountJob("mid", "out")); err == nil {
 		t.Fatal("stage 2 with certain failure succeeded")
 	}
@@ -336,7 +336,7 @@ func TestNodeDeathPreservesCommittedDFSFiles(t *testing.T) {
 		if _, err := e.Run(wordCountJob("in", "mid")); err != nil {
 			t.Fatal(err)
 		}
-		e.cfg.Faults = &FaultPlan{Rate: 0.02, Seed: seed, MidPhase: true,
+		e.cfg.Faults = &FaultPlan{Rate: 0.02, Seed: seed,
 			NodeFailureRate: 1.0, MaxNodeKills: 1}
 		m, err := e.Run(wordCountJob("mid", "out"))
 		if err != nil {
@@ -374,7 +374,7 @@ func TestChaosTraceDeterministicSpanTree(t *testing.T) {
 		e := NewEngine(hdfs.New(hdfs.Config{Nodes: 4}), EngineConfig{
 			SplitRecords: 8, DefaultReducers: 3, SortBufferBytes: 64, MergeFactor: 2,
 			TaskMaxAttempts: 8, Tracer: tr,
-			Faults: &FaultPlan{Rate: 0.05, Seed: seed, MidPhase: true},
+			Faults: &FaultPlan{Rate: 0.05, Seed: seed},
 		})
 		if err := e.DFS().WriteFile("in", chaosLines(64)); err != nil {
 			t.Fatal(err)

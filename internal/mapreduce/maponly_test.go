@@ -131,7 +131,7 @@ func TestWholeFileMapOnlyUnderFaults(t *testing.T) {
 		SplitRecords:    4,
 		DefaultReducers: 3,
 		TaskMaxAttempts: 8,
-		Faults:          &FaultPlan{Rate: 0.3, Seed: 7, MidPhase: true},
+		Faults:          &FaultPlan{Rate: 0.3, Seed: 7},
 	})
 	writeInts(t, e.DFS(), "in0", 1, 2, 3, 4, 5, 6, 7, 8)
 	writeInts(t, e.DFS(), "in1", 10, 20, 30)
@@ -151,40 +151,6 @@ func TestWholeFileMapOnlyUnderFaults(t *testing.T) {
 	}
 	if len(recs) != 2 || string(recs[0]) != "task0:36" || string(recs[1]) != "task1:60" {
 		t.Errorf("out = %q, want [task0:36 task1:60]", recs)
-	}
-}
-
-func TestExecMapOnlyTaskN(t *testing.T) {
-	// The remote-execution entry point honors task index, side input, and
-	// Flush, matching the local engine's semantics.
-	job := &Job{
-		Name:            "remote-sum",
-		Inputs:          []string{"in0", "in1"},
-		Output:          "out",
-		WholeFileSplits: true,
-		MapOnlyFactory:  &sumFactory{},
-	}
-	out, err := ExecMapOnlyTaskN(job, 1, "in1", [][]byte{[]byte("5")},
-		SliceRecords([][]byte{[]byte("1"), []byte("2")}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Outputs[0]) != 1 || string(out.Outputs[0][0]) != "task1:8" {
-		t.Errorf("outputs = %q, want [task1:8]", out.Outputs[0])
-	}
-	// The wrapper keeps the legacy MapOnly path intact.
-	legacy := &Job{
-		Name:    "legacy",
-		Inputs:  []string{"in"},
-		Output:  "out",
-		MapOnly: MapOnlyFunc(func(_ string, rec []byte, out Collector) error { return out.Collect(rec) }),
-	}
-	lo, err := ExecMapOnlyTask(legacy, "in", SliceRecords([][]byte{[]byte("x")}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lo.Outputs[0]) != 1 || string(lo.Outputs[0][0]) != "x" {
-		t.Errorf("legacy outputs = %q", lo.Outputs[0])
 	}
 }
 

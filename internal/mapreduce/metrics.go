@@ -61,6 +61,30 @@ func skewOf(per []int64) float64 {
 	return float64(max) * float64(len(per)) / float64(total)
 }
 
+// FoldTaskStats fills the job's per-task profile from what its tasks
+// reported: the map and reduce task-duration summaries, and from the reduce
+// tasks' input stats (indexed by partition) the group count, the largest
+// partition and the three skew ratios. ReduceSkew reads MapOutputRecords,
+// which must already be set. A map-only job passes no reduce stats.
+func (m *JobMetrics) FoldTaskStats(mapDurs, reduceDurs []time.Duration, reduces []ReduceStats) {
+	m.MapTaskStats = summarizeTasks(mapDurs)
+	m.ReduceTaskStats = summarizeTasks(reduceDurs)
+	m.ReduceTasks = len(reduces)
+	m.ReduceInputGroups, m.MaxReducePartitionRecords = 0, 0
+	perGroups := make([]int64, len(reduces))
+	perBytes := make([]int64, len(reduces))
+	for p, st := range reduces {
+		perGroups[p], perBytes[p] = st.Groups, st.InBytes
+		m.ReduceInputGroups += st.Groups
+		m.MaxReducePartitionRecords = max(m.MaxReducePartitionRecords, st.InPairs)
+	}
+	m.ReduceKeySkew = skewOf(perGroups)
+	m.ReduceByteSkew = skewOf(perBytes)
+	if m.MapOutputRecords > 0 && len(reduces) > 0 {
+		m.ReduceSkew = float64(m.MaxReducePartitionRecords) * float64(len(reduces)) / float64(m.MapOutputRecords)
+	}
+}
+
 // JobMetrics records the cost profile of one executed job.
 type JobMetrics struct {
 	// Job is the job's name (Job.Name at submission).

@@ -49,7 +49,7 @@ type taskEmitter struct {
 	node int
 	cp   func(phase string) error
 
-	parts        [][]kv
+	parts        [][]KV
 	buffered     int64 // bytes currently in parts
 	peakBuffered int64
 
@@ -78,11 +78,18 @@ type spillProfile struct {
 	bytes   int64
 }
 
-func newTaskEmitter(dfs *hdfs.DFS, p Partitioner, nReducers int, combiner Combiner, budget int64, node int, cp func(string) error) *taskEmitter {
+// newTaskEmitter builds the emitter for one map attempt of the job; the
+// attempt's hooks supply the spill checkpoint and turn on spill profiling.
+func newTaskEmitter(dfs *hdfs.DFS, job *Job, nReducers int, budget int64, node int, h TaskHooks) *taskEmitter {
+	p := job.Partitioner
+	if p == nil {
+		p = HashPartitioner
+	}
 	return &taskEmitter{
 		dfs: dfs, partitioner: p, nReducers: nReducers,
-		combiner: combiner, budget: budget, node: node, cp: cp,
-		parts: make([][]kv, nReducers),
+		combiner: job.Combiner, budget: budget, node: node,
+		cp: h.Checkpoint, traced: h.Span != nil,
+		parts: make([][]KV, nReducers),
 	}
 }
 
@@ -95,7 +102,7 @@ func (t *taskEmitter) Emit(key, value []byte) error {
 	copy(k, key)
 	v := make([]byte, len(value))
 	copy(v, value)
-	t.parts[p] = append(t.parts[p], kv{k, v})
+	t.parts[p] = append(t.parts[p], KV{k, v})
 	t.records++
 	t.bytes += int64(len(k) + len(v))
 	t.buffered += int64(len(k) + len(v))
@@ -110,26 +117,26 @@ func (t *taskEmitter) Emit(key, value []byte) error {
 
 // combine folds a (key,value)-sorted segment through the job's combiner;
 // without one the segment passes through unchanged.
-func (t *taskEmitter) combine(part []kv) ([]kv, error) {
+func (t *taskEmitter) combine(part []KV) ([]KV, error) {
 	if t.combiner == nil || len(part) == 0 {
 		return part, nil
 	}
-	combined := make([]kv, 0, len(part))
+	combined := make([]KV, 0, len(part))
 	for i := 0; i < len(part); {
 		j := i + 1
-		for j < len(part) && compareBytes(part[j].key, part[i].key) == 0 {
+		for j < len(part) && compareBytes(part[j].Key, part[i].Key) == 0 {
 			j++
 		}
 		values := make([][]byte, 0, j-i)
 		for k := i; k < j; k++ {
-			values = append(values, part[k].value)
+			values = append(values, part[k].Value)
 		}
-		folded, err := t.combiner.Combine(part[i].key, values)
+		folded, err := t.combiner.Combine(part[i].Key, values)
 		if err != nil {
 			return nil, err
 		}
 		for _, v := range folded {
-			combined = append(combined, kv{part[i].key, v})
+			combined = append(combined, KV{part[i].Key, v})
 		}
 		i = j
 	}
@@ -170,8 +177,8 @@ func (t *taskEmitter) spillBuffer() error {
 		start := off
 		for _, pair := range part {
 			buf.Reset()
-			buf.PutBytes(pair.key)
-			buf.PutBytes(pair.value)
+			buf.PutBytes(pair.Key)
+			buf.PutBytes(pair.Value)
 			n, err := w.Write(buf.Bytes())
 			if err != nil {
 				w.Abort()
@@ -236,18 +243,18 @@ func (t *taskEmitter) lost() bool {
 
 // kvSource yields (key,value) pairs in nondecreasing (key,value) order.
 type kvSource interface {
-	next() (kv, bool, error)
+	next() (KV, bool, error)
 }
 
 // memSource iterates a sorted in-memory segment.
 type memSource struct {
-	kvs []kv
+	kvs []KV
 	i   int
 }
 
-func (s *memSource) next() (kv, bool, error) {
+func (s *memSource) next() (KV, bool, error) {
 	if s.i >= len(s.kvs) {
-		return kv{}, false, nil
+		return KV{}, false, nil
 	}
 	p := s.kvs[s.i]
 	s.i++
@@ -270,25 +277,25 @@ func newRunSource(spill *hdfs.Spill, seg runSeg) *runSource {
 	}
 }
 
-func (s *runSource) next() (kv, bool, error) {
+func (s *runSource) next() (KV, bool, error) {
 	if s.remaining == 0 {
-		return kv{}, false, nil
+		return KV{}, false, nil
 	}
 	if s.spill.Lost() {
-		return kv{}, false, fmt.Errorf("mapreduce: spill run read: %w", hdfs.ErrNodeLost)
+		return KV{}, false, fmt.Errorf("mapreduce: spill run read: %w", hdfs.ErrNodeLost)
 	}
 	before := s.r.Remaining()
 	key, err := s.r.Bytes()
 	if err != nil {
-		return kv{}, false, fmt.Errorf("mapreduce: corrupt spill run: %w", err)
+		return KV{}, false, fmt.Errorf("mapreduce: corrupt spill run: %w", err)
 	}
 	value, err := s.r.Bytes()
 	if err != nil {
-		return kv{}, false, fmt.Errorf("mapreduce: corrupt spill run: %w", err)
+		return KV{}, false, fmt.Errorf("mapreduce: corrupt spill run: %w", err)
 	}
 	s.remaining--
 	s.spill.ChargeRead(int64(before - s.r.Remaining()))
-	return kv{key, value}, true, nil
+	return KV{key, value}, true, nil
 }
 
 // mergeIter is a loser-free binary-heap merge of sorted kv sources.
@@ -297,7 +304,7 @@ type mergeIter struct {
 }
 
 type mergeItem struct {
-	head kv
+	head KV
 	src  kvSource
 }
 
@@ -319,11 +326,11 @@ func newMergeIter(sources []kvSource) (*mergeIter, error) {
 }
 
 func (m *mergeIter) less(a, b int) bool {
-	c := compareBytes(m.h[a].head.key, m.h[b].head.key)
+	c := compareBytes(m.h[a].head.Key, m.h[b].head.Key)
 	if c != 0 {
 		return c < 0
 	}
-	return compareBytes(m.h[a].head.value, m.h[b].head.value) < 0
+	return compareBytes(m.h[a].head.Value, m.h[b].head.Value) < 0
 }
 
 func (m *mergeIter) down(i int) {
@@ -344,14 +351,14 @@ func (m *mergeIter) down(i int) {
 	}
 }
 
-func (m *mergeIter) next() (kv, bool, error) {
+func (m *mergeIter) next() (KV, bool, error) {
 	if len(m.h) == 0 {
-		return kv{}, false, nil
+		return KV{}, false, nil
 	}
 	top := m.h[0].head
 	p, ok, err := m.h[0].src.next()
 	if err != nil {
-		return kv{}, false, err
+		return KV{}, false, err
 	}
 	if ok {
 		m.h[0].head = p
@@ -368,7 +375,7 @@ func (m *mergeIter) next() (kv, bool, error) {
 // groupIter slices a sorted kv stream into reduce groups.
 type groupIter struct {
 	m   *mergeIter
-	cur kv
+	cur KV
 	ok  bool
 	// pairs counts every pair consumed from the merge (the partition's
 	// post-combine record count, for the skew metric); bytes sums their
@@ -383,7 +390,7 @@ func newGroupIter(m *mergeIter) (*groupIter, error) {
 	g.cur, g.ok, err = m.next()
 	if g.ok {
 		g.pairs++
-		g.bytes += int64(len(g.cur.key) + len(g.cur.value))
+		g.bytes += int64(len(g.cur.Key) + len(g.cur.Value))
 	}
 	return g, err
 }
@@ -404,7 +411,7 @@ func (v *groupValues) Next() ([]byte, bool, error) {
 	g := v.g
 	if v.head {
 		v.head = false
-		return g.cur.value, true, nil
+		return g.cur.Value, true, nil
 	}
 	p, ok, err := g.m.next()
 	if err != nil {
@@ -417,12 +424,12 @@ func (v *groupValues) Next() ([]byte, bool, error) {
 	}
 	g.cur = p
 	g.pairs++
-	g.bytes += int64(len(p.key) + len(p.value))
-	if compareBytes(p.key, v.key) != 0 {
+	g.bytes += int64(len(p.Key) + len(p.Value))
+	if compareBytes(p.Key, v.key) != 0 {
 		v.done = true
 		return nil, false, nil
 	}
-	return p.value, true, nil
+	return p.Value, true, nil
 }
 
 func (v *groupValues) drain() error {
@@ -496,8 +503,8 @@ func (e *Engine) mergeRuns(srcs []*runSource, factor int, tsp *trace.Span, ac *a
 				break
 			}
 			buf.Reset()
-			buf.PutBytes(p.key)
-			buf.PutBytes(p.value)
+			buf.PutBytes(p.Key)
+			buf.PutBytes(p.Value)
 			n, err := w.Write(buf.Bytes())
 			if err != nil {
 				w.Abort()

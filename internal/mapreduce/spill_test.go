@@ -239,7 +239,7 @@ func TestSpillWithFaultInjectionLeaksNothing(t *testing.T) {
 	faulty := NewEngine(hdfs.New(hdfs.Config{Nodes: 4}), EngineConfig{
 		SplitRecords: 8, DefaultReducers: 3,
 		SortBufferBytes: 64, MergeFactor: 3,
-		TaskMaxAttempts: 8, TaskFailureRate: 0.3, TaskFailureSeed: 11,
+		TaskMaxAttempts: 8, Faults: &FaultPlan{Rate: 0.05, Seed: 11},
 	})
 	var outputs [2][][]byte
 	for i, e := range []*Engine{clean, faulty} {
@@ -251,7 +251,7 @@ func TestSpillWithFaultInjectionLeaksNothing(t *testing.T) {
 			t.Fatalf("engine %d: %v", i, err)
 		}
 		if i == 1 && m.TaskRetries == 0 {
-			t.Error("faulty engine recorded no retries at 30% failure rate")
+			t.Error("faulty engine recorded no retries at a 5% per-checkpoint failure rate")
 		}
 		if got := e.DFS().SpillUsed(); got != 0 {
 			t.Errorf("engine %d: SpillUsed after job = %d, want 0 (leaked spill files)", i, got)

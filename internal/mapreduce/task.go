@@ -1,0 +1,365 @@
+package mapreduce
+
+import (
+	"fmt"
+	"io"
+	"time"
+
+	"ntga/internal/hdfs"
+	"ntga/internal/trace"
+)
+
+// This file is the task runtime: split planning, the map, map-only and
+// reduce task bodies, and the part-file commit. Every piece exists once and
+// is parameterised only by where records come from and where output goes, so
+// the in-process engine (engine.go) and the RPC workers (internal/cluster)
+// run the same code and a task produces byte-identical output on either
+// substrate. The merge comparator orders pairs by (key, value), so any
+// correct merge of the per-task sorted segments feeds reducers the same
+// stream regardless of where (or how often) the maps ran.
+
+// Split is one map task's input assignment: a record range of one DFS file
+// (N < 0 means "through the end").
+type Split struct {
+	Input string
+	Off   int
+	N     int
+}
+
+// PlanSplits cuts the job's inputs into map splits of at most splitRecords
+// records from DFS metadata alone, accumulating the input totals and the task
+// count into m. A zero-record input still yields one empty split, and a
+// WholeFileSplits job gets exactly one split per input, so task index ==
+// input index (empty buckets included).
+func PlanSplits(d *hdfs.DFS, job *Job, splitRecords int, m *JobMetrics) ([]Split, error) {
+	var splits []Split
+	for _, in := range job.Inputs {
+		n, err := d.RecordCount(in)
+		if err != nil {
+			return nil, fmt.Errorf("reading input: %w", err)
+		}
+		size, err := d.FileSize(in)
+		if err != nil {
+			return nil, fmt.Errorf("sizing input: %w", err)
+		}
+		m.MapInputBytes += size
+		m.MapInputRecords += int64(n)
+		if job.WholeFileSplits || n == 0 {
+			splits = append(splits, Split{Input: in, N: n})
+			continue
+		}
+		for off := 0; off < n; off += splitRecords {
+			splits = append(splits, Split{Input: in, Off: off, N: min(splitRecords, n-off)})
+		}
+	}
+	m.MapTasks = len(splits)
+	return splits, nil
+}
+
+// RecordSource yields a task's input records one at a time; io.EOF ends the
+// stream. *hdfs.FileReader is one; workers wrap an RPC-fetched split in a
+// SliceSource.
+type RecordSource interface {
+	Next() ([]byte, error)
+}
+
+// SliceSource is a RecordSource over records already in memory.
+type SliceSource struct {
+	recs [][]byte
+}
+
+// NewSliceSource returns a source that yields recs in order.
+func NewSliceSource(recs [][]byte) *SliceSource { return &SliceSource{recs: recs} }
+
+// Next implements RecordSource.
+func (s *SliceSource) Next() ([]byte, error) {
+	if len(s.recs) == 0 {
+		return nil, io.EOF
+	}
+	rec := s.recs[0]
+	s.recs = s.recs[1:]
+	return rec, nil
+}
+
+// TaskHooks is what a substrate threads through a task body. Checkpoint is
+// called at every phase boundary and every 64 records inside the loops; an
+// error from it stops the attempt (the local engine's fault plan, kill
+// signals and cancellation; a worker's shutdown). Span, when non-nil, turns
+// on fine-grained phase timing. The zero value does neither.
+type TaskHooks struct {
+	Checkpoint func(phase string) error
+	Span       *trace.Span
+}
+
+func (h TaskHooks) checkpoint(phase string) error {
+	if h.Checkpoint == nil {
+		return nil
+	}
+	return h.Checkpoint(phase)
+}
+
+// ScanStats is what the fused scan+map loop of one task measured. The
+// durations are only taken on a traced task.
+type ScanStats struct {
+	Records, Bytes  int64
+	ScanDur, MapDur time.Duration
+}
+
+// scanLoop is the fused record loop of a map or map-only task: read a
+// record, hand it to fn, checkpoint every 64 records. On a traced task each
+// side's time is accumulated separately (plus the input bytes for the scan
+// phase).
+func scanLoop(task int, input string, src RecordSource, h TaskHooks, fn func(rec []byte) error) (st ScanStats, err error) {
+	traced := h.Span != nil
+	for ; ; st.Records++ {
+		if st.Records%64 == 0 {
+			if err := h.checkpoint("map"); err != nil {
+				return st, err
+			}
+		}
+		var rec []byte
+		if traced {
+			t0 := time.Now()
+			rec, err = src.Next()
+			st.ScanDur += time.Since(t0)
+		} else {
+			rec, err = src.Next()
+		}
+		if err == io.EOF {
+			return st, nil
+		}
+		if err == nil {
+			if traced {
+				st.Bytes += int64(len(rec))
+				t0 := time.Now()
+				err = fn(rec)
+				st.MapDur += time.Since(t0)
+			} else {
+				err = fn(rec)
+			}
+		}
+		if err != nil {
+			return st, fmt.Errorf("map task %d (%s): %w", task, input, err)
+		}
+	}
+}
+
+// runMapTask is the map task body: every record of src goes through
+// job.Mapper under the given input name into te, which is then sealed
+// (sorted and combiner-folded per partition). The input name must be the one
+// the job's Mapper expects — on a worker, the rebuilt plan's local name in
+// the split's position. A traced task records its scan/map/spill/sort phases.
+func runMapTask(job *Job, task int, input string, src RecordSource, te *taskEmitter, h TaskHooks) error {
+	if err := h.checkpoint("scan"); err != nil {
+		return err
+	}
+	st, err := scanLoop(task, input, src, h, func(rec []byte) error {
+		return job.Mapper.Map(input, rec, te)
+	})
+	if err != nil {
+		return err
+	}
+	if err := h.checkpoint("sort"); err != nil {
+		return err
+	}
+	sortStart := time.Now()
+	if err := te.seal(); err != nil {
+		return fmt.Errorf("map task %d (%s): %w", task, input, err)
+	}
+	if tsp := h.Span; tsp != nil {
+		// Spill time happened inside Mapper.Map calls (the emitter spills
+		// when the buffer crosses the budget); carve it out of the map
+		// phase so the two aren't double-counted.
+		var spillDur time.Duration
+		for _, s := range te.spills {
+			spillDur += s.dur
+		}
+		tsp.AddPhase(trace.KindScan, "scan", st.ScanDur, st.Records, st.Bytes)
+		tsp.AddPhase(trace.KindMap, "map", st.MapDur-spillDur, te.records, te.bytes)
+		for _, s := range te.spills {
+			tsp.AddPhase(trace.KindSpill, "spill", s.dur, s.records, s.bytes)
+		}
+		tsp.AddPhase(trace.KindSort, "sort", time.Since(sortStart), te.records, te.bytes)
+		tsp.SetIO(te.records, te.bytes)
+	}
+	return nil
+}
+
+// RunMapTask runs the map body over an in-memory (never spilling) emitter
+// and returns the task's committed output: one (key, value)-sorted,
+// combiner-folded segment per reduce partition, plus the pre-combine
+// map-output counters (Hadoop's "Map output records").
+func RunMapTask(job *Job, task int, input string, nReducers int, src RecordSource, h TaskHooks) (parts [][]KV, records, bytes int64, err error) {
+	// Budget 0 disables spilling, so the nil DFS is never touched.
+	te := newTaskEmitter(nil, job, nReducers, 0, 0, h)
+	if err := runMapTask(job, task, input, src, te, h); err != nil {
+		return nil, 0, 0, err
+	}
+	return te.parts, te.records, te.bytes, nil
+}
+
+// RunMapOnlyTask is the map-only task body — the shuffle-free path. The
+// job's TaskMapper for this task index (== bucket index under
+// WholeFileSplits) is built fresh from the pre-fetched side input, so a
+// retried attempt never sees a rival's state; every record of src goes
+// through it into col, and Flush emits its trailing state after the last
+// record, still inside the attempt so a fault retries the whole task.
+func RunMapOnlyTask(job *Job, task int, input string, side [][]byte, src RecordSource, col Collector, h TaskHooks) (ScanStats, error) {
+	if err := h.checkpoint("scan"); err != nil {
+		return ScanStats{}, err
+	}
+	tm, err := job.taskMapper(task, side)
+	if err != nil {
+		return ScanStats{}, fmt.Errorf("map task %d (%s): %w", task, input, err)
+	}
+	st, err := scanLoop(task, input, src, h, func(rec []byte) error {
+		return tm.MapRecord(input, rec, col)
+	})
+	if err != nil {
+		return st, err
+	}
+	t0 := time.Now()
+	if err := tm.Flush(col); err != nil {
+		return st, fmt.Errorf("map task %d (%s) flush: %w", task, input, err)
+	}
+	if h.Span != nil {
+		st.MapDur += time.Since(t0)
+	}
+	return st, h.checkpoint("write")
+}
+
+// ReduceStats is what one reduce task consumed: its key groups and the
+// merged shuffle pairs and bytes — the per-partition load the skew metrics
+// are computed from. LoopDur is the wall clock of the fused reduce+write loop.
+type ReduceStats struct {
+	Groups, InPairs, InBytes int64
+	LoopDur                  time.Duration
+}
+
+// runReduceTask is the reduce task body for one partition: merge the sorted
+// sources into one stream, group by key, and feed the job's reducer, which
+// streams output records into col.
+func runReduceTask(job *Job, partition int, sources []kvSource, col Collector, h TaskHooks) (st ReduceStats, err error) {
+	wrap := func(err error) error { return fmt.Errorf("reduce partition %d: %w", partition, err) }
+	reducer := job.StreamReducer
+	if reducer == nil {
+		reducer = adaptedReducer{job.Reducer}
+	}
+	mi, err := newMergeIter(sources)
+	if err != nil {
+		return st, wrap(err)
+	}
+	g, err := newGroupIter(mi)
+	if err != nil {
+		return st, wrap(err)
+	}
+	loopStart := time.Now()
+	for g.ok {
+		if st.Groups%64 == 0 {
+			if err := h.checkpoint("reduce"); err != nil {
+				return st, err
+			}
+		}
+		vals := &groupValues{g: g, key: g.cur.Key, head: true}
+		st.Groups++
+		if err := reducer.Reduce(g.cur.Key, vals, col); err != nil {
+			return st, wrap(err)
+		}
+		if err := vals.drain(); err != nil {
+			return st, wrap(err)
+		}
+	}
+	st.InPairs, st.InBytes, st.LoopDur = g.pairs, g.bytes, time.Since(loopStart)
+	return st, h.checkpoint("write")
+}
+
+// RunReduceTask runs the reduce body over fetched map outputs: segs[t] is
+// map task t's sorted segment for this partition (nil or empty when the map
+// emitted nothing here).
+func RunReduceTask(job *Job, partition int, segs [][]KV, col Collector, h TaskHooks) (ReduceStats, error) {
+	var sources []kvSource
+	for _, seg := range segs {
+		if len(seg) > 0 {
+			sources = append(sources, &memSource{kvs: seg})
+		}
+	}
+	return runReduceTask(job, partition, sources, col, h)
+}
+
+// MemCollector buffers a task's output records per output base, in
+// Job.OutputBases order — a worker ships them to the coordinator, which
+// writes them as the task's part files. Records are copied: mappers and
+// reducers may reuse their buffers, exactly as the DFS writers copy on Append.
+type MemCollector struct {
+	Outputs        [][][]byte
+	Records, Bytes int64
+	slots          map[string]int
+}
+
+// NewMemCollector returns an empty collector for the job's outputs.
+func NewMemCollector(job *Job) *MemCollector {
+	c := &MemCollector{
+		Outputs: make([][][]byte, 1+len(job.ExtraOutputs)),
+		slots:   make(map[string]int, len(job.ExtraOutputs)),
+	}
+	for i, eo := range job.ExtraOutputs {
+		c.slots[eo] = i + 1
+	}
+	return c
+}
+
+func (c *MemCollector) add(slot int, record []byte) {
+	c.Outputs[slot] = append(c.Outputs[slot], append([]byte(nil), record...))
+	c.Records++
+	c.Bytes += int64(len(record))
+}
+
+// Collect implements Collector.
+func (c *MemCollector) Collect(record []byte) error {
+	c.add(0, record)
+	return nil
+}
+
+// CollectTo implements NamedCollector.
+func (c *MemCollector) CollectTo(output string, record []byte) error {
+	slot, ok := c.slots[output]
+	if !ok {
+		return fmt.Errorf("mapreduce: CollectTo(%q): not a declared extra output", output)
+	}
+	c.add(slot, record)
+	return nil
+}
+
+// PartName is the per-task part file a reduce (or map-only) task's winning
+// attempt publishes its output as; CommitParts splices the parts into the
+// job output once every task has committed.
+func PartName(base string, i int) string {
+	return fmt.Sprintf("%s._part-%05d", base, i)
+}
+
+// CommitParts assembles each job output from its nParts per-task part files
+// in task order — a pure block splice (hdfs.Concat), since every record was
+// already written (and paid for) by the task that produced it.
+func CommitParts(d *hdfs.DFS, job *Job, nParts int) error {
+	for _, base := range job.OutputBases() {
+		names := make([]string, nParts)
+		for i := range names {
+			names[i] = PartName(base, i)
+		}
+		if err := d.Concat(base, names); err != nil {
+			return fmt.Errorf("committing output %s: %w", base, err)
+		}
+	}
+	return nil
+}
+
+// RemoveOutputs deletes a failed job's outputs and whichever of its nParts
+// part files per output were already published.
+func RemoveOutputs(d *hdfs.DFS, job *Job, nParts int) {
+	for _, base := range job.OutputBases() {
+		d.DeleteIfExists(base)
+		for i := 0; i < nParts; i++ {
+			d.DeleteIfExists(PartName(base, i))
+		}
+	}
+}

@@ -18,10 +18,9 @@ func tracedWorkload(t *testing.T) (*trace.Tracer, WorkflowMetrics) {
 	e := NewEngine(hdfs.New(hdfs.Config{Nodes: 4}), EngineConfig{
 		SplitRecords:    8,
 		DefaultReducers: 3,
-		SortBufferBytes: 64,  // force several spills per map task
-		MergeFactor:     2,   // force intermediate merge passes
-		TaskFailureRate: 0.2, // deterministic injected retries
-		TaskFailureSeed: 7,
+		SortBufferBytes: 64,                              // force several spills per map task
+		MergeFactor:     2,                               // force intermediate merge passes
+		Faults:          &FaultPlan{Rate: 0.05, Seed: 7}, // deterministic injected retries
 		TaskMaxAttempts: 4,
 		Tracer:          tr,
 	})
@@ -74,14 +73,14 @@ func TestTraceCoversJobsTasksAndPhases(t *testing.T) {
 		if job.Kind != trace.KindJob || job.Name != wf.Jobs[ji].Job {
 			t.Fatalf("job span %d = (%s, %q), want (job, %q)", ji, job.Kind, job.Name, wf.Jobs[ji].Job)
 		}
-		// Injected failures skip the task body entirely, so a retried task
-		// may have no attempt-0 span; count distinct task indices instead.
+		// An injected failure interrupts an attempt mid-body, so a retried
+		// task has attempt spans that stop short of their last phases; what
+		// must hold is that every task index has one attempt with them all.
 		mapTasks, reduceTasks := map[int]bool{}, map[int]bool{}
 		commits := 0
 		for _, c := range job.Children() {
 			switch {
 			case c.Kind == trace.KindTask && c.Name == "map":
-				mapTasks[c.Task] = true
 				var hasScan, hasMap, hasSort bool
 				for _, p := range c.Children() {
 					kinds[p.Kind]++
@@ -94,11 +93,10 @@ func TestTraceCoversJobsTasksAndPhases(t *testing.T) {
 						hasSort = true
 					}
 				}
-				if !hasScan || !hasMap || !hasSort {
-					t.Fatalf("map task span missing a scan/map/sort phase (job %q task %d)", job.Name, c.Task)
+				if hasScan && hasMap && hasSort {
+					mapTasks[c.Task] = true
 				}
 			case c.Kind == trace.KindTask && c.Name == "reduce":
-				reduceTasks[c.Task] = true
 				var hasReduce, hasWrite bool
 				for _, p := range c.Children() {
 					kinds[p.Kind]++
@@ -109,8 +107,8 @@ func TestTraceCoversJobsTasksAndPhases(t *testing.T) {
 						hasWrite = true
 					}
 				}
-				if !hasReduce || !hasWrite {
-					t.Fatalf("reduce task span missing a reduce/write phase (job %q task %d)", job.Name, c.Task)
+				if hasReduce && hasWrite {
+					reduceTasks[c.Task] = true
 				}
 			case c.Kind == trace.KindCommit:
 				commits++
@@ -122,10 +120,10 @@ func TestTraceCoversJobsTasksAndPhases(t *testing.T) {
 			}
 		}
 		if len(mapTasks) != wf.Jobs[ji].MapTasks {
-			t.Errorf("job %q: %d traced map tasks, metrics say %d", job.Name, len(mapTasks), wf.Jobs[ji].MapTasks)
+			t.Errorf("job %q: %d map tasks traced with scan/map/sort phases, metrics say %d", job.Name, len(mapTasks), wf.Jobs[ji].MapTasks)
 		}
 		if len(reduceTasks) != wf.Jobs[ji].ReduceTasks {
-			t.Errorf("job %q: %d traced reduce tasks, metrics say %d", job.Name, len(reduceTasks), wf.Jobs[ji].ReduceTasks)
+			t.Errorf("job %q: %d reduce tasks traced with reduce/write phases, metrics say %d", job.Name, len(reduceTasks), wf.Jobs[ji].ReduceTasks)
 		}
 		if commits != 1 {
 			t.Errorf("job %q: %d commit spans, want 1", job.Name, commits)

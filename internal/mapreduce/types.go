@@ -288,6 +288,13 @@ func (j *Job) validate() error {
 // mapOnly reports whether the job elides the shuffle and reduce phases.
 func (j *Job) mapOnly() bool { return j.MapOnly != nil || j.MapOnlyFactory != nil }
 
+// OutputBases lists the job's output files in part order — the main output
+// followed by the declared extra outputs — matching the Outputs slots of a
+// MemCollector and the part files CommitParts splices.
+func (j *Job) OutputBases() []string {
+	return append([]string{j.Output}, j.ExtraOutputs...)
+}
+
 // taskMapper builds the map-only operator for one task attempt: the
 // factory's per-attempt TaskMapper, or the shared MapOnly wrapped with a
 // no-op Flush.
@@ -302,20 +309,22 @@ type noFlushMapper struct{ MapOnlyMapper }
 
 func (noFlushMapper) Flush(Collector) error { return nil }
 
-// kv is one intermediate pair.
-type kv struct {
-	key, value []byte
+// KV is one intermediate key/value pair, in memory and on the wire alike:
+// committed map output crosses the cluster transport as ordered []KV
+// segments, one per reduce partition.
+type KV struct {
+	Key, Value []byte
 }
 
 // sortKVs orders pairs by key then value, giving deterministic reduce input
 // regardless of map-task scheduling.
-func sortKVs(kvs []kv) {
+func sortKVs(kvs []KV) {
 	sort.Slice(kvs, func(i, j int) bool {
-		c := compareBytes(kvs[i].key, kvs[j].key)
+		c := compareBytes(kvs[i].Key, kvs[j].Key)
 		if c != 0 {
 			return c < 0
 		}
-		return compareBytes(kvs[i].value, kvs[j].value) < 0
+		return compareBytes(kvs[i].Value, kvs[j].Value) < 0
 	})
 }
 

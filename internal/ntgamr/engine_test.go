@@ -418,7 +418,7 @@ func TestNTGAResilientToTaskFailures(t *testing.T) {
 	faulty := mapreduce.NewEngine(
 		hdfsNew(),
 		mapreduce.EngineConfig{SplitRecords: 16, DefaultReducers: 4,
-			TaskMaxAttempts: 8, TaskFailureRate: 0.15, TaskFailureSeed: 3},
+			TaskMaxAttempts: 8, Faults: &mapreduce.FaultPlan{Rate: 0.15, Seed: 3}},
 	)
 	if err := engine.LoadGraph(faulty.DFS(), "in", g); err != nil {
 		t.Fatal(err)

@@ -21,6 +21,27 @@ const StatusClientClosedRequest = 499
 // evaluate seam.
 var ErrUnavailable = errors.New("server: cluster unavailable")
 
+// ErrTooLarge rejects a request whose body exceeds the endpoint's byte cap
+// (maxQueryBodyBytes, maxIngestBodyBytes) before it is buffered whole.
+var ErrTooLarge = errors.New("server: request body too large")
+
+// Request-body caps: a query is a page of SPARQL plus options; an ingest
+// batch is read into memory whole before it is validated.
+const (
+	maxQueryBodyBytes  = 1 << 20
+	maxIngestBodyBytes = 16 << 20
+)
+
+// tooLarge rebuilds an http.MaxBytesReader overflow as ErrTooLarge; any
+// other error yields nil.
+func tooLarge(err error) error {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		return fmt.Errorf("%w: limit is %d bytes", ErrTooLarge, mbe.Limit)
+	}
+	return nil
+}
+
 // errorStatuses is the single typed-error ↔ HTTP status table both sides of
 // the wire share: the handler walks it to pick a status code (and a
 // Retry-After hint for the retryable ones), and the client walks it
@@ -35,6 +56,7 @@ var errorStatuses = []struct {
 	retryAfter int
 }{
 	{ErrOverloaded, http.StatusTooManyRequests, 1},
+	{ErrTooLarge, http.StatusRequestEntityTooLarge, 0},
 	{ErrBadQuery, http.StatusBadRequest, 0},
 	{ingest.ErrBadBatch, http.StatusUnprocessableEntity, 0},
 	{ErrUnavailable, http.StatusServiceUnavailable, 2},

@@ -18,6 +18,8 @@ func TestErrorStatusRoundTrip(t *testing.T) {
 	}{
 		{"overloaded", ErrOverloaded, http.StatusTooManyRequests},
 		{"bad query", ErrBadQuery, http.StatusBadRequest},
+		{"too large", ErrTooLarge, http.StatusRequestEntityTooLarge},
+		{"overflowed body", tooLarge(&http.MaxBytesError{Limit: 8}), http.StatusRequestEntityTooLarge},
 		{"unavailable", ErrUnavailable, http.StatusServiceUnavailable},
 		{"wrapped unavailable", fmt.Errorf("%w: master lost", ErrUnavailable), http.StatusServiceUnavailable},
 		{"deadline", context.DeadlineExceeded, http.StatusGatewayTimeout},

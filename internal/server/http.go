@@ -33,7 +33,7 @@ func (s *Server) Handler() http.Handler {
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	res, err := s.Ingest(r.Context(), r.Body)
+	res, err := s.Ingest(r.Context(), http.MaxBytesReader(w, r.Body, maxIngestBodyBytes))
 	if err != nil {
 		writeError(w, err)
 		return
@@ -52,8 +52,13 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, fmt.Errorf("%w: invalid request body: %v", ErrBadQuery, err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBodyBytes)).Decode(&req); err != nil {
+		if tl := tooLarge(err); tl != nil {
+			err = tl
+		} else {
+			err = fmt.Errorf("%w: invalid request body: %v", ErrBadQuery, err)
+		}
+		writeError(w, err)
 		return
 	}
 	if r.URL.Query().Get("async") == "1" {

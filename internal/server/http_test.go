@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -118,6 +120,14 @@ func TestHTTPErrorMapping(t *testing.T) {
 		t.Errorf("bad body → %d, want 400", code)
 	}
 
+	// Oversize bodies are refused at the cap, typed on both sides of the wire.
+	if code := post(`{"query": "` + strings.Repeat(" ", maxQueryBodyBytes) + `"}`); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversize query body → %d, want 413", code)
+	}
+	if _, err := c.Ingest(ctx, io.LimitReader(spaces{}, maxIngestBodyBytes+1)); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("oversize ingest batch err = %v, want ErrTooLarge", err)
+	}
+
 	// Fill the admission window, then both sync and async must 429.
 	r1, err := s.admit()
 	if err != nil {
@@ -166,6 +176,16 @@ func TestHTTPErrorMapping(t *testing.T) {
 	if gr.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /query → %d, want 405", gr.StatusCode)
 	}
+}
+
+// spaces is an endless stream of blanks.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
 }
 
 func TestClientAddrNormalization(t *testing.T) {

@@ -51,6 +51,9 @@ type IngestResult struct {
 func (s *Server) Ingest(ctx context.Context, r io.Reader) (*IngestResult, error) {
 	batch, err := io.ReadAll(r)
 	if err != nil {
+		if err := tooLarge(err); err != nil {
+			return nil, err
+		}
 		return nil, fmt.Errorf("%w: reading batch: %v", ingest.ErrBadBatch, err)
 	}
 	if _, err := ingest.ValidateBatch(bytes.NewReader(batch)); err != nil {

@@ -67,15 +67,12 @@ type Config struct {
 	Reducers        int
 	SplitRecords    int
 	SortBufferBytes int64
-	// TaskMaxAttempts / TaskFailureRate / TaskFailureSeed pass through to
-	// every query's engine config, so fault tolerance can be exercised
-	// under concurrent serving (chaos testing).
+	// TaskMaxAttempts passes through to every query's engine config as the
+	// per-task retry budget.
 	TaskMaxAttempts int
-	TaskFailureRate float64
-	TaskFailureSeed int64
-	// Faults arms the full mid-phase chaos plan on every served workflow
-	// (shared across queries — the plan's draws are checkpoint-scoped), so
-	// serving can be soaked with attempts that die holding partial state.
+	// Faults arms the seeded chaos plan on every served workflow (shared
+	// across queries — the plan's draws are checkpoint-scoped), so serving
+	// can be soaked with attempts that die holding partial state.
 	Faults *mapreduce.FaultPlan
 	// Tracer, when set, records every served workflow's span tree
 	// (requests that ask for a Timeline still get a private tracer). The
@@ -618,8 +615,6 @@ func (s *Server) evaluateLocal(ctx context.Context, req Request, q *query.Query,
 		SplitRecords:    s.cfg.SplitRecords,
 		SortBufferBytes: s.cfg.SortBufferBytes,
 		TaskMaxAttempts: s.cfg.TaskMaxAttempts,
-		TaskFailureRate: s.cfg.TaskFailureRate,
-		TaskFailureSeed: s.cfg.TaskFailureSeed,
 		Faults:          s.cfg.Faults,
 		Slots:           s.pool.Lease(req.Tenant, req.Weight),
 		Tracer:          tracer,
