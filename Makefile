@@ -6,16 +6,18 @@ all: build check test
 
 # Fast gate for every change: formatting, vet, and a race pass over the
 # packages with real concurrency (the MR engine, the simulated DFS, the
-# query daemon, and the RPC cluster — the latter in -short mode, which
-# still includes the seeded network-chaos and partition-recovery tests;
-# the full cross-transport parity sweep runs with the ordinary test suite).
+# NTGA operators — one mapper or reducer instance serves concurrent tasks, so
+# their scratch memory must be per call — the query daemon, and the RPC
+# cluster — the latter in -short mode, which still includes the seeded
+# network-chaos and partition-recovery tests; the full cross-transport parity
+# sweep runs with the ordinary test suite).
 check:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 	go vet ./...
-	go test -race ./internal/mapreduce/ ./internal/hdfs/ ./internal/server/ ./internal/workload/ ./internal/core/hash64/
+	go test -race ./internal/mapreduce/ ./internal/hdfs/ ./internal/server/ ./internal/workload/ ./internal/core/ ./internal/core/hash64/ ./internal/ntgamr/
 	go test -race -short ./internal/cluster/
 	go test -race ./internal/ingest/
 	go test ./internal/plan/ ./internal/explain/

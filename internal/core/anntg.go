@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"ntga/internal/query"
@@ -33,15 +33,6 @@ type AnnTG struct {
 	SlotSel  []int // len == len(star.Slots)
 }
 
-// Clone deep-copies the AnnTG.
-func (a AnnTG) Clone() AnnTG {
-	out := a
-	out.Triples = append([]PO(nil), a.Triples...)
-	out.BoundSel = append([]int(nil), a.BoundSel...)
-	out.SlotSel = append([]int(nil), a.SlotSel...)
-	return out
-}
-
 // FullyUnnested reports whether every unbound slot has been pinned.
 func (a AnnTG) FullyUnnested() bool {
 	for _, s := range a.SlotSel {
@@ -65,51 +56,34 @@ func (a AnnTG) String() string {
 	return sb.String()
 }
 
-// BoundCandidates returns the indices of pairs that can match bound pattern
-// bi, honoring a pinned selection.
-func (a AnnTG) BoundCandidates(st *query.Star, bi int) []int {
+// BoundCandidates appends to dst the indices of pairs that can match bound
+// pattern bi, honoring a pinned selection.
+func (a AnnTG) BoundCandidates(dst []int, st *query.Star, bi int) []int {
 	if a.BoundSel[bi] != Nested {
-		return []int{a.BoundSel[bi]}
+		return append(dst, a.BoundSel[bi])
 	}
 	b := st.Bound[bi]
-	var out []int
 	for i, p := range a.Triples {
 		if p.P == b.Prop && b.Obj.Match(p.O) {
-			out = append(out, i)
+			dst = append(dst, i)
 		}
 	}
-	return out
+	return dst
 }
 
-// SlotCandidates returns the indices of pairs that can match unbound slot
-// si, honoring a pinned selection.
-func (a AnnTG) SlotCandidates(st *query.Star, si int) []int {
+// SlotCandidates appends to dst the indices of pairs that can match unbound
+// slot si, honoring a pinned selection.
+func (a AnnTG) SlotCandidates(dst []int, st *query.Star, si int) []int {
 	if a.SlotSel[si] != Nested {
-		return []int{a.SlotSel[si]}
+		return append(dst, a.SlotSel[si])
 	}
 	sl := st.Slots[si]
-	var out []int
 	for i, p := range a.Triples {
 		if sl.Prop.Match(p.P) && sl.Obj.Match(p.O) {
-			out = append(out, i)
+			dst = append(dst, i)
 		}
 	}
-	return out
-}
-
-// relevant reports whether a pair plays any role in the star.
-func relevant(st *query.Star, p PO) bool {
-	for _, b := range st.Bound {
-		if p.P == b.Prop && b.Obj.Match(p.O) {
-			return true
-		}
-	}
-	for _, sl := range st.Slots {
-		if sl.Prop.Match(p.P) && sl.Obj.Match(p.O) {
-			return true
-		}
-	}
-	return false
+	return dst
 }
 
 // UnbGrpFilter is the β group-filter σ^βγ (Definition 1) merged with the
@@ -126,64 +100,79 @@ func relevant(st *query.Star, p PO) bool {
 // For a star with unbound slots the AnnTG keeps every relevant pair (the
 // concise implicit representation); for a bound-only star it keeps only the
 // bound-matching pairs (Algorithm 2, line 8).
-func UnbGrpFilter(tg TripleGroup, stars []*query.Star) []AnnTG {
-	var out []AnnTG
+func (s *Scratch) UnbGrpFilter(tg TripleGroup, stars []*query.Star) []AnnTG {
+	s.tgs = room(s.tgs, len(stars))
+	start := len(s.tgs)
 	for _, st := range stars {
-		if a, ok := FilterForStar(tg, st); ok {
-			out = append(out, a)
+		if a, ok := s.FilterForStar(tg, st); ok {
+			s.tgs = append(s.tgs, a)
 		}
 	}
-	return out
+	return slices.Clip(s.tgs[start:])
 }
 
-// FilterForStar applies σ^βγ for a single star.
+// FilterForStar applies σ^βγ for a single star over a fresh Scratch.
 func FilterForStar(tg TripleGroup, st *query.Star) (AnnTG, bool) {
+	return new(Scratch).FilterForStar(tg, st)
+}
+
+// FilterForStar applies σ^βγ for a single star: one pass keeps the pairs
+// that match any pattern and notes which patterns found a candidate.
+func (s *Scratch) FilterForStar(tg TripleGroup, st *query.Star) (AnnTG, bool) {
 	if !st.Subj.Match(tg.Subject) {
 		return AnnTG{}, false
 	}
-	var pairs []PO
-	if st.HasUnbound() {
-		for _, p := range tg.Triples {
-			if relevant(st, p) {
-				pairs = append(pairs, p)
+	nb := len(st.Bound)
+	matched := bitmap(&s.keep, st.NPatterns())
+	s.pos = room(s.pos, len(tg.Triples))
+	start := len(s.pos)
+	for _, p := range tg.Triples {
+		relevant := false
+		for bi, b := range st.Bound {
+			if p.P == b.Prop && b.Obj.Match(p.O) {
+				matched[bi], relevant = true, true
 			}
 		}
-	} else {
-		for _, p := range tg.Triples {
-			for _, b := range st.Bound {
-				if p.P == b.Prop && b.Obj.Match(p.O) {
-					pairs = append(pairs, p)
-					break
-				}
+		for si, sl := range st.Slots {
+			if sl.Prop.Match(p.P) && sl.Obj.Match(p.O) {
+				matched[nb+si], relevant = true, true
 			}
 		}
-	}
-	a := AnnTG{
-		Subject:  tg.Subject,
-		EC:       st.Index,
-		Triples:  pairs,
-		BoundSel: nestedSel(len(st.Bound)),
-		SlotSel:  nestedSel(len(st.Slots)),
+		if relevant {
+			s.pos = append(s.pos, p)
+		}
 	}
 	// Structure-based validation: every pattern needs a candidate.
-	for bi := range st.Bound {
-		if len(a.BoundCandidates(st, bi)) == 0 {
-			return AnnTG{}, false
-		}
+	if slices.Contains(matched, false) {
+		s.pos = s.pos[:start]
+		return AnnTG{}, false
 	}
-	for si := range st.Slots {
-		if len(a.SlotCandidates(st, si)) == 0 {
-			return AnnTG{}, false
-		}
-	}
-	return a, true
+	return AnnTG{
+		Subject:  tg.Subject,
+		EC:       st.Index,
+		Triples:  slices.Clip(s.pos[start:]),
+		BoundSel: s.nested(nb),
+		SlotSel:  s.nested(len(st.Slots)),
+	}, true
 }
 
-func nestedSel(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = Nested
+// nested returns n Nested selections.
+func (s *Scratch) nested(n int) []int {
+	s.ints = room(s.ints, n)
+	start := len(s.ints)
+	for ; n > 0; n-- {
+		s.ints = append(s.ints, Nested)
 	}
+	return slices.Clip(s.ints[start:])
+}
+
+// pinned returns a copy of sel with entry i set to v.
+func (s *Scratch) pinned(sel []int, i, v int) []int {
+	s.ints = room(s.ints, len(sel))
+	start := len(s.ints)
+	s.ints = append(s.ints, sel...)
+	out := slices.Clip(s.ints[start:])
+	out[i] = v
 	return out
 }
 
@@ -192,19 +181,18 @@ func nestedSel(n int) []int {
 // triplegroups, one per combination of slot candidates, each containing the
 // (still nested) bound component plus the chosen unbound triples. Pinned
 // slots keep their selection.
-func BetaUnnest(st *query.Star, a AnnTG) []AnnTG {
+func (s *Scratch) BetaUnnest(st *query.Star, a AnnTG) []AnnTG {
 	combos := []AnnTG{a}
 	for si := range st.Slots {
 		if a.SlotSel[si] != Nested {
 			continue
 		}
-		cands := a.SlotCandidates(st, si)
-		next := make([]AnnTG, 0, len(combos)*len(cands))
+		s.idx = a.SlotCandidates(s.idx[:0], st, si)
+		next := make([]AnnTG, 0, len(combos)*len(s.idx))
 		for _, c := range combos {
-			for _, idx := range cands {
-				cc := c.Clone()
-				cc.SlotSel[si] = idx
-				next = append(next, cc)
+			for _, idx := range s.idx {
+				c.SlotSel = s.pinned(c.SlotSel, si, idx)
+				next = append(next, c)
 			}
 		}
 		combos = next
@@ -213,7 +201,7 @@ func BetaUnnest(st *query.Star, a AnnTG) []AnnTG {
 	// bound-relevant nor selected (this is where the footprint of an eager
 	// unnest materializes).
 	for i := range combos {
-		combos[i] = Compact(st, combos[i])
+		combos[i] = s.Compact(st, combos[i])
 	}
 	return combos
 }
@@ -221,8 +209,15 @@ func BetaUnnest(st *query.Star, a AnnTG) []AnnTG {
 // Compact rewrites an AnnTG to keep only pairs still needed: pairs matching
 // some non-pinned pattern, and pinned selections. Selection indices are
 // remapped to the new pair slice.
-func Compact(st *query.Star, a AnnTG) AnnTG {
-	keep := make([]bool, len(a.Triples))
+func (s *Scratch) Compact(st *query.Star, a AnnTG) AnnTG {
+	return s.project(a, s.needed(st, a, -1))
+}
+
+// needed marks, in s.keep, the pairs of a that some pattern other than slot
+// skip still needs: a pinned pattern its selection, a nested one every
+// candidate.
+func (s *Scratch) needed(st *query.Star, a AnnTG, skip int) []bool {
+	keep := bitmap(&s.keep, len(a.Triples))
 	for bi, b := range st.Bound {
 		if a.BoundSel[bi] != Nested {
 			keep[a.BoundSel[bi]] = true
@@ -235,6 +230,9 @@ func Compact(st *query.Star, a AnnTG) AnnTG {
 		}
 	}
 	for si, sl := range st.Slots {
+		if si == skip {
+			continue
+		}
 		if a.SlotSel[si] != Nested {
 			keep[a.SlotSel[si]] = true
 			continue
@@ -245,44 +243,53 @@ func Compact(st *query.Star, a AnnTG) AnnTG {
 			}
 		}
 	}
-	remap := make([]int, len(a.Triples))
-	var pairs []PO
+	return keep
+}
+
+// project copies the kept pairs of a and its selection vectors, each pinned
+// index remapped to its pair's new position (the count of kept pairs before it).
+func (s *Scratch) project(a AnnTG, keep []bool) AnnTG {
+	s.pos = room(s.pos, len(keep))
+	start := len(s.pos)
 	for i, k := range keep {
 		if k {
-			remap[i] = len(pairs)
-			pairs = append(pairs, a.Triples[i])
-		} else {
-			remap[i] = -1
+			s.pos = append(s.pos, a.Triples[i])
 		}
 	}
-	out := AnnTG{Subject: a.Subject, EC: a.EC, Triples: pairs,
-		BoundSel: append([]int(nil), a.BoundSel...),
-		SlotSel:  append([]int(nil), a.SlotSel...)}
-	for bi, s := range out.BoundSel {
-		if s != Nested {
-			out.BoundSel[bi] = remap[s]
+	remap := func(sel []int) []int {
+		s.ints = room(s.ints, len(sel))
+		from := len(s.ints)
+		for _, v := range sel {
+			if v != Nested {
+				kept := keep[:v]
+				v = 0
+				for _, k := range kept {
+					if k {
+						v++
+					}
+				}
+			}
+			s.ints = append(s.ints, v)
 		}
+		return slices.Clip(s.ints[from:])
 	}
-	for si, s := range out.SlotSel {
-		if s != Nested {
-			out.SlotSel[si] = remap[s]
-		}
-	}
-	return out
+	return AnnTG{Subject: a.Subject, EC: a.EC, Triples: slices.Clip(s.pos[start:]),
+		BoundSel: remap(a.BoundSel), SlotSel: remap(a.SlotSel)}
 }
 
 // PinBound produces one AnnTG per candidate of bound pattern bi, each with
 // the pattern pinned — the split needed before a join on a (possibly
 // multi-valued) bound property's object.
-func PinBound(st *query.Star, a AnnTG, bi int) []AnnTG {
-	cands := a.BoundCandidates(st, bi)
-	out := make([]AnnTG, 0, len(cands))
-	for _, idx := range cands {
-		c := a.Clone()
-		c.BoundSel[bi] = idx
-		out = append(out, Compact(st, c))
+func (s *Scratch) PinBound(st *query.Star, a AnnTG, bi int) []AnnTG {
+	s.idx = a.BoundCandidates(s.idx[:0], st, bi)
+	s.tgs = room(s.tgs, len(s.idx))
+	start := len(s.tgs)
+	for _, idx := range s.idx {
+		c := a
+		c.BoundSel = s.pinned(a.BoundSel, bi, idx)
+		s.tgs = append(s.tgs, s.Compact(st, c))
 	}
-	return out
+	return slices.Clip(s.tgs[start:])
 }
 
 // Phi is the partition function φ_m of Definition 3: it assigns a join-key
@@ -296,79 +303,35 @@ func Phi(o rdf.ID, m int) int {
 
 // PartialBetaUnnest is the partial β-unnest operator μ^β_φm (Definition 3)
 // applied to unbound slot si: slot candidates are partitioned into m
-// buckets by Phi on their object (the join key); for every non-empty bucket
-// one AnnTG is produced carrying the bound component, all pairs relevant to
-// other patterns, and the bucket's slot candidates. The slot remains
-// Nested; the bucket id is returned alongside so the caller can key the
-// shuffle by it.
-func PartialBetaUnnest(st *query.Star, a AnnTG, si, m int) []PartialTG {
-	cands := a.SlotCandidates(st, si)
-	buckets := make(map[int][]int)
-	for _, idx := range cands {
-		b := Phi(a.Triples[idx].O, m)
-		buckets[b] = append(buckets[b], idx)
+// buckets by Phi on their object (the join key); for every non-empty bucket,
+// in ascending bucket order, one AnnTG is produced carrying the bound
+// component, all pairs relevant to other patterns, and the bucket's slot
+// candidates. The slot remains Nested; the bucket id is returned alongside
+// so the caller can key the shuffle by it.
+func (s *Scratch) PartialBetaUnnest(st *query.Star, a AnnTG, si, m int) []PartialTG {
+	s.idx = a.SlotCandidates(s.idx[:0], st, si)
+	others := s.needed(st, a, si)
+	s.parts = room(s.parts, len(s.idx))
+	start := len(s.parts)
+	for last := -1; ; {
+		bucket := m // the smallest non-empty bucket above last
+		for _, ci := range s.idx {
+			if b := Phi(a.Triples[ci].O, m); b > last && b < bucket {
+				bucket = b
+			}
+		}
+		if bucket == m {
+			return slices.Clip(s.parts[start:])
+		}
+		s.keep2 = append(s.keep2[:0], others...)
+		for _, ci := range s.idx {
+			if Phi(a.Triples[ci].O, m) == bucket {
+				s.keep2[ci] = true
+			}
+		}
+		s.parts = append(s.parts, PartialTG{Bucket: bucket, TG: s.project(a, s.keep2)})
+		last = bucket
 	}
-	order := make([]int, 0, len(buckets))
-	for b := range buckets {
-		order = append(order, b)
-	}
-	sort.Ints(order)
-	out := make([]PartialTG, 0, len(buckets))
-	for _, b := range order {
-		idxs := buckets[b]
-		keep := make([]bool, len(a.Triples))
-		// Pairs needed by other patterns.
-		for bi := range st.Bound {
-			if a.BoundSel[bi] != Nested {
-				keep[a.BoundSel[bi]] = true
-				continue
-			}
-			for _, ci := range a.BoundCandidates(st, bi) {
-				keep[ci] = true
-			}
-		}
-		for sj := range st.Slots {
-			if sj == si {
-				continue
-			}
-			if a.SlotSel[sj] != Nested {
-				keep[a.SlotSel[sj]] = true
-				continue
-			}
-			for _, ci := range a.SlotCandidates(st, sj) {
-				keep[ci] = true
-			}
-		}
-		// This bucket's candidates for the joining slot.
-		for _, ci := range idxs {
-			keep[ci] = true
-		}
-		remap := make([]int, len(a.Triples))
-		var pairs []PO
-		for i, k := range keep {
-			if k {
-				remap[i] = len(pairs)
-				pairs = append(pairs, a.Triples[i])
-			} else {
-				remap[i] = -1
-			}
-		}
-		p := AnnTG{Subject: a.Subject, EC: a.EC, Triples: pairs,
-			BoundSel: append([]int(nil), a.BoundSel...),
-			SlotSel:  append([]int(nil), a.SlotSel...)}
-		for bi, s := range p.BoundSel {
-			if s != Nested {
-				p.BoundSel[bi] = remap[s]
-			}
-		}
-		for sj, s := range p.SlotSel {
-			if s != Nested {
-				p.SlotSel[sj] = remap[s]
-			}
-		}
-		out = append(out, PartialTG{Bucket: b, TG: p})
-	}
-	return out
 }
 
 // PartialTG pairs a partially β-unnested AnnTG with its φ_m bucket.
@@ -380,28 +343,25 @@ type PartialTG struct {
 // UnnestSlotInBucket finishes a partial β-unnest on the reduce side: it
 // expands slot si of a partial AnnTG, selecting only candidates whose join
 // key falls in bucket b under φ_m — exactly the candidates the map side
-// placed in this partition. Other slots stay as they are.
-func UnnestSlotInBucket(st *query.Star, a AnnTG, si, m, b int) []AnnTG {
-	var out []AnnTG
-	for _, idx := range a.SlotCandidates(st, si) {
-		if a.SlotSel[si] == Nested && Phi(a.Triples[idx].O, m) != b {
+// placed in this partition — and compacts each result. Other slots stay as
+// they are. With m == 0 every candidate is selected.
+func (s *Scratch) UnnestSlotInBucket(st *query.Star, a AnnTG, si, m, b int) []AnnTG {
+	s.idx = a.SlotCandidates(s.idx[:0], st, si)
+	s.tgs = room(s.tgs, len(s.idx))
+	start := len(s.tgs)
+	for _, idx := range s.idx {
+		if m > 0 && a.SlotSel[si] == Nested && Phi(a.Triples[idx].O, m) != b {
 			continue
 		}
-		c := a.Clone()
-		c.SlotSel[si] = idx
-		out = append(out, c)
+		c := a
+		c.SlotSel = s.pinned(a.SlotSel, si, idx)
+		s.tgs = append(s.tgs, s.Compact(st, c))
 	}
-	return out
+	return slices.Clip(s.tgs[start:])
 }
 
 // UnnestSlot expands a single slot fully (the map-side full β-unnest used
 // by TG_UnbJoin).
-func UnnestSlot(st *query.Star, a AnnTG, si int) []AnnTG {
-	var out []AnnTG
-	for _, idx := range a.SlotCandidates(st, si) {
-		c := a.Clone()
-		c.SlotSel[si] = idx
-		out = append(out, Compact(st, c))
-	}
-	return out
+func (s *Scratch) UnnestSlot(st *query.Star, a AnnTG, si int) []AnnTG {
+	return s.UnnestSlotInBucket(st, a, si, 0, 0)
 }

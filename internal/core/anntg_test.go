@@ -456,26 +456,20 @@ func TestEncodedSizeTracksNesting(t *testing.T) {
 	}
 }
 
-func TestMergeRowsConflict(t *testing.T) {
-	a := query.Row{1, 0, 3}
-	b := query.Row{1, 2, 0}
-	m, ok := MergeRows(a, b)
-	if !ok || !m.Equal(query.Row{1, 2, 3}) {
-		t.Errorf("MergeRows = %v, %v", m, ok)
+// TestExpandJoinedConflict: two components that bind one variable to
+// different IDs mean the join that put them together was wrong; expansion
+// must say so instead of picking one.
+func TestExpandJoinedConflict(t *testing.T) {
+	q, _, comps := allocFixture(t)
+	if rows, err := ExpandJoined(q, comps); err != nil || len(rows) == 0 {
+		t.Fatalf("consistent record: %d rows, %v", len(rows), err)
 	}
-	c := query.Row{9, 0, 0}
-	if _, ok := MergeRows(a, c); ok {
-		t.Error("conflicting merge succeeded")
+	other := comps[1]
+	other.Subject++ // no longer the GO term the gene's xGO was pinned to
+	if rows, err := ExpandJoined(q, []AnnTG{comps[0], other}); err == nil {
+		t.Errorf("conflicting ?go bindings expanded to %d rows", len(rows))
 	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	a := AnnTG{Subject: 1, Triples: []PO{{1, 2}}, BoundSel: []int{Nested}, SlotSel: []int{0}}
-	b := a.Clone()
-	b.Triples[0] = PO{9, 9}
-	b.BoundSel[0] = 0
-	b.SlotSel[0] = Nested
-	if a.Triples[0] != (PO{1, 2}) || a.BoundSel[0] != Nested || a.SlotSel[0] != 0 {
-		t.Error("Clone shares storage")
+	if rows, err := ExpandJoined(q, nil); rows != nil || err != nil {
+		t.Errorf("no components: %v, %v", rows, err)
 	}
 }

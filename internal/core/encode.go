@@ -1,35 +1,36 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"ntga/internal/codec"
 )
 
-// PutAnnTG appends the binary encoding of an AnnTG: subject, equivalence
+// appendAnnTG appends the binary encoding of an AnnTG: subject, equivalence
 // class, (P,O) pairs, and the two selection vectors (Nested encoded as 0,
-// index i as i+1).
-func PutAnnTG(e *codec.Buffer, a AnnTG) {
-	e.PutID(a.Subject)
-	e.PutUvarint(uint64(a.EC))
-	e.PutUvarint(uint64(len(a.Triples)))
+// index i as i+1), every number a uvarint as in package codec.
+func appendAnnTG(dst []byte, a AnnTG) []byte {
+	dst = binary.AppendUvarint(dst, uint64(a.Subject))
+	dst = binary.AppendUvarint(dst, uint64(a.EC))
+	dst = binary.AppendUvarint(dst, uint64(len(a.Triples)))
 	for _, p := range a.Triples {
-		e.PutID(p.P)
-		e.PutID(p.O)
+		dst = binary.AppendUvarint(dst, uint64(p.P))
+		dst = binary.AppendUvarint(dst, uint64(p.O))
 	}
-	putSel(e, a.BoundSel)
-	putSel(e, a.SlotSel)
+	for _, sel := range [2][]int{a.BoundSel, a.SlotSel} {
+		dst = binary.AppendUvarint(dst, uint64(len(sel)))
+		for _, s := range sel {
+			dst = binary.AppendUvarint(dst, uint64(s+1)) // Nested (-1) -> 0
+		}
+	}
+	return dst
 }
 
-func putSel(e *codec.Buffer, sel []int) {
-	e.PutUvarint(uint64(len(sel)))
-	for _, s := range sel {
-		e.PutUvarint(uint64(s + 1)) // Nested (-1) -> 0
-	}
-}
-
-// ReadAnnTG decodes one AnnTG.
-func ReadAnnTG(r *codec.Reader) (AnnTG, error) {
+// ReadAnnTG decodes one AnnTG into s.
+func (s *Scratch) ReadAnnTG(r *codec.Reader) (AnnTG, error) {
 	var a AnnTG
 	var err error
 	if a.Subject, err = r.ID(); err != nil {
@@ -47,25 +48,29 @@ func ReadAnnTG(r *codec.Reader) (AnnTG, error) {
 	if n > uint64(r.Remaining()) {
 		return a, codec.ErrCorrupt
 	}
-	a.Triples = make([]PO, n)
-	for i := range a.Triples {
-		if a.Triples[i].P, err = r.ID(); err != nil {
+	s.pos = room(s.pos, int(n))
+	start := len(s.pos)
+	for ; n > 0; n-- {
+		var p PO
+		if p.P, err = r.ID(); err != nil {
 			return a, err
 		}
-		if a.Triples[i].O, err = r.ID(); err != nil {
+		if p.O, err = r.ID(); err != nil {
 			return a, err
 		}
+		s.pos = append(s.pos, p)
 	}
-	if a.BoundSel, err = readSel(r, len(a.Triples)); err != nil {
+	a.Triples = slices.Clip(s.pos[start:])
+	if a.BoundSel, err = s.readSel(r, len(a.Triples)); err != nil {
 		return a, err
 	}
-	if a.SlotSel, err = readSel(r, len(a.Triples)); err != nil {
+	if a.SlotSel, err = s.readSel(r, len(a.Triples)); err != nil {
 		return a, err
 	}
 	return a, nil
 }
 
-func readSel(r *codec.Reader, nPairs int) ([]int, error) {
+func (s *Scratch) readSel(r *codec.Reader, nPairs int) ([]int, error) {
 	n, err := r.Uvarint()
 	if err != nil {
 		return nil, err
@@ -73,32 +78,31 @@ func readSel(r *codec.Reader, nPairs int) ([]int, error) {
 	if n > uint64(r.Remaining())+1 {
 		return nil, codec.ErrCorrupt
 	}
-	out := make([]int, n)
-	for i := range out {
+	s.ints = room(s.ints, int(n))
+	start := len(s.ints)
+	for ; n > 0; n-- {
 		v, err := r.Uvarint()
 		if err != nil {
 			return nil, err
 		}
-		s := int(v) - 1
-		if s < Nested || s >= nPairs {
-			return nil, fmt.Errorf("%w: selection %d out of range (pairs %d)", codec.ErrCorrupt, s, nPairs)
+		sel := int(v) - 1
+		if sel < Nested || sel >= nPairs {
+			return nil, fmt.Errorf("%w: selection %d out of range (pairs %d)", codec.ErrCorrupt, sel, nPairs)
 		}
-		out[i] = s
+		s.ints = append(s.ints, sel)
 	}
-	return out, nil
+	return slices.Clip(s.ints[start:]), nil
 }
 
 // EncodeAnnTG encodes a standalone AnnTG record.
 func EncodeAnnTG(a AnnTG) []byte {
-	var e codec.Buffer
-	PutAnnTG(&e, a)
-	return e.Bytes()
+	return appendAnnTG(make([]byte, 0, EncodedSize(a)), a)
 }
 
 // DecodeAnnTG decodes a standalone AnnTG record.
 func DecodeAnnTG(p []byte) (AnnTG, error) {
 	r := codec.NewReader(p)
-	a, err := ReadAnnTG(r)
+	a, err := new(Scratch).ReadAnnTG(r)
 	if err != nil {
 		return a, err
 	}
@@ -109,17 +113,24 @@ func DecodeAnnTG(p []byte) (AnnTG, error) {
 }
 
 // EncodeJoined encodes a joined result: an ordered list of star components.
-func EncodeJoined(comps []AnnTG) []byte {
-	var e codec.Buffer
-	e.PutUvarint(uint64(len(comps)))
+func EncodeJoined(comps []AnnTG) []byte { return AppendJoined(nil, comps) }
+
+// AppendJoined appends the encoding of a joined result to dst, growing it at
+// most once.
+func AppendJoined(dst []byte, comps []AnnTG) []byte {
+	size := uvarintLen(uint64(len(comps)))
 	for _, c := range comps {
-		PutAnnTG(&e, c)
+		size += EncodedSize(c)
 	}
-	return e.Bytes()
+	dst = binary.AppendUvarint(slices.Grow(dst, size), uint64(len(comps)))
+	for _, c := range comps {
+		dst = appendAnnTG(dst, c)
+	}
+	return dst
 }
 
-// DecodeJoined decodes a joined result record.
-func DecodeJoined(p []byte) ([]AnnTG, error) {
+// DecodeJoined decodes a joined result record into s.
+func (s *Scratch) DecodeJoined(p []byte) ([]AnnTG, error) {
 	r := codec.NewReader(p)
 	n, err := r.Uvarint()
 	if err != nil {
@@ -128,22 +139,36 @@ func DecodeJoined(p []byte) ([]AnnTG, error) {
 	if n > uint64(r.Remaining())+1 {
 		return nil, codec.ErrCorrupt
 	}
-	out := make([]AnnTG, n)
-	for i := range out {
-		if out[i], err = ReadAnnTG(r); err != nil {
+	s.tgs = room(s.tgs, int(n))
+	start := len(s.tgs)
+	for ; n > 0; n-- {
+		a, err := s.ReadAnnTG(r)
+		if err != nil {
 			return nil, err
 		}
+		s.tgs = append(s.tgs, a)
 	}
 	if r.Remaining() != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", codec.ErrCorrupt, r.Remaining())
 	}
-	return out, nil
+	return slices.Clip(s.tgs[start:]), nil
 }
 
 // EncodedSize returns the byte size of an AnnTG's encoding without
-// materializing it — used by the redundancy statistics.
+// materializing it — used to presize encodes and by the redundancy statistics.
 func EncodedSize(a AnnTG) int {
-	var e codec.Buffer
-	PutAnnTG(&e, a)
-	return e.Len()
+	n := uvarintLen(uint64(a.Subject)) + uvarintLen(uint64(a.EC)) + uvarintLen(uint64(len(a.Triples)))
+	for _, p := range a.Triples {
+		n += uvarintLen(uint64(p.P)) + uvarintLen(uint64(p.O))
+	}
+	for _, sel := range [2][]int{a.BoundSel, a.SlotSel} {
+		n += uvarintLen(uint64(len(sel)))
+		for _, s := range sel {
+			n += uvarintLen(uint64(s + 1))
+		}
+	}
+	return n
 }
+
+// uvarintLen is the number of bytes binary.AppendUvarint writes for v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }

@@ -35,16 +35,18 @@ SELECT * WHERE {
 	groups := core.Group(g.Triples)
 	fmt.Printf("subject triplegroups: %d\n", len(groups))
 
+	// The operators build in a Scratch; what they return lasts until its Reset.
+	var s core.Scratch
 	var kept []core.AnnTG
 	for _, tg := range groups {
-		kept = append(kept, core.UnbGrpFilter(tg, q.Stars)...)
+		kept = append(kept, s.UnbGrpFilter(tg, q.Stars)...)
 	}
 	fmt.Printf("groups passing the β group-filter: %d\n", len(kept))
 
 	nested := kept[0]
 	fmt.Printf("implicit rows in one nested AnnTG: %d\n", core.CountExpansions(q, nested))
 
-	perfect := core.BetaUnnest(q.Stars[0], nested)
+	perfect := s.BetaUnnest(q.Stars[0], nested)
 	fmt.Printf("perfect triplegroups after eager β-unnest: %d\n", len(perfect))
 
 	// Output:

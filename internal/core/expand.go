@@ -18,95 +18,94 @@ import (
 // expanding μ^β(σ^βγ(γ(T))) yields exactly the rows of the relational
 // star-join plan.
 func Expand(q *query.Query, a AnnTG) []query.Row {
-	st := q.Stars[a.EC]
-	base := make(query.Row, len(q.AllVars))
-	if st.SubjVar != "" {
-		base[q.VarIdx[st.SubjVar]] = a.Subject
-	}
-	rows := []query.Row{base}
-	for bi, b := range st.Bound {
-		cands := a.BoundCandidates(st, bi)
-		rows = expandPosition(q, rows, a, cands, "", b.OVar)
-		if rows == nil {
-			return nil
-		}
-	}
-	for si, sl := range st.Slots {
-		cands := a.SlotCandidates(st, si)
-		rows = expandPosition(q, rows, a, cands, sl.PVar, sl.OVar)
-		if rows == nil {
-			return nil
-		}
-	}
+	rows, _ := ExpandJoined(q, []AnnTG{a}) // one component cannot conflict
 	return rows
 }
 
-// expandPosition multiplies rows by the candidate set of one pattern,
-// binding pVar to the candidate's property and oVar to its object (empty
-// names bind nothing).
-func expandPosition(q *query.Query, rows []query.Row, a AnnTG, cands []int, pVar, oVar string) []query.Row {
-	if len(cands) == 0 {
-		return nil
-	}
-	if pVar == "" && oVar == "" {
-		// Constant-object bound pattern: a candidate exists; it neither
-		// branches nor binds. (Pairs are a set, so there is exactly one.)
-		return rows
-	}
-	out := make([]query.Row, 0, len(rows)*len(cands))
-	for _, r := range rows {
-		for _, ci := range cands {
-			rr := r.Clone()
-			if pVar != "" {
-				rr[q.VarIdx[pVar]] = a.Triples[ci].P
-			}
-			if oVar != "" {
-				rr[q.VarIdx[oVar]] = a.Triples[ci].O
-			}
-			out = append(out, rr)
-		}
-	}
-	return out
+// binder is one digit of ExpandJoined's odometer: a binding pattern of one
+// component, its n candidate pairs idx[lo:lo+n], the row columns it fills
+// (-1 for none), and how many rows pass between two steps of the digit. A
+// component's subject variable is a one-candidate binder with lo < 0.
+type binder struct {
+	comp, lo, n, every int
+	pCol, oCol         int
 }
 
-// MergeRows unifies two partial rows; it fails if both bind a variable to
-// different IDs (which would indicate an engine bug, since join variables
-// are equated structurally before rows are merged).
-func MergeRows(a, b query.Row) (query.Row, bool) {
-	out := a.Clone()
-	for i, v := range b {
-		if v == rdf.NoID {
-			continue
-		}
-		if out[i] != rdf.NoID && out[i] != v {
-			return nil, false
-		}
-		out[i] = v
-	}
-	return out, true
-}
-
-// ExpandJoined enumerates the full rows of a joined result: the merged
-// cross product of every component's expansion. Components are AnnTGs of
-// distinct stars whose join variables were pinned when the join executed.
+// ExpandJoined enumerates the full rows of a joined result: the cross
+// product of every pattern's candidates over all components, the first
+// pattern of the first component varying slowest. Components are AnnTGs of
+// distinct stars whose join variables were pinned when the join executed, so
+// two components never bind one variable to different IDs (that would be an
+// engine bug, and is an error). The rows of one call share one backing
+// array, each clipped to its own width, and belong to the caller.
 func ExpandJoined(q *query.Query, comps []AnnTG) ([]query.Row, error) {
-	if len(comps) == 0 {
+	var idxBuf [64]int
+	var binderBuf [16]binder
+	idx, binders := idxBuf[:0], binderBuf[:0]
+	col := func(v string) int {
+		if v == "" {
+			return -1
+		}
+		return q.VarIdx[v]
+	}
+	total := min(len(comps), 1)
+	add := func(ci, pCol, oCol, lo int) {
+		n := len(idx) - lo
+		if pCol < 0 && oCol < 0 {
+			// Constant-object bound pattern: a candidate must exist, but it
+			// neither branches nor binds. (Pairs are a set, so there is one.)
+			total *= min(n, 1)
+			idx = idx[:lo]
+			return
+		}
+		total *= n
+		binders = append(binders, binder{comp: ci, lo: lo, n: n, pCol: pCol, oCol: oCol})
+	}
+	for ci, a := range comps {
+		st := q.Stars[a.EC]
+		if c := col(st.SubjVar); c >= 0 {
+			binders = append(binders, binder{comp: ci, lo: -1, n: 1, pCol: -1, oCol: c})
+		}
+		for bi, b := range st.Bound {
+			lo := len(idx)
+			idx = a.BoundCandidates(idx, st, bi)
+			add(ci, -1, col(b.OVar), lo)
+		}
+		for si, sl := range st.Slots {
+			lo := len(idx)
+			idx = a.SlotCandidates(idx, st, si)
+			add(ci, col(sl.PVar), col(sl.OVar), lo)
+		}
+	}
+	if total == 0 {
 		return nil, nil
 	}
-	rows := Expand(q, comps[0])
-	for _, c := range comps[1:] {
-		next := Expand(q, c)
-		var merged []query.Row
-		for _, r := range rows {
-			for _, n := range next {
-				m, ok := MergeRows(r, n)
-				if !ok {
+	for i, every := len(binders)-1, 1; i >= 0; i-- {
+		binders[i].every = every
+		every *= binders[i].n
+	}
+	width := len(q.AllVars)
+	slab := make([]rdf.ID, total*width)
+	rows := make([]query.Row, total)
+	for r := range rows {
+		row := slab[r*width : (r+1)*width : (r+1)*width]
+		rows[r] = row
+		for _, b := range binders {
+			c := &comps[b.comp]
+			pair := PO{O: c.Subject}
+			if b.lo >= 0 {
+				pair = c.Triples[idx[b.lo+r/b.every%b.n]]
+			}
+			if b.pCol >= 0 {
+				row[b.pCol] = pair.P
+			}
+			if b.oCol >= 0 {
+				if row[b.oCol] != rdf.NoID && row[b.oCol] != pair.O {
 					return nil, fmt.Errorf("core: conflicting bindings while expanding joined triplegroup (ec=%d)", c.EC)
 				}
-				merged = append(merged, m)
+				row[b.oCol] = pair.O
 			}
 		}
-		rows = merged
 	}
 	return rows, nil
 }
@@ -119,9 +118,10 @@ func ExpandJoined(q *query.Query, comps []AnnTG) ([]query.Row, error) {
 // future-work "aggregation constraints").
 func CountExpansions(q *query.Query, a AnnTG) int64 {
 	st := q.Stars[a.EC]
+	var buf [64]int
 	total := int64(1)
 	for bi, b := range st.Bound {
-		n := int64(len(a.BoundCandidates(st, bi)))
+		n := int64(len(a.BoundCandidates(buf[:0], st, bi)))
 		if n == 0 {
 			return 0
 		}
@@ -130,7 +130,7 @@ func CountExpansions(q *query.Query, a AnnTG) int64 {
 		}
 	}
 	for si := range st.Slots {
-		n := int64(len(a.SlotCandidates(st, si)))
+		n := int64(len(a.SlotCandidates(buf[:0], st, si)))
 		if n == 0 {
 			return 0
 		}

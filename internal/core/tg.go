@@ -10,7 +10,8 @@
 //   - the β group-filter σ^βγ (Definition 1) as UnbGrpFilter;
 //   - the β-unnest operator μ^β (Definition 2) as BetaUnnest;
 //   - the partial β-unnest operator μ^β_φm (Definition 3) as
-//     PartialBetaUnnest / UnnestSlotInBucket;
+//     PartialBetaUnnest / UnnestSlotInBucket — these, and the AnnTG decoder,
+//     are methods of Scratch, the per-call working memory they build in;
 //   - Expand, which enumerates the variable bindings an (possibly still
 //     nested) AnnTG implicitly represents — the content-equivalence side
 //     of Lemma 1.
@@ -21,8 +22,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"ntga/internal/rdf"
@@ -33,14 +35,6 @@ type PO struct {
 	P, O rdf.ID
 }
 
-// Less orders pairs by (P, O).
-func (a PO) Less(b PO) bool {
-	if a.P != b.P {
-		return a.P < b.P
-	}
-	return a.O < b.O
-}
-
 // TripleGroup is a set of triples sharing one subject (the γ operator's
 // output granule). Triples are held as canonically sorted, de-duplicated
 // (P, O) pairs.
@@ -49,20 +43,13 @@ type TripleGroup struct {
 	Triples []PO
 }
 
-// NewTripleGroup builds a triplegroup from pairs, sorting and de-duplicating
-// them (RDF set semantics).
+// NewTripleGroup builds a triplegroup from pairs, sorting them by (P, O) and
+// de-duplicating them (RDF set semantics) in place: pairs becomes the group's.
 func NewTripleGroup(subject rdf.ID, pairs []PO) TripleGroup {
-	cp := make([]PO, len(pairs))
-	copy(cp, pairs)
-	sort.Slice(cp, func(i, j int) bool { return cp[i].Less(cp[j]) })
-	out := cp[:0]
-	for i, p := range cp {
-		if i > 0 && p == cp[i-1] {
-			continue
-		}
-		out = append(out, p)
-	}
-	return TripleGroup{Subject: subject, Triples: out}
+	slices.SortFunc(pairs, func(a, b PO) int {
+		return cmp.Or(cmp.Compare(a.P, b.P), cmp.Compare(a.O, b.O))
+	})
+	return TripleGroup{Subject: subject, Triples: slices.Compact(pairs)}
 }
 
 // Props returns the distinct property IDs in the group, sorted — the
@@ -105,7 +92,7 @@ func Group(triples []rdf.Triple) []TripleGroup {
 	for s := range bySubj {
 		subjects = append(subjects, s)
 	}
-	sort.Slice(subjects, func(i, j int) bool { return subjects[i] < subjects[j] })
+	slices.Sort(subjects)
 	out := make([]TripleGroup, 0, len(subjects))
 	for _, s := range subjects {
 		out = append(out, NewTripleGroup(s, bySubj[s]))

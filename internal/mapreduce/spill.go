@@ -52,6 +52,10 @@ type taskEmitter struct {
 	parts        [][]KV
 	buffered     int64 // bytes currently in parts
 	peakBuffered int64
+	// slab is the chunk Emit is copying pairs into; a full chunk lives on
+	// through the pairs that point into it. enc frames spill records.
+	slab []byte
+	enc  codec.Buffer
 
 	// Map-output counters are pre-combine (Hadoop's "Map output records"),
 	// spill counters post-combine ("Spilled Records").
@@ -93,19 +97,33 @@ func newTaskEmitter(dfs *hdfs.DFS, job *Job, nReducers int, budget int64, node i
 	}
 }
 
+// emitChunk caps one chunk of a task's map-output slab. Chunks start small and
+// double, so a task that emits little allocates little, and never exceed the
+// sort budget, so the slabs hold at most about twice what buffered counts.
+const emitChunk = 64 << 10
+
+// Emit copies the pair into the task's slab — the caller may reuse both
+// buffers as soon as it returns — and spills once the buffer reaches the sort
+// budget.
 func (t *taskEmitter) Emit(key, value []byte) error {
 	p := t.partitioner(key, t.nReducers)
 	if p < 0 || p >= t.nReducers {
 		return fmt.Errorf("mapreduce: partitioner returned %d for %d reducers", p, t.nReducers)
 	}
-	k := make([]byte, len(key))
-	copy(k, key)
-	v := make([]byte, len(value))
-	copy(v, value)
-	t.parts[p] = append(t.parts[p], KV{k, v})
+	n := len(key) + len(value)
+	if cap(t.slab)-len(t.slab) < n {
+		size := min(max(2*cap(t.slab), 1<<10), emitChunk)
+		if t.budget > 0 {
+			size = int(min(int64(size), t.budget))
+		}
+		t.slab = make([]byte, 0, max(size, n))
+	}
+	off, mid := len(t.slab), len(t.slab)+len(key)
+	t.slab = append(append(t.slab, key...), value...)
+	t.parts[p] = append(t.parts[p], KV{t.slab[off:mid:mid], t.slab[mid : off+n : off+n]})
 	t.records++
-	t.bytes += int64(len(k) + len(v))
-	t.buffered += int64(len(k) + len(v))
+	t.bytes += int64(n)
+	t.buffered += int64(n)
 	if t.buffered > t.peakBuffered {
 		t.peakBuffered = t.buffered
 	}
@@ -165,7 +183,6 @@ func (t *taskEmitter) spillBuffer() error {
 	}
 	w := t.dfs.CreateSpillOn(t.node)
 	run := &spillRun{segs: make([]runSeg, t.nReducers)}
-	buf := codec.NewBuffer(256)
 	off := 0
 	for p := range t.parts {
 		sortKVs(t.parts[p])
@@ -176,10 +193,10 @@ func (t *taskEmitter) spillBuffer() error {
 		}
 		start := off
 		for _, pair := range part {
-			buf.Reset()
-			buf.PutBytes(pair.Key)
-			buf.PutBytes(pair.Value)
-			n, err := w.Write(buf.Bytes())
+			t.enc.Reset()
+			t.enc.PutBytes(pair.Key)
+			t.enc.PutBytes(pair.Value)
+			n, err := w.Write(t.enc.Bytes())
 			if err != nil {
 				w.Abort()
 				return err
@@ -188,12 +205,13 @@ func (t *taskEmitter) spillBuffer() error {
 		}
 		run.segs[p] = runSeg{off: start, len: off - start, records: len(part)}
 		t.spilledRecords += int64(len(part))
-		t.parts[p] = nil
+		t.parts[p] = t.parts[p][:0]
 	}
 	t.spilledBytes += int64(off)
 	run.spill = w.Close()
 	t.runs = append(t.runs, run)
-	t.buffered = 0
+	// Every buffered pair is in the run now: the current chunk starts over.
+	t.buffered, t.slab = 0, t.slab[:0]
 	if t.traced {
 		t.spills = append(t.spills, spillProfile{
 			dur:     time.Since(spillStart),
@@ -474,6 +492,7 @@ func (a adaptedReducer) Reduce(key []byte, values ValueIter, out Collector) erro
 func (e *Engine) mergeRuns(srcs []*runSource, factor int, tsp *trace.Span, ac *attemptCtx, passes, spilledRecs, spilledBytes *int64) ([]*runSource, []*spillRun, error) {
 	var temps []*spillRun
 	traced := tsp != nil
+	var buf codec.Buffer
 	for len(srcs) > factor {
 		if err := ac.checkpoint("merge"); err != nil {
 			return srcs, temps, err
@@ -491,7 +510,6 @@ func (e *Engine) mergeRuns(srcs []*runSource, factor int, tsp *trace.Span, ac *a
 			return srcs, temps, err
 		}
 		w := e.dfs.CreateSpillOn(ac.node)
-		buf := codec.NewBuffer(256)
 		off, nrec := 0, 0
 		for {
 			p, ok, err := mi.next()

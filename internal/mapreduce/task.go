@@ -254,13 +254,14 @@ func runReduceTask(job *Job, partition int, sources []kvSource, col Collector, h
 		return st, wrap(err)
 	}
 	loopStart := time.Now()
+	vals := &groupValues{g: g}
 	for g.ok {
 		if st.Groups%64 == 0 {
 			if err := h.checkpoint("reduce"); err != nil {
 				return st, err
 			}
 		}
-		vals := &groupValues{g: g, key: g.cur.Key, head: true}
+		vals.key, vals.head, vals.done = g.cur.Key, true, false
 		st.Groups++
 		if err := reducer.Reduce(g.cur.Key, vals, col); err != nil {
 			return st, wrap(err)

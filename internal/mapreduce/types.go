@@ -34,7 +34,6 @@ package mapreduce
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 )
@@ -176,11 +175,14 @@ func (f MapOnlyFunc) MapRecord(input string, record []byte, out Collector) error
 // Partitioner assigns an intermediate key to one of n reduce partitions.
 type Partitioner func(key []byte, n int) int
 
-// HashPartitioner is Hadoop's default: hash(key) mod n.
+// HashPartitioner is Hadoop's default: hash(key) mod n, the hash being 32-bit
+// FNV-1a (hash/fnv's New32a, inlined so that no hasher is allocated per pair).
 func HashPartitioner(key []byte, n int) int {
-	h := fnv.New32a()
-	h.Write(key)
-	return int(h.Sum32() % uint32(n))
+	h := uint32(2166136261)
+	for _, c := range key {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	return int(h % uint32(n))
 }
 
 // Job describes one MapReduce cycle.

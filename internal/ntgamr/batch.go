@@ -1,7 +1,6 @@
 package ntgamr
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
@@ -52,10 +51,7 @@ func (m *batchGroupMapper) Map(_ string, record []byte, out mapreduce.Emitter) e
 	}
 	for _, q := range m.qs {
 		if q.TripleRelevant(t) {
-			var val codec.Buffer
-			val.PutID(t.P)
-			val.PutID(t.O)
-			return out.Emit(codec.EncodeID(t.S), val.Bytes())
+			return emitBySubject(t, out)
 		}
 	}
 	return nil
@@ -71,41 +67,26 @@ type batchGroupReducer struct {
 }
 
 func (r *batchGroupReducer) Reduce(key []byte, values mapreduce.ValueIter, out mapreduce.Collector) error {
-	subject, err := codec.DecodeID(key)
+	s := core.GetScratch()
+	defer s.Release()
+	tg, err := readGroup(s, key, values)
 	if err != nil {
 		return err
 	}
-	pairs, err := decodeSortedPairs(values)
-	if err != nil {
-		return err
-	}
-	tg := core.NewTripleGroup(subject, pairs)
 	r.counters.Inc(CounterGroups, 1)
-	emit := func(qid int, rec []byte) error {
-		if qid == 0 {
-			return out.Collect(rec)
-		}
-		nc, ok := out.(mapreduce.NamedCollector)
-		if !ok {
-			return fmt.Errorf("ntgamr: collector lacks MultipleOutputs support")
-		}
-		return nc.CollectTo(r.outputs[qid], rec)
-	}
 	for qid, q := range r.qs {
-		for _, a := range core.UnbGrpFilter(tg, q.Stars) {
-			r.counters.Inc(CounterAnnTGs, 1)
-			if r.eager {
-				for _, p := range core.BetaUnnest(q.Stars[a.EC], a) {
-					r.counters.Inc(CounterEagerUnnest, 1)
-					if err := emit(qid, core.EncodeJoined([]core.AnnTG{p})); err != nil {
-						return err
-					}
-				}
-				continue
+		err := filterGroup(s, q, tg, r.eager, r.counters, func(_ []core.AnnTG, rec []byte) error {
+			if qid == 0 {
+				return out.Collect(rec)
 			}
-			if err := emit(qid, core.EncodeJoined([]core.AnnTG{a})); err != nil {
-				return err
+			nc, ok := out.(mapreduce.NamedCollector)
+			if !ok {
+				return fmt.Errorf("ntgamr: collector lacks MultipleOutputs support")
 			}
+			return nc.CollectTo(r.outputs[qid], rec)
+		})
+		if err != nil {
+			return err
 		}
 	}
 	return nil
@@ -170,6 +151,7 @@ func (n *NTGA) RunBatch(mr *mapreduce.Engine, qs []*query.Query, input string) (
 		return res, err
 	}
 
+	var s core.Scratch
 	for qi, q := range qs {
 		r := &engine.Result{Engine: n.name, Counters: counters.Snapshot(), IsCount: q.IsCount()}
 		rd, err := dfs.Open(accs[qi])
@@ -186,7 +168,8 @@ func (n *NTGA) RunBatch(mr *mapreduce.Engine, qs []*query.Query, input string) (
 			}
 			r.OutputRecords++
 			r.OutputBytes += int64(len(rec))
-			comps, err := core.DecodeJoined(rec)
+			s.Reset()
+			comps, err := s.DecodeJoined(rec)
 			if err != nil {
 				return res, err
 			}
@@ -203,36 +186,4 @@ func (n *NTGA) RunBatch(mr *mapreduce.Engine, qs []*query.Query, input string) (
 		res.Results = append(res.Results, r)
 	}
 	return res, nil
-}
-
-// decodeSortedPairs streams, decodes, and de-duplicates the sorted (P,O)
-// values of a grouping reduce call. Because the engine delivers values in
-// sorted order, duplicates are adjacent and only the decoded pairs — not the
-// raw value slices — are ever held in memory.
-func decodeSortedPairs(values mapreduce.ValueIter) ([]core.PO, error) {
-	var pairs []core.PO
-	var prev []byte
-	for {
-		v, ok, err := values.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return pairs, nil
-		}
-		if prev != nil && bytes.Equal(v, prev) {
-			continue
-		}
-		prev = v
-		rd := codec.NewReader(v)
-		p, err := rd.ID()
-		if err != nil {
-			return nil, err
-		}
-		o, err := rd.ID()
-		if err != nil {
-			return nil, err
-		}
-		pairs = append(pairs, core.PO{P: p, O: o})
-	}
 }

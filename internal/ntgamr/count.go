@@ -1,6 +1,8 @@
 package ntgamr
 
 import (
+	"encoding/binary"
+
 	"ntga/internal/codec"
 	"ntga/internal/core"
 	"ntga/internal/mapreduce"
@@ -25,13 +27,14 @@ type countFoldMapper struct {
 }
 
 func (m *countFoldMapper) Map(_ string, record []byte, out mapreduce.Emitter) error {
-	comps, err := core.DecodeJoined(record)
+	s := core.GetScratch()
+	defer s.Release()
+	comps, err := s.DecodeJoined(record)
 	if err != nil {
 		return err
 	}
-	var b codec.Buffer
-	b.PutUvarint(uint64(core.CountJoined(m.q, comps)))
-	return out.Emit(countKey, b.Bytes())
+	s.Buf = binary.AppendUvarint(s.Buf[:0], uint64(core.CountJoined(m.q, comps)))
+	return out.Emit(countKey, s.Buf)
 }
 
 // sumCounts is the shared fold: decode and add a batch of uvarint counts.

@@ -281,8 +281,10 @@ func (n *NTGA) Decoder(q *query.Query, count *int64) engine.DecodeFunc {
 			return nil, nil
 		}
 	}
+	var s core.Scratch // the decoder is one goroutine's, as count is
 	return func(record []byte) ([]query.Row, error) {
-		comps, err := core.DecodeJoined(record)
+		s.Reset()
+		comps, err := s.DecodeJoined(record)
 		if err != nil {
 			return nil, err
 		}

@@ -16,10 +16,14 @@
 package ntgamr
 
 import (
+	"bytes"
+	"encoding/binary"
+
 	"ntga/internal/codec"
 	"ntga/internal/core"
 	"ntga/internal/mapreduce"
 	"ntga/internal/query"
+	"ntga/internal/rdf"
 )
 
 // Counter names exposed in engine results.
@@ -46,10 +50,19 @@ func (m *groupByMapper) Map(_ string, record []byte, out mapreduce.Emitter) erro
 	if !m.q.TripleRelevant(t) {
 		return nil
 	}
-	var val codec.Buffer
-	val.PutID(t.P)
-	val.PutID(t.O)
-	return out.Emit(codec.EncodeID(t.S), val.Bytes())
+	return emitBySubject(t, out)
+}
+
+// emitBySubject emits a triple as the grouping cycle's pair: the subject as
+// key, (P, O) as value.
+func emitBySubject(t rdf.Triple, out mapreduce.Emitter) error {
+	s := core.GetScratch()
+	defer s.Release()
+	b := binary.AppendUvarint(s.Buf[:0], uint64(t.S))
+	k := len(b)
+	b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(t.P)), uint64(t.O))
+	s.Buf = b
+	return out.Emit(b[:k], b[k:])
 }
 
 // groupFilterReducer is TG_GroupByReduce + TG_UnbGrpFilter: it assembles
@@ -62,29 +75,76 @@ type groupFilterReducer struct {
 }
 
 func (r *groupFilterReducer) Reduce(key []byte, values mapreduce.ValueIter, out mapreduce.Collector) error {
+	s := core.GetScratch()
+	defer s.Release()
+	tg, err := readGroup(s, key, values)
+	if err != nil {
+		return err
+	}
+	r.counters.Inc(CounterGroups, 1)
+	return filterGroup(s, r.q, tg, r.eager, r.counters,
+		func(_ []core.AnnTG, rec []byte) error { return out.Collect(rec) })
+}
+
+// readGroup assembles a grouping reduce call's subject triplegroup in s.Pairs.
+// Because the engine delivers values in sorted order, duplicates are adjacent
+// and only the decoded pairs — not the raw value slices — are ever held.
+func readGroup(s *core.Scratch, key []byte, values mapreduce.ValueIter) (core.TripleGroup, error) {
 	subject, err := codec.DecodeID(key)
 	if err != nil {
-		return err
+		return core.TripleGroup{}, err
 	}
-	pairs, err := decodeSortedPairs(values)
-	if err != nil {
-		return err
+	s.Pairs = s.Pairs[:0]
+	var prev []byte
+	for {
+		v, ok, err := values.Next()
+		if err != nil {
+			return core.TripleGroup{}, err
+		}
+		if !ok {
+			return core.NewTripleGroup(subject, s.Pairs), nil
+		}
+		if prev != nil && bytes.Equal(v, prev) {
+			continue
+		}
+		prev = v
+		rd := codec.NewReader(v)
+		p, err := rd.ID()
+		if err != nil {
+			return core.TripleGroup{}, err
+		}
+		o, err := rd.ID()
+		if err != nil {
+			return core.TripleGroup{}, err
+		}
+		s.Pairs = append(s.Pairs, core.PO{P: p, O: o})
 	}
-	tg := core.NewTripleGroup(subject, pairs)
-	r.counters.Inc(CounterGroups, 1)
-	for _, a := range core.UnbGrpFilter(tg, r.q.Stars) {
-		r.counters.Inc(CounterAnnTGs, 1)
-		if r.eager {
-			for _, p := range core.BetaUnnest(r.q.Stars[a.EC], a) {
-				r.counters.Inc(CounterEagerUnnest, 1)
-				if err := out.Collect(core.EncodeJoined([]core.AnnTG{p})); err != nil {
-					return err
-				}
-			}
-		} else {
-			if err := out.Collect(core.EncodeJoined([]core.AnnTG{a})); err != nil {
+}
+
+// filterGroup applies one query's TG_UnbGrpFilter to a subject triplegroup
+// and — under the Eager strategy — β-unnests immediately, handing emit each
+// resulting AnnTG as a singleton component list with its record. Both are
+// s's and last until emit returns.
+func filterGroup(s *core.Scratch, q *query.Query, tg core.TripleGroup, eager bool,
+	counters *mapreduce.Counters, emit func(comps []core.AnnTG, rec []byte) error) error {
+	emitEach := func(anns []core.AnnTG, counter string) error {
+		for i := range anns {
+			counters.Inc(counter, 1)
+			s.Buf = core.AppendJoined(s.Buf[:0], anns[i:i+1])
+			if err := emit(anns[i:i+1], s.Buf); err != nil {
 				return err
 			}
+		}
+		return nil
+	}
+	anns := s.UnbGrpFilter(tg, q.Stars)
+	if !eager {
+		return emitEach(anns, CounterAnnTGs)
+	}
+	for _, a := range anns {
+		counters.Inc(CounterAnnTGs, 1)
+		if err := emitEach(s.BetaUnnest(q.Stars[a.EC], a), CounterEagerUnnest); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package ntgamr
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"ntga/internal/codec"
@@ -40,7 +41,9 @@ type tgJoinMapper struct {
 }
 
 func (m *tgJoinMapper) Map(input string, record []byte, out mapreduce.Emitter) error {
-	comps, err := core.DecodeJoined(record)
+	s := core.GetScratch()
+	defer s.Release()
+	comps, err := s.DecodeJoined(record)
 	if err != nil {
 		return err
 	}
@@ -51,120 +54,118 @@ func (m *tgJoinMapper) Map(input string, record []byte, out mapreduce.Emitter) e
 		}
 		switch comps[0].EC {
 		case m.join.Left.Star:
-			return m.emitSide(comps, m.join.Left, tagLeft, out)
+			return m.emitSide(s, comps, m.join.Left, tagLeft, out)
 		case m.join.Right.Star:
-			return m.emitSide(comps, m.join.Right, tagRight, out)
+			return m.emitSide(s, comps, m.join.Right, tagRight, out)
 		default:
 			return nil // a later join's star
 		}
 	}
 	switch input {
 	case m.leftFile:
-		return m.emitSide(comps, m.join.Left, tagLeft, out)
+		return m.emitSide(s, comps, m.join.Left, tagLeft, out)
 	case m.rightFile:
 		// The grouping output holds every EC; this join wants one.
 		if len(comps) != 1 || comps[0].EC != m.join.Right.Star {
 			return nil
 		}
-		return m.emitSide(comps, m.join.Right, tagRight, out)
+		return m.emitSide(s, comps, m.join.Right, tagRight, out)
 	default:
 		return fmt.Errorf("ntgamr: join mapper got unexpected input %q", input)
 	}
 }
 
-func (m *tgJoinMapper) key(v rdf.ID) []byte {
-	if m.mode == bucketedMode {
-		var e codec.Buffer
-		e.PutUvarint(uint64(core.Phi(v, m.phiM)))
-		return e.Bytes()
+// emitTagged frames one map output pair in s.Buf: the uvarint key, then the side
+// tag and the joined-components encoding as the value.
+func emitTagged(s *core.Scratch, out mapreduce.Emitter, key uint64, tag byte, comps []core.AnnTG) error {
+	b := binary.AppendUvarint(s.Buf[:0], key)
+	k := len(b)
+	b = core.AppendJoined(append(b, tag), comps)
+	s.Buf = b
+	return out.Emit(b[:k], b[k:])
+}
+
+// compOf finds the component of a record that belongs to the given star.
+func compOf(comps []core.AnnTG, star int) (int, error) {
+	for i, c := range comps {
+		if c.EC == star {
+			return i, nil
+		}
 	}
-	return codec.EncodeID(v)
-}
-
-func bucketKey(b int) []byte {
-	var e codec.Buffer
-	e.PutUvarint(uint64(b))
-	return e.Bytes()
-}
-
-func (m *tgJoinMapper) emit(out mapreduce.Emitter, key []byte, tag byte, comps []core.AnnTG) error {
-	val := append([]byte{tag}, core.EncodeJoined(comps)...)
-	return out.Emit(key, val)
+	return 0, fmt.Errorf("ntgamr: record lacks component for star %d", star)
 }
 
 // emitSide produces the map output for one record on one side of the join,
 // pinning or partially unnesting the join position as the strategy demands.
-func (m *tgJoinMapper) emitSide(comps []core.AnnTG, pos query.Pos, tag byte, out mapreduce.Emitter) error {
-	ci := -1
-	for i, c := range comps {
-		if c.EC == pos.Star {
-			ci = i
-			break
+func (m *tgJoinMapper) emitSide(s *core.Scratch, comps []core.AnnTG, pos query.Pos, tag byte, out mapreduce.Emitter) error {
+	if m.mode == bucketedMode && pos.Role == query.RoleSlotObj {
+		ci, err := compOf(comps, pos.Star)
+		if err != nil {
+			return err
 		}
-	}
-	if ci < 0 {
-		return fmt.Errorf("ntgamr: record lacks component for star %d", pos.Star)
-	}
-	st := m.q.Stars[pos.Star]
-	comp := comps[ci]
-
-	replace := func(c core.AnnTG) []core.AnnTG {
-		cp := append([]core.AnnTG(nil), comps...)
-		cp[ci] = c
-		return cp
-	}
-
-	switch pos.Role {
-	case query.RoleSubject:
-		return m.emit(out, m.key(comp.Subject), tag, comps)
-
-	case query.RoleBoundObj:
-		if comp.BoundSel[pos.Idx] != core.Nested {
-			v, err := core.JoinValue(st, comp, pos)
-			if err != nil {
-				return err
-			}
-			return m.emit(out, m.key(v), tag, comps)
-		}
-		for _, pinned := range core.PinBound(st, comp, pos.Idx) {
-			v := pinned.Triples[pinned.BoundSel[pos.Idx]].O
-			if err := m.emit(out, m.key(v), tag, replace(pinned)); err != nil {
-				return err
-			}
-		}
-		return nil
-
-	case query.RoleSlotObj:
-		if comp.SlotSel[pos.Idx] != core.Nested {
-			v, err := core.JoinValue(st, comp, pos)
-			if err != nil {
-				return err
-			}
-			return m.emit(out, m.key(v), tag, comps)
-		}
-		if m.mode == bucketedMode {
+		if comp := comps[ci]; comp.SlotSel[pos.Idx] == core.Nested {
 			// TG_OptUnbJoin: partial β-unnest, keyed by bucket.
-			for _, pt := range core.PartialBetaUnnest(st, comp, pos.Idx, m.phiM) {
+			for _, pt := range s.PartialBetaUnnest(m.q.Stars[pos.Star], comp, pos.Idx, m.phiM) {
 				m.counters.Inc(CounterPartialTGs, 1)
-				if err := m.emit(out, bucketKey(pt.Bucket), tag, replace(pt.TG)); err != nil {
+				comps[ci] = pt.TG
+				if err := emitTagged(s, out, uint64(pt.Bucket), tag, comps); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
-		// TG_UnbJoin: map-side full β-unnest of the joining slot.
-		for _, u := range core.UnnestSlot(st, comp, pos.Idx) {
-			m.counters.Inc(CounterMapUnnest, 1)
-			v := u.Triples[u.SlotSel[pos.Idx]].O
-			if err := m.emit(out, m.key(v), tag, replace(u)); err != nil {
-				return err
-			}
-		}
-		return nil
-
-	default:
-		return fmt.Errorf("ntgamr: unknown join role %v", pos.Role)
 	}
+	return resolveJoinSide(s, m.q, comps, pos, m.counters, func(v rdf.ID, comps []core.AnnTG) error {
+		key := uint64(v)
+		if m.mode == bucketedMode {
+			key = uint64(core.Phi(v, m.phiM))
+		}
+		return emitTagged(s, out, key, tag, comps)
+	})
+}
+
+// resolveJoinSide hands yield one joinable (value, record) per concrete join
+// value of a record at the given join position, map-side: a subject or pinned
+// position as it is, a nested bound position pinned per candidate, a nested
+// slot fully β-unnested (TG_UnbJoin; never partially — that is emitSide's).
+// The record passed to yield is comps itself, its joining component replaced
+// for the duration of the call: yield encodes it or copies what it keeps.
+func resolveJoinSide(s *core.Scratch, q *query.Query, comps []core.AnnTG, pos query.Pos,
+	counters *mapreduce.Counters, yield func(rdf.ID, []core.AnnTG) error) error {
+	ci, err := compOf(comps, pos.Star)
+	if err != nil {
+		return err
+	}
+	st, comp := q.Stars[pos.Star], comps[ci]
+	var split []core.AnnTG
+	unnested := false
+	switch {
+	case pos.Role == query.RoleBoundObj && comp.BoundSel[pos.Idx] == core.Nested:
+		split = s.PinBound(st, comp, pos.Idx)
+	case pos.Role == query.RoleSlotObj && comp.SlotSel[pos.Idx] == core.Nested:
+		split, unnested = s.UnnestSlot(st, comp, pos.Idx), true
+	default:
+		v, err := core.JoinValue(st, comp, pos)
+		if err != nil {
+			return err
+		}
+		return yield(v, comps)
+	}
+	for _, c := range split {
+		if unnested {
+			counters.Inc(CounterMapUnnest, 1)
+		}
+		comps[ci] = c
+		v, err := core.JoinValue(st, c, pos)
+		if err != nil {
+			return err
+		}
+		if err := yield(v, comps); err != nil {
+			return err
+		}
+	}
+	comps[ci] = comp
+	return nil
 }
 
 // tgJoinReducer joins the two sides of a group.
@@ -176,52 +177,42 @@ type tgJoinReducer struct {
 	counters *mapreduce.Counters
 }
 
-// resolved is one joinable record with its concrete join value.
-type resolved struct {
-	value rdf.ID
-	comps []core.AnnTG
-}
-
-// resolveSide turns a shuffled record into joinable (value, record) pairs,
-// finishing any deferred β-unnest within the reduce bucket.
-func (r *tgJoinReducer) resolveSide(comps []core.AnnTG, pos query.Pos, bucket int) ([]resolved, error) {
-	ci := -1
-	for i, c := range comps {
-		if c.EC == pos.Star {
-			ci = i
-			break
-		}
-	}
-	if ci < 0 {
-		return nil, fmt.Errorf("ntgamr: record lacks component for star %d", pos.Star)
-	}
-	st := r.q.Stars[pos.Star]
-	comp := comps[ci]
-	if pos.Role == query.RoleSlotObj && comp.SlotSel[pos.Idx] == core.Nested {
-		if r.mode != bucketedMode {
-			return nil, fmt.Errorf("ntgamr: nested slot reached a direct-mode reducer")
-		}
-		var out []resolved
-		for _, u := range core.UnnestSlotInBucket(st, comp, pos.Idx, r.phiM, bucket) {
-			r.counters.Inc(CounterReduceUnnest, 1)
-			u = core.Compact(st, u)
-			cp := append([]core.AnnTG(nil), comps...)
-			cp[ci] = u
-			out = append(out, resolved{value: u.Triples[u.SlotSel[pos.Idx]].O, comps: cp})
-		}
-		return out, nil
-	}
-	v, err := core.JoinValue(st, comp, pos)
+// resolveSide is resolveJoinSide on the reduce side: the map side left a
+// position unresolved only under TG_OptUnbJoin, whose deferred β-unnest it
+// finishes within the reduce bucket.
+func (r *tgJoinReducer) resolveSide(s *core.Scratch, comps []core.AnnTG, pos query.Pos, bucket int,
+	yield func(rdf.ID, []core.AnnTG) error) error {
+	ci, err := compOf(comps, pos.Star)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return []resolved{{value: v, comps: comps}}, nil
+	st, comp := r.q.Stars[pos.Star], comps[ci]
+	if pos.Role != query.RoleSlotObj || comp.SlotSel[pos.Idx] != core.Nested {
+		v, err := core.JoinValue(st, comp, pos)
+		if err != nil {
+			return err
+		}
+		return yield(v, comps)
+	}
+	if r.mode != bucketedMode {
+		return fmt.Errorf("ntgamr: nested slot reached a direct-mode reducer")
+	}
+	for _, u := range s.UnnestSlotInBucket(st, comp, pos.Idx, r.phiM, bucket) {
+		r.counters.Inc(CounterReduceUnnest, 1)
+		comps[ci] = u
+		if err := yield(u.Triples[u.SlotSel[pos.Idx]].O, comps); err != nil {
+			return err
+		}
+	}
+	comps[ci] = comp
+	return nil
 }
 
 // Reduce streams the group. The side tag leads every value and the engine
 // delivers values in sorted order, so every left (tag 0) arrives before the
-// first right (tag 1): only the left side — indexed by join value — is
-// buffered, and each right record joins and is emitted as it streams past.
+// first right (tag 1): only the left side — indexed by join value, held in
+// the group's own Scratch — is buffered, and each right record joins and is
+// emitted as it streams past through a second Scratch reset per record.
 func (r *tgJoinReducer) Reduce(key []byte, values mapreduce.ValueIter, out mapreduce.Collector) error {
 	bucket := 0
 	if r.mode == bucketedMode {
@@ -231,7 +222,23 @@ func (r *tgJoinReducer) Reduce(key []byte, values mapreduce.ValueIter, out mapre
 		}
 		bucket = int(b)
 	}
-	leftsByValue := make(map[rdf.ID][]resolved)
+	ls, rs := core.GetScratch(), core.GetScratch()
+	defer ls.Release()
+	defer rs.Release()
+	lefts := make(map[rdf.ID][][]core.AnnTG)
+	keepLeft := func(v rdf.ID, comps []core.AnnTG) error {
+		lefts[v] = append(lefts[v], ls.Concat(comps, nil))
+		return nil
+	}
+	joinRight := func(v rdf.ID, comps []core.AnnTG) error {
+		for _, l := range lefts[v] {
+			rs.Buf = core.AppendJoined(rs.Buf[:0], rs.Concat(l, comps))
+			if err := out.Collect(rs.Buf); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	for {
 		v, ok, err := values.Next()
 		if err != nil {
@@ -243,33 +250,23 @@ func (r *tgJoinReducer) Reduce(key []byte, values mapreduce.ValueIter, out mapre
 		if len(v) == 0 {
 			return fmt.Errorf("ntgamr: empty join value")
 		}
-		comps, err := core.DecodeJoined(v[1:])
-		if err != nil {
-			return err
-		}
 		switch v[0] {
 		case tagLeft:
-			res, err := r.resolveSide(comps, r.join.Left, bucket)
+			comps, err := ls.DecodeJoined(v[1:])
+			if err == nil {
+				err = r.resolveSide(ls, comps, r.join.Left, bucket, keepLeft)
+			}
 			if err != nil {
 				return err
-			}
-			for _, re := range res {
-				leftsByValue[re.value] = append(leftsByValue[re.value], re)
 			}
 		case tagRight:
-			res, err := r.resolveSide(comps, r.join.Right, bucket)
+			rs.Reset()
+			comps, err := rs.DecodeJoined(v[1:])
+			if err == nil {
+				err = r.resolveSide(rs, comps, r.join.Right, bucket, joinRight)
+			}
 			if err != nil {
 				return err
-			}
-			for _, re := range res {
-				for _, l := range leftsByValue[re.value] {
-					joined := make([]core.AnnTG, 0, len(l.comps)+len(re.comps))
-					joined = append(joined, l.comps...)
-					joined = append(joined, re.comps...)
-					if err := out.Collect(core.EncodeJoined(joined)); err != nil {
-						return err
-					}
-				}
 			}
 		default:
 			return fmt.Errorf("ntgamr: unknown join tag %d", v[0])

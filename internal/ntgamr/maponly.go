@@ -1,6 +1,7 @@
 package ntgamr
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"ntga/internal/codec"
@@ -23,7 +24,7 @@ import (
 //     (PutID(S), PutID(P)+PutID(O)) — the grouping cycle's own key/value
 //     encoding — so a streaming scan sees each subject contiguously with its
 //     (P,O) pairs in the flat reducer's sorted-value order;
-//   - adjacent duplicate pairs are skipped, mirroring decodeSortedPairs;
+//   - adjacent duplicate pairs are skipped, mirroring readGroup;
 //   - join i's left side is resolved (pinned / fully β-unnested) by the
 //     producing job and routed to the bucket of its join value, so join i's
 //     task b joins lefts and rights that both hash to b.
@@ -54,89 +55,16 @@ func partMissReason(j query.Join) string {
 		j.Var, j.Right.Star, j.Right.Role)
 }
 
-// encodeResolved frames one routed left-side record: the concrete join value
-// followed by the joined-components encoding.
-func encodeResolved(value rdf.ID, comps []core.AnnTG) []byte {
-	var b codec.Buffer
-	b.PutID(value)
-	return append(b.Bytes(), core.EncodeJoined(comps)...)
-}
-
-func decodeResolved(rec []byte) (rdf.ID, []core.AnnTG, error) {
+// decodeResolved reads one routed left-side record — the concrete join value
+// followed by the joined-components encoding (jlRoute.emit's framing) — into s.
+func decodeResolved(s *core.Scratch, rec []byte) (rdf.ID, []core.AnnTG, error) {
 	rd := codec.NewReader(rec)
 	v, err := rd.ID()
 	if err != nil {
 		return 0, nil, err
 	}
-	comps, err := core.DecodeJoined(rec[len(rec)-rd.Remaining():])
+	comps, err := s.DecodeJoined(rec[len(rec)-rd.Remaining():])
 	return v, comps, err
-}
-
-// resolveJoinSide turns one record into joinable (value, record) pairs for
-// the given join position, map-side: bound positions pin, nested slots fully
-// β-unnest (never partially — there is no reduce bucket to finish in).
-// It is the direct-mode half of tgJoinMapper.emitSide.
-func resolveJoinSide(q *query.Query, comps []core.AnnTG, pos query.Pos,
-	counters *mapreduce.Counters) ([]resolved, error) {
-	ci := -1
-	for i, c := range comps {
-		if c.EC == pos.Star {
-			ci = i
-			break
-		}
-	}
-	if ci < 0 {
-		return nil, fmt.Errorf("ntgamr: record lacks component for star %d", pos.Star)
-	}
-	st := q.Stars[pos.Star]
-	comp := comps[ci]
-	replace := func(c core.AnnTG) []core.AnnTG {
-		cp := append([]core.AnnTG(nil), comps...)
-		cp[ci] = c
-		return cp
-	}
-	switch pos.Role {
-	case query.RoleSubject:
-		return []resolved{{value: comp.Subject, comps: comps}}, nil
-
-	case query.RoleBoundObj:
-		if comp.BoundSel[pos.Idx] != core.Nested {
-			v, err := core.JoinValue(st, comp, pos)
-			if err != nil {
-				return nil, err
-			}
-			return []resolved{{value: v, comps: comps}}, nil
-		}
-		var out []resolved
-		for _, pinned := range core.PinBound(st, comp, pos.Idx) {
-			out = append(out, resolved{
-				value: pinned.Triples[pinned.BoundSel[pos.Idx]].O,
-				comps: replace(pinned),
-			})
-		}
-		return out, nil
-
-	case query.RoleSlotObj:
-		if comp.SlotSel[pos.Idx] != core.Nested {
-			v, err := core.JoinValue(st, comp, pos)
-			if err != nil {
-				return nil, err
-			}
-			return []resolved{{value: v, comps: comps}}, nil
-		}
-		var out []resolved
-		for _, u := range core.UnnestSlot(st, comp, pos.Idx) {
-			counters.Inc(CounterMapUnnest, 1)
-			out = append(out, resolved{
-				value: u.Triples[u.SlotSel[pos.Idx]].O,
-				comps: replace(u),
-			})
-		}
-		return out, nil
-
-	default:
-		return nil, fmt.Errorf("ntgamr: unknown join role %v", pos.Role)
-	}
 }
 
 // jlRoute routes resolved left-side records of one upcoming map-only join to
@@ -146,19 +74,12 @@ type jlRoute struct {
 	files []string  // bucket files, indexed by hash64.Bucket(join value)
 }
 
-func (r *jlRoute) emit(q *query.Query, comps []core.AnnTG, counters *mapreduce.Counters,
+func (r *jlRoute) emit(s *core.Scratch, q *query.Query, comps []core.AnnTG, counters *mapreduce.Counters,
 	nc mapreduce.NamedCollector) error {
-	res, err := resolveJoinSide(q, comps, r.pos, counters)
-	if err != nil {
-		return err
-	}
-	for _, re := range res {
-		b := hash64.Bucket(uint64(re.value), len(r.files))
-		if err := nc.CollectTo(r.files[b], encodeResolved(re.value, re.comps)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return resolveJoinSide(s, q, comps, r.pos, counters, func(v rdf.ID, comps []core.AnnTG) error {
+		s.Buf = core.AppendJoined(binary.AppendUvarint(s.Buf[:0], uint64(v)), comps)
+		return nc.CollectTo(r.files[hash64.Bucket(uint64(v), len(r.files))], s.Buf)
+	})
 }
 
 // groupTask is the map-only grouping operator for one bucket: a streaming
@@ -171,9 +92,9 @@ type groupTask struct {
 	grpBucket string   // this task's grouped bucket file ("" when unused)
 	jl        *jlRoute // first map-only join's left routing (nil when unused)
 
+	sc       core.Scratch // sc.Pairs is the group being assembled
 	started  bool
 	subject  rdf.ID
-	pairs    []core.PO
 	haveLast bool
 	last     core.PO
 }
@@ -192,18 +113,18 @@ func (g *groupTask) MapRecord(_ string, record []byte, out mapreduce.Collector) 
 		}
 		g.started = true
 		g.subject = t.S
-		g.pairs = g.pairs[:0]
+		g.sc.Pairs = g.sc.Pairs[:0]
 		g.haveLast = false
 	}
 	p := core.PO{P: t.P, O: t.O}
-	// Adjacent duplicates collapse exactly as in decodeSortedPairs: the
-	// loader's shuffle sorted equal triples next to each other.
+	// Adjacent duplicates collapse exactly as in readGroup: the loader's
+	// shuffle sorted equal triples next to each other.
 	if g.haveLast && p == g.last {
 		return nil
 	}
 	g.haveLast = true
 	g.last = p
-	g.pairs = append(g.pairs, p)
+	g.sc.Pairs = append(g.sc.Pairs, p)
 	return nil
 }
 
@@ -215,50 +136,30 @@ func (g *groupTask) flushGroup(out mapreduce.Collector) error {
 	if !g.started {
 		return nil
 	}
-	pairs := make([]core.PO, len(g.pairs))
-	copy(pairs, g.pairs)
-	tg := core.NewTripleGroup(g.subject, pairs)
+	g.sc.Reset()
+	tg := core.NewTripleGroup(g.subject, g.sc.Pairs)
 	g.counters.Inc(CounterGroups, 1)
-	for _, a := range core.UnbGrpFilter(tg, g.q.Stars) {
-		g.counters.Inc(CounterAnnTGs, 1)
-		if g.eager {
-			for _, p := range core.BetaUnnest(g.q.Stars[a.EC], a) {
-				g.counters.Inc(CounterEagerUnnest, 1)
-				if err := g.emitAnnTG(p, out); err != nil {
-					return err
-				}
+	return filterGroup(&g.sc, g.q, tg, g.eager, g.counters, func(comps []core.AnnTG, rec []byte) error {
+		if err := out.Collect(rec); err != nil {
+			return err
+		}
+		if g.grpBucket == "" && g.jl == nil {
+			return nil
+		}
+		nc, ok := out.(mapreduce.NamedCollector)
+		if !ok {
+			return fmt.Errorf("ntgamr: collector lacks MultipleOutputs support")
+		}
+		if g.grpBucket != "" {
+			if err := nc.CollectTo(g.grpBucket, rec); err != nil {
+				return err
 			}
-			continue
 		}
-		if err := g.emitAnnTG(a, out); err != nil {
-			return err
+		if g.jl != nil && comps[0].EC == g.jl.pos.Star {
+			return g.jl.emit(&g.sc, g.q, comps, g.counters, nc)
 		}
-	}
-	return nil
-}
-
-func (g *groupTask) emitAnnTG(a core.AnnTG, out mapreduce.Collector) error {
-	comps := []core.AnnTG{a}
-	rec := core.EncodeJoined(comps)
-	if err := out.Collect(rec); err != nil {
-		return err
-	}
-	if g.grpBucket == "" && g.jl == nil {
 		return nil
-	}
-	nc, ok := out.(mapreduce.NamedCollector)
-	if !ok {
-		return fmt.Errorf("ntgamr: collector lacks MultipleOutputs support")
-	}
-	if g.grpBucket != "" {
-		if err := nc.CollectTo(g.grpBucket, rec); err != nil {
-			return err
-		}
-	}
-	if g.jl != nil && a.EC == g.jl.pos.Star {
-		return g.jl.emit(g.q, comps, g.counters, nc)
-	}
-	return nil
+	})
 }
 
 // groupTaskFactory builds the grouping operator per bucket task.
@@ -290,28 +191,24 @@ type joinTask struct {
 	q        *query.Query
 	join     query.Join
 	counters *mapreduce.Counters
-	lefts    map[rdf.ID][]resolved
+	lefts    map[rdf.ID][][]core.AnnTG
 	next     *jlRoute // the following map-only join's left routing (nil when last)
+	sc       core.Scratch
 }
 
 func (j *joinTask) MapRecord(_ string, record []byte, out mapreduce.Collector) error {
-	comps, err := core.DecodeJoined(record)
+	j.sc.Reset()
+	comps, err := j.sc.DecodeJoined(record)
 	if err != nil {
 		return err
 	}
 	if len(comps) != 1 || comps[0].EC != j.join.Right.Star {
 		return nil // another star's group — a different join consumes it
 	}
-	value := comps[0].Subject
-	lefts := j.lefts[value]
-	if len(lefts) == 0 {
-		return nil
-	}
-	for _, l := range lefts {
-		joined := make([]core.AnnTG, 0, len(l.comps)+len(comps))
-		joined = append(joined, l.comps...)
-		joined = append(joined, comps...)
-		if err := out.Collect(core.EncodeJoined(joined)); err != nil {
+	for _, l := range j.lefts[comps[0].Subject] {
+		joined := j.sc.Concat(l, comps)
+		j.sc.Buf = core.AppendJoined(j.sc.Buf[:0], joined)
+		if err := out.Collect(j.sc.Buf); err != nil {
 			return err
 		}
 		if j.next != nil {
@@ -319,7 +216,7 @@ func (j *joinTask) MapRecord(_ string, record []byte, out mapreduce.Collector) e
 			if !ok {
 				return fmt.Errorf("ntgamr: collector lacks MultipleOutputs support")
 			}
-			if err := j.next.emit(j.q, joined, j.counters, nc); err != nil {
+			if err := j.next.emit(&j.sc, j.q, joined, j.counters, nc); err != nil {
 				return err
 			}
 		}
@@ -339,13 +236,14 @@ type joinTaskFactory struct {
 }
 
 func (f *joinTaskFactory) NewTask(_ int, side [][]byte) (mapreduce.TaskMapper, error) {
-	lefts := make(map[rdf.ID][]resolved, len(side))
+	lefts := make(map[rdf.ID][][]core.AnnTG, len(side))
+	var ls core.Scratch // the lefts live in its slabs for the whole task
 	for _, rec := range side {
-		v, comps, err := decodeResolved(rec)
+		v, comps, err := decodeResolved(&ls, rec)
 		if err != nil {
 			return nil, err
 		}
-		lefts[v] = append(lefts[v], resolved{value: v, comps: comps})
+		lefts[v] = append(lefts[v], comps)
 	}
 	return &joinTask{q: f.q, join: f.join, counters: f.counters, lefts: lefts, next: f.next}, nil
 }
