@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-race bench benchmark benchmark-smoke figures cover fmt vet check chaos goldens serve-smoke ingest-smoke dist-smoke loadgen-smoke partition-smoke partition-layout-smoke bench-trace bench-partition
+.PHONY: all build test test-race bench benchmark benchmark-smoke figures cover fmt vet check chaos goldens serve-smoke ingest-smoke dist-smoke loadgen-smoke partition-smoke partition-layout-smoke
 
 all: build check test
 
@@ -101,25 +101,12 @@ partition-smoke:
 partition-layout-smoke:
 	sh scripts/partition_layout_smoke.sh
 
-# Regenerate BENCH_partition.json (the persisted flat-vs-bucketed layout
-# comparison) at the current commit; fails if any cell lost its
-# zero-shuffle property or regressed its partitioned shuffle volume more
-# than 20% against the previously checked-in document.
-bench-partition:
-	sh scripts/bench_partition.sh
-
 # End-to-end load-harness smoke test: replay a short seeded Zipf trace
 # in-process and over HTTP (against a daemon running adaptive admission),
 # asserting non-zero throughput and zero byte-level diffs vs the serial
 # reference (scripts/loadgen_smoke.sh).
 loadgen-smoke:
 	sh scripts/loadgen_smoke.sh
-
-# Regenerate BENCH_serve_trace.json (the persisted serve-latency
-# trajectory) at the current commit; fails if any sweep cell's p95
-# regressed more than 20% against the previously checked-in document.
-bench-trace:
-	sh scripts/bench_trace.sh
 
 # Regenerate the EXPLAIN golden files (internal/explain/testdata) after
 # intentional planner or cost-model changes. CI fails if they are stale.

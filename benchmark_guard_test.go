@@ -4,6 +4,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -28,5 +30,63 @@ func TestBenchmarkHarnessVets(t *testing.T) {
 	cmd.Env = append(os.Environ(), "GOTOOLCHAIN=local")
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("go vet ./... in benchmark/: %v\n%s", err, out)
+	}
+}
+
+// TestToolingReferencesResolve keeps Makefile, scripts/ and CI naming each
+// other consistently, so deleting a script or a target cannot leave a
+// dangling reference that only fails when somebody runs it.
+func TestToolingReferencesResolve(t *testing.T) {
+	read := func(path string) string {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+	makefile, ci := read("Makefile"), read(filepath.Join(".github", "workflows", "ci.yml"))
+
+	targets := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^([A-Za-z0-9_-]+):`).FindAllStringSubmatch(makefile, -1) {
+		targets[m[1]] = true
+	}
+	phony := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^\.PHONY:(.*)$`).FindAllStringSubmatch(makefile, -1) {
+		for _, name := range strings.Fields(m[1]) {
+			phony[name] = true
+		}
+	}
+	for name := range targets {
+		if !phony[name] {
+			t.Errorf("Makefile target %s is missing from .PHONY", name)
+		}
+	}
+	for name := range phony {
+		if !targets[name] {
+			t.Errorf(".PHONY lists %s, which the Makefile does not define", name)
+		}
+	}
+
+	named := map[string]bool{}
+	for _, script := range regexp.MustCompile(`scripts/[A-Za-z0-9_.-]+\.sh`).FindAllString(makefile, -1) {
+		named[script] = true
+		if _, err := os.Stat(script); err != nil {
+			t.Errorf("Makefile names %s: %v", script, err)
+		}
+	}
+	onDisk, err := filepath.Glob("scripts/*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, script := range onDisk {
+		if !named[filepath.ToSlash(script)] {
+			t.Errorf("%s is not run by any Makefile target", script)
+		}
+	}
+
+	for _, m := range regexp.MustCompile(`\bmake +([A-Za-z0-9_-]+)`).FindAllStringSubmatch(ci, -1) {
+		if !targets[m[1]] {
+			t.Errorf("ci.yml runs `make %s`, which the Makefile does not define", m[1])
+		}
 	}
 }

@@ -16,8 +16,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -44,7 +46,7 @@ type queryJSON struct {
 }
 
 // tableJSON mirrors a report's rendered comparison table, so figure output
-// that is not per-query (e.g. the serving sweep) survives -json too.
+// that is not per-query (e.g. the ablation sweeps) survives -json too.
 type tableJSON struct {
 	Title  string     `json:"title"`
 	Header []string   `json:"header"`
@@ -85,86 +87,34 @@ func toJSON(rep *bench.Report) figureJSON {
 	return fj
 }
 
-// handleTraceDoc persists and/or baseline-gates the serve-latency
-// trajectory: -trace-baseline fails on a >20% p95 regression in any sweep
-// cell, -trace-out writes the fresh document (after the gate, so a failed
-// run still leaves the new numbers on disk for inspection).
-func handleTraceDoc(doc *bench.TraceDoc, outPath, baselinePath string) error {
-	var gateErr error
-	if baselinePath != "" {
-		raw, err := os.ReadFile(baselinePath)
-		if err != nil {
-			return fmt.Errorf("reading baseline: %w", err)
-		}
-		var baseline bench.TraceDoc
-		if err := json.Unmarshal(raw, &baseline); err != nil {
-			return fmt.Errorf("parsing baseline %s: %w", baselinePath, err)
-		}
-		gateErr = bench.CompareTraceBaseline(&baseline, doc, 0.20)
-	}
-	if outPath != "" {
-		raw, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, append(raw, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "ntga-bench: wrote trace trajectory to %s\n", outPath)
-	}
-	return gateErr
-}
-
-// handlePartitionDoc persists and/or baseline-gates the layout comparison:
-// -partition-baseline fails when a cell lost its zero-shuffle property or
-// regressed its partitioned shuffle volume by >20%, -partition-out writes
-// the fresh document (after the gate, like the trace flow).
-func handlePartitionDoc(doc *bench.PartitionDoc, outPath, baselinePath string) error {
-	var gateErr error
-	if baselinePath != "" {
-		raw, err := os.ReadFile(baselinePath)
-		if err != nil {
-			return fmt.Errorf("reading baseline: %w", err)
-		}
-		var baseline bench.PartitionDoc
-		if err := json.Unmarshal(raw, &baseline); err != nil {
-			return fmt.Errorf("parsing baseline %s: %w", baselinePath, err)
-		}
-		gateErr = bench.ComparePartitionBaseline(&baseline, doc, 0.20)
-	}
-	if outPath != "" {
-		raw, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, append(raw, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "ntga-bench: wrote partition layout comparison to %s\n", outPath)
-	}
-	return gateErr
-}
-
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its process state passed in: the arguments after the
+// program name, the two output streams, and the exit status returned.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ntga-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		fig           = flag.String("fig", "all", "experiment id (see -list) or 'all'")
-		scale         = flag.Int("scale", 1, "dataset size multiplier")
-		seed          = flag.Int64("seed", 42, "dataset seed")
-		list          = flag.Bool("list", false, "list experiment ids and exit")
-		asJSON        = flag.Bool("json", false, "emit per-figure JSON with estimated vs actual cycles and shuffle bytes")
-		traceOut      = flag.String("trace-out", "", "with -fig trace: write the serve-latency trajectory document to this file")
-		traceBaseline = flag.String("trace-baseline", "", "with -fig trace: compare the fresh trajectory against this baseline document and fail on a >20% p95 regression")
-		partOut       = flag.String("partition-out", "", "with -fig partition: write the layout comparison document to this file")
-		partBaseline  = flag.String("partition-baseline", "", "with -fig partition: compare against this baseline document and fail on lost zero-shuffle cells or a >20% shuffle regression")
-		commit        = flag.String("commit", "", "commit id stamped into -trace-out / -partition-out (e.g. $(git rev-parse --short HEAD))")
+		fig    = fs.String("fig", "all", "experiment id (see -list) or 'all'")
+		scale  = fs.Int("scale", 1, "dataset size multiplier")
+		seed   = fs.Int64("seed", 42, "dataset seed")
+		list   = fs.Bool("list", false, "list experiment ids and exit")
+		asJSON = fs.Bool("json", false, "emit per-figure JSON with estimated vs actual cycles and shuffle bytes")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
 		for _, id := range bench.Figures() {
-			fmt.Println(id)
+			fmt.Fprintln(stdout, id)
 		}
-		return
+		return 0
 	}
 
 	ids := bench.Figures()
@@ -172,51 +122,24 @@ func main() {
 		ids = strings.Split(*fig, ",")
 	}
 	opt := bench.Options{Scale: *scale, Seed: *seed}
-	failed := false
-	enc := json.NewEncoder(os.Stdout)
+	status := 0
+	enc := json.NewEncoder(stdout)
 	enc.SetIndent("", "  ")
 	for _, id := range ids {
-		var rep *bench.Report
-		var err error
-		if id == "trace" && (*traceOut != "" || *traceBaseline != "") {
-			// The trajectory variant: run once, persist/compare the document.
-			var doc *bench.TraceDoc
-			rep, doc, err = bench.TraceResult(opt)
-			if err == nil {
-				doc.Commit = *commit
-				if derr := handleTraceDoc(doc, *traceOut, *traceBaseline); derr != nil {
-					fmt.Fprintf(os.Stderr, "ntga-bench: trace: %v\n", derr)
-					failed = true
-				}
-			}
-		} else if id == "partition" && (*partOut != "" || *partBaseline != "") {
-			var doc *bench.PartitionDoc
-			rep, doc, err = bench.PartitionResult(opt)
-			if err == nil {
-				doc.Commit = *commit
-				if derr := handlePartitionDoc(doc, *partOut, *partBaseline); derr != nil {
-					fmt.Fprintf(os.Stderr, "ntga-bench: partition: %v\n", derr)
-					failed = true
-				}
-			}
-		} else {
-			rep, err = bench.RunFigure(id, opt)
-		}
+		rep, err := bench.RunFigure(id, opt)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "ntga-bench: %s: %v\n", id, err)
-			failed = true
+			fmt.Fprintf(stderr, "ntga-bench: %s: %v\n", id, err)
+			status = 1
 			continue
 		}
 		if *asJSON {
 			if err := enc.Encode(toJSON(rep)); err != nil {
-				fmt.Fprintf(os.Stderr, "ntga-bench: %s: %v\n", id, err)
-				failed = true
+				fmt.Fprintf(stderr, "ntga-bench: %s: %v\n", id, err)
+				status = 1
 			}
 			continue
 		}
-		fmt.Println(rep.Render())
+		fmt.Fprintln(stdout, rep.Render())
 	}
-	if failed {
-		os.Exit(1)
-	}
+	return status
 }

@@ -16,9 +16,9 @@ import (
 	"strconv"
 	"strings"
 
-	"ntga/internal/bench"
 	"ntga/internal/cluster"
 	"ntga/internal/engine"
+	"ntga/internal/engines"
 	"ntga/internal/hdfs"
 	"ntga/internal/ingest"
 	"ntga/internal/mapreduce"
@@ -334,7 +334,7 @@ func main() {
 // dataset statistics — the same recommendation `-advise` prints.
 func resolveEngine(name string, phiM int, g *rdf.Graph, q *query.Query) (engine.QueryEngine, error) {
 	if name != "auto" {
-		return bench.EngineByName(name, phiM)
+		return engines.ByName(name, phiM)
 	}
 	advice, err := ntgamr.Advise(ntgamr.CollectStats(g), q, 8)
 	if err != nil {

@@ -50,7 +50,7 @@ func (r *Report) Render() string {
 	return out
 }
 
-// Figures lists every reproducible experiment id, in paper order.
+// Figures lists every reproducible experiment id, sorted by id.
 func Figures() []string {
 	ids := make([]string, 0, len(figureRunners))
 	for id := range figureRunners {
@@ -78,9 +78,6 @@ var figureRunners = map[string]func(Options) (*Report, error){
 	"abl-select": AblationSelectivity,
 	"abl-share":  AblationScanSharing,
 	"abl-sort":   AblationSortBuffer,
-	"partition":  PartitionFigure,
-	"serve":      ServeFigure,
-	"trace":      TraceFigure,
 }
 
 // RunFigure runs one experiment by id.

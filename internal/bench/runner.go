@@ -308,8 +308,8 @@ func Fig3Engines() []engine.QueryEngine {
 	return []engine.QueryEngine{relmr.NewSJPerCycle(), relmr.NewSelSJFirst(), ntgamr.NewLazy()}
 }
 
-// EngineByName forwards to engines.ByName; benchmark/adapter.go and ntga-run
-// call it by this name.
+// EngineByName forwards to engines.ByName; benchmark/adapter.go calls it by
+// this name.
 func EngineByName(name string, phiM int) (engine.QueryEngine, error) {
 	return engines.ByName(name, phiM)
 }

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -28,6 +29,11 @@ import (
 )
 
 const layoutBuckets = 8
+
+// zeroShuffleQueries are the repeat-joined O-S chains (Q1a, B0, B5) and the
+// unbound-object join (B1) whose every join key is the subject hash the
+// layout is built over: NTGA runs them without a single shuffled byte.
+var zeroShuffleQueries = map[string]bool{"Q1a": true, "B0": true, "B1": true, "B5": true}
 
 // layoutEngines is the cross-layout line-up: the engines that rewrite onto
 // the bucketed layout (Hive, both NTGA variants) plus Pig, which ignores it
@@ -114,6 +120,31 @@ func TestPartitionedLayoutCatalogParity(t *testing.T) {
 				if !query.RowsEqual(want, bucketed.Rows) {
 					t.Errorf("%s partitioned rows diverge from reference:\n%s",
 						eng.Name(), query.DiffRows(want, bucketed.Rows, 6))
+				}
+				// What the layout buys, in shuffled bytes: it never costs any,
+				// every engine that reads it runs at least one cycle map-side,
+				// and NTGA's subject-hash O-S chains stop shuffling altogether.
+				flatShuffle, partShuffle := flat.Workflow.TotalMapOutputBytes(), bucketed.Workflow.TotalMapOutputBytes()
+				mapOnly := 0
+				for _, jm := range bucketed.Workflow.Jobs {
+					if jm.MapOnly {
+						mapOnly++
+					}
+				}
+				if len(bucketed.Rows) == 0 && !bucketed.IsCount {
+					t.Errorf("%s returned no rows; the comparison is vacuous", eng.Name())
+				}
+				if flatShuffle == 0 {
+					t.Errorf("%s flat run moved no shuffle bytes; the comparison is vacuous", eng.Name())
+				}
+				if partShuffle > flatShuffle {
+					t.Errorf("%s partitioned shuffled MORE than flat (%d vs %d)", eng.Name(), partShuffle, flatShuffle)
+				}
+				if eng.Name() != "Pig" && mapOnly == 0 {
+					t.Errorf("%s partitioned run has no map-only cycles", eng.Name())
+				}
+				if strings.HasPrefix(eng.Name(), "NTGA") && zeroShuffleQueries[cq.ID] && partShuffle != 0 {
+					t.Errorf("%s partitioned shuffle = %d bytes, want 0", eng.Name(), partShuffle)
 				}
 			}
 		})

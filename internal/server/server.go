@@ -624,26 +624,7 @@ func (s *Server) evaluateLocal(ctx context.Context, req Request, q *query.Query,
 	// blocks are overlaid on every scan of the triple relation, with rows
 	// byte-identical to a from-scratch load of the merged dataset.
 	res, err := engine.Run(eng, mr, q, plan.Source{Base: ds.input, Deltas: ds.deltas})
-	resp.Cycles = len(res.Workflow.Jobs)
-	resp.ShuffleBytes = res.Workflow.TotalMapOutputBytes()
-	resp.TaskRetries = res.Workflow.TotalTaskRetries()
-	resp.TempBytesReclaimed = res.Workflow.TotalTempBytesReclaimed()
-	s.mCycles.Add(int64(resp.Cycles))
-	s.mReclaimed.Add(resp.TempBytesReclaimed)
-	if req.Metrics {
-		for _, j := range res.Workflow.Jobs {
-			resp.Jobs = append(resp.Jobs, JobSummary{
-				Job:                j.Job,
-				DurationMS:         j.Duration.Milliseconds(),
-				MapInputBytes:      j.MapInputBytes,
-				ShuffleBytes:       j.MapOutputBytes,
-				ReduceOutputBytes:  j.ReduceOutputBytes,
-				SpilledBytes:       j.SpilledBytes,
-				TaskRetries:        j.TaskRetries,
-				TempBytesReclaimed: j.TempBytesReclaimed,
-			})
-		}
-	}
+	s.foldWorkflow(resp, &res.Workflow, req.Metrics)
 	// Only the request-private tracer is rendered: snapshotting a shared
 	// config tracer here would race with other queries' spans finishing.
 	if req.Timeline {
@@ -654,11 +635,7 @@ func (s *Server) evaluateLocal(ctx context.Context, req Request, q *query.Query,
 	}
 
 	cached := newResultEntry(q, res.Engine, res.Rows, res.IsCount, res.Count, res.OutputRecords, res.OutputBytes)
-	s.results.put(resultKey, cached, cid)
-	resp.Engine = res.Engine
-	s.renderRows(resp, cached, req.Limit)
-	resp.DurationMS = time.Since(start).Milliseconds()
-	return resp, nil
+	return s.answer(resp, req, cached, resultKey, cid, start), nil
 }
 
 // evaluateCluster ships the planned query to the distributed master and
@@ -690,34 +667,49 @@ func (s *Server) evaluateCluster(ctx context.Context, req Request, q *query.Quer
 	if err != nil {
 		return resp, err
 	}
-	resp.Cycles = len(reply.Workflow.Jobs)
-	resp.ShuffleBytes = reply.Workflow.TotalMapOutputBytes()
-	resp.TaskRetries = reply.Workflow.TotalTaskRetries()
-	resp.TempBytesReclaimed = reply.Workflow.TotalTempBytesReclaimed()
-	s.mCycles.Add(int64(resp.Cycles))
-	s.mReclaimed.Add(resp.TempBytesReclaimed)
-	if req.Metrics {
-		for _, j := range reply.Workflow.Jobs {
-			resp.Jobs = append(resp.Jobs, JobSummary{
-				Job:                j.Job,
-				DurationMS:         j.Duration.Milliseconds(),
-				MapInputBytes:      j.MapInputBytes,
-				ShuffleBytes:       j.MapOutputBytes,
-				ReduceOutputBytes:  j.ReduceOutputBytes,
-				SpilledBytes:       j.SpilledBytes,
-				TaskRetries:        j.TaskRetries,
-				TempBytesReclaimed: j.TempBytesReclaimed,
-			})
-		}
-	}
+	s.foldWorkflow(resp, &reply.Workflow, req.Metrics)
 	// The handshake pinned both processes to one dataset, so the master's
 	// row IDs are this dictionary's IDs: cache and render as if local.
 	cached := newResultEntry(q, reply.Engine, reply.Rows, reply.IsCount, reply.Count, reply.OutputRecords, reply.OutputBytes)
-	s.results.put(resultKey, cached, cid)
-	resp.Engine = reply.Engine
-	s.renderRows(resp, cached, req.Limit)
+	return s.answer(resp, req, cached, resultKey, cid, start), nil
+}
+
+// foldWorkflow records one execution's cost on the response and the
+// daemon's counters, with the per-job breakdown when the request asked for
+// it. Both substrates report a mapreduce.WorkflowMetrics, so a local run and
+// a cluster reply fold identically.
+func (s *Server) foldWorkflow(resp *Response, wf *mapreduce.WorkflowMetrics, perJob bool) {
+	resp.Cycles = len(wf.Jobs)
+	resp.ShuffleBytes = wf.TotalMapOutputBytes()
+	resp.TaskRetries = wf.TotalTaskRetries()
+	resp.TempBytesReclaimed = wf.TotalTempBytesReclaimed()
+	s.mCycles.Add(int64(resp.Cycles))
+	s.mReclaimed.Add(resp.TempBytesReclaimed)
+	if !perJob {
+		return
+	}
+	for _, j := range wf.Jobs {
+		resp.Jobs = append(resp.Jobs, JobSummary{
+			Job:                j.Job,
+			DurationMS:         j.Duration.Milliseconds(),
+			MapInputBytes:      j.MapInputBytes,
+			ShuffleBytes:       j.MapOutputBytes,
+			ReduceOutputBytes:  j.ReduceOutputBytes,
+			SpilledBytes:       j.SpilledBytes,
+			TaskRetries:        j.TaskRetries,
+			TempBytesReclaimed: j.TempBytesReclaimed,
+		})
+	}
+}
+
+// answer is the tail of every executed query, whichever substrate produced
+// the result: cache it, render the requested window, stamp the duration.
+func (s *Server) answer(resp *Response, req Request, result resultEntry, resultKey string, cid cacheIdentity, start time.Time) *Response {
+	s.results.put(resultKey, result, cid)
+	resp.Engine = result.engine
+	s.renderRows(resp, result, req.Limit)
 	resp.DurationMS = time.Since(start).Milliseconds()
-	return resp, nil
+	return resp
 }
 
 // observeQueueWait records one admission→execution-token wait against the
@@ -1017,22 +1009,47 @@ type asyncJob struct {
 	done chan struct{}
 }
 
+// maxRetainedJobs bounds the registry: a finished job holds its whole
+// *Response (hundreds of KB on a large answer), so a long-lived daemon keeps
+// only the newest ones. A client that has not polled a result by the time
+// this many later jobs were submitted gets the unknown-id answer.
+const maxRetainedJobs = 256
+
 type jobRegistry struct {
-	mu   sync.Mutex
-	jobs map[string]*asyncJob
-	seq  int64
+	mu    sync.Mutex
+	jobs  map[string]*asyncJob
+	order []*asyncJob // creation order, oldest first
+	seq   int64
 }
 
 func newJobRegistry() *jobRegistry {
 	return &jobRegistry{jobs: make(map[string]*asyncJob)}
 }
 
+// create registers a new running job and, past maxRetainedJobs, drops
+// finished jobs oldest-first. Running jobs are never dropped (admission
+// already bounds how many there can be), so the registry holds at most
+// maxRetainedJobs plus the admission window.
 func (r *jobRegistry) create() *asyncJob {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.seq++
 	j := &asyncJob{id: fmt.Sprintf("job-%06d", r.seq), st: JobRunning, done: make(chan struct{})}
 	r.jobs[j.id] = j
+	r.order = append(r.order, j)
+	if excess := len(r.order) - maxRetainedJobs; excess > 0 {
+		kept := r.order[:0]
+		for _, old := range r.order {
+			if excess > 0 && old.finished() {
+				delete(r.jobs, old.id)
+				excess--
+				continue
+			}
+			kept = append(kept, old)
+		}
+		clear(r.order[len(kept):]) // release the dropped jobs' responses
+		r.order = kept
+	}
 	return j
 }
 
@@ -1061,6 +1078,15 @@ func (j *asyncJob) finish(resp *Response, err error) {
 		j.resp = resp
 	}
 	close(j.done)
+}
+
+func (j *asyncJob) finished() bool {
+	select {
+	case <-j.done:
+		return true
+	default:
+		return false
+	}
 }
 
 func (j *asyncJob) status() JobStatus {

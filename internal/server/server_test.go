@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -234,6 +235,80 @@ func TestAsyncJobs(t *testing.T) {
 	}
 	if st.State != JobFailed || st.Error == "" {
 		t.Fatalf("bad-query job = %+v, want failed with error text", st)
+	}
+}
+
+// TestAsyncJobRegistryBounded: a daemon that has answered more than
+// maxRetainedJobs async queries keeps the newest results pollable and
+// forgets the oldest, which then answers like an id that never existed.
+func TestAsyncJobRegistryBounded(t *testing.T) {
+	s := newTestServer(t, Config{})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	var first, last string
+	for i := 0; i < maxRetainedJobs+10; i++ {
+		id, err := s.Submit(Request{Query: twoStarQuery})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.WaitJob(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+		if first == "" {
+			first = id
+		}
+		last = id
+	}
+	if n := s.Snapshot().AsyncJobs; n > maxRetainedJobs {
+		t.Errorf("registry holds %d jobs, want at most %d", n, maxRetainedJobs)
+	}
+	if st, ok := s.JobStatus(last); !ok || st.State != JobDone || st.Response == nil {
+		t.Errorf("newest job %s = %+v (found %v), want done with its response", last, st, ok)
+	}
+	if _, ok := s.JobStatus(first); ok {
+		t.Errorf("oldest job %s is still registered", first)
+	}
+}
+
+// TestJobRegistryKeepsRunningJobs: the cap only ever drops finished jobs, so
+// a running job stays pollable however many were submitted after it — also
+// while other submitters create and finish jobs concurrently.
+func TestJobRegistryKeepsRunningJobs(t *testing.T) {
+	r := newJobRegistry()
+	running := r.create()
+	var others []*asyncJob
+	for i := 0; i < maxRetainedJobs+10; i++ {
+		others = append(others, r.create())
+	}
+	if got, want := r.size(), maxRetainedJobs+11; got != want {
+		t.Fatalf("registry dropped running jobs: size %d, want %d", got, want)
+	}
+	for _, j := range others {
+		j.finish(&Response{}, nil)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < maxRetainedJobs; i++ {
+				r.create().finish(&Response{}, nil)
+			}
+		}()
+	}
+	wg.Wait()
+	newest := r.create()
+	if got := r.size(); got != maxRetainedJobs {
+		t.Errorf("size once the finished jobs became droppable = %d, want %d", got, maxRetainedJobs)
+	}
+	if _, ok := r.get(running.id); !ok {
+		t.Error("the still-running oldest job was dropped")
+	}
+	if _, ok := r.get(newest.id); !ok {
+		t.Error("the newest job was dropped")
+	}
+	if _, ok := r.get(others[0].id); ok {
+		t.Error("the oldest finished job survived while newer ones were dropped")
 	}
 }
 
