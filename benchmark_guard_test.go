@@ -90,3 +90,58 @@ func TestToolingReferencesResolve(t *testing.T) {
 		}
 	}
 }
+
+// TestOneQueryFrontDoor keeps the decisions taken before any job exists in
+// one place: every process parses through query.Parse, chooses through
+// engines.Choose and applies through Choice.Apply. A direct call to what
+// those wrap, outside the packages that own it, is a new front door.
+func TestOneQueryFrontDoor(t *testing.T) {
+	frontDoor := []string{"internal/query/", "internal/plan/", "internal/engines/"}
+	rules := []struct {
+		call    *regexp.Regexp
+		allowed []string
+	}{
+		{regexp.MustCompile(`\bsparql\.Parse\(|\bplan\.AdviseUnnest\(|\bplan\.Optimize\(|\.JoinsForOrder\(`), frontDoor},
+		// bench.EngineByName is the harness's one-line forward to the table.
+		{regexp.MustCompile(`\bengines\.ByName\(`), []string{"internal/engines/", "internal/bench/runner.go"}},
+	}
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		path = filepath.ToSlash(path)
+		if d.IsDir() {
+			if path == "benchmark" || strings.HasPrefix(d.Name(), ".") && path != "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, r := range rules {
+			if !r.call.Match(raw) || hasAnyPrefix(path, r.allowed) {
+				continue
+			}
+			t.Errorf("%s calls %s directly; go through query.Parse, engines.Choose and Choice.Apply",
+				path, r.call.FindString(string(raw)))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func hasAnyPrefix(s string, prefixes []string) bool {
+	for _, p := range prefixes {
+		if strings.HasPrefix(s, p) {
+			return true
+		}
+	}
+	return false
+}

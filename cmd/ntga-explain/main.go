@@ -24,11 +24,11 @@ import (
 	"fmt"
 	"os"
 
+	"ntga/internal/engines"
 	"ntga/internal/explain"
 	"ntga/internal/plan"
 	"ntga/internal/query"
 	"ntga/internal/rdf"
-	"ntga/internal/sparql"
 )
 
 func main() {
@@ -90,19 +90,22 @@ func main() {
 		}
 	}
 
-	pq, err := sparql.Parse(src)
-	if err != nil {
-		fatal(err)
-	}
-	q, err := query.Compile(pq, dict)
+	q, err := query.Parse(src, dict)
 	if err != nil {
 		fatal(err)
 	}
 
+	// EXPLAIN prints every engine, so the only decision it takes from the
+	// front door is the join order; the engine and reducer count passed
+	// are the defaults an ntga-run would use.
 	var reorder *plan.Reorder
 	if *optimize {
-		reorder, err = plan.Optimize(cat, q)
+		var choice engines.Choice
+		choice, _, reorder, err = engines.Choose(cat, q, "ntga-lazy", 0, 8, true)
 		if err != nil {
+			fatal(err)
+		}
+		if _, err := choice.Apply(q); err != nil {
 			fatal(err)
 		}
 	}

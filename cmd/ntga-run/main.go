@@ -10,8 +10,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -28,327 +30,371 @@ import (
 	"ntga/internal/rdf"
 	"ntga/internal/refengine"
 	"ntga/internal/server"
-	"ntga/internal/sparql"
 	"ntga/internal/stats"
 	"ntga/internal/trace"
 )
 
 func main() {
-	var (
-		dataFile  = flag.String("data", "", "N-Triples input file (required)")
-		queryFile = flag.String("query", "", "SPARQL query file")
-		inline    = flag.String("e", "", "inline SPARQL query text")
-		engName   = flag.String("engine", "ntga-lazy", "engine: auto, pig, hive, sj-per-cycle, sel-sj-first, ntga-eager, ntga-lazy, ntga-lazy-full, ntga-lazy-partial, ref (auto lets the cost advisor pick)")
-		nodes     = flag.Int("nodes", 8, "simulated cluster size")
-		rep       = flag.Int("replication", 1, "DFS replication factor")
-		phiM      = flag.Int("phim", 0, "partial β-unnest partition range (0 = default)")
-		sortBuf   = flag.Int64("sortbuf", 0, "map sort-buffer budget in bytes; map output beyond it spills to local disk (0 = unbounded)")
-		faults    = flag.String("faults", "", "inject seeded mid-phase faults: rate:seed[:nodekills], e.g. 0.01:7 or 0.01:7:2 (node kills escalate from faults); prints a recovery summary")
-		speculate = flag.Bool("speculate", false, "launch speculative backup attempts for straggling tasks")
-		metrics   = flag.Bool("metrics", false, "print per-job workflow metrics")
-		traceOut  = flag.String("trace", "", "write a Chrome trace_event JSON profile of the workflow to this file (open in chrome://tracing or ui.perfetto.dev)")
-		timeline  = flag.Bool("timeline", false, "print a per-job plain-text task timeline (implies tracing)")
-		advise    = flag.Bool("advise", false, "print the cost advisor's strategy recommendation")
-		optimize  = flag.Bool("optimize", false, "reorder inter-star joins by catalog-estimated selectivity before running")
-		statsOut  = flag.String("stats-out", "", "build the statistics catalog (map-only MR job) and write it to this file")
-		limit     = flag.Int("limit", 0, "print at most N rows (0 = all)")
-		serverURL = flag.String("server", "", "client mode: send the query to a running ntga-serve daemon at this address instead of evaluating locally")
-		health    = flag.String("health", "", "check a running ntga-serve daemon's /healthz and exit")
-		tenant    = flag.String("tenant", "", "client mode: slot-pool scheduling class for this query")
-		noCache   = flag.Bool("no-cache", false, "client mode: bypass the server's result cache")
-		clusterAd = flag.String("cluster", "", "distributed mode: submit the query to a running ntga-master at this RPC address instead of evaluating locally")
-		clStatus  = flag.Bool("cluster-status", false, "distributed mode: print the master's cluster status and exit")
-		reducers  = flag.Int("reducers", 0, "reduce partitions per job (0 = engine default)")
-		splitRecs = flag.Int("split-records", 0, "records per map split (0 = engine default)")
-		partBkts  = flag.Int("partition-buckets", 0, "build the hash-of-subject partitioned layout with this many buckets and run the query over it (0 = flat); in -cluster mode, 0 keeps the master's default")
-		partOut   = flag.String("partition-out", "part/T", "DFS directory for the partitioned layout (with -partition-buckets)")
-		noPart    = flag.Bool("no-partition", false, "cluster mode: force the flat plan even when the master holds a partitioned layout")
-		ingestNT  = flag.String("ingest", "", "comma-separated N-Triples files appended as delta blocks after the base load; the query runs over base ∪ deltas")
-		compact   = flag.Bool("compact", false, "fold the delta chain into a fresh base generation (delta-merge MR job) before running the query")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if *health != "" {
-		checkHealth(*health)
-		return
-	}
-	if *clusterAd != "" {
-		if *clStatus {
-			clusterStatus(*clusterAd)
-			return
+// options are the parsed command-line flags.
+type options struct {
+	data, queryFile, inline, engine     string
+	nodes, rep, phiM, limit             int
+	sortBuf                             int64
+	faults, traceOut, statsOut          string
+	speculate, metrics, timeline        bool
+	advise, optimize                    bool
+	server, health, tenant              string
+	noCache                             bool
+	cluster                             string
+	clusterStatus                       bool
+	reducers, splitRecords, partBuckets int
+	partOut                             string
+	noPartition                         bool
+	ingest                              string
+	compact                             bool
+}
+
+// run is main with its process state passed in: the arguments after the
+// program name, the two output streams, and the exit status returned.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var o options
+	fs.StringVar(&o.data, "data", "", "N-Triples input file (required)")
+	fs.StringVar(&o.queryFile, "query", "", "SPARQL query file")
+	fs.StringVar(&o.inline, "e", "", "inline SPARQL query text")
+	fs.StringVar(&o.engine, "engine", "ntga-lazy", "engine: auto, pig, hive, sj-per-cycle, sel-sj-first, ntga-eager, ntga-lazy, ntga-lazy-full, ntga-lazy-partial, ref (auto lets the cost advisor pick)")
+	fs.IntVar(&o.nodes, "nodes", 8, "simulated cluster size")
+	fs.IntVar(&o.rep, "replication", 1, "DFS replication factor")
+	fs.IntVar(&o.phiM, "phim", 0, "partial β-unnest partition range (0 = default)")
+	fs.Int64Var(&o.sortBuf, "sortbuf", 0, "map sort-buffer budget in bytes; map output beyond it spills to local disk (0 = unbounded)")
+	fs.StringVar(&o.faults, "faults", "", "inject seeded mid-phase faults: rate:seed[:nodekills], e.g. 0.01:7 or 0.01:7:2 (node kills escalate from faults); prints a recovery summary")
+	fs.BoolVar(&o.speculate, "speculate", false, "launch speculative backup attempts for straggling tasks")
+	fs.BoolVar(&o.metrics, "metrics", false, "print per-job workflow metrics")
+	fs.StringVar(&o.traceOut, "trace", "", "write a Chrome trace_event JSON profile of the workflow to this file (open in chrome://tracing or ui.perfetto.dev)")
+	fs.BoolVar(&o.timeline, "timeline", false, "print a per-job plain-text task timeline (implies tracing)")
+	fs.BoolVar(&o.advise, "advise", false, "print the cost advisor's strategy recommendation")
+	fs.BoolVar(&o.optimize, "optimize", false, "reorder inter-star joins by catalog-estimated selectivity before running")
+	fs.StringVar(&o.statsOut, "stats-out", "", "build the statistics catalog (map-only MR job) and write it to this file")
+	fs.IntVar(&o.limit, "limit", 0, "print at most N rows (0 = all)")
+	fs.StringVar(&o.server, "server", "", "client mode: send the query to a running ntga-serve daemon at this address instead of evaluating locally")
+	fs.StringVar(&o.health, "health", "", "check a running ntga-serve daemon's /healthz and exit")
+	fs.StringVar(&o.tenant, "tenant", "", "client mode: slot-pool scheduling class for this query")
+	fs.BoolVar(&o.noCache, "no-cache", false, "client mode: bypass the server's result cache")
+	fs.StringVar(&o.cluster, "cluster", "", "distributed mode: submit the query to a running ntga-master at this RPC address instead of evaluating locally")
+	fs.BoolVar(&o.clusterStatus, "cluster-status", false, "distributed mode: print the master's cluster status and exit")
+	fs.IntVar(&o.reducers, "reducers", 0, "reduce partitions per job (0 = engine default)")
+	fs.IntVar(&o.splitRecords, "split-records", 0, "records per map split (0 = engine default)")
+	fs.IntVar(&o.partBuckets, "partition-buckets", 0, "build the hash-of-subject partitioned layout with this many buckets and run the query over it (0 = flat); in -cluster mode, 0 keeps the master's default")
+	fs.StringVar(&o.partOut, "partition-out", "part/T", "DFS directory for the partitioned layout (with -partition-buckets)")
+	fs.BoolVar(&o.noPartition, "no-partition", false, "cluster mode: force the flat plan even when the master holds a partitioned layout")
+	fs.StringVar(&o.ingest, "ingest", "", "comma-separated N-Triples files appended as delta blocks after the base load; the query runs over base ∪ deltas")
+	fs.BoolVar(&o.compact, "compact", false, "fold the delta chain into a fresh base generation (delta-merge MR job) before running the query")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		runCluster(*clusterAd, *inline, *queryFile, *engName, *phiM, *reducers, *splitRecs, *metrics, *limit, *noPart)
-		return
-	}
-	if *serverURL != "" {
-		runRemote(*serverURL, *inline, *queryFile, *engName, *phiM, *tenant, *noCache, *metrics, *timeline, *limit)
-		return
+		return 2
 	}
 
-	if *dataFile == "" {
-		fatal(fmt.Errorf("-data is required"))
+	var err error
+	switch {
+	case o.health != "":
+		err = checkHealth(stdout, o.health)
+	case o.cluster != "" && o.clusterStatus:
+		err = clusterStatus(stdout, o.cluster)
+	case o.cluster != "":
+		err = runCluster(stdout, stderr, &o)
+	case o.server != "":
+		err = runRemote(stdout, stderr, &o)
+	default:
+		err = runLocal(stdout, stderr, &o)
 	}
-	src := *inline
-	if src == "" {
-		if *queryFile == "" {
-			fatal(fmt.Errorf("one of -query or -e is required"))
-		}
-		b, err := os.ReadFile(*queryFile)
-		if err != nil {
-			fatal(err)
-		}
-		src = string(b)
-	}
-
-	f, err := os.Open(*dataFile)
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(stderr, "ntga-run:", err)
+		return 1
+	}
+	return 0
+}
+
+// queryText is the query the -e or -query flag names.
+func queryText(o *options) (string, error) {
+	if o.inline != "" {
+		return o.inline, nil
+	}
+	if o.queryFile == "" {
+		return "", fmt.Errorf("one of -query or -e is required")
+	}
+	b, err := os.ReadFile(o.queryFile)
+	return string(b), err
+}
+
+// printRows prints a row result the same way in every mode: the header,
+// at most limit rows (0 = all) of the total, and how many more there are.
+// Counts print as the header and the number.
+func printRows(w io.Writer, header, rows []string, total, limit int) {
+	fmt.Fprintln(w, strings.Join(header, "\t"))
+	n := len(rows)
+	if limit > 0 && limit < n {
+		n = limit
+	}
+	for _, r := range rows[:n] {
+		fmt.Fprintln(w, r)
+	}
+	if total > n {
+		fmt.Fprintf(w, "... (%d more rows)\n", total-n)
+	}
+}
+
+// runLocal evaluates the query in-process over the -data file.
+func runLocal(stdout, stderr io.Writer, o *options) error {
+	if o.data == "" {
+		return fmt.Errorf("-data is required")
+	}
+	src, err := queryText(o)
+	if err != nil {
+		return err
+	}
+	f, err := os.Open(o.data)
+	if err != nil {
+		return err
 	}
 	g, err := rdf.ReadNTriples(f)
 	f.Close()
 	if err != nil {
-		fatal(err)
+		return err
+	}
+	q, err := query.Parse(src, g.Dict)
+	if err != nil {
+		return err
 	}
 
-	pq, err := sparql.Parse(src)
-	if err != nil {
-		fatal(err)
+	// The choice is made with the reducer count the run uses: 0 leaves
+	// the MR engine's default of 8. The reference evaluator is not in the
+	// engine table and ignores join order, so it takes auto's choice only
+	// for what -advise and -optimize report.
+	reducers := o.reducers
+	if reducers == 0 {
+		reducers = 8
 	}
-	q, err := query.Compile(pq, g.Dict)
-	if err != nil {
-		fatal(err)
+	name := o.engine
+	if name == "ref" {
+		name = "auto"
 	}
-
-	if *advise {
-		advice, err := ntgamr.Advise(ntgamr.CollectStats(g), q, 8)
-		if err != nil {
-			fatal(err)
+	cat := plan.FromGraph(g)
+	// What -advise and -optimize report prints even when the engine name
+	// is then rejected.
+	choice, advice, reorder, err := engines.Choose(cat, q, name, o.phiM, reducers, o.optimize)
+	if o.advise {
+		strategy := ntgamr.Eager
+		if advice.Lazy {
+			strategy = ntgamr.LazyAuto
 		}
-		fmt.Fprintf(os.Stderr, "advisor: strategy=%v phiM=%d\n", advice.Strategy, advice.PhiM)
+		fmt.Fprintf(stderr, "advisor: strategy=%v phiM=%d\n", strategy, advice.PhiM)
 		for _, r := range advice.Reasons {
-			fmt.Fprintln(os.Stderr, "  -", r)
+			fmt.Fprintln(stderr, "  -", r)
 		}
 	}
-
-	if *optimize {
-		r, err := plan.Optimize(plan.FromGraph(g), q)
-		if err != nil {
-			fatal(err)
-		}
-		if r.Changed {
-			fmt.Fprintf(os.Stderr, "optimizer: join order %v (est shuffle %d, legacy %d)\n",
-				r.Order, r.Est, r.LegacyEst)
+	if reorder != nil {
+		if reorder.Changed {
+			fmt.Fprintf(stderr, "optimizer: join order %v (est shuffle %d, legacy %d)\n",
+				reorder.Order, reorder.Est, reorder.LegacyEst)
 		} else {
-			fmt.Fprintf(os.Stderr, "optimizer: join order kept %v (est shuffle %d)\n", r.Order, r.Est)
+			fmt.Fprintf(stderr, "optimizer: join order kept %v (est shuffle %d)\n", reorder.Order, reorder.Est)
 		}
+	}
+	if err != nil {
+		return err
 	}
 
 	var rows []query.Row
-	var lastCount int64
-	if *engName == "ref" {
-		if *ingestNT != "" || *compact {
-			fatal(fmt.Errorf("-ingest/-compact need a MapReduce engine (the reference engine has no versioned store)"))
+	var count int64
+	if o.engine == "ref" {
+		if o.ingest != "" || o.compact {
+			return fmt.Errorf("-ingest/-compact need a MapReduce engine (the reference engine has no versioned store)")
 		}
-		if *statsOut != "" {
-			if err := plan.FromGraph(g).WriteFile(*statsOut); err != nil {
-				fatal(err)
+		if o.statsOut != "" {
+			if err := cat.WriteFile(o.statsOut); err != nil {
+				return err
 			}
-			fmt.Fprintf(os.Stderr, "stats: wrote %s\n", *statsOut)
+			fmt.Fprintf(stderr, "stats: wrote %s\n", o.statsOut)
 		}
+		// The reference engine materializes the rows even of a count.
 		rows = refengine.Evaluate(q, g)
+		count = int64(len(rows))
 	} else {
-		eng, err := resolveEngine(*engName, *phiM, g, q)
+		res, err := runMR(stderr, o, g, src, q, choice)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		var tracer *trace.Tracer
-		if *traceOut != "" || *timeline {
-			tracer = trace.New()
-		}
-		cfg := mapreduce.EngineConfig{
-			DefaultReducers: *reducers,
-			SplitRecords:    *splitRecs,
-			SortBufferBytes: *sortBuf,
-			Tracer:          tracer,
-			Speculation:     *speculate,
-		}
-		if *faults != "" {
-			fp, attempts, err := parseFaults(*faults)
-			if err != nil {
-				fatal(err)
-			}
-			cfg.Faults = fp
-			cfg.TaskMaxAttempts = attempts
-		}
-		mr := mapreduce.NewEngine(
-			hdfs.New(hdfs.Config{Nodes: *nodes, Replication: *rep}),
-			cfg,
-		)
-		if err := engine.LoadGraph(mr.DFS(), "data/triples", g); err != nil {
-			fatal(err)
-		}
-		if *statsOut != "" {
-			// Build the catalog the way a warehouse would: a map-only MR job
-			// over the DFS-resident relation, persisted both as a DFS file
-			// (plan-time loading) and as an OS file (ntga-explain -stats).
-			cat, err := plan.BuildCatalog(mr, "data/triples", "data/catalog", g.Dict)
-			if err != nil {
-				fatal(err)
-			}
-			if err := cat.WriteFile(*statsOut); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "stats: wrote %s (also persisted to DFS data/catalog)\n", *statsOut)
-		}
-		// Loader mode: one shuffle job writes the bucketed layout, then the
-		// query runs map-only over it. The layout is built — and stamped — at
-		// the base dataset version, BEFORE any -ingest lands, mirroring a
-		// warehouse whose layout predates the deltas: an un-compacted chain
-		// makes it stale (shuffle fallback below), and -compact rewrites the
-		// affected buckets and re-stamps the manifest.
-		if *partBkts > 0 {
-			if _, err := plan.BuildPartitionLayout(mr, "data/triples", *partOut, *partBkts, g.Version()); err != nil {
-				fatal(err)
-			}
-		}
-
-		base, deltas := "data/triples", []string(nil)
-		dataVer := g.Version()
-		if *ingestNT != "" || *compact {
-			st, err := ingest.Init(mr.DFS(), base, g)
-			if err != nil {
-				fatal(err)
-			}
-			for _, path := range strings.Split(*ingestNT, ",") {
-				path = strings.TrimSpace(path)
-				if path == "" {
-					continue
-				}
-				df, err := os.Open(path)
-				if err != nil {
-					fatal(err)
-				}
-				ires, err := st.Ingest(df)
-				df.Close()
-				if err != nil {
-					fatal(fmt.Errorf("ingesting %s: %w", path, err))
-				}
-				fmt.Fprintf(os.Stderr, "ingest: %s: %d triples as block %s (dataset %s)\n",
-					path, len(ires.Triples), ires.Block.File, ires.Version)
-			}
-			if *compact {
-				opts := ingest.CompactOptions{}
-				if *partBkts > 0 {
-					opts.LayoutDir = *partOut
-				}
-				cres, err := st.Compact(mr, opts)
-				if err != nil {
-					fatal(err)
-				}
-				fmt.Fprintf(os.Stderr, "compact: folded %d blocks (%d triples) into base generation %d; %d layout buckets rewritten\n",
-					cres.Folded, cres.FoldedTriples, cres.Gen, cres.BucketsRewritten)
-			}
-			man := st.Manifest()
-			base, deltas, dataVer = man.Base, man.DeltaFiles(), st.Version()
-			// Delta batches may mint terms the query names; re-compile against
-			// the extended dictionary so those constants resolve.
-			if q, err = query.Compile(pq, g.Dict); err != nil {
-				fatal(err)
-			}
-		}
-
-		// Reloading the layout through the manifest exercises the production
-		// path — a stale or missing layout degrades to the flat plan with a
-		// warning instead of failing.
-		var part *plan.Partitioning
-		if *partBkts > 0 {
-			part, err = plan.LoadPartitioning(mr.DFS(), *partOut, dataVer)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "partition: layout %s unusable (%v); falling back to the shuffle path\n", *partOut, err)
-				part = nil
-			} else {
-				fmt.Fprintf(os.Stderr, "partition: built layout %s (%s)\n", *partOut, part)
-			}
-		}
-		res, err := engine.Run(eng, mr, q, plan.Source{Base: base, Deltas: deltas, Part: part})
-		if tracer != nil {
-			// Export whatever spans were recorded even on failure — a trace
-			// of a failed workflow is exactly when you want the profile.
-			if *traceOut != "" {
-				if werr := writeTrace(*traceOut, tracer); werr != nil {
-					fatal(werr)
-				}
-				fmt.Fprintf(os.Stderr, "trace: wrote %s\n", *traceOut)
-			}
-			if *timeline {
-				fmt.Fprint(os.Stderr, trace.Timeline(tracer.Roots()))
-			}
-		}
-		if *faults != "" || *speculate {
-			// A recovery summary is most interesting when the run needed
-			// recovering — print it even for a failed workflow.
-			printRecovery(res)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		rows = res.Rows
-		lastCount = res.Count
-		if *metrics {
-			printMetrics(res)
-		}
+		rows, count = res.Rows, res.Count
 	}
 
+	header, text := q.Render(rows)
 	if q.IsCount() {
-		// rows is nil for distributed engines (they count without
-		// expanding); the reference engine materializes rows.
-		count := int64(len(rows))
-		if *engName != "ref" {
-			count = lastCount
-		}
-		fmt.Printf("?%s\n%d\n", q.Src.CountVar, count)
-		return
+		fmt.Fprintf(stdout, "%s\n%d\n", header[0], count)
+		return nil
 	}
-
-	projected := q.ProjectAll(rows)
-	header := ""
-	for i, v := range q.Select {
-		if i > 0 {
-			header += "\t"
-		}
-		header += "?" + v
-	}
-	fmt.Println(header)
-	for i, r := range projected {
-		if *limit > 0 && i >= *limit {
-			fmt.Printf("... (%d more rows)\n", len(projected)-i)
-			break
-		}
-		fmt.Println(q.FormatRow(r))
-	}
-	fmt.Fprintf(os.Stderr, "%d rows\n", len(projected))
+	printRows(stdout, header, text, len(text), o.limit)
+	fmt.Fprintf(stderr, "%d rows\n", len(text))
+	return nil
 }
 
-// resolveEngine maps the -engine flag to an engine. "auto" asks the cost
-// advisor: it picks the NTGA strategy (eager vs lazy) and φ_m from the
-// dataset statistics — the same recommendation `-advise` prints.
-func resolveEngine(name string, phiM int, g *rdf.Graph, q *query.Query) (engine.QueryEngine, error) {
-	if name != "auto" {
-		return engines.ByName(name, phiM)
-	}
-	advice, err := ntgamr.Advise(ntgamr.CollectStats(g), q, 8)
+// runMR runs the chosen engine on a simulated cluster, with the optional
+// layout, delta chain, statistics export, tracing and fault injection.
+func runMR(stderr io.Writer, o *options, g *rdf.Graph, src string, q *query.Query, choice engines.Choice) (*engine.Result, error) {
+	eng, err := choice.Apply(q)
 	if err != nil {
 		return nil, err
 	}
-	if phiM > 0 {
-		advice.PhiM = phiM
+	if o.engine == "auto" {
+		fmt.Fprintf(stderr, "auto: selected %s (phiM=%d)\n", eng.Name(), choice.PhiM)
 	}
-	eng := advice.Engine()
-	fmt.Fprintf(os.Stderr, "auto: selected %s (phiM=%d)\n", eng.Name(), advice.PhiM)
-	return eng, nil
+	var tracer *trace.Tracer
+	if o.traceOut != "" || o.timeline {
+		tracer = trace.New()
+	}
+	cfg := mapreduce.EngineConfig{
+		DefaultReducers: o.reducers,
+		SplitRecords:    o.splitRecords,
+		SortBufferBytes: o.sortBuf,
+		Tracer:          tracer,
+		Speculation:     o.speculate,
+	}
+	if o.faults != "" {
+		fp, attempts, err := parseFaults(o.faults)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Faults = fp
+		cfg.TaskMaxAttempts = attempts
+	}
+	mr := mapreduce.NewEngine(
+		hdfs.New(hdfs.Config{Nodes: o.nodes, Replication: o.rep}),
+		cfg,
+	)
+	if err := engine.LoadGraph(mr.DFS(), "data/triples", g); err != nil {
+		return nil, err
+	}
+	if o.statsOut != "" {
+		// Build the catalog the way a warehouse would: a map-only MR job
+		// over the DFS-resident relation, persisted both as a DFS file
+		// (plan-time loading) and as an OS file (ntga-explain -stats).
+		cat, err := plan.BuildCatalog(mr, "data/triples", "data/catalog", g.Dict)
+		if err != nil {
+			return nil, err
+		}
+		if err := cat.WriteFile(o.statsOut); err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(stderr, "stats: wrote %s (also persisted to DFS data/catalog)\n", o.statsOut)
+	}
+	// Loader mode: one shuffle job writes the bucketed layout, then the
+	// query runs map-only over it. The layout is built — and stamped — at
+	// the base dataset version, BEFORE any -ingest lands, mirroring a
+	// warehouse whose layout predates the deltas: an un-compacted chain
+	// makes it stale (shuffle fallback below), and -compact rewrites the
+	// affected buckets and re-stamps the manifest.
+	if o.partBuckets > 0 {
+		if _, err := plan.BuildPartitionLayout(mr, "data/triples", o.partOut, o.partBuckets, g.Version()); err != nil {
+			return nil, err
+		}
+	}
+
+	base, deltas := "data/triples", []string(nil)
+	dataVer := g.Version()
+	if o.ingest != "" || o.compact {
+		st, err := ingest.Init(mr.DFS(), base, g)
+		if err != nil {
+			return nil, err
+		}
+		for _, path := range strings.Split(o.ingest, ",") {
+			path = strings.TrimSpace(path)
+			if path == "" {
+				continue
+			}
+			df, err := os.Open(path)
+			if err != nil {
+				return nil, err
+			}
+			ires, err := st.Ingest(df)
+			df.Close()
+			if err != nil {
+				return nil, fmt.Errorf("ingesting %s: %w", path, err)
+			}
+			fmt.Fprintf(stderr, "ingest: %s: %d triples as block %s (dataset %s)\n",
+				path, len(ires.Triples), ires.Block.File, ires.Version)
+		}
+		if o.compact {
+			opts := ingest.CompactOptions{}
+			if o.partBuckets > 0 {
+				opts.LayoutDir = o.partOut
+			}
+			cres, err := st.Compact(mr, opts)
+			if err != nil {
+				return nil, err
+			}
+			fmt.Fprintf(stderr, "compact: folded %d blocks (%d triples) into base generation %d; %d layout buckets rewritten\n",
+				cres.Folded, cres.FoldedTriples, cres.Gen, cres.BucketsRewritten)
+		}
+		man := st.Manifest()
+		base, deltas, dataVer = man.Base, man.DeltaFiles(), st.Version()
+		// Delta batches may mint terms the query names; re-compile against
+		// the extended dictionary so those constants resolve, and put the
+		// same choice on the new compile.
+		if q, err = query.Parse(src, g.Dict); err != nil {
+			return nil, err
+		}
+		if eng, err = choice.Apply(q); err != nil {
+			return nil, err
+		}
+	}
+
+	// Reloading the layout through the manifest exercises the production
+	// path — a stale or missing layout degrades to the flat plan with a
+	// warning instead of failing.
+	var part *plan.Partitioning
+	if o.partBuckets > 0 {
+		part, err = plan.LoadPartitioning(mr.DFS(), o.partOut, dataVer)
+		if err != nil {
+			fmt.Fprintf(stderr, "partition: layout %s unusable (%v); falling back to the shuffle path\n", o.partOut, err)
+			part = nil
+		} else {
+			fmt.Fprintf(stderr, "partition: built layout %s (%s)\n", o.partOut, part)
+		}
+	}
+	res, err := engine.Run(eng, mr, q, plan.Source{Base: base, Deltas: deltas, Part: part})
+	if tracer != nil {
+		// Export whatever spans were recorded even on failure — a trace
+		// of a failed workflow is exactly when you want the profile.
+		if o.traceOut != "" {
+			if werr := writeTrace(o.traceOut, tracer); werr != nil {
+				return nil, werr
+			}
+			fmt.Fprintf(stderr, "trace: wrote %s\n", o.traceOut)
+		}
+		if o.timeline {
+			fmt.Fprint(stderr, trace.Timeline(tracer.Roots()))
+		}
+	}
+	if o.faults != "" || o.speculate {
+		// A recovery summary is most interesting when the run needed
+		// recovering — print it even for a failed workflow.
+		printRecovery(stderr, res)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if o.metrics {
+		printMetrics(stderr, res)
+	}
+	return res, nil
 }
 
-func printMetrics(res *engine.Result) {
+func printMetrics(w io.Writer, res *engine.Result) {
 	t := &stats.Table{Title: "-- workflow metrics (" + res.Engine + ") --",
 		Header: []string{"job", "time", "map in", "shuffle", "spilled", "merges", "reduce out", "straggler", "key skew", "byte skew"}}
 	straggler := func(j mapreduce.JobMetrics) float64 {
@@ -374,13 +420,13 @@ func printMetrics(res *engine.Result) {
 		stats.FormatRatio(res.Workflow.MaxStragglerRatio()),
 		stats.FormatRatio(res.Workflow.MaxReduceKeySkew()),
 		stats.FormatRatio(res.Workflow.MaxReduceByteSkew()))
-	fmt.Fprintln(os.Stderr, t.Render())
-	fmt.Fprintf(os.Stderr, "cycles=%d peakDisk=%s peakSortBuffer=%s outputRecords=%d outputBytes=%s\n",
+	fmt.Fprintln(w, t.Render())
+	fmt.Fprintf(w, "cycles=%d peakDisk=%s peakSortBuffer=%s outputRecords=%d outputBytes=%s\n",
 		res.Workflow.Cycles, stats.FormatBytes(res.PeakDFSUsed),
 		stats.FormatBytes(res.Workflow.MaxPeakSortBufferBytes()),
 		res.OutputRecords, stats.FormatBytes(res.OutputBytes))
 	for name, v := range res.Counters {
-		fmt.Fprintf(os.Stderr, "counter %s = %d\n", name, v)
+		fmt.Fprintf(w, "counter %s = %d\n", name, v)
 	}
 }
 
@@ -417,36 +463,29 @@ func parseFaults(s string) (*mapreduce.FaultPlan, int, error) {
 
 // runCluster submits the query to a running ntga-master and prints the
 // master-rendered rows exactly as a local run would print its own.
-func runCluster(addr, inline, queryFile, engName string, phiM, reducers, splitRecords int, metrics bool, limit int, noPartition bool) {
-	src := inline
-	if src == "" {
-		if queryFile == "" {
-			fatal(fmt.Errorf("one of -query or -e is required"))
-		}
-		b, err := os.ReadFile(queryFile)
-		if err != nil {
-			fatal(err)
-		}
-		src = string(b)
-	}
-	c, err := cluster.Dial(nil, addr)
+func runCluster(stdout, stderr io.Writer, o *options) error {
+	src, err := queryText(o)
 	if err != nil {
-		fatal(fmt.Errorf("dialing master %s: %w", addr, err))
+		return err
+	}
+	c, err := cluster.Dial(nil, o.cluster)
+	if err != nil {
+		return fmt.Errorf("dialing master %s: %w", o.cluster, err)
 	}
 	defer c.Close()
 	reply, err := c.Run(context.Background(), &cluster.RunArgs{
 		Query:        src,
-		Engine:       engName,
-		PhiM:         phiM,
-		Reducers:     reducers,
-		SplitRecords: splitRecords,
-		NoPartition:  noPartition,
+		Engine:       o.engine,
+		PhiM:         o.phiM,
+		Reducers:     o.reducers,
+		SplitRecords: o.splitRecords,
+		NoPartition:  o.noPartition,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if metrics {
-		printMetrics(&engine.Result{
+	if o.metrics {
+		printMetrics(stderr, &engine.Result{
 			Engine:        reply.Engine,
 			Workflow:      reply.Workflow,
 			Counters:      reply.Counters,
@@ -456,31 +495,25 @@ func runCluster(addr, inline, queryFile, engName string, phiM, reducers, splitRe
 		})
 	}
 	if reply.IsCount {
-		fmt.Printf("%s\n%d\n", reply.Header[0], reply.Count)
-		return
+		fmt.Fprintf(stdout, "%s\n%d\n", reply.Header[0], reply.Count)
+		return nil
 	}
-	fmt.Println(strings.Join(reply.Header, "\t"))
-	for i, r := range reply.RowsText {
-		if limit > 0 && i >= limit {
-			fmt.Printf("... (%d more rows)\n", len(reply.RowsText)-i)
-			break
-		}
-		fmt.Println(r)
-	}
-	fmt.Fprintf(os.Stderr, "%d rows\n", reply.TotalRows)
+	printRows(stdout, reply.Header, reply.RowsText, reply.TotalRows, o.limit)
+	fmt.Fprintf(stderr, "%d rows\n", reply.TotalRows)
+	return nil
 }
 
 // clusterStatus prints the master's view of the cluster: dataset identity,
 // per-worker liveness and slot occupancy, and scheduler totals.
-func clusterStatus(addr string) {
+func clusterStatus(out io.Writer, addr string) error {
 	c, err := cluster.Dial(nil, addr)
 	if err != nil {
-		fatal(fmt.Errorf("dialing master %s: %w", addr, err))
+		return fmt.Errorf("dialing master %s: %w", addr, err)
 	}
 	defer c.Close()
 	st, err := c.Status(context.Background())
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	alive := 0
 	for _, w := range st.Workers {
@@ -488,29 +521,30 @@ func clusterStatus(addr string) {
 			alive++
 		}
 	}
-	fmt.Printf("master %s: %d triples, dataset %s\n", addr, st.Triples, st.DatasetVersion)
-	fmt.Printf("workers: %d alive / %d registered, workers_lost=%d, active_queries=%d, tasks_dispatched=%d\n",
+	fmt.Fprintf(out, "master %s: %d triples, dataset %s\n", addr, st.Triples, st.DatasetVersion)
+	fmt.Fprintf(out, "workers: %d alive / %d registered, workers_lost=%d, active_queries=%d, tasks_dispatched=%d\n",
 		alive, len(st.Workers), st.WorkersLost, st.ActiveQueries, st.TasksDispatched)
-	fmt.Printf("transport: rpc_retries=%d redials=%d fetch_transient_retries=%d worker_reregistrations=%d\n",
+	fmt.Fprintf(out, "transport: rpc_retries=%d redials=%d fetch_transient_retries=%d worker_reregistrations=%d\n",
 		st.RPCRetries, st.Redials, st.FetchTransientRetries, st.WorkerReregistrations)
-	fmt.Printf("scheduler: affine_leases=%d\n", st.AffineLeases)
+	fmt.Fprintf(out, "scheduler: affine_leases=%d\n", st.AffineLeases)
 	for _, w := range st.Workers {
 		state := "alive"
 		if !w.Alive {
 			state = "dead"
 		}
-		fmt.Printf("  worker %d %s %s map %d/%d reduce %d/%d done=%d failed=%d\n",
+		fmt.Fprintf(out, "  worker %d %s %s map %d/%d reduce %d/%d done=%d failed=%d\n",
 			w.ID, w.Addr, state, w.MapBusy, w.MapSlots, w.ReduceBusy, w.ReduceSlots,
 			w.TasksDone, w.TasksFailed)
 	}
+	return nil
 }
 
 // printRecovery summarizes what the fault-tolerance machinery did during the
 // run: attempts retried or killed, nodes lost, map output regenerated,
 // speculative backups raced, and the attempt-private bytes reclaimed.
-func printRecovery(res *engine.Result) {
+func printRecovery(out io.Writer, res *engine.Result) {
 	w := res.Workflow
-	fmt.Fprintf(os.Stderr,
+	fmt.Fprintf(out,
 		"recovery: retries=%d killedAttempts=%d nodeKills=%d mapOutputRecoveries=%d speculative=%d/%d won tempBytesReclaimed=%s\n",
 		w.TotalTaskRetries(), w.TotalKilledAttempts(), w.TotalNodeKills(),
 		w.TotalMapOutputRecoveries(), w.TotalSpeculativeWins(), w.TotalSpeculativeLaunched(),
@@ -529,76 +563,60 @@ func writeTrace(path string, tr *trace.Tracer) error {
 	return f.Close()
 }
 
-// checkHealth probes a running daemon's /healthz and exits non-zero if it
-// is unreachable or unhealthy (the serve-smoke harness's readiness gate).
-func checkHealth(addr string) {
+// checkHealth probes a running daemon's /healthz and fails if it is
+// unreachable or unhealthy (the serve-smoke harness's readiness gate).
+func checkHealth(w io.Writer, addr string) error {
 	h, err := server.NewClient(addr).Health(context.Background())
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("ok triples=%d dataset=%s uptime=%dms\n", h.Triples, h.DatasetVersion, h.UptimeMS)
+	fmt.Fprintf(w, "ok triples=%d dataset=%s uptime=%dms\n", h.Triples, h.DatasetVersion, h.UptimeMS)
+	return nil
 }
 
 // runRemote is client mode: ship the query to an ntga-serve daemon and
 // print the response in the same shape as a local run (rows on stdout,
 // run facts on stderr), so outputs are directly comparable.
-func runRemote(addr, inline, queryFile, engName string, phiM int, tenant string, noCache, metrics, timeline bool, limit int) {
-	src := inline
-	if src == "" {
-		if queryFile == "" {
-			fatal(fmt.Errorf("one of -query or -e is required"))
-		}
-		b, err := os.ReadFile(queryFile)
-		if err != nil {
-			fatal(err)
-		}
-		src = string(b)
+func runRemote(stdout, stderr io.Writer, o *options) error {
+	src, err := queryText(o)
+	if err != nil {
+		return err
 	}
 	req := server.Request{
 		Query:    src,
-		PhiM:     phiM,
-		Tenant:   tenant,
-		NoCache:  noCache,
-		Limit:    limit,
-		Metrics:  metrics,
-		Timeline: timeline,
+		PhiM:     o.phiM,
+		Tenant:   o.tenant,
+		NoCache:  o.noCache,
+		Limit:    o.limit,
+		Metrics:  o.metrics,
+		Timeline: o.timeline,
 	}
 	// The local default is baked into the flag; let the server apply its
 	// own default unless the user explicitly picked an engine.
-	if engName != "ntga-lazy" {
-		req.Engine = engName
+	if o.engine != "ntga-lazy" {
+		req.Engine = o.engine
 	}
-	resp, err := server.NewClient(addr).Query(context.Background(), req)
+	resp, err := server.NewClient(o.server).Query(context.Background(), req)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if resp.IsCount {
-		fmt.Printf("%s\n%d\n", strings.Join(resp.Header, "\t"), resp.Count)
+		fmt.Fprintf(stdout, "%s\n%d\n", strings.Join(resp.Header, "\t"), resp.Count)
 	} else {
-		fmt.Println(strings.Join(resp.Header, "\t"))
-		for _, r := range resp.Rows {
-			fmt.Println(r)
-		}
-		if resp.TotalRows > len(resp.Rows) {
-			fmt.Printf("... (%d more rows)\n", resp.TotalRows-len(resp.Rows))
-		}
+		printRows(stdout, resp.Header, resp.Rows, resp.TotalRows, o.limit)
 	}
 	if resp.Timeline != "" {
-		fmt.Fprint(os.Stderr, resp.Timeline)
+		fmt.Fprint(stderr, resp.Timeline)
 	}
-	if metrics {
+	if o.metrics {
 		for _, j := range resp.Jobs {
-			fmt.Fprintf(os.Stderr, "job %s: %dms mapIn=%s shuffle=%s reduceOut=%s spilled=%s retries=%d\n",
+			fmt.Fprintf(stderr, "job %s: %dms mapIn=%s shuffle=%s reduceOut=%s spilled=%s retries=%d\n",
 				j.Job, j.DurationMS, stats.FormatBytes(j.MapInputBytes), stats.FormatBytes(j.ShuffleBytes),
 				stats.FormatBytes(j.ReduceOutputBytes), stats.FormatBytes(j.SpilledBytes), j.TaskRetries)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "server: engine=%s cache=%s plan_cache=%s cycles=%d rows=%d shuffle=%s duration=%dms\n",
+	fmt.Fprintf(stderr, "server: engine=%s cache=%s plan_cache=%s cycles=%d rows=%d shuffle=%s duration=%dms\n",
 		resp.Engine, resp.Cache, resp.PlanCache, resp.Cycles, resp.TotalRows,
 		stats.FormatBytes(resp.ShuffleBytes), resp.DurationMS)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ntga-run:", err)
-	os.Exit(1)
+	return nil
 }

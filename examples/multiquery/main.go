@@ -21,7 +21,6 @@ import (
 	"ntga/internal/ntgamr"
 	"ntga/internal/plan"
 	"ntga/internal/query"
-	"ntga/internal/sparql"
 	"ntga/internal/stats"
 )
 
@@ -43,11 +42,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		pq, err := sparql.Parse(cq.Src)
-		if err != nil {
-			log.Fatal(err)
-		}
-		q, err := query.Compile(pq, g.Dict)
+		q, err := query.Parse(cq.Src, g.Dict)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -22,7 +22,6 @@ import (
 	"ntga/internal/plan"
 	"ntga/internal/query"
 	"ntga/internal/relmr"
-	"ntga/internal/sparql"
 	"ntga/internal/stats"
 )
 
@@ -42,11 +41,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		pq, err := sparql.Parse(cq.Src)
-		if err != nil {
-			log.Fatal(err)
-		}
-		q, err := query.Compile(pq, g.Dict)
+		q, err := query.Parse(cq.Src, g.Dict)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -63,8 +58,7 @@ func main() {
 
 	// Show one full logical plan with an unbound-property join.
 	cq, _ := bench.Lookup("B1")
-	pq, _ := sparql.Parse(cq.Src)
-	q, err := query.Compile(pq, g.Dict)
+	q, err := query.Parse(cq.Src, g.Dict)
 	if err != nil {
 		log.Fatal(err)
 	}

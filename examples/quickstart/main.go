@@ -18,7 +18,6 @@ import (
 	"ntga/internal/plan"
 	"ntga/internal/query"
 	"ntga/internal/rdf"
-	"ntga/internal/sparql"
 )
 
 func main() {
@@ -38,17 +37,13 @@ func main() {
 
 	// 2. An unbound-property query: ?p is a variable in the predicate
 	//    position ("gene9 relates to ?x in some way; ?x has a label").
-	q, err := sparql.Parse(`
+	compiled, err := query.Parse(`
 PREFIX ex: <http://example.org/>
 SELECT ?p ?x ?xl WHERE {
   ?g ex:label ?l .
   ?g ?p ?x .
   ?x ex:label ?xl .
-}`)
-	if err != nil {
-		log.Fatal(err)
-	}
-	compiled, err := query.Compile(q, g.Dict)
+}`, g.Dict)
 	if err != nil {
 		log.Fatal(err)
 	}

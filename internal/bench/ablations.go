@@ -10,7 +10,6 @@ import (
 	"ntga/internal/plan"
 	"ntga/internal/query"
 	"ntga/internal/relmr"
-	"ntga/internal/sparql"
 	"ntga/internal/stats"
 )
 
@@ -246,11 +245,7 @@ func AblationScanSharing(opt Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		pq, err := sparql.Parse(cq.Src)
-		if err != nil {
-			return nil, err
-		}
-		q, err := query.Compile(pq, g.Dict)
+		q, err := query.Parse(cq.Src, g.Dict)
 		if err != nil {
 			return nil, err
 		}

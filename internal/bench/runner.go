@@ -16,7 +16,6 @@ import (
 	"ntga/internal/query"
 	"ntga/internal/rdf"
 	"ntga/internal/relmr"
-	"ntga/internal/sparql"
 )
 
 // Dataset builds the named generator's graph at the given scale factor
@@ -194,11 +193,7 @@ func RunQuery(spec ClusterSpec, g *rdf.Graph, cq CatalogQuery, engines []engine.
 	if err := engine.LoadGraph(mr.DFS(), input, g); err != nil {
 		return report, fmt.Errorf("bench: loading input for %s: %w", cq.ID, err)
 	}
-	pq, err := sparql.Parse(cq.Src)
-	if err != nil {
-		return report, fmt.Errorf("bench: parsing %s: %w", cq.ID, err)
-	}
-	q, err := query.Compile(pq, g.Dict)
+	q, err := query.Parse(cq.Src, g.Dict)
 	if err != nil {
 		return report, fmt.Errorf("bench: compiling %s: %w", cq.ID, err)
 	}

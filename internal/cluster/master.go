@@ -18,7 +18,6 @@ import (
 	"ntga/internal/plan"
 	"ntga/internal/query"
 	"ntga/internal/rdf"
-	"ntga/internal/sparql"
 	"ntga/internal/trace"
 )
 
@@ -1118,44 +1117,29 @@ func (m *Master) RunQuery(ctx context.Context, args *RunArgs) (*RunReply, error)
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(args.TimeoutMS)*time.Millisecond)
 		defer cancel()
 	}
-	pq, err := sparql.Parse(args.Query)
+	q, err := query.Parse(args.Query, m.dict)
 	if err != nil {
 		return nil, err
-	}
-	q, err := query.Compile(pq, m.dict)
-	if err != nil {
-		return nil, err
-	}
-	if args.HasOrder {
-		joins, err := q.JoinsForOrder(args.Order)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: applying join order: %w", err)
-		}
-		q.Joins = joins
 	}
 	engName := args.Engine
-	phiM := args.PhiM
 	if engName == "" {
 		engName = m.cfg.DefaultEngine
+	}
+	reducers := args.Reducers
+	if reducers == 0 {
+		reducers = m.cfg.Reducers
 	}
 	m.mu.Lock()
 	cat := m.catalog
 	m.mu.Unlock()
-	if engName == "auto" {
-		ua, err := plan.AdviseUnnest(cat.AvgTriplesPerSubject(), cat.Objects, q, m.cfg.Reducers)
-		if err != nil {
-			return nil, err
-		}
-		if ua.Lazy {
-			engName = "ntga-lazy"
-		} else {
-			engName = "ntga-eager"
-		}
-		if phiM == 0 {
-			phiM = ua.PhiM
-		}
+	// The join order is the caller's (a server ships its optimizer's); the
+	// master itself never searches.
+	choice, _, _, err := engines.Choose(cat, q, engName, args.PhiM, reducers, false)
+	if err != nil {
+		return nil, err
 	}
-	eng, err := engines.ByName(engName, phiM)
+	choice.Order, choice.Reordered = args.Order, args.HasOrder
+	eng, err := choice.Apply(q)
 	if err != nil {
 		return nil, err
 	}
@@ -1174,14 +1158,11 @@ func (m *Master) RunQuery(ctx context.Context, args *RunArgs) (*RunReply, error)
 		src.Part = m.part
 	}
 	spec := QuerySpec{
-		Query:    args.Query,
-		Engine:   engName,
-		PhiM:     phiM,
-		Order:    args.Order,
-		HasOrder: args.HasOrder,
-		Input:    base,
-		Deltas:   deltas,
-		DictLen:  m.dict.Len(),
+		Query:   args.Query,
+		Choice:  choice,
+		Input:   base,
+		Deltas:  deltas,
+		DictLen: m.dict.Len(),
 	}
 	if src.Part != nil {
 		spec.PartDir = src.Part.Dir
@@ -1190,10 +1171,6 @@ func (m *Master) RunQuery(ctx context.Context, args *RunArgs) (*RunReply, error)
 	qs := m.registerQuery(spec)
 	defer m.releaseQuery(qs.id)
 
-	reducers := args.Reducers
-	if reducers == 0 {
-		reducers = m.cfg.Reducers
-	}
 	splitRecords := args.SplitRecords
 	if splitRecords == 0 {
 		splitRecords = m.cfg.SplitRecords
@@ -1241,20 +1218,8 @@ func (m *Master) RunQuery(ctx context.Context, args *RunArgs) (*RunReply, error)
 	}
 	// Render header and text rows master-side for dictionary-less callers,
 	// exactly as a local ntga-run would print them.
-	if res.IsCount {
-		reply.Header = []string{"?" + q.Src.CountVar}
-	} else {
-		projected := q.ProjectAll(res.Rows)
-		reply.TotalRows = len(projected)
-		reply.Header = make([]string, len(q.Select))
-		for i, v := range q.Select {
-			reply.Header[i] = "?" + v
-		}
-		reply.RowsText = make([]string, len(projected))
-		for i, r := range projected {
-			reply.RowsText[i] = q.FormatRow(r)
-		}
-	}
+	reply.Header, reply.RowsText = q.Render(res.Rows)
+	reply.TotalRows = len(reply.RowsText)
 	return reply, nil
 }
 

@@ -17,6 +17,7 @@ package cluster
 import (
 	"time"
 
+	"ntga/internal/engines"
 	"ntga/internal/ingest"
 	"ntga/internal/mapreduce"
 	"ntga/internal/query"
@@ -24,16 +25,13 @@ import (
 )
 
 // QuerySpec is everything a worker needs to rebuild one query's physical
-// plan bit-for-bit: the SPARQL text, the resolved (never "auto") engine
-// name, the partial-unnest range, the optimizer's join order when one was
-// applied, and the DFS name of the base triple relation.
+// plan bit-for-bit: the SPARQL text, the master's front-door Choice
+// (concrete engine, φ_m, join order), and the DFS name of the base triple
+// relation.
 type QuerySpec struct {
-	Query    string
-	Engine   string
-	PhiM     int
-	Order    []int
-	HasOrder bool
-	Input    string
+	Query  string
+	Choice engines.Choice
+	Input  string
 	// Input, Deltas and PartDir/PartBuckets are the master's plan.Source.
 	// PartDir/PartBuckets name its partitioned triple layout (PartBuckets
 	// 0 = none, or the request opted out). Workers rebuild the same

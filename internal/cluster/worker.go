@@ -13,12 +13,10 @@ import (
 	"time"
 
 	"ntga/internal/engine"
-	"ntga/internal/engines"
 	"ntga/internal/mapreduce"
 	"ntga/internal/plan"
 	"ntga/internal/query"
 	"ntga/internal/rdf"
-	"ntga/internal/sparql"
 )
 
 // WorkerConfig tunes one worker process.
@@ -623,11 +621,11 @@ func (w *Worker) planFor(qid string, spec *QuerySpec) (*queryPlan, error) {
 	if qp, ok := w.plans[qid]; ok {
 		return qp, nil
 	}
-	q, err := compileSpec(spec, w.dict)
+	q, err := query.Parse(spec.Query, w.dict)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := engines.ByName(spec.Engine, spec.PhiM)
+	eng, err := spec.Choice.Apply(q)
 	if err != nil {
 		return nil, err
 	}
@@ -663,26 +661,6 @@ func (w *Worker) planFor(qid string, spec *QuerySpec) (*queryPlan, error) {
 	}
 	w.plans[qid] = qp
 	return qp, nil
-}
-
-// compileSpec rebuilds the compiled query from a spec against a dictionary.
-func compileSpec(spec *QuerySpec, dict *rdf.Dict) (*query.Query, error) {
-	pq, err := sparql.Parse(spec.Query)
-	if err != nil {
-		return nil, err
-	}
-	q, err := query.Compile(pq, dict)
-	if err != nil {
-		return nil, err
-	}
-	if spec.HasOrder {
-		joins, err := q.JoinsForOrder(spec.Order)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: applying join order: %w", err)
-		}
-		q.Joins = joins
-	}
-	return q, nil
 }
 
 // localInput translates a master-side input name into the worker's rebuilt

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ntga/internal/datagen"
+	"ntga/internal/engines"
 	"ntga/internal/mapreduce"
 	"ntga/internal/query"
 	"ntga/internal/refengine"
@@ -49,7 +50,7 @@ func TestWorkerCloseStopsInFlightTask(t *testing.T) {
 	// every mapper on its first record until the test has closed the worker.
 	victim := startWorker()
 	defer victim.Close()
-	qp, err := victim.planFor("q-000001", &QuerySpec{Query: src, Engine: "ntga-lazy", Input: m.input})
+	qp, err := victim.planFor("q-000001", &QuerySpec{Query: src, Choice: engines.Choice{Engine: "ntga-lazy"}, Input: m.input})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,6 @@ import (
 	"ntga/internal/query"
 	"ntga/internal/rdf"
 	"ntga/internal/refengine"
-	"ntga/internal/sparql"
 )
 
 // Ex returns an IRI in the test namespace.
@@ -111,11 +110,7 @@ func NewTinyMR(capacityPerNode int64, replication int) *mapreduce.Engine {
 // Compile parses and compiles a query against the graph's dictionary.
 func Compile(t *testing.T, g *rdf.Graph, src string) *query.Query {
 	t.Helper()
-	pq, err := sparql.Parse(src)
-	if err != nil {
-		t.Fatalf("parse %q: %v", src, err)
-	}
-	q, err := query.Compile(pq, g.Dict)
+	q, err := query.Parse(src, g.Dict)
 	if err != nil {
 		t.Fatalf("compile %q: %v", src, err)
 	}

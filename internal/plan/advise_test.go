@@ -87,3 +87,55 @@ func TestAdviseUnnestHeuristics(t *testing.T) {
 		t.Errorf("PhiM = %d, want clamp to 64 reducers", a.PhiM)
 	}
 }
+
+func TestAdviseUnnestSelectiveObjectStaysEager(t *testing.T) {
+	g := enginetest.BioGraph()
+	cat := plan.FromGraph(g)
+	unbound := enginetest.Compile(t, g, advUnbound)
+	exact := enginetest.Compile(t, g, `SELECT * WHERE {
+  ?g <http://ex/label> ?l . ?g ?p ?o . FILTER(?o = <http://ex/go1>)
+}`)
+
+	// Unrestricted object at the graph's real subject degree: lazy, with
+	// reasons and φ_m within [reducers, DefaultPhiM].
+	a, err := plan.AdviseUnnest(cat.AvgTriplesPerSubject(), cat.Objects, unbound, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !a.Lazy {
+		t.Errorf("unbound advice = %+v, want lazy", a)
+	}
+	if a.PhiM < 8 || a.PhiM > plan.DefaultPhiM {
+		t.Errorf("PhiM = %d out of bounds", a.PhiM)
+	}
+	if len(a.Reasons) == 0 {
+		t.Error("advice without reasons")
+	}
+
+	// An exact object admits one candidate per slot: eager again.
+	a, err = plan.AdviseUnnest(cat.AvgTriplesPerSubject(), cat.Objects, exact, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Lazy {
+		t.Errorf("exact-object advice = %+v, want eager", a)
+	}
+}
+
+func TestAdviseUnnestPhiMMonotoneInObjects(t *testing.T) {
+	q := enginetest.Compile(t, enginetest.BioGraph(), advUnbound)
+	prev := 0
+	for _, objects := range []int64{10, 1000, 100000} {
+		a, err := plan.AdviseUnnest(40, objects, q, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.PhiM < prev {
+			t.Errorf("PhiM decreased: %d after %d (objects=%d)", a.PhiM, prev, objects)
+		}
+		prev = a.PhiM
+	}
+	if prev != plan.DefaultPhiM {
+		t.Errorf("large dataset PhiM = %d, want clamp at %d", prev, plan.DefaultPhiM)
+	}
+}

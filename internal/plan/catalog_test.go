@@ -61,6 +61,30 @@ func TestFromGraphExact(t *testing.T) {
 	}
 }
 
+// TestFromGraphAdvisorCounts pins the two counts the §4.1 advisor reads
+// from the catalog (mean subject degree and distinct objects) on a graph
+// small enough to count by hand, and the empty graph's zero degree.
+func TestFromGraphAdvisorCounts(t *testing.T) {
+	g := rdf.NewGraph()
+	g.Add(enginetest.Ex("s1"), enginetest.Ex("p"), enginetest.Ex("o1"))
+	g.Add(enginetest.Ex("s1"), enginetest.Ex("p"), enginetest.Ex("o2"))
+	g.Add(enginetest.Ex("s1"), enginetest.Ex("q"), enginetest.Ex("o1"))
+	g.Add(enginetest.Ex("s2"), enginetest.Ex("p"), enginetest.Ex("o3"))
+	cat := plan.FromGraph(g)
+	if cat.Triples != 4 || cat.Subjects != 2 {
+		t.Errorf("catalog = %d triples / %d subjects, want 4 / 2", cat.Triples, cat.Subjects)
+	}
+	if avg := cat.AvgTriplesPerSubject(); avg != 2 {
+		t.Errorf("avg = %v, want 2", avg)
+	}
+	if cat.Objects != 3 {
+		t.Errorf("objects = %d, want 3", cat.Objects)
+	}
+	if avg := plan.FromGraph(rdf.NewGraph()).AvgTriplesPerSubject(); avg != 0 {
+		t.Errorf("empty avg = %v", avg)
+	}
+}
+
 func TestCatalogRoundTrips(t *testing.T) {
 	cat := plan.FromGraph(enginetest.BioGraph())
 

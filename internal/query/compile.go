@@ -43,6 +43,16 @@ func Compile(src *sparql.Query, dict *rdf.Dict) (*Query, error) {
 	return q, nil
 }
 
+// Parse parses SPARQL text and compiles it against a dictionary: the first
+// step of every query, whichever process runs it.
+func Parse(text string, dict *rdf.Dict) (*Query, error) {
+	src, err := sparql.Parse(text)
+	if err != nil {
+		return nil, err
+	}
+	return Compile(src, dict)
+}
+
 // MustCompile is Compile for statically-known queries; it panics on error.
 func MustCompile(src *sparql.Query, dict *rdf.Dict) *Query {
 	q, err := Compile(src, dict)

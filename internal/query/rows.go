@@ -136,6 +136,25 @@ func (q *Query) ProjectAll(rows []Row) []Row {
 	return out
 }
 
+// Render is the one result rendering every front end prints or ships: the
+// header (?v per selected variable, or ?count for COUNT(*)) and, unless
+// the query counts, every projected row formatted by FormatRow.
+func (q *Query) Render(rows []Row) (header, text []string) {
+	if q.IsCount() {
+		return []string{"?" + q.Src.CountVar}, nil
+	}
+	header = make([]string, len(q.Select))
+	for i, v := range q.Select {
+		header[i] = "?" + v
+	}
+	projected := q.ProjectAll(rows)
+	text = make([]string, len(projected))
+	for i, r := range projected {
+		text[i] = q.FormatRow(r)
+	}
+	return header, text
+}
+
 // FormatRow renders a projected row with decoded terms, for display.
 func (q *Query) FormatRow(r Row) string {
 	parts := make([]string, len(r))

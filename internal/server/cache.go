@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"ntga/internal/engines"
 	"ntga/internal/query"
 	"ntga/internal/rdf"
 )
@@ -36,18 +37,14 @@ func queryFingerprint(q *query.Query) string {
 	)
 }
 
-// planEntry is the cached optimizer output for one (query, catalog)
-// pairing: the concrete engine choice and the catalog-chosen join order —
-// everything needed to rebuild the physical plan without re-running the
-// cost model. The executable plan itself is NOT cached: prebuilt plans
-// embed unique temp file names, so sharing one across concurrent requests
-// would collide; replaying the join order onto a freshly compiled query is
-// cheap and safe.
+// planEntry is the cached front-door decision for one (query, catalog)
+// pairing — everything needed to rebuild the physical plan without
+// re-running the cost model. The executable plan itself is NOT cached:
+// prebuilt plans embed unique temp file names, so sharing one across
+// concurrent requests would collide; applying the Choice to a freshly
+// compiled query is cheap and safe.
 type planEntry struct {
-	EngineName string // resolved engine (never "auto")
-	PhiM       int
-	Order      []int // star visit order chosen by the optimizer
-	Changed    bool  // whether Order differs from compile order
+	engines.Choice
 	EstShuffle int64 // optimizer's estimated join-chain shuffle bytes
 }
 
@@ -117,20 +114,8 @@ func newResultEntry(q *query.Query, engine string, rows []query.Row, isCount boo
 		outRecords: outRecords,
 		outBytes:   outBytes,
 	}
-	if isCount {
-		e.header = []string{"?" + q.Src.CountVar}
-		return e
-	}
-	projected := q.ProjectAll(rows)
-	e.totalRows = len(projected)
-	e.header = make([]string, len(q.Select))
-	for i, v := range q.Select {
-		e.header[i] = "?" + v
-	}
-	e.rendered = make([]string, len(projected))
-	for i, r := range projected {
-		e.rendered[i] = q.FormatRow(r)
-	}
+	e.header, e.rendered = q.Render(rows)
+	e.totalRows = len(e.rendered)
 	return e
 }
 

@@ -3,6 +3,8 @@ package server
 import (
 	"fmt"
 	"testing"
+
+	"ntga/internal/engines"
 )
 
 func TestFingerprintDistinguishesBoundaries(t *testing.T) {
@@ -22,9 +24,9 @@ func TestPlanCacheStats(t *testing.T) {
 	if _, ok := c.get("k"); ok {
 		t.Fatal("empty cache hit")
 	}
-	c.put("k", planEntry{EngineName: "ntga-lazy", Order: []int{1, 0}})
+	c.put("k", planEntry{Choice: engines.Choice{Engine: "ntga-lazy", Order: []int{1, 0}}})
 	e, ok := c.get("k")
-	if !ok || e.EngineName != "ntga-lazy" || len(e.Order) != 2 {
+	if !ok || e.Engine != "ntga-lazy" || len(e.Order) != 2 {
 		t.Fatalf("get = %+v, %v", e, ok)
 	}
 	hits, misses, size := c.stats()

@@ -19,7 +19,6 @@ import (
 	"ntga/internal/plan"
 	"ntga/internal/query"
 	"ntga/internal/rdf"
-	"ntga/internal/sparql"
 	"ntga/internal/trace"
 )
 
@@ -480,18 +479,23 @@ func (s *Server) evaluate(ctx context.Context, req Request) (*Response, error) {
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 
-	q, err := s.compile(req.Query)
+	if strings.TrimSpace(req.Query) == "" {
+		s.mFailed.Add(1)
+		return nil, fmt.Errorf("%w: empty query", ErrBadQuery)
+	}
+	q, err := query.Parse(req.Query, s.dict)
 	if err != nil {
 		s.mFailed.Add(1)
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
 
 	// One consistent dataset snapshot per request: catalog, versions, base
 	// input, and delta chain all move together under ingestion.
 	ds := s.dataset()
 
-	// Plan cache: resolve the engine and join order once per (query,
-	// engine request, catalog version).
+	// Plan cache: choose the engine and join order once per (query, engine
+	// request, catalog version). The catalog is the request's snapshot, not
+	// the live field: choosing and key derivation see the same statistics.
 	engName := req.Engine
 	if engName == "" {
 		engName = s.cfg.DefaultEngine
@@ -500,18 +504,13 @@ func (s *Server) evaluate(ctx context.Context, req Request) (*Response, error) {
 	planKey := fingerprint(qfp, engName, fmt.Sprint(req.PhiM), ds.catalogVersion)
 	entry, planHit := s.plans.get(planKey)
 	if !planHit {
-		entry, err = s.planQuery(ds.catalog, engName, req.PhiM, q)
+		ch, _, r, err := engines.Choose(ds.catalog, q, engName, req.PhiM, s.cfg.Reducers, true)
 		if err != nil {
 			s.mFailed.Add(1)
-			return nil, err
+			return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
 		}
+		entry = planEntry{Choice: ch, EstShuffle: r.Est}
 		s.plans.put(planKey, entry)
-	}
-	if entry.Changed {
-		joins, err := q.JoinsForOrder(entry.Order)
-		if err == nil {
-			q.Joins = joins
-		}
 	}
 	planDisposition := "miss"
 	if planHit {
@@ -519,7 +518,7 @@ func (s *Server) evaluate(ctx context.Context, req Request) (*Response, error) {
 	}
 
 	resp := &Response{
-		Engine:          entry.EngineName,
+		Engine:          entry.Engine,
 		PlanCache:       planDisposition,
 		EstShuffleBytes: entry.EstShuffle,
 		JoinOrder:       entry.Order,
@@ -602,7 +601,7 @@ func (s *Server) evaluate(ctx context.Context, req Request) (*Response, error) {
 // local-mode execution path, and the byte-identical fallback a distributed
 // server degrades to when the fleet is unreachable.
 func (s *Server) evaluateLocal(ctx context.Context, req Request, q *query.Query, entry planEntry, resp *Response, ds datasetView, resultKey string, cid cacheIdentity, start time.Time) (*Response, error) {
-	eng, err := engines.ByName(entry.EngineName, entry.PhiM)
+	eng, err := entry.Apply(q)
 	if err != nil {
 		return nil, err
 	}
@@ -649,10 +648,10 @@ func (s *Server) evaluateCluster(ctx context.Context, req Request, q *query.Quer
 	}
 	args := &cluster.RunArgs{
 		Query:        req.Query,
-		Engine:       entry.EngineName,
+		Engine:       entry.Engine,
 		PhiM:         entry.PhiM,
 		Order:        entry.Order,
-		HasOrder:     entry.Changed,
+		HasOrder:     entry.Reordered,
 		Reducers:     s.cfg.Reducers,
 		SplitRecords: s.cfg.SplitRecords,
 	}
@@ -719,57 +718,6 @@ func (s *Server) observeQueueWait(tenant string, wait time.Duration) {
 	if s.admission != nil {
 		s.admission.Observe(wait)
 	}
-}
-
-// compile parses and compiles the SPARQL text against the resident
-// dictionary, wrapping failures in ErrBadQuery.
-func (s *Server) compile(src string) (*query.Query, error) {
-	if strings.TrimSpace(src) == "" {
-		return nil, fmt.Errorf("%w: empty query", ErrBadQuery)
-	}
-	pq, err := sparql.Parse(src)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
-	}
-	q, err := query.Compile(pq, s.dict)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
-	}
-	return q, nil
-}
-
-// planQuery resolves "auto" through the catalog advisor, runs the
-// join-order optimizer, and packages the decisions as a cacheable entry.
-// The catalog is the request's snapshot, not the live field: planning and
-// key derivation must see the same statistics.
-func (s *Server) planQuery(cat *plan.Catalog, engName string, phiM int, q *query.Query) (planEntry, error) {
-	resolved := engName
-	if engName == "auto" {
-		ua, err := plan.AdviseUnnest(cat.AvgTriplesPerSubject(), cat.Objects, q, s.cfg.Reducers)
-		if err != nil {
-			return planEntry{}, fmt.Errorf("%w: %v", ErrBadQuery, err)
-		}
-		if ua.Lazy {
-			resolved = "ntga-lazy"
-		} else {
-			resolved = "ntga-eager"
-		}
-		if phiM == 0 {
-			phiM = ua.PhiM
-		}
-	}
-	if _, err := engines.ByName(resolved, phiM); err != nil {
-		return planEntry{}, fmt.Errorf("%w: %v", ErrBadQuery, err)
-	}
-	entry := planEntry{EngineName: resolved, PhiM: phiM}
-	r, err := plan.Optimize(cat, q)
-	if err != nil {
-		return planEntry{}, err
-	}
-	entry.Order = r.Order
-	entry.Changed = r.Changed
-	entry.EstShuffle = r.Est
-	return entry, nil
 }
 
 // renderRows fills the response's row/count section from a result entry.
