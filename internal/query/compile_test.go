@@ -353,8 +353,8 @@ func TestRowsHelpers(t *testing.T) {
 	// Projection.
 	q := compile(t, `SELECT ?o WHERE { ?s ?p ?o . }`)
 	full := Row{10, 20, 30} // s, p, o
-	proj := q.Project(full)
-	if len(proj) != 1 || proj[0] != 30 {
-		t.Errorf("Project = %v", proj)
+	proj := q.ProjectAll([]Row{full})
+	if len(proj) != 1 || len(proj[0]) != 1 || proj[0][0] != 30 {
+		t.Errorf("ProjectAll = %v", proj)
 	}
 }

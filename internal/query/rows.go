@@ -2,7 +2,7 @@ package query
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"ntga/internal/rdf"
@@ -21,56 +21,42 @@ func (r Row) Clone() Row {
 }
 
 // Less orders rows lexicographically.
-func (r Row) Less(o Row) bool {
-	n := len(r)
-	if len(o) < n {
-		n = len(o)
-	}
-	for i := 0; i < n; i++ {
-		if r[i] != o[i] {
-			return r[i] < o[i]
-		}
-	}
-	return len(r) < len(o)
-}
+func (r Row) Less(o Row) bool { return slices.Compare(r, o) < 0 }
 
 // Equal reports element-wise equality.
-func (r Row) Equal(o Row) bool {
-	if len(r) != len(o) {
-		return false
-	}
-	for i := range r {
-		if r[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
+func (r Row) Equal(o Row) bool { return slices.Equal(r, o) }
 
 // SortRows orders rows lexicographically in place.
 func SortRows(rows []Row) {
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Less(rows[j]) })
+	slices.SortFunc(rows, func(a, b Row) int { return slices.Compare(a, b) })
 }
 
 // CanonicalRows returns a sorted copy, with exact duplicates removed when
-// distinct is set — the canonical form used to compare engine outputs.
+// distinct is set — the canonical form used to compare engine outputs. The
+// copies share one slab, each row clipped to its own width.
 func CanonicalRows(rows []Row, distinct bool) []Row {
+	n := 0
+	for _, r := range rows {
+		n += len(r)
+	}
+	slab := make([]rdf.ID, 0, n)
 	out := make([]Row, len(rows))
 	for i, r := range rows {
-		out[i] = r.Clone()
+		start := len(slab)
+		slab = append(slab, r...)
+		out[i] = slab[start:len(slab):len(slab)]
 	}
-	SortRows(out)
-	if !distinct {
-		return out
+	return canonicalize(out, distinct)
+}
+
+// canonicalize sorts rows in place and, when distinct is set, drops exact
+// duplicates.
+func canonicalize(rows []Row, distinct bool) []Row {
+	SortRows(rows)
+	if distinct {
+		rows = slices.CompactFunc(rows, Row.Equal)
 	}
-	dedup := out[:0]
-	for i, r := range out {
-		if i > 0 && r.Equal(out[i-1]) {
-			continue
-		}
-		dedup = append(dedup, r)
-	}
-	return dedup
+	return rows
 }
 
 // RowsEqual compares two row multisets (order-insensitive).
@@ -114,56 +100,92 @@ func DiffRows(a, b []Row, limit int) string {
 	return sb.String()
 }
 
-// Project reduces a full row to the query's selected variables.
-func (q *Query) Project(r Row) Row {
-	out := make(Row, len(q.Select))
-	for i, v := range q.Select {
-		out[i] = r[q.VarIdx[v]]
+// ProjectAll projects every row and applies DISTINCT if the query asks
+// for it. The projected rows share one slab, each clipped to its own width.
+func (q *Query) ProjectAll(rows []Row) []Row {
+	idx := q.selected(make([]int, 0, 16))
+	k := len(idx)
+	slab := make([]rdf.ID, len(rows)*k)
+	out := make([]Row, len(rows))
+	for i, r := range rows {
+		p := Row(slab[i*k : (i+1)*k : (i+1)*k])
+		for j, c := range idx {
+			p[j] = r[c]
+		}
+		out[i] = p
+	}
+	if q.Distinct {
+		out = canonicalize(out, true)
 	}
 	return out
 }
 
-// ProjectAll projects every row and applies DISTINCT if the query asks
-// for it.
-func (q *Query) ProjectAll(rows []Row) []Row {
-	out := make([]Row, len(rows))
-	for i, r := range rows {
-		out[i] = q.Project(r)
+// selected appends the row index of every selected variable to dst.
+func (q *Query) selected(dst []int) []int {
+	for _, v := range q.Select {
+		dst = append(dst, q.VarIdx[v])
 	}
-	if q.Distinct {
-		out = CanonicalRows(out, true)
-	}
-	return out
+	return dst
 }
 
 // Render is the one result rendering every front end prints or ships: the
 // header (?v per selected variable, or ?count for COUNT(*)) and, unless
-// the query counts, every projected row formatted by FormatRow.
+// the query counts, every projected row formatted as FormatRow formats it.
+//
+// Header and rows are written into one string, sized exactly up front, and
+// every returned string is a substring of it: Render allocates per result,
+// not per row or term. Without DISTINCT the selected columns are read
+// straight from the full rows; with it, rows are projected (ProjectAll)
+// first.
 func (q *Query) Render(rows []Row) (header, text []string) {
 	if q.IsCount() {
 		return []string{"?" + q.Src.CountVar}, nil
 	}
+	idx := q.selected(make([]int, 0, 16))
+	if q.Distinct {
+		rows = q.ProjectAll(rows)
+		for i := range idx {
+			idx[i] = i
+		}
+	}
+	cols := make([]rdf.ID, 0, 16)
+	project := func(r Row) []rdf.ID {
+		cols = cols[:0]
+		for _, c := range idx {
+			cols = append(cols, r[c])
+		}
+		return cols
+	}
+
+	n := 0
+	for _, v := range q.Select {
+		n += 1 + len(v)
+	}
+	for _, r := range rows {
+		n += q.Dict.NTLen(project(r)...)
+	}
+	var sb strings.Builder
+	sb.Grow(n)
 	header = make([]string, len(q.Select))
 	for i, v := range q.Select {
-		header[i] = "?" + v
+		start := sb.Len()
+		sb.WriteByte('?')
+		sb.WriteString(v)
+		header[i] = sb.String()[start:]
 	}
-	projected := q.ProjectAll(rows)
-	text = make([]string, len(projected))
-	for i, r := range projected {
-		text[i] = q.FormatRow(r)
+	text = make([]string, len(rows))
+	line := make([]byte, 0, 512)
+	for i, r := range rows {
+		start := sb.Len()
+		line = q.Dict.AppendNT(line[:0], '\t', project(r)...)
+		sb.Write(line)
+		text[i] = sb.String()[start:]
 	}
 	return header, text
 }
 
-// FormatRow renders a projected row with decoded terms, for display.
+// FormatRow renders a projected row with decoded terms, tab-separated and
+// "_" for an unbound cell, for display.
 func (q *Query) FormatRow(r Row) string {
-	parts := make([]string, len(r))
-	for i, id := range r {
-		if id == rdf.NoID {
-			parts[i] = "_"
-			continue
-		}
-		parts[i] = q.Dict.Decode(id).String()
-	}
-	return strings.Join(parts, "\t")
+	return string(q.Dict.AppendNT(make([]byte, 0, 512), '\t', r...))
 }

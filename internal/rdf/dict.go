@@ -76,10 +76,55 @@ func (d *Dict) MustLookup(t Term) ID {
 func (d *Dict) Decode(id ID) Term {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
+	return *d.at(id)
+}
+
+// AppendNT appends the N-Triples form of each ID to dst, sep between two and
+// "_" for NoID, and returns the extended buffer: one term, or one result row,
+// rendered under one read lock without copying a Term out. It panics on an
+// out-of-range ID, as Decode does.
+func (d *Dict) AppendNT(dst []byte, sep byte, ids ...ID) []byte {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	for i, id := range ids {
+		if i > 0 {
+			dst = append(dst, sep)
+		}
+		if id == NoID {
+			dst = append(dst, '_')
+			continue
+		}
+		dst = d.at(id).appendNT(dst)
+	}
+	return dst
+}
+
+// NTLen is the number of bytes AppendNT appends for ids, computed without
+// rendering, so a caller can size one buffer for many rows.
+func (d *Dict) NTLen(ids ...ID) int {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	n := 0
+	for i, id := range ids {
+		if i > 0 {
+			n++
+		}
+		if id == NoID {
+			n++
+			continue
+		}
+		n += d.at(id).ntLen()
+	}
+	return n
+}
+
+// at returns the stored term for a valid ID; the caller holds d.mu. Terms are
+// only ever appended, so the pointer stays valid for reading under the lock.
+func (d *Dict) at(id ID) *Term {
 	if id == NoID || int(id) > len(d.terms) {
 		panic(fmt.Sprintf("rdf: Decode(%d) out of range (size %d)", id, len(d.terms)))
 	}
-	return d.terms[id-1]
+	return &d.terms[id-1]
 }
 
 // Len reports the number of distinct terms interned.

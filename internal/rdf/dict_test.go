@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -148,4 +149,37 @@ func TestTripleLess(t *testing.T) {
 			t.Errorf("%v.Less(%v) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
+}
+
+// Dict.AppendNT renders a row of IDs joined by the separator, "_" for NoID,
+// exactly as joining the decoded terms' String forms would; NTLen predicts
+// the length; an out-of-range ID panics as Decode does.
+func TestDictAppendNT(t *testing.T) {
+	d := NewDict()
+	var ids []ID
+	var want []string
+	for i, tm := range ntShapes {
+		if i%4 == 3 {
+			ids = append(ids, NoID)
+			want = append(want, "_")
+		}
+		ids = append(ids, d.Encode(tm))
+		want = append(want, tm.String())
+	}
+	got := d.AppendNT([]byte("row:"), '\t', ids...)
+	if string(got) != "row:"+strings.Join(want, "\t") {
+		t.Errorf("AppendNT = %q", got)
+	}
+	if n := d.NTLen(ids...); n != len(got)-len("row:") {
+		t.Errorf("NTLen = %d, rendered %d bytes", n, len(got)-len("row:"))
+	}
+	if got := d.AppendNT(nil, ' '); len(got) != 0 || d.NTLen() != 0 {
+		t.Errorf("empty row rendered %q", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("AppendNT of an out-of-range ID did not panic")
+		}
+	}()
+	d.AppendNT(nil, '\t', ID(d.Len()+1))
 }

@@ -185,9 +185,10 @@ func isWS(c byte) bool { return c == ' ' || c == '\t' }
 // per line, in the graph's current triple order.
 func WriteNTriples(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
+	var line []byte
 	for _, t := range g.Triples {
-		if _, err := fmt.Fprintf(bw, "%s %s %s .\n",
-			g.Dict.Decode(t.S), g.Dict.Decode(t.P), g.Dict.Decode(t.O)); err != nil {
+		line = append(g.Dict.AppendNT(line[:0], ' ', t.S, t.P, t.O), " .\n"...)
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}

@@ -9,7 +9,7 @@ package rdf
 
 import (
 	"fmt"
-	"strings"
+	"unicode/utf8"
 )
 
 // TermKind discriminates the three kinds of RDF terms.
@@ -66,27 +66,59 @@ func NewBlank(label string) Term { return Term{Kind: Blank, Value: label} }
 
 // String renders the term in N-Triples syntax.
 func (t Term) String() string {
+	var buf [128]byte
+	return string(t.AppendNT(buf[:0]))
+}
+
+// AppendNT appends the term's N-Triples form to dst and returns the extended
+// buffer. It is the one N-Triples renderer: String, Dict.AppendNT, result
+// rows and WriteNTriples all go through it.
+func (t Term) AppendNT(dst []byte) []byte { return t.appendNT(dst) }
+
+// appendNT is AppendNT through a pointer, so the dictionary renders its
+// stored terms without copying them.
+func (t *Term) appendNT(dst []byte) []byte {
 	switch t.Kind {
 	case IRI:
-		return "<" + t.Value + ">"
+		dst = append(dst, '<')
+		dst = append(dst, t.Value...)
+		return append(dst, '>')
 	case Blank:
-		return "_:" + t.Value
+		dst = append(dst, "_:"...)
+		return append(dst, t.Value...)
 	case Literal:
-		var sb strings.Builder
-		sb.WriteByte('"')
-		sb.WriteString(escapeLiteral(t.Value))
-		sb.WriteByte('"')
+		dst = append(dst, '"')
+		dst = appendEscaped(dst, t.Value)
+		dst = append(dst, '"')
 		if t.Lang != "" {
-			sb.WriteByte('@')
-			sb.WriteString(t.Lang)
+			dst = append(dst, '@')
+			dst = append(dst, t.Lang...)
 		} else if t.Datatype != "" {
-			sb.WriteString("^^<")
-			sb.WriteString(t.Datatype)
-			sb.WriteByte('>')
+			dst = append(dst, "^^<"...)
+			dst = append(dst, t.Datatype...)
+			dst = append(dst, '>')
 		}
-		return sb.String()
+		return dst
 	default:
-		return fmt.Sprintf("?!term(%d,%q)", t.Kind, t.Value)
+		return fmt.Appendf(dst, "?!term(%d,%q)", t.Kind, t.Value)
+	}
+}
+
+// ntLen is len(t.AppendNT(nil)), computed without rendering.
+func (t *Term) ntLen() int {
+	switch t.Kind {
+	case IRI, Blank:
+		return 2 + len(t.Value)
+	case Literal:
+		n := 2 + escapedLen(t.Value)
+		if t.Lang != "" {
+			n += 1 + len(t.Lang)
+		} else if t.Datatype != "" {
+			n += 4 + len(t.Datatype)
+		}
+		return n
+	default:
+		return len(t.appendNT(nil))
 	}
 }
 
@@ -110,26 +142,57 @@ func (t Term) Key() string {
 	}
 }
 
-func escapeLiteral(s string) string {
-	if !strings.ContainsAny(s, "\"\\\n\r\t") {
-		return s
+// escaped marks the bytes a literal's N-Triples form escapes.
+var escaped = [256]bool{'"': true, '\\': true, '\n': true, '\r': true, '\t': true}
+
+// needsEscape reports whether s holds a byte that escaped marks.
+func needsEscape(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if escaped[s[i]] {
+			return true
+		}
 	}
-	var sb strings.Builder
+	return false
+}
+
+// appendEscaped appends s with the N-Triples string escapes applied. An
+// escaped literal is re-encoded rune by rune, so an invalid UTF-8 byte in it
+// becomes U+FFFD; escapedLen counts the same way.
+func appendEscaped(dst []byte, s string) []byte {
+	if !needsEscape(s) {
+		return append(dst, s...)
+	}
 	for _, r := range s {
 		switch r {
 		case '"':
-			sb.WriteString(`\"`)
+			dst = append(dst, `\"`...)
 		case '\\':
-			sb.WriteString(`\\`)
+			dst = append(dst, `\\`...)
 		case '\n':
-			sb.WriteString(`\n`)
+			dst = append(dst, `\n`...)
 		case '\r':
-			sb.WriteString(`\r`)
+			dst = append(dst, `\r`...)
 		case '\t':
-			sb.WriteString(`\t`)
+			dst = append(dst, `\t`...)
 		default:
-			sb.WriteRune(r)
+			dst = utf8.AppendRune(dst, r)
 		}
 	}
-	return sb.String()
+	return dst
+}
+
+// escapedLen is len(appendEscaped(nil, s)).
+func escapedLen(s string) int {
+	if !needsEscape(s) {
+		return len(s)
+	}
+	n := 0
+	for _, r := range s {
+		if r < utf8.RuneSelf && escaped[r] {
+			n += 2
+		} else {
+			n += utf8.RuneLen(r)
+		}
+	}
+	return n
 }

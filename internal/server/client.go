@@ -135,29 +135,37 @@ func (c *Client) get(ctx context.Context, path string, out any) error {
 	return c.do(req, out)
 }
 
+// do sends req and decodes a success body into out straight from the
+// stream. The body is drained before it is closed: a connection whose body
+// was not read to EOF is not reused by HTTP keep-alive. An error body is
+// read whole, so its message and typed error survive the round trip.
 func (c *Client) do(req *http.Request, out any) error {
 	resp, err := c.http().Do(req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return err
-	}
+	body := io.LimitReader(resp.Body, 64<<20)
 	if resp.StatusCode >= 400 {
+		msg, err := io.ReadAll(body)
+		if err != nil {
+			return err
+		}
 		var e struct {
 			Error string `json:"error"`
 		}
-		if json.Unmarshal(body, &e) == nil && e.Error != "" {
+		if json.Unmarshal(msg, &e) == nil && e.Error != "" {
 			// Rebuild the typed error the status stands for, so errors.Is
 			// round-trips through the wire (ErrOverloaded, ErrBadQuery, …).
 			return errorForStatus(resp.StatusCode, e.Error)
 		}
-		return fmt.Errorf("server: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
+		return fmt.Errorf("server: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
 	}
-	if out == nil {
-		return nil
+	if out != nil {
+		if err := json.NewDecoder(body).Decode(out); err != nil {
+			return err
+		}
 	}
-	return json.Unmarshal(body, out)
+	_, err = io.Copy(io.Discard, body)
+	return err
 }

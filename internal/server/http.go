@@ -131,11 +131,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, h)
 }
 
+// writeJSON writes v as compact JSON with HTML escaping off, so the angle
+// brackets around every IRI in a result row go out as themselves rather than
+// as six-byte unicode escapes.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
+	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v)
 }
 

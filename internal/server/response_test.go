@@ -1,0 +1,117 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"ntga/internal/bench"
+)
+
+// raceEnabled is set by race_test.go: allocation ceilings mean nothing under
+// the race detector, whose instrumentation allocates.
+var raceEnabled bool
+
+// The client decodes /query from the stream and must still leave every
+// connection reusable: twenty sequential queries over keep-alive open
+// exactly one connection. Whether the decoder alone happens to read a body
+// to EOF depends on where read and chunk boundaries fall, so every body here
+// carries trailing whitespace after the JSON value — legal, and never read
+// by the decoder. Only the drain after the decode reaches EOF; without it
+// the transport closes each connection instead of pooling it.
+func TestClientReusesOneConnection(t *testing.T) {
+	s := newTestServer(t, Config{})
+	var opened atomic.Int64
+	pad := bytes.Repeat([]byte(" "), 8<<10)
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		s.Handler().ServeHTTP(w, r)
+		_, _ = w.Write(pad)
+	}))
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	tr := &http.Transport{}
+	t.Cleanup(tr.CloseIdleConnections)
+	c := NewClient(ts.URL)
+	c.HTTPClient = &http.Client{Transport: tr}
+
+	ctx := context.Background()
+	for i := 0; i < 20; i++ {
+		resp, err := c.Query(ctx, Request{Query: twoStarQuery, NoCache: i%2 == 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.TotalRows == 0 || len(resp.Rows) != resp.TotalRows {
+			t.Fatalf("query %d: %d rows of %d", i, len(resp.Rows), resp.TotalRows)
+		}
+	}
+	if n := opened.Load(); n != 1 {
+		t.Errorf("20 sequential queries opened %d connections, want 1", n)
+	}
+}
+
+// A /query body is compact JSON with HTML escaping off: IRIs keep their
+// angle brackets, and no line is indented.
+func TestQueryBodyIsCompact(t *testing.T) {
+	s := newTestServer(t, Config{})
+	rec := httptest.NewRecorder()
+	body, _ := json.Marshal(Request{Query: twoStarQuery})
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
+	out := rec.Body.String()
+	if rec.Code != http.StatusOK || !strings.Contains(out, `"rows":["<http://ex/`) {
+		t.Fatalf("HTTP %d, body %.200s", rec.Code, out)
+	}
+	if strings.Contains(out, `\u003c`) || strings.Count(out, "\n") != 1 {
+		t.Errorf("body is not compact unescaped JSON: %.200s", out)
+	}
+}
+
+// TestQueryAllocationCeiling gates the server side of one uncached B1
+// /query over BSBM scale 1 (5,252 rows): plan, run, render and encode.
+// Before → after (commit 19832f0 → now): 63,756 → 5,865 allocations; the
+// rest is planning and the MR jobs.
+func TestQueryAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	if testing.Short() {
+		t.Skip("runs B1 end to end")
+	}
+	g, err := bench.Dataset("bsbm", 1, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cq, err := bench.Lookup("B1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{}, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	h := s.Handler()
+	body, _ := json.Marshal(Request{Query: cq.Src, NoCache: true})
+	serve := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("HTTP %d: %s", rec.Code, rec.Body)
+		}
+	}
+	serve() // warm the plan cache and the pools
+	const ceiling = 8_000
+	if n := testing.AllocsPerRun(5, serve); n > ceiling {
+		t.Errorf("one uncached B1 /query: %.0f allocations, want ≤ %d", n, ceiling)
+	}
+}
