@@ -17,7 +17,7 @@ check:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 	go vet ./...
-	go test -race ./internal/mapreduce/ ./internal/hdfs/ ./internal/server/ ./internal/workload/ ./internal/core/ ./internal/core/hash64/ ./internal/ntgamr/ ./internal/query/ ./internal/rdf/
+	go test -race ./internal/mapreduce/ ./internal/hdfs/ ./internal/server/ ./internal/workload/ ./internal/core/ ./internal/core/hash64/ ./internal/ntgamr/ ./internal/query/ ./internal/rdf/ ./internal/engine/
 	go test -race -short ./internal/cluster/
 	go test -race ./internal/ingest/
 	go test ./internal/plan/ ./internal/explain/

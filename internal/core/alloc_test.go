@@ -62,6 +62,7 @@ func TestAllocationCeilings(t *testing.T) {
 	st := q.Stars[0]
 	rec := EncodeJoined(comps)
 	var s Scratch
+	var ids []rdf.ID
 	for _, c := range []struct {
 		name    string
 		ceiling float64
@@ -69,6 +70,7 @@ func TestAllocationCeilings(t *testing.T) {
 	}{
 		{"Expand", 2, func() { Expand(q, gene) }},                                           // 46 → 2: one ID slab, one row slice
 		{"ExpandJoined", 2, func() { ExpandJoined(q, comps) }},                              // 54 → 2
+		{"AppendExpanded", 0, func() { ids, _, _ = AppendExpanded(ids[:0], q, comps) }},     // new: into the decoder's slab
 		{"DecodeJoined", 0, func() { s.Reset(); s.DecodeJoined(rec) }},                      // 6 → 0
 		{"EncodeJoined", 1, func() { EncodeJoined(comps) }},                                 // 4 → 1: presized
 		{"AppendJoined", 0, func() { s.Buf = AppendJoined(s.Buf[:0], comps) }},              // 4 → 0

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -471,5 +472,16 @@ func TestExpandJoinedConflict(t *testing.T) {
 	}
 	if rows, err := ExpandJoined(q, nil); rows != nil || err != nil {
 		t.Errorf("no components: %v, %v", rows, err)
+	}
+	// Appending keeps what the slab held; a conflict hands it back unchanged.
+	prefix := []rdf.ID{7, 8}
+	out, n, err := AppendExpanded(prefix, q, comps)
+	if rows := mustRows(t, q, comps); err != nil || n != len(rows) || out[0] != 7 || out[1] != 8 ||
+		!slices.Equal(out[2:], slices.Concat(rows...)) {
+		t.Errorf("AppendExpanded after a prefix: %d rows, %v", n, err)
+	}
+	out, n, err = AppendExpanded(prefix, q, []AnnTG{comps[0], other})
+	if err == nil || n != 0 || !slices.Equal(out, []rdf.ID{7, 8}) {
+		t.Errorf("AppendExpanded on a conflict: %v, %d rows, %v", out, n, err)
 	}
 }

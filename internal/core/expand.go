@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"ntga/internal/query"
 	"ntga/internal/rdf"
@@ -22,7 +23,7 @@ func Expand(q *query.Query, a AnnTG) []query.Row {
 	return rows
 }
 
-// binder is one digit of ExpandJoined's odometer: a binding pattern of one
+// binder is one digit of AppendExpanded's odometer: a binding pattern of one
 // component, its n candidate pairs idx[lo:lo+n], the row columns it fills
 // (-1 for none), and how many rows pass between two steps of the digit. A
 // component's subject variable is a one-candidate binder with lo < 0.
@@ -31,14 +32,27 @@ type binder struct {
 	pCol, oCol         int
 }
 
-// ExpandJoined enumerates the full rows of a joined result: the cross
-// product of every pattern's candidates over all components, the first
-// pattern of the first component varying slowest. Components are AnnTGs of
-// distinct stars whose join variables were pinned when the join executed, so
-// two components never bind one variable to different IDs (that would be an
-// engine bug, and is an error). The rows of one call share one backing
+// ExpandJoined enumerates the full rows of a joined result, as
+// AppendExpanded lays them out. The rows of one call share one backing
 // array, each clipped to its own width, and belong to the caller.
 func ExpandJoined(q *query.Query, comps []AnnTG) ([]query.Row, error) {
+	slab, n, err := AppendExpanded(nil, q, comps)
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	return query.AppendSlabRows(make([]query.Row, 0, n), slab, len(q.AllVars), n), nil
+}
+
+// AppendExpanded appends the full rows of a joined result to dst, row after
+// row, each len(q.AllVars) IDs wide, and returns the extended slab and the
+// number of rows appended. The rows are the cross product of every pattern's
+// candidates over all components, the first pattern of the first component
+// varying slowest. Components are AnnTGs of distinct stars whose join
+// variables were pinned when the join executed, so two components never bind
+// one variable to different IDs: that would be an engine bug, and is an
+// error, with dst returned as it came. Nothing is allocated unless dst has to
+// grow.
+func AppendExpanded(dst []rdf.ID, q *query.Query, comps []AnnTG) ([]rdf.ID, int, error) {
 	var idxBuf [64]int
 	var binderBuf [16]binder
 	idx, binders := idxBuf[:0], binderBuf[:0]
@@ -78,18 +92,18 @@ func ExpandJoined(q *query.Query, comps []AnnTG) ([]query.Row, error) {
 		}
 	}
 	if total == 0 {
-		return nil, nil
+		return dst, 0, nil
 	}
 	for i, every := len(binders)-1, 1; i >= 0; i-- {
 		binders[i].every = every
 		every *= binders[i].n
 	}
 	width := len(q.AllVars)
-	slab := make([]rdf.ID, total*width)
-	rows := make([]query.Row, total)
-	for r := range rows {
-		row := slab[r*width : (r+1)*width : (r+1)*width]
-		rows[r] = row
+	start := len(dst)
+	out := slices.Grow(dst, total*width)[:start+total*width]
+	clear(out[start:])
+	for r := 0; r < total; r++ {
+		row := out[start+r*width : start+(r+1)*width]
 		for _, b := range binders {
 			c := &comps[b.comp]
 			pair := PO{O: c.Subject}
@@ -101,13 +115,13 @@ func ExpandJoined(q *query.Query, comps []AnnTG) ([]query.Row, error) {
 			}
 			if b.oCol >= 0 {
 				if row[b.oCol] != rdf.NoID && row[b.oCol] != pair.O {
-					return nil, fmt.Errorf("core: conflicting bindings while expanding joined triplegroup (ec=%d)", c.EC)
+					return dst, 0, fmt.Errorf("core: conflicting bindings while expanding joined triplegroup (ec=%d)", c.EC)
 				}
 				row[b.oCol] = pair.O
 			}
 		}
 	}
-	return rows, nil
+	return out, total, nil
 }
 
 // CountExpansions returns the number of binding rows a (possibly still

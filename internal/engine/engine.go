@@ -18,8 +18,10 @@ type Result struct {
 	// Engine is the name of the engine that produced the result.
 	Engine string
 	// Rows are the full binding rows (indexed by query.AllVars) decoded
-	// from the final output file. Nil if the workflow failed or if the
-	// query is a COUNT(*) aggregation (see Count).
+	// from the final output file, in file order. They are views of a few
+	// ID slabs, each clipped to its own width (see Decode). Nil if the
+	// workflow failed, if there are no rows, or if the query is a COUNT(*)
+	// aggregation (see Count).
 	Rows []query.Row
 	// IsCount marks a COUNT(*) aggregation result; Count holds the answer.
 	// The NTGA engines compute it from the implicit (nested) representation
@@ -57,10 +59,9 @@ type QueryEngine interface {
 	// selects a throwaway set). The plan's typed nodes drive the cost model
 	// and EXPLAIN; Physical.Lower yields the executable stages.
 	PlanSource(q *query.Query, src plan.Source, cl *Cleaner, counters *mapreduce.Counters) (*plan.Physical, error)
-	// Decoder returns the function that turns one record of the plan's final
-	// file into binding rows — or, for a COUNT(*) query, into no rows and
-	// the record's share of the answer added to *count.
-	Decoder(q *query.Query, count *int64) DecodeFunc
+	// Decoder returns a fresh decoder of the plan's final records (see
+	// DecodeFunc); Run asks for one per record range it decodes in parallel.
+	Decoder(q *query.Query) DecodeFunc
 
 	// Plan and Run are harness-facing: the frozen benchmark/adapter.go calls
 	// them with these signatures. Implementations forward to the package's
@@ -110,10 +111,9 @@ func Run(e QueryEngine, mr *mapreduce.Engine, q *query.Query, src plan.Source) (
 		cl.Clean(mr)
 		return &Result{Engine: e.Name()}, err
 	}
-	var count int64
-	res, err := Execute(mr, p.Engine, stages, p.Final, &cl, counters, e.Decoder(q, &count))
+	res, err := Execute(mr, p.Engine, stages, p.Final, &cl, counters, q,
+		func() DecodeFunc { return e.Decoder(q) })
 	res.Workflow.FullScans = p.ScanCount()
-	res.IsCount, res.Count = q.IsCount(), count
 	return res, err
 }
 

@@ -1,8 +1,13 @@
 package engine
 
 import (
+	"context"
+	"encoding/binary"
 	"errors"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ntga/internal/hdfs"
@@ -77,8 +82,8 @@ func TestExecuteFailurePath(t *testing.T) {
 			return c.Collect(r)
 		}),
 	}
-	res, err := Execute(mr, "test", []mapreduce.Stage{{job}}, "out", &cl, nil,
-		func([]byte) ([]query.Row, error) { return nil, nil })
+	res, err := Execute(mr, "test", []mapreduce.Stage{{job}}, "out", &cl, nil, selectQuery(t),
+		decoderOf(func(dst []rdf.ID, _ []byte) ([]rdf.ID, int64, error) { return dst, 0, nil }))
 	if err == nil {
 		t.Fatal("Execute of failing workflow succeeded")
 	}
@@ -104,8 +109,8 @@ func TestExecuteDecodeErrorPath(t *testing.T) {
 		}),
 	}
 	boom := errors.New("bad record")
-	_, err := Execute(mr, "test", []mapreduce.Stage{{job}}, "out", &cl, nil,
-		func([]byte) ([]query.Row, error) { return nil, boom })
+	_, err := Execute(mr, "test", []mapreduce.Stage{{job}}, "out", &cl, nil, selectQuery(t),
+		decoderOf(func(dst []rdf.ID, _ []byte) ([]rdf.ID, int64, error) { return dst, 0, boom }))
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want decode error", err)
 	}
@@ -129,8 +134,8 @@ func TestExecuteCollectsCounters(t *testing.T) {
 			return c.Collect(r)
 		}),
 	}
-	res, err := Execute(mr, "test", []mapreduce.Stage{{job}}, "out", &cl, counters,
-		func([]byte) ([]query.Row, error) { return make([]query.Row, 1), nil })
+	res, err := Execute(mr, "test", []mapreduce.Stage{{job}}, "out", &cl, counters, selectQuery(t),
+		decoderOf(func(dst []rdf.ID, _ []byte) ([]rdf.ID, int64, error) { return append(dst, 1, 2), 1, nil }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,5 +147,212 @@ func TestExecuteCollectsCounters(t *testing.T) {
 	}
 	if len(res.Rows) != 1 {
 		t.Errorf("rows = %d", len(res.Rows))
+	}
+}
+
+// decoderOf hands out the same stateless DecodeFunc for every range.
+func decoderOf(f DecodeFunc) func() DecodeFunc { return func() DecodeFunc { return f } }
+
+// decodeFixture writes a final file of n records, record i holding i as a
+// uvarint, and returns an engine over it with the two-variable query and its
+// COUNT(*) form.
+func decodeFixture(t *testing.T, n, parallelism int, slots mapreduce.SlotPool) (*mapreduce.Engine, *query.Query, *query.Query) {
+	t.Helper()
+	dfs := hdfs.New(hdfs.Config{Nodes: 2})
+	recs := make([][]byte, n)
+	for i := range recs {
+		recs[i] = binary.AppendUvarint(nil, uint64(i))
+	}
+	if err := dfs.WriteFile("final", recs); err != nil {
+		t.Fatal(err)
+	}
+	mr := mapreduce.NewEngine(dfs, mapreduce.EngineConfig{MapParallelism: parallelism, Slots: slots})
+	return mr, selectQuery(t), compileQuery(t, `SELECT (COUNT(*) AS ?n) WHERE { ?s <http://ex/p> ?o . }`)
+}
+
+// selectQuery is a one-pattern query with two variables.
+func selectQuery(t *testing.T) *query.Query {
+	return compileQuery(t, `SELECT * WHERE { ?s <http://ex/p> ?o . }`)
+}
+
+func compileQuery(t *testing.T, src string) *query.Query {
+	t.Helper()
+	g := rdf.NewGraph()
+	g.Add(rdf.NewIRI("http://ex/s"), rdf.NewIRI("http://ex/p"), rdf.NewIRI("http://ex/o"))
+	q, err := query.Parse(src, g.Dict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// fanOut is a decoder whose record i stands for i%3 rows (i, 0), (i, 1), …,
+// so ranges produce uneven row counts, and some records none.
+func fanOut(calls *atomic.Int64) func() DecodeFunc {
+	return func() DecodeFunc {
+		calls.Add(1)
+		return func(dst []rdf.ID, rec []byte) ([]rdf.ID, int64, error) {
+			i, _ := binary.Uvarint(rec)
+			for j := uint64(0); j < i%3; j++ {
+				dst = append(dst, rdf.ID(i), rdf.ID(j))
+			}
+			return dst, int64(i % 3), nil
+		}
+	}
+}
+
+// TestDecodeRangesKeepFileOrder: however many ranges decode the final file,
+// the rows come out in file order, every record is read once, and the DFS is
+// charged exactly the file's bytes.
+func TestDecodeRangesKeepFileOrder(t *testing.T) {
+	const n = 1000
+	var want []query.Row
+	for i := 0; i < n; i++ {
+		for j := 0; j < i%3; j++ {
+			want = append(want, query.Row{rdf.ID(i), rdf.ID(j)})
+		}
+	}
+	for _, par := range []int{1, 2, 4, 7, 64} {
+		mr, q, _ := decodeFixture(t, n, par, nil)
+		size, _ := mr.DFS().FileSize("final")
+		before := mr.DFS().Metrics()
+		var calls atomic.Int64
+		res := &Result{}
+		if err := Decode(mr, "final", q, fanOut(&calls), res); err != nil {
+			t.Fatalf("parallelism %d: %v", par, err)
+		}
+		if wantRanges := int64(min(par, (n+minDecodeRange-1)/minDecodeRange)); calls.Load() != wantRanges {
+			t.Errorf("parallelism %d: %d decoders, want one per range (%d)", par, calls.Load(), wantRanges)
+		}
+		if !slices.EqualFunc(res.Rows, want, query.Row.Equal) {
+			t.Errorf("parallelism %d: %d rows out of file order (want %d)", par, len(res.Rows), len(want))
+		}
+		after := mr.DFS().Metrics()
+		if res.OutputRecords != n || res.OutputBytes != size || after.BytesRead-before.BytesRead != size {
+			t.Errorf("parallelism %d: %d records, %d bytes, %d read; want %d, %d, %d", par,
+				res.OutputRecords, res.OutputBytes, after.BytesRead-before.BytesRead, n, size, size)
+		}
+		if len(res.Rows) > 1 {
+			next := res.Rows[1].Clone()
+			_ = append(res.Rows[0], 99)
+			if !res.Rows[1].Equal(next) {
+				t.Errorf("parallelism %d: appending to row 0 changed row 1", par)
+			}
+		}
+	}
+}
+
+// TestDecodeCountAndEmpty: a COUNT(*) query sums what the records stand for
+// and builds no rows; an empty final file decodes to no rows and no ranges.
+func TestDecodeCountAndEmpty(t *testing.T) {
+	mr, _, count := decodeFixture(t, 500, 4, nil)
+	var calls atomic.Int64
+	res := &Result{}
+	if err := Decode(mr, "final", count, fanOut(&calls), res); err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(499/3*3 + 1); res.Count != want || res.Rows != nil {
+		t.Errorf("count = %d with %d rows, want %d and none", res.Count, len(res.Rows), want)
+	}
+	mr, q, _ := decodeFixture(t, 0, 4, nil)
+	calls.Store(0)
+	res = &Result{}
+	if err := Decode(mr, "final", q, fanOut(&calls), res); err != nil || res.Rows != nil || calls.Load() != 0 {
+		t.Errorf("empty file: %d rows, %d decoders, %v", len(res.Rows), calls.Load(), err)
+	}
+}
+
+// TestDecodeReportsRangeError: a record one range cannot decode fails the
+// whole decode, and no rows are returned.
+func TestDecodeReportsRangeError(t *testing.T) {
+	mr, q, _ := decodeFixture(t, 1000, 4, nil)
+	boom := errors.New("bad record")
+	res := &Result{}
+	err := Decode(mr, "final", q, decoderOf(func(dst []rdf.ID, rec []byte) ([]rdf.ID, int64, error) {
+		if i, _ := binary.Uvarint(rec); i == 700 {
+			return dst, 0, boom
+		}
+		return append(dst, 1, 2), 1, nil
+	}), res)
+	if !errors.Is(err, boom) || res.Rows != nil {
+		t.Errorf("err = %v with %d rows, want the decode error and none", err, len(res.Rows))
+	}
+}
+
+// countingPool grants "map" slots up to its capacity and records the peak.
+type countingPool struct {
+	sem                  chan struct{}
+	mu                   sync.Mutex
+	kinds                []string
+	inUse, peak, granted int
+}
+
+func (p *countingPool) Acquire(ctx context.Context, kind string) (func(), error) {
+	select {
+	case p.sem <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	p.mu.Lock()
+	p.kinds = append(p.kinds, kind)
+	p.granted++
+	p.inUse++
+	p.peak = max(p.peak, p.inUse)
+	p.mu.Unlock()
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			p.mu.Lock()
+			p.inUse--
+			p.mu.Unlock()
+			<-p.sem
+		})
+	}, nil
+}
+
+// TestDecodeRunsUnderMapSlots: with a shared SlotPool, every range leases one
+// map slot, and no more ranges decode at once than the pool grants.
+func TestDecodeRunsUnderMapSlots(t *testing.T) {
+	pool := &countingPool{sem: make(chan struct{}, 2)}
+	mr, q, _ := decodeFixture(t, 1000, 8, pool)
+	var calls atomic.Int64
+	res := &Result{}
+	if err := Decode(mr, "final", q, fanOut(&calls), res); err != nil {
+		t.Fatal(err)
+	}
+	if pool.granted != int(calls.Load()) || pool.granted != 8 || pool.peak > 2 {
+		t.Errorf("%d slots granted for %d ranges, peak %d; want 8, 8, ≤ 2", pool.granted, calls.Load(), pool.peak)
+	}
+	for _, k := range pool.kinds {
+		if k != "map" {
+			t.Errorf("range leased a %q slot, want map", k)
+		}
+	}
+}
+
+// raceEnabled is set by race_test.go: allocation counts mean nothing under
+// the race detector.
+var raceEnabled bool
+
+// TestDecodeAllocationCeiling: a decode allocates per range and per slab
+// growth, not per record or row, so ten times the records costs a handful
+// more allocations, not ten times as many.
+func TestDecodeAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	allocs := func(n int) float64 {
+		mr, q, _ := decodeFixture(t, n, 2, nil)
+		var calls atomic.Int64
+		return testing.AllocsPerRun(20, func() {
+			if err := Decode(mr, "final", q, fanOut(&calls), &Result{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(500), allocs(5000)
+	t.Logf("Decode: %.0f allocations for 500 records, %.0f for 5,000", small, large)
+	if large > 64 || large-small > 16 {
+		t.Errorf("Decode: %.0f allocations for 500 records, %.0f for 5,000; ceiling 64, growth ≤ 16", small, large)
 	}
 }

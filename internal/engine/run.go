@@ -33,24 +33,25 @@ func LoadGraph(dfs *hdfs.DFS, name string, g *rdf.Graph) error {
 	return nil
 }
 
-// DecodeFunc turns one of an engine's final output records into binding
-// rows. Execute streams the final file through it record by record, so the
-// client never materializes the full output.
-type DecodeFunc func(record []byte) ([]query.Row, error)
+// DecodeFunc decodes one of an engine's final output records: it appends the
+// binding rows the record stands for to dst, row after row, each
+// len(q.AllVars) IDs wide, and returns the extended slab and the number of
+// rows. For a COUNT(*) query it appends nothing, and the number is the
+// record's share of the answer. A DecodeFunc may keep scratch state from one
+// call to the next, so it belongs to one goroutine.
+type DecodeFunc func(dst []rdf.ID, record []byte) (slab []rdf.ID, rows int64, err error)
 
-// Execute runs a planned workflow, decodes the final output, fills in the
-// Result, and removes every tracked intermediate file — the tail of Run. On
-// workflow failure the partial Result (metrics only) and the error are
-// returned. The final file is streamed, not read wholesale: records are
-// decoded one at a time and the output counters accumulate as they are
-// consumed.
+// Execute runs a planned workflow, decodes the final output (Decode), fills
+// in the Result, and removes every tracked intermediate file — the tail of
+// Run. On workflow failure the partial Result (metrics only) and the error
+// are returned.
 func Execute(mr *mapreduce.Engine, name string, stages []mapreduce.Stage,
 	finalFile string, cleaner *Cleaner, counters *mapreduce.Counters,
-	decode DecodeFunc) (*Result, error) {
+	q *query.Query, decoder func() DecodeFunc) (*Result, error) {
 
 	dfs := mr.DFS()
 	dfs.ResetPeak()
-	res := &Result{Engine: name}
+	res := &Result{Engine: name, IsCount: q.IsCount()}
 	defer cleaner.Clean(mr)
 
 	wf, err := mr.RunWorkflowNamed(name, stages)
@@ -62,26 +63,101 @@ func Execute(mr *mapreduce.Engine, name string, stages []mapreduce.Stage,
 	if err != nil {
 		return res, err
 	}
+	return res, Decode(mr, finalFile, q, decoder, res)
+}
 
-	r, err := dfs.Open(finalFile)
+const (
+	// minDecodeRange is the fewest final records worth a range of their own;
+	// below it a goroutine and a slot lease cost more than the decoding.
+	minDecodeRange = 64
+	// A range decodes into ID chunks that start at minDecodeChunk IDs and
+	// double up to maxDecodeChunk.
+	minDecodeChunk = 1 << 10
+	maxDecodeChunk = 1 << 16
+)
+
+// slab is one chunk of decoded rows, back to back.
+type slab struct {
+	ids  []rdf.ID
+	rows int64
+}
+
+// Decode reads a final output file into res: its rows, or for a COUNT(*)
+// query its count, and the OutputRecords/OutputBytes counters.
+//
+// The file is cut into at most mr.MapParallelism() contiguous record ranges,
+// decoded in parallel as map tasks of mr's run (mapreduce.RunMapTasks), each
+// by its own decoder() into its own ID slabs. A slab holds no pointers, so
+// the garbage collector never scans it, and a slab three quarters full is
+// left to its rows and a larger one started, so rows are rarely copied as
+// the result grows. Rows is then built once, in file order, as clipped views
+// of the slabs. Each range charges the DFS exactly the bytes it reads, so
+// the read counters equal a sequential scan's.
+func Decode(mr *mapreduce.Engine, name string, q *query.Query, decoder func() DecodeFunc, res *Result) error {
+	dfs := mr.DFS()
+	n, err := dfs.RecordCount(name)
 	if err != nil {
-		return res, err
+		return err
 	}
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return res, err
-		}
-		res.OutputRecords++
-		res.OutputBytes += int64(len(rec))
-		rows, err := decode(rec)
-		if err != nil {
-			return res, err
-		}
-		res.Rows = append(res.Rows, rows...)
+	type part struct {
+		slabs          []slab // the last is being filled
+		records, bytes int64
 	}
-	return res, nil
+	parts := make([]part, min(mr.MapParallelism(), (n+minDecodeRange-1)/minDecodeRange))
+	k, count := len(parts), q.IsCount()
+	err = mr.RunMapTasks(k, func(i int) error {
+		off := i * n / k
+		r, err := dfs.OpenRange(name, off, (i+1)*n/k-off)
+		if err != nil {
+			return err
+		}
+		decode, p := decoder(), &parts[i]
+		var cur slab
+		defer func() { p.slabs = append(p.slabs, cur) }()
+		for {
+			rec, err := r.Next()
+			if err == io.EOF {
+				return nil
+			}
+			if err != nil {
+				return err
+			}
+			p.records++
+			p.bytes += int64(len(rec))
+			if c := cap(cur.ids); !count && 4*len(cur.ids) >= 3*c {
+				if cur.rows > 0 {
+					p.slabs = append(p.slabs, cur)
+				}
+				cur = slab{ids: make([]rdf.ID, 0, max(min(2*c, maxDecodeChunk), minDecodeChunk))}
+			}
+			var m int64
+			if cur.ids, m, err = decode(cur.ids, rec); err != nil {
+				return err
+			}
+			cur.rows += m
+		}
+	})
+	var total int64
+	for _, p := range parts {
+		res.OutputRecords += p.records
+		res.OutputBytes += p.bytes
+		for _, s := range p.slabs {
+			total += s.rows
+		}
+	}
+	switch {
+	case err != nil:
+		return err
+	case count:
+		res.Count = total
+	case total > 0:
+		width := len(q.AllVars)
+		res.Rows = make([]query.Row, 0, total)
+		for _, p := range parts {
+			for _, s := range p.slabs {
+				res.Rows = query.AppendSlabRows(res.Rows, s.ids, width, int(s.rows))
+			}
+		}
+	}
+	return nil
 }

@@ -53,6 +53,51 @@ func TestWriterCopiesRecords(t *testing.T) {
 	}
 }
 
+// raceEnabled is set by race_test.go: allocation counts mean nothing under
+// the race detector.
+var raceEnabled bool
+
+// TestWriterRecordsDoNotShareGrowth: records are copied into shared chunks,
+// each clipped to its own length, so appending to one record a reader got
+// reallocates instead of writing into the record after it.
+func TestWriterRecordsDoNotShareGrowth(t *testing.T) {
+	d := New(Config{Nodes: 1})
+	var recs [][]byte
+	for i := 0; i < 3000; i++ { // crosses several chunk boundaries
+		recs = append(recs, []byte(fmt.Sprintf("record-%d", i)))
+	}
+	recs = append(recs, bytes.Repeat([]byte("x"), 3*maxChunk), []byte("after"))
+	if err := d.WriteFile("f", recs); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := d.ReadAll("f")
+	for i := range got[:len(got)-1] {
+		_ = append(got[i], '!')
+	}
+	for i, rec := range got {
+		if !bytes.Equal(rec, recs[i]) || cap(rec) != len(rec) {
+			t.Fatalf("record %d = %.20q (cap %d), want %.20q", i, rec, cap(rec), recs[i])
+		}
+	}
+}
+
+// TestWriterAppendAmortisedAllocs: Append copies into chunks, so a record
+// costs a small fraction of an allocation (it was one allocation per record).
+func TestWriterAppendAmortisedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	d := New(Config{Nodes: 2, BlockSize: 1 << 20})
+	w, err := d.Create("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := []byte("a sixteen-byte r")
+	if got := testing.AllocsPerRun(20000, func() { _ = w.Append(rec) }); got > 1.0/64 {
+		t.Errorf("%.4f allocations per appended record, ceiling 1/64", got)
+	}
+}
+
 func TestMetricsAndReplicationAccounting(t *testing.T) {
 	d := New(Config{Nodes: 3, BlockSize: 8, Replication: 3})
 	if err := d.WriteFile("f", [][]byte{make([]byte, 20)}); err != nil {

@@ -13,12 +13,20 @@ type Writer struct {
 	d        *DFS
 	name     string
 	f        *file
-	pending  int64 // bytes appended since the last placed block
-	wRecords int64 // records appended through this writer
-	wBytes   int64 // logical bytes appended through this writer
+	chunk    []byte // the slab Append copies records into
+	pending  int64  // bytes appended since the last placed block
+	wRecords int64  // records appended through this writer
+	wBytes   int64  // logical bytes appended through this writer
 	closed   bool
 	failed   bool
 }
+
+// Writer chunks start at minChunk bytes and double up to maxChunk; a record
+// larger than that gets a chunk of its own size.
+const (
+	minChunk = 512
+	maxChunk = 64 << 10
+)
 
 // Create begins writing a new file. The file becomes visible immediately;
 // concurrent readers of a file under construction are not supported (the MR
@@ -45,11 +53,18 @@ func (w *Writer) Append(record []byte) error {
 	if w.failed {
 		return fmt.Errorf("%w: writer for %s already failed", ErrDiskFull, w.name)
 	}
+	// Store our own copy, since callers reuse record buffers: appended to the
+	// writer's chunk and clipped to its length, so a reader appending to one
+	// record never writes into the next. A full chunk stays with the records
+	// in it and a larger one is started.
+	if cap(w.chunk)-len(w.chunk) < len(record) {
+		w.chunk = make([]byte, 0, max(min(2*cap(w.chunk), maxChunk), minChunk, len(record)))
+	}
+	start := len(w.chunk)
+	w.chunk = append(w.chunk, record...)
+	cp := w.chunk[start:len(w.chunk):len(w.chunk)]
 	w.d.mu.Lock()
 	defer w.d.mu.Unlock()
-	// Store our own copy: callers reuse record buffers.
-	cp := make([]byte, len(record))
-	copy(cp, record)
 	w.f.records = append(w.f.records, cp)
 	w.f.size += int64(len(cp))
 	w.pending += int64(len(cp))

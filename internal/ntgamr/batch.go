@@ -2,7 +2,6 @@ package ntgamr
 
 import (
 	"fmt"
-	"io"
 
 	"ntga/internal/codec"
 	"ntga/internal/core"
@@ -151,37 +150,12 @@ func (n *NTGA) RunBatch(mr *mapreduce.Engine, qs []*query.Query, input string) (
 		return res, err
 	}
 
-	var s core.Scratch
 	for qi, q := range qs {
 		r := &engine.Result{Engine: n.name, Counters: counters.Snapshot(), IsCount: q.IsCount()}
-		rd, err := dfs.Open(accs[qi])
-		if err != nil {
+		// No COUNT fold here: a counting query's final records are its joined
+		// triplegroups, counted without expansion.
+		if err := engine.Decode(mr, accs[qi], q, func() engine.DecodeFunc { return joinedDecoder(q) }, r); err != nil {
 			return res, err
-		}
-		for {
-			rec, err := rd.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return res, err
-			}
-			r.OutputRecords++
-			r.OutputBytes += int64(len(rec))
-			s.Reset()
-			comps, err := s.DecodeJoined(rec)
-			if err != nil {
-				return res, err
-			}
-			if q.IsCount() {
-				r.Count += core.CountJoined(q, comps)
-				continue
-			}
-			rows, err := core.ExpandJoined(q, comps)
-			if err != nil {
-				return res, err
-			}
-			r.Rows = append(r.Rows, rows...)
 		}
 		res.Results = append(res.Results, r)
 	}

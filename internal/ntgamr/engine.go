@@ -9,6 +9,7 @@ import (
 	"ntga/internal/mapreduce"
 	"ntga/internal/plan"
 	"ntga/internal/query"
+	"ntga/internal/rdf"
 )
 
 // Strategy selects when intermediate triplegroups are β-unnested.
@@ -270,25 +271,32 @@ func (n *NTGA) PlanSource(q *query.Query, src plan.Source, cl *engine.Cleaner,
 // triplegroups — no β-unnest happens at all for non-joining slots, and the
 // sum Combiner folds partial counts at spill time — so each final record is
 // a uvarint partial count.
-func (n *NTGA) Decoder(q *query.Query, count *int64) engine.DecodeFunc {
+func (n *NTGA) Decoder(q *query.Query) engine.DecodeFunc {
 	if q.IsCount() {
-		return func(record []byte) ([]query.Row, error) {
+		return func(dst []rdf.ID, record []byte) ([]rdf.ID, int64, error) {
 			c, err := codec.NewReader(record).Uvarint()
-			if err != nil {
-				return nil, err
-			}
-			*count += int64(c)
-			return nil, nil
+			return dst, int64(c), err
 		}
 	}
-	var s core.Scratch // the decoder is one goroutine's, as count is
-	return func(record []byte) ([]query.Row, error) {
+	return joinedDecoder(q)
+}
+
+// joinedDecoder decodes final records that are joined triplegroups: their
+// rows expanded straight into the slab or, for a COUNT(*) query, counted
+// without expansion.
+func joinedDecoder(q *query.Query) engine.DecodeFunc {
+	var s core.Scratch // a DecodeFunc is one goroutine's
+	return func(dst []rdf.ID, record []byte) ([]rdf.ID, int64, error) {
 		s.Reset()
 		comps, err := s.DecodeJoined(record)
 		if err != nil {
-			return nil, err
+			return dst, 0, err
 		}
-		return core.ExpandJoined(q, comps)
+		if q.IsCount() {
+			return dst, core.CountJoined(q, comps), nil
+		}
+		dst, rows, err := core.AppendExpanded(dst, q, comps)
+		return dst, int64(rows), err
 	}
 }
 

@@ -20,6 +20,16 @@ func (r Row) Clone() Row {
 	return out
 }
 
+// AppendSlabRows appends to rows the first n rows of slab, which holds them
+// back to back, each width IDs wide. Every appended row is clipped to its own
+// width, so appending to one never writes into the next.
+func AppendSlabRows(rows []Row, slab []rdf.ID, width, n int) []Row {
+	for r := 0; r < n; r++ {
+		rows = append(rows, slab[r*width:(r+1)*width:(r+1)*width])
+	}
+	return rows
+}
+
 // Less orders rows lexicographically.
 func (r Row) Less(o Row) bool { return slices.Compare(r, o) < 0 }
 

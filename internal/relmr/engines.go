@@ -7,6 +7,7 @@ import (
 	"ntga/internal/mapreduce"
 	"ntga/internal/plan"
 	"ntga/internal/query"
+	"ntga/internal/rdf"
 )
 
 // Style selects between the two relational baselines' plan shapes.
@@ -163,8 +164,8 @@ func splitDoubleCopies(q *query.Query) bool {
 }
 
 // Decoder implements engine.QueryEngine.
-func (r *Relational) Decoder(q *query.Query, count *int64) engine.DecodeFunc {
-	return decoder(q, r.w, count)
+func (r *Relational) Decoder(q *query.Query) engine.DecodeFunc {
+	return decoder(q, r.w)
 }
 
 // Plan is harness-facing (benchmark/adapter.go); use engine.Plan.
@@ -181,22 +182,17 @@ func (r *Relational) Run(mr *mapreduce.Engine, q *query.Query, input string) (*e
 // decoder is the result decoder of every engine in this package: one final
 // record is one tuple of either wire format. The relational representation
 // is fully expanded, so a COUNT(*) answer is simply the final record count.
-func decoder(q *query.Query, w wire, count *int64) engine.DecodeFunc {
+func decoder(q *query.Query, w wire) engine.DecodeFunc {
 	if q.IsCount() {
-		return func([]byte) ([]query.Row, error) {
-			*count++
-			return nil, nil
+		return func(dst []rdf.ID, _ []byte) ([]rdf.ID, int64, error) {
+			return dst, 1, nil
 		}
 	}
-	return func(record []byte) ([]query.Row, error) {
+	return func(dst []rdf.ID, record []byte) ([]rdf.ID, int64, error) {
 		t, err := w.decodeTuple(q, record)
 		if err != nil {
-			return nil, err
+			return dst, 0, err
 		}
-		row, err := TupleRow(q, t)
-		if err != nil {
-			return nil, err
-		}
-		return []query.Row{row}, nil
+		return appendTupleRow(dst, q, t), 1, nil
 	}
 }

@@ -115,8 +115,8 @@ func (s *SelSJFirst) planOO(q *query.Query, j query.Join, input string, cl *engi
 }
 
 // Decoder implements engine.QueryEngine.
-func (s *SelSJFirst) Decoder(q *query.Query, count *int64) engine.DecodeFunc {
-	return decoder(q, s.w, count)
+func (s *SelSJFirst) Decoder(q *query.Query) engine.DecodeFunc {
+	return decoder(q, s.w)
 }
 
 // Plan is harness-facing (benchmark/adapter.go); use engine.Plan.

@@ -149,9 +149,12 @@ func DecodeTuple(p []byte) (Tuple, error) {
 	return t, nil
 }
 
-// TupleRow converts a fully-expanded tuple into a binding row.
-func TupleRow(q *query.Query, t Tuple) (query.Row, error) {
-	row := make(query.Row, len(q.AllVars))
+// appendTupleRow appends the binding row of a fully-expanded tuple to dst,
+// len(q.AllVars) IDs wide.
+func appendTupleRow(dst []rdf.ID, q *query.Query, t Tuple) []rdf.ID {
+	start := len(dst)
+	dst = append(dst, make([]rdf.ID, len(q.AllVars))...)
+	row := dst[start:]
 	for _, seg := range t {
 		st := q.Stars[seg.Star]
 		if st.SubjVar != "" {
@@ -172,5 +175,5 @@ func TupleRow(q *query.Query, t Tuple) (query.Row, error) {
 			}
 		}
 	}
-	return row, nil
+	return dst
 }
