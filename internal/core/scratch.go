@@ -3,6 +3,8 @@ package core
 import (
 	"slices"
 	"sync"
+
+	"ntga/internal/chunk"
 )
 
 // Scratch is the working memory of one Map, Reduce or MapRecord call. The
@@ -58,9 +60,9 @@ func (s *Scratch) Concat(a, b []AnnTG) []AnnTG {
 }
 
 // maxPooledBytes bounds what a pooled Scratch may hold on to — one map-side
-// sort-buffer chunk (mapreduce's emitChunk) — so one oversized group cannot
-// ratchet the live heap up for the rest of the process.
-const maxPooledBytes = 64 << 10
+// sort-buffer chunk (chunk.Max bytes) — so one oversized group cannot ratchet
+// the live heap up for the rest of the process.
+const maxPooledBytes = chunk.Max
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 

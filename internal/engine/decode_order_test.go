@@ -3,6 +3,7 @@ package engine_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -22,11 +23,11 @@ import (
 // the reference engine's rows.
 func TestEnginesDecodeInFileOrder(t *testing.T) {
 	// Subjects and objects share one pool of nodes, so joins are dense and
-	// every engine writes hundreds of final records.
+	// every engine writes enough final records for several ranges.
 	rng := rand.New(rand.NewSource(7))
 	g := rdf.NewGraph()
-	node := func() rdf.Term { return enginetest.Ex(fmt.Sprintf("n%d", rng.Intn(150))) }
-	for i := 0; i < 1500; i++ {
+	node := func() rdf.Term { return enginetest.Ex(fmt.Sprintf("n%d", rng.Intn(600))) }
+	for i := 0; i < 6000; i++ {
 		g.Add(node(), enginetest.Ex(fmt.Sprintf("p%d", rng.Intn(4))), node())
 	}
 	g.Dedup()
@@ -35,11 +36,12 @@ func TestEnginesDecodeInFileOrder(t *testing.T) {
 		`PREFIX ex: <http://ex/> SELECT * WHERE { ?s ex:p0 ?o . ?s ex:p2 ?z . ?o ex:p1 ?x . ?o ex:p0 ?y . }`,
 		`PREFIX ex: <http://ex/> SELECT (COUNT(*) AS ?n) WHERE { ?s ex:p1 ?o . ?s ?p ?x . ?o ex:p0 ?y . }`,
 	}
-	ran := make(map[string]int)
-	run := func(eng engine.QueryEngine, q *query.Query, parallelism int) *engine.Result {
+	// Decode cuts a file into at most one range per CPU.
+	run := func(eng engine.QueryEngine, q *query.Query, cpus int) *engine.Result {
 		t.Helper()
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(cpus))
 		mr := mapreduce.NewEngine(hdfs.New(hdfs.Config{Nodes: 4}),
-			mapreduce.EngineConfig{MapParallelism: parallelism, SplitRecords: 256, DefaultReducers: 4})
+			mapreduce.EngineConfig{MapParallelism: 4, SplitRecords: 256, DefaultReducers: 4})
 		if err := engine.LoadGraph(mr.DFS(), "in", g); err != nil {
 			t.Fatal(err)
 		}
@@ -49,6 +51,7 @@ func TestEnginesDecodeInFileOrder(t *testing.T) {
 		}
 		return res
 	}
+	ran := make(map[string]int)
 	for _, src := range srcs {
 		q := enginetest.Compile(t, g, src)
 		want := refengine.Evaluate(q, g)
@@ -64,11 +67,11 @@ func TestEnginesDecodeInFileOrder(t *testing.T) {
 				}
 				continue
 			}
-			if many.OutputRecords < 2*64 {
+			if many.OutputRecords < 2*512 { // 2×minDecodeRange
 				t.Fatalf("%s %q: %d final records, too few for two ranges", eng.Name(), src, many.OutputRecords)
 			}
 			if !slices.EqualFunc(one.Rows, many.Rows, query.Row.Equal) {
-				t.Errorf("%s %q: rows decoded by 4 ranges differ from one range's", eng.Name(), src)
+				t.Errorf("%s %q: rows decoded by several ranges differ from one range's", eng.Name(), src)
 			}
 			if !query.RowsEqual(want, many.Rows) {
 				t.Errorf("%s %q: %s", eng.Name(), src, query.DiffRows(want, many.Rows, 4))

@@ -60,7 +60,7 @@ type QueryEngine interface {
 	// and EXPLAIN; Physical.Lower yields the executable stages.
 	PlanSource(q *query.Query, src plan.Source, cl *Cleaner, counters *mapreduce.Counters) (*plan.Physical, error)
 	// Decoder returns a fresh decoder of the plan's final records (see
-	// DecodeFunc); Run asks for one per record range it decodes in parallel.
+	// DecodeFunc); Decode asks for one per record range it decodes at once.
 	Decoder(q *query.Query) DecodeFunc
 
 	// Plan and Run are harness-facing: the frozen benchmark/adapter.go calls

@@ -1,12 +1,12 @@
 package engine
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"runtime"
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -154,9 +154,9 @@ func TestExecuteCollectsCounters(t *testing.T) {
 func decoderOf(f DecodeFunc) func() DecodeFunc { return func() DecodeFunc { return f } }
 
 // decodeFixture writes a final file of n records, record i holding i as a
-// uvarint, and returns an engine over it with the two-variable query and its
+// uvarint, and returns a DFS holding it with the two-variable query and its
 // COUNT(*) form.
-func decodeFixture(t *testing.T, n, parallelism int, slots mapreduce.SlotPool) (*mapreduce.Engine, *query.Query, *query.Query) {
+func decodeFixture(t *testing.T, n int) (*hdfs.DFS, *query.Query, *query.Query) {
 	t.Helper()
 	dfs := hdfs.New(hdfs.Config{Nodes: 2})
 	recs := make([][]byte, n)
@@ -166,16 +166,15 @@ func decodeFixture(t *testing.T, n, parallelism int, slots mapreduce.SlotPool) (
 	if err := dfs.WriteFile("final", recs); err != nil {
 		t.Fatal(err)
 	}
-	mr := mapreduce.NewEngine(dfs, mapreduce.EngineConfig{MapParallelism: parallelism, Slots: slots})
-	return mr, selectQuery(t), compileQuery(t, `SELECT (COUNT(*) AS ?n) WHERE { ?s <http://ex/p> ?o . }`)
+	return dfs, selectQuery(t), compileQuery(t, `SELECT (COUNT(*) AS ?n) WHERE { ?s <http://ex/p> ?o . }`)
 }
 
 // selectQuery is a one-pattern query with two variables.
-func selectQuery(t *testing.T) *query.Query {
+func selectQuery(t testing.TB) *query.Query {
 	return compileQuery(t, `SELECT * WHERE { ?s <http://ex/p> ?o . }`)
 }
 
-func compileQuery(t *testing.T, src string) *query.Query {
+func compileQuery(t testing.TB, src string) *query.Query {
 	t.Helper()
 	g := rdf.NewGraph()
 	g.Add(rdf.NewIRI("http://ex/s"), rdf.NewIRI("http://ex/p"), rdf.NewIRI("http://ex/o"))
@@ -202,73 +201,88 @@ func fanOut(calls *atomic.Int64) func() DecodeFunc {
 }
 
 // TestDecodeRangesKeepFileOrder: however many ranges decode the final file,
-// the rows come out in file order, every record is read once, and the DFS is
-// charged exactly the file's bytes.
+// the rows come out in file order, each clipped to its own width, every
+// record is read once, and the DFS is charged exactly the file's bytes.
 func TestDecodeRangesKeepFileOrder(t *testing.T) {
-	const n = 1000
+	const n = 5000 // ≈ 6,700 IDs: several slabs in one range
 	var want []query.Row
 	for i := 0; i < n; i++ {
 		for j := 0; j < i%3; j++ {
 			want = append(want, query.Row{rdf.ID(i), rdf.ID(j)})
 		}
 	}
-	for _, par := range []int{1, 2, 4, 7, 64} {
-		mr, q, _ := decodeFixture(t, n, par, nil)
-		size, _ := mr.DFS().FileSize("final")
-		before := mr.DFS().Metrics()
+	for _, k := range []int{1, 2, 4, 7, 64} {
+		dfs, q, _ := decodeFixture(t, n)
+		size, _ := dfs.FileSize("final")
+		before := dfs.Metrics()
 		var calls atomic.Int64
 		res := &Result{}
-		if err := Decode(mr, "final", q, fanOut(&calls), res); err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
+		if err := decodeRanges(dfs, "final", n, k, q, fanOut(&calls), res); err != nil {
+			t.Fatalf("%d ranges: %v", k, err)
 		}
-		if wantRanges := int64(min(par, (n+minDecodeRange-1)/minDecodeRange)); calls.Load() != wantRanges {
-			t.Errorf("parallelism %d: %d decoders, want one per range (%d)", par, calls.Load(), wantRanges)
+		if calls.Load() != int64(k) {
+			t.Errorf("%d ranges: %d decoders, want one per range", k, calls.Load())
 		}
 		if !slices.EqualFunc(res.Rows, want, query.Row.Equal) {
-			t.Errorf("parallelism %d: %d rows out of file order (want %d)", par, len(res.Rows), len(want))
+			t.Errorf("%d ranges: %d rows out of file order (want %d)", k, len(res.Rows), len(want))
 		}
-		after := mr.DFS().Metrics()
+		after := dfs.Metrics()
 		if res.OutputRecords != n || res.OutputBytes != size || after.BytesRead-before.BytesRead != size {
-			t.Errorf("parallelism %d: %d records, %d bytes, %d read; want %d, %d, %d", par,
+			t.Errorf("%d ranges: %d records, %d bytes, %d read; want %d, %d, %d", k,
 				res.OutputRecords, res.OutputBytes, after.BytesRead-before.BytesRead, n, size, size)
 		}
-		if len(res.Rows) > 1 {
-			next := res.Rows[1].Clone()
-			_ = append(res.Rows[0], 99)
-			if !res.Rows[1].Equal(next) {
-				t.Errorf("parallelism %d: appending to row 0 changed row 1", par)
+		for i := range res.Rows[:len(res.Rows)-1] {
+			next := res.Rows[i+1].Clone()
+			_ = append(res.Rows[i], 99)
+			if !res.Rows[i+1].Equal(next) {
+				t.Fatalf("%d ranges: appending to row %d changed row %d", k, i, i+1)
 			}
 		}
 	}
 }
 
+// TestDecodeRangeCount: Decode cuts a file into ranges of at least
+// minDecodeRange records, at most one per CPU, and decodes a small file on
+// the calling goroutine alone.
+func TestDecodeRangeCount(t *testing.T) {
+	for _, n := range []int{0, minDecodeRange, 2*minDecodeRange - 1, 2 * minDecodeRange, 64 * minDecodeRange} {
+		dfs, q, _ := decodeFixture(t, n)
+		var calls atomic.Int64
+		if err := Decode(dfs, "final", q, fanOut(&calls), &Result{}); err != nil {
+			t.Fatal(err)
+		}
+		if want := max(1, min(runtime.GOMAXPROCS(0), n/minDecodeRange)); calls.Load() != int64(want) {
+			t.Errorf("%d records: %d ranges, want %d", n, calls.Load(), want)
+		}
+	}
+}
+
 // TestDecodeCountAndEmpty: a COUNT(*) query sums what the records stand for
-// and builds no rows; an empty final file decodes to no rows and no ranges.
+// and builds no rows; an empty final file decodes to no rows.
 func TestDecodeCountAndEmpty(t *testing.T) {
-	mr, _, count := decodeFixture(t, 500, 4, nil)
+	dfs, _, count := decodeFixture(t, 500)
 	var calls atomic.Int64
 	res := &Result{}
-	if err := Decode(mr, "final", count, fanOut(&calls), res); err != nil {
+	if err := decodeRanges(dfs, "final", 500, 4, count, fanOut(&calls), res); err != nil {
 		t.Fatal(err)
 	}
 	if want := int64(499/3*3 + 1); res.Count != want || res.Rows != nil {
 		t.Errorf("count = %d with %d rows, want %d and none", res.Count, len(res.Rows), want)
 	}
-	mr, q, _ := decodeFixture(t, 0, 4, nil)
-	calls.Store(0)
+	dfs, q, _ := decodeFixture(t, 0)
 	res = &Result{}
-	if err := Decode(mr, "final", q, fanOut(&calls), res); err != nil || res.Rows != nil || calls.Load() != 0 {
-		t.Errorf("empty file: %d rows, %d decoders, %v", len(res.Rows), calls.Load(), err)
+	if err := Decode(dfs, "final", q, fanOut(&calls), res); err != nil || res.Rows != nil || res.OutputRecords != 0 {
+		t.Errorf("empty file: %d rows, %d records, %v", len(res.Rows), res.OutputRecords, err)
 	}
 }
 
 // TestDecodeReportsRangeError: a record one range cannot decode fails the
 // whole decode, and no rows are returned.
 func TestDecodeReportsRangeError(t *testing.T) {
-	mr, q, _ := decodeFixture(t, 1000, 4, nil)
+	dfs, q, _ := decodeFixture(t, 1000)
 	boom := errors.New("bad record")
 	res := &Result{}
-	err := Decode(mr, "final", q, decoderOf(func(dst []rdf.ID, rec []byte) ([]rdf.ID, int64, error) {
+	err := decodeRanges(dfs, "final", 1000, 4, q, decoderOf(func(dst []rdf.ID, rec []byte) ([]rdf.ID, int64, error) {
 		if i, _ := binary.Uvarint(rec); i == 700 {
 			return dst, 0, boom
 		}
@@ -279,80 +293,68 @@ func TestDecodeReportsRangeError(t *testing.T) {
 	}
 }
 
-// countingPool grants "map" slots up to its capacity and records the peak.
-type countingPool struct {
-	sem                  chan struct{}
-	mu                   sync.Mutex
-	kinds                []string
-	inUse, peak, granted int
-}
-
-func (p *countingPool) Acquire(ctx context.Context, kind string) (func(), error) {
-	select {
-	case p.sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	p.mu.Lock()
-	p.kinds = append(p.kinds, kind)
-	p.granted++
-	p.inUse++
-	p.peak = max(p.peak, p.inUse)
-	p.mu.Unlock()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			p.mu.Lock()
-			p.inUse--
-			p.mu.Unlock()
-			<-p.sem
-		})
-	}, nil
-}
-
-// TestDecodeRunsUnderMapSlots: with a shared SlotPool, every range leases one
-// map slot, and no more ranges decode at once than the pool grants.
-func TestDecodeRunsUnderMapSlots(t *testing.T) {
-	pool := &countingPool{sem: make(chan struct{}, 2)}
-	mr, q, _ := decodeFixture(t, 1000, 8, pool)
-	var calls atomic.Int64
-	res := &Result{}
-	if err := Decode(mr, "final", q, fanOut(&calls), res); err != nil {
-		t.Fatal(err)
-	}
-	if pool.granted != int(calls.Load()) || pool.granted != 8 || pool.peak > 2 {
-		t.Errorf("%d slots granted for %d ranges, peak %d; want 8, 8, ≤ 2", pool.granted, calls.Load(), pool.peak)
-	}
-	for _, k := range pool.kinds {
-		if k != "map" {
-			t.Errorf("range leased a %q slot, want map", k)
-		}
-	}
-}
-
 // raceEnabled is set by race_test.go: allocation counts mean nothing under
 // the race detector.
 var raceEnabled bool
 
-// TestDecodeAllocationCeiling: a decode allocates per range and per slab
-// growth, not per record or row, so ten times the records costs a handful
-// more allocations, not ten times as many.
+// TestDecodeAllocationCeiling: a decode allocates per range and per slab,
+// not per record or row, so ten times the records costs a handful more
+// allocations, not ten times as many.
 func TestDecodeAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	allocs := func(n int) float64 {
-		mr, q, _ := decodeFixture(t, n, 2, nil)
+		dfs, q, _ := decodeFixture(t, n)
 		var calls atomic.Int64
 		return testing.AllocsPerRun(20, func() {
-			if err := Decode(mr, "final", q, fanOut(&calls), &Result{}); err != nil {
+			if err := decodeRanges(dfs, "final", n, 2, q, fanOut(&calls), &Result{}); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 	small, large := allocs(500), allocs(5000)
-	t.Logf("Decode: %.0f allocations for 500 records, %.0f for 5,000", small, large)
-	if large > 64 || large-small > 16 {
-		t.Errorf("Decode: %.0f allocations for 500 records, %.0f for 5,000; ceiling 64, growth ≤ 16", small, large)
+	t.Logf("Decode in two ranges: %.0f allocations for 500 records, %.0f for 5,000", small, large)
+	if large > 32 || large-small > 12 {
+		t.Errorf("Decode: %.0f allocations for 500 records, %.0f for 5,000; ceiling 32, growth ≤ 12", small, large)
+	}
+}
+
+// BenchmarkDecodeRanges times one range against two over final files whose
+// records stand for 12 rows each; minDecodeRange comes from it:
+//
+//	go test -run '^$' -bench DecodeRanges -cpu 2 ./internal/engine
+func BenchmarkDecodeRanges(b *testing.B) {
+	q := selectQuery(b)
+	decoder := decoderOf(func(dst []rdf.ID, rec []byte) ([]rdf.ID, int64, error) {
+		var rows int64
+		for ; len(rec) > 0; rows++ {
+			s, k := binary.Uvarint(rec)
+			o, k2 := binary.Uvarint(rec[k:])
+			rec = rec[k+k2:]
+			dst = append(dst, rdf.ID(s), rdf.ID(o))
+		}
+		return dst, rows, nil
+	})
+	for _, n := range []int{256, 1024, 8192} {
+		dfs := hdfs.New(hdfs.Config{Nodes: 2})
+		recs := make([][]byte, n)
+		for i := range recs {
+			for j := 0; j < 24; j++ {
+				recs[i] = binary.AppendUvarint(recs[i], uint64(i*31+j*1000003))
+			}
+		}
+		if err := dfs.WriteFile("final", recs); err != nil {
+			b.Fatal(err)
+		}
+		for _, k := range []int{1, 2} {
+			b.Run(fmt.Sprintf("records=%d/ranges=%d", n, k), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if err := decodeRanges(dfs, "final", n, k, q, decoder, &Result{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

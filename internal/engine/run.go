@@ -2,7 +2,10 @@ package engine
 
 import (
 	"io"
+	"runtime"
+	"sync"
 
+	"ntga/internal/chunk"
 	"ntga/internal/codec"
 	"ntga/internal/hdfs"
 	"ntga/internal/mapreduce"
@@ -63,18 +66,36 @@ func Execute(mr *mapreduce.Engine, name string, stages []mapreduce.Stage,
 	if err != nil {
 		return res, err
 	}
-	return res, Decode(mr, finalFile, q, decoder, res)
+	return res, Decode(dfs, finalFile, q, decoder, res)
 }
 
-const (
-	// minDecodeRange is the fewest final records worth a range of their own;
-	// below it a goroutine and a slot lease cost more than the decoding.
-	minDecodeRange = 64
-	// A range decodes into ID chunks that start at minDecodeChunk IDs and
-	// double up to maxDecodeChunk.
-	minDecodeChunk = 1 << 10
-	maxDecodeChunk = 1 << 16
-)
+// minDecodeRange is the fewest final records worth a range of their own. On
+// two cores, two ranges decode 1,024 records about a tenth faster than one,
+// but 256 records about a tenth slower: below that, the goroutine, the
+// range's first slab and the DFS lock its reads contend for cost more than
+// they save (BenchmarkDecodeRanges).
+const minDecodeRange = 512
+
+// Decode reads a final output file into res: its rows, or for a COUNT(*)
+// query its count, and the OutputRecords/OutputBytes counters.
+//
+// A file of at least 2×minDecodeRange records is cut into contiguous record
+// ranges, at most one per CPU, decoded at once on goroutines of their own,
+// each by its own decoder(). Decoding is in-process CPU work on a workflow
+// that has finished, so it takes no cluster slot. Each range appends rows
+// straight into its own ID slabs. A slab holds no pointers, so the garbage
+// collector never scans it, and a slab three quarters full is left to its
+// rows and a larger one started (chunk.Next), so rows are rarely copied as
+// the result grows. Rows is then built once, in file order, as clipped views
+// of the slabs. Each range charges the DFS exactly the bytes it reads, so the
+// read counters equal a sequential scan's.
+func Decode(dfs *hdfs.DFS, name string, q *query.Query, decoder func() DecodeFunc, res *Result) error {
+	n, err := dfs.RecordCount(name)
+	if err != nil {
+		return err
+	}
+	return decodeRanges(dfs, name, n, max(1, min(runtime.GOMAXPROCS(0), n/minDecodeRange)), q, decoder, res)
+}
 
 // slab is one chunk of decoded rows, back to back.
 type slab struct {
@@ -82,61 +103,30 @@ type slab struct {
 	rows int64
 }
 
-// Decode reads a final output file into res: its rows, or for a COUNT(*)
-// query its count, and the OutputRecords/OutputBytes counters.
-//
-// The file is cut into at most mr.MapParallelism() contiguous record ranges,
-// decoded in parallel as map tasks of mr's run (mapreduce.RunMapTasks), each
-// by its own decoder() into its own ID slabs. A slab holds no pointers, so
-// the garbage collector never scans it, and a slab three quarters full is
-// left to its rows and a larger one started, so rows are rarely copied as
-// the result grows. Rows is then built once, in file order, as clipped views
-// of the slabs. Each range charges the DFS exactly the bytes it reads, so
-// the read counters equal a sequential scan's.
-func Decode(mr *mapreduce.Engine, name string, q *query.Query, decoder func() DecodeFunc, res *Result) error {
-	dfs := mr.DFS()
-	n, err := dfs.RecordCount(name)
-	if err != nil {
-		return err
-	}
-	type part struct {
-		slabs          []slab // the last is being filled
-		records, bytes int64
-	}
-	parts := make([]part, min(mr.MapParallelism(), (n+minDecodeRange-1)/minDecodeRange))
-	k, count := len(parts), q.IsCount()
-	err = mr.RunMapTasks(k, func(i int) error {
+// decodeRange is what one record range decoded to.
+type decodeRange struct {
+	slabs          []slab
+	records, bytes int64
+}
+
+// decodeRanges decodes the n records of name in k ranges, the first on the
+// calling goroutine.
+func decodeRanges(dfs *hdfs.DFS, name string, n, k int, q *query.Query, decoder func() DecodeFunc, res *Result) error {
+	parts, errs := make([]decodeRange, k), make([]error, k)
+	run := func(i int) {
 		off := i * n / k
-		r, err := dfs.OpenRange(name, off, (i+1)*n/k-off)
-		if err != nil {
-			return err
-		}
-		decode, p := decoder(), &parts[i]
-		var cur slab
-		defer func() { p.slabs = append(p.slabs, cur) }()
-		for {
-			rec, err := r.Next()
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			p.records++
-			p.bytes += int64(len(rec))
-			if c := cap(cur.ids); !count && 4*len(cur.ids) >= 3*c {
-				if cur.rows > 0 {
-					p.slabs = append(p.slabs, cur)
-				}
-				cur = slab{ids: make([]rdf.ID, 0, max(min(2*c, maxDecodeChunk), minDecodeChunk))}
-			}
-			var m int64
-			if cur.ids, m, err = decode(cur.ids, rec); err != nil {
-				return err
-			}
-			cur.rows += m
-		}
-	})
+		errs[i] = parts[i].decode(dfs, name, off, (i+1)*n/k-off, decoder(), q.IsCount())
+	}
+	var wg sync.WaitGroup
+	for i := 1; i < k; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(i)
+		}()
+	}
+	run(0)
+	wg.Wait()
 	var total int64
 	for _, p := range parts {
 		res.OutputRecords += p.records
@@ -145,10 +135,13 @@ func Decode(mr *mapreduce.Engine, name string, q *query.Query, decoder func() De
 			total += s.rows
 		}
 	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
 	switch {
-	case err != nil:
-		return err
-	case count:
+	case q.IsCount():
 		res.Count = total
 	case total > 0:
 		width := len(q.AllVars)
@@ -160,4 +153,36 @@ func Decode(mr *mapreduce.Engine, name string, q *query.Query, decoder func() De
 		}
 	}
 	return nil
+}
+
+// decode reads the m records of name from record off into p's slabs.
+func (p *decodeRange) decode(dfs *hdfs.DFS, name string, off, m int, decode DecodeFunc, count bool) error {
+	r, err := dfs.OpenRange(name, off, m)
+	if err != nil {
+		return err
+	}
+	var cur slab // being filled; appended to p.slabs on return
+	defer func() { p.slabs = append(p.slabs, cur) }()
+	for {
+		rec, err := r.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		p.records++
+		p.bytes += int64(len(rec))
+		if c := cap(cur.ids); !count && 4*len(cur.ids) >= 3*c {
+			if cur.rows > 0 {
+				p.slabs = append(p.slabs, cur)
+			}
+			cur = slab{ids: make([]rdf.ID, 0, chunk.Next(c, 0))}
+		}
+		var rows int64
+		if cur.ids, rows, err = decode(cur.ids, rec); err != nil {
+			return err
+		}
+		cur.rows += rows
+	}
 }

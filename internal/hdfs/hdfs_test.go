@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"ntga/internal/chunk"
 )
 
 func TestCreateWriteRead(t *testing.T) {
@@ -66,7 +68,7 @@ func TestWriterRecordsDoNotShareGrowth(t *testing.T) {
 	for i := 0; i < 3000; i++ { // crosses several chunk boundaries
 		recs = append(recs, []byte(fmt.Sprintf("record-%d", i)))
 	}
-	recs = append(recs, bytes.Repeat([]byte("x"), 3*maxChunk), []byte("after"))
+	recs = append(recs, bytes.Repeat([]byte("x"), 3*chunk.Max), []byte("after"))
 	if err := d.WriteFile("f", recs); err != nil {
 		t.Fatal(err)
 	}

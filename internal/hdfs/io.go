@@ -3,6 +3,8 @@ package hdfs
 import (
 	"fmt"
 	"io"
+
+	"ntga/internal/chunk"
 )
 
 // Writer appends records to a file being created. It buffers records into
@@ -13,20 +15,13 @@ type Writer struct {
 	d        *DFS
 	name     string
 	f        *file
-	chunk    []byte // the slab Append copies records into
+	slab     []byte // the chunk Append copies records into
 	pending  int64  // bytes appended since the last placed block
 	wRecords int64  // records appended through this writer
 	wBytes   int64  // logical bytes appended through this writer
 	closed   bool
 	failed   bool
 }
-
-// Writer chunks start at minChunk bytes and double up to maxChunk; a record
-// larger than that gets a chunk of its own size.
-const (
-	minChunk = 512
-	maxChunk = 64 << 10
-)
 
 // Create begins writing a new file. The file becomes visible immediately;
 // concurrent readers of a file under construction are not supported (the MR
@@ -56,13 +51,14 @@ func (w *Writer) Append(record []byte) error {
 	// Store our own copy, since callers reuse record buffers: appended to the
 	// writer's chunk and clipped to its length, so a reader appending to one
 	// record never writes into the next. A full chunk stays with the records
-	// in it and a larger one is started.
-	if cap(w.chunk)-len(w.chunk) < len(record) {
-		w.chunk = make([]byte, 0, max(min(2*cap(w.chunk), maxChunk), minChunk, len(record)))
+	// in it and the next is sized by chunk.Next; a record larger than chunk.Max
+	// gets a chunk of its own size.
+	if cap(w.slab)-len(w.slab) < len(record) {
+		w.slab = make([]byte, 0, chunk.Next(cap(w.slab), len(record)))
 	}
-	start := len(w.chunk)
-	w.chunk = append(w.chunk, record...)
-	cp := w.chunk[start:len(w.chunk):len(w.chunk)]
+	start := len(w.slab)
+	w.slab = append(w.slab, record...)
+	cp := w.slab[start:len(w.slab):len(w.slab)]
 	w.d.mu.Lock()
 	defer w.d.mu.Unlock()
 	w.f.records = append(w.f.records, cp)

@@ -211,23 +211,6 @@ func (e *Engine) dispatch(kind string, n int, fn func(int) error) error {
 	return d.Dispatch(e.ctx, kind, n, fn)
 }
 
-// MapParallelism is the run's map pool width: how many map tasks the engine
-// runs at once when no SlotPool governs it.
-func (e *Engine) MapParallelism() int { return e.cfg.MapParallelism }
-
-// RunMapTasks runs fn(0..n-1) outside any job, as map tasks of this engine's
-// run: under its map pool width, or one lease each from its SlotPool. A
-// cluster that takes jobs whole has its slots elsewhere; there the tasks run
-// here on a pool of MapParallelism goroutines. It returns the first error,
-// and a cancelled context ends any wait for a slot.
-func (e *Engine) RunMapTasks(n int, fn func(i int) error) error {
-	d, ok := e.cluster.(Dispatcher)
-	if !ok {
-		d = NewLocalCluster(e.dfs, e.cfg.MapParallelism, e.cfg.ReduceParallelism, nil)
-	}
-	return d.Dispatch(e.ctx, "map", n, fn)
-}
-
 // taskNode resolves task placement through the cluster; a cluster without a
 // placement model pins everything to node 0.
 func (e *Engine) taskNode(task, attempt int) int {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"ntga/internal/chunk"
 	"ntga/internal/codec"
 	"ntga/internal/hdfs"
 	"ntga/internal/trace"
@@ -97,11 +98,6 @@ func newTaskEmitter(dfs *hdfs.DFS, job *Job, nReducers int, budget int64, node i
 	}
 }
 
-// emitChunk caps one chunk of a task's map-output slab. Chunks start small and
-// double, so a task that emits little allocates little, and never exceed the
-// sort budget, so the slabs hold at most about twice what buffered counts.
-const emitChunk = 64 << 10
-
 // Emit copies the pair into the task's slab — the caller may reuse both
 // buffers as soon as it returns — and spills once the buffer reaches the sort
 // budget.
@@ -112,7 +108,9 @@ func (t *taskEmitter) Emit(key, value []byte) error {
 	}
 	n := len(key) + len(value)
 	if cap(t.slab)-len(t.slab) < n {
-		size := min(max(2*cap(t.slab), 1<<10), emitChunk)
+		// A chunk never exceeds the sort budget, so the slabs hold at most
+		// about twice what buffered counts.
+		size := chunk.Next(cap(t.slab), 0)
 		if t.budget > 0 {
 			size = int(min(int64(size), t.budget))
 		}

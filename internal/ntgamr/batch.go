@@ -154,7 +154,7 @@ func (n *NTGA) RunBatch(mr *mapreduce.Engine, qs []*query.Query, input string) (
 		r := &engine.Result{Engine: n.name, Counters: counters.Snapshot(), IsCount: q.IsCount()}
 		// No COUNT fold here: a counting query's final records are its joined
 		// triplegroups, counted without expansion.
-		if err := engine.Decode(mr, accs[qi], q, func() engine.DecodeFunc { return joinedDecoder(q) }, r); err != nil {
+		if err := engine.Decode(dfs, accs[qi], q, func() engine.DecodeFunc { return joinedDecoder(q) }, r); err != nil {
 			return res, err
 		}
 		res.Results = append(res.Results, r)
