@@ -9,8 +9,12 @@ all: build check test
 # NTGA operators — one mapper or reducer instance serves concurrent tasks, so
 # their scratch memory must be per call — the query daemon, and the RPC
 # cluster — the latter in -short mode, which still includes the seeded
-# network-chaos and partition-recovery tests; the full cross-transport parity
-# sweep runs with the ordinary test suite).
+# network-chaos and partition-recovery tests and the result-sink test
+# TestClusterSinkMatchesLocal; the full cross-transport parity sweep runs with
+# the ordinary test suite). The final job's task attempts commit their rows
+# into one shared result sink, so the sink and decode tests also run ten times
+# over under -race (-short leaves out the two engine/catalog sweeps there; the
+# single race pass over internal/engine runs them).
 check:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -18,6 +22,7 @@ check:
 	fi
 	go vet ./...
 	go test -race ./internal/mapreduce/ ./internal/hdfs/ ./internal/server/ ./internal/workload/ ./internal/core/ ./internal/core/hash64/ ./internal/ntgamr/ ./internal/query/ ./internal/rdf/ ./internal/engine/
+	go test -race -count=10 -short -run 'Sink|Decode' ./internal/engine/
 	go test -race -short ./internal/cluster/
 	go test -race ./internal/ingest/
 	go test ./internal/plan/ ./internal/explain/

@@ -405,9 +405,13 @@ func printMetrics(w io.Writer, res *engine.Result) {
 		return s
 	}
 	for _, j := range res.Workflow.Jobs {
+		out := stats.FormatBytes(j.ReduceOutputBytes)
+		if j.Sunk {
+			out = "→ caller" // the final job's rows went to the caller, not the DFS
+		}
 		t.AddRow(j.Job, j.Duration.Round(1000).String(), stats.FormatBytes(j.MapInputBytes),
 			stats.FormatBytes(j.MapOutputBytes), stats.FormatBytes(j.SpilledBytes),
-			j.MergePasses, stats.FormatBytes(j.ReduceOutputBytes),
+			j.MergePasses, out,
 			stats.FormatRatio(straggler(j)), stats.FormatRatio(j.ReduceKeySkew),
 			stats.FormatRatio(j.ReduceByteSkew))
 	}

@@ -84,6 +84,21 @@ func TestRun(t *testing.T) {
 				t.Errorf("stderr = %q", stderr)
 			}
 		}},
+		{"metrics", []string{"-data", data, "-e", q, "-engine", "hive", "-metrics", "-limit", "2"}, 0, func(t *testing.T, stdout, stderr string) {
+			rows(t, stdout, stderr)
+			// The final job's rows went to the caller, so its output reads
+			// "→ caller"; every earlier job wrote its output to the DFS.
+			var jobs []string
+			for _, line := range strings.Split(stderr, "\n") {
+				if strings.HasPrefix(line, "Hive-") {
+					jobs = append(jobs, line)
+				}
+			}
+			if len(jobs) != 3 || !strings.Contains(jobs[2], "→ caller") ||
+				strings.Contains(jobs[0]+jobs[1], "→ caller") {
+				t.Errorf("job rows = %q, want three, only the last one's output to the caller", jobs)
+			}
+		}},
 		{"reference engine", []string{"-data", data, "-e", q, "-engine", "ref", "-limit", "2"}, 0, func(t *testing.T, stdout, stderr string) {
 			rows(t, stdout, stderr)
 		}},

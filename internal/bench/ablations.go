@@ -266,7 +266,7 @@ func AblationScanSharing(opt Options) (*Report, error) {
 	var sepDur time.Duration
 	sepRows := make([]int64, len(qs))
 	for qi, q := range qs {
-		res, err := engine.Run(lazy, mr, q, plan.Source{Base: input})
+		res, err := engine.RunPersisted(lazy, mr, q, plan.Source{Base: input})
 		if err != nil {
 			return nil, fmt.Errorf("bench: separate run %s: %w", ids[qi], err)
 		}

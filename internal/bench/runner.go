@@ -203,7 +203,7 @@ func RunQuery(spec ClusterSpec, g *rdf.Graph, cq CatalogQuery, engines []engine.
 	var refRows int64 = -1
 	for _, eng := range engines {
 		estCycles, estShuffle := estimateRun(cat, eng, q, input)
-		res, runErr := engine.Run(eng, mr, q, plan.Source{Base: input})
+		res, runErr := engine.RunPersisted(eng, mr, q, plan.Source{Base: input})
 		run := EngineRun{
 			Engine:          eng.Name(),
 			OK:              runErr == nil,

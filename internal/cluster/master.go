@@ -140,6 +140,7 @@ type taskState struct {
 	span     *trace.Span
 	dur      time.Duration
 	reduce   mapreduce.ReduceStats // what a committed reduce task consumed
+	sunk     [][]byte              // a committed task's main output, for the job's sink
 }
 
 // jobState is one job instance being scheduled across the workers. It is
@@ -834,13 +835,14 @@ func (m *Master) report(args *ReportArgs) {
 			js.settleLocked(nil)
 		}
 	default: // reduce, maponly: commit the shipped output as part files
-		if err := m.commitTaskLocked(js, args); err != nil {
+		recs, bytes, err := m.commitTaskLocked(js, ts, args)
+		if err != nil {
 			js.settleLocked(err)
 			return
 		}
 		ts.reduce = mapreduce.ReduceStats{Groups: args.Groups, InPairs: args.InPairs, InBytes: args.InBytes}
-		js.outRecords += args.Records
-		js.outBytes += args.Bytes
+		js.outRecords += recs
+		js.outBytes += bytes
 		if args.Kind == "maponly" {
 			js.mapsDone++
 			js.mapRecords += args.Records
@@ -870,19 +872,31 @@ func (m *Master) report(args *ReportArgs) {
 // commitTaskLocked writes one task's shipped output records as the job's
 // part files (the distributed stand-in for the local attempt-commit rename;
 // every record is written here, so DFS capacity failures surface exactly
-// like a local mid-reduce disk-full).
-func (m *Master) commitTaskLocked(js *jobState, args *ReportArgs) error {
+// like a local mid-reduce disk-full) and reports what it wrote. A job with a
+// sink keeps the main-output records on the task instead (or as well, when
+// persisted); runJob hands them to the sink once the job has finished.
+func (m *Master) commitTaskLocked(js *jobState, ts *taskState, args *ReportArgs) (records, bytes int64, err error) {
 	bases := js.job.OutputBases()
 	if len(args.Outputs) != len(bases) {
-		return fmt.Errorf("cluster: %s task %d shipped %d outputs, job %s has %d", args.Kind, args.Task, len(args.Outputs), js.job.Name, len(bases))
+		return 0, 0, fmt.Errorf("cluster: %s task %d shipped %d outputs, job %s has %d", args.Kind, args.Task, len(args.Outputs), js.job.Name, len(bases))
+	}
+	if js.job.Sink != nil {
+		ts.sunk = args.Outputs[0]
 	}
 	for b, base := range bases {
+		if b == 0 && js.job.Sunk() {
+			continue
+		}
 		name := mapreduce.PartName(base, args.Task)
 		if err := m.dfs.WriteFile(name, args.Outputs[b]); err != nil {
-			return fmt.Errorf("committing %s: %w", name, err)
+			return 0, 0, fmt.Errorf("committing %s: %w", name, err)
+		}
+		for _, rec := range args.Outputs[b] {
+			records++
+			bytes += int64(len(rec))
 		}
 	}
-	return nil
+	return records, bytes, nil
 }
 
 // reportFailureLocked handles a failed attempt: fetch-failure LostMaps
@@ -992,9 +1006,10 @@ func (rc *remoteCluster) RunJob(ctx context.Context, jsp *trace.Span, job *mapre
 
 // runJob schedules one job: plan splits from DFS metadata, enqueue the
 // job's tasks for the lease loop, wait for the reports to finish it, then
-// splice the committed part files into the job outputs. On failure every
-// written part and output base is removed — the JobRunner cleanup contract.
-// Planning, the per-task profile and the splice are the local engine's own.
+// splice the committed part files into the job outputs and hand a sink its
+// tasks' main output. On failure every written part and output base is
+// removed — the JobRunner cleanup contract. Planning, the per-task profile
+// and the splice are the local engine's own.
 func (m *Master) runJob(ctx context.Context, qid string, jsp *trace.Span, job *mapreduce.Job, cfg mapreduce.EngineConfig) (mapreduce.JobMetrics, error) {
 	var jm mapreduce.JobMetrics
 	splits, err := mapreduce.PlanSplits(m.dfs, job, cfg.SplitRecords, &jm)
@@ -1072,16 +1087,46 @@ func (m *Master) runJob(ctx context.Context, qid string, jsp *trace.Span, job *m
 			reduces[p] = ts.reduce
 		}
 	}
+	outTasks := js.reduces
+	if js.mapKind == "maponly" {
+		outTasks = js.maps
+	}
+	var sunk [][][]byte
+	if err == nil && job.Sink != nil {
+		sunk = make([][][]byte, len(outTasks))
+		for i, ts := range outTasks {
+			sunk[i] = ts.sunk
+		}
+	}
 	m.mu.Unlock()
 	jm.FoldTaskStats(mapDurs, reduceDurs, reduces)
 
 	if err == nil {
 		err = mapreduce.CommitParts(m.dfs, job, nParts)
 	}
+	if err == nil && job.Sink != nil {
+		err = feedSink(job.Sink, sunk)
+	}
 	if err != nil {
 		mapreduce.RemoveOutputs(m.dfs, job, nParts)
 	}
 	return jm, err
+}
+
+// feedSink hands each task's committed main-output records to the job's
+// sink, in task order: the winning reports are the only attempts the master
+// ever sees, so each task is one attempt that commits.
+func feedSink(sink mapreduce.Sink, tasks [][][]byte) error {
+	for i, recs := range tasks {
+		a := sink.Attempt()
+		for _, rec := range recs {
+			if err := a.Collect(rec); err != nil {
+				return fmt.Errorf("task %d output: %w", i, err)
+			}
+		}
+		a.Commit(i)
+	}
+	return nil
 }
 
 // dropJob unlists a settled job and finishes any dangling lease spans.

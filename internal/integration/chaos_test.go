@@ -8,11 +8,15 @@
 package integration
 
 import (
+	"fmt"
+	"slices"
 	"testing"
+	"time"
 
 	"ntga/internal/bench"
 	"ntga/internal/engine"
 	"ntga/internal/enginetest"
+	"ntga/internal/explain"
 	"ntga/internal/hdfs"
 	"ntga/internal/mapreduce"
 	"ntga/internal/ntgamr"
@@ -117,4 +121,114 @@ func TestChaosCatalogQueriesSurviveFaults(t *testing.T) {
 	}
 	t.Logf("chaos sweep: retries=%d nodeKills=%d mapRecoveries=%d killedAttempts=%d speculativeWins=%d",
 		retries, nodeKills, recoveries, killedAttempts, specWins)
+}
+
+// TestChaosSinkExactlyOnce: faults that land in the final job — failed
+// attempts, speculative rivals, a node kill — leave the caller's rows
+// exactly once. Every engine runs flat and over a bucketed layout; each cell
+// retries seeds until its final job has actually failed attempts, and every
+// run is checked. The rows are the reference engine's, with no duplicate; a
+// losing attempt leaves nothing behind (no _tmp/ file, no final file), and
+// the final job writes nothing to the DFS.
+func TestChaosSinkExactlyOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos sweep")
+	}
+	g, err := bench.Dataset("bsbm", 1, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		input    = "data/triples"
+		dir      = "part/T"
+		maxSeeds = 40
+	)
+	// A fault-dense plan: the final job of a scale-1 query passes few
+	// checkpoints, so the per-checkpoint rate is well above newChaosMR's, and
+	// stragglers are common enough that the final job's own tasks get
+	// speculative rivals, whose losers must leave the sink untouched.
+	newMR := func(seed int64) *mapreduce.Engine {
+		return mapreduce.NewEngine(
+			hdfs.New(hdfs.Config{Nodes: 6, BlockSize: 1 << 14}),
+			mapreduce.EngineConfig{
+				SplitRecords:          512,
+				DefaultReducers:       4,
+				SortBufferBytes:       1 << 10,
+				MergeFactor:           4,
+				TaskMaxAttempts:       16,
+				Speculation:           true,
+				SpeculationMinRuntime: time.Millisecond,
+				Faults: &mapreduce.FaultPlan{
+					Rate:            0.03,
+					Seed:            seed,
+					NodeFailureRate: 0.3,
+					MaxNodeKills:    1,
+					StragglerRate:   0.1,
+					StragglerDelay:  5 * time.Millisecond,
+				},
+			})
+	}
+	var finalRetries, finalKills, finalSpec int64
+	for _, id := range []string{"Q1a", "B1"} {
+		cq, err := bench.Lookup(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := enginetest.Compile(t, g, cq.Src)
+		want := refengine.Evaluate(q, g)
+		for _, eng := range explain.Engines() {
+			for _, bucketed := range []bool{false, true} {
+				label := fmt.Sprintf("%s on %s (bucketed %v)", eng.Name(), id, bucketed)
+				if _, err := engine.Plan(eng, q, plan.Source{Base: input}, new(engine.Cleaner), nil); err != nil {
+					continue // Sel-SJ-first plans bound-only two-star queries alone
+				}
+				hit := false
+				for seed := int64(1); seed <= maxSeeds && !hit; seed++ {
+					mr := newMR(seed)
+					if err := engine.LoadGraph(mr.DFS(), input, g); err != nil {
+						t.Fatal(err)
+					}
+					src := plan.Source{Base: input}
+					if bucketed {
+						if src.Part, err = plan.BuildPartitionLayout(mr, input, dir, 4, g.Version()); err != nil {
+							t.Fatalf("%s seed %d: layout: %v", label, seed, err)
+						}
+					}
+					before := mr.DFS().ListPrefix("")
+					res, err := engine.Run(eng, mr, q, src)
+					if err != nil {
+						t.Fatalf("%s seed %d: %v", label, seed, err)
+					}
+					if len(res.Rows) != len(want) || !query.RowsEqual(want, res.Rows) {
+						t.Fatalf("%s seed %d: %d rows, want the reference's %d:\n%s",
+							label, seed, len(res.Rows), len(want), query.DiffRows(want, res.Rows, 6))
+					}
+					if after := mr.DFS().ListPrefix(""); !slices.Equal(before, after) {
+						t.Fatalf("%s seed %d: files before the run %v, after %v", label, seed, before, after)
+					}
+					if tmp := mr.DFS().ListPrefix("_tmp/"); len(tmp) != 0 {
+						t.Fatalf("%s seed %d: attempt temporaries left: %v", label, seed, tmp)
+					}
+					final := res.Workflow.Jobs[len(res.Workflow.Jobs)-1]
+					if !final.Sunk || final.ReduceOutputBytes != 0 {
+						t.Fatalf("%s seed %d: final job sunk=%v wrote %d bytes", label, seed, final.Sunk, final.ReduceOutputBytes)
+					}
+					if final.TaskRetries > 0 {
+						hit = true
+						finalRetries += final.TaskRetries
+						finalKills += final.NodeKills
+						finalSpec += final.SpeculativeLaunched
+					}
+				}
+				if !hit {
+					t.Errorf("%s: no seed up to %d failed an attempt of the final job", label, maxSeeds)
+				}
+			}
+		}
+	}
+	if finalKills == 0 || finalSpec == 0 {
+		t.Errorf("final jobs saw %d retries, %d node kills, %d speculative attempts; want all three",
+			finalRetries, finalKills, finalSpec)
+	}
+	t.Logf("final jobs: %d retries, %d node kills, %d speculative attempts", finalRetries, finalKills, finalSpec)
 }

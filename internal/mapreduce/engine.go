@@ -231,26 +231,37 @@ type partOut struct {
 // streamCollector streams one task attempt's output records straight into
 // attempt-private DFS part files as they are collected, so a job that
 // overruns cluster capacity fails mid-reduce (hdfs.ErrDiskFull while
-// records are produced), not at a commit step afterwards. publish renames
-// the temps to their final part names; abort deletes them.
+// records are produced), not at a commit step afterwards. A job with a Sink
+// hands its main-output records to the attempt's SinkAttempt as well (or,
+// when the output is sunk, instead). publish renames the temps to their
+// final part names and commits the sink attempt; abort deletes the temps,
+// and an uncommitted sink attempt is dropped.
 type streamCollector struct {
-	files   []partOut // files[0] is the main output
-	extras  map[string]*hdfs.Writer
-	records int64
-	bytes   int64
-	// timed accumulates the wall-clock spent inside DFS appends so a traced
-	// task can split its fused loop into reduce-vs-write phases; off (the
-	// default) when no tracer is configured.
+	files  []partOut    // every DFS part file of the attempt
+	main   *hdfs.Writer // the main output's, nil when it is sunk
+	sink   SinkAttempt  // nil without a Job.Sink
+	extras map[string]*hdfs.Writer
+	// records and bytes count everything collected; sunkRecords and
+	// sunkBytes the part of it that went to the sink alone.
+	records, bytes         int64
+	sunkRecords, sunkBytes int64
+	// timed accumulates the wall-clock spent inside DFS appends and sink
+	// collects so a traced task can split its fused loop into reduce-vs-write
+	// phases; off (the default) when no tracer is configured.
 	timed     bool
 	writeDur  time.Duration
 	committed bool
 }
 
 // openParts creates the attempt-private part files for task index i of the
-// job: one for the main output and one per declared extra output.
+// job: one per output written to the DFS — the main output unless it is
+// sunk, and one per declared extra output — and the attempt's sink share.
 func (e *Engine) openParts(job *Job, ac *attemptCtx, i int, timed bool) (*streamCollector, error) {
 	col := &streamCollector{timed: timed}
-	for _, base := range job.OutputBases() {
+	if job.Sink != nil {
+		col.sink = job.Sink.Attempt()
+	}
+	for _, base := range job.fileBases() {
 		tmp := tmpPartName(ac.js.wf, job.Name, ac.kind, ac.task, ac.attempt, base, i)
 		w, err := e.dfs.Create(tmp)
 		if err != nil {
@@ -258,12 +269,14 @@ func (e *Engine) openParts(job *Job, ac *attemptCtx, i int, timed bool) (*stream
 			return nil, fmt.Errorf("creating output %s: %w", base, err)
 		}
 		col.files = append(col.files, partOut{w: w, tmp: tmp, final: PartName(base, i)})
-		if base != job.Output {
-			if col.extras == nil {
-				col.extras = make(map[string]*hdfs.Writer, len(job.ExtraOutputs))
-			}
-			col.extras[base] = w
+		if base == job.Output {
+			col.main = w
+			continue
 		}
+		if col.extras == nil {
+			col.extras = make(map[string]*hdfs.Writer, len(job.ExtraOutputs))
+		}
+		col.extras[base] = w
 	}
 	return col, nil
 }
@@ -273,7 +286,13 @@ func (c *streamCollector) Collect(record []byte) error {
 	if c.timed {
 		t0 = time.Now()
 	}
-	err := c.files[0].w.Append(record)
+	var err error
+	if c.main != nil {
+		err = c.main.Append(record)
+	}
+	if err == nil && c.sink != nil {
+		err = c.sink.Collect(record)
+	}
 	if c.timed {
 		c.writeDur += time.Since(t0)
 	}
@@ -282,6 +301,10 @@ func (c *streamCollector) Collect(record []byte) error {
 	}
 	c.records++
 	c.bytes += int64(len(record))
+	if c.main == nil {
+		c.sunkRecords++
+		c.sunkBytes += int64(len(record))
+	}
 	return nil
 }
 
@@ -306,11 +329,12 @@ func (c *streamCollector) CollectTo(output string, record []byte) error {
 	return nil
 }
 
-// written sums the records and bytes actually appended through the part
-// writers (hdfs-attributed, so a failed Append that partially streamed is
-// still accounted to the task's write span).
+// written sums the records and bytes the attempt wrote: those appended
+// through the part writers (hdfs-attributed, so a failed Append that
+// partially streamed is still accounted to the task's write span) plus those
+// handed to the sink alone.
 func (c *streamCollector) written() (records, bytes int64) {
-	var r, b int64
+	r, b := c.sunkRecords, c.sunkBytes
 	for _, f := range c.files {
 		wr, wb := f.w.Written()
 		r += wr
@@ -320,9 +344,9 @@ func (c *streamCollector) written() (records, bytes int64) {
 }
 
 // publish seals every part file and, if the attempt wins its task's commit
-// claim, atomically promotes the temps to their final part names. On any
-// error — errLostRace included — the deferred abortUnlessCommitted reclaims
-// the attempt's files.
+// claim, atomically promotes the temps to their final part names and commits
+// the sink attempt. On any error — errLostRace included — the deferred
+// abortUnlessCommitted reclaims the attempt's files.
 func (c *streamCollector) publish(ac *attemptCtx) error {
 	for _, f := range c.files {
 		if err := f.w.Close(); err != nil {
@@ -336,6 +360,9 @@ func (c *streamCollector) publish(ac *attemptCtx) error {
 		if err := ac.e.dfs.Rename(f.tmp, f.final); err != nil {
 			return fmt.Errorf("committing %s: %w", f.final, err)
 		}
+	}
+	if c.sink != nil {
+		c.sink.Commit(ac.task)
 	}
 	c.committed = true
 	return nil
@@ -380,7 +407,7 @@ func (e *Engine) Run(job *Job) (JobMetrics, error) {
 // and the workflow ID scoping this job's temp namespace.
 func (e *Engine) run(job *Job, jsp *trace.Span, wf string) (JobMetrics, error) {
 	start := time.Now()
-	m := JobMetrics{Job: job.Name, MapOnly: job.mapOnly()}
+	m := JobMetrics{Job: job.Name, MapOnly: job.mapOnly(), Sunk: job.Sunk()}
 	js := newJobRunState(e, wf, job.Name)
 	nParts := 0                 // part files per output base once tasks are planned
 	var emitters []*taskEmitter // committed map winners (set once the map phase plans)
@@ -439,7 +466,7 @@ func (e *Engine) run(job *Job, jsp *trace.Span, wf string) (JobMetrics, error) {
 	if jr, ok := e.cluster.(JobRunner); ok {
 		rm, err := jr.RunJob(e.ctx, jsp, job, e.cfg)
 		rm.Job = job.Name
-		rm.MapOnly = job.mapOnly()
+		rm.MapOnly, rm.Sunk = job.mapOnly(), job.Sunk()
 		rm.Duration = time.Since(start)
 		if err != nil {
 			rm.Failed = true
@@ -667,9 +694,11 @@ type outCount struct {
 	records, bytes atomic.Int64
 }
 
+// add counts what the attempt wrote to the DFS: its sunk records are the
+// caller's, not the file system's.
 func (o *outCount) add(c *streamCollector) {
-	o.records.Add(c.records)
-	o.bytes.Add(c.bytes)
+	o.records.Add(c.records - c.sunkRecords)
+	o.bytes.Add(c.bytes - c.sunkBytes)
 }
 
 // mapAttempt is one map task attempt of a shuffle job: stream the split

@@ -102,7 +102,7 @@ type JobMetrics struct {
 	// Reduce phase.
 	ReduceTasks         int
 	ReduceInputGroups   int64
-	ReduceOutputRecords int64
+	ReduceOutputRecords int64 // records written to the DFS
 	ReduceOutputBytes   int64 // bytes written to the DFS
 
 	// MaxReducePartitionRecords is the largest reduce partition's input
@@ -158,8 +158,11 @@ type JobMetrics struct {
 
 	Duration time.Duration
 	MapOnly  bool
-	Failed   bool
-	Err      string
+	// Sunk marks a job whose main output went to its Job.Sink (the caller)
+	// and not to the DFS, so ReduceOutputBytes leaves it out.
+	Sunk   bool
+	Failed bool
+	Err    string
 }
 
 // WorkflowMetrics aggregates the jobs of one workflow run.

@@ -340,9 +340,10 @@ func PartName(base string, i int) string {
 
 // CommitParts assembles each job output from its nParts per-task part files
 // in task order — a pure block splice (hdfs.Concat), since every record was
-// already written (and paid for) by the task that produced it.
+// already written (and paid for) by the task that produced it. A sunk main
+// output has no part files and is skipped.
 func CommitParts(d *hdfs.DFS, job *Job, nParts int) error {
-	for _, base := range job.OutputBases() {
+	for _, base := range job.fileBases() {
 		names := make([]string, nParts)
 		for i := range names {
 			names[i] = PartName(base, i)
@@ -357,7 +358,7 @@ func CommitParts(d *hdfs.DFS, job *Job, nParts int) error {
 // RemoveOutputs deletes a failed job's outputs and whichever of its nParts
 // part files per output were already published.
 func RemoveOutputs(d *hdfs.DFS, job *Job, nParts int) {
-	for _, base := range job.OutputBases() {
+	for _, base := range job.fileBases() {
 		d.DeleteIfExists(base)
 		for i := 0; i < nParts; i++ {
 			d.DeleteIfExists(PartName(base, i))

@@ -8,7 +8,9 @@
 //     map-output bytes are the shuffle cost the lazy β-unnesting strategies
 //     target;
 //   - reduce output is materialized back to the DFS between cycles (write
-//     counters, replication amplification, disk-full failures);
+//     counters, replication amplification, disk-full failures); a job with
+//     a Sink hands its main output to the caller instead, which is how a
+//     query's last cycle returns its rows;
 //   - a workflow is a sequence of stages; jobs within a stage may run
 //     concurrently (Pig-style independent-job parallelism).
 //
@@ -143,6 +145,27 @@ func (f CombinerFunc) Combine(key []byte, values [][]byte) ([][]byte, error) {
 	return f(key, values)
 }
 
+// Sink takes a job's main output in memory instead of the DFS — the final
+// job of a query hands its records to the caller this way. Each task attempt
+// collects into an Attempt of its own; only the attempt that wins its task's
+// commit claim commits, so the sink holds every task's records exactly once,
+// however many attempts failed, were killed or lost the race.
+type Sink interface {
+	// Attempt returns the collector of one task attempt's main output.
+	Attempt() SinkAttempt
+}
+
+// SinkAttempt is one task attempt's share of a Sink. Its Collect must not
+// keep the record slice, which the task may reuse once the call returns. An
+// attempt that does not commit is simply dropped.
+type SinkAttempt interface {
+	Collector
+	// Commit keeps what the attempt collected as the output of the given
+	// task. It is called at most once per task, by the winning attempt, and
+	// the commits of different tasks may run concurrently.
+	Commit(task int)
+}
+
 // TaskMapper is a per-task map-only operator with end-of-input state: after
 // the task's whole split has streamed through MapRecord, Flush is called
 // once so operators that accumulate runs (e.g. building a triplegroup from
@@ -233,6 +256,14 @@ type Job struct {
 	NumReducers int
 	// Partitioner routes keys to reducers; nil defaults to HashPartitioner.
 	Partitioner Partitioner
+	// Sink, when non-nil, receives the main output instead of the DFS: no
+	// part file of Output is written or committed, and ReduceOutputBytes
+	// counts the extra outputs only. Extra outputs are unaffected.
+	Sink Sink
+	// Persist keeps writing the main output to Output when Sink is set; each
+	// task hands the same records to both in one pass, so the output is
+	// written (and paid for) but never read back.
+	Persist bool
 }
 
 func (j *Job) validate() error {
@@ -295,6 +326,19 @@ func (j *Job) mapOnly() bool { return j.MapOnly != nil || j.MapOnlyFactory != ni
 // MemCollector and the part files CommitParts splices.
 func (j *Job) OutputBases() []string {
 	return append([]string{j.Output}, j.ExtraOutputs...)
+}
+
+// Sunk reports whether the main output goes to the Sink alone, never to
+// the DFS.
+func (j *Job) Sunk() bool { return j.Sink != nil && !j.Persist }
+
+// fileBases lists the outputs written to the DFS as part files: OutputBases
+// without the main output when it is sunk.
+func (j *Job) fileBases() []string {
+	if j.Sunk() {
+		return j.ExtraOutputs
+	}
+	return j.OutputBases()
 }
 
 // taskMapper builds the map-only operator for one task attempt: the

@@ -153,8 +153,10 @@ func (n *NTGA) RunBatch(mr *mapreduce.Engine, qs []*query.Query, input string) (
 	for qi, q := range qs {
 		r := &engine.Result{Engine: n.name, Counters: counters.Snapshot(), IsCount: q.IsCount()}
 		// No COUNT fold here: a counting query's final records are its joined
-		// triplegroups, counted without expansion.
-		if err := engine.Decode(dfs, accs[qi], q, func() engine.DecodeFunc { return joinedDecoder(q) }, r); err != nil {
+		// triplegroups, counted without expansion. A query without joins ends
+		// in an extra output of the shared grouping job, so every query's
+		// output is a file, decoded after the workflow.
+		if err := engine.Decode(dfs, accs[qi], q, joinedDecoder(q), r); err != nil {
 			return res, err
 		}
 		res.Results = append(res.Results, r)
