@@ -14,7 +14,9 @@ all: build check test
 # the ordinary test suite). The final job's task attempts commit their rows
 # into one shared result sink, so the sink and decode tests also run ten times
 # over under -race (-short leaves out the two engine/catalog sweeps there; the
-# single race pass over internal/engine runs them).
+# single race pass over internal/engine runs them). The cluster's wire
+# decoders run inside the net/rpc server, so FuzzWireDecode also explores
+# for ten seconds (the plain test runs replay only its seed corpus).
 check:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -24,6 +26,7 @@ check:
 	go test -race ./internal/mapreduce/ ./internal/hdfs/ ./internal/server/ ./internal/workload/ ./internal/core/ ./internal/core/hash64/ ./internal/ntgamr/ ./internal/query/ ./internal/rdf/ ./internal/engine/
 	go test -race -count=10 -short -run 'Sink|Decode' ./internal/engine/
 	go test -race -short ./internal/cluster/
+	go test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 10s ./internal/cluster/
 	go test -race ./internal/ingest/
 	go test ./internal/plan/ ./internal/explain/
 
@@ -46,7 +49,7 @@ test-race:
 # faults, node kills, and speculation armed (internal/integration/chaos_test.go).
 # A local convenience only: `go test ./...` (the `test` target and CI's Test
 # step) runs without -short and so already executes TestChaos* and TestFuzz*;
-# CI has no separate chaos or fuzz step.
+# CI has no separate chaos step (its one -fuzz run is FuzzWireDecode, in check).
 chaos:
 	go test ./internal/integration -run TestChaos -count=1 -timeout 15m
 

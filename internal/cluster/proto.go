@@ -20,7 +20,6 @@ import (
 	"ntga/internal/engines"
 	"ntga/internal/ingest"
 	"ntga/internal/mapreduce"
-	"ntga/internal/query"
 	"ntga/internal/rdf"
 )
 
@@ -217,7 +216,7 @@ type ReportArgs struct {
 
 	// Outputs are the task's collected records per output base (reduce and
 	// maponly kinds), ordered like Job.OutputBases.
-	Outputs [][][]byte
+	Outputs []Records
 	Groups  int64
 	Records int64
 	Bytes   int64
@@ -243,7 +242,7 @@ type ReadRangeArgs struct {
 
 // ReadRangeReply carries the records.
 type ReadRangeReply struct {
-	Records [][]byte
+	Records Records
 }
 
 // FetchArgs asks a worker for one map task's committed output segment for
@@ -257,7 +256,7 @@ type FetchArgs struct {
 
 // FetchReply carries the (key, value)-sorted, combiner-folded segment.
 type FetchReply struct {
-	KVs []mapreduce.KV
+	KVs KVs
 }
 
 // RunArgs submits a query to the master. Engine "" selects the master's
@@ -287,9 +286,9 @@ type RunReply struct {
 	Engine    string
 	IsCount   bool
 	Count     int64
-	Rows      []query.Row
+	Rows      Rows
 	Header    []string
-	RowsText  []string
+	RowsText  Texts
 	TotalRows int
 
 	Counters      map[string]int64

@@ -749,7 +749,11 @@ func (w *Worker) runTask(ts *TaskSpec, rep *ReportArgs) error {
 	default:
 		return fmt.Errorf("cluster: unknown task kind %q", ts.Kind)
 	}
-	rep.Outputs, rep.Records, rep.Bytes = col.Outputs, col.Records, col.Bytes
+	rep.Outputs = make([]Records, len(col.Outputs))
+	for i, out := range col.Outputs {
+		rep.Outputs[i] = out
+	}
+	rep.Records, rep.Bytes = col.Records, col.Bytes
 	return nil
 }
 

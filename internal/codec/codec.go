@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"ntga/internal/rdf"
 )
@@ -35,6 +36,10 @@ func (e *Buffer) Len() int { return len(e.b) }
 // Reset truncates the buffer for reuse.
 func (e *Buffer) Reset() { e.b = e.b[:0] }
 
+// UvarintLen is the number of bytes PutUvarint appends for v, so callers can
+// size a buffer exactly before they encode into it.
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
 // PutUvarint appends an unsigned varint.
 func (e *Buffer) PutUvarint(v uint64) {
 	e.b = binary.AppendUvarint(e.b, v)
@@ -54,6 +59,13 @@ func (e *Buffer) PutTriple(t rdf.Triple) {
 func (e *Buffer) PutBytes(p []byte) {
 	e.PutUvarint(uint64(len(p)))
 	e.b = append(e.b, p...)
+}
+
+// PutString appends a length-prefixed string, framed exactly as PutBytes
+// frames the same bytes.
+func (e *Buffer) PutString(s string) {
+	e.PutUvarint(uint64(len(s)))
+	e.b = append(e.b, s...)
 }
 
 // PutIDs appends a length-prefixed slice of IDs.

@@ -156,3 +156,13 @@ func TestFuzzReaderNoPanic(t *testing.T) {
 		}
 	}
 }
+
+func TestUvarintLen(t *testing.T) {
+	for v, want := range map[uint64]int{0: 1, 127: 1, 128: 2, 1<<14 - 1: 2, 1 << 14: 3, 1<<32 - 1: 5, 1<<64 - 1: 10} {
+		var b Buffer
+		b.PutUvarint(v)
+		if got := UvarintLen(v); got != want || got != b.Len() {
+			t.Errorf("UvarintLen(%d) = %d, want %d (PutUvarint wrote %d)", v, got, want, b.Len())
+		}
+	}
+}

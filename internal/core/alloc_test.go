@@ -120,11 +120,6 @@ func TestEncodedSizeIsExact(t *testing.T) {
 	if back, err := DecodeJoined(enc); err != nil || len(back) != len(all) {
 		t.Errorf("joined roundtrip: %d components, %v", len(back), err)
 	}
-	for v, want := range map[uint64]int{0: 1, 127: 1, 128: 2, 1<<14 - 1: 2, 1 << 14: 3, 1<<32 - 1: 5, 1<<64 - 1: 10} {
-		if got := uvarintLen(v); got != want {
-			t.Errorf("uvarintLen(%d) = %d, want %d", v, got, want)
-		}
-	}
 }
 
 // TestResultsDoNotShareGrowth: rows of one expansion share a slab, and a

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"ntga/internal/codec"
@@ -118,7 +117,7 @@ func EncodeJoined(comps []AnnTG) []byte { return AppendJoined(nil, comps) }
 // AppendJoined appends the encoding of a joined result to dst, growing it at
 // most once.
 func AppendJoined(dst []byte, comps []AnnTG) []byte {
-	size := uvarintLen(uint64(len(comps)))
+	size := codec.UvarintLen(uint64(len(comps)))
 	for _, c := range comps {
 		size += EncodedSize(c)
 	}
@@ -157,18 +156,15 @@ func (s *Scratch) DecodeJoined(p []byte) ([]AnnTG, error) {
 // EncodedSize returns the byte size of an AnnTG's encoding without
 // materializing it — used to presize encodes and by the redundancy statistics.
 func EncodedSize(a AnnTG) int {
-	n := uvarintLen(uint64(a.Subject)) + uvarintLen(uint64(a.EC)) + uvarintLen(uint64(len(a.Triples)))
+	n := codec.UvarintLen(uint64(a.Subject)) + codec.UvarintLen(uint64(a.EC)) + codec.UvarintLen(uint64(len(a.Triples)))
 	for _, p := range a.Triples {
-		n += uvarintLen(uint64(p.P)) + uvarintLen(uint64(p.O))
+		n += codec.UvarintLen(uint64(p.P)) + codec.UvarintLen(uint64(p.O))
 	}
 	for _, sel := range [2][]int{a.BoundSel, a.SlotSel} {
-		n += uvarintLen(uint64(len(sel)))
+		n += codec.UvarintLen(uint64(len(sel)))
 		for _, s := range sel {
-			n += uvarintLen(uint64(s + 1))
+			n += codec.UvarintLen(uint64(s + 1))
 		}
 	}
 	return n
 }
-
-// uvarintLen is the number of bytes binary.AppendUvarint writes for v.
-func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }

@@ -168,17 +168,20 @@ func (d *DFS) OpenRange(name string, off, n int) (*FileReader, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
-	if off < 0 {
-		off = 0
-	}
-	if off > len(f.records) {
-		off = len(f.records)
-	}
-	end := len(f.records)
-	if n >= 0 && off+n < end {
-		end = off + n
-	}
+	off, end := clampRange(len(f.records), off, n)
 	return &FileReader{d: d, recs: f.records, i: off, end: end}, nil
+}
+
+// clampRange bounds the record range [off, off+n) of an l-record file to
+// [0, l]; n < 0 means "through the end". It never computes off+n, which a
+// huge n from a remote caller would overflow.
+func clampRange(l, off, n int) (start, end int) {
+	start = min(max(off, 0), l)
+	end = l
+	if n >= 0 && n < l-start {
+		end = start + n
+	}
+	return start, end
 }
 
 // Next returns the next record, or io.EOF when the range is exhausted. The
@@ -212,16 +215,7 @@ func (d *DFS) ReadRange(name string, off, n int) ([][]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
-	if off < 0 {
-		off = 0
-	}
-	if off > len(f.records) {
-		off = len(f.records)
-	}
-	end := len(f.records)
-	if n >= 0 && off+n < end {
-		end = off + n
-	}
+	off, end := clampRange(len(f.records), off, n)
 	recs := f.records[off:end]
 	for _, rec := range recs {
 		d.metrics.BytesRead += int64(len(rec))

@@ -3,6 +3,7 @@ package hdfs
 import (
 	"errors"
 	"io"
+	"math"
 	"testing"
 )
 
@@ -203,5 +204,50 @@ func TestSpillAbortReleasesBytes(t *testing.T) {
 	m := d.Metrics()
 	if m.SpillFilesCreated != 1 || m.SpillFilesReleased != 1 {
 		t.Errorf("spill files: created %d released %d, want 1, 1", m.SpillFilesCreated, m.SpillFilesReleased)
+	}
+}
+
+// TestRangeClampsHugeAndNegativeCounts: a range count arrives from remote
+// callers (Master.ReadRange), so any value must clamp, never panic; a huge
+// N must not overflow off+N into a negative slice end.
+func TestRangeClampsHugeAndNegativeCounts(t *testing.T) {
+	d := New(Config{Nodes: 1})
+	recs := [][]byte{[]byte("0"), []byte("11"), []byte("222"), []byte("3333")}
+	if err := d.WriteFile("f", recs); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		off, n int
+		want   []string
+	}{
+		{"max count reads to the end", 1, math.MaxInt, []string{"11", "222", "3333"}},
+		{"max count from the start", 0, math.MaxInt, []string{"0", "11", "222", "3333"}},
+		{"negative count reads to the end", 2, -1, []string{"222", "3333"}},
+		{"min count reads to the end", 2, math.MinInt, []string{"222", "3333"}},
+		{"offset past the end", 9, 2, nil},
+		{"offset past the end, max count", math.MaxInt, math.MaxInt, nil},
+		{"negative offset starts at zero", -5, 1, []string{"0"}},
+		{"exact range", 1, 2, []string{"11", "222"}},
+	} {
+		got, err := d.ReadRange("f", tc.off, tc.n)
+		if err != nil {
+			t.Fatalf("%s: ReadRange: %v", tc.name, err)
+		}
+		if len(got) != len(tc.want) {
+			t.Fatalf("%s: ReadRange = %q, want %q", tc.name, got, tc.want)
+		}
+		r, err := d.OpenRange("f", tc.off, tc.n)
+		if err != nil {
+			t.Fatalf("%s: OpenRange: %v", tc.name, err)
+		}
+		if r.Remaining() != len(tc.want) {
+			t.Errorf("%s: OpenRange holds %d records, want %d", tc.name, r.Remaining(), len(tc.want))
+		}
+		for i, w := range tc.want {
+			if string(got[i]) != w {
+				t.Errorf("%s: record %d = %q, want %q", tc.name, i, got[i], w)
+			}
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"testing"
 
+	"ntga/internal/chunk"
 	"ntga/internal/hdfs"
 )
 
@@ -59,6 +60,48 @@ func TestEmitAmortisedAllocs(t *testing.T) {
 	}) / pairs
 	if perPair > 1.0/64 {
 		t.Errorf("Emit costs %.3f allocations per pair, want at most 1 per 64 pairs", perPair)
+	}
+}
+
+// TestMemCollectorAllocsWithinChunks: MemCollector copies records into
+// chunked slabs sized by chunk.Next, so collecting 10k records costs the
+// chunks those bytes fill plus the growth of the record list — not one
+// allocation per record.
+func TestMemCollectorAllocsWithinChunks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	job := &Job{Name: "j", Inputs: []string{"in"}, Output: "out"}
+	const records, size = 10_000, 24
+	rec := bytes.Repeat([]byte("r"), size)
+	chunks, free := 0, 0
+	for c, i := 0, 0; i < records; i++ {
+		if free < size {
+			c = chunk.Next(c, size)
+			chunks, free = chunks+1, c
+		}
+		free -= size
+	}
+	var list [][]byte
+	growth := 0
+	for i := 0; i < records; i++ {
+		if len(list) == cap(list) {
+			growth++
+		}
+		list = append(list, nil)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		col := NewMemCollector(job)
+		for i := 0; i < records; i++ {
+			if err := col.Collect(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	// NewMemCollector itself allocates the collector, its output list and
+	// its slot map.
+	if bound := float64(chunks + growth + 3); allocs > bound {
+		t.Errorf("collecting %d records costs %.0f allocations, want at most %.0f (%d chunks, %d list growths)", records, allocs, bound, chunks, growth)
 	}
 }
 

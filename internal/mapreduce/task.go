@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"ntga/internal/chunk"
 	"ntga/internal/hdfs"
 	"ntga/internal/trace"
 )
@@ -289,12 +290,15 @@ func RunReduceTask(job *Job, partition int, segs [][]KV, col Collector, h TaskHo
 
 // MemCollector buffers a task's output records per output base, in
 // Job.OutputBases order — a worker ships them to the coordinator, which
-// writes them as the task's part files. Records are copied: mappers and
-// reducers may reuse their buffers, exactly as the DFS writers copy on Append.
+// writes them as the task's part files. Records are copied, since mappers
+// and reducers may reuse their buffers: into chunked slabs sized by
+// chunk.Next, each record clipped to its length, as the DFS writer copies on
+// Append.
 type MemCollector struct {
 	Outputs        [][][]byte
 	Records, Bytes int64
 	slots          map[string]int
+	slab           []byte
 }
 
 // NewMemCollector returns an empty collector for the job's outputs.
@@ -310,7 +314,12 @@ func NewMemCollector(job *Job) *MemCollector {
 }
 
 func (c *MemCollector) add(slot int, record []byte) {
-	c.Outputs[slot] = append(c.Outputs[slot], append([]byte(nil), record...))
+	if cap(c.slab)-len(c.slab) < len(record) {
+		c.slab = make([]byte, 0, chunk.Next(cap(c.slab), len(record)))
+	}
+	start := len(c.slab)
+	c.slab = append(c.slab, record...)
+	c.Outputs[slot] = append(c.Outputs[slot], c.slab[start:len(c.slab):len(c.slab)])
 	c.Records++
 	c.Bytes += int64(len(record))
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 
+	"ntga/internal/codec"
 	"ntga/internal/hdfs"
 	"ntga/internal/rdf"
 )
@@ -196,14 +197,5 @@ func LoadDFS(dfs *hdfs.DFS, name string) (*Catalog, error) {
 // tripleLen computes the encoded length of a triple without allocating —
 // the same varint framing codec.Buffer.PutTriple produces.
 func tripleLen(t rdf.Triple) int {
-	return uvarintLen(uint64(t.S)) + uvarintLen(uint64(t.P)) + uvarintLen(uint64(t.O))
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
+	return codec.UvarintLen(uint64(t.S)) + codec.UvarintLen(uint64(t.P)) + codec.UvarintLen(uint64(t.O))
 }
