@@ -16,7 +16,9 @@ all: build check test
 # over under -race (-short leaves out the two engine/catalog sweeps there; the
 # single race pass over internal/engine runs them). The cluster's wire
 # decoders run inside the net/rpc server, so FuzzWireDecode also explores
-# for ten seconds (the plain test runs replay only its seed corpus).
+# for ten seconds, and so does FuzzCellsDecode over the hand-written decoders
+# of the /query term table that server.Client runs on every answer (the
+# plain test runs replay only their seed corpora).
 check:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -27,6 +29,7 @@ check:
 	go test -race -count=10 -short -run 'Sink|Decode' ./internal/engine/
 	go test -race -short ./internal/cluster/
 	go test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 10s ./internal/cluster/
+	go test -run '^$$' -fuzz '^FuzzCellsDecode$$' -fuzztime 10s ./internal/server/
 	go test -race ./internal/ingest/
 	go test ./internal/plan/ ./internal/explain/
 
@@ -49,7 +52,8 @@ test-race:
 # faults, node kills, and speculation armed (internal/integration/chaos_test.go).
 # A local convenience only: `go test ./...` (the `test` target and CI's Test
 # step) runs without -short and so already executes TestChaos* and TestFuzz*;
-# CI has no separate chaos step (its one -fuzz run is FuzzWireDecode, in check).
+# CI has no separate chaos step (its -fuzz runs, FuzzWireDecode and
+# FuzzCellsDecode, are in check).
 chaos:
 	go test ./internal/integration -run TestChaos -count=1 -timeout 15m
 

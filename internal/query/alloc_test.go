@@ -41,7 +41,9 @@ func renderFixture(t *testing.T, src string, n int) (*Query, []Row) {
 // TestRenderAllocationCeilings gates the response path's rendering cost per
 // result, not per row or term. Before → after (commit 19832f0 → now):
 // FormatRow of a two-term row 5 → 1; Render of 1 row 11 → 3 and of 5,000
-// rows 27,506 → 3; with DISTINCT 14 → 5 and 10,036 → 5.
+// rows 27,506 → 3; with DISTINCT 14 → 5 and 10,036 → 5. RenderTable's
+// count grows with the distinct terms (its index and term list), never with
+// the rows: 7 for the 5,000 rows here, 10 with DISTINCT.
 func TestRenderAllocationCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -57,9 +59,10 @@ SELECT ?l ?g WHERE { ?g ex:label ?l . ?g ex:xGO ?go . }`
 		name    string
 		src     string
 		ceiling float64
+		table   float64
 	}{
-		{"plain", plain, 4},
-		{"distinct", strings.Replace(plain, "SELECT", "SELECT DISTINCT", 1), 5},
+		{"plain", plain, 4, 7},
+		{"distinct", strings.Replace(plain, "SELECT", "SELECT DISTINCT", 1), 5, 10},
 	} {
 		q, rows := renderFixture(t, c.src, 5000)
 		one := testing.AllocsPerRun(20, func() { q.Render(rows[:1]) })
@@ -67,6 +70,9 @@ SELECT ?l ?g WHERE { ?g ex:label ?l . ?g ex:xGO ?go . }`
 		if one != many || many > c.ceiling {
 			t.Errorf("%s Render: %.0f allocations for 1 row, %.0f for %d; want the same, ≤ %.0f",
 				c.name, one, many, len(rows), c.ceiling)
+		}
+		if n := testing.AllocsPerRun(5, func() { q.RenderTable(rows) }); n > c.table {
+			t.Errorf("%s RenderTable of %d rows: %.0f allocations, want ≤ %.0f", c.name, len(rows), n, c.table)
 		}
 	}
 }

@@ -151,13 +151,7 @@ func (q *Query) Render(rows []Row) (header, text []string) {
 	if q.IsCount() {
 		return []string{"?" + q.Src.CountVar}, nil
 	}
-	idx := q.selected(make([]int, 0, 16))
-	if q.Distinct {
-		rows = q.ProjectAll(rows)
-		for i := range idx {
-			idx[i] = i
-		}
-	}
+	rows, idx := q.columns(rows, make([]int, 0, 16))
 	cols := make([]rdf.ID, 0, 16)
 	project := func(r Row) []rdf.ID {
 		cols = cols[:0]
@@ -167,22 +161,13 @@ func (q *Query) Render(rows []Row) (header, text []string) {
 		return cols
 	}
 
-	n := 0
-	for _, v := range q.Select {
-		n += 1 + len(v)
-	}
+	n := q.headerLen()
 	for _, r := range rows {
 		n += q.Dict.NTLen(project(r)...)
 	}
 	var sb strings.Builder
 	sb.Grow(n)
-	header = make([]string, len(q.Select))
-	for i, v := range q.Select {
-		start := sb.Len()
-		sb.WriteByte('?')
-		sb.WriteString(v)
-		header[i] = sb.String()[start:]
-	}
+	header = q.writeHeader(&sb)
 	text = make([]string, len(rows))
 	line := make([]byte, 0, 512)
 	for i, r := range rows {
@@ -192,6 +177,89 @@ func (q *Query) Render(rows []Row) (header, text []string) {
 		text[i] = sb.String()[start:]
 	}
 	return header, text
+}
+
+// RenderTable is Render as a term table: the same header, every distinct
+// rendered term once (terms, numbered in order of first use), and one index
+// into terms per projected cell (cells, row-major, len(header) wide). Joining
+// a row's terms with '\t' gives exactly the row Render returns; an unbound
+// cell is the term "_". A COUNT query has a header only.
+//
+// Header and terms are written into one string, sized exactly up front, of
+// which each returned string is a substring, and every term is rendered
+// once: the cost follows the distinct terms, not the cells.
+func (q *Query) RenderTable(rows []Row) (header, terms []string, cells []uint32) {
+	if q.IsCount() {
+		return []string{"?" + q.Src.CountVar}, nil, nil
+	}
+	rows, idx := q.columns(rows, make([]int, 0, 16))
+	cells = make([]uint32, 0, len(rows)*len(idx))
+	index := make(map[rdf.ID]uint32)
+	var ids []rdf.ID // ids[t] is the ID of term t
+	for _, r := range rows {
+		for _, c := range idx {
+			t, ok := index[r[c]]
+			if !ok {
+				t = uint32(len(ids))
+				index[r[c]] = t
+				ids = append(ids, r[c])
+			}
+			cells = append(cells, t)
+		}
+	}
+
+	n := q.headerLen()
+	if len(ids) > 0 {
+		n += q.Dict.NTLen(ids...) - (len(ids) - 1) // less the separators
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	header = q.writeHeader(&sb)
+	terms = make([]string, len(ids))
+	term := make([]byte, 0, 256)
+	for i, id := range ids {
+		start := sb.Len()
+		term = q.Dict.AppendNT(term[:0], 0, id)
+		sb.Write(term)
+		terms[i] = sb.String()[start:]
+	}
+	return header, terms, cells
+}
+
+// columns returns the rows a rendering reads and, appended to idx, the
+// column of each selected variable in them: the full rows as they are, or
+// under DISTINCT the projected distinct rows (ProjectAll).
+func (q *Query) columns(rows []Row, idx []int) ([]Row, []int) {
+	idx = q.selected(idx)
+	if q.Distinct {
+		rows = q.ProjectAll(rows)
+		for i := range idx {
+			idx[i] = i
+		}
+	}
+	return rows, idx
+}
+
+// headerLen is the number of bytes writeHeader writes.
+func (q *Query) headerLen() int {
+	n := 0
+	for _, v := range q.Select {
+		n += 1 + len(v)
+	}
+	return n
+}
+
+// writeHeader writes ?v for each selected variable to sb and returns them,
+// each a substring of sb's string.
+func (q *Query) writeHeader(sb *strings.Builder) []string {
+	header := make([]string, len(q.Select))
+	for i, v := range q.Select {
+		start := sb.Len()
+		sb.WriteByte('?')
+		sb.WriteString(v)
+		header[i] = sb.String()[start:]
+	}
+	return header
 }
 
 // FormatRow renders a projected row with decoded terms, tab-separated and

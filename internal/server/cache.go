@@ -86,13 +86,14 @@ func (c *planCache) stats() (hits, misses int64, size int) {
 	return c.hits, c.misses, len(c.entries)
 }
 
-// resultEntry is one cached query answer, stored fully rendered: the
-// projected, formatted row strings and header are computed exactly once
-// when the entry is built (newResultEntry), so a cache hit is zero-copy —
-// the response slices the stored strings without re-projecting or
-// re-formatting anything. The scalar COUNT(*) answer and the output-shape
-// stats ride along; engine identity says who computed it. Entries are
-// immutable after construction — hit responses alias their slices.
+// resultEntry is one cached query answer, stored as a term table: the
+// header, every distinct rendered term once and one term index per
+// projected cell are computed exactly once when the entry is built
+// (newResultEntry), so a cache hit is zero-copy — the response slices the
+// stored table without re-projecting or re-rendering anything. The scalar
+// COUNT(*) answer and the output-shape stats ride along; engine identity
+// says who computed it. Entries are immutable after construction — hit
+// responses alias their slices.
 type resultEntry struct {
 	engine     string
 	isCount    bool
@@ -100,7 +101,8 @@ type resultEntry struct {
 	outRecords int64
 	outBytes   int64
 	header     []string
-	rendered   []string // all projected rows, formatted; nil for counts
+	terms      Terms // distinct rendered terms, in order of first use
+	cells      Cells // one index into terms per projected cell; nil for counts
 	totalRows  int
 }
 
@@ -114,8 +116,10 @@ func newResultEntry(q *query.Query, engine string, rows []query.Row, isCount boo
 		outRecords: outRecords,
 		outBytes:   outBytes,
 	}
-	e.header, e.rendered = q.Render(rows)
-	e.totalRows = len(e.rendered)
+	e.header, e.terms, e.cells = q.RenderTable(rows)
+	if len(e.header) > 0 {
+		e.totalRows = len(e.cells) / len(e.header)
+	}
 	return e
 }
 

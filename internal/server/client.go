@@ -36,10 +36,14 @@ func (c *Client) http() *http.Client {
 	return http.DefaultClient
 }
 
-// Query evaluates a request synchronously on the server.
+// Query evaluates a request synchronously on the server and rebuilds the
+// answer's Rows from its term table.
 func (c *Client) Query(ctx context.Context, req Request) (*Response, error) {
 	var resp Response
 	if err := c.post(ctx, "/query", req, &resp); err != nil {
+		return nil, err
+	}
+	if err := resp.unpackRows(); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -56,11 +60,17 @@ func (c *Client) Submit(ctx context.Context, req Request) (string, error) {
 	return out.JobID, nil
 }
 
-// Job polls an async job.
+// Job polls an async job; a finished job's Rows are rebuilt from its term
+// table.
 func (c *Client) Job(ctx context.Context, id string) (*JobStatus, error) {
 	var st JobStatus
 	if err := c.get(ctx, "/jobs/"+id, &st); err != nil {
 		return nil, err
+	}
+	if st.Response != nil {
+		if err := st.Response.unpackRows(); err != nil {
+			return nil, err
+		}
 	}
 	return &st, nil
 }

@@ -70,7 +70,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, map[string]string{"job_id": id})
 		return
 	}
-	resp, err := s.Evaluate(r.Context(), req)
+	resp, err := s.evaluateTable(r.Context(), req)
 	if err != nil {
 		writeError(w, err)
 		return

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -61,26 +62,29 @@ func TestClientReusesOneConnection(t *testing.T) {
 }
 
 // A /query body is compact JSON with HTML escaping off: IRIs keep their
-// angle brackets, and no line is indented.
+// angle brackets, and no line is indented. The rows travel as a term table
+// only: terms, then integer cells, and no "rows" key.
 func TestQueryBodyIsCompact(t *testing.T) {
 	s := newTestServer(t, Config{})
 	rec := httptest.NewRecorder()
 	body, _ := json.Marshal(Request{Query: twoStarQuery})
 	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
 	out := rec.Body.String()
-	if rec.Code != http.StatusOK || !strings.Contains(out, `"rows":["<http://ex/`) {
+	if rec.Code != http.StatusOK || !strings.Contains(out, `"terms":["<http://ex/`) || !strings.Contains(out, `"cells":[`) {
 		t.Fatalf("HTTP %d, body %.200s", rec.Code, out)
+	}
+	if strings.Contains(out, `"rows"`) {
+		t.Errorf("body still carries a rows key: %.200s", out)
 	}
 	if strings.Contains(out, `\u003c`) || strings.Count(out, "\n") != 1 {
 		t.Errorf("body is not compact unescaped JSON: %.200s", out)
 	}
 }
 
-// TestQueryAllocationCeiling gates the server side of one uncached B1
-// /query over BSBM scale 1 (5,252 rows): plan, run, render and encode.
-// Before → after (commit 19832f0 → now): 63,756 → 5,865 allocations; the
-// rest is planning and the MR jobs.
-func TestQueryAllocationCeiling(t *testing.T) {
+// b1Handler serves BSBM scale 1 and returns the handler with the body of an
+// uncached B1 /query (5,252 rows of 5 cells, 985 distinct terms).
+func b1Handler(t *testing.T) (http.Handler, []byte) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
@@ -100,8 +104,16 @@ func TestQueryAllocationCeiling(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
-	h := s.Handler()
 	body, _ := json.Marshal(Request{Query: cq.Src, NoCache: true})
+	return s.Handler(), body
+}
+
+// TestQueryAllocationCeiling gates the server side of one uncached B1
+// /query over BSBM scale 1: plan, run, render the term table and encode,
+// ≈ 3,060 allocations and none per row or term (63,756 when every term was
+// its own string, at commit 19832f0); the rest is planning and the MR jobs.
+func TestQueryAllocationCeiling(t *testing.T) {
+	h, body := b1Handler(t)
 	serve := func() {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
@@ -110,8 +122,50 @@ func TestQueryAllocationCeiling(t *testing.T) {
 		}
 	}
 	serve() // warm the plan cache and the pools
-	const ceiling = 8_000
+	const ceiling = 3_400
 	if n := testing.AllocsPerRun(5, serve); n > ceiling {
 		t.Errorf("one uncached B1 /query: %.0f allocations, want ≤ %d", n, ceiling)
+	}
+}
+
+// TestClientDecodeAllocationCeiling gates the client side of one B1 /query:
+// Client.Query sending the request, decoding the body from the stream and
+// rebuilding the rows. The terms decode into one string, the cells into one
+// slice and the rows into one string, so the count is a fixed handful
+// whatever the number of terms or rows: 10,650 allocations when the body
+// carried every row as a JSON string, ≈ 135 for the term table.
+func TestClientDecodeAllocationCeiling(t *testing.T) {
+	h, req := b1Handler(t)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(req)))
+	body := rec.Body.Bytes()
+	var table Response
+	if err := json.Unmarshal(body, &table); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write(body)
+	}))
+	t.Cleanup(ts.Close)
+	tr := &http.Transport{}
+	t.Cleanup(tr.CloseIdleConnections)
+	c := NewClient(ts.URL)
+	c.HTTPClient = &http.Client{Transport: tr}
+	query := func() {
+		resp, err := c.Query(context.Background(), Request{Query: "B1"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Rows) != table.TotalRows {
+			t.Fatalf("%d rows, want %d", len(resp.Rows), table.TotalRows)
+		}
+	}
+	query() // open the connection
+	const ceiling = 200
+	if n := testing.AllocsPerRun(5, query); n > ceiling {
+		t.Errorf("Client.Query of one B1 body: %.0f allocations, want ≤ %d (%d terms, %d rows)",
+			n, ceiling, len(table.Terms), table.TotalRows)
 	}
 }

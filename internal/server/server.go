@@ -412,9 +412,18 @@ type Response struct {
 	IsCount bool     `json:"is_count"`
 	Count   int64    `json:"count"`
 	Header  []string `json:"header,omitempty"`
-	// Rows are the projected, decoded result rows (tab-separated terms),
-	// possibly truncated by Request.Limit.
-	Rows      []string `json:"rows,omitempty"`
+	// Terms and Cells are the returned rows, possibly truncated by
+	// Request.Limit, as a term table (cells.go): every distinct rendered
+	// term once, in order of first use, then one index into Terms per
+	// cell, row-major, len(Header) wide. Terms holds only the terms the
+	// returned cells name.
+	Terms Terms `json:"terms,omitempty"`
+	Cells Cells `json:"cells,omitempty"`
+	// Rows are the same rows as text, each its cells' terms joined by '\t'.
+	// They never cross the wire: Server.Evaluate, Client.Query and
+	// Client.Job rebuild them from the table. An in-process async job's
+	// Response (JobStatus, WaitJob) carries the table only.
+	Rows      []string `json:"-"`
 	TotalRows int      `json:"total_rows"`
 
 	// Cycles is the number of MR jobs this request actually executed —
@@ -458,8 +467,23 @@ func (s *Server) admit() (func(), error) {
 
 // Evaluate runs one query synchronously: admission, parse/compile, plan
 // cache, result cache, and — on a miss — a slot-pool-scheduled MR
-// execution under the request deadline.
+// execution under the request deadline. The response carries Rows,
+// rebuilt from its term table; an answer whose rows would pass
+// maxRowBytes (1 GiB) is an error, as it is for Client.Query.
 func (s *Server) Evaluate(ctx context.Context, req Request) (*Response, error) {
+	resp, err := s.evaluateTable(ctx, req)
+	if err != nil {
+		return resp, err
+	}
+	if err := resp.unpackRows(); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// evaluateTable is Evaluate without the row text: the HTTP handler ships
+// the term table as it is.
+func (s *Server) evaluateTable(ctx context.Context, req Request) (*Response, error) {
 	release, err := s.admit()
 	if err != nil {
 		return nil, err
@@ -721,10 +745,11 @@ func (s *Server) observeQueueWait(tenant string, wait time.Duration) {
 }
 
 // renderRows fills the response's row/count section from a result entry.
-// The entry already holds the projected, formatted strings
-// (newResultEntry), so this is zero-copy: the response aliases the stored
-// header and row slices — no re-projection, no re-formatting, no
-// per-request allocation beyond the three-word subslice.
+// The entry already holds the term table (newResultEntry), so this is
+// zero-copy: the response aliases the stored header, terms and cells — no
+// re-projection, no re-rendering. A limit keeps the first rows' cells and,
+// since terms are numbered in order of first use, the prefix of the terms
+// those cells name.
 func (s *Server) renderRows(resp *Response, e resultEntry, limit int) {
 	resp.IsCount = e.isCount
 	resp.Count = e.count
@@ -735,11 +760,16 @@ func (s *Server) renderRows(resp *Response, e resultEntry, limit int) {
 		return
 	}
 	resp.TotalRows = e.totalRows
-	n := e.totalRows
-	if limit > 0 && limit < n {
-		n = limit
+	resp.Terms, resp.Cells = e.terms, e.cells
+	if limit <= 0 || limit >= e.totalRows {
+		return
 	}
-	resp.Rows = e.rendered[:n:n]
+	cells := e.cells[: limit*len(e.header) : limit*len(e.header)]
+	used := 0
+	for _, c := range cells {
+		used = max(used, int(c)+1)
+	}
+	resp.Terms, resp.Cells = e.terms[:used:used], cells
 }
 
 // CacheStats is one cache's rollup for /metrics.
@@ -1046,7 +1076,8 @@ func (j *asyncJob) status() JobStatus {
 // Submit starts a query asynchronously: admission is charged immediately
 // (so overload sheds at submit time with ErrOverloaded), then the query
 // runs under the server's base context and the usual deadline; the
-// returned job ID is pollable via JobStatus / GET /jobs/<id>.
+// returned job ID is pollable via JobStatus / GET /jobs/<id>. The finished
+// job's Response carries the term table; Client.Job rebuilds its Rows.
 func (s *Server) Submit(req Request) (string, error) {
 	release, err := s.admit()
 	if err != nil {
