@@ -14,11 +14,14 @@ all: build check test
 # the ordinary test suite). The final job's task attempts commit their rows
 # into one shared result sink, so the sink and decode tests also run ten times
 # over under -race (-short leaves out the two engine/catalog sweeps there; the
-# single race pass over internal/engine runs them). The cluster's wire
-# decoders run inside the net/rpc server, so FuzzWireDecode also explores
-# for ten seconds, and so does FuzzCellsDecode over the hand-written decoders
-# of the /query term table that server.Client runs on every answer (the
-# plain test runs replay only their seed corpora).
+# single race pass over internal/engine runs them), and so do the
+# attempt-counter commit tests, whose concurrent winners fold their counters
+# into one job total. The cluster's wire decoders run inside the net/rpc
+# server, so FuzzWireDecode also explores for ten seconds, and so does
+# FuzzCellsDecode over the hand-written decoders of the /query term table that
+# server.Client runs on every answer, and FuzzParseTriple over the N-Triples
+# parser every /ingest line goes through (the plain test runs replay only
+# their seed corpora).
 check:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -27,9 +30,11 @@ check:
 	go vet ./...
 	go test -race ./internal/mapreduce/ ./internal/hdfs/ ./internal/server/ ./internal/workload/ ./internal/core/ ./internal/core/hash64/ ./internal/ntgamr/ ./internal/query/ ./internal/rdf/ ./internal/engine/
 	go test -race -count=10 -short -run 'Sink|Decode' ./internal/engine/
+	go test -race -count=10 -short -run 'AttemptCounters' ./internal/mapreduce/
 	go test -race -short ./internal/cluster/
 	go test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 10s ./internal/cluster/
 	go test -run '^$$' -fuzz '^FuzzCellsDecode$$' -fuzztime 10s ./internal/server/
+	go test -run '^$$' -fuzz '^FuzzParseTriple$$' -fuzztime 10s ./internal/rdf/
 	go test -race ./internal/ingest/
 	go test ./internal/plan/ ./internal/explain/
 
@@ -52,8 +57,8 @@ test-race:
 # faults, node kills, and speculation armed (internal/integration/chaos_test.go).
 # A local convenience only: `go test ./...` (the `test` target and CI's Test
 # step) runs without -short and so already executes TestChaos* and TestFuzz*;
-# CI has no separate chaos step (its -fuzz runs, FuzzWireDecode and
-# FuzzCellsDecode, are in check).
+# CI has no separate chaos step (its -fuzz runs, FuzzWireDecode,
+# FuzzCellsDecode and FuzzParseTriple, are in check).
 chaos:
 	go test ./internal/integration -run TestChaos -count=1 -timeout 15m
 

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -429,8 +430,13 @@ func printMetrics(w io.Writer, res *engine.Result) {
 		res.Workflow.Cycles, stats.FormatBytes(res.PeakDFSUsed),
 		stats.FormatBytes(res.Workflow.MaxPeakSortBufferBytes()),
 		res.OutputRecords, stats.FormatBytes(res.OutputBytes))
-	for name, v := range res.Counters {
-		fmt.Fprintf(w, "counter %s = %d\n", name, v)
+	names := make([]string, 0, len(res.Counters))
+	for name := range res.Counters {
+		names = append(names, name)
+	}
+	sort.Strings(names) // so two runs, local or on a cluster, print alike
+	for _, name := range names {
+		fmt.Fprintf(w, "counter %s = %d\n", name, res.Counters[name])
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -97,6 +98,24 @@ func TestRun(t *testing.T) {
 			if len(jobs) != 3 || !strings.Contains(jobs[2], "→ caller") ||
 				strings.Contains(jobs[0]+jobs[1], "→ caller") {
 				t.Errorf("job rows = %q, want three, only the last one's output to the caller", jobs)
+			}
+		}},
+		{"metrics counters in name order", []string{"-data", data, "-e", q, "-engine", "ntga-lazy", "-metrics", "-limit", "2"}, 0, func(t *testing.T, stdout, stderr string) {
+			rows(t, stdout, stderr)
+			var counters []string
+			for _, line := range strings.Split(stderr, "\n") {
+				if strings.HasPrefix(line, "counter ") {
+					counters = append(counters, line)
+				}
+			}
+			want := []string{
+				"counter ntga.job1.anntgs = 26",
+				"counter ntga.job1.groups = 16",
+				"counter ntga.join.partial_tgs = 49",
+				"counter ntga.join.reduce_unnested = 49",
+			}
+			if !slices.Equal(counters, want) {
+				t.Errorf("counter lines = %q, want %q", counters, want)
 			}
 		}},
 		{"reference engine", []string{"-data", data, "-e", q, "-engine", "ref", "-limit", "2"}, 0, func(t *testing.T, stdout, stderr string) {

@@ -79,7 +79,7 @@ func main() {
 		{"layout beside two uncompacted delta blocks", plan.Source{Base: flat.Base, Deltas: chain, Part: part}},
 	} {
 		var cl engine.Cleaner
-		p, err := engine.Plan(ntgamr.NewLazy(), q, s.src, &cl, nil)
+		p, err := engine.Plan(ntgamr.NewLazy(), q, s.src, &cl)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func main() {
 
 func planShape(e engine.QueryEngine, q *query.Query, src plan.Source) string {
 	var cl engine.Cleaner
-	p, err := engine.Plan(e, q, src, &cl, nil)
+	p, err := engine.Plan(e, q, src, &cl)
 	if err != nil {
 		return "n/a"
 	}

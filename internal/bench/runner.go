@@ -316,7 +316,7 @@ func EngineByName(name string, phiM int) (engine.QueryEngine, error) {
 // subsequent Run records the real error.
 func estimateRun(cat *plan.Catalog, eng engine.QueryEngine, q *query.Query, input string) (int, int64) {
 	var cl engine.Cleaner
-	p, err := engine.Plan(eng, q, plan.Source{Base: input}, &cl, nil)
+	p, err := engine.Plan(eng, q, plan.Source{Base: input}, &cl)
 	if err != nil {
 		return 0, 0
 	}

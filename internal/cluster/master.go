@@ -118,11 +118,10 @@ type workerState struct {
 }
 
 // queryState tracks one in-flight query: its rebuild spec (shipped inside
-// every TaskSpec) and the latest engine-counter snapshot per worker.
+// every TaskSpec).
 type queryState struct {
-	id       string
-	spec     QuerySpec
-	counters map[int]map[string]int64
+	id   string
+	spec QuerySpec
 	// bucketHolder remembers, per layout bucket, the worker that last
 	// completed a whole-file task over it in this query — later bucket
 	// jobs of the same query lease those buckets back to it (affinity).
@@ -141,6 +140,12 @@ type taskState struct {
 	dur      time.Duration
 	reduce   mapreduce.ReduceStats // what a committed reduce task consumed
 	sunk     [][]byte              // a committed task's main output, for the job's sink
+	// What the winning report counted: a map task's map output, or the
+	// records and bytes a reduce or map-only task committed to the DFS; and
+	// the attempt's counters. A re-executed map task's next winner replaces
+	// them; runJob folds the done tasks' when the job ends.
+	records, bytes int64
+	counters       mapreduce.Counters
 }
 
 // jobState is one job instance being scheduled across the workers. It is
@@ -164,9 +169,7 @@ type jobState struct {
 	err      error
 	doneCh   chan struct{}
 
-	mapRecords, mapBytes int64
-	outRecords, outBytes int64
-	retries, recoveries  int64
+	retries, recoveries int64
 }
 
 // settleLocked finishes the job exactly once (m.mu held).
@@ -772,22 +775,6 @@ func (m *Master) report(args *ReportArgs) {
 			w.tasksFailed++
 		}
 	}
-	if qs := m.queries[args.QueryID]; qs != nil && args.Counters != nil {
-		// Snapshots from one worker are cumulative but can arrive out of
-		// order (two executors snapshot and report concurrently), so
-		// last-write-wins would lose counts. Counters only grow, so the
-		// element-wise max per worker is the latest true value.
-		wc := qs.counters[args.Worker]
-		if wc == nil {
-			wc = make(map[string]int64)
-			qs.counters[args.Worker] = wc
-		}
-		for k, v := range args.Counters {
-			if v > wc[k] {
-				wc[k] = v
-			}
-		}
-	}
 	var js *jobState
 	for _, j := range m.jobs {
 		if j.id == args.JobID {
@@ -826,27 +813,22 @@ func (m *Master) report(args *ReportArgs) {
 	ts.done = true
 	ts.holder = args.Worker
 	ts.dur = args.Duration
+	ts.counters = args.Counters
 	switch args.Kind {
 	case "map":
 		js.mapsDone++
-		js.mapRecords += args.Records
-		js.mapBytes += args.Bytes
+		ts.records, ts.bytes = args.Records, args.Bytes
 		if js.mapsDone == len(js.maps) && js.mapKind == "maponly" {
 			js.settleLocked(nil)
 		}
 	default: // reduce, maponly: commit the shipped output as part files
-		recs, bytes, err := m.commitTaskLocked(js, ts, args)
-		if err != nil {
+		if err := m.commitTaskLocked(js, ts, args); err != nil {
 			js.settleLocked(err)
 			return
 		}
 		ts.reduce = mapreduce.ReduceStats{Groups: args.Groups, InPairs: args.InPairs, InBytes: args.InBytes}
-		js.outRecords += recs
-		js.outBytes += bytes
 		if args.Kind == "maponly" {
 			js.mapsDone++
-			js.mapRecords += args.Records
-			js.mapBytes += args.Bytes
 			if js.wholeFile {
 				if qs := m.queries[js.qid]; qs != nil {
 					qs.bucketHolder[args.Task] = args.Worker
@@ -872,13 +854,14 @@ func (m *Master) report(args *ReportArgs) {
 // commitTaskLocked writes one task's shipped output records as the job's
 // part files (the distributed stand-in for the local attempt-commit rename;
 // every record is written here, so DFS capacity failures surface exactly
-// like a local mid-reduce disk-full) and reports what it wrote. A job with a
-// sink keeps the main-output records on the task instead (or as well, when
-// persisted); runJob hands them to the sink once the job has finished.
-func (m *Master) commitTaskLocked(js *jobState, ts *taskState, args *ReportArgs) (records, bytes int64, err error) {
+// like a local mid-reduce disk-full) and counts what it wrote on the task. A
+// job with a sink keeps the main-output records on the task instead (or as
+// well, when persisted); runJob hands them to the sink once the job has
+// finished.
+func (m *Master) commitTaskLocked(js *jobState, ts *taskState, args *ReportArgs) error {
 	bases := js.job.OutputBases()
 	if len(args.Outputs) != len(bases) {
-		return 0, 0, fmt.Errorf("cluster: %s task %d shipped %d outputs, job %s has %d", args.Kind, args.Task, len(args.Outputs), js.job.Name, len(bases))
+		return fmt.Errorf("cluster: %s task %d shipped %d outputs, job %s has %d", args.Kind, args.Task, len(args.Outputs), js.job.Name, len(bases))
 	}
 	if js.job.Sink != nil {
 		ts.sunk = args.Outputs[0]
@@ -889,14 +872,14 @@ func (m *Master) commitTaskLocked(js *jobState, ts *taskState, args *ReportArgs)
 		}
 		name := mapreduce.PartName(base, args.Task)
 		if err := m.dfs.WriteFile(name, args.Outputs[b]); err != nil {
-			return 0, 0, fmt.Errorf("committing %s: %w", name, err)
+			return fmt.Errorf("committing %s: %w", name, err)
 		}
 		for _, rec := range args.Outputs[b] {
-			records++
-			bytes += int64(len(rec))
+			ts.records++
+			ts.bytes += int64(len(rec))
 		}
 	}
-	return records, bytes, nil
+	return nil
 }
 
 // reportFailureLocked handles a failed attempt: fetch-failure LostMaps
@@ -1066,18 +1049,22 @@ func (m *Master) runJob(ctx context.Context, qid string, jsp *trace.Span, job *m
 
 	m.mu.Lock()
 	err = js.err
-	if js.mapKind == "map" {
-		jm.MapOutputRecords = js.mapRecords
-		jm.MapOutputBytes = js.mapBytes
-	}
 	jm.TaskRetries = js.retries
 	jm.MapOutputRecoveries = js.recoveries
-	jm.ReduceOutputRecords = js.outRecords
-	jm.ReduceOutputBytes = js.outBytes
+	// Each done task counts once, from its winning report.
+	outTasks := js.reduces
+	if js.mapKind == "maponly" {
+		outTasks = js.maps
+	}
 	var mapDurs, reduceDurs []time.Duration
 	for _, ts := range js.maps {
 		if ts.done {
 			mapDurs = append(mapDurs, ts.dur)
+			jm.Counters.Add(ts.counters)
+			if js.mapKind == "map" {
+				jm.MapOutputRecords += ts.records
+				jm.MapOutputBytes += ts.bytes
+			}
 		}
 	}
 	reduces := make([]mapreduce.ReduceStats, len(js.reduces))
@@ -1085,11 +1072,14 @@ func (m *Master) runJob(ctx context.Context, qid string, jsp *trace.Span, job *m
 		if ts.done {
 			reduceDurs = append(reduceDurs, ts.dur)
 			reduces[p] = ts.reduce
+			jm.Counters.Add(ts.counters)
 		}
 	}
-	outTasks := js.reduces
-	if js.mapKind == "maponly" {
-		outTasks = js.maps
+	for _, ts := range outTasks {
+		if ts.done {
+			jm.ReduceOutputRecords += ts.records
+			jm.ReduceOutputBytes += ts.bytes
+		}
 	}
 	var sunk [][][]byte
 	if err == nil && job.Sink != nil {
@@ -1231,25 +1221,6 @@ func (m *Master) RunQuery(ctx context.Context, args *RunArgs) (*RunReply, error)
 	if err != nil {
 		return nil, err
 	}
-
-	// The master's mapper/reducer closures never ran, so its counters are
-	// empty; the real counts live in the workers' snapshots. Sum them.
-	m.mu.Lock()
-	sum := make(map[string]int64)
-	for _, wc := range qs.counters {
-		for k, v := range wc {
-			sum[k] += v
-		}
-	}
-	m.mu.Unlock()
-	if res.Counters == nil {
-		res.Counters = sum
-	} else {
-		for k, v := range sum {
-			res.Counters[k] += v
-		}
-	}
-
 	reply := &RunReply{
 		Engine:        res.Engine,
 		IsCount:       res.IsCount,
@@ -1275,7 +1246,6 @@ func (m *Master) registerQuery(spec QuerySpec) *queryState {
 	qs := &queryState{
 		id:           fmt.Sprintf("q-%06d", m.querySeq),
 		spec:         spec,
-		counters:     make(map[int]map[string]int64),
 		bucketHolder: make(map[int]int),
 	}
 	m.queries[qs.id] = qs

@@ -197,7 +197,8 @@ func TestCrossTransportParity(t *testing.T) {
 // TestDistributedWorkerKillRecovery kills one worker while a query is mid
 // flight. The master must declare it dead, re-queue its leases and its
 // committed map outputs, and finish the query with results identical to a
-// local run.
+// local run — and with the same counts: a re-executed map task replaces
+// its first winner's map output and counters instead of adding to them.
 func TestDistributedWorkerKillRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("distributed kill round")
@@ -281,6 +282,24 @@ func TestDistributedWorkerKillRecovery(t *testing.T) {
 	}
 	if st.WorkersLost < 1 {
 		t.Errorf("master never declared the killed worker lost (workersLost=%d)", st.WorkersLost)
+	}
+	if !sameCounters(local.Counters, o.reply.Counters) {
+		t.Errorf("post-kill counters %v, local %v", o.reply.Counters, local.Counters)
+	}
+	lj, dj := local.Workflow.Jobs, o.reply.Workflow.Jobs
+	if len(lj) != len(dj) {
+		t.Fatalf("post-kill run has %d jobs, local %d", len(dj), len(lj))
+	}
+	for i := range lj {
+		l, d := lj[i], dj[i]
+		if l.MapOutputRecords != d.MapOutputRecords || l.MapOutputBytes != d.MapOutputBytes ||
+			l.ReduceOutputRecords != d.ReduceOutputRecords || l.ReduceOutputBytes != d.ReduceOutputBytes ||
+			!sameCounters(l.Counters, d.Counters) {
+			t.Errorf("job %d (%s) after the kill: map output %d recs / %d B, reduce output %d recs / %d B, counters %v; "+
+				"local %d / %d, %d / %d, %v", i, d.Job,
+				d.MapOutputRecords, d.MapOutputBytes, d.ReduceOutputRecords, d.ReduceOutputBytes, d.Counters,
+				l.MapOutputRecords, l.MapOutputBytes, l.ReduceOutputRecords, l.ReduceOutputBytes, l.Counters)
+		}
 	}
 	recovered := o.reply.Workflow.TotalTaskRetries() + o.reply.Workflow.TotalMapOutputRecoveries()
 	if recovered < 1 {

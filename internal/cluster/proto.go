@@ -196,9 +196,7 @@ type LeaseReply struct {
 
 // ReportArgs is a task attempt's outcome. Map results stay on the worker
 // (only counts travel); reduce and map-only results ship their collected
-// output records for the master to commit. Counters is the full snapshot of
-// the worker's per-query engine counters — the master keeps the latest per
-// worker and sums them at query end.
+// output records for the master to commit.
 type ReportArgs struct {
 	Worker  int
 	QueryID string
@@ -226,7 +224,8 @@ type ReportArgs struct {
 	InBytes int64
 
 	Duration time.Duration
-	Counters map[string]int64
+	// Counters are the attempt's own (mapreduce.Counters).
+	Counters mapreduce.Counters
 }
 
 // ReportReply is empty; acknowledgement is the RPC return itself.

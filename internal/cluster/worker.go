@@ -85,12 +85,8 @@ type outKey struct {
 	task  int
 }
 
-// queryPlan is a worker's rebuilt execution state for one query: the plan's
-// jobs by name and the engine counters shared by every task of the query.
-type queryPlan struct {
-	jobs     map[string]*mapreduce.Job
-	counters *mapreduce.Counters
-}
+// queryPlan is a worker's rebuilt plan for one query: its jobs by name.
+type queryPlan map[string]*mapreduce.Job
 
 // peerConn is one pooled shuffle connection with its LRU timestamp.
 type peerConn struct {
@@ -123,7 +119,7 @@ type Worker struct {
 	dict       *rdf.Dict
 	hbEvery    time.Duration
 	leaseEvery time.Duration
-	plans      map[string]*queryPlan
+	plans      map[string]queryPlan
 	outs       map[outKey][][]mapreduce.KV
 	peers      map[string]*peerConn
 	// retiredPeerRetries/-Redials carry evicted peers' counters forward so
@@ -164,7 +160,7 @@ func NewWorker(cfg WorkerConfig, tr Transport, masterAddr string) *Worker {
 		masterAddr: masterAddr,
 		ctx:        ctx,
 		cancel:     cancel,
-		plans:      make(map[string]*queryPlan),
+		plans:      make(map[string]queryPlan),
 		outs:       make(map[outKey][][]mapreduce.KV),
 		peers:      make(map[string]*peerConn),
 		rng:        rand.New(rand.NewSource(seed)),
@@ -519,8 +515,7 @@ func (e *fetchError) Error() string {
 	return fmt.Sprintf("cluster: map output unavailable for tasks %v", e.lost)
 }
 
-// execute runs one leased attempt and reports the outcome with the query's
-// current counter snapshot attached.
+// execute runs one leased attempt and reports its outcome.
 func (w *Worker) execute(ts *TaskSpec) {
 	if w.cfg.TaskDelay > 0 {
 		select {
@@ -550,18 +545,9 @@ func (w *Worker) execute(ts *TaskSpec) {
 	} else {
 		rep.OK = true
 	}
-	if qp := w.planCached(ts.QueryID); qp != nil {
-		rep.Counters = qp.counters.Snapshot()
-	}
 	var ack ReportReply
 	// A lost report re-queues via lease expiry.
 	w.master.Call(context.Background(), "Master.Report", rep, &ack)
-}
-
-func (w *Worker) planCached(qid string) *queryPlan {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.plans[qid]
 }
 
 // syncDict brings the worker's dictionary up to at least need terms by
@@ -607,8 +593,11 @@ func (w *Worker) syncDict(need int) error {
 // against a longer dictionary (ingest since this worker's last sync), the
 // missing terms are pulled first — before w.mu is taken, since the sync is
 // an RPC.
-func (w *Worker) planFor(qid string, spec *QuerySpec) (*queryPlan, error) {
-	if qp := w.planCached(qid); qp != nil {
+func (w *Worker) planFor(qid string, spec *QuerySpec) (queryPlan, error) {
+	w.mu.Lock()
+	qp := w.plans[qid]
+	w.mu.Unlock()
+	if qp != nil {
 		return qp, nil
 	}
 	if spec.DictLen > 0 {
@@ -636,13 +625,12 @@ func (w *Worker) planFor(qid string, spec *QuerySpec) (*queryPlan, error) {
 			return nil, fmt.Errorf("cluster: rebuilding partitioning: %w", err)
 		}
 	}
-	counters := mapreduce.NewCounters()
 	var cl engine.Cleaner
 	// The master planned through engine.Plan over this same source, delta
 	// overlay included: the widened scan inputs are appended in chain order,
 	// so the positional JobInputs translation stays aligned (delta-block
 	// names are process-independent).
-	p, err := engine.Plan(eng, q, plan.Source{Base: spec.Input, Deltas: spec.Deltas, Part: part}, &cl, counters)
+	p, err := engine.Plan(eng, q, plan.Source{Base: spec.Input, Deltas: spec.Deltas, Part: part}, &cl)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: rebuilding plan: %w", err)
 	}
@@ -650,13 +638,13 @@ func (w *Worker) planFor(qid string, spec *QuerySpec) (*queryPlan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: lowering rebuilt plan: %w", err)
 	}
-	qp := &queryPlan{jobs: make(map[string]*mapreduce.Job), counters: counters}
+	qp = make(queryPlan)
 	for _, st := range stages {
 		for _, job := range st {
-			if _, dup := qp.jobs[job.Name]; dup {
+			if _, dup := qp[job.Name]; dup {
 				return nil, fmt.Errorf("cluster: rebuilt plan has duplicate job name %q; cannot address tasks by name", job.Name)
 			}
-			qp.jobs[job.Name] = job
+			qp[job.Name] = job
 		}
 	}
 	w.plans[qid] = qp
@@ -679,17 +667,18 @@ func localInput(job *mapreduce.Job, ts *TaskSpec) (string, error) {
 	return "", fmt.Errorf("cluster: split input %q not in job %s's inputs %v (rebuilt %v)", ts.Split.Input, ts.JobName, ts.JobInputs, job.Inputs)
 }
 
-// runTask executes one attempt, filling the report's result fields. The task
-// bodies are the local engine's own (mapreduce.Run*Task); what is the
-// worker's is where records come from (RPC reads of the master's DFS, peer
-// fetches), where output goes (memory, shipped in the report) and the
-// checkpoint, which stops the body once the worker is closed.
+// runTask executes one attempt, filling the report's result fields, the
+// attempt's own counters among them. The task bodies are the local engine's
+// own (mapreduce.Run*Task); what is the worker's is where records come from
+// (RPC reads of the master's DFS, peer fetches), where output goes (memory,
+// shipped in the report) and the checkpoint, which stops the body once the
+// worker is closed.
 func (w *Worker) runTask(ts *TaskSpec, rep *ReportArgs) error {
 	qp, err := w.planFor(ts.QueryID, &ts.Spec)
 	if err != nil {
 		return err
 	}
-	job := qp.jobs[ts.JobName]
+	job := qp[ts.JobName]
 	if job == nil {
 		return fmt.Errorf("cluster: rebuilt plan has no job %q", ts.JobName)
 	}
@@ -707,14 +696,14 @@ func (w *Worker) runTask(ts *TaskSpec, rep *ReportArgs) error {
 		}
 		src := mapreduce.NewSliceSource(recs)
 		if ts.Kind == "map" {
-			parts, records, bytes, err := mapreduce.RunMapTask(job, ts.Task, input, ts.NumReducers, src, hooks)
+			mo, err := mapreduce.RunMapTask(job, ts.Task, input, ts.NumReducers, src, hooks)
 			if err != nil {
 				return err
 			}
 			w.mu.Lock()
-			w.outs[outKey{ts.QueryID, ts.JobID, ts.Task}] = parts
+			w.outs[outKey{ts.QueryID, ts.JobID, ts.Task}] = mo.Parts
 			w.mu.Unlock()
-			rep.Records, rep.Bytes = records, bytes
+			rep.Records, rep.Bytes, rep.Counters = mo.Records, mo.Bytes, mo.Counters
 			return nil
 		}
 		var side [][]byte
@@ -753,7 +742,7 @@ func (w *Worker) runTask(ts *TaskSpec, rep *ReportArgs) error {
 	for i, out := range col.Outputs {
 		rep.Outputs[i] = out
 	}
-	rep.Records, rep.Bytes = col.Records, col.Bytes
+	rep.Records, rep.Bytes, rep.Counters = col.Records, col.Bytes, col.Counters
 	return nil
 }
 

@@ -56,7 +56,7 @@ func TestWorkerCloseStopsInFlightTask(t *testing.T) {
 	}
 	var calls atomic.Int64
 	started, release := make(chan struct{}), make(chan struct{})
-	for _, job := range qp.jobs {
+	for _, job := range qp {
 		if inner := job.Mapper; inner != nil {
 			job.Mapper = mapreduce.MapperFunc(func(input string, rec []byte, out mapreduce.Emitter) error {
 				if calls.Add(1) == 1 {

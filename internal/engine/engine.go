@@ -31,7 +31,9 @@ type Result struct {
 	Count   int64
 	// Workflow carries the per-job cost metrics.
 	Workflow mapreduce.WorkflowMetrics
-	// Counters are engine-specific counters (e.g. triplegroups unnested).
+	// Counters are engine-specific counters (e.g. triplegroups unnested):
+	// the workflow's sum of JobMetrics.Counters, so each task counts once,
+	// by its winning attempt.
 	Counters map[string]int64
 	// OutputRecords / OutputBytes describe the final output: the number of
 	// physical records (n-tuples or triplegroups — the paper's "63K tuples
@@ -56,11 +58,10 @@ type QueryEngine interface {
 	// bucketed layout src.Part rewrites eligible cycles to their map-only
 	// form and records on the first cycle it cannot why; one that cannot
 	// ignores it. No builder reads src.Deltas (Plan overlays the chain).
-	// Intermediate file names are registered with cl for later cleanup;
-	// engines that maintain run counters draw them from counters (nil
-	// selects a throwaway set). The plan's typed nodes drive the cost model
-	// and EXPLAIN; Physical.Lower yields the executable stages.
-	PlanSource(q *query.Query, src plan.Source, cl *Cleaner, counters *mapreduce.Counters) (*plan.Physical, error)
+	// Intermediate file names are registered with cl for later cleanup.
+	// The plan's typed nodes drive the cost model and EXPLAIN;
+	// Physical.Lower yields the executable stages.
+	PlanSource(q *query.Query, src plan.Source, cl *Cleaner) (*plan.Physical, error)
 	// Decoder returns a fresh decoder of the plan's final records (see
 	// DecodeFunc); Execute asks for one per task attempt of the final job.
 	Decoder(q *query.Query) DecodeFunc
@@ -68,6 +69,8 @@ type QueryEngine interface {
 	// Plan and Run are harness-facing: the frozen benchmark/adapter.go calls
 	// them with these signatures. Implementations forward to the package's
 	// Plan and Run over Source{Base: input}; the root module never calls them.
+	// Plan ignores its counters argument: an operator counts on its task
+	// attempt's Emitter or Collector.
 	Plan(q *query.Query, input string, cl *Cleaner, counters *mapreduce.Counters) (*plan.Physical, error)
 	Run(mr *mapreduce.Engine, q *query.Query, input string) (*Result, error)
 }
@@ -77,13 +80,12 @@ type QueryEngine interface {
 // definition, so beside a non-empty chain the layout is dropped before the
 // engine sees it and the first scan of T says so (part-miss in EXPLAIN); the
 // chain is then overlaid on every scan of T.
-func Plan(e QueryEngine, q *query.Query, src plan.Source, cl *Cleaner,
-	counters *mapreduce.Counters) (*plan.Physical, error) {
+func Plan(e QueryEngine, q *query.Query, src plan.Source, cl *Cleaner) (*plan.Physical, error) {
 	stale := src.Part != nil && len(src.Deltas) > 0
 	if stale {
 		src.Part = nil
 	}
-	p, err := e.PlanSource(q, src, cl, counters)
+	p, err := e.PlanSource(q, src, cl)
 	if err != nil {
 		return nil, err
 	}
@@ -119,8 +121,7 @@ func RunPersisted(e QueryEngine, mr *mapreduce.Engine, q *query.Query, src plan.
 func run(e QueryEngine, mr *mapreduce.Engine, q *query.Query, src plan.Source, persist bool) (*Result, error) {
 	var cl Cleaner
 	var stages []mapreduce.Stage
-	counters := mapreduce.NewCounters()
-	p, err := Plan(e, q, src, &cl, counters)
+	p, err := Plan(e, q, src, &cl)
 	if err == nil {
 		stages, err = p.Lower()
 	}
@@ -128,7 +129,7 @@ func run(e QueryEngine, mr *mapreduce.Engine, q *query.Query, src plan.Source, p
 		cl.Clean(mr)
 		return &Result{Engine: e.Name()}, err
 	}
-	res, err := Execute(mr, p.Engine, stages, p.Final, &cl, counters, q,
+	res, err := Execute(mr, p.Engine, stages, p.Final, &cl, q,
 		func() DecodeFunc { return e.Decoder(q) }, persist)
 	res.Workflow.FullScans = p.ScanCount()
 	return res, err

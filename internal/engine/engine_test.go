@@ -82,7 +82,7 @@ func TestExecuteFailurePath(t *testing.T) {
 			return c.Collect(r)
 		}),
 	}
-	res, err := Execute(mr, "test", []mapreduce.Stage{{job}}, "out", &cl, nil, selectQuery(t),
+	res, err := Execute(mr, "test", []mapreduce.Stage{{job}}, "out", &cl, selectQuery(t),
 		decoderOf(func(dst []rdf.ID, _ []byte) ([]rdf.ID, int64, error) { return dst, 0, nil }), false)
 	if err == nil {
 		t.Fatal("Execute of failing workflow succeeded")
@@ -109,7 +109,7 @@ func TestExecuteDecodeErrorPath(t *testing.T) {
 		}),
 	}
 	boom := errors.New("bad record")
-	_, err := Execute(mr, "test", []mapreduce.Stage{{job}}, "out", &cl, nil, selectQuery(t),
+	_, err := Execute(mr, "test", []mapreduce.Stage{{job}}, "out", &cl, selectQuery(t),
 		decoderOf(func(dst []rdf.ID, _ []byte) ([]rdf.ID, int64, error) { return dst, 0, boom }), false)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want decode error", err)
@@ -125,16 +125,15 @@ func TestExecuteCollectsCounters(t *testing.T) {
 	if err := dfs.WriteFile("in", [][]byte{[]byte("rec")}); err != nil {
 		t.Fatal(err)
 	}
-	counters := mapreduce.NewCounters()
 	var cl Cleaner
 	job := &mapreduce.Job{
 		Name: "copy", Inputs: []string{"in"}, Output: cl.Track("out"),
 		MapOnly: mapreduce.MapOnlyFunc(func(_ string, r []byte, c mapreduce.Collector) error {
-			counters.Inc("records", 1)
+			c.Inc("records", 1)
 			return c.Collect(r)
 		}),
 	}
-	res, err := Execute(mr, "test", []mapreduce.Stage{{job}}, "out", &cl, counters, selectQuery(t),
+	res, err := Execute(mr, "test", []mapreduce.Stage{{job}}, "out", &cl, selectQuery(t),
 		decoderOf(func(dst []rdf.ID, _ []byte) ([]rdf.ID, int64, error) { return append(dst, 1, 2), 1, nil }), false)
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +228,7 @@ func copyFinal(dfs *hdfs.DFS, split, par int, cfg mapreduce.EngineConfig, q *que
 		}),
 	}
 	return Execute(mapreduce.NewEngine(dfs, cfg), "test", []mapreduce.Stage{{job}}, "out",
-		new(Cleaner), nil, q, decoder, persist)
+		new(Cleaner), q, decoder, persist)
 }
 
 // TestSinkKeepsTaskOrder: however many tasks produce the final output and

@@ -53,10 +53,11 @@ type DecodeFunc func(dst []rdf.ID, record []byte) (slab []rdf.ID, rows int64, er
 // wins its task's commit keeps its rows, and Result.Rows is built once, in
 // task order — the order the final file's parts would be spliced in. With
 // persist the final job also writes finalFile, as every cycle before it
-// does, in the same pass. The caller's stages are not modified. On workflow
-// failure the partial Result (metrics only) and the error are returned.
+// does, in the same pass. Counters are the workflow's sum. The caller's
+// stages are not modified. On workflow failure the partial Result (metrics
+// only) and the error are returned.
 func Execute(mr *mapreduce.Engine, name string, stages []mapreduce.Stage,
-	finalFile string, cleaner *Cleaner, counters *mapreduce.Counters,
+	finalFile string, cleaner *Cleaner,
 	q *query.Query, decoder func() DecodeFunc, persist bool) (*Result, error) {
 
 	dfs := mr.DFS()
@@ -72,9 +73,7 @@ func Execute(mr *mapreduce.Engine, name string, stages []mapreduce.Stage,
 	wf, err := mr.RunWorkflowNamed(name, stages)
 	res.Workflow = wf
 	res.PeakDFSUsed = dfs.PeakUsed()
-	if counters != nil {
-		res.Counters = counters.Snapshot()
-	}
+	res.Counters = wf.TotalCounters()
 	if err != nil {
 		return res, err
 	}

@@ -22,7 +22,7 @@ import (
 // plans reports whether eng can plan q (Sel-SJ-first plans bound-only
 // two-star queries alone).
 func plans(eng engine.QueryEngine, q *query.Query) bool {
-	_, err := engine.Plan(eng, q, plan.Source{Base: "in"}, new(engine.Cleaner), nil)
+	_, err := engine.Plan(eng, q, plan.Source{Base: "in"}, new(engine.Cleaner))
 	return err == nil
 }
 

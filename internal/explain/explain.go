@@ -68,7 +68,7 @@ func ForQuery(cat *plan.Catalog, q *query.Query, src plan.Source, engines []engi
 	for _, e := range engines {
 		var cl engine.Cleaner
 		ec := EngineCost{Engine: e.Name()}
-		p, err := engine.Plan(e, q, src, &cl, nil)
+		p, err := engine.Plan(e, q, src, &cl)
 		if err != nil {
 			ec.Reason = err.Error()
 			out = append(out, ec)

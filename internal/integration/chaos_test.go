@@ -3,12 +3,13 @@
 // mid-phase faults that interrupt attempts holding partial state, node
 // deaths that destroy local spill disks, and speculative execution racing
 // backup attempts against stragglers. The recovered runs must produce
-// exactly the reference engine's rows and leave no attempt-scoped
-// temporaries or spill bytes behind.
+// exactly the reference engine's rows and the fault-free run's counters, and
+// leave no attempt-scoped temporaries or spill bytes behind.
 package integration
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"testing"
 	"time"
@@ -22,6 +23,7 @@ import (
 	"ntga/internal/ntgamr"
 	"ntga/internal/plan"
 	"ntga/internal/query"
+	"ntga/internal/rdf"
 	"ntga/internal/refengine"
 	"ntga/internal/relmr"
 )
@@ -48,22 +50,43 @@ func chaosEngines() []engine.QueryEngine {
 // so map output actually lives on the node-local spill disks a node kill
 // destroys, and speculative execution enabled.
 func newChaosMR(seed int64) *mapreduce.Engine {
-	return mapreduce.NewEngine(
-		hdfs.New(hdfs.Config{Nodes: 6, BlockSize: 1 << 14}),
-		mapreduce.EngineConfig{
-			SplitRecords:    256,
-			DefaultReducers: 4,
-			SortBufferBytes: 1 << 10,
-			MergeFactor:     4,
-			TaskMaxAttempts: 12,
-			Speculation:     true,
-			Faults: &mapreduce.FaultPlan{
-				Rate:            0.002,
-				Seed:            seed,
-				NodeFailureRate: 0.5,
-				MaxNodeKills:    1,
-			},
-		})
+	return mapreduce.NewEngine(hdfs.New(hdfs.Config{Nodes: 6, BlockSize: 1 << 14}), chaosConfig(seed))
+}
+
+func chaosConfig(seed int64) mapreduce.EngineConfig {
+	return mapreduce.EngineConfig{
+		SplitRecords:    256,
+		DefaultReducers: 4,
+		SortBufferBytes: 1 << 10,
+		MergeFactor:     4,
+		TaskMaxAttempts: 12,
+		Speculation:     true,
+		Faults: &mapreduce.FaultPlan{
+			Rate:            0.002,
+			Seed:            seed,
+			NodeFailureRate: 0.5,
+			MaxNodeKills:    1,
+		},
+	}
+}
+
+// faultFree runs the query on a fault-free engine of cfg's shape: the
+// counters every faulty run of it must reproduce. Its sort buffer is
+// unbounded, which keeps the reference run cheap; counts do not depend on
+// where map output spills.
+func faultFree(t *testing.T, eng engine.QueryEngine, g *rdf.Graph, q *query.Query, cfg mapreduce.EngineConfig) *engine.Result {
+	t.Helper()
+	cfg.Faults, cfg.Speculation, cfg.SortBufferBytes = nil, false, 0
+	mr := mapreduce.NewEngine(hdfs.New(hdfs.Config{Nodes: 6, BlockSize: 1 << 14}), cfg)
+	const input = "data/triples"
+	if err := engine.LoadGraph(mr.DFS(), input, g); err != nil {
+		t.Fatal(err)
+	}
+	res, err := engine.Run(eng, mr, q, plan.Source{Base: input})
+	if err != nil {
+		t.Fatalf("%s fault-free: %v", eng.Name(), err)
+	}
+	return res
 }
 
 func TestChaosCatalogQueriesSurviveFaults(t *testing.T) {
@@ -93,6 +116,11 @@ func TestChaosCatalogQueriesSurviveFaults(t *testing.T) {
 				t.Fatalf("%s on %s (seed %d) differs from reference under chaos:\n%s",
 					eng.Name(), cq.ID, seed, query.DiffRows(want, res.Rows, 6))
 			}
+			// Each task counts once, by its winning attempt.
+			if clean := faultFree(t, eng, g, q, chaosConfig(seed)); !maps.Equal(clean.Counters, res.Counters) {
+				t.Errorf("%s on %s (seed %d): counters %v under chaos, %v fault-free",
+					eng.Name(), cq.ID, seed, res.Counters, clean.Counters)
+			}
 			// Recovery must leave no trace: no attempt temporaries, no
 			// intermediate files, no residual spill bytes.
 			if files := mr.DFS().List(); len(files) != 1 || files[0] != input {
@@ -121,6 +149,51 @@ func TestChaosCatalogQueriesSurviveFaults(t *testing.T) {
 	}
 	t.Logf("chaos sweep: retries=%d nodeKills=%d mapRecoveries=%d killedAttempts=%d speculativeWins=%d",
 		retries, nodeKills, recoveries, killedAttempts, specWins)
+}
+
+// TestChaosCountersMatchFaultFree: at a fault rate where most attempts of a
+// scale-1 bsbm query fail somewhere, NTGA's counters still read exactly as
+// in the fault-free run, on every bsbm catalog query.
+func TestChaosCountersMatchFaultFree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos sweep")
+	}
+	g, err := bench.Dataset("bsbm", 1, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := mapreduce.EngineConfig{SplitRecords: 200, TaskMaxAttempts: 32,
+		Faults: &mapreduce.FaultPlan{Rate: 0.05, Seed: 7}}
+	var retries int64
+	for _, cq := range bench.Catalog() {
+		if cq.Dataset != "bsbm" {
+			continue
+		}
+		q := enginetest.Compile(t, g, cq.Src)
+		for _, eng := range []engine.QueryEngine{ntgamr.NewLazy(), ntgamr.NewEager()} {
+			clean := faultFree(t, eng, g, q, cfg)
+			mr := mapreduce.NewEngine(hdfs.New(hdfs.Config{Nodes: 6, BlockSize: 1 << 14}), cfg)
+			const input = "data/triples"
+			if err := engine.LoadGraph(mr.DFS(), input, g); err != nil {
+				t.Fatal(err)
+			}
+			res, err := engine.Run(eng, mr, q, plan.Source{Base: input})
+			if err != nil {
+				t.Fatalf("%s on %s: %v", eng.Name(), cq.ID, err)
+			}
+			if !query.RowsEqual(clean.Rows, res.Rows) {
+				t.Fatalf("%s on %s: rows differ from the fault-free run", eng.Name(), cq.ID)
+			}
+			if !maps.Equal(clean.Counters, res.Counters) {
+				t.Errorf("%s on %s: counters %v under faults, %v fault-free",
+					eng.Name(), cq.ID, res.Counters, clean.Counters)
+			}
+			retries += res.Workflow.TotalTaskRetries()
+		}
+	}
+	if retries == 0 {
+		t.Error("the fault plan retried no attempt")
+	}
 }
 
 // TestChaosSinkExactlyOnce: faults that land in the final job — failed
@@ -179,7 +252,7 @@ func TestChaosSinkExactlyOnce(t *testing.T) {
 		for _, eng := range explain.Engines() {
 			for _, bucketed := range []bool{false, true} {
 				label := fmt.Sprintf("%s on %s (bucketed %v)", eng.Name(), id, bucketed)
-				if _, err := engine.Plan(eng, q, plan.Source{Base: input}, new(engine.Cleaner), nil); err != nil {
+				if _, err := engine.Plan(eng, q, plan.Source{Base: input}, new(engine.Cleaner)); err != nil {
 					continue // Sel-SJ-first plans bound-only two-star queries alone
 				}
 				hit := false

@@ -94,7 +94,7 @@ SELECT * WHERE {
 				for _, c := range cells {
 					label := fmt.Sprintf("%s/%s/stars=%d", eng.Name(), c.name, len(q.Stars))
 					var cl engine.Cleaner
-					p, planErr := engine.Plan(eng, q, c.src, &cl, nil)
+					p, planErr := engine.Plan(eng, q, c.src, &cl)
 					res, runErr := engine.Run(eng, mr, q, c.src)
 					if res == nil {
 						t.Fatalf("%s: nil Result", label)
@@ -102,7 +102,7 @@ SELECT * WHERE {
 					if eng.Name() == "Sel-SJ-first" && len(q.Stars) != 2 {
 						// The planner's refusal does not depend on the source.
 						var clFlat engine.Cleaner
-						_, flatErr := engine.Plan(eng, q, plan.Source{Base: c.src.Base}, &clFlat, nil)
+						_, flatErr := engine.Plan(eng, q, plan.Source{Base: c.src.Base}, &clFlat)
 						if planErr == nil || runErr == nil || flatErr == nil ||
 							planErr.Error() != flatErr.Error() || runErr.Error() != flatErr.Error() {
 							t.Errorf("%s: plan err %v, run err %v, flat plan err %v; want one planner error",
@@ -146,7 +146,7 @@ SELECT * WHERE {
 					if !layoutAware && c.layout && !c.deltas {
 						// Pig and Sel-SJ-first ignore the layout outright.
 						var clFlat engine.Cleaner
-						flat, err := engine.Plan(eng, q, plan.Source{Base: c.src.Base}, &clFlat, nil)
+						flat, err := engine.Plan(eng, q, plan.Source{Base: c.src.Base}, &clFlat)
 						if err != nil {
 							t.Fatalf("%s: flat plan: %v", label, err)
 						}

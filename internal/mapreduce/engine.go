@@ -235,7 +235,8 @@ type partOut struct {
 // hands its main-output records to the attempt's SinkAttempt as well (or,
 // when the output is sunk, instead). publish renames the temps to their
 // final part names and commits the sink attempt; abort deletes the temps,
-// and an uncommitted sink attempt is dropped.
+// and an uncommitted sink attempt is dropped. Like the records, the
+// attempt's counters count only if it commits.
 type streamCollector struct {
 	files  []partOut    // every DFS part file of the attempt
 	main   *hdfs.Writer // the main output's, nil when it is sunk
@@ -245,6 +246,7 @@ type streamCollector struct {
 	// sunkBytes the part of it that went to the sink alone.
 	records, bytes         int64
 	sunkRecords, sunkBytes int64
+	counters               Counters
 	// timed accumulates the wall-clock spent inside DFS appends and sink
 	// collects so a traced task can split its fused loop into reduce-vs-write
 	// phases; off (the default) when no tracer is configured.
@@ -280,6 +282,9 @@ func (e *Engine) openParts(job *Job, ac *attemptCtx, i int, timed bool) (*stream
 	}
 	return col, nil
 }
+
+// Inc implements Counter.
+func (c *streamCollector) Inc(name string, delta int64) { c.counters.Inc(name, delta) }
 
 func (c *streamCollector) Collect(record []byte) error {
 	var t0 time.Time
@@ -432,13 +437,18 @@ func (e *Engine) run(job *Job, jsp *trace.Span, wf string) (JobMetrics, error) {
 	var (
 		mapDurs, reduceDurs []time.Duration
 		reduces             []ReduceStats // per partition, from the winning attempts
-		out                 outCount      // what the winning output attempts wrote
+		outs                []taskOut     // per output task, from the winning attempts
 	)
 	// finish is the success exit once every task has published its part
-	// files: fold the task profile and splice the parts into the outputs.
+	// files: fold the task profile and the output tasks' counts, and splice
+	// the parts into the outputs.
 	finish := func() (JobMetrics, error) {
 		m.FoldTaskStats(mapDurs, reduceDurs, reduces)
-		m.ReduceOutputRecords, m.ReduceOutputBytes = out.records.Load(), out.bytes.Load()
+		for _, o := range outs {
+			m.ReduceOutputRecords += o.records
+			m.ReduceOutputBytes += o.bytes
+			m.Counters.Add(o.counters)
+		}
 		csp := jsp.Child(trace.KindCommit, "commit", len(mapDurs)+len(reduces))
 		err := CommitParts(e.dfs, job, nParts)
 		csp.Finish()
@@ -487,9 +497,10 @@ func (e *Engine) run(job *Job, jsp *trace.Span, wf string) (JobMetrics, error) {
 
 	if job.mapOnly() {
 		nParts = len(splits)
+		outs = make([]taskOut, len(splits))
 		if err := e.dispatch("map", len(splits), func(i int) error {
 			return e.runTask(js, "map", i, mapDurs, nil, func(ac *attemptCtx) error {
-				return e.mapOnlyAttempt(job, jsp, splits[i], ac, &out)
+				return e.mapOnlyAttempt(job, jsp, splits[i], ac, &outs[i])
 			})
 		}); err != nil {
 			return fail(err)
@@ -541,6 +552,7 @@ func (e *Engine) run(job *Job, jsp *trace.Span, wf string) (JobMetrics, error) {
 		if te.peakBuffered > m.PeakSortBufferBytes {
 			m.PeakSortBufferBytes = te.peakBuffered
 		}
+		m.Counters.Add(te.counters)
 	}
 
 	// ---- Shuffle-merge + reduce phase ----
@@ -551,13 +563,16 @@ func (e *Engine) run(job *Job, jsp *trace.Span, wf string) (JobMetrics, error) {
 	var spilledRecs, spilledBytes, mergePasses atomic.Int64
 	reduceDurs = make([]time.Duration, nReducers)
 	reduces = make([]ReduceStats, nReducers)
+	outs = make([]taskOut, nReducers)
 
 	// Map-output recovery: a node death loses the spill runs pinned to it.
 	// A reduce attempt that trips over a lost run fails with a wrapped
 	// hdfs.ErrNodeLost; before its retry, recoverMaps re-executes every map
 	// task whose output died, on a live node, with fresh attempt numbers —
-	// Hadoop's "map output lost, re-running map task" path. emMu guards the
-	// emitters slice against reduce attempts reading it concurrently.
+	// Hadoop's "map output lost, re-running map task" path. The task's
+	// counts were folded from its first winner above, so the re-execution
+	// replaces its output without counting again. emMu guards the emitters
+	// slice against reduce attempts reading it concurrently.
 	var emMu sync.RWMutex
 	recNext := make([]int, len(splits))
 	for i := range recNext {
@@ -673,7 +688,7 @@ func (e *Engine) run(job *Job, jsp *trace.Span, wf string) (JobMetrics, error) {
 				tsp.AddPhase(trace.KindWrite, "write", col.writeDur, wRecs, wBytes)
 				tsp.SetIO(wRecs, wBytes)
 			}
-			out.add(col)
+			outs[p] = col.out()
 			spilledRecs.Add(localSpilledRecs)
 			spilledBytes.Add(localSpilledBytes)
 			mergePasses.Add(localPasses)
@@ -689,16 +704,17 @@ func (e *Engine) run(job *Job, jsp *trace.Span, wf string) (JobMetrics, error) {
 	return finish()
 }
 
-// outCount sums what the winning output attempts of one job wrote.
-type outCount struct {
-	records, bytes atomic.Int64
+// taskOut is what one output task's winning attempt contributes to the job's
+// metrics: the records and bytes it wrote to the DFS, and its counters.
+type taskOut struct {
+	records, bytes int64
+	counters       Counters
 }
 
-// add counts what the attempt wrote to the DFS: its sunk records are the
+// out is the committed attempt's taskOut: its sunk records are the
 // caller's, not the file system's.
-func (o *outCount) add(c *streamCollector) {
-	o.records.Add(c.records - c.sunkRecords)
-	o.bytes.Add(c.bytes - c.sunkBytes)
+func (c *streamCollector) out() taskOut {
+	return taskOut{c.records - c.sunkRecords, c.bytes - c.sunkBytes, c.counters}
 }
 
 // mapAttempt is one map task attempt of a shuffle job: stream the split
@@ -727,8 +743,9 @@ func (e *Engine) mapAttempt(job *Job, jsp *trace.Span, sp Split, nReducers int, 
 
 // mapOnlyAttempt is one task attempt of a map-only job: fetch the side
 // input, stream the split through the map-only body into attempt-private
-// part files, and publish them if the attempt wins the task's claim.
-func (e *Engine) mapOnlyAttempt(job *Job, jsp *trace.Span, sp Split, ac *attemptCtx, out *outCount) error {
+// part files, and publish them (and its counts, into out) if the attempt wins
+// the task's claim.
+func (e *Engine) mapOnlyAttempt(job *Job, jsp *trace.Span, sp Split, ac *attemptCtx, out *taskOut) error {
 	i := ac.task
 	tsp := jsp.ChildTask("map", i, i, ac.node, ac.attempt)
 	defer tsp.Finish()
@@ -764,7 +781,7 @@ func (e *Engine) mapOnlyAttempt(job *Job, jsp *trace.Span, sp Split, ac *attempt
 		tsp.AddPhase(trace.KindWrite, "write", col.writeDur, wRecs, wBytes)
 		tsp.SetIO(wRecs, wBytes)
 	}
-	out.add(col)
+	*out = col.out()
 	return nil
 }
 

@@ -452,21 +452,6 @@ func TestWorkflowFailureStopsLaterStages(t *testing.T) {
 	}
 }
 
-func TestCounters(t *testing.T) {
-	c := NewCounters()
-	c.Inc("a", 2)
-	c.Inc("a", 3)
-	c.Inc("b", 1)
-	if c.Get("a") != 5 || c.Get("b") != 1 || c.Get("zero") != 0 {
-		t.Errorf("counters = %v", c.Snapshot())
-	}
-	snap := c.Snapshot()
-	snap["a"] = 99
-	if c.Get("a") != 5 {
-		t.Error("Snapshot did not copy")
-	}
-}
-
 func TestHashPartitionerInRange(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		key := make([]byte, 8)

@@ -156,6 +156,11 @@ type JobMetrics struct {
 	MapOutputRecoveries int64
 	TempBytesReclaimed  int64
 
+	// Counters sums the operators' counters over the job's tasks, each
+	// task's taken from its winning attempt (see Counters). Nil when no
+	// operator counted.
+	Counters Counters
+
 	Duration time.Duration
 	MapOnly  bool
 	// Sunk marks a job whose main output went to its Job.Sink (the caller)
@@ -187,6 +192,15 @@ func (w *WorkflowMetrics) TotalMapOutputBytes() int64 {
 	var t int64
 	for _, j := range w.Jobs {
 		t += j.MapOutputBytes
+	}
+	return t
+}
+
+// TotalCounters sums the jobs' operator counters; the result is never nil.
+func (w *WorkflowMetrics) TotalCounters() Counters {
+	t := Counters{}
+	for _, j := range w.Jobs {
+		t.Add(j.Counters)
 	}
 	return t
 }

@@ -64,6 +64,8 @@ type taskEmitter struct {
 	bytes          int64
 	spilledRecords int64
 	spilledBytes   int64
+	// counters are the attempt's own (Counter).
+	counters Counters
 
 	runs   []*spillRun
 	sealed bool
@@ -97,6 +99,9 @@ func newTaskEmitter(dfs *hdfs.DFS, job *Job, nReducers int, budget int64, node i
 		parts: make([][]KV, nReducers),
 	}
 }
+
+// Inc implements Counter.
+func (t *taskEmitter) Inc(name string, delta int64) { t.counters.Inc(name, delta) }
 
 // Emit copies the pair into the task's slab — the caller may reuse both
 // buffers as soon as it returns — and spills once the buffer reaches the sort

@@ -186,17 +186,24 @@ func runMapTask(job *Job, task int, input string, src RecordSource, te *taskEmit
 	return nil
 }
 
+// MapOutput is what one map task attempt produced: one (key, value)-sorted,
+// combiner-folded segment per reduce partition, the pre-combine map-output
+// counts (Hadoop's "Map output records") and the attempt's counters.
+type MapOutput struct {
+	Parts          [][]KV
+	Records, Bytes int64
+	Counters       Counters
+}
+
 // RunMapTask runs the map body over an in-memory (never spilling) emitter
-// and returns the task's committed output: one (key, value)-sorted,
-// combiner-folded segment per reduce partition, plus the pre-combine
-// map-output counters (Hadoop's "Map output records").
-func RunMapTask(job *Job, task int, input string, nReducers int, src RecordSource, h TaskHooks) (parts [][]KV, records, bytes int64, err error) {
+// and returns the task's output.
+func RunMapTask(job *Job, task int, input string, nReducers int, src RecordSource, h TaskHooks) (MapOutput, error) {
 	// Budget 0 disables spilling, so the nil DFS is never touched.
 	te := newTaskEmitter(nil, job, nReducers, 0, 0, h)
 	if err := runMapTask(job, task, input, src, te, h); err != nil {
-		return nil, 0, 0, err
+		return MapOutput{}, err
 	}
-	return te.parts, te.records, te.bytes, nil
+	return MapOutput{Parts: te.parts, Records: te.records, Bytes: te.bytes, Counters: te.counters}, nil
 }
 
 // RunMapOnlyTask is the map-only task body — the shuffle-free path. The
@@ -293,10 +300,11 @@ func RunReduceTask(job *Job, partition int, segs [][]KV, col Collector, h TaskHo
 // writes them as the task's part files. Records are copied, since mappers
 // and reducers may reuse their buffers: into chunked slabs sized by
 // chunk.Next, each record clipped to its length, as the DFS writer copies on
-// Append.
+// Append. Counters are the attempt's own (Counter).
 type MemCollector struct {
 	Outputs        [][][]byte
 	Records, Bytes int64
+	Counters       Counters
 	slots          map[string]int
 	slab           []byte
 }
@@ -323,6 +331,9 @@ func (c *MemCollector) add(slot int, record []byte) {
 	c.Records++
 	c.Bytes += int64(len(record))
 }
+
+// Inc implements Counter.
+func (c *MemCollector) Inc(name string, delta int64) { c.Counters.Inc(name, delta) }
 
 // Collect implements Collector.
 func (c *MemCollector) Collect(record []byte) error {

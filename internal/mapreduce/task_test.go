@@ -61,6 +61,7 @@ func workerStyle(d *hdfs.DFS, job *Job, splitRecords, nReducers int) (map[string
 	}
 	outs := make(map[string][]string)
 	gather := func(col *MemCollector) {
+		m.Counters.Add(col.Counters)
 		for b, base := range job.OutputBases() {
 			for _, rec := range col.Outputs[b] {
 				outs[base] = append(outs[base], string(rec))
@@ -74,11 +75,13 @@ func workerStyle(d *hdfs.DFS, job *Job, splitRecords, nReducers int) (map[string
 			return nil, m, err
 		}
 		if !job.mapOnly() {
-			var records int64
-			if maps[i], records, _, err = RunMapTask(job, i, sp.Input, nReducers, NewSliceSource(recs), TaskHooks{}); err != nil {
+			mo, err := RunMapTask(job, i, sp.Input, nReducers, NewSliceSource(recs), TaskHooks{})
+			if err != nil {
 				return nil, m, err
 			}
-			m.MapOutputRecords += records
+			maps[i] = mo.Parts
+			m.MapOutputRecords += mo.Records
+			m.Counters.Add(mo.Counters)
 			continue
 		}
 		var side [][]byte
@@ -118,14 +121,20 @@ func workerStyle(d *hdfs.DFS, job *Job, splitRecords, nReducers int) (map[string
 func TestTaskBodyParity(t *testing.T) {
 	const splitRecords, nReducers = 4, 3
 	shuffle := func() *Job {
-		// A combiner, an extra output, and a reducer that refuses one key.
+		// A combiner, an extra output, a reducer that refuses one key, and
+		// operators that count.
 		j := countingJob("words", "out")
 		j.ExtraOutputs = []string{"singles"}
-		inner := j.Reducer
+		mapper, inner := j.Mapper, j.Reducer
+		j.Mapper = MapperFunc(func(in string, rec []byte, out Emitter) error {
+			out.Inc("lines", 1)
+			return mapper.Map(in, rec, out)
+		})
 		j.Reducer = ReducerFunc(func(key []byte, values [][]byte, out Collector) error {
 			if string(key) == "poison" {
 				return errors.New("refused key")
 			}
+			out.Inc("keys", 1)
 			if len(values) == 1 && string(values[0]) == "\x01" {
 				if err := out.(NamedCollector).CollectTo("singles", key); err != nil {
 					return err
@@ -205,9 +214,9 @@ func TestTaskBodyParity(t *testing.T) {
 				t.Errorf("worker-style outputs differ from local:\n got %v\nwant %v", outs, wantOuts)
 			}
 			got := fmt.Sprint(wm.MapTasks, wm.ReduceTasks, wm.MapOutputRecords, wm.ReduceInputGroups,
-				wm.MaxReducePartitionRecords, wm.ReduceSkew, wm.ReduceKeySkew, wm.ReduceByteSkew)
+				wm.MaxReducePartitionRecords, wm.ReduceSkew, wm.ReduceKeySkew, wm.ReduceByteSkew, wm.Counters)
 			want := fmt.Sprint(lm.MapTasks, lm.ReduceTasks, lm.MapOutputRecords, lm.ReduceInputGroups,
-				lm.MaxReducePartitionRecords, lm.ReduceSkew, lm.ReduceKeySkew, lm.ReduceByteSkew)
+				lm.MaxReducePartitionRecords, lm.ReduceSkew, lm.ReduceKeySkew, lm.ReduceByteSkew, lm.Counters)
 			if got != want {
 				t.Errorf("worker-style task profile = %s, local = %s", got, want)
 			}

@@ -37,11 +37,41 @@ package mapreduce
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
+
+// Counters is one task attempt's named counts: operator-defined accounting
+// such as triplegroups unnested. An operator adds to them through the
+// Emitter or Collector it is handed (Counter). The engine folds the winning
+// attempt's set into JobMetrics.Counters where it folds that attempt's
+// records and bytes, so a task counts exactly once, as in Hadoop: a failed,
+// killed or losing attempt counts nothing, and a re-executed map task
+// replaces its counts rather than adding to them.
+type Counters map[string]int64
+
+// Inc adds delta to the named counter, making the set on first use.
+func (c *Counters) Inc(name string, delta int64) {
+	if *c == nil {
+		*c = make(Counters)
+	}
+	(*c)[name] += delta
+}
+
+// Add folds every counter of o into c.
+func (c *Counters) Add(o Counters) {
+	for name, v := range o {
+		c.Inc(name, v)
+	}
+}
+
+// Counter adds to the counters of the task attempt it belongs to. Every
+// Emitter and Collector is one.
+type Counter interface {
+	Inc(name string, delta int64)
+}
 
 // Emitter receives key/value pairs from map tasks.
 type Emitter interface {
+	Counter
 	// Emit hands one intermediate pair to the shuffle. The engine copies
 	// both slices; callers may reuse their buffers.
 	Emit(key, value []byte) error
@@ -50,6 +80,7 @@ type Emitter interface {
 // Collector receives final output records from reduce tasks (or from map
 // tasks in a map-only job).
 type Collector interface {
+	Counter
 	// Collect appends one record to the job output. The engine copies the
 	// slice; callers may reuse their buffers.
 	Collect(record []byte) error
@@ -155,11 +186,12 @@ type Sink interface {
 	Attempt() SinkAttempt
 }
 
-// SinkAttempt is one task attempt's share of a Sink. Its Collect must not
-// keep the record slice, which the task may reuse once the call returns. An
-// attempt that does not commit is simply dropped.
+// SinkAttempt is one task attempt's share of a Sink. An attempt that does
+// not commit is simply dropped.
 type SinkAttempt interface {
-	Collector
+	// Collect takes one record of the attempt's main output. It must not
+	// keep the slice, which the task may reuse once the call returns.
+	Collect(record []byte) error
 	// Commit keeps what the attempt collected as the output of the given
 	// task. It is called at most once per task, by the winning attempt, and
 	// the commits of different tasks may run concurrently.
@@ -395,39 +427,4 @@ func compareBytes(a, b []byte) int {
 	default:
 		return 0
 	}
-}
-
-// Counters is a concurrency-safe named-counter set, available to operators
-// for domain-specific accounting (e.g. triplegroups unnested).
-type Counters struct {
-	mu sync.Mutex
-	m  map[string]int64
-}
-
-// NewCounters returns an empty counter set.
-func NewCounters() *Counters { return &Counters{m: make(map[string]int64)} }
-
-// Inc adds delta to the named counter.
-func (c *Counters) Inc(name string, delta int64) {
-	c.mu.Lock()
-	c.m[name] += delta
-	c.mu.Unlock()
-}
-
-// Get returns the value of the named counter (zero if never incremented).
-func (c *Counters) Get(name string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.m[name]
-}
-
-// Snapshot returns a copy of all counters.
-func (c *Counters) Snapshot() map[string]int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]int64, len(c.m))
-	for k, v := range c.m {
-		out[k] = v
-	}
-	return out
 }

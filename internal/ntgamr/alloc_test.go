@@ -14,11 +14,15 @@ import (
 	"ntga/internal/rdf"
 )
 
-// pairSink is an Emitter/Collector that keeps copies of what it is given.
+// pairSink is an Emitter/Collector that keeps copies of what it is given,
+// and counts.
 type pairSink struct {
 	keys, vals [][]byte
 	keep       bool
+	counts     mapreduce.Counters
 }
+
+func (p *pairSink) Inc(name string, delta int64) { p.counts.Inc(name, delta) }
 
 func (p *pairSink) Emit(k, v []byte) error {
 	if p.keep {
@@ -63,13 +67,12 @@ SELECT * WHERE {
   ?x ex:label ?xl .
 }`)
 	const phiM = 4
-	counters := mapreduce.NewCounters()
 	j := q.Joins[0]
 	if j.Left.Role != query.RoleSlotObj {
 		t.Fatalf("fixture: join %+v does not bind through the slot", j)
 	}
-	m = &tgJoinMapper{q: q, join: j, mode: bucketedMode, phiM: phiM, rightFile: "grouped", counters: counters}
-	r = &tgJoinReducer{q: q, join: j, mode: bucketedMode, phiM: phiM, counters: counters}
+	m = &tgJoinMapper{q: q, join: j, mode: bucketedMode, phiM: phiM, rightFile: "grouped"}
+	r = &tgJoinReducer{q: q, join: j, mode: bucketedMode, phiM: phiM}
 	sink := &pairSink{keep: true}
 	for _, tg := range core.Group(g.Triples) {
 		for _, a := range new(core.Scratch).UnbGrpFilter(tg, q.Stars) {
@@ -139,8 +142,9 @@ func TestJoinCycleAllocationCeilings(t *testing.T) {
 
 // TestSharedOperatorsAcrossGoroutines runs one mapper and one reducer
 // instance from many goroutines at once, as concurrent tasks of a job do:
-// every call must produce exactly what a lone call produces (and -race must
-// stay quiet — scratch is per call, never per operator).
+// every call must produce exactly what a lone call produces, counts included
+// (and -race must stay quiet — scratch and counters are per call, never per
+// operator).
 func TestSharedOperatorsAcrossGoroutines(t *testing.T) {
 	m, r, geneRec, key, group := joinAllocFixture(t)
 	run := func() string {
@@ -151,7 +155,7 @@ func TestSharedOperatorsAcrossGoroutines(t *testing.T) {
 		if err := r.Reduce(key, &sliceValues{vals: group}, joined); err != nil {
 			return err.Error()
 		}
-		return fmt.Sprintf("%x %x %x", mapped.keys, mapped.vals, joined.vals)
+		return fmt.Sprintf("%x %x %x %v %v", mapped.keys, mapped.vals, joined.vals, mapped.counts, joined.counts)
 	}
 	want := run()
 	var wg sync.WaitGroup

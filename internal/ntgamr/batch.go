@@ -59,10 +59,9 @@ func (m *batchGroupMapper) Map(_ string, record []byte, out mapreduce.Emitter) e
 // batchGroupReducer applies every query's TG_UnbGrpFilter to the subject
 // group, routing each query's AnnTGs to its own output file.
 type batchGroupReducer struct {
-	qs       []*query.Query
-	outputs  []string // outputs[0] is the job's main output
-	eager    bool
-	counters *mapreduce.Counters
+	qs      []*query.Query
+	outputs []string // outputs[0] is the job's main output
+	eager   bool
 }
 
 func (r *batchGroupReducer) Reduce(key []byte, values mapreduce.ValueIter, out mapreduce.Collector) error {
@@ -72,9 +71,9 @@ func (r *batchGroupReducer) Reduce(key []byte, values mapreduce.ValueIter, out m
 	if err != nil {
 		return err
 	}
-	r.counters.Inc(CounterGroups, 1)
+	out.Inc(CounterGroups, 1)
 	for qid, q := range r.qs {
-		err := filterGroup(s, q, tg, r.eager, r.counters, func(_ []core.AnnTG, rec []byte) error {
+		err := filterGroup(s, q, tg, r.eager, out, func(_ []core.AnnTG, rec []byte) error {
 			if qid == 0 {
 				return out.Collect(rec)
 			}
@@ -100,7 +99,6 @@ func (n *NTGA) RunBatch(mr *mapreduce.Engine, qs []*query.Query, input string) (
 	}
 	var cl engine.Cleaner
 	defer cl.Clean(mr)
-	counters := mapreduce.NewCounters()
 	dfs := mr.DFS()
 	dfs.ResetPeak()
 
@@ -115,7 +113,7 @@ func (n *NTGA) RunBatch(mr *mapreduce.Engine, qs []*query.Query, input string) (
 		ExtraOutputs: grouped[1:],
 		Mapper:       &batchGroupMapper{qs: qs},
 		StreamReducer: &batchGroupReducer{qs: qs, outputs: grouped,
-			eager: n.strategy == Eager, counters: counters},
+			eager: n.strategy == Eager},
 	}
 	stages := []mapreduce.Stage{{groupJob}}
 
@@ -138,7 +136,7 @@ func (n *NTGA) RunBatch(mr *mapreduce.Engine, qs []*query.Query, input string) (
 			j := q.Joins[ji]
 			mode := n.joinModeFor(q, j)
 			stage = append(stage, tgJoinJob(q, fmt.Sprintf("%s-batch-q%d-join%d", n.name, qi, ji),
-				j, mode, n.phiM, counters, accs[qi], grouped[qi], out))
+				j, mode, n.phiM, accs[qi], grouped[qi], out))
 			accs[qi] = out
 		}
 		stages = append(stages, stage)
@@ -151,7 +149,7 @@ func (n *NTGA) RunBatch(mr *mapreduce.Engine, qs []*query.Query, input string) (
 	}
 
 	for qi, q := range qs {
-		r := &engine.Result{Engine: n.name, Counters: counters.Snapshot(), IsCount: q.IsCount()}
+		r := &engine.Result{Engine: n.name, Counters: wf.TotalCounters(), IsCount: q.IsCount()}
 		// No COUNT fold here: a counting query's final records are its joined
 		// triplegroups, counted without expansion. A query without joins ends
 		// in an extra output of the shared grouping job, so every query's

@@ -141,8 +141,7 @@ func (n *NTGA) unnestFor(j query.Join, mode joinMode) plan.UnnestMode {
 // cycle, with the reason recorded on the node for EXPLAIN. Without a layout
 // (nil or mismatched) the grouping cycle is the shuffled job1 and that prefix
 // is empty.
-func (n *NTGA) PlanSource(q *query.Query, src plan.Source, cl *engine.Cleaner,
-	counters *mapreduce.Counters) (*plan.Physical, error) {
+func (n *NTGA) PlanSource(q *query.Query, src plan.Source, cl *engine.Cleaner) (*plan.Physical, error) {
 	part := src.Part
 	if !part.Matches(plan.PartitionKeySubject) {
 		part = nil
@@ -151,9 +150,6 @@ func (n *NTGA) PlanSource(q *query.Query, src plan.Source, cl *engine.Cleaner,
 	}
 	if len(q.Stars) == 0 {
 		return nil, fmt.Errorf("ntgamr: query has no stars")
-	}
-	if counters == nil {
-		counters = mapreduce.NewCounters()
 	}
 	input := src.Base
 	eager := n.strategy == Eager
@@ -178,7 +174,7 @@ func (n *NTGA) PlanSource(q *query.Query, src plan.Source, cl *engine.Cleaner,
 		}
 	}
 	if part == nil {
-		group.Job = job1(q, eager, counters, input, grouped)
+		group.Job = job1(q, eager, input, grouped)
 	} else {
 		p.PartInput = part.Dir
 		group.Inputs = []string{part.Dir}
@@ -189,10 +185,7 @@ func (n *NTGA) PlanSource(q *query.Query, src plan.Source, cl *engine.Cleaner,
 			Output:          grouped,
 			ExtraOutputs:    append(append([]string(nil), grpFiles...), jlFilesOf(jl)...),
 			WholeFileSplits: true,
-			MapOnlyFactory: &groupTaskFactory{
-				q: q, eager: eager, counters: counters,
-				grpFiles: grpFiles, jl: jl,
-			},
+			MapOnlyFactory:  &groupTaskFactory{q: q, eager: eager, grpFiles: grpFiles, jl: jl},
 		}
 	}
 	p.Stages = append(p.Stages, plan.Stage{group})
@@ -217,7 +210,7 @@ func (n *NTGA) PlanSource(q *query.Query, src plan.Source, cl *engine.Cleaner,
 				ExtraOutputs:    jlFilesOf(next),
 				WholeFileSplits: true,
 				TaskSideInputs:  jl.files,
-				MapOnlyFactory:  &joinTaskFactory{q: q, join: j, counters: counters, next: next},
+				MapOnlyFactory:  &joinTaskFactory{q: q, join: j, next: next},
 			}
 			inputs := []string{grouped}
 			if ji > 0 {
@@ -236,7 +229,7 @@ func (n *NTGA) PlanSource(q *query.Query, src plan.Source, cl *engine.Cleaner,
 		// The shuffle cycle, reading the accumulated result and the (flat)
 		// grouping output.
 		mode := n.joinModeFor(q, j)
-		job := tgJoinJob(q, name, j, mode, n.phiM, counters, acc, grouped, out)
+		job := tgJoinJob(q, name, j, mode, n.phiM, acc, grouped, out)
 		node := &plan.Node{
 			Kind: plan.KindTGJoin, Name: name, Star: -1,
 			Inputs: append([]string(nil), job.Inputs...), Output: out,
@@ -302,8 +295,8 @@ func joinedDecoder(q *query.Query) engine.DecodeFunc {
 
 // Plan is harness-facing (benchmark/adapter.go); use engine.Plan.
 func (n *NTGA) Plan(q *query.Query, input string, cl *engine.Cleaner,
-	counters *mapreduce.Counters) (*plan.Physical, error) {
-	return engine.Plan(n, q, plan.Source{Base: input}, cl, counters)
+	_ *mapreduce.Counters) (*plan.Physical, error) {
+	return engine.Plan(n, q, plan.Source{Base: input}, cl)
 }
 
 // Run is harness-facing (benchmark/adapter.go); use engine.Run.

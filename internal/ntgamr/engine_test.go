@@ -164,7 +164,7 @@ func TestNTGAWorkflowShape(t *testing.T) {
 		t.Errorf("NTGA cycles = %d, want 2", res.Workflow.Cycles)
 	}
 	var cl engine.Cleaner
-	p, err := engine.Plan(NewLazy(), enginetest.Compile(t, g, twoStar), plan.Source{Base: "in"}, &cl, mapreduce.NewCounters())
+	p, err := engine.Plan(NewLazy(), enginetest.Compile(t, g, twoStar), plan.Source{Base: "in"}, &cl)
 	if err != nil {
 		t.Fatal(err)
 	}

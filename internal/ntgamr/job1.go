@@ -69,9 +69,8 @@ func emitBySubject(t rdf.Triple, out mapreduce.Emitter) error {
 // the subject triplegroup, applies the β group-filter for every equivalence
 // class, and — under the Eager strategy — β-unnests immediately.
 type groupFilterReducer struct {
-	q        *query.Query
-	eager    bool
-	counters *mapreduce.Counters
+	q     *query.Query
+	eager bool
 }
 
 func (r *groupFilterReducer) Reduce(key []byte, values mapreduce.ValueIter, out mapreduce.Collector) error {
@@ -81,8 +80,8 @@ func (r *groupFilterReducer) Reduce(key []byte, values mapreduce.ValueIter, out 
 	if err != nil {
 		return err
 	}
-	r.counters.Inc(CounterGroups, 1)
-	return filterGroup(s, r.q, tg, r.eager, r.counters,
+	out.Inc(CounterGroups, 1)
+	return filterGroup(s, r.q, tg, r.eager, out,
 		func(_ []core.AnnTG, rec []byte) error { return out.Collect(rec) })
 }
 
@@ -124,12 +123,12 @@ func readGroup(s *core.Scratch, key []byte, values mapreduce.ValueIter) (core.Tr
 // filterGroup applies one query's TG_UnbGrpFilter to a subject triplegroup
 // and — under the Eager strategy — β-unnests immediately, handing emit each
 // resulting AnnTG as a singleton component list with its record. Both are
-// s's and last until emit returns.
+// s's and last until emit returns. The AnnTGs are counted on cnt.
 func filterGroup(s *core.Scratch, q *query.Query, tg core.TripleGroup, eager bool,
-	counters *mapreduce.Counters, emit func(comps []core.AnnTG, rec []byte) error) error {
+	cnt mapreduce.Counter, emit func(comps []core.AnnTG, rec []byte) error) error {
 	emitEach := func(anns []core.AnnTG, counter string) error {
 		for i := range anns {
-			counters.Inc(counter, 1)
+			cnt.Inc(counter, 1)
 			s.Buf = core.AppendJoined(s.Buf[:0], anns[i:i+1])
 			if err := emit(anns[i:i+1], s.Buf); err != nil {
 				return err
@@ -142,7 +141,7 @@ func filterGroup(s *core.Scratch, q *query.Query, tg core.TripleGroup, eager boo
 		return emitEach(anns, CounterAnnTGs)
 	}
 	for _, a := range anns {
-		counters.Inc(CounterAnnTGs, 1)
+		cnt.Inc(CounterAnnTGs, 1)
 		if err := emitEach(s.BetaUnnest(q.Stars[a.EC], a), CounterEagerUnnest); err != nil {
 			return err
 		}
@@ -151,12 +150,12 @@ func filterGroup(s *core.Scratch, q *query.Query, tg core.TripleGroup, eager boo
 }
 
 // job1 builds the grouping cycle.
-func job1(q *query.Query, eager bool, counters *mapreduce.Counters, input, output string) *mapreduce.Job {
+func job1(q *query.Query, eager bool, input, output string) *mapreduce.Job {
 	return &mapreduce.Job{
 		Name:          "ntga-group",
 		Inputs:        []string{input},
 		Output:        output,
 		Mapper:        &groupByMapper{q: q},
-		StreamReducer: &groupFilterReducer{q: q, eager: eager, counters: counters},
+		StreamReducer: &groupFilterReducer{q: q, eager: eager},
 	}
 }

@@ -37,7 +37,6 @@ type tgJoinMapper struct {
 	phiM      int
 	leftFile  string // "" when both sides come from the single input file
 	rightFile string
-	counters  *mapreduce.Counters
 }
 
 func (m *tgJoinMapper) Map(input string, record []byte, out mapreduce.Emitter) error {
@@ -106,7 +105,7 @@ func (m *tgJoinMapper) emitSide(s *core.Scratch, comps []core.AnnTG, pos query.P
 		if comp := comps[ci]; comp.SlotSel[pos.Idx] == core.Nested {
 			// TG_OptUnbJoin: partial β-unnest, keyed by bucket.
 			for _, pt := range s.PartialBetaUnnest(m.q.Stars[pos.Star], comp, pos.Idx, m.phiM) {
-				m.counters.Inc(CounterPartialTGs, 1)
+				out.Inc(CounterPartialTGs, 1)
 				comps[ci] = pt.TG
 				if err := emitTagged(s, out, uint64(pt.Bucket), tag, comps); err != nil {
 					return err
@@ -115,7 +114,7 @@ func (m *tgJoinMapper) emitSide(s *core.Scratch, comps []core.AnnTG, pos query.P
 			return nil
 		}
 	}
-	return resolveJoinSide(s, m.q, comps, pos, m.counters, func(v rdf.ID, comps []core.AnnTG) error {
+	return resolveJoinSide(s, m.q, comps, pos, out, func(v rdf.ID, comps []core.AnnTG) error {
 		key := uint64(v)
 		if m.mode == bucketedMode {
 			key = uint64(core.Phi(v, m.phiM))
@@ -130,8 +129,9 @@ func (m *tgJoinMapper) emitSide(s *core.Scratch, comps []core.AnnTG, pos query.P
 // slot fully β-unnested (TG_UnbJoin; never partially — that is emitSide's).
 // The record passed to yield is comps itself, its joining component replaced
 // for the duration of the call: yield encodes it or copies what it keeps.
+// Unnested triplegroups are counted on cnt.
 func resolveJoinSide(s *core.Scratch, q *query.Query, comps []core.AnnTG, pos query.Pos,
-	counters *mapreduce.Counters, yield func(rdf.ID, []core.AnnTG) error) error {
+	cnt mapreduce.Counter, yield func(rdf.ID, []core.AnnTG) error) error {
 	ci, err := compOf(comps, pos.Star)
 	if err != nil {
 		return err
@@ -153,7 +153,7 @@ func resolveJoinSide(s *core.Scratch, q *query.Query, comps []core.AnnTG, pos qu
 	}
 	for _, c := range split {
 		if unnested {
-			counters.Inc(CounterMapUnnest, 1)
+			cnt.Inc(CounterMapUnnest, 1)
 		}
 		comps[ci] = c
 		v, err := core.JoinValue(st, c, pos)
@@ -170,18 +170,17 @@ func resolveJoinSide(s *core.Scratch, q *query.Query, comps []core.AnnTG, pos qu
 
 // tgJoinReducer joins the two sides of a group.
 type tgJoinReducer struct {
-	q        *query.Query
-	join     query.Join
-	mode     joinMode
-	phiM     int
-	counters *mapreduce.Counters
+	q    *query.Query
+	join query.Join
+	mode joinMode
+	phiM int
 }
 
 // resolveSide is resolveJoinSide on the reduce side: the map side left a
 // position unresolved only under TG_OptUnbJoin, whose deferred β-unnest it
-// finishes within the reduce bucket.
+// finishes within the reduce bucket, counting the unnested triplegroups on cnt.
 func (r *tgJoinReducer) resolveSide(s *core.Scratch, comps []core.AnnTG, pos query.Pos, bucket int,
-	yield func(rdf.ID, []core.AnnTG) error) error {
+	cnt mapreduce.Counter, yield func(rdf.ID, []core.AnnTG) error) error {
 	ci, err := compOf(comps, pos.Star)
 	if err != nil {
 		return err
@@ -198,7 +197,7 @@ func (r *tgJoinReducer) resolveSide(s *core.Scratch, comps []core.AnnTG, pos que
 		return fmt.Errorf("ntgamr: nested slot reached a direct-mode reducer")
 	}
 	for _, u := range s.UnnestSlotInBucket(st, comp, pos.Idx, r.phiM, bucket) {
-		r.counters.Inc(CounterReduceUnnest, 1)
+		cnt.Inc(CounterReduceUnnest, 1)
 		comps[ci] = u
 		if err := yield(u.Triples[u.SlotSel[pos.Idx]].O, comps); err != nil {
 			return err
@@ -254,7 +253,7 @@ func (r *tgJoinReducer) Reduce(key []byte, values mapreduce.ValueIter, out mapre
 		case tagLeft:
 			comps, err := ls.DecodeJoined(v[1:])
 			if err == nil {
-				err = r.resolveSide(ls, comps, r.join.Left, bucket, keepLeft)
+				err = r.resolveSide(ls, comps, r.join.Left, bucket, out, keepLeft)
 			}
 			if err != nil {
 				return err
@@ -263,7 +262,7 @@ func (r *tgJoinReducer) Reduce(key []byte, values mapreduce.ValueIter, out mapre
 			rs.Reset()
 			comps, err := rs.DecodeJoined(v[1:])
 			if err == nil {
-				err = r.resolveSide(rs, comps, r.join.Right, bucket, joinRight)
+				err = r.resolveSide(rs, comps, r.join.Right, bucket, out, joinRight)
 			}
 			if err != nil {
 				return err
@@ -278,7 +277,7 @@ func (r *tgJoinReducer) Reduce(key []byte, values mapreduce.ValueIter, out mapre
 // rightFile (the first join), the job scans that file once and the mapper
 // routes records by equivalence class.
 func tgJoinJob(q *query.Query, name string, j query.Join, mode joinMode, phiM int,
-	counters *mapreduce.Counters, leftFile, rightFile, output string) *mapreduce.Job {
+	leftFile, rightFile, output string) *mapreduce.Job {
 	inputs := []string{leftFile, rightFile}
 	mLeft := leftFile
 	if leftFile == rightFile {
@@ -290,7 +289,7 @@ func tgJoinJob(q *query.Query, name string, j query.Join, mode joinMode, phiM in
 		Inputs: inputs,
 		Output: output,
 		Mapper: &tgJoinMapper{q: q, join: j, mode: mode, phiM: phiM,
-			leftFile: mLeft, rightFile: rightFile, counters: counters},
-		StreamReducer: &tgJoinReducer{q: q, join: j, mode: mode, phiM: phiM, counters: counters},
+			leftFile: mLeft, rightFile: rightFile},
+		StreamReducer: &tgJoinReducer{q: q, join: j, mode: mode, phiM: phiM},
 	}
 }

@@ -74,9 +74,8 @@ type jlRoute struct {
 	files []string  // bucket files, indexed by hash64.Bucket(join value)
 }
 
-func (r *jlRoute) emit(s *core.Scratch, q *query.Query, comps []core.AnnTG, counters *mapreduce.Counters,
-	nc mapreduce.NamedCollector) error {
-	return resolveJoinSide(s, q, comps, r.pos, counters, func(v rdf.ID, comps []core.AnnTG) error {
+func (r *jlRoute) emit(s *core.Scratch, q *query.Query, comps []core.AnnTG, nc mapreduce.NamedCollector) error {
+	return resolveJoinSide(s, q, comps, r.pos, nc, func(v rdf.ID, comps []core.AnnTG) error {
 		s.Buf = core.AppendJoined(binary.AppendUvarint(s.Buf[:0], uint64(v)), comps)
 		return nc.CollectTo(r.files[hash64.Bucket(uint64(v), len(r.files))], s.Buf)
 	})
@@ -88,7 +87,6 @@ func (r *jlRoute) emit(s *core.Scratch, q *query.Query, comps []core.AnnTG, coun
 type groupTask struct {
 	q         *query.Query
 	eager     bool
-	counters  *mapreduce.Counters
 	grpBucket string   // this task's grouped bucket file ("" when unused)
 	jl        *jlRoute // first map-only join's left routing (nil when unused)
 
@@ -138,8 +136,8 @@ func (g *groupTask) flushGroup(out mapreduce.Collector) error {
 	}
 	g.sc.Reset()
 	tg := core.NewTripleGroup(g.subject, g.sc.Pairs)
-	g.counters.Inc(CounterGroups, 1)
-	return filterGroup(&g.sc, g.q, tg, g.eager, g.counters, func(comps []core.AnnTG, rec []byte) error {
+	out.Inc(CounterGroups, 1)
+	return filterGroup(&g.sc, g.q, tg, g.eager, out, func(comps []core.AnnTG, rec []byte) error {
 		if err := out.Collect(rec); err != nil {
 			return err
 		}
@@ -156,7 +154,7 @@ func (g *groupTask) flushGroup(out mapreduce.Collector) error {
 			}
 		}
 		if g.jl != nil && comps[0].EC == g.jl.pos.Star {
-			return g.jl.emit(&g.sc, g.q, comps, g.counters, nc)
+			return g.jl.emit(&g.sc, g.q, comps, nc)
 		}
 		return nil
 	})
@@ -166,7 +164,6 @@ func (g *groupTask) flushGroup(out mapreduce.Collector) error {
 type groupTaskFactory struct {
 	q        *query.Query
 	eager    bool
-	counters *mapreduce.Counters
 	grpFiles []string // grouped bucket files, indexed by task (nil when unused)
 	jl       *jlRoute // nil when the first join is not map-only
 }
@@ -179,7 +176,7 @@ func (f *groupTaskFactory) NewTask(task int, _ [][]byte) (mapreduce.TaskMapper, 
 		}
 		grp = f.grpFiles[task]
 	}
-	return &groupTask{q: f.q, eager: f.eager, counters: f.counters, grpBucket: grp, jl: f.jl}, nil
+	return &groupTask{q: f.q, eager: f.eager, grpBucket: grp, jl: f.jl}, nil
 }
 
 // joinTask is the map-only join operator for one bucket: the side input
@@ -188,12 +185,11 @@ func (f *groupTaskFactory) NewTask(task int, _ [][]byte) (mapreduce.TaskMapper, 
 // subject is the join value — map-only joins always bind the right star
 // through its subject, so right subjects co-hash with their lefts).
 type joinTask struct {
-	q        *query.Query
-	join     query.Join
-	counters *mapreduce.Counters
-	lefts    map[rdf.ID][][]core.AnnTG
-	next     *jlRoute // the following map-only join's left routing (nil when last)
-	sc       core.Scratch
+	q     *query.Query
+	join  query.Join
+	lefts map[rdf.ID][][]core.AnnTG
+	next  *jlRoute // the following map-only join's left routing (nil when last)
+	sc    core.Scratch
 }
 
 func (j *joinTask) MapRecord(_ string, record []byte, out mapreduce.Collector) error {
@@ -216,7 +212,7 @@ func (j *joinTask) MapRecord(_ string, record []byte, out mapreduce.Collector) e
 			if !ok {
 				return fmt.Errorf("ntgamr: collector lacks MultipleOutputs support")
 			}
-			if err := j.next.emit(&j.sc, j.q, joined, j.counters, nc); err != nil {
+			if err := j.next.emit(&j.sc, j.q, joined, nc); err != nil {
 				return err
 			}
 		}
@@ -229,10 +225,9 @@ func (j *joinTask) Flush(mapreduce.Collector) error { return nil }
 // joinTaskFactory builds the join operator per bucket task from its side
 // input (the routed left records).
 type joinTaskFactory struct {
-	q        *query.Query
-	join     query.Join
-	counters *mapreduce.Counters
-	next     *jlRoute
+	q    *query.Query
+	join query.Join
+	next *jlRoute
 }
 
 func (f *joinTaskFactory) NewTask(_ int, side [][]byte) (mapreduce.TaskMapper, error) {
@@ -245,7 +240,7 @@ func (f *joinTaskFactory) NewTask(_ int, side [][]byte) (mapreduce.TaskMapper, e
 		}
 		lefts[v] = append(lefts[v], comps)
 	}
-	return &joinTask{q: f.q, join: f.join, counters: f.counters, lefts: lefts, next: f.next}, nil
+	return &joinTask{q: f.q, join: f.join, lefts: lefts, next: f.next}, nil
 }
 
 // tempBuckets names (and tracks for cleanup) one intermediate bucket set.

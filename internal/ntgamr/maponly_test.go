@@ -131,7 +131,7 @@ SELECT * WHERE {
   ?go ex:label ?gol . ?go ex:type ?t .
 }`)
 	var cl engine.Cleaner
-	p, err := engine.Plan(eng, q, plan.Source{Base: "data/triples", Part: part}, &cl, nil)
+	p, err := engine.Plan(eng, q, plan.Source{Base: "data/triples", Part: part}, &cl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ SELECT * WHERE {
   ?b ex:synonym ?bs . ?b ex:xGO ?x .
 }`)
 	var cl2 engine.Cleaner
-	p2, err := engine.Plan(eng, q2, plan.Source{Base: "data/triples", Part: part}, &cl2, nil)
+	p2, err := engine.Plan(eng, q2, plan.Source{Base: "data/triples", Part: part}, &cl2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,12 +173,12 @@ SELECT * WHERE {
 
 	// Nil partitioning: identical to the flat plan.
 	var cl3 engine.Cleaner
-	p3, err := engine.Plan(eng, q2, plan.Source{Base: "data/triples"}, &cl3, nil)
+	p3, err := engine.Plan(eng, q2, plan.Source{Base: "data/triples"}, &cl3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var cl4 engine.Cleaner
-	p4, err := engine.Plan(eng, q2, plan.Source{Base: "data/triples"}, &cl4, nil)
+	p4, err := engine.Plan(eng, q2, plan.Source{Base: "data/triples"}, &cl4)
 	if err != nil {
 		t.Fatal(err)
 	}

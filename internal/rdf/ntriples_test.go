@@ -186,3 +186,42 @@ func TestPropertyMultiplicity(t *testing.T) {
 		t.Errorf("PropertyMultiplicity = %v, want %v", mult, want)
 	}
 }
+
+// FuzzParseTriple: ParseTriple reads every line of an /ingest batch, input
+// from outside the process, so it must never panic, and what it accepts must
+// survive rendering. Each accepted term's AppendNT form must re-parse with
+// ParseTermText to a term that renders the same bytes, and the rendered
+// statement must re-parse to the same three renderings. The seed corpus
+// under testdata/fuzz holds escapes, language and typed literals, blank
+// nodes, invalid UTF-8 and trailing garbage.
+func FuzzParseTriple(f *testing.F) {
+	f.Fuzz(func(t *testing.T, line string) {
+		s, p, o, err := ParseTriple(line)
+		if err != nil {
+			return
+		}
+		var stmt []byte
+		nts := make([][]byte, 3)
+		for i, term := range []Term{s, p, o} {
+			nts[i] = term.AppendNT(nil)
+			back, err := ParseTermText(string(nts[i]))
+			if err != nil {
+				t.Fatalf("%q: term %#v renders as %q, which does not parse: %v", line, term, nts[i], err)
+			}
+			if again := back.AppendNT(nil); !bytes.Equal(again, nts[i]) {
+				t.Fatalf("%q: term renders as %q, re-parses to %#v, which renders as %q", line, nts[i], back, again)
+			}
+			stmt = append(append(stmt, nts[i]...), ' ')
+		}
+		stmt = append(stmt, '.')
+		s2, p2, o2, err := ParseTriple(string(stmt))
+		if err != nil {
+			t.Fatalf("%q: renders as %q, which does not parse: %v", line, stmt, err)
+		}
+		for i, term := range []Term{s2, p2, o2} {
+			if again := term.AppendNT(nil); !bytes.Equal(again, nts[i]) {
+				t.Fatalf("%q: renders as %q; term %d re-parses to %q", line, stmt, i, again)
+			}
+		}
+	})
+}

@@ -62,16 +62,14 @@ func NewSJPerCycle() *Relational { return &Relational{style: StyleHive, name: "S
 func (r *Relational) Name() string { return r.name }
 
 // PlanSource implements engine.QueryEngine: it builds the physical plan
-// without executing anything. The counters argument is unused — the
-// relational engines keep no run counters.
+// without executing anything.
 //
 // Over a subject-partitioned layout (src.Part) Hive-style star-join cycles
 // become map-only scans of the bucket files; the relational join cycles still
 // shuffle (and the first says why). Pig-style plans ignore the layout — the
 // SPLIT pass re-materializes the input, discarding it before any star-join
 // could use it.
-func (r *Relational) PlanSource(q *query.Query, src plan.Source, cl *engine.Cleaner,
-	_ *mapreduce.Counters) (*plan.Physical, error) {
+func (r *Relational) PlanSource(q *query.Query, src plan.Source, cl *engine.Cleaner) (*plan.Physical, error) {
 	if len(q.Stars) == 0 {
 		return nil, fmt.Errorf("relmr: query has no stars")
 	}
@@ -170,8 +168,8 @@ func (r *Relational) Decoder(q *query.Query) engine.DecodeFunc {
 
 // Plan is harness-facing (benchmark/adapter.go); use engine.Plan.
 func (r *Relational) Plan(q *query.Query, input string, cl *engine.Cleaner,
-	counters *mapreduce.Counters) (*plan.Physical, error) {
-	return engine.Plan(r, q, plan.Source{Base: input}, cl, counters)
+	_ *mapreduce.Counters) (*plan.Physical, error) {
+	return engine.Plan(r, q, plan.Source{Base: input}, cl)
 }
 
 // Run is harness-facing (benchmark/adapter.go); use engine.Run.

@@ -136,14 +136,14 @@ SELECT * WHERE {
 	}
 	// Plan-level scan accounting (Figure 3): Hive scans input per star.
 	var cl engine.Cleaner
-	p, err := engine.Plan(NewHive(), enginetest.Compile(t, g, twoStar), plan.Source{Base: "in"}, &cl, nil)
+	p, err := engine.Plan(NewHive(), enginetest.Compile(t, g, twoStar), plan.Source{Base: "in"}, &cl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if scans := p.ScanCount(); scans != 2 {
 		t.Errorf("Hive full scans = %d, want 2", scans)
 	}
-	p, err = engine.Plan(NewPig(), enginetest.Compile(t, g, twoStar), plan.Source{Base: "in"}, &cl, nil)
+	p, err = engine.Plan(NewPig(), enginetest.Compile(t, g, twoStar), plan.Source{Base: "in"}, &cl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ SELECT * WHERE {
 		t.Errorf("Sel-SJ-first O-S cycles = %d, want 2", res.Workflow.Cycles)
 	}
 	var cl engine.Cleaner
-	p, err := engine.Plan(NewSelSJFirst(), enginetest.Compile(t, g, src), plan.Source{Base: "in"}, &cl, nil)
+	p, err := engine.Plan(NewSelSJFirst(), enginetest.Compile(t, g, src), plan.Source{Base: "in"}, &cl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ SELECT * WHERE {
 		t.Errorf("Sel-SJ-first O-O cycles = %d, want 3", res.Workflow.Cycles)
 	}
 	var cl engine.Cleaner
-	p, err := engine.Plan(NewSelSJFirst(), enginetest.Compile(t, g, src), plan.Source{Base: "in"}, &cl, nil)
+	p, err := engine.Plan(NewSelSJFirst(), enginetest.Compile(t, g, src), plan.Source{Base: "in"}, &cl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ SELECT * WHERE { ?g ex:label ?l . }`,
 	for _, src := range cases {
 		q := enginetest.Compile(t, g, src)
 		var cl engine.Cleaner
-		if _, err := engine.Plan(NewSelSJFirst(), q, plan.Source{Base: "in"}, &cl, nil); err == nil {
+		if _, err := engine.Plan(NewSelSJFirst(), q, plan.Source{Base: "in"}, &cl); err == nil {
 			t.Errorf("Plan(%q) succeeded, want error", src)
 		}
 	}

@@ -67,7 +67,7 @@ func TestHivePlanPartitionedShape(t *testing.T) {
 	}
 	q := enginetest.Compile(t, g, testQueries[2].src) // two stars OS join
 	var cl engine.Cleaner
-	p, err := engine.Plan(NewHive(), q, plan.Source{Base: "in", Part: part}, &cl, nil)
+	p, err := engine.Plan(NewHive(), q, plan.Source{Base: "in", Part: part}, &cl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestHivePlanPartitionedShape(t *testing.T) {
 
 	// Pig ignores the layout entirely (the SPLIT pass discards it).
 	var cl2 engine.Cleaner
-	pp, err := engine.Plan(NewPig(), q, plan.Source{Base: "in", Part: part}, &cl2, nil)
+	pp, err := engine.Plan(NewPig(), q, plan.Source{Base: "in", Part: part}, &cl2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,12 +104,12 @@ func TestHivePlanPartitionedShape(t *testing.T) {
 
 	// Nil partitioning falls back to the flat plan.
 	var cl3 engine.Cleaner
-	pf, err := engine.Plan(NewHive(), q, plan.Source{Base: "in"}, &cl3, nil)
+	pf, err := engine.Plan(NewHive(), q, plan.Source{Base: "in"}, &cl3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var cl4 engine.Cleaner
-	flat, err := engine.Plan(NewHive(), q, plan.Source{Base: "in"}, &cl4, nil)
+	flat, err := engine.Plan(NewHive(), q, plan.Source{Base: "in"}, &cl4)
 	if err != nil {
 		t.Fatal(err)
 	}

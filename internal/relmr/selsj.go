@@ -38,10 +38,8 @@ func NewSelSJFirst() *SelSJFirst { return &SelSJFirst{name: "Sel-SJ-first"} }
 func (s *SelSJFirst) Name() string { return s.name }
 
 // PlanSource implements engine.QueryEngine; see the type comment for the
-// shapes produced. The engine has no map-only form, so src.Part is ignored;
-// the counters argument is unused.
-func (s *SelSJFirst) PlanSource(q *query.Query, src plan.Source, cl *engine.Cleaner,
-	_ *mapreduce.Counters) (*plan.Physical, error) {
+// shapes produced. The engine has no map-only form, so src.Part is ignored.
+func (s *SelSJFirst) PlanSource(q *query.Query, src plan.Source, cl *engine.Cleaner) (*plan.Physical, error) {
 	input := src.Base
 	if len(q.Stars) != 2 || len(q.Joins) != 1 {
 		return nil, fmt.Errorf("relmr: Sel-SJ-first supports exactly two stars, got %d stars / %d joins",
@@ -121,8 +119,8 @@ func (s *SelSJFirst) Decoder(q *query.Query) engine.DecodeFunc {
 
 // Plan is harness-facing (benchmark/adapter.go); use engine.Plan.
 func (s *SelSJFirst) Plan(q *query.Query, input string, cl *engine.Cleaner,
-	counters *mapreduce.Counters) (*plan.Physical, error) {
-	return engine.Plan(s, q, plan.Source{Base: input}, cl, counters)
+	_ *mapreduce.Counters) (*plan.Physical, error) {
+	return engine.Plan(s, q, plan.Source{Base: input}, cl)
 }
 
 // Run is harness-facing (benchmark/adapter.go); use engine.Run.
