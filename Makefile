@@ -19,8 +19,9 @@ all: build check test
 # into one job total. The cluster's wire decoders run inside the net/rpc
 # server, so FuzzWireDecode also explores for ten seconds, and so does
 # FuzzCellsDecode over the hand-written decoders of the /query term table that
-# server.Client runs on every answer, and FuzzParseTriple over the N-Triples
-# parser every /ingest line goes through (the plain test runs replay only
+# server.Client runs on every answer, FuzzParseTriple over the N-Triples
+# parser every /ingest line goes through, and FuzzParseSPARQL over the SPARQL
+# parser every /query body goes through (the plain test runs replay only
 # their seed corpora).
 check:
 	@unformatted=$$(gofmt -l .); \
@@ -35,6 +36,7 @@ check:
 	go test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 10s ./internal/cluster/
 	go test -run '^$$' -fuzz '^FuzzCellsDecode$$' -fuzztime 10s ./internal/server/
 	go test -run '^$$' -fuzz '^FuzzParseTriple$$' -fuzztime 10s ./internal/rdf/
+	go test -run '^$$' -fuzz '^FuzzParseSPARQL$$' -fuzztime 10s ./internal/sparql/
 	go test -race ./internal/ingest/
 	go test ./internal/plan/ ./internal/explain/
 
@@ -58,7 +60,7 @@ test-race:
 # A local convenience only: `go test ./...` (the `test` target and CI's Test
 # step) runs without -short and so already executes TestChaos* and TestFuzz*;
 # CI has no separate chaos step (its -fuzz runs, FuzzWireDecode,
-# FuzzCellsDecode and FuzzParseTriple, are in check).
+# FuzzCellsDecode, FuzzParseTriple and FuzzParseSPARQL, are in check).
 chaos:
 	go test ./internal/integration -run TestChaos -count=1 -timeout 15m
 

@@ -20,8 +20,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"ntga/internal/engines"
@@ -32,32 +34,60 @@ import (
 )
 
 func main() {
-	var (
-		dataFile  = flag.String("data", "", "N-Triples input file (builds an exact catalog)")
-		statsFile = flag.String("stats", "", "statistics catalog file (plan without loading any data)")
-		queryFile = flag.String("query", "", "SPARQL query file")
-		inline    = flag.String("e", "", "inline SPARQL query text")
-		jsonOut   = flag.Bool("json", false, "emit the plan and cost estimates as JSON")
-		optimize  = flag.Bool("optimize", false, "reorder inter-star joins by estimated selectivity before planning")
-		analyze   = flag.Bool("analyze", false, "also execute the query per engine and report estimated vs actual costs (needs -data)")
-		partBkts  = flag.Int("partition-buckets", 0, "plan (and with -analyze, run) over a hash-of-subject layout with this many buckets (0 = flat)")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if *dataFile == "" && *statsFile == "" {
-		fatal(fmt.Errorf("one of -data or -stats is required"))
-	}
-	if *analyze && *dataFile == "" {
-		fatal(fmt.Errorf("-analyze executes the query and therefore needs -data"))
-	}
-	src := *inline
-	if src == "" {
-		if *queryFile == "" {
-			fatal(fmt.Errorf("one of -query or -e is required"))
+// options are the parsed command-line flags.
+type options struct {
+	dataFile, statsFile, queryFile, inline string
+	jsonOut, optimize, analyze             bool
+	partBkts                               int
+}
+
+// run is main with its process state passed in: the arguments after the
+// program name, the two output streams, and the exit status returned.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var o options
+	fs.StringVar(&o.dataFile, "data", "", "N-Triples input file (builds an exact catalog)")
+	fs.StringVar(&o.statsFile, "stats", "", "statistics catalog file (plan without loading any data)")
+	fs.StringVar(&o.queryFile, "query", "", "SPARQL query file")
+	fs.StringVar(&o.inline, "e", "", "inline SPARQL query text")
+	fs.BoolVar(&o.jsonOut, "json", false, "emit the plan and cost estimates as JSON")
+	fs.BoolVar(&o.optimize, "optimize", false, "reorder inter-star joins by estimated selectivity before planning")
+	fs.BoolVar(&o.analyze, "analyze", false, "also execute the query per engine and report estimated vs actual costs (needs -data)")
+	fs.IntVar(&o.partBkts, "partition-buckets", 0, "plan (and with -analyze, run) over a hash-of-subject layout with this many buckets (0 = flat)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		b, err := os.ReadFile(*queryFile)
+		return 2
+	}
+	if err := explainQuery(stdout, &o); err != nil {
+		fmt.Fprintln(stderr, "ntga-explain:", err)
+		return 1
+	}
+	return 0
+}
+
+// explainQuery prints what the options ask for: the plans and estimates, or
+// with -analyze the estimates beside each engine's measured run.
+func explainQuery(w io.Writer, o *options) error {
+	if o.dataFile == "" && o.statsFile == "" {
+		return fmt.Errorf("one of -data or -stats is required")
+	}
+	if o.analyze && o.dataFile == "" {
+		return fmt.Errorf("-analyze executes the query and therefore needs -data")
+	}
+	src := o.inline
+	if src == "" {
+		if o.queryFile == "" {
+			return fmt.Errorf("one of -query or -e is required")
+		}
+		b, err := os.ReadFile(o.queryFile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		src = string(b)
 	}
@@ -70,43 +100,42 @@ func main() {
 	var cat *plan.Catalog
 	var g *rdf.Graph
 	dict := rdf.NewDict()
-	if *dataFile != "" {
-		f, err := os.Open(*dataFile)
+	if o.dataFile != "" {
+		f, err := os.Open(o.dataFile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		g, err = rdf.ReadNTriples(f)
 		f.Close()
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		dict = g.Dict
 		cat = plan.FromGraph(g)
 	} else {
 		var err error
-		cat, err = plan.ReadFile(*statsFile)
-		if err != nil {
-			fatal(err)
+		if cat, err = plan.ReadFile(o.statsFile); err != nil {
+			return err
 		}
 	}
 
 	q, err := query.Parse(src, dict)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	// EXPLAIN prints every engine, so the only decision it takes from the
 	// front door is the join order; the engine and reducer count passed
 	// are the defaults an ntga-run would use.
 	var reorder *plan.Reorder
-	if *optimize {
+	if o.optimize {
 		var choice engines.Choice
 		choice, _, reorder, err = engines.Choose(cat, q, "ntga-lazy", 0, 8, true)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if _, err := choice.Apply(q); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 
@@ -114,63 +143,57 @@ func main() {
 	// hash-of-subject bucketed layout. With -stats there is no dataset
 	// version; the layout identity still determines the plan shape.
 	var part *plan.Partitioning
-	if *partBkts > 0 {
+	if o.partBkts > 0 {
 		version := ""
 		if g != nil {
 			version = g.Version()
 		}
-		part, err = plan.NewPartitioning(plan.PartitionKeySubject, *partBkts, "part/T", version)
-		if err != nil {
-			fatal(err)
+		if part, err = plan.NewPartitioning(plan.PartitionKeySubject, o.partBkts, "part/T", version); err != nil {
+			return err
 		}
 	}
 
-	if *analyze {
-		runs, err := explain.Analyze(cat, g, q, *partBkts, explain.Engines())
+	if o.analyze {
+		runs, err := explain.Analyze(cat, g, q, o.partBkts, explain.Engines())
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		var s string
-		if *jsonOut {
-			s, err = explain.RenderAnalyzeJSON(runs)
+		s := ""
+		if o.jsonOut {
+			if s, err = explain.RenderAnalyzeJSON(runs); err != nil {
+				return err
+			}
 		} else {
 			s = explain.RenderAnalyze(runs)
 		}
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(s)
-		return
+		_, err = fmt.Fprint(w, s)
+		return err
 	}
 
 	costs := explain.ForQuery(cat, q, plan.Source{Base: explain.Input, Part: part}, explain.Engines())
-	if *jsonOut {
+	if o.jsonOut {
 		s, err := explain.RenderJSON(costs)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Print(s)
-		return
+		_, err = fmt.Fprint(w, s)
+		return err
 	}
 
-	fmt.Println("== logical plan ==")
-	fmt.Print(q.Explain())
-	if *dataFile != "" && q.Empty() {
-		fmt.Println("(provably empty against this dataset)")
+	fmt.Fprintln(w, "== logical plan ==")
+	fmt.Fprint(w, q.Explain())
+	if o.dataFile != "" && q.Empty() {
+		fmt.Fprintln(w, "(provably empty against this dataset)")
 	}
 	if reorder != nil {
 		if reorder.Changed {
-			fmt.Printf("join order optimized: %v (est shuffle %d, legacy %d)\n",
+			fmt.Fprintf(w, "join order optimized: %v (est shuffle %d, legacy %d)\n",
 				reorder.Order, reorder.Est, reorder.LegacyEst)
 		} else {
-			fmt.Printf("join order kept: %v (est shuffle %d)\n", reorder.Order, reorder.Est)
+			fmt.Fprintf(w, "join order kept: %v (est shuffle %d)\n", reorder.Order, reorder.Est)
 		}
 	}
-	fmt.Println()
-	fmt.Print(explain.Render(costs))
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ntga-explain:", err)
-	os.Exit(1)
+	fmt.Fprintln(w)
+	_, err = fmt.Fprint(w, explain.Render(costs))
+	return err
 }

@@ -146,7 +146,22 @@ type taskState struct {
 	// them; runJob folds the done tasks' when the job ends.
 	records, bytes int64
 	counters       mapreduce.Counters
+	// fetchFailed counts this reduce task's attempts that failed only
+	// fetching map output; they are charged to the maps, not to the task's
+	// attempt budget (charged). fetchFailures counts the fetch-failure
+	// reports naming this map task's committed output.
+	fetchFailed, fetchFailures int
 }
+
+// charged is how many of the task's attempts count against its budget.
+func (ts *taskState) charged() int { return ts.attempts - ts.fetchFailed }
+
+// fetchFailureLimit is how many fetch-failure reports may name one committed
+// map output before it re-executes although its holder still looks alive —
+// Hadoop's fetch-failure notifications. A reduce that fetches from a killed
+// holder before the heartbeat timeout declares it dead takes the first
+// report as transient; the second re-runs the map.
+const fetchFailureLimit = 2
 
 // jobState is one job instance being scheduled across the workers. It is
 // the distributed counterpart of the local engine's per-job run state.
@@ -156,7 +171,7 @@ type jobState struct {
 	job    *mapreduce.Job
 	jsp    *trace.Span
 	splits []mapreduce.Split
-	// mapKind is "map" or "maponly"; nReducers is 0 for map-only jobs.
+	// mapKind is "map" or "maponly"; nReducers is 0 for shuffle-free jobs.
 	// wholeFile marks bucket-aligned jobs (task index == bucket index).
 	wholeFile bool
 	mapKind   string
@@ -361,8 +376,8 @@ func (m *Master) expireLeaseLocked(js *jobState, ts *taskState, kind string, idx
 	if w := m.workers[ts.worker]; w != nil && w.alive {
 		decBusy(w, kind)
 	}
-	if ts.attempts >= m.cfg.MaxTaskAttempts {
-		js.settleLocked(fmt.Errorf("cluster: %s task %d: lease expired after %d attempts", kind, idx, ts.attempts))
+	if ts.charged() >= m.cfg.MaxTaskAttempts {
+		js.settleLocked(fmt.Errorf("cluster: %s task %d: lease expired after %d attempts", kind, idx, ts.charged()))
 	}
 }
 
@@ -380,8 +395,8 @@ func (m *Master) requeueWorkerLocked(id int) {
 				ts.leased = false
 				ts.span.Finish()
 				ts.span = nil
-				if ts.attempts >= m.cfg.MaxTaskAttempts {
-					js.settleLocked(fmt.Errorf("cluster: %s task %d: worker %d lost after %d attempts", kind, idx, id, ts.attempts))
+				if ts.charged() >= m.cfg.MaxTaskAttempts {
+					js.settleLocked(fmt.Errorf("cluster: %s task %d: worker %d lost after %d attempts", kind, idx, id, ts.charged()))
 				}
 			}
 		}
@@ -785,20 +800,23 @@ func (m *Master) report(args *ReportArgs) {
 	if js == nil || js.finished || js.err != nil {
 		return // job settled or gone; late report
 	}
+	// The task index comes from the worker: out of range, the report names
+	// no task of this job.
 	var ts *taskState
 	switch args.Kind {
 	case "reduce":
-		if args.Task >= len(js.reduces) {
+		if args.Task < 0 || args.Task >= len(js.reduces) {
 			return
 		}
 		ts = js.reduces[args.Task]
 	default:
-		if args.Task >= len(js.maps) {
+		if args.Task < 0 || args.Task >= len(js.maps) {
 			return
 		}
 		ts = js.maps[args.Task]
 	}
-	if ts.leased && ts.worker == args.Worker {
+	released := ts.leased && ts.worker == args.Worker
+	if released {
 		ts.leased = false
 		ts.span.Finish()
 		ts.span = nil
@@ -807,7 +825,7 @@ func (m *Master) report(args *ReportArgs) {
 		return // a rival attempt already committed; deterministic outputs make this report redundant
 	}
 	if !args.OK {
-		m.reportFailureLocked(js, ts, args)
+		m.reportFailureLocked(js, ts, args, released)
 		return
 	}
 	ts.done = true
@@ -882,28 +900,40 @@ func (m *Master) commitTaskLocked(js *jobState, ts *taskState, args *ReportArgs)
 	return nil
 }
 
-// reportFailureLocked handles a failed attempt: fetch-failure LostMaps
-// re-queue the dead holder's map tasks (and implicitly this reduce), and a
-// task whose attempt budget is spent fails the job.
-func (m *Master) reportFailureLocked(js *jobState, ts *taskState, args *ReportArgs) {
+// reportFailureLocked handles a failed attempt; released says the report
+// ended the task's current lease. A reduce attempt that failed only fetching
+// map output (LostMaps) is charged to the maps it names, not to its own
+// attempt budget: each named committed output re-executes once its holder
+// is dead or fetchFailureLimit reports have named it, and the reduce waits
+// for it. Any other failure — or a report whose attempt was already settled
+// by lease expiry or worker loss — leaves the budget spent, and a task whose
+// budget is spent fails the job.
+func (m *Master) reportFailureLocked(js *jobState, ts *taskState, args *ReportArgs, released bool) {
+	named := false
 	for _, t := range args.LostMaps {
-		if t >= len(js.maps) {
+		if t < 0 || t >= len(js.maps) {
 			continue
 		}
+		named = true
 		mt := js.maps[t]
 		if !mt.done {
 			continue
 		}
-		if hw := m.workers[mt.holder]; hw != nil && hw.alive {
-			continue // holder looks fine; treat the fetch failure as transient
+		mt.fetchFailures++
+		if hw := m.workers[mt.holder]; hw != nil && hw.alive && mt.fetchFailures < fetchFailureLimit {
+			continue // holder looks fine; treat the first failure as transient
 		}
 		mt.done = false
 		mt.holder = -1
+		mt.fetchFailures = 0
 		js.mapsDone--
 		js.recoveries++
 	}
-	if ts.attempts >= m.cfg.MaxTaskAttempts {
-		js.settleLocked(fmt.Errorf("cluster: %s task %d failed after %d attempts: %s", args.Kind, args.Task, ts.attempts, args.Err))
+	if named && released {
+		ts.fetchFailed++
+	}
+	if ts.charged() >= m.cfg.MaxTaskAttempts {
+		js.settleLocked(fmt.Errorf("cluster: %s task %d failed after %d attempts: %s", args.Kind, args.Task, ts.charged(), args.Err))
 	}
 	// Otherwise the task is already back to pending (lease released above).
 }
@@ -1010,7 +1040,7 @@ func (m *Master) runJob(ctx context.Context, qid string, jsp *trace.Span, job *m
 		doneCh:    make(chan struct{}),
 	}
 	nParts := len(splits)
-	if job.MapOnly != nil || job.MapOnlyFactory != nil {
+	if job.ShuffleFree() {
 		js.mapKind = "maponly"
 	} else {
 		js.nReducers = job.NumReducers

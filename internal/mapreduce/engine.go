@@ -412,7 +412,7 @@ func (e *Engine) Run(job *Job) (JobMetrics, error) {
 // and the workflow ID scoping this job's temp namespace.
 func (e *Engine) run(job *Job, jsp *trace.Span, wf string) (JobMetrics, error) {
 	start := time.Now()
-	m := JobMetrics{Job: job.Name, MapOnly: job.mapOnly(), Sunk: job.Sunk()}
+	m := JobMetrics{Job: job.Name, MapOnly: job.ShuffleFree(), Sunk: job.Sunk()}
 	js := newJobRunState(e, wf, job.Name)
 	nParts := 0                 // part files per output base once tasks are planned
 	var emitters []*taskEmitter // committed map winners (set once the map phase plans)
@@ -476,7 +476,7 @@ func (e *Engine) run(job *Job, jsp *trace.Span, wf string) (JobMetrics, error) {
 	if jr, ok := e.cluster.(JobRunner); ok {
 		rm, err := jr.RunJob(e.ctx, jsp, job, e.cfg)
 		rm.Job = job.Name
-		rm.MapOnly, rm.Sunk = job.mapOnly(), job.Sunk()
+		rm.MapOnly, rm.Sunk = job.ShuffleFree(), job.Sunk()
 		rm.Duration = time.Since(start)
 		if err != nil {
 			rm.Failed = true
@@ -495,7 +495,7 @@ func (e *Engine) run(job *Job, jsp *trace.Span, wf string) (JobMetrics, error) {
 	}
 	mapDurs = make([]time.Duration, len(splits))
 
-	if job.mapOnly() {
+	if job.ShuffleFree() {
 		nParts = len(splits)
 		outs = make([]taskOut, len(splits))
 		if err := e.dispatch("map", len(splits), func(i int) error {
@@ -741,8 +741,8 @@ func (e *Engine) mapAttempt(job *Job, jsp *trace.Span, sp Split, nReducers int, 
 	return te, runMapTask(job, ac.task, sp.Input, r, te, h)
 }
 
-// mapOnlyAttempt is one task attempt of a map-only job: fetch the side
-// input, stream the split through the map-only body into attempt-private
+// mapOnlyAttempt is one task attempt of a shuffle-free job: fetch the side
+// input, stream the split through the shuffle-free body into attempt-private
 // part files, and publish them (and its counts, into out) if the attempt wins
 // the task's claim.
 func (e *Engine) mapOnlyAttempt(job *Job, jsp *trace.Span, sp Split, ac *attemptCtx, out *taskOut) error {

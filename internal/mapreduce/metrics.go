@@ -162,7 +162,8 @@ type JobMetrics struct {
 	Counters Counters
 
 	Duration time.Duration
-	MapOnly  bool
+	// MapOnly marks a shuffle-free job (Job.ShuffleFree).
+	MapOnly bool
 	// Sunk marks a job whose main output went to its Job.Sink (the caller)
 	// and not to the DFS, so ReduceOutputBytes leaves it out.
 	Sunk   bool

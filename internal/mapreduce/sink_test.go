@@ -210,7 +210,7 @@ func TestSinkCollectTimedAsWrite(t *testing.T) {
 		}
 		var work string
 		tr.Roots()[0].Walk(func(s *trace.Span, _ int) {
-			if s.Kind != trace.KindTask || s.Name != map[bool]string{true: "map", false: "reduce"}[mk.mapOnly()] {
+			if s.Kind != trace.KindTask || s.Name != map[bool]string{true: "map", false: "reduce"}[mk.ShuffleFree()] {
 				return
 			}
 			var write, body time.Duration

@@ -1,8 +1,10 @@
 package mapreduce
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"ntga/internal/chunk"
@@ -10,7 +12,7 @@ import (
 	"ntga/internal/trace"
 )
 
-// This file is the task runtime: split planning, the map, map-only and
+// This file is the task runtime: split planning, the map, shuffle-free and
 // reduce task bodies, and the part-file commit. Every piece exists once and
 // is parameterised only by where records come from and where output goes, so
 // the in-process engine (engine.go) and the RPC workers (internal/cluster)
@@ -206,34 +208,131 @@ func RunMapTask(job *Job, task int, input string, nReducers int, src RecordSourc
 	return MapOutput{Parts: te.parts, Records: te.records, Bytes: te.bytes, Counters: te.counters}, nil
 }
 
-// RunMapOnlyTask is the map-only task body — the shuffle-free path. The
-// job's TaskMapper for this task index (== bucket index under
+// RunMapOnlyTask is the shuffle-free task body (Job.ShuffleFree). A map-only
+// job's operator for this task index (== bucket index under
 // WholeFileSplits) is built fresh from the pre-fetched side input, so a
-// retried attempt never sees a rival's state; every record of src goes
-// through it into col, and Flush emits its trailing state after the last
-// record, still inside the attempt so a fault retries the whole task.
+// retried attempt never sees a rival's state, and every record of src goes
+// through it into col. A whole-file job with a reducer instead streams its
+// mapper's pairs through a fresh runEmitter, which reduces each key run into
+// col as the next one starts and the last one after the split ends, still
+// inside the attempt so a fault retries the whole task.
 func RunMapOnlyTask(job *Job, task int, input string, side [][]byte, src RecordSource, col Collector, h TaskHooks) (ScanStats, error) {
 	if err := h.checkpoint("scan"); err != nil {
 		return ScanStats{}, err
 	}
-	tm, err := job.taskMapper(task, side)
-	if err != nil {
-		return ScanStats{}, fmt.Errorf("map task %d (%s): %w", task, input, err)
+	var (
+		fn   func(rec []byte) error
+		runs *runEmitter
+	)
+	if job.MapOnly != nil || job.MapOnlyFactory != nil {
+		tm, err := job.taskMapper(task, side)
+		if err != nil {
+			return ScanStats{}, fmt.Errorf("map task %d (%s): %w", task, input, err)
+		}
+		fn = func(rec []byte) error { return tm.MapRecord(input, rec, col) }
+	} else {
+		runs = newRunEmitter(job, col)
+		fn = func(rec []byte) error { return job.Mapper.Map(input, rec, runs) }
 	}
-	st, err := scanLoop(task, input, src, h, func(rec []byte) error {
-		return tm.MapRecord(input, rec, col)
-	})
+	st, err := scanLoop(task, input, src, h, fn)
 	if err != nil {
 		return st, err
 	}
-	t0 := time.Now()
-	if err := tm.Flush(col); err != nil {
-		return st, fmt.Errorf("map task %d (%s) flush: %w", task, input, err)
-	}
-	if h.Span != nil {
-		st.MapDur += time.Since(t0)
+	if runs != nil {
+		t0 := time.Now()
+		if err := runs.reduce(); err != nil {
+			return st, fmt.Errorf("map task %d (%s): %w", task, input, err)
+		}
+		if h.Span != nil {
+			st.MapDur += time.Since(t0)
+		}
 	}
 	return st, h.checkpoint("write")
+}
+
+// runEmitter is the Emitter of a whole-file task that reduces in place: it
+// buffers the current key run's values and hands the run to the job's
+// reducer once a higher key arrives (or the split ends). The buffers are
+// reused from run to run, so a task allocates only while its largest run
+// grows.
+type runEmitter struct {
+	job     *Job
+	reducer StreamReducer
+	col     Collector
+	started bool   // a run has begun; key is its key
+	key     []byte // the current run's key
+	vals    []byte // its values, back to back
+	ends    []int  // the end offset of each value in vals
+	last    int    // the offset of the last value in vals
+	sorted  bool   // the values arrived in nondecreasing byte order
+	run     runValues
+}
+
+func newRunEmitter(job *Job, col Collector) *runEmitter {
+	r := &runEmitter{job: job, reducer: job.StreamReducer, col: col, sorted: true}
+	if r.reducer == nil {
+		r.reducer = adaptedReducer{job.Reducer}
+	}
+	return r
+}
+
+// Inc implements Counter: the reducer's collector holds the attempt's
+// counters.
+func (r *runEmitter) Inc(name string, delta int64) { r.col.Inc(name, delta) }
+
+// Emit implements Emitter.
+func (r *runEmitter) Emit(key, value []byte) error {
+	if !r.started || !bytes.Equal(key, r.key) {
+		if r.started && bytes.Compare(key, r.key) < 0 {
+			return fmt.Errorf("mapreduce: job %s reduces in place, but key %x follows key %x: input is not key-ordered", r.job.Name, key, r.key)
+		}
+		if err := r.reduce(); err != nil {
+			return err
+		}
+		r.started = true
+		r.key = append(r.key[:0], key...)
+	} else if r.sorted && bytes.Compare(value, r.vals[r.last:]) < 0 {
+		r.sorted = false
+	}
+	r.last = len(r.vals)
+	r.vals = append(r.vals, value...)
+	r.ends = append(r.ends, len(r.vals))
+	return nil
+}
+
+// reduce hands the buffered run, sorted if it has to be, to the reducer and
+// empties the buffers.
+func (r *runEmitter) reduce() error {
+	if len(r.ends) == 0 {
+		return nil
+	}
+	vals, start := r.run.vals[:0], 0
+	for _, end := range r.ends {
+		vals = append(vals, r.vals[start:end:end])
+		start = end
+	}
+	if !r.sorted {
+		slices.SortFunc(vals, bytes.Compare)
+	}
+	r.run = runValues{vals: vals}
+	err := r.reducer.Reduce(r.key, &r.run, r.col)
+	r.vals, r.ends, r.sorted = r.vals[:0], r.ends[:0], true
+	return err
+}
+
+// runValues is the ValueIter over one in-place key run.
+type runValues struct {
+	vals [][]byte
+	next int
+}
+
+// Next implements ValueIter.
+func (v *runValues) Next() ([]byte, bool, error) {
+	if v.next == len(v.vals) {
+		return nil, false, nil
+	}
+	v.next++
+	return v.vals[v.next-1], true, nil
 }
 
 // ReduceStats is what one reduce task consumed: its key groups and the

@@ -74,7 +74,7 @@ func workerStyle(d *hdfs.DFS, job *Job, splitRecords, nReducers int) (map[string
 		if err != nil {
 			return nil, m, err
 		}
-		if !job.mapOnly() {
+		if !job.ShuffleFree() {
 			mo, err := RunMapTask(job, i, sp.Input, nReducers, NewSliceSource(recs), TaskHooks{})
 			if err != nil {
 				return nil, m, err
@@ -97,7 +97,7 @@ func workerStyle(d *hdfs.DFS, job *Job, splitRecords, nReducers int) (map[string
 		gather(col)
 	}
 	var reduces []ReduceStats
-	if !job.mapOnly() {
+	if !job.ShuffleFree() {
 		reduces = make([]ReduceStats, nReducers)
 		for p := range reduces {
 			segs := make([][]KV, len(maps))
@@ -156,6 +156,10 @@ func TestTaskBodyParity(t *testing.T) {
 			MapOnlyFactory:  &sumFactory{extras: []string{"copy0", "copy1", "copy2"}},
 		}
 	}
+	inPlace := func() *Job {
+		// A whole-file job reducing its key runs in place.
+		return kvJob("kv", "kv0", "kv1", "kv2")
+	}
 	load := func(poison bool) *hdfs.DFS {
 		d := hdfs.New(hdfs.Config{Nodes: 4})
 		lines := wordLines(30)
@@ -168,12 +172,19 @@ func TestTaskBodyParity(t *testing.T) {
 		writeInts(t, d, "in0", 1, 2, 3, 4, 5, 6)
 		writeInts(t, d, "in2")
 		writeInts(t, d, "side1", 100)
+		writeStrs(t, d, "kv0", "a=2", "a=1", "b=1")
+		writeStrs(t, d, "kv2", "c=1", "d=1", "d=0")
 		if poison {
 			if err := d.WriteFile("in1", [][]byte{[]byte("10"), []byte("x")}); err != nil {
 				t.Fatal(err)
 			}
 		} else {
 			writeInts(t, d, "in1", 10, 20)
+		}
+		if poison {
+			writeStrs(t, d, "kv1", "b=1", "e=1", "c=1") // a key going backwards
+		} else {
+			writeStrs(t, d, "kv1", "b=1", "b=2", "e=1")
 		}
 		return d
 	}
@@ -184,6 +195,7 @@ func TestTaskBodyParity(t *testing.T) {
 	}{
 		{"shuffle", shuffle, "reduce partition "},
 		{"map-only", mapOnly, "map task 1 (in1)"},
+		{"in-place reduce", inPlace, "map task 1 (kv1)"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := load(false)

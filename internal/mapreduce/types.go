@@ -120,8 +120,9 @@ type Reducer interface {
 
 // ValueIter streams the values of one reduce group in sorted order. Next
 // returns ok=false once the group is exhausted. Returned slices alias
-// engine-owned storage that stays valid until the job completes; they must
-// not be mutated.
+// engine-owned storage that stays valid until the job completes (until the
+// Reduce call returns, in a job that reduces in place: Job.WholeFileSplits);
+// they must not be mutated.
 type ValueIter interface {
 	Next() (value []byte, ok bool, err error)
 }
@@ -198,25 +199,13 @@ type SinkAttempt interface {
 	Commit(task int)
 }
 
-// TaskMapper is a per-task map-only operator with end-of-input state: after
-// the task's whole split has streamed through MapRecord, Flush is called
-// once so operators that accumulate runs (e.g. building a triplegroup from
-// subject-contiguous bucket records) can emit their tail. Each task attempt
-// gets a fresh TaskMapper, so retried or speculated attempts never see a
-// rival attempt's state.
-type TaskMapper interface {
-	MapOnlyMapper
-	// Flush emits whatever the mapper is still holding after the last
-	// record of the split.
-	Flush(out Collector) error
-}
-
-// TaskMapperFactory builds the TaskMapper for one map-only task attempt.
-// The side argument carries the records of the task's side input
+// TaskMapperFactory builds the map-only operator for one task attempt, so
+// operators with attempt-private state never see a rival attempt's. The
+// side argument carries the records of the task's side input
 // (Job.TaskSideInputs), already fetched by the engine; nil when the task
 // has none.
 type TaskMapperFactory interface {
-	NewTask(task int, side [][]byte) (TaskMapper, error)
+	NewTask(task int, side [][]byte) (MapOnlyMapper, error)
 }
 
 // MapOnlyFunc adapts a function to the MapOnlyMapper interface.
@@ -259,14 +248,21 @@ type Job struct {
 	// reduce); Mapper and Reducer are ignored.
 	MapOnly MapOnlyMapper
 	// MapOnlyFactory is the per-task form of MapOnly for jobs whose tasks
-	// need attempt-private state, a Flush at end of split, or a side input:
-	// the engine calls NewTask once per task attempt. Exclusive with
-	// MapOnly; implies a map-only job.
+	// need attempt-private state or a side input: the engine calls NewTask
+	// once per task attempt. Exclusive with MapOnly; implies a map-only job.
 	MapOnlyFactory TaskMapperFactory
 	// WholeFileSplits pins map-task granularity to whole input files: task
 	// i scans exactly Inputs[i], never a sub-range. This is how
-	// co-partitioned jobs keep task index == bucket index (the no-shuffle
-	// star-join path reads bucket i as task i).
+	// co-partitioned jobs keep task index == bucket index.
+	//
+	// On a job with a Mapper and a reducer it also removes the exchange:
+	// the job declares its input files already partitioned and key-ordered
+	// (Mapper output keys nondecreasing within each file), so each task
+	// hands its mapper's pairs, one key run at a time, straight to the
+	// reducer, with no sort, spill or shuffle. A key lower than the one
+	// before fails the attempt; a run whose values arrive out of byte order
+	// is sorted first, so StreamReducer's value order holds. The Combiner,
+	// Partitioner and NumReducers are unused.
 	WholeFileSplits bool
 	// TaskSideInputs, indexed like Inputs under WholeFileSplits, names a
 	// DFS file whose full contents are handed to task i's MapOnlyFactory
@@ -281,7 +277,7 @@ type Job struct {
 	StreamReducer StreamReducer
 	// Combiner, when non-nil, pre-folds map output per key at spill time
 	// and on each map task's final in-memory segment. It must be
-	// associative and commutative. Ignored for map-only jobs.
+	// associative and commutative. Ignored by shuffle-free jobs.
 	Combiner Combiner
 	// NumReducers is the reduce-task parallelism; 0 defaults to the
 	// engine's configured reducer count.
@@ -344,14 +340,16 @@ func (j *Job) validate() error {
 				j.Name, len(j.TaskSideInputs), len(j.Inputs))
 		}
 	}
-	if j.WholeFileSplits && j.MapOnly == nil && j.MapOnlyFactory == nil {
-		return fmt.Errorf("mapreduce: job %s sets WholeFileSplits on a shuffle job", j.Name)
-	}
 	return nil
 }
 
-// mapOnly reports whether the job elides the shuffle and reduce phases.
-func (j *Job) mapOnly() bool { return j.MapOnly != nil || j.MapOnlyFactory != nil }
+// ShuffleFree reports whether the job runs without an exchange: a map-only
+// job, or a whole-file job whose tasks reduce their own file's key runs in
+// place. Either way it has one output task per map split and no reduce
+// phase.
+func (j *Job) ShuffleFree() bool {
+	return j.MapOnly != nil || j.MapOnlyFactory != nil || j.WholeFileSplits
+}
 
 // OutputBases lists the job's output files in part order — the main output
 // followed by the declared extra outputs — matching the Outputs slots of a
@@ -374,18 +372,13 @@ func (j *Job) fileBases() []string {
 }
 
 // taskMapper builds the map-only operator for one task attempt: the
-// factory's per-attempt TaskMapper, or the shared MapOnly wrapped with a
-// no-op Flush.
-func (j *Job) taskMapper(task int, side [][]byte) (TaskMapper, error) {
+// factory's per-attempt operator, or the shared MapOnly.
+func (j *Job) taskMapper(task int, side [][]byte) (MapOnlyMapper, error) {
 	if j.MapOnlyFactory != nil {
 		return j.MapOnlyFactory.NewTask(task, side)
 	}
-	return noFlushMapper{j.MapOnly}, nil
+	return j.MapOnly, nil
 }
-
-type noFlushMapper struct{ MapOnlyMapper }
-
-func (noFlushMapper) Flush(Collector) error { return nil }
 
 // KV is one intermediate key/value pair, in memory and on the wire alike:
 // committed map output crosses the cluster transport as ordered []KV

@@ -50,7 +50,7 @@ func (m *batchGroupMapper) Map(_ string, record []byte, out mapreduce.Emitter) e
 	}
 	for _, q := range m.qs {
 		if q.TripleRelevant(t) {
-			return emitBySubject(t, out)
+			return emitTriple(record, out)
 		}
 	}
 	return nil

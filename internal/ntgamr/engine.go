@@ -173,20 +173,19 @@ func (n *NTGA) PlanSource(q *query.Query, src plan.Source, cl *engine.Cleaner) (
 			files: tempBuckets(cl, engine.TempName(n.name, "jl0"), part.Buckets),
 		}
 	}
+	red := &groupFilterReducer{q: q, eager: eager}
 	if part == nil {
-		group.Job = job1(q, eager, input, grouped)
+		group.Job = job1(q, red, []string{input}, grouped)
 	} else {
+		// The same operators over the bucket files: each task reduces its
+		// bucket's subject runs in place.
 		p.PartInput = part.Dir
 		group.Inputs = []string{part.Dir}
 		group.MapSide, group.Part = true, part
-		group.Job = &mapreduce.Job{
-			Name:            "ntga-group",
-			Inputs:          part.Files(),
-			Output:          grouped,
-			ExtraOutputs:    append(append([]string(nil), grpFiles...), jlFilesOf(jl)...),
-			WholeFileSplits: true,
-			MapOnlyFactory:  &groupTaskFactory{q: q, eager: eager, grpFiles: grpFiles, jl: jl},
-		}
+		red.grpFiles, red.jl = grpFiles, jl
+		group.Job = job1(q, red, part.Files(), grouped)
+		group.Job.ExtraOutputs = append(append([]string(nil), grpFiles...), jlFilesOf(jl)...)
+		group.Job.WholeFileSplits = true
 	}
 	p.Stages = append(p.Stages, plan.Stage{group})
 

@@ -16,11 +16,13 @@
 package ntgamr
 
 import (
-	"bytes"
 	"encoding/binary"
+	"fmt"
+	"math"
 
 	"ntga/internal/codec"
 	"ntga/internal/core"
+	"ntga/internal/core/hash64"
 	"ntga/internal/mapreduce"
 	"ntga/internal/query"
 	"ntga/internal/rdf"
@@ -50,27 +52,30 @@ func (m *groupByMapper) Map(_ string, record []byte, out mapreduce.Emitter) erro
 	if !m.q.TripleRelevant(t) {
 		return nil
 	}
-	return emitBySubject(t, out)
+	return emitTriple(record, out)
 }
 
-// emitBySubject emits a triple as the grouping cycle's pair: the subject as
-// key, (P, O) as value.
-func emitBySubject(t rdf.Triple, out mapreduce.Emitter) error {
-	s := core.GetScratch()
-	defer s.Release()
-	b := binary.AppendUvarint(s.Buf[:0], uint64(t.S))
-	k := len(b)
-	b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(t.P)), uint64(t.O))
-	s.Buf = b
-	return out.Emit(b[:k], b[k:])
+// emitTriple emits a decoded triple record as the grouping cycle's pair. The
+// record is PutID(S) PutID(P) PutID(O), so its own bytes split after the
+// subject varint are the key (the subject) and the value ((P, O)).
+func emitTriple(record []byte, out mapreduce.Emitter) error {
+	_, k := binary.Uvarint(record)
+	return out.Emit(record[:k], record[k:])
 }
 
 // groupFilterReducer is TG_GroupByReduce + TG_UnbGrpFilter: it assembles
 // the subject triplegroup, applies the β group-filter for every equivalence
 // class, and — under the Eager strategy — β-unnests immediately.
+//
+// Over a subject-partitioned layout the grouping cycle also routes each AnnTG
+// to its subject's grouped bucket (grpFiles, indexed by hash64.Bucket of the
+// subject) and the first map-only join's left side through jl; both are nil
+// when unused.
 type groupFilterReducer struct {
-	q     *query.Query
-	eager bool
+	q        *query.Query
+	eager    bool
+	grpFiles []string
+	jl       *jlRoute
 }
 
 func (r *groupFilterReducer) Reduce(key []byte, values mapreduce.ValueIter, out mapreduce.Collector) error {
@@ -81,8 +86,28 @@ func (r *groupFilterReducer) Reduce(key []byte, values mapreduce.ValueIter, out 
 		return err
 	}
 	out.Inc(CounterGroups, 1)
-	return filterGroup(s, r.q, tg, r.eager, out,
-		func(_ []core.AnnTG, rec []byte) error { return out.Collect(rec) })
+	return filterGroup(s, r.q, tg, r.eager, out, func(comps []core.AnnTG, rec []byte) error {
+		if err := out.Collect(rec); err != nil {
+			return err
+		}
+		if r.grpFiles == nil && r.jl == nil {
+			return nil
+		}
+		nc, ok := out.(mapreduce.NamedCollector)
+		if !ok {
+			return fmt.Errorf("ntgamr: collector lacks MultipleOutputs support")
+		}
+		if r.grpFiles != nil {
+			b := hash64.Bucket(uint64(tg.Subject), len(r.grpFiles))
+			if err := nc.CollectTo(r.grpFiles[b], rec); err != nil {
+				return err
+			}
+		}
+		if r.jl != nil && comps[0].EC == r.jl.pos.Star {
+			return r.jl.emit(s, r.q, comps, nc)
+		}
+		return nil
+	})
 }
 
 // readGroup assembles a grouping reduce call's subject triplegroup in s.Pairs.
@@ -94,7 +119,6 @@ func readGroup(s *core.Scratch, key []byte, values mapreduce.ValueIter) (core.Tr
 		return core.TripleGroup{}, err
 	}
 	s.Pairs = s.Pairs[:0]
-	var prev []byte
 	for {
 		v, ok, err := values.Next()
 		if err != nil {
@@ -103,20 +127,16 @@ func readGroup(s *core.Scratch, key []byte, values mapreduce.ValueIter) (core.Tr
 		if !ok {
 			return core.NewTripleGroup(subject, s.Pairs), nil
 		}
-		if prev != nil && bytes.Equal(v, prev) {
+		p, n := binary.Uvarint(v)
+		o, m := binary.Uvarint(v[max(n, 0):])
+		if n <= 0 || m <= 0 || n+m != len(v) || p > math.MaxUint32 || o > math.MaxUint32 {
+			return core.TripleGroup{}, fmt.Errorf("%w: grouping value %x", codec.ErrCorrupt, v)
+		}
+		po := core.PO{P: rdf.ID(p), O: rdf.ID(o)}
+		if k := len(s.Pairs); k > 0 && s.Pairs[k-1] == po {
 			continue
 		}
-		prev = v
-		rd := codec.NewReader(v)
-		p, err := rd.ID()
-		if err != nil {
-			return core.TripleGroup{}, err
-		}
-		o, err := rd.ID()
-		if err != nil {
-			return core.TripleGroup{}, err
-		}
-		s.Pairs = append(s.Pairs, core.PO{P: p, O: o})
+		s.Pairs = append(s.Pairs, po)
 	}
 }
 
@@ -149,13 +169,13 @@ func filterGroup(s *core.Scratch, q *query.Query, tg core.TripleGroup, eager boo
 	return nil
 }
 
-// job1 builds the grouping cycle.
-func job1(q *query.Query, eager bool, input, output string) *mapreduce.Job {
+// job1 builds the grouping cycle over inputs with reducer r.
+func job1(q *query.Query, r *groupFilterReducer, inputs []string, output string) *mapreduce.Job {
 	return &mapreduce.Job{
 		Name:          "ntga-group",
-		Inputs:        []string{input},
+		Inputs:        inputs,
 		Output:        output,
 		Mapper:        &groupByMapper{q: q},
-		StreamReducer: &groupFilterReducer{q: q, eager: eager},
+		StreamReducer: r,
 	}
 }

@@ -16,18 +16,18 @@ import (
 
 // This file is the no-shuffle execution path over a subject-partitioned
 // layout (plan.Partitioning / hdfs.Layout): the grouping cycle and every
-// join whose chain prefix keeps binding through star subjects run as
-// map-only jobs over bucket-aligned whole-file tasks, so nothing crosses a
-// shuffle. The flat path's byte-level semantics are reproduced exactly:
+// join whose chain prefix keeps binding through star subjects run over
+// bucket-aligned whole-file tasks, so nothing crosses a shuffle. The flat
+// path's byte-level semantics are reproduced exactly:
 //
 //   - bucket files are written by the loader's shuffle sorted by
 //     (PutID(S), PutID(P)+PutID(O)) — the grouping cycle's own key/value
-//     encoding — so a streaming scan sees each subject contiguously with its
-//     (P,O) pairs in the flat reducer's sorted-value order;
-//   - adjacent duplicate pairs are skipped, mirroring readGroup;
+//     encoding — so the grouping cycle is job1 itself with WholeFileSplits
+//     set: each task hands its bucket's subject runs, already in the flat
+//     reducer's sorted-value order, straight to groupFilterReducer;
 //   - join i's left side is resolved (pinned / fully β-unnested) by the
 //     producing job and routed to the bucket of its join value, so join i's
-//     task b joins lefts and rights that both hash to b.
+//     map-only task b joins lefts and rights that both hash to b.
 //
 // Partial β-unnest (μ^β_φm) never appears on this path: it exists to shrink
 // shuffled bytes, and here there are none — a nested joining slot is fully
@@ -81,104 +81,6 @@ func (r *jlRoute) emit(s *core.Scratch, q *query.Query, comps []core.AnnTG, nc m
 	})
 }
 
-// groupTask is the map-only grouping operator for one bucket: a streaming
-// TG_GroupByReduce + TG_UnbGrpFilter over the bucket file's
-// subject-contiguous triples.
-type groupTask struct {
-	q         *query.Query
-	eager     bool
-	grpBucket string   // this task's grouped bucket file ("" when unused)
-	jl        *jlRoute // first map-only join's left routing (nil when unused)
-
-	sc       core.Scratch // sc.Pairs is the group being assembled
-	started  bool
-	subject  rdf.ID
-	haveLast bool
-	last     core.PO
-}
-
-func (g *groupTask) MapRecord(_ string, record []byte, out mapreduce.Collector) error {
-	t, err := codec.DecodeTriple(record)
-	if err != nil {
-		return err
-	}
-	if !g.q.TripleRelevant(t) {
-		return nil
-	}
-	if !g.started || t.S != g.subject {
-		if err := g.flushGroup(out); err != nil {
-			return err
-		}
-		g.started = true
-		g.subject = t.S
-		g.sc.Pairs = g.sc.Pairs[:0]
-		g.haveLast = false
-	}
-	p := core.PO{P: t.P, O: t.O}
-	// Adjacent duplicates collapse exactly as in readGroup: the loader's
-	// shuffle sorted equal triples next to each other.
-	if g.haveLast && p == g.last {
-		return nil
-	}
-	g.haveLast = true
-	g.last = p
-	g.sc.Pairs = append(g.sc.Pairs, p)
-	return nil
-}
-
-func (g *groupTask) Flush(out mapreduce.Collector) error {
-	return g.flushGroup(out)
-}
-
-func (g *groupTask) flushGroup(out mapreduce.Collector) error {
-	if !g.started {
-		return nil
-	}
-	g.sc.Reset()
-	tg := core.NewTripleGroup(g.subject, g.sc.Pairs)
-	out.Inc(CounterGroups, 1)
-	return filterGroup(&g.sc, g.q, tg, g.eager, out, func(comps []core.AnnTG, rec []byte) error {
-		if err := out.Collect(rec); err != nil {
-			return err
-		}
-		if g.grpBucket == "" && g.jl == nil {
-			return nil
-		}
-		nc, ok := out.(mapreduce.NamedCollector)
-		if !ok {
-			return fmt.Errorf("ntgamr: collector lacks MultipleOutputs support")
-		}
-		if g.grpBucket != "" {
-			if err := nc.CollectTo(g.grpBucket, rec); err != nil {
-				return err
-			}
-		}
-		if g.jl != nil && comps[0].EC == g.jl.pos.Star {
-			return g.jl.emit(&g.sc, g.q, comps, nc)
-		}
-		return nil
-	})
-}
-
-// groupTaskFactory builds the grouping operator per bucket task.
-type groupTaskFactory struct {
-	q        *query.Query
-	eager    bool
-	grpFiles []string // grouped bucket files, indexed by task (nil when unused)
-	jl       *jlRoute // nil when the first join is not map-only
-}
-
-func (f *groupTaskFactory) NewTask(task int, _ [][]byte) (mapreduce.TaskMapper, error) {
-	grp := ""
-	if f.grpFiles != nil {
-		if task >= len(f.grpFiles) {
-			return nil, fmt.Errorf("ntgamr: group task %d beyond %d buckets", task, len(f.grpFiles))
-		}
-		grp = f.grpFiles[task]
-	}
-	return &groupTask{q: f.q, eager: f.eager, grpBucket: grp, jl: f.jl}, nil
-}
-
 // joinTask is the map-only join operator for one bucket: the side input
 // holds every resolved left record whose join value hashes to this bucket,
 // and the task streams the grouped bucket joining right-side records (whose
@@ -220,8 +122,6 @@ func (j *joinTask) MapRecord(_ string, record []byte, out mapreduce.Collector) e
 	return nil
 }
 
-func (j *joinTask) Flush(mapreduce.Collector) error { return nil }
-
 // joinTaskFactory builds the join operator per bucket task from its side
 // input (the routed left records).
 type joinTaskFactory struct {
@@ -230,7 +130,7 @@ type joinTaskFactory struct {
 	next *jlRoute
 }
 
-func (f *joinTaskFactory) NewTask(_ int, side [][]byte) (mapreduce.TaskMapper, error) {
+func (f *joinTaskFactory) NewTask(_ int, side [][]byte) (mapreduce.MapOnlyMapper, error) {
 	lefts := make(map[rdf.ID][][]core.AnnTG, len(side))
 	var ls core.Scratch // the lefts live in its slabs for the whole task
 	for _, rec := range side {

@@ -65,7 +65,7 @@ func (r *Relational) Name() string { return r.name }
 // without executing anything.
 //
 // Over a subject-partitioned layout (src.Part) Hive-style star-join cycles
-// become map-only scans of the bucket files; the relational join cycles still
+// run shuffle-free over the bucket files; the relational join cycles still
 // shuffle (and the first says why). Pig-style plans ignore the layout — the
 // SPLIT pass re-materializes the input, discarding it before any star-join
 // could use it.
@@ -109,10 +109,13 @@ func (r *Relational) PlanSource(q *query.Query, src plan.Source, cl *engine.Clea
 			Inputs: []string{scanInput}, Output: starFiles[i],
 		}
 		if part != nil {
+			// The same operators over the bucket files, each task reducing
+			// its bucket's subject runs in place.
 			node.MapSide, node.Part = true, part
-			node.Job = starJoinMapOnlyJob(name, q, st, r.w, part, starFiles[i])
+			node.Job = starJoinJob(name, q, st, r.w, part.Files(), starFiles[i])
+			node.Job.WholeFileSplits = true
 		} else {
-			node.Job = starJoinJob(name, q, st, r.w, scanInput, starFiles[i])
+			node.Job = starJoinJob(name, q, st, r.w, []string{scanInput}, starFiles[i])
 		}
 		if r.style == StylePig {
 			starStage = append(starStage, node)
@@ -147,6 +150,13 @@ func (r *Relational) PlanSource(q *query.Query, src plan.Source, cl *engine.Clea
 	}
 	p.Final = acc
 	return p, nil
+}
+
+// relJoinPartMiss explains why a relational join cycle cannot use the
+// layout: its key is a variable binding of materialized tuples, not the
+// subject hash the bucket files are laid out on.
+func relJoinPartMiss(j query.Join) string {
+	return fmt.Sprintf("join ?%s keys on a tuple binding, not the layout's subject hash", j.Var)
 }
 
 // splitDoubleCopies reports whether the SPLIT job materializes the relation

@@ -79,7 +79,7 @@ func (s *SelSJFirst) planOS(q *query.Query, j query.Join, input string, cl *engi
 		Stages: []plan.Stage{
 			{{Kind: plan.KindStarJoin, Name: "selsj-star", Star: objStar.Index,
 				Inputs: []string{input}, Output: f1,
-				Job: starJoinJob("selsj-star", q, objStar, s.w, input, f1)}},
+				Job: starJoinJob("selsj-star", q, objStar, s.w, []string{input}, f1)}},
 			{{Kind: plan.KindCompletion, Name: "selsj-complete", Star: subjStar.Index,
 				Inputs: []string{input, f1}, Output: out, Join: &jc,
 				Job: completionJob(q, "selsj-complete", subjStar, s.w, input, f1, j.Left, out)}},

@@ -147,11 +147,11 @@ func (r *starJoinReducer) Reduce(key []byte, values mapreduce.ValueIter, out map
 }
 
 // starJoinJob builds the MR job computing one star-join from the triple
-// relation (or a pre-filtered copy of it).
-func starJoinJob(name string, q *query.Query, st *query.Star, w wire, input, output string) *mapreduce.Job {
+// relation (or a pre-filtered copy of it, or its bucket files).
+func starJoinJob(name string, q *query.Query, st *query.Star, w wire, inputs []string, output string) *mapreduce.Job {
 	return &mapreduce.Job{
 		Name:          name,
-		Inputs:        []string{input},
+		Inputs:        inputs,
 		Output:        output,
 		Mapper:        &starScanMapper{q: q, st: st, w: w},
 		StreamReducer: &starJoinReducer{q: q, st: st, w: w},

@@ -3,12 +3,18 @@ package sparql
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"ntga/internal/rdf"
 )
 
-// Parse parses a SPARQL SELECT query in the supported subset.
+// Parse parses a SPARQL SELECT query in the supported subset. The text must
+// be UTF-8, as SPARQL requires: an invalid byte inside a literal could
+// neither render nor match an RDF term.
 func Parse(src string) (*Query, error) {
+	if !utf8.ValidString(src) {
+		return nil, fmt.Errorf("sparql: query text is not valid UTF-8")
+	}
 	tokens, err := lex(src)
 	if err != nil {
 		return nil, err

@@ -156,6 +156,7 @@ func TestParseErrors(t *testing.T) {
 		{"unterminated string", `SELECT * WHERE { ?s <http://p> "x . }`},
 		{"bad filter op", `SELECT * WHERE { ?s ?p ?o . FILTER(?o < 3) }`},
 		{"empty var", `SELECT ? WHERE { ?s ?p ?o . }`},
+		{"invalid UTF-8", "SELECT * WHERE { ?s <http://p> ?o . FILTER(CONTAINS(?o, \"\xc8\")) }"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -273,4 +274,27 @@ func TestParseFilterSyntaxErrors(t *testing.T) {
 			t.Errorf("Parse(%q) succeeded, want error", src)
 		}
 	}
+}
+
+// FuzzParseSPARQL runs arbitrary text through the parser every /query body
+// goes through. Parse must never panic, and an accepted query must render
+// (Query.String) to text that parses again to an equal AST. The ASTs are
+// compared, not the texts: String iterates the Prefixes map, so the order
+// of its PREFIX lines varies. The seed corpus under testdata/fuzz is the
+// benchmark query catalog.
+func FuzzParseSPARQL(f *testing.F) {
+	f.Fuzz(func(t *testing.T, src string) {
+		q, err := Parse(src)
+		if err != nil {
+			return
+		}
+		text := q.String()
+		back, err := Parse(text)
+		if err != nil {
+			t.Fatalf("%q: renders as %q, which does not parse: %v", src, text, err)
+		}
+		if !reflect.DeepEqual(back, q) {
+			t.Fatalf("%q: renders as %q, which parses to\n%#v\nnot\n%#v", src, text, back, q)
+		}
+	})
 }
