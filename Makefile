@@ -22,7 +22,10 @@ all: build check test
 # server.Client runs on every answer, FuzzParseTriple over the N-Triples
 # parser every /ingest line goes through, and FuzzParseSPARQL over the SPARQL
 # parser every /query body goes through (the plain test runs replay only
-# their seed corpora).
+# their seed corpora). The warehouse and catalog-scan tests run five times
+# over under -race: every query reads a warehouse view while Ingest and
+# Compact install new ones, and the catalog scan's retried attempts share one
+# mapper.
 check:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -38,6 +41,7 @@ check:
 	go test -run '^$$' -fuzz '^FuzzParseTriple$$' -fuzztime 10s ./internal/rdf/
 	go test -run '^$$' -fuzz '^FuzzParseSPARQL$$' -fuzztime 10s ./internal/sparql/
 	go test -race ./internal/ingest/
+	go test -race -count=5 -run 'Warehouse|Catalog.*Fault' ./internal/ingest/ ./internal/plan/
 	go test ./internal/plan/ ./internal/explain/
 
 build:
@@ -90,7 +94,7 @@ serve-smoke:
 	sh scripts/serve_smoke.sh
 
 # End-to-end incremental-ingestion smoke test: boot ntga-serve, prime the
-# result cache, POST a delta batch through ntga-ingest (the unaffected
+# result cache, POST a delta batch through ntga-run -server -ingest (the unaffected
 # cached entry must survive as a zero-cycle hit while the affected query
 # re-executes and sees the delta rows), then run delta-merge compaction and
 # assert the chain drains with the servable content unchanged.

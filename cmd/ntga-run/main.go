@@ -6,6 +6,7 @@
 //
 //	ntga-run -data data.nt -query query.rq -engine ntga-lazy
 //	ntga-run -data data.nt -e 'SELECT * WHERE { ?s ?p ?o . }' -engine hive -metrics
+//	ntga-run -server 127.0.0.1:7457 -ingest delta.nt -compact
 package main
 
 import (
@@ -92,8 +93,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&o.partBuckets, "partition-buckets", 0, "build the hash-of-subject partitioned layout with this many buckets and run the query over it (0 = flat); in -cluster mode, 0 keeps the master's default")
 	fs.StringVar(&o.partOut, "partition-out", "part/T", "DFS directory for the partitioned layout (with -partition-buckets)")
 	fs.BoolVar(&o.noPartition, "no-partition", false, "cluster mode: force the flat plan even when the master holds a partitioned layout")
-	fs.StringVar(&o.ingest, "ingest", "", "comma-separated N-Triples files appended as delta blocks after the base load; the query runs over base ∪ deltas")
-	fs.BoolVar(&o.compact, "compact", false, "fold the delta chain into a fresh base generation (delta-merge MR job) before running the query")
+	fs.StringVar(&o.ingest, "ingest", "", "comma-separated N-Triples files appended as delta blocks after the base load, or with -server posted to the daemon's /ingest; the query runs over base ∪ deltas")
+	fs.BoolVar(&o.compact, "compact", false, "fold the delta chain into a fresh base generation (delta-merge MR job) before running the query; with -server, POST /compact")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -185,7 +186,21 @@ func runLocal(stdout, stderr io.Writer, o *options) error {
 	if name == "ref" {
 		name = "auto"
 	}
-	cat := plan.FromGraph(g)
+	// The MR engines run over a warehouse, whose boot catalog is the exact
+	// one the reference engine takes from the graph.
+	var lr localRun
+	var cat *plan.Catalog
+	if o.engine == "ref" {
+		if o.ingest != "" || o.compact {
+			return fmt.Errorf("-ingest/-compact need a MapReduce engine (the reference engine has no versioned store)")
+		}
+		cat = plan.FromGraph(g)
+	} else {
+		if lr, err = openLocal(o, g); err != nil {
+			return err
+		}
+		cat = lr.wh.View().Catalog
+	}
 	// What -advise and -optimize report prints even when the engine name
 	// is then rejected.
 	choice, advice, reorder, err := engines.Choose(cat, q, name, o.phiM, reducers, o.optimize)
@@ -214,9 +229,6 @@ func runLocal(stdout, stderr io.Writer, o *options) error {
 	var rows []query.Row
 	var count int64
 	if o.engine == "ref" {
-		if o.ingest != "" || o.compact {
-			return fmt.Errorf("-ingest/-compact need a MapReduce engine (the reference engine has no versioned store)")
-		}
 		if o.statsOut != "" {
 			if err := cat.WriteFile(o.statsOut); err != nil {
 				return err
@@ -227,7 +239,7 @@ func runLocal(stdout, stderr io.Writer, o *options) error {
 		rows = refengine.Evaluate(q, g)
 		count = int64(len(rows))
 	} else {
-		res, err := runMR(stderr, o, g, src, q, choice)
+		res, err := runMR(stderr, o, lr, src, q, choice)
 		if err != nil {
 			return err
 		}
@@ -244,9 +256,49 @@ func runLocal(stdout, stderr io.Writer, o *options) error {
 	return nil
 }
 
-// runMR runs the chosen engine on a simulated cluster, with the optional
-// layout, delta chain, statistics export, tracing and fault injection.
-func runMR(stderr io.Writer, o *options, g *rdf.Graph, src string, q *query.Query, choice engines.Choice) (*engine.Result, error) {
+// localRun is the simulated cluster an MR engine runs on: its MR engine,
+// the tracer the run records into (nil without -trace or -timeline), and
+// the warehouse over the -data graph.
+type localRun struct {
+	mr     *mapreduce.Engine
+	tracer *trace.Tracer
+	wh     *ingest.Warehouse
+}
+
+// openLocal builds the simulated cluster and opens the warehouse on it. The
+// layout is built, and stamped, at the base version before any -ingest
+// lands, like a warehouse whose layout predates the deltas: an uncompacted
+// chain makes it stale, and -compact rewrites the affected buckets and
+// re-stamps it.
+func openLocal(o *options, g *rdf.Graph) (localRun, error) {
+	var lr localRun
+	if o.traceOut != "" || o.timeline {
+		lr.tracer = trace.New()
+	}
+	cfg := mapreduce.EngineConfig{
+		DefaultReducers: o.reducers,
+		SplitRecords:    o.splitRecords,
+		SortBufferBytes: o.sortBuf,
+		Tracer:          lr.tracer,
+		Speculation:     o.speculate,
+	}
+	if o.faults != "" {
+		fp, attempts, err := parseFaults(o.faults)
+		if err != nil {
+			return lr, err
+		}
+		cfg.Faults = fp
+		cfg.TaskMaxAttempts = attempts
+	}
+	lr.mr = mapreduce.NewEngine(hdfs.New(hdfs.Config{Nodes: o.nodes, Replication: o.rep}), cfg)
+	var err error
+	lr.wh, err = ingest.Open(lr.mr, "data/triples", g, o.partOut, o.partBuckets)
+	return lr, err
+}
+
+// runMR runs the chosen engine on the simulated cluster, with the optional
+// statistics export, delta chain, compaction, tracing and fault injection.
+func runMR(stderr io.Writer, o *options, lr localRun, src string, q *query.Query, choice engines.Choice) (*engine.Result, error) {
 	eng, err := choice.Apply(q)
 	if err != nil {
 		return nil, err
@@ -254,37 +306,12 @@ func runMR(stderr io.Writer, o *options, g *rdf.Graph, src string, q *query.Quer
 	if o.engine == "auto" {
 		fmt.Fprintf(stderr, "auto: selected %s (phiM=%d)\n", eng.Name(), choice.PhiM)
 	}
-	var tracer *trace.Tracer
-	if o.traceOut != "" || o.timeline {
-		tracer = trace.New()
-	}
-	cfg := mapreduce.EngineConfig{
-		DefaultReducers: o.reducers,
-		SplitRecords:    o.splitRecords,
-		SortBufferBytes: o.sortBuf,
-		Tracer:          tracer,
-		Speculation:     o.speculate,
-	}
-	if o.faults != "" {
-		fp, attempts, err := parseFaults(o.faults)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Faults = fp
-		cfg.TaskMaxAttempts = attempts
-	}
-	mr := mapreduce.NewEngine(
-		hdfs.New(hdfs.Config{Nodes: o.nodes, Replication: o.rep}),
-		cfg,
-	)
-	if err := engine.LoadGraph(mr.DFS(), "data/triples", g); err != nil {
-		return nil, err
-	}
+	mr, wh := lr.mr, lr.wh
 	if o.statsOut != "" {
 		// Build the catalog the way a warehouse would: a map-only MR job
 		// over the DFS-resident relation, persisted both as a DFS file
 		// (plan-time loading) and as an OS file (ntga-explain -stats).
-		cat, err := plan.BuildCatalog(mr, "data/triples", "data/catalog", g.Dict)
+		cat, err := plan.BuildCatalog(mr, "data/triples", "data/catalog", wh.Graph().Dict)
 		if err != nil {
 			return nil, err
 		}
@@ -293,60 +320,33 @@ func runMR(stderr io.Writer, o *options, g *rdf.Graph, src string, q *query.Quer
 		}
 		fmt.Fprintf(stderr, "stats: wrote %s (also persisted to DFS data/catalog)\n", o.statsOut)
 	}
-	// Loader mode: one shuffle job writes the bucketed layout, then the
-	// query runs map-only over it. The layout is built — and stamped — at
-	// the base dataset version, BEFORE any -ingest lands, mirroring a
-	// warehouse whose layout predates the deltas: an un-compacted chain
-	// makes it stale (shuffle fallback below), and -compact rewrites the
-	// affected buckets and re-stamps the manifest.
-	if o.partBuckets > 0 {
-		if _, err := plan.BuildPartitionLayout(mr, "data/triples", o.partOut, o.partBuckets, g.Version()); err != nil {
-			return nil, err
-		}
-	}
 
-	base, deltas := "data/triples", []string(nil)
-	dataVer := g.Version()
-	if o.ingest != "" || o.compact {
-		st, err := ingest.Init(mr.DFS(), base, g)
+	for _, path := range ingestFiles(o) {
+		df, err := os.Open(path)
 		if err != nil {
 			return nil, err
 		}
-		for _, path := range strings.Split(o.ingest, ",") {
-			path = strings.TrimSpace(path)
-			if path == "" {
-				continue
-			}
-			df, err := os.Open(path)
-			if err != nil {
-				return nil, err
-			}
-			ires, err := st.Ingest(df)
-			df.Close()
-			if err != nil {
-				return nil, fmt.Errorf("ingesting %s: %w", path, err)
-			}
-			fmt.Fprintf(stderr, "ingest: %s: %d triples as block %s (dataset %s)\n",
-				path, len(ires.Triples), ires.Block.File, ires.Version)
+		ires, err := wh.Ingest(df)
+		df.Close()
+		if err != nil {
+			return nil, fmt.Errorf("ingesting %s: %w", path, err)
 		}
-		if o.compact {
-			opts := ingest.CompactOptions{}
-			if o.partBuckets > 0 {
-				opts.LayoutDir = o.partOut
-			}
-			cres, err := st.Compact(mr, opts)
-			if err != nil {
-				return nil, err
-			}
-			fmt.Fprintf(stderr, "compact: folded %d blocks (%d triples) into base generation %d; %d layout buckets rewritten\n",
-				cres.Folded, cres.FoldedTriples, cres.Gen, cres.BucketsRewritten)
+		fmt.Fprintf(stderr, "ingest: %s: %d triples as block %s (dataset %s)\n",
+			path, len(ires.Triples), ires.Block.File, ires.Version)
+	}
+	if o.compact {
+		cres, err := wh.Compact(mr)
+		if err != nil {
+			return nil, err
 		}
-		man := st.Manifest()
-		base, deltas, dataVer = man.Base, man.DeltaFiles(), st.Version()
+		fmt.Fprintf(stderr, "compact: folded %d blocks (%d triples) into base generation %d; %d layout buckets rewritten\n",
+			cres.Folded, cres.FoldedTriples, cres.Gen, cres.BucketsRewritten)
+	}
+	if o.ingest != "" {
 		// Delta batches may mint terms the query names; re-compile against
 		// the extended dictionary so those constants resolve, and put the
 		// same choice on the new compile.
-		if q, err = query.Parse(src, g.Dict); err != nil {
+		if q, err = query.Parse(src, wh.Graph().Dict); err != nil {
 			return nil, err
 		}
 		if eng, err = choice.Apply(q); err != nil {
@@ -354,31 +354,28 @@ func runMR(stderr io.Writer, o *options, g *rdf.Graph, src string, q *query.Quer
 		}
 	}
 
-	// Reloading the layout through the manifest exercises the production
-	// path — a stale or missing layout degrades to the flat plan with a
-	// warning instead of failing.
-	var part *plan.Partitioning
-	if o.partBuckets > 0 {
-		part, err = plan.LoadPartitioning(mr.DFS(), o.partOut, dataVer)
-		if err != nil {
-			fmt.Fprintf(stderr, "partition: layout %s unusable (%v); falling back to the shuffle path\n", o.partOut, err)
-			part = nil
+	ds := wh.View()
+	if part := ds.Source.Part; part != nil {
+		// A layout older than the dataset is planned around (engine.Plan
+		// sets it aside while deltas are uncompacted); say so.
+		if err := part.Layout().Validate(ds.Version); err != nil {
+			fmt.Fprintf(stderr, "partition: layout %s unusable (%v); falling back to the shuffle path\n", part.Dir, err)
 		} else {
-			fmt.Fprintf(stderr, "partition: built layout %s (%s)\n", o.partOut, part)
+			fmt.Fprintf(stderr, "partition: built layout %s (%s)\n", part.Dir, part)
 		}
 	}
-	res, err := engine.Run(eng, mr, q, plan.Source{Base: base, Deltas: deltas, Part: part})
-	if tracer != nil {
+	res, err := engine.Run(eng, mr, q, ds.Source)
+	if lr.tracer != nil {
 		// Export whatever spans were recorded even on failure — a trace
 		// of a failed workflow is exactly when you want the profile.
 		if o.traceOut != "" {
-			if werr := writeTrace(o.traceOut, tracer); werr != nil {
+			if werr := writeTrace(o.traceOut, lr.tracer); werr != nil {
 				return nil, werr
 			}
 			fmt.Fprintf(stderr, "trace: wrote %s\n", o.traceOut)
 		}
 		if o.timeline {
-			fmt.Fprint(stderr, trace.Timeline(tracer.Roots()))
+			fmt.Fprint(stderr, trace.Timeline(lr.tracer.Roots()))
 		}
 	}
 	if o.faults != "" || o.speculate {
@@ -584,10 +581,52 @@ func checkHealth(w io.Writer, addr string) error {
 	return nil
 }
 
-// runRemote is client mode: ship the query to an ntga-serve daemon and
-// print the response in the same shape as a local run (rows on stdout,
-// run facts on stderr), so outputs are directly comparable.
+// ingestFiles lists the -ingest files in order.
+func ingestFiles(o *options) []string {
+	var paths []string
+	for _, path := range strings.Split(o.ingest, ",") {
+		if path = strings.TrimSpace(path); path != "" {
+			paths = append(paths, path)
+		}
+	}
+	return paths
+}
+
+// runRemote is client mode against an ntga-serve daemon: post each -ingest
+// file to /ingest and -compact to /compact, then ship the query, if one was
+// given, and print the response in the same shape as a local run (rows on
+// stdout, run facts on stderr), so outputs are directly comparable.
 func runRemote(stdout, stderr io.Writer, o *options) error {
+	c := server.NewClient(o.server)
+	ctx := context.Background()
+	for _, path := range ingestFiles(o) {
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		res, err := c.Ingest(ctx, f)
+		f.Close()
+		if err != nil {
+			return fmt.Errorf("ingesting %s: %w", path, err)
+		}
+		fmt.Fprintf(stderr, "ingested %d triples (seq %d, %d delta blocks, dataset %s)\n",
+			res.Triples, res.Seq, res.DeltaBlocks, res.DatasetVersion)
+		fmt.Fprintf(stderr, "cache: %d retained, %d evicted\n", res.CacheRetained, res.CacheEvicted)
+		if res.Compacted {
+			fmt.Fprintf(stderr, "auto-compacted (%d layout buckets rewritten)\n", res.BucketsRewritten)
+		}
+	}
+	if o.compact {
+		res, err := c.Compact(ctx)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stderr, "compacted %d delta blocks (%d triples) into base generation %d (dataset %s)\n",
+			res.Folded, res.FoldedTriples, res.Gen, res.Version)
+	}
+	if (o.ingest != "" || o.compact) && o.inline == "" && o.queryFile == "" {
+		return nil
+	}
 	src, err := queryText(o)
 	if err != nil {
 		return err
@@ -606,7 +645,7 @@ func runRemote(stdout, stderr io.Writer, o *options) error {
 	if o.engine != "ntga-lazy" {
 		req.Engine = o.engine
 	}
-	resp, err := server.NewClient(o.server).Query(context.Background(), req)
+	resp, err := c.Query(ctx, req)
 	if err != nil {
 		return err
 	}

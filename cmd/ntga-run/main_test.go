@@ -2,18 +2,32 @@ package main
 
 import (
 	"bytes"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
 
 	"ntga/internal/enginetest"
 	"ntga/internal/rdf"
+	"ntga/internal/server"
 )
 
+// writeFile writes body to name under dir and returns its path.
+func writeFile(t *testing.T, dir, name, body string) string {
+	t.Helper()
+	path := filepath.Join(dir, name)
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 func TestRun(t *testing.T) {
-	data := filepath.Join(t.TempDir(), "bio.nt")
+	dir := t.TempDir()
+	data := filepath.Join(dir, "bio.nt")
 	f, err := os.Create(data)
 	if err != nil {
 		t.Fatal(err)
@@ -24,6 +38,22 @@ func TestRun(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// The -server cases share one daemon over the same graph and run in
+	// table order: two ingests, a refused batch between them, then a
+	// compaction of the two blocks.
+	srv, err := server.New(server.Config{}, enginetest.BioGraph())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	addr := strings.TrimPrefix(hs.URL, "http://")
+	delta := writeFile(t, dir, "delta.nt", "<http://ex/geneZ> <http://ex/label> \"gene Z\" .\n")
+	zeta := writeFile(t, dir, "zeta.nt", "<http://ex/geneZ> <http://ex/zeta> \"z\" .\n")
+	bad := writeFile(t, dir, "bad.nt", "<http://ex/geneZ> <http://ex/label> .\n")
+	// dataset masks the version hashes the daemon reports.
+	dataset := regexp.MustCompile(`dataset [0-9a-f]{16}\)`)
 	const (
 		q      = `PREFIX ex: <http://ex/> SELECT * WHERE { ?g ex:label ?l . ?g ?p ?x . ?x ex:type ?t . }`
 		count  = `PREFIX ex: <http://ex/> SELECT (COUNT(*) AS ?n) WHERE { ?g ex:label ?l . ?g ?p ?x . }`
@@ -143,6 +173,32 @@ func TestRun(t *testing.T) {
 			}
 		}},
 		{"unknown flag", []string{"-badflag"}, 2, nil},
+		{"server ingest", []string{"-server", addr, "-ingest", delta}, 0, func(t *testing.T, stdout, stderr string) {
+			want := "ingested 1 triples (seq 1, 1 delta blocks, dataset V)\ncache: 0 retained, 0 evicted\n"
+			if got := dataset.ReplaceAllString(stderr, "dataset V)"); stdout != "" || got != want {
+				t.Errorf("stdout %q, stderr %q, want stderr %q", stdout, got, want)
+			}
+		}},
+		{"server refuses a bad batch", []string{"-server", addr, "-ingest", bad}, 1, func(t *testing.T, stdout, stderr string) {
+			if stdout != "" || !strings.HasPrefix(stderr, "ntga-run: ingesting "+bad+": ingest: invalid N-Triples batch") ||
+				!strings.HasSuffix(stderr, "(HTTP 422)\n") {
+				t.Errorf("stdout %q, stderr %q, want the server's 422 message", stdout, stderr)
+			}
+		}},
+		{"server ingest then query", []string{"-server", addr, "-ingest", zeta, "-e", `PREFIX ex: <http://ex/> SELECT * WHERE { ?g ex:zeta ?z . }`}, 0, func(t *testing.T, stdout, stderr string) {
+			if stdout != "?g\t?z\n<http://ex/geneZ>\t\"z\"\n" {
+				t.Errorf("stdout %q, want the delta row", stdout)
+			}
+			if !strings.HasPrefix(dataset.ReplaceAllString(stderr, "dataset V)"), "ingested 1 triples (seq 2, 2 delta blocks, dataset V)\n") {
+				t.Errorf("stderr %q", stderr)
+			}
+		}},
+		{"server compact", []string{"-server", addr, "-compact"}, 0, func(t *testing.T, stdout, stderr string) {
+			want := "compacted 2 delta blocks (2 triples) into base generation 1 (dataset V)\n"
+			if got := dataset.ReplaceAllString(stderr, "dataset V)"); stdout != "" || got != want {
+				t.Errorf("stdout %q, stderr %q, want stderr %q", stdout, got, want)
+			}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -7,7 +7,11 @@ package cluster_test
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ntga/internal/bench"
@@ -184,5 +188,80 @@ func TestDistributedIngestParity(t *testing.T) {
 	}
 	if !query.RowsEqual(localFinal.Rows, final.Rows) {
 		t.Error("second-generation delta rows diverge as multisets")
+	}
+}
+
+// TestMasterQueriesDuringIngestAndCompact: queries plan from one warehouse
+// view while ingests and compactions install new ones. Two query loops run
+// over a bucketed master while the test ingests and compacts three times;
+// under -race this catches any writer that touches state a running query
+// planned from (compaction once re-stamped the layout a query was reading).
+// Afterwards the layout path and the flat path agree on the merged data.
+func TestMasterQueriesDuringIngestAndCompact(t *testing.T) {
+	ctx := context.Background()
+	tc := startTestCluster(t, enginetest.BioGraph(), 2,
+		cluster.WorkerConfig{MapSlots: 2, ReduceSlots: 2},
+		cluster.MasterConfig{Reducers: parityReducers, SplitRecords: paritySplit, PartitionBuckets: 4})
+	run := func(noPartition bool) (*cluster.RunReply, error) {
+		return tc.client.Run(ctx, &cluster.RunArgs{
+			Query: ingestParityQuery, Engine: "ntga-lazy", TimeoutMS: 30_000, NoPartition: noPartition,
+		})
+	}
+
+	var done atomic.Int64
+	stop := make(chan struct{})
+	errs := make(chan error, 2)
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := run(false); err != nil {
+					errs <- err
+					return
+				}
+				done.Add(1)
+			}
+		}()
+	}
+	// Each round ingests one batch, then compacts over and over until four
+	// more queries have finished: the first compaction folds the batch, the
+	// rest find an empty chain and only install a fresh view, so writes keep
+	// landing while queries that planned from an earlier view still run.
+	for i := 0; i < 3; i++ {
+		batch := fmt.Sprintf("<http://ex/gene%d> <http://ex/xGO> <http://ex/go%d> .\n<http://ex/gene%d> <http://ex/label> \"gene %d\" .\n", 20+i, i, 20+i, 20+i)
+		if _, err := tc.master.Ingest(strings.NewReader(batch)); err != nil {
+			t.Fatal(err)
+		}
+		for n := done.Load(); done.Load() < n+4 && len(errs) == 0; {
+			if _, err := tc.master.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Errorf("query during ingest/compact: %v", err)
+	}
+
+	part, err := run(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, err := run(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(sortedText(flat.RowsText), sortedText(part.RowsText)) || part.Workflow.TotalMapOutputBytes() != 0 {
+		t.Errorf("after compaction: layout rows %d (shuffle %d bytes), flat rows %d",
+			len(part.Rows), part.Workflow.TotalMapOutputBytes(), len(flat.Rows))
 	}
 }

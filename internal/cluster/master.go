@@ -15,7 +15,6 @@ import (
 	"ntga/internal/hdfs"
 	"ntga/internal/ingest"
 	"ntga/internal/mapreduce"
-	"ntga/internal/plan"
 	"ntga/internal/query"
 	"ntga/internal/rdf"
 	"ntga/internal/trace"
@@ -203,23 +202,20 @@ func (js *jobState) settleLocked(err error) {
 // Master is the coordinator: it owns the DFS and the dataset dictionary,
 // compiles and plans queries, and leases task attempts to workers.
 type Master struct {
-	cfg     MasterConfig
-	dfs     *hdfs.DFS
-	dict    *rdf.Dict
-	input   string
-	catalog *plan.Catalog
-	version string
-	triples int64
-	part    *plan.Partitioning
+	cfg   MasterConfig
+	dfs   *hdfs.DFS
+	dict  *rdf.Dict
+	input string
 
-	// store owns the versioned dataset manifest and delta-block write path;
-	// catState is the mergeable catalog accumulator ingests fold into.
-	// lineage remembers every dataset version this master has ever served
-	// (boot plus each ingest), so a worker returning from a partition that
-	// missed some ingests can still prove it holds a prefix of this dataset.
-	// ingestMu serializes Ingest/Compact against each other.
-	store    *ingest.Store
-	catState *plan.CatalogState
+	// wh owns the versioned dataset: every query plans from one View of
+	// it, and the master's own jobs (layout load, compaction) run on the
+	// in-process engine mr — no worker takes part. lineage remembers every dataset version this master has ever
+	// served (boot plus each ingest), so a worker returning from a
+	// partition that missed some ingests can still prove it holds a prefix
+	// of this dataset. ingestMu orders an ingest against Register and Sync,
+	// which read the dictionary and the version together.
+	wh       *ingest.Warehouse
+	mr       *mapreduce.Engine
 	lineage  map[string]bool
 	ingestMu sync.Mutex
 
@@ -241,48 +237,34 @@ type Master struct {
 	affineLeases    int64
 }
 
-// NewMaster builds a coordinator over the given graph: the triples are
-// loaded into a fresh master-resident DFS and the statistics catalog is
-// built for the "auto" engine advisor.
+// NewMaster builds a coordinator over the given graph: a warehouse over a
+// fresh master-resident DFS holds the triples, the statistics catalog the
+// "auto" engine advisor consults, and — with PartitionBuckets — the
+// bucketed layout.
 func NewMaster(cfg MasterConfig, g *rdf.Graph) (*Master, error) {
 	cfg = cfg.withDefaults()
 	dfs := hdfs.New(hdfs.Config{Nodes: cfg.Nodes, Replication: cfg.Replication})
 	const input = "data/triples"
-	if err := engine.LoadGraph(dfs, input, g); err != nil {
-		return nil, fmt.Errorf("cluster: loading graph: %w", err)
-	}
-	var part *plan.Partitioning
-	if cfg.PartitionBuckets > 0 {
-		loadMR := mapreduce.NewEngine(dfs, mapreduce.EngineConfig{
-			DefaultReducers: cfg.Reducers, SplitRecords: cfg.SplitRecords,
-		})
-		var err error
-		part, err = plan.BuildPartitionLayout(loadMR, input, "part/T", cfg.PartitionBuckets, g.Version())
-		if err != nil {
-			return nil, fmt.Errorf("cluster: building partition layout: %w", err)
-		}
-	}
-	store, err := ingest.Init(dfs, input, g)
+	mr := mapreduce.NewEngine(dfs, mapreduce.EngineConfig{
+		DefaultReducers: cfg.Reducers, SplitRecords: cfg.SplitRecords,
+	})
+	wh, err := ingest.Open(mr, input, g, "part/T", cfg.PartitionBuckets)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: initializing dataset manifest: %w", err)
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Master{
-		cfg:      cfg,
-		dfs:      dfs,
-		dict:     g.Dict,
-		input:    input,
-		catalog:  plan.FromGraph(g),
-		version:  g.Version(),
-		triples:  int64(g.Len()),
-		part:     part,
-		store:    store,
-		catState: plan.StateFromGraph(g),
-		lineage:  map[string]bool{g.Version(): true},
-		ctx:      ctx,
-		cancel:   cancel,
-		workers:  make(map[int]*workerState),
-		queries:  make(map[string]*queryState),
+		cfg:     cfg,
+		dfs:     dfs,
+		dict:    g.Dict,
+		input:   input,
+		wh:      wh,
+		mr:      mr,
+		lineage: map[string]bool{g.Version(): true},
+		ctx:     ctx,
+		cancel:  cancel,
+		workers: make(map[int]*workerState),
+		queries: make(map[string]*queryState),
 	}, nil
 }
 
@@ -438,6 +420,11 @@ type masterRPC struct {
 
 func (r *masterRPC) Register(args *RegisterArgs, reply *RegisterReply) error {
 	m := r.m
+	// ingestMu keeps (lineage, terms, version) consistent: an ingest
+	// extends the dictionary, moves the version and records it in the
+	// lineage under the same lock.
+	m.ingestMu.Lock()
+	defer m.ingestMu.Unlock()
 	m.mu.Lock()
 	if args.KnownVersion != "" && !m.lineage[args.KnownVersion] {
 		// The worker's dictionary was built against a dataset this master
@@ -483,21 +470,14 @@ func (r *masterRPC) Register(args *RegisterArgs, reply *RegisterReply) error {
 	}
 	m.mu.Unlock()
 
-	// ingestMu keeps (terms, version) consistent: an ingest extends the
-	// dictionary and moves the version under the same lock.
-	m.ingestMu.Lock()
 	terms := make([]rdf.Term, 0, m.dict.Len())
 	m.dict.Range(func(_ rdf.ID, t rdf.Term) bool {
 		terms = append(terms, t)
 		return true
 	})
-	m.mu.Lock()
-	ver := m.version
-	m.mu.Unlock()
-	m.ingestMu.Unlock()
 	reply.Worker = w.id
 	reply.Terms = terms
-	reply.DatasetVersion = ver
+	reply.DatasetVersion = m.wh.View().Version
 	reply.Input = m.input
 	reply.HeartbeatEvery = m.cfg.HeartbeatEvery
 	reply.LeaseEvery = m.cfg.LeaseEvery
@@ -531,7 +511,7 @@ func (r *masterRPC) Heartbeat(args *HeartbeatArgs, reply *HeartbeatReply) error 
 	for qid := range m.queries {
 		reply.LiveQueries = append(reply.LiveQueries, qid)
 	}
-	reply.DatasetVersion = m.version
+	reply.DatasetVersion = m.wh.View().Version
 	return nil
 }
 
@@ -552,9 +532,7 @@ func (r *masterRPC) Sync(args *SyncArgs, reply *SyncReply) error {
 		return true
 	})
 	reply.From = args.Have
-	m.mu.Lock()
-	reply.DatasetVersion = m.version
-	m.mu.Unlock()
+	reply.DatasetVersion = m.wh.View().Version
 	return nil
 }
 
@@ -576,7 +554,7 @@ func (r *masterRPC) Compact(args *CompactArgs, reply *CompactReply) error {
 	return nil
 }
 
-// Ingest appends one N-Triples batch to the master's versioned store and
+// Ingest appends one N-Triples batch to the master's warehouse, which
 // folds it into the catalog the "auto" advisor consults. The fleet learns
 // the new version via heartbeats and the new dictionary terms lazily via
 // Master.Sync at plan-rebuild time; nothing is pushed — delta blocks live
@@ -584,30 +562,19 @@ func (r *masterRPC) Compact(args *CompactArgs, reply *CompactReply) error {
 func (m *Master) Ingest(r io.Reader) (*IngestReply, error) {
 	m.ingestMu.Lock()
 	defer m.ingestMu.Unlock()
-	res, err := m.store.Ingest(r)
+	res, err := m.wh.Ingest(r)
 	if err != nil {
 		return nil, err
 	}
-	reply := &IngestReply{
+	m.mu.Lock()
+	m.lineage[res.Version] = true
+	m.mu.Unlock()
+	return &IngestReply{
 		Triples:        len(res.Triples),
 		Seq:            res.Seq,
 		DatasetVersion: res.Version,
-		DeltaBlocks:    len(m.store.DeltaFiles()),
-	}
-	if len(res.Triples) == 0 {
-		return reply, nil
-	}
-	for _, t := range res.Triples {
-		m.catState.AddTriple(m.dict, t)
-	}
-	newCat := m.catState.Catalog()
-	m.mu.Lock()
-	m.catalog = newCat
-	m.version = res.Version
-	m.triples += int64(len(res.Triples))
-	m.lineage[res.Version] = true
-	m.mu.Unlock()
-	return reply, nil
+		DeltaBlocks:    len(m.wh.View().Source.Deltas),
+	}, nil
 }
 
 // Compact folds the delta chain into a fresh base generation on the
@@ -615,30 +582,7 @@ func (m *Master) Ingest(r io.Reader) (*IngestReply, error) {
 // is involved — and maintains the partition layout in the same pass when
 // one exists. The dataset version (and the fleet's dictionaries) are
 // untouched: content is unchanged.
-func (m *Master) Compact() (*ingest.CompactResult, error) {
-	m.ingestMu.Lock()
-	defer m.ingestMu.Unlock()
-	mr := mapreduce.NewEngine(m.dfs, mapreduce.EngineConfig{
-		DefaultReducers: m.cfg.Reducers,
-		SplitRecords:    m.cfg.SplitRecords,
-	})
-	var opts ingest.CompactOptions
-	if m.part != nil {
-		opts.LayoutDir = m.part.Dir
-	}
-	res, err := m.store.Compact(mr, opts)
-	if err != nil {
-		return nil, err
-	}
-	m.mu.Lock()
-	if m.part != nil {
-		// The layout manifest was re-stamped at the current dataset version;
-		// keep the in-memory handle's notion in step.
-		m.part.Version = res.Version
-	}
-	m.mu.Unlock()
-	return res, nil
-}
+func (m *Master) Compact() (*ingest.CompactResult, error) { return m.wh.Compact(m.mr) }
 
 func (r *masterRPC) Lease(args *LeaseArgs, reply *LeaseReply) error {
 	m := r.m
@@ -963,11 +907,12 @@ func (r *masterRPC) Status(args *StatusArgs, reply *StatusReply) error {
 
 // Status snapshots the cluster.
 func (m *Master) Status() StatusReply {
+	ds := m.wh.View()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	st := StatusReply{
-		Triples:               m.triples,
-		DatasetVersion:        m.version,
+		Triples:               ds.Triples,
+		DatasetVersion:        ds.Version,
 		WorkersLost:           m.workersLost,
 		ActiveQueries:         len(m.queries),
 		TasksDispatched:       m.tasksDispatched,
@@ -1194,12 +1139,14 @@ func (m *Master) RunQuery(ctx context.Context, args *RunArgs) (*RunReply, error)
 	if reducers == 0 {
 		reducers = m.cfg.Reducers
 	}
-	m.mu.Lock()
-	cat := m.catalog
-	m.mu.Unlock()
+	// One consistent dataset snapshot per query: catalog, base generation
+	// and delta chain together. The files it names are immutable
+	// (compaction retains old generations), so a query admitted here
+	// finishes on its pinned version even if an ingest lands mid-run.
+	ds := m.wh.View()
 	// The join order is the caller's (a server ships its optimizer's); the
 	// master itself never searches.
-	choice, _, _, err := engines.Choose(cat, q, engName, args.PhiM, reducers, false)
+	choice, _, _, err := engines.Choose(ds.Catalog, q, engName, args.PhiM, reducers, false)
 	if err != nil {
 		return nil, err
 	}
@@ -1209,24 +1156,18 @@ func (m *Master) RunQuery(ctx context.Context, args *RunArgs) (*RunReply, error)
 		return nil, err
 	}
 
-	// One consistent dataset snapshot per query: the manifest copy carries
-	// base generation and delta chain together, and the files it names are
-	// immutable (compaction retains old generations), so a query admitted
-	// here finishes on its pinned version even if an ingest lands mid-run.
-	man := m.store.Manifest()
-	base, deltas := man.Base, man.DeltaFiles()
 	// The source says what the warehouse holds; engine.Plan decides, the
 	// same way here and in every worker's rebuild, what of it the plan uses
 	// (an uncompacted delta chain sets the layout aside until compaction).
-	src := plan.Source{Base: base, Deltas: deltas}
-	if !args.NoPartition {
-		src.Part = m.part
+	src := ds.Source
+	if args.NoPartition {
+		src.Part = nil
 	}
 	spec := QuerySpec{
 		Query:   args.Query,
 		Choice:  choice,
-		Input:   base,
-		Deltas:  deltas,
+		Input:   src.Base,
+		Deltas:  src.Deltas,
 		DictLen: m.dict.Len(),
 	}
 	if src.Part != nil {

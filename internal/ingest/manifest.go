@@ -7,7 +7,9 @@
 // the chain back into the base relation. The manifest mirrors the partition
 // layout manifest's discipline: typed staleness errors, deleted-first /
 // written-last updates, and a version string that is bit-compatible with
-// rdf.Graph.Version so every existing dataset handshake keeps working.
+// rdf.Graph.Version so every existing dataset handshake keeps working. A
+// process holds its dataset through one Warehouse, which owns the store, the
+// catalog and the layout and publishes each state as an immutable View.
 package ingest
 
 import (

@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"math"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"ntga/internal/engine"
 	"ntga/internal/enginetest"
+	"ntga/internal/hdfs"
+	"ntga/internal/mapreduce"
 	"ntga/internal/plan"
 	"ntga/internal/rdf"
+	"ntga/internal/trace"
 )
 
 func TestFromGraphExact(t *testing.T) {
@@ -201,5 +205,54 @@ func checkWithin(t *testing.T, what string, got, want int64, tol float64) {
 	}
 	if math.Abs(float64(got-want))/float64(want) > tol {
 		t.Errorf("%s = %d, want %d ±%.0f%%", what, got, want, tol*100)
+	}
+}
+
+// TestBuildCatalogStateUnderFaultsMatchesFaultFree: failed and retried
+// attempts of the catalog scan count nothing — the exact sums come from the
+// winning attempts' counters and a re-added value leaves a sketch bitmap as
+// it was — so a scan under seeded faults builds the fault-free state, every
+// sum and every bitmap.
+func TestBuildCatalogStateUnderFaultsMatchesFaultFree(t *testing.T) {
+	g := enginetest.RandomGraph(7, 6000, 400, 12, 900)
+	// build scans g with the fault plan and returns the state and how many
+	// task attempts beyond the first the scan ran.
+	build := func(faults *mapreduce.FaultPlan) (*plan.CatalogState, int) {
+		t.Helper()
+		tr := trace.New()
+		mr := mapreduce.NewEngine(hdfs.New(hdfs.Config{Nodes: 4, BlockSize: 1 << 16}), mapreduce.EngineConfig{
+			SplitRecords: 512, TaskMaxAttempts: 8, Faults: faults, Tracer: tr,
+		})
+		const input = "data/triples"
+		if err := engine.LoadGraph(mr.DFS(), input, g); err != nil {
+			t.Fatal(err)
+		}
+		st, err := plan.BuildCatalogState(mr, input, g.Dict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		retries := 0
+		for _, root := range tr.Roots() {
+			root.Walk(func(s *trace.Span, _ int) {
+				if s.Kind == trace.KindTask && s.Attempt > 0 {
+					retries++
+				}
+			})
+		}
+		return st, retries
+	}
+	want, _ := build(nil)
+	if want.Triples != int64(len(g.Triples)) {
+		t.Fatalf("fault-free Triples = %d, want %d", want.Triples, len(g.Triples))
+	}
+	for _, seed := range []int64{1, 2, 3, 7} {
+		got, retries := build(&mapreduce.FaultPlan{Rate: 0.05, Seed: seed})
+		if retries == 0 {
+			t.Errorf("seed %d: no attempt was retried; the test is vacuous", seed)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("seed %d: state under faults differs: triples %d bytes %d, want %d and %d",
+				seed, got.Triples, got.Bytes, want.Triples, want.Bytes)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 
 	"ntga/internal/codec"
@@ -19,23 +20,32 @@ const (
 	perPropSketchLogM = 14 // 16K bits = 2KB
 )
 
-// catalogMapper is the stateful map-only scan that accumulates the catalog.
-// Exact counters (triples, bytes, per-property triple counts) are plain
-// sums; distinct counts use linear-counting sketches (stats.Sketch). All
-// accumulation is commutative, so concurrent map tasks and retried attempts
-// produce identical state. The mapper collects no output records — the job
-// exists for its scan.
+// Counter names of the catalog scan's exact sums. Per-property triple
+// counts are catalogPropCounter followed by the property's dictionary ID.
+const (
+	catalogTriplesCounter = "catalog.triples"
+	catalogBytesCounter   = "catalog.bytes"
+	catalogPropCounter    = "catalog.prop."
+)
+
+// catalogMapper is the map-only scan that accumulates the catalog. One
+// mapper serves every task and attempt of the job, so the exact sums
+// (triples, bytes, per-property triple counts) are counted on the attempt's
+// own counters (out.Inc): they commit with the attempt that wins its task,
+// and a failed or speculative attempt adds nothing. Distinct counts use
+// linear-counting sketches (stats.Sketch), shared across attempts: adding a
+// value twice leaves a bitmap unchanged, so a retried split cannot skew
+// them. The mapper collects no output records — the job exists for its
+// scan.
 type catalogMapper struct {
 	mu       sync.Mutex
-	triples  int64
-	bytes    int64
 	subjects *stats.Sketch
 	objects  *stats.Sketch
 	perProp  map[rdf.ID]*propAcc
 }
 
 type propAcc struct {
-	triples  int64
+	counter  string // catalogPropCounter + the property ID
 	subjects *stats.Sketch
 	objects  *stats.Sketch
 }
@@ -49,43 +59,48 @@ func newCatalogMapper() *catalogMapper {
 }
 
 // MapRecord implements mapreduce.MapOnlyMapper.
-func (m *catalogMapper) MapRecord(_ string, record []byte, _ mapreduce.Collector) error {
+func (m *catalogMapper) MapRecord(_ string, record []byte, out mapreduce.Collector) error {
 	t, err := codec.DecodeTriple(record)
 	if err != nil {
 		return err
 	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.triples++
-	m.bytes += int64(len(record))
 	m.subjects.Add(uint64(t.S))
 	m.objects.Add(uint64(t.O))
 	pa, ok := m.perProp[t.P]
 	if !ok {
-		pa = &propAcc{subjects: stats.NewSketch(perPropSketchLogM), objects: stats.NewSketch(perPropSketchLogM)}
+		pa = &propAcc{
+			counter:  catalogPropCounter + strconv.FormatUint(uint64(t.P), 10),
+			subjects: stats.NewSketch(perPropSketchLogM),
+			objects:  stats.NewSketch(perPropSketchLogM),
+		}
 		m.perProp[t.P] = pa
 	}
-	pa.triples++
 	pa.subjects.Add(uint64(t.S))
 	pa.objects.Add(uint64(t.O))
+	m.mu.Unlock()
+	out.Inc(catalogTriplesCounter, 1)
+	out.Inc(catalogBytesCounter, int64(len(record)))
+	out.Inc(pa.counter, 1)
 	return nil
 }
 
-// state converts the accumulated scan into a mergeable CatalogState,
-// decoding property IDs to term keys through the dictionary.
-func (m *catalogMapper) state(dict *rdf.Dict) *CatalogState {
+// state converts the scan into a mergeable CatalogState: the exact sums
+// from the job's committed counters, the sketches from the mapper, and
+// property IDs decoded to term keys through the dictionary.
+func (m *catalogMapper) state(dict *rdf.Dict, counters mapreduce.Counters) *CatalogState {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	st := &CatalogState{
-		Triples:  m.triples,
-		Bytes:    m.bytes,
+		Triples:  counters[catalogTriplesCounter],
+		Bytes:    counters[catalogBytesCounter],
 		Subjects: m.subjects.Clone(),
 		Objects:  m.objects.Clone(),
 		Props:    make(map[string]*PropState, len(m.perProp)),
 	}
 	for pid, pa := range m.perProp {
 		st.Props[dict.Decode(pid).Key()] = &PropState{
-			Triples:  pa.triples,
+			Triples:  counters[pa.counter],
 			Subjects: pa.subjects.Clone(),
 			Objects:  pa.objects.Clone(),
 		}
@@ -131,8 +146,9 @@ func BuildCatalogState(mr *mapreduce.Engine, input string, dict *rdf.Dict) (*Cat
 		MapOnly: m,
 	}
 	defer mr.DFS().DeleteIfExists(scan)
-	if _, err := mr.RunWorkflowNamed("catalog-build", []mapreduce.Stage{{job}}); err != nil {
+	wf, err := mr.RunWorkflowNamed("catalog-build", []mapreduce.Stage{{job}})
+	if err != nil {
 		return nil, err
 	}
-	return m.state(dict), nil
+	return m.state(dict, wf.Jobs[0].Counters), nil
 }

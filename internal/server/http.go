@@ -114,14 +114,12 @@ type Health struct {
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	cm := s.clusterMetrics() // doubles as a probe: feeds the ladder
 	state, held, transitions := s.health.snapshot()
-	s.dsMu.RLock()
-	triples, dsVer := s.triples, s.datasetVersion
-	s.dsMu.RUnlock()
+	ds := s.wh.View()
 	h := Health{
 		Status:            state,
 		Mode:              cm.Mode,
-		Triples:           triples,
-		DatasetVersion:    dsVer,
+		Triples:           ds.Triples,
+		DatasetVersion:    ds.Version,
 		UptimeMS:          s.Snapshot().UptimeMS,
 		WorkersAlive:      cm.WorkersAlive,
 		WorkersRegistered: cm.WorkersRegistered,

@@ -74,53 +74,31 @@ func (s *Server) Ingest(ctx context.Context, r io.Reader) (*IngestResult, error)
 		masterVer = reply.DatasetVersion
 	}
 
-	res, err := s.store.Ingest(bytes.NewReader(batch))
+	res, err := s.wh.Ingest(bytes.NewReader(batch))
 	if err != nil {
 		return nil, err
 	}
-	out := &IngestResult{Triples: len(res.Triples), Seq: res.Seq, Block: res.Block.File}
+	ds := s.wh.View()
+	out := &IngestResult{
+		Triples:        len(res.Triples),
+		Seq:            res.Seq,
+		Block:          res.Block.File,
+		DatasetVersion: ds.Version,
+		CatalogVersion: ds.CatalogVersion,
+		DeltaBlocks:    len(ds.Source.Deltas),
+	}
 	if len(res.Triples) == 0 {
-		s.dsMu.RLock()
-		out.DatasetVersion = s.datasetVersion
-		out.CatalogVersion = s.catalogVersion
-		out.DeltaBlocks = len(s.deltas)
-		s.dsMu.RUnlock()
 		return out, nil
 	}
 	if masterVer != "" && masterVer != res.Version {
 		return nil, fmt.Errorf("server: ingest split brain: master moved to dataset %s but local store to %s", masterVer, res.Version)
 	}
 
-	// Incremental catalog maintenance: fold the batch into the mergeable
-	// state and re-derive the exact catalog — no rescan of the base.
-	for _, t := range res.Triples {
-		s.catState.AddTriple(s.dict, t)
-	}
-	newCat := s.catState.Catalog()
-	newCatVer, err := catalogVersion(newCat)
-	if err != nil {
-		// Refuse to move the served view forward under an unversionable
-		// catalog: both caches key on the version, so serving without one
-		// could collide distinct catalogs on one key.
-		return nil, err
-	}
-
-	s.dsMu.Lock()
-	s.catalog = newCat
-	s.catalogVersion = newCatVer
-	s.datasetVersion = res.Version
-	s.triples += int64(len(res.Triples))
-	s.deltas = s.store.DeltaFiles()
-	s.dsMu.Unlock()
-
-	retained, evicted := s.results.maintain(res.Triples, newCatVer, res.Version)
+	retained, evicted := s.results.maintain(res.Triples, ds.CatalogVersion, ds.Version)
 	s.mIngests.Add(1)
 	s.mIngestTriples.Add(int64(len(res.Triples)))
 	s.mCacheRetained.Add(int64(retained))
 	s.mCacheEvicted.Add(int64(evicted))
-	out.DatasetVersion = res.Version
-	out.CatalogVersion = newCatVer
-	out.DeltaBlocks = len(s.store.DeltaFiles())
 	out.CacheRetained = retained
 	out.CacheEvicted = evicted
 
@@ -160,17 +138,10 @@ func (s *Server) compactLocked(ctx context.Context) (*ingest.CompactResult, erro
 		Slots:           s.pool.Lease("ingest", 1),
 		Tracer:          s.cfg.Tracer,
 	}).WithContext(ctx)
-	// Prune stays off: in-flight queries hold pre-compaction file names, and
-	// every retained file is immutable — their snapshots stay consistent
-	// without any locking against the serve path.
-	res, err := s.store.Compact(mr, ingest.CompactOptions{})
+	res, err := s.wh.Compact(mr)
 	if err != nil {
 		return nil, err
 	}
-	s.dsMu.Lock()
-	s.input = s.store.Base()
-	s.deltas = nil
-	s.dsMu.Unlock()
 	s.mCompactions.Add(1)
 	return res, nil
 }

@@ -276,22 +276,19 @@ func TestIngestIncrementalCatalogMatchesRescan(t *testing.T) {
 		t.Fatal(err)
 	}
 	exact := plan.FromGraph(mergedBioGraph(t))
-	s.dsMu.RLock()
-	folded := s.catalog
-	s.dsMu.RUnlock()
+	view := s.wh.View()
+	folded := view.Catalog
 	if folded.Triples != exact.Triples || folded.Subjects != exact.Subjects {
 		t.Errorf("folded catalog triples/subjects = %d/%d, want %d/%d",
 			folded.Triples, folded.Subjects, exact.Triples, exact.Subjects)
 	}
 	// The plan-cache key must move with the catalog: a stale catalog version
 	// would silently reuse pre-ingest join orders forever.
-	exactVer, err := catalogVersion(exact)
+	exactVer, err := ingest.CatalogVersion(exact)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.dsMu.RLock()
-	gotVer := s.catalogVersion
-	s.dsMu.RUnlock()
+	gotVer := view.CatalogVersion
 	if gotVer != exactVer {
 		t.Errorf("folded catalog version %s != exact rescan version %s", gotVer, exactVer)
 	}
@@ -425,26 +422,26 @@ func TestDistributedIngestLockstep(t *testing.T) {
 
 func TestUnversionableCatalogFailsFastAndRefusesIngest(t *testing.T) {
 	// Not parallel: the test swaps the package-level encode seam.
-	orig := encodeCatalog
-	defer func() { encodeCatalog = orig }()
+	orig := ingest.EncodeCatalog
+	defer func() { ingest.EncodeCatalog = orig }()
 
-	encodeCatalog = func(cat *plan.Catalog, w io.Writer) error { return fmt.Errorf("disk full") }
-	if _, err := New(Config{}, enginetest.BioGraph()); !errors.Is(err, ErrUnversionable) {
+	ingest.EncodeCatalog = func(cat *plan.Catalog, w io.Writer) error { return fmt.Errorf("disk full") }
+	if _, err := New(Config{}, enginetest.BioGraph()); !errors.Is(err, ingest.ErrUnversionable) {
 		t.Fatalf("New under failing encode = %v, want ErrUnversionable", err)
 	}
 
 	// A server built while the encode worked refuses to move the dataset
 	// forward once it stops working: the ingest fails typed and the served
 	// view stays at the pre-batch version.
-	encodeCatalog = orig
+	ingest.EncodeCatalog = orig
 	s := newTestServer(t, Config{})
 	verBefore := s.Snapshot().DatasetVersion
-	encodeCatalog = func(cat *plan.Catalog, w io.Writer) error { return fmt.Errorf("disk full") }
+	ingest.EncodeCatalog = func(cat *plan.Catalog, w io.Writer) error { return fmt.Errorf("disk full") }
 	_, err := s.Ingest(context.Background(), strings.NewReader(batchNT))
-	if !errors.Is(err, ErrUnversionable) {
+	if !errors.Is(err, ingest.ErrUnversionable) {
 		t.Fatalf("ingest under failing encode = %v, want ErrUnversionable", err)
 	}
-	encodeCatalog = orig
+	ingest.EncodeCatalog = orig
 	if got := s.Snapshot().DatasetVersion; got != verBefore {
 		t.Errorf("served dataset version moved to %s under an unversionable catalog", got)
 	}

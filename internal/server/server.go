@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,7 +15,6 @@ import (
 	"ntga/internal/hdfs"
 	"ntga/internal/ingest"
 	"ntga/internal/mapreduce"
-	"ntga/internal/plan"
 	"ntga/internal/query"
 	"ntga/internal/rdf"
 	"ntga/internal/trace"
@@ -147,28 +145,10 @@ type Server struct {
 	dfs  *hdfs.DFS
 	dict *rdf.Dict
 
-	// dsMu guards the mutable dataset view below: ingestion moves all of
-	// it atomically, and every query snapshots it once (dataset()) so one
-	// request sees one consistent (input, deltas, catalog, versions) set.
-	dsMu sync.RWMutex
-	// input is the DFS name of the base triple relation every query scans;
-	// deltas is the uncompacted delta chain overlaid on it.
-	input   string
-	deltas  []string
-	catalog *plan.Catalog
-	// catalogVersion keys the plan cache; datasetVersion keys the result
-	// cache. Both are content hashes, so any data change invalidates by
-	// key miss (ingest additionally re-keys retained result entries).
-	catalogVersion string
-	datasetVersion string
-	triples        int64
-
-	// store owns the versioned dataset manifest and the delta-block write
-	// path; catState is the mergeable catalog accumulator ingests fold
-	// into instead of rescanning. ingestMu serializes ingest/compact
-	// against each other (queries never take it).
-	store    *ingest.Store
-	catState *plan.CatalogState
+	// wh owns the versioned dataset: every query takes one View of it, and
+	// ingestMu serializes this server's ingest/compact sequences (master
+	// forward, local apply, cache upkeep) against each other.
+	wh       *ingest.Warehouse
 	ingestMu sync.Mutex
 
 	pool    *Pool
@@ -221,18 +201,10 @@ func New(cfg Config, g *rdf.Graph) (*Server, error) {
 		return nil, err
 	}
 	dfs := hdfs.New(hdfs.Config{Nodes: cfg.Nodes, Replication: cfg.Replication})
-	const input = "data/triples"
-	if err := engine.LoadGraph(dfs, input, g); err != nil {
-		return nil, fmt.Errorf("server: loading graph: %w", err)
-	}
-	store, err := ingest.Init(dfs, input, g)
+	// The server plans without a layout, so Open runs no MR job here.
+	wh, err := ingest.Open(mapreduce.NewEngine(dfs, mapreduce.EngineConfig{}), "data/triples", g, "", 0)
 	if err != nil {
-		return nil, fmt.Errorf("server: initializing dataset manifest: %w", err)
-	}
-	cat := plan.FromGraph(g)
-	catVer, err := catalogVersion(cat)
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("server: %w", err)
 	}
 	if cfg.Cluster != nil {
 		// Distributed mode: the master must be serving the exact dataset
@@ -244,9 +216,9 @@ func New(cfg Config, g *rdf.Graph) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: cluster handshake with %s: %w", cfg.Cluster.Addr(), err)
 		}
-		if st.DatasetVersion != datasetVersion(g) {
+		if version := wh.View().Version; st.DatasetVersion != version {
 			return nil, fmt.Errorf("server: cluster master %s serves dataset %s but -data hashes to %s; point both at the same file",
-				cfg.Cluster.Addr(), st.DatasetVersion, datasetVersion(g))
+				cfg.Cluster.Addr(), st.DatasetVersion, version)
 		}
 	}
 	var ctrl *admissionController
@@ -258,27 +230,21 @@ func New(cfg Config, g *rdf.Graph) (*Server, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:            cfg,
-		dfs:            dfs,
-		dict:           g.Dict,
-		input:          input,
-		catalog:        cat,
-		catalogVersion: catVer,
-		datasetVersion: datasetVersion(g),
-		triples:        int64(len(g.Triples)),
-		store:          store,
-		catState:       plan.StateFromGraph(g),
-		pool:           pool,
-		plans:          newPlanCache(),
-		results:        newResultCache(cfg.ResultCacheEntries),
-		sem:            make(chan struct{}, cfg.MaxInflight),
-		admission:      ctrl,
-		queueWaits:     newQueueWaits(),
-		jobs:           newJobRegistry(),
-		health:         newHealthTracker(),
-		baseCtx:        ctx,
-		stop:           cancel,
-		started:        time.Now(),
+		cfg:        cfg,
+		dfs:        dfs,
+		dict:       g.Dict,
+		wh:         wh,
+		pool:       pool,
+		plans:      newPlanCache(),
+		results:    newResultCache(cfg.ResultCacheEntries),
+		sem:        make(chan struct{}, cfg.MaxInflight),
+		admission:  ctrl,
+		queueWaits: newQueueWaits(),
+		jobs:       newJobRegistry(),
+		health:     newHealthTracker(),
+		baseCtx:    ctx,
+		stop:       cancel,
+		started:    time.Now(),
 	}
 	if cfg.Cluster != nil && cfg.ProbeEvery > 0 {
 		go s.prober(cfg.ProbeEvery)
@@ -303,61 +269,6 @@ func (s *Server) prober(every time.Duration) {
 
 // Close cancels every in-flight query's base context.
 func (s *Server) Close() { s.stop() }
-
-// datasetVersion content-hashes the loaded triples (IDs are stable for one
-// dictionary, which lives exactly as long as the loaded dataset). It is the
-// same hash a cluster master advertises, so ntga-serve -cluster can verify
-// the handshake.
-func datasetVersion(g *rdf.Graph) string { return g.Version() }
-
-// ErrUnversionable marks a statistics catalog that could not be rendered
-// into a content hash. Both caches key on the catalog version, so a server
-// cannot safely run without one: a silent shared sentinel (the old
-// "unversioned" fallback) would let two different catalogs collide on one
-// plan-cache key. New fails fast on it; the ingest path refuses to move the
-// dataset forward on it.
-var ErrUnversionable = errors.New("server: catalog version unavailable")
-
-// encodeCatalog is the catalog → bytes seam catalogVersion hashes through.
-// A package variable so tests can force the encode to fail; production
-// always points at plan.Catalog.Write.
-var encodeCatalog = func(cat *plan.Catalog, w io.Writer) error { return cat.Write(w) }
-
-// catalogVersion content-hashes the statistics catalog's JSON rendering.
-func catalogVersion(cat *plan.Catalog) (string, error) {
-	var sb strings.Builder
-	if err := encodeCatalog(cat, &sb); err != nil {
-		return "", fmt.Errorf("%w: %v", ErrUnversionable, err)
-	}
-	return fingerprint(sb.String()), nil
-}
-
-// datasetView is one query's consistent snapshot of the mutable dataset
-// state: everything evaluate needs travels together, so an ingest landing
-// mid-request can never mix an old catalog with a new delta chain.
-type datasetView struct {
-	input          string
-	deltas         []string
-	catalog        *plan.Catalog
-	catalogVersion string
-	datasetVersion string
-}
-
-// dataset snapshots the current dataset view. The delta slice is aliased,
-// never mutated in place: ingest swaps in a fresh slice under the write
-// lock, and the files a snapshot names are immutable (compaction retains
-// them), so an in-flight query finishes on its pinned version.
-func (s *Server) dataset() datasetView {
-	s.dsMu.RLock()
-	defer s.dsMu.RUnlock()
-	return datasetView{
-		input:          s.input,
-		deltas:         s.deltas,
-		catalog:        s.catalog,
-		catalogVersion: s.catalogVersion,
-		datasetVersion: s.datasetVersion,
-	}
-}
 
 // Request is one query submission (the POST /query body).
 type Request struct {
@@ -515,7 +426,7 @@ func (s *Server) evaluate(ctx context.Context, req Request) (*Response, error) {
 
 	// One consistent dataset snapshot per request: catalog, versions, base
 	// input, and delta chain all move together under ingestion.
-	ds := s.dataset()
+	ds := s.wh.View()
 
 	// Plan cache: choose the engine and join order once per (query, engine
 	// request, catalog version). The catalog is the request's snapshot, not
@@ -525,10 +436,10 @@ func (s *Server) evaluate(ctx context.Context, req Request) (*Response, error) {
 		engName = s.cfg.DefaultEngine
 	}
 	qfp := queryFingerprint(q)
-	planKey := fingerprint(qfp, engName, fmt.Sprint(req.PhiM), ds.catalogVersion)
+	planKey := fingerprint(qfp, engName, fmt.Sprint(req.PhiM), ds.CatalogVersion)
 	entry, planHit := s.plans.get(planKey)
 	if !planHit {
-		ch, _, r, err := engines.Choose(ds.catalog, q, engName, req.PhiM, s.cfg.Reducers, true)
+		ch, _, r, err := engines.Choose(ds.Catalog, q, engName, req.PhiM, s.cfg.Reducers, true)
 		if err != nil {
 			s.mFailed.Add(1)
 			return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
@@ -553,7 +464,7 @@ func (s *Server) evaluate(ctx context.Context, req Request) (*Response, error) {
 	// Result cache: a hit answers without touching the cluster at all —
 	// zero MR cycles, zero slot leases. The identity travels with the
 	// entry so ingest-time maintenance can re-key retained results.
-	resultKey := fingerprint(planKey, ds.datasetVersion)
+	resultKey := fingerprint(planKey, ds.Version)
 	cid := cacheIdentity{q: q, qfp: qfp, engine: engName, phiM: fmt.Sprint(req.PhiM)}
 	switch {
 	case s.results == nil:
@@ -624,7 +535,7 @@ func (s *Server) evaluate(ctx context.Context, req Request) (*Response, error) {
 // evaluateLocal runs the planned query on the in-process engine — the
 // local-mode execution path, and the byte-identical fallback a distributed
 // server degrades to when the fleet is unreachable.
-func (s *Server) evaluateLocal(ctx context.Context, req Request, q *query.Query, entry planEntry, resp *Response, ds datasetView, resultKey string, cid cacheIdentity, start time.Time) (*Response, error) {
+func (s *Server) evaluateLocal(ctx context.Context, req Request, q *query.Query, entry planEntry, resp *Response, ds ingest.View, resultKey string, cid cacheIdentity, start time.Time) (*Response, error) {
 	eng, err := entry.Apply(q)
 	if err != nil {
 		return nil, err
@@ -646,7 +557,7 @@ func (s *Server) evaluateLocal(ctx context.Context, req Request, q *query.Query,
 	// The snapshot's base and delta chain run together: uncompacted delta
 	// blocks are overlaid on every scan of the triple relation, with rows
 	// byte-identical to a from-scratch load of the merged dataset.
-	res, err := engine.Run(eng, mr, q, plan.Source{Base: ds.input, Deltas: ds.deltas})
+	res, err := engine.Run(eng, mr, q, ds.Source)
 	s.foldWorkflow(resp, &res.Workflow, req.Metrics)
 	// Only the request-private tracer is rendered: snapshotting a shared
 	// config tracer here would race with other queries' spans finishing.
@@ -872,9 +783,7 @@ type ClusterMetrics struct {
 
 // Snapshot assembles the current service metrics.
 func (s *Server) Snapshot() Metrics {
-	s.dsMu.RLock()
-	triples, dsVer, catVer, deltaBlocks := s.triples, s.datasetVersion, s.catalogVersion, len(s.deltas)
-	s.dsMu.RUnlock()
+	ds := s.wh.View()
 	m := Metrics{
 		UptimeMS:           time.Since(s.started).Milliseconds(),
 		Queries:            s.mQueries.Load(),
@@ -886,13 +795,13 @@ func (s *Server) Snapshot() Metrics {
 		MRCycles:           s.mCycles.Load(),
 		TempBytesReclaimed: s.mReclaimed.Load(),
 		TempFiles:          len(s.dfs.ListPrefix("_tmp/")),
-		Triples:            triples,
-		DatasetVersion:     dsVer,
-		CatalogVersion:     catVer,
+		Triples:            ds.Triples,
+		DatasetVersion:     ds.Version,
+		CatalogVersion:     ds.CatalogVersion,
 		Ingests:            s.mIngests.Load(),
 		IngestedTriples:    s.mIngestTriples.Load(),
 		Compactions:        s.mCompactions.Load(),
-		DeltaBlocks:        deltaBlocks,
+		DeltaBlocks:        len(ds.Source.Deltas),
 		CacheRetained:      s.mCacheRetained.Load(),
 		CacheEvicted:       s.mCacheEvicted.Load(),
 	}

@@ -319,10 +319,11 @@ func TestDatasetAndCatalogVersionsDiffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer big.Close()
-	if a.datasetVersion == big.datasetVersion {
+	av, bv := a.wh.View(), big.wh.View()
+	if av.Version == bv.Version {
 		t.Error("different datasets share a dataset version")
 	}
-	if a.catalogVersion == big.catalogVersion {
+	if av.CatalogVersion == bv.CatalogVersion {
 		t.Error("different datasets share a catalog version")
 	}
 }

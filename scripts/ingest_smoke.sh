@@ -2,7 +2,7 @@
 # ingest_smoke.sh — end-to-end smoke test of the incremental write path:
 # build the binaries, boot ntga-serve on a generated dataset, prime the
 # result cache with an affected and an unaffected query, POST a delta batch
-# through ntga-ingest, verify the unaffected entry survives (cache hit, zero
+# through ntga-run -server -ingest, verify the unaffected entry survives (cache hit, zero
 # MR cycles) while the affected query re-executes and sees the delta rows,
 # then fold the chain with delta-merge compaction and verify the servable
 # content is unchanged. Exits non-zero on any failed step.
@@ -20,7 +20,6 @@ trap cleanup EXIT INT TERM
 echo "== build"
 go build -o "$WORK/ntga-serve" ./cmd/ntga-serve
 go build -o "$WORK/ntga-run" ./cmd/ntga-run
-go build -o "$WORK/ntga-ingest" ./cmd/ntga-ingest
 go build -o "$WORK/ntga-datagen" ./cmd/ntga-datagen
 
 echo "== dataset"
@@ -61,7 +60,7 @@ cat >"$WORK/delta.nt" <<'EOF'
 <http://bio2rdf.example.org/smokegene> <http://bio2rdf.example.org/label> "smoke gene" .
 <http://bio2rdf.example.org/smokegene> <http://bio2rdf.example.org/type> <http://bio2rdf.example.org/Gene> .
 EOF
-"$WORK/ntga-ingest" -server "$ADDR" -file "$WORK/delta.nt"
+"$WORK/ntga-run" -server "$ADDR" -ingest "$WORK/delta.nt"
 
 METRICS="$(curl -sf "http://$ADDR/metrics")"
 echo "$METRICS" | grep -q '"ingests": *1' || {
@@ -104,7 +103,7 @@ echo "$MISS" | grep -q 'smoke gene' || {
 }
 
 echo "== compact the delta chain"
-"$WORK/ntga-ingest" -server "$ADDR" -compact
+"$WORK/ntga-run" -server "$ADDR" -compact
 METRICS="$(curl -sf "http://$ADDR/metrics")"
 echo "$METRICS" | grep -q '"compactions": *1' || {
     echo "metrics did not record the compaction: $METRICS" >&2
