@@ -20,9 +20,11 @@ all: build check test
 # server, so FuzzWireDecode also explores for ten seconds, and so does
 # FuzzCellsDecode over the hand-written decoders of the /query term table that
 # server.Client runs on every answer, FuzzParseTriple over the N-Triples
-# parser every /ingest line goes through, and FuzzParseSPARQL over the SPARQL
-# parser every /query body goes through (the plain test runs replay only
-# their seed corpora). The warehouse and catalog-scan tests run five times
+# parser every /ingest line goes through, FuzzParseSPARQL over the SPARQL
+# parser every /query body goes through, and FuzzShuffleOrder over the
+# prefix-sorted shuffle (arbitrary pairs through a tiny sort buffer, spills
+# and multi-pass merges, checked against bytes.Compare order; the plain test
+# runs replay only their seed corpora). The warehouse and catalog-scan tests run five times
 # over under -race: every query reads a warehouse view while Ingest and
 # Compact install new ones, and the catalog scan's retried attempts share one
 # mapper.
@@ -40,6 +42,7 @@ check:
 	go test -run '^$$' -fuzz '^FuzzCellsDecode$$' -fuzztime 10s ./internal/server/
 	go test -run '^$$' -fuzz '^FuzzParseTriple$$' -fuzztime 10s ./internal/rdf/
 	go test -run '^$$' -fuzz '^FuzzParseSPARQL$$' -fuzztime 10s ./internal/sparql/
+	go test -run '^$$' -fuzz '^FuzzShuffleOrder$$' -fuzztime 10s ./internal/mapreduce/
 	go test -race ./internal/ingest/
 	go test -race -count=5 -run 'Warehouse|Catalog.*Fault' ./internal/ingest/ ./internal/plan/
 	go test ./internal/plan/ ./internal/explain/
@@ -64,7 +67,8 @@ test-race:
 # A local convenience only: `go test ./...` (the `test` target and CI's Test
 # step) runs without -short and so already executes TestChaos* and TestFuzz*;
 # CI has no separate chaos step (its -fuzz runs, FuzzWireDecode,
-# FuzzCellsDecode, FuzzParseTriple and FuzzParseSPARQL, are in check).
+# FuzzCellsDecode, FuzzParseTriple, FuzzParseSPARQL and FuzzShuffleOrder, are
+# in check).
 chaos:
 	go test ./internal/integration -run TestChaos -count=1 -timeout 15m
 

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // ErrDiskFull is returned (wrapped) when a write cannot place a block
@@ -136,6 +137,7 @@ type DFS struct {
 	dead          []bool // per-node liveness (KillNode)
 	nodesKilled   int
 	metrics       Metrics
+	spillRead     atomic.Int64 // Metrics.SpillBytesRead, charged without mu
 }
 
 // New creates a cluster per cfg.
@@ -161,7 +163,9 @@ func (d *DFS) Config() Config { return d.cfg }
 func (d *DFS) Metrics() Metrics {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.metrics
+	m := d.metrics
+	m.SpillBytesRead = d.spillRead.Load()
+	return m
 }
 
 // ResetMetrics zeroes the cumulative counters (stored data is unaffected).
@@ -169,6 +173,7 @@ func (d *DFS) ResetMetrics() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.metrics = Metrics{}
+	d.spillRead.Store(0)
 }
 
 // Used reports total bytes currently stored across all nodes (physical,
@@ -413,7 +418,7 @@ func (d *DFS) KillNode(n int) (lostSpillBytes int64, ok bool) {
 		if st.node != n || st.released {
 			continue
 		}
-		st.lost = true
+		st.lost.Store(true)
 		st.released = true
 		d.spillUsed[n] -= st.charged
 		d.metrics.SpillFilesReleased++

@@ -3,6 +3,7 @@ package hdfs
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // Node-local spill disk. Hadoop map tasks spill sorted runs of intermediate
@@ -22,12 +23,13 @@ import (
 
 // spillState is the accounting record shared by a SpillWriter and the
 // Spill it seals into, tracked in the DFS spill registry so KillNode can
-// find and invalidate every live spill on a dying node. Guarded by DFS.mu.
+// find and invalidate every live spill on a dying node. Guarded by DFS.mu,
+// except lost, which readers of a sealed run poll per record without it.
 type spillState struct {
 	node     int
-	charged  int64 // bytes currently held against the node's spill disk
-	lost     bool  // node died while the spill was live
-	released bool  // bytes already freed (Release, Abort, or node death)
+	charged  int64       // bytes currently held against the node's spill disk
+	lost     atomic.Bool // node died while the spill was live
+	released bool        // bytes already freed (Release, Abort, or node death)
 }
 
 // SpillWriter accumulates one spill file on a node's local disk, charging
@@ -73,8 +75,9 @@ func (d *DFS) CreateSpillOn(node int) *SpillWriter {
 }
 
 func (d *DFS) createSpillLocked(node int) *SpillWriter {
-	st := &spillState{node: node, lost: d.dead[node]}
-	if !st.lost {
+	st := &spillState{node: node}
+	st.lost.Store(d.dead[node])
+	if !d.dead[node] {
 		d.spillReg[st] = struct{}{}
 	} else {
 		st.released = true
@@ -92,7 +95,7 @@ func (w *SpillWriter) Write(p []byte) (int, error) {
 	}
 	w.d.mu.Lock()
 	defer w.d.mu.Unlock()
-	if w.st.lost {
+	if w.st.lost.Load() {
 		return 0, fmt.Errorf("%w: spill write on dead node %d", ErrNodeLost, w.st.node)
 	}
 	if cap := w.d.cfg.LocalSpillPerNode; cap != 0 && w.d.spillUsed[w.st.node]+int64(len(p)) > cap {
@@ -148,12 +151,9 @@ func (s *Spill) Size() int64 { return int64(len(s.data)) }
 func (s *Spill) Node() int { return s.st.node }
 
 // Lost reports whether the spill's node has been killed — its data is gone
-// and readers must treat the run as unavailable (ErrNodeLost).
-func (s *Spill) Lost() bool {
-	s.d.mu.Lock()
-	defer s.d.mu.Unlock()
-	return s.st.lost
-}
+// and readers must treat the run as unavailable (ErrNodeLost). It takes no
+// lock, so a merge may ask before every record it decodes.
+func (s *Spill) Lost() bool { return s.st.lost.Load() }
 
 // Slice returns a view of the spill's bytes without charging any read
 // accounting; pair it with ChargeRead as the view is actually consumed.
@@ -163,12 +163,9 @@ func (s *Spill) Slice(off, n int) []byte { return s.data[off : off+n] }
 
 // ChargeRead adds consumed bytes to the spill read counters — callers
 // decoding a Slice charge exactly what they decode, keeping spill read
-// accounting as incremental as FileReader's.
-func (s *Spill) ChargeRead(n int64) {
-	s.d.mu.Lock()
-	s.d.metrics.SpillBytesRead += n
-	s.d.mu.Unlock()
-}
+// accounting as incremental as FileReader's. The count is an atomic that
+// Metrics folds in, so charging takes no lock.
+func (s *Spill) ChargeRead(n int64) { s.d.spillRead.Add(n) }
 
 // Release frees the spill file's local-disk bytes. Releasing twice — or
 // releasing a spill whose node already died (the death freed it) — is a

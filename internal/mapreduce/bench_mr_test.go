@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -149,7 +150,8 @@ func BenchmarkSpill_64KB(b *testing.B)      { benchmarkSpill(b, 64<<10) }
 func BenchmarkSpill_16KB(b *testing.B)      { benchmarkSpill(b, 16<<10) }
 func BenchmarkSpill_4KB(b *testing.B)       { benchmarkSpill(b, 4<<10) }
 
-// BenchmarkSortKVs isolates the shuffle sort.
+// BenchmarkSortKVs isolates the shuffle sort over 200k distinct random
+// 8-byte keys.
 func BenchmarkSortKVs(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	base := make([]KV, 200000)
@@ -160,11 +162,51 @@ func BenchmarkSortKVs(b *testing.B) {
 		rng.Read(v)
 		base[i] = KV{k, v}
 	}
+	var s kvSorter
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cp := make([]KV, len(base))
 		copy(cp, base)
-		sortKVs(cp)
+		s.sort(cp)
 	}
+}
+
+// BenchmarkSortKVsShuffleShaped sorts segments shaped like the NTGA
+// grouping shuffle: uvarint subject keys of 1–3 bytes with about eight
+// (property, object) values each, in arrival order. 600 pairs is about one
+// partition's share of a spill, 5,000 a large final segment.
+func BenchmarkSortKVsShuffleShaped(b *testing.B) {
+	for _, n := range []int{600, 5000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			base := shuffleShapedKVs(n)
+			cp := make([]KV, n)
+			var s kvSorter
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(cp, base)
+				s.sort(cp)
+			}
+		})
+	}
+}
+
+// shuffleShapedKVs builds n pairs over about n/8 subjects whose IDs encode
+// as 1-, 2- or 3-byte uvarints; each value is a uvarint property from a
+// small vocabulary followed by a uvarint object.
+func shuffleShapedKVs(n int) []KV {
+	rng := rand.New(rand.NewSource(5))
+	subjects := make([][]byte, max(1, n/8))
+	for i := range subjects {
+		width := 7 * (1 + rng.Intn(3))
+		subjects[i] = binary.AppendUvarint(nil, uint64(1<<(width-7)+rng.Intn(1<<width-1<<(width-7))))
+	}
+	kvs := make([]KV, n)
+	for i := range kvs {
+		v := binary.AppendUvarint(nil, uint64(rng.Intn(40)))
+		v = binary.AppendUvarint(v, uint64(rng.Intn(1<<20)))
+		kvs[i] = KV{subjects[rng.Intn(len(subjects))], v}
+	}
+	return kvs
 }

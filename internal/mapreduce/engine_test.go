@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -464,6 +465,10 @@ func TestHashPartitionerInRange(t *testing.T) {
 }
 
 func TestCompareBytes(t *testing.T) {
+	// The shuffle comparator (key prefix first, compareTied on a tie) must
+	// agree with bytewise order on keys and, under equal keys, on values —
+	// including keys that cross the 8-byte prefix and keys that differ only
+	// by trailing zeros, which share a prefix.
 	cases := []struct {
 		a, b string
 		want int
@@ -471,12 +476,40 @@ func TestCompareBytes(t *testing.T) {
 		{"", "", 0}, {"a", "", 1}, {"", "a", -1},
 		{"abc", "abd", -1}, {"abd", "abc", 1}, {"abc", "abc", 0},
 		{"ab", "abc", -1}, {"abc", "ab", 1},
+		{"ab", "ab\x00", -1}, {"ab\x00", "ab", 1}, {"", "\x00", -1},
+		{"abcdefgh", "abcdefgh", 0}, {"abcdefgh", "abcdefgi", -1},
+		{"abcdefgh", "abcdefghi", -1}, {"abcdefghi", "abcdefgh", 1},
+		{"abcdefgh", "abcdefgh\x00", -1}, {"abcdefghi", "abcdefghj", -1},
+		{"abcdefghj", "abcdefghi", 1}, {"abcdefghi", "abcdefghi", 0},
+		{"abcdefgi", "abcdefghz", 1}, {"\xff\xff\xff\xff\xff\xff\xff\xff", "\xff\xff\xff\xff\xff\xff\xff\xff\x00", -1},
 	}
 	for _, c := range cases {
-		if got := compareBytes([]byte(c.a), []byte(c.b)); got != c.want {
-			t.Errorf("compareBytes(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
+		a, b := []byte(c.a), []byte(c.b)
+		for _, pair := range [][2]KV{
+			{{a, nil}, {b, nil}},                 // keys
+			{{[]byte("k"), a}, {[]byte("k"), b}}, // values under a short key
+			{{stem9, a}, {stem9, b}},             // values under a long key
+		} {
+			if got := shuffleCompare(pair[0], pair[1]); got != c.want {
+				t.Errorf("%q vs %q: compare = %d, want %d", pair[0], pair[1], got, c.want)
+			}
+		}
+		if got := bytes.Compare(a, b); got != c.want {
+			t.Errorf("bytes.Compare(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
+}
+
+var stem9 = []byte("stemstem9")
+
+// shuffleCompare orders two pairs the way the sort buffer and the merge heap
+// do: by key prefix, then compareTied on a tie.
+func shuffleCompare(x, y KV) int {
+	px, py := keyPrefix(x.Key), keyPrefix(y.Key)
+	if px != py {
+		return cmp.Compare(px, py)
+	}
+	return cmp.Compare(compareTied(px, &x, &y), 0)
 }
 
 func TestMultipleOutputs(t *testing.T) {
@@ -674,39 +707,60 @@ func TestReduceSkewMetric(t *testing.T) {
 }
 
 func TestSortKVsProperties(t *testing.T) {
-	// Property: sortKVs yields a non-decreasing (key, value) sequence and
-	// preserves the multiset of pairs.
+	// Property: the prefix sort yields exactly the order of a stable sort
+	// by bytes.Compare on (key, value), on keys that straddle the 8-byte
+	// prefix, share long prefixes and tie on zero padding.
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(200)
-		kvs := make([]KV, n)
-		count := map[string]int{}
-		for i := range kvs {
-			k := make([]byte, rng.Intn(6))
-			v := make([]byte, rng.Intn(6))
-			rng.Read(k)
-			rng.Read(v)
-			kvs[i] = KV{k, v}
-			count[string(k)+"\x00"+string(v)]++
-		}
-		sortKVs(kvs)
-		for i := 1; i < len(kvs); i++ {
-			c := compareBytes(kvs[i-1].Key, kvs[i].Key)
-			if c > 0 || (c == 0 && compareBytes(kvs[i-1].Value, kvs[i].Value) > 0) {
-				return false
-			}
-		}
-		for _, p := range kvs {
-			count[string(p.Key)+"\x00"+string(p.Value)]--
-		}
-		for _, c := range count {
-			if c != 0 {
-				return false
-			}
-		}
-		return true
+		kvs := boundaryKVs(rand.New(rand.NewSource(seed)), 300)
+		want := append([]KV(nil), kvs...)
+		sort.SliceStable(want, func(i, j int) bool { return compareKV(&want[i], &want[j]) < 0 })
+		var s kvSorter
+		s.sort(kvs)
+		return sameKVs(kvs, want)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// boundaryKVs draws up to n pairs whose keys and values are 0–20 bytes over
+// the alphabet {0x00, 0x01}, cut from one shared stem so that long common
+// prefixes are the rule, plus the pairs a prefix comparator can get wrong:
+// empty keys and values, keys of exactly 8 and 9 bytes, and short keys that
+// differ only by a trailing zero.
+func boundaryKVs(rng *rand.Rand, n int) []KV {
+	stem := make([]byte, 20)
+	for i := range stem {
+		stem[i] = byte(rng.Intn(2))
+	}
+	draw := func() []byte {
+		b := append([]byte(nil), stem[:rng.Intn(len(stem)+1)]...)
+		if len(b) > 0 && rng.Intn(2) == 0 {
+			b[len(b)-1-rng.Intn(min(len(b), 4))] ^= 1
+		}
+		return b
+	}
+	kvs := []KV{
+		{[]byte{}, []byte{}}, {[]byte{}, []byte{0}}, {[]byte{0}, []byte{}},
+		{[]byte("ab"), []byte("v")}, {[]byte("ab\x00"), []byte("v")}, {[]byte("ab\x00\x00"), []byte{}},
+		{stem[:8], draw()}, {stem[:9], draw()}, {append(stem[:8:8], 0), draw()},
+	}
+	for len(kvs) < n && rng.Intn(n) != 0 {
+		kvs = append(kvs, KV{draw(), draw()})
+	}
+	rng.Shuffle(len(kvs), func(i, j int) { kvs[i], kvs[j] = kvs[j], kvs[i] })
+	return kvs
+}
+
+// sameKVs reports whether two pair sequences are byte-identical.
+func sameKVs(got, want []KV) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if !bytes.Equal(got[i].Key, want[i].Key) || !bytes.Equal(got[i].Value, want[i].Value) {
+			return false
+		}
+	}
+	return true
 }

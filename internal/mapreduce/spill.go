@@ -1,8 +1,11 @@
 package mapreduce
 
 import (
+	"bytes"
 	"fmt"
+	"sync"
 	"time"
+	"unsafe"
 
 	"ntga/internal/chunk"
 	"ntga/internal/codec"
@@ -54,9 +57,10 @@ type taskEmitter struct {
 	buffered     int64 // bytes currently in parts
 	peakBuffered int64
 	// slab is the chunk Emit is copying pairs into; a full chunk lives on
-	// through the pairs that point into it. enc frames spill records.
-	slab []byte
-	enc  codec.Buffer
+	// through the pairs that point into it. scratch is taken from
+	// scratchPool when the attempt starts and returned by seal.
+	slab    []byte
+	scratch *sortScratch
 
 	// Map-output counters are pre-combine (Hadoop's "Map output records"),
 	// spill counters post-combine ("Spilled Records").
@@ -74,6 +78,30 @@ type taskEmitter struct {
 	// recorded profiles as spill phases on the map task's span.
 	traced bool
 	spills []spillProfile
+}
+
+// sortScratch is a map attempt's sort and spill working memory: the
+// sorter's entry arrays and the buffer a spill frames each partition segment
+// in. Between sorts it holds nothing of the attempt's pairs, so a sealed
+// attempt hands it on to the next through scratchPool, and a steady stream
+// of tasks grows it once.
+type sortScratch struct {
+	sorter kvSorter
+	enc    codec.Buffer
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(sortScratch) }}
+
+// maxPooledScratch bounds the bytes a pooled sortScratch may hold on to, so
+// one huge segment cannot pin its arrays for the rest of the process.
+const maxPooledScratch = 1 << 20
+
+// release returns s to the pool, or drops it if it outgrew the bound.
+func (s *sortScratch) release() {
+	const entry = int(unsafe.Sizeof(sortEntry{}))
+	if entry*(cap(s.sorter.ents)+cap(s.sorter.tmp))+cap(s.enc.Bytes()) <= maxPooledScratch {
+		scratchPool.Put(s)
+	}
 }
 
 // spillProfile is the timing/IO record of one buffer spill, kept so the
@@ -96,7 +124,8 @@ func newTaskEmitter(dfs *hdfs.DFS, job *Job, nReducers int, budget int64, node i
 		dfs: dfs, partitioner: p, nReducers: nReducers,
 		combiner: job.Combiner, budget: budget, node: node,
 		cp: h.Checkpoint, traced: h.Span != nil,
-		parts: make([][]KV, nReducers),
+		parts:   make([][]KV, nReducers),
+		scratch: scratchPool.Get().(*sortScratch),
 	}
 }
 
@@ -145,7 +174,7 @@ func (t *taskEmitter) combine(part []KV) ([]KV, error) {
 	combined := make([]KV, 0, len(part))
 	for i := 0; i < len(part); {
 		j := i + 1
-		for j < len(part) && compareBytes(part[j].Key, part[i].Key) == 0 {
+		for j < len(part) && bytes.Equal(part[j].Key, part[i].Key) {
 			j++
 		}
 		values := make([][]byte, 0, j-i)
@@ -163,12 +192,13 @@ func (t *taskEmitter) combine(part []KV) ([]KV, error) {
 	}
 	// Combiner output order within a key is the combiner's business; re-sort
 	// so segments stay (key, value)-ordered for the merge.
-	sortKVs(combined)
+	t.scratch.sorter.sort(combined)
 	return combined, nil
 }
 
 // spillBuffer sorts, combines, and writes every buffered partition as one
-// run on node-local disk, then resets the buffer.
+// run on node-local disk, then resets the buffer. Each partition's segment
+// is framed whole and written with one call.
 func (t *taskEmitter) spillBuffer() error {
 	if t.buffered == 0 {
 		return nil
@@ -188,18 +218,20 @@ func (t *taskEmitter) spillBuffer() error {
 	run := &spillRun{segs: make([]runSeg, t.nReducers)}
 	off := 0
 	for p := range t.parts {
-		sortKVs(t.parts[p])
+		t.scratch.sorter.sort(t.parts[p])
 		part, err := t.combine(t.parts[p])
 		if err != nil {
 			w.Abort()
 			return err
 		}
 		start := off
-		for _, pair := range part {
-			t.enc.Reset()
-			t.enc.PutBytes(pair.Key)
-			t.enc.PutBytes(pair.Value)
-			n, err := w.Write(t.enc.Bytes())
+		if len(part) > 0 {
+			t.scratch.enc.Reset()
+			for _, pair := range part {
+				t.scratch.enc.PutBytes(pair.Key)
+				t.scratch.enc.PutBytes(pair.Value)
+			}
+			n, err := w.Write(t.scratch.enc.Bytes())
 			if err != nil {
 				w.Abort()
 				return err
@@ -230,7 +262,7 @@ func (t *taskEmitter) spillBuffer() error {
 // merges t.parts with t.runs.
 func (t *taskEmitter) seal() error {
 	for p := range t.parts {
-		sortKVs(t.parts[p])
+		t.scratch.sorter.sort(t.parts[p])
 		part, err := t.combine(t.parts[p])
 		if err != nil {
 			return err
@@ -238,6 +270,8 @@ func (t *taskEmitter) seal() error {
 		t.parts[p] = part
 	}
 	t.sealed = true
+	t.scratch.release()
+	t.scratch = nil
 	return nil
 }
 
@@ -324,9 +358,12 @@ type mergeIter struct {
 	h []mergeItem
 }
 
+// mergeItem is one source in the heap: its head pair and the head key's
+// prefix, which decides most heap comparisons without reading the key.
 type mergeItem struct {
-	head KV
-	src  kvSource
+	head   KV
+	prefix uint64
+	src    kvSource
 }
 
 func newMergeIter(sources []kvSource) (*mergeIter, error) {
@@ -337,7 +374,7 @@ func newMergeIter(sources []kvSource) (*mergeIter, error) {
 			return nil, err
 		}
 		if ok {
-			m.h = append(m.h, mergeItem{p, s})
+			m.h = append(m.h, mergeItem{p, keyPrefix(p.Key), s})
 		}
 	}
 	for i := len(m.h)/2 - 1; i >= 0; i-- {
@@ -347,11 +384,11 @@ func newMergeIter(sources []kvSource) (*mergeIter, error) {
 }
 
 func (m *mergeIter) less(a, b int) bool {
-	c := compareBytes(m.h[a].head.Key, m.h[b].head.Key)
-	if c != 0 {
-		return c < 0
+	x, y := &m.h[a], &m.h[b]
+	if x.prefix != y.prefix {
+		return x.prefix < y.prefix
 	}
-	return compareBytes(m.h[a].head.Value, m.h[b].head.Value) < 0
+	return compareTied(x.prefix, &x.head, &y.head) < 0
 }
 
 func (m *mergeIter) down(i int) {
@@ -382,7 +419,7 @@ func (m *mergeIter) next() (KV, bool, error) {
 		return KV{}, false, err
 	}
 	if ok {
-		m.h[0].head = p
+		m.h[0].head, m.h[0].prefix = p, keyPrefix(p.Key)
 	} else {
 		m.h[0] = m.h[len(m.h)-1]
 		m.h = m.h[:len(m.h)-1]
@@ -446,7 +483,7 @@ func (v *groupValues) Next() ([]byte, bool, error) {
 	g.cur = p
 	g.pairs++
 	g.bytes += int64(len(p.Key) + len(p.Value))
-	if compareBytes(p.Key, v.key) != 0 {
+	if !bytes.Equal(p.Key, v.key) {
 		v.done = true
 		return nil, false, nil
 	}

@@ -24,7 +24,13 @@
 // budget, the buffer is sorted, pre-folded by the job's optional Combiner,
 // and spilled as a sorted codec-framed run to node-local disk; at reduce
 // time the runs of each partition are merge-sorted MergeFactor at a time
-// (multi-pass when there are many runs — see JobMetrics.MergePasses).
+// (multi-pass when there are many runs — see JobMetrics.MergePasses). The
+// order is (key, value) by bytes.Compare. Both the sort and the merge decide
+// it on 8-byte key prefixes kept in memory beside the pairs, and read the
+// pairs' bytes only when two prefixes tie: the sort radix-sorts a
+// pointer-free array of (prefix, index) entries and then moves each pair
+// once. The prefixes are never spilled, shuffled or charged to the budget,
+// which counts key and value bytes only.
 // Reducers that implement StreamReducer consume each group's values through
 // a ValueIter fed straight from the merge, so neither the map output nor a
 // reduce group need ever be resident in memory; slice Reducers are adapted
@@ -34,10 +40,7 @@
 // are byte-identical either way.
 package mapreduce
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Counters is one task attempt's named counts: operator-defined accounting
 // such as triplegroups unnested. An operator adds to them through the
@@ -385,39 +388,4 @@ func (j *Job) taskMapper(task int, side [][]byte) (MapOnlyMapper, error) {
 // segments, one per reduce partition.
 type KV struct {
 	Key, Value []byte
-}
-
-// sortKVs orders pairs by key then value, giving deterministic reduce input
-// regardless of map-task scheduling.
-func sortKVs(kvs []KV) {
-	sort.Slice(kvs, func(i, j int) bool {
-		c := compareBytes(kvs[i].Key, kvs[j].Key)
-		if c != 0 {
-			return c < 0
-		}
-		return compareBytes(kvs[i].Value, kvs[j].Value) < 0
-	})
-}
-
-func compareBytes(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	default:
-		return 0
-	}
 }
