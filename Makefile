@@ -107,8 +107,10 @@ ingest-smoke:
 
 # End-to-end distributed smoke test: boot ntga-master + two ntga-worker
 # processes over RPC, run a query through ntga-run -cluster, kill -9 one
-# worker mid-run, and assert both runs print output byte-identical to a
-# local ntga-run over the same data.
+# worker mid-run, then boot ntga-serve -workers (the daemon hosting the
+# master) + one ntga-worker and query it through ntga-run -server; assert
+# every run prints output byte-identical to a local ntga-run over the same
+# data.
 dist-smoke:
 	sh scripts/dist_smoke.sh
 

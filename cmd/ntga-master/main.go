@@ -1,7 +1,8 @@
 // Command ntga-master runs the distributed-mode coordinator: it loads an
 // N-Triples file into the master-resident simulated DFS, then serves the
 // cluster RPC endpoint that ntga-worker processes register against and
-// that ntga-run -cluster / ntga-serve -cluster submit queries to.
+// that ntga-run -cluster submits queries to. (ntga-serve -workers hosts the
+// same master inside the query daemon.)
 //
 // Usage:
 //

@@ -571,13 +571,18 @@ func writeTrace(path string, tr *trace.Tracer) error {
 }
 
 // checkHealth probes a running daemon's /healthz and fails if it is
-// unreachable or unhealthy (the serve-smoke harness's readiness gate).
+// unreachable or unhealthy (the smoke harnesses' readiness gate). A daemon
+// hosting the master also reports its alive and registered workers.
 func checkHealth(w io.Writer, addr string) error {
 	h, err := server.NewClient(addr).Health(context.Background())
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "ok triples=%d dataset=%s uptime=%dms\n", h.Triples, h.DatasetVersion, h.UptimeMS)
+	fmt.Fprintf(w, "ok triples=%d dataset=%s uptime=%dms", h.Triples, h.DatasetVersion, h.UptimeMS)
+	if h.Mode == "distributed" {
+		fmt.Fprintf(w, " workers=%d/%d", h.WorkersAlive, h.WorkersRegistered)
+	}
+	fmt.Fprintln(w)
 	return nil
 }
 

@@ -10,18 +10,16 @@ import (
 
 // ErrMasterLost marks a front-end call that could not reach the master (or
 // lost it mid-call): the cluster substrate is unavailable, not the query
-// wrong. It wraps mapreduce.ErrClusterUnavailable so servers can match the
-// whole family with errors.Is and degrade — 503 the request, or fall back
-// to local execution — instead of reporting a query failure.
+// wrong. It wraps mapreduce.ErrClusterUnavailable so callers can match the
+// whole family with errors.Is.
 var ErrMasterLost = fmt.Errorf("cluster: master lost: %w", mapreduce.ErrClusterUnavailable)
 
 // Client is a front-end connection to a master: query submission and
-// cluster status, used by ntga-run -cluster and ntga-serve -cluster. The
+// cluster status, used by ntga-run -cluster. The
 // underlying connection re-dials lazily, so a client outlives master
 // restarts and healed partitions.
 type Client struct {
-	rc   *rclient
-	addr string
+	rc *rclient
 }
 
 // Dial connects to the master at addr (nil transport defaults to TCP).
@@ -41,11 +39,8 @@ func DialRetry(tr Transport, addr string, pol RetryPolicy) (*Client, error) {
 	if _, err := rc.conn(); err != nil {
 		return nil, err
 	}
-	return &Client{rc: rc, addr: addr}, nil
+	return &Client{rc: rc}, nil
 }
-
-// Addr is the master address this client dialed.
-func (c *Client) Addr() string { return c.addr }
 
 // Stats reports the transport-recovery counters this client has absorbed:
 // retried calls and re-dials after connection loss.
@@ -54,8 +49,7 @@ func (c *Client) Stats() (retries, redials int64) { return c.rc.Stats() }
 // Run submits a query and waits for the result. Submission is never
 // replayed blindly — a query is not idempotent from out here (the master
 // would run it twice) — so a broken wire before or during the call maps to
-// ErrMasterLost and the caller decides (the serve layer turns it into 503 +
-// Retry-After, or a local fallback). A cancelled context abandons the wait
+// ErrMasterLost and the caller decides. A cancelled context abandons the wait
 // client-side; the master also enforces args.TimeoutMS on its own clock, so
 // pass the deadline there to stop the actual work.
 func (c *Client) Run(ctx context.Context, args *RunArgs) (*RunReply, error) {
@@ -101,7 +95,7 @@ func (c *Client) Compact(ctx context.Context) (*ingest.CompactResult, error) {
 
 // Status fetches the master's cluster snapshot, retrying transient
 // transport failures (status is idempotent). Exhausted retries map to
-// ErrMasterLost — the health prober's "down" signal.
+// ErrMasterLost.
 func (c *Client) Status(ctx context.Context) (*StatusReply, error) {
 	reply := new(StatusReply)
 	if err := c.rc.Call(ctx, "Master.Status", &StatusArgs{}, reply); err != nil {

@@ -2,11 +2,13 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
 	"io"
 	"net"
 	"net/rpc"
+	"slices"
 	"sync"
 	"time"
 
@@ -15,6 +17,7 @@ import (
 	"ntga/internal/hdfs"
 	"ntga/internal/ingest"
 	"ntga/internal/mapreduce"
+	"ntga/internal/plan"
 	"ntga/internal/query"
 	"ntga/internal/rdf"
 	"ntga/internal/trace"
@@ -208,16 +211,11 @@ type Master struct {
 	input string
 
 	// wh owns the versioned dataset: every query plans from one View of
-	// it, and the master's own jobs (layout load, compaction) run on the
-	// in-process engine mr — no worker takes part. lineage remembers every dataset version this master has ever
-	// served (boot plus each ingest), so a worker returning from a
-	// partition that missed some ingests can still prove it holds a prefix
-	// of this dataset. ingestMu orders an ingest against Register and Sync,
-	// which read the dictionary and the version together.
-	wh       *ingest.Warehouse
-	mr       *mapreduce.Engine
-	lineage  map[string]bool
-	ingestMu sync.Mutex
+	// it, Register and Sync read the dictionary and its version from it in
+	// one step, and the master's own jobs (layout load, compaction) run on
+	// the in-process engine mr — no worker takes part.
+	wh *ingest.Warehouse
+	mr *mapreduce.Engine
 
 	ln     net.Listener
 	conns  *connSet
@@ -260,7 +258,6 @@ func NewMaster(cfg MasterConfig, g *rdf.Graph) (*Master, error) {
 		input:   input,
 		wh:      wh,
 		mr:      mr,
-		lineage: map[string]bool{g.Version(): true},
 		ctx:     ctx,
 		cancel:  cancel,
 		workers: make(map[int]*workerState),
@@ -306,6 +303,10 @@ func (m *Master) Close() {
 
 // DFS exposes the master-resident file system (status/metrics surfaces).
 func (m *Master) DFS() *hdfs.DFS { return m.dfs }
+
+// Warehouse exposes the master's dataset, so a server hosting the master
+// plans, caches, ingests and compacts over the one copy the fleet reads.
+func (m *Master) Warehouse() *ingest.Warehouse { return m.wh }
 
 func (m *Master) sweeper() {
 	t := time.NewTicker(m.cfg.SweepEvery)
@@ -420,19 +421,13 @@ type masterRPC struct {
 
 func (r *masterRPC) Register(args *RegisterArgs, reply *RegisterReply) error {
 	m := r.m
-	// ingestMu keeps (lineage, terms, version) consistent: an ingest
-	// extends the dictionary, moves the version and records it in the
-	// lineage under the same lock.
-	m.ingestMu.Lock()
-	defer m.ingestMu.Unlock()
-	m.mu.Lock()
-	if args.KnownVersion != "" && !m.lineage[args.KnownVersion] {
+	if args.KnownVersion != "" && !m.wh.Served(args.KnownVersion) {
 		// The worker's dictionary was built against a dataset this master
 		// has never served — not even as an ancestor version. Its IDs would
 		// silently mean different terms; refuse loudly.
-		m.mu.Unlock()
 		return fmt.Errorf("cluster: worker holds dataset %s, which is not in this master's version lineage (different dataset)", args.KnownVersion)
 	}
+	m.mu.Lock()
 	var w *workerState
 	if args.PrevWorker != 0 {
 		m.reregistrations++
@@ -470,14 +465,8 @@ func (r *masterRPC) Register(args *RegisterArgs, reply *RegisterReply) error {
 	}
 	m.mu.Unlock()
 
-	terms := make([]rdf.Term, 0, m.dict.Len())
-	m.dict.Range(func(_ rdf.ID, t rdf.Term) bool {
-		terms = append(terms, t)
-		return true
-	})
 	reply.Worker = w.id
-	reply.Terms = terms
-	reply.DatasetVersion = m.wh.View().Version
+	reply.Terms, reply.DatasetVersion = m.wh.Terms(0)
 	reply.Input = m.input
 	reply.HeartbeatEvery = m.cfg.HeartbeatEvery
 	reply.LeaseEvery = m.cfg.LeaseEvery
@@ -515,24 +504,12 @@ func (r *masterRPC) Heartbeat(args *HeartbeatArgs, reply *HeartbeatReply) error 
 	return nil
 }
 
-// Sync ships the dictionary terms from index Have onward plus the current
+// Sync ships the dictionary terms from index Have onward plus their
 // dataset version — how a worker catches up after ingests minted terms it
-// has never seen. ingestMu keeps (terms, version) consistent against a
-// concurrent ingest, exactly as in Register.
+// has never seen. Warehouse.Terms reads both in one step, as in Register.
 func (r *masterRPC) Sync(args *SyncArgs, reply *SyncReply) error {
-	m := r.m
-	m.ingestMu.Lock()
-	defer m.ingestMu.Unlock()
-	i := 0
-	m.dict.Range(func(_ rdf.ID, t rdf.Term) bool {
-		if i >= args.Have {
-			reply.Terms = append(reply.Terms, t)
-		}
-		i++
-		return true
-	})
+	reply.Terms, reply.DatasetVersion = r.m.wh.Terms(args.Have)
 	reply.From = args.Have
-	reply.DatasetVersion = m.wh.View().Version
 	return nil
 }
 
@@ -560,15 +537,10 @@ func (r *masterRPC) Compact(args *CompactArgs, reply *CompactReply) error {
 // Master.Sync at plan-rebuild time; nothing is pushed — delta blocks live
 // on the master's DFS, which workers already read splits through.
 func (m *Master) Ingest(r io.Reader) (*IngestReply, error) {
-	m.ingestMu.Lock()
-	defer m.ingestMu.Unlock()
 	res, err := m.wh.Ingest(r)
 	if err != nil {
 		return nil, err
 	}
-	m.mu.Lock()
-	m.lineage[res.Version] = true
-	m.mu.Unlock()
 	return &IngestReply{
 		Triples:        len(res.Triples),
 		Seq:            res.Seq,
@@ -936,13 +908,7 @@ func (m *Master) Status() StatusReply {
 			TasksFailed:     w.tasksFailed,
 		})
 	}
-	for i := range st.Workers {
-		for j := i + 1; j < len(st.Workers); j++ {
-			if st.Workers[j].ID < st.Workers[i].ID {
-				st.Workers[i], st.Workers[j] = st.Workers[j], st.Workers[i]
-			}
-		}
-	}
+	slices.SortFunc(st.Workers, func(a, b WorkerStatus) int { return cmp.Compare(a.ID, b.ID) })
 	return st
 }
 
@@ -1116,11 +1082,8 @@ func (m *Master) dropJob(js *jobState) {
 	}
 }
 
-// RunQuery compiles, plans, and executes one query across the cluster: the
-// master's own MR engine runs the full workflow with the remoteCluster
-// JobRunner plugged into the seam, so planning, plan-IR lowering, output
-// decoding, and metrics work exactly as a local run — only task execution
-// moves to the workers.
+// RunQuery compiles, plans, and executes one query across the cluster
+// (Execute) for a client of the Run RPC, and renders its rows.
 func (m *Master) RunQuery(ctx context.Context, args *RunArgs) (*RunReply, error) {
 	if args.TimeoutMS > 0 {
 		var cancel context.CancelFunc
@@ -1151,44 +1114,19 @@ func (m *Master) RunQuery(ctx context.Context, args *RunArgs) (*RunReply, error)
 		return nil, err
 	}
 	choice.Order, choice.Reordered = args.Order, args.HasOrder
-	eng, err := choice.Apply(q)
-	if err != nil {
-		return nil, err
-	}
-
-	// The source says what the warehouse holds; engine.Plan decides, the
-	// same way here and in every worker's rebuild, what of it the plan uses
-	// (an uncompacted delta chain sets the layout aside until compaction).
 	src := ds.Source
 	if args.NoPartition {
 		src.Part = nil
 	}
-	spec := QuerySpec{
-		Query:   args.Query,
-		Choice:  choice,
-		Input:   src.Base,
-		Deltas:  src.Deltas,
-		DictLen: m.dict.Len(),
-	}
-	if src.Part != nil {
-		spec.PartDir = src.Part.Dir
-		spec.PartBuckets = src.Part.Buckets
-	}
-	qs := m.registerQuery(spec)
-	defer m.releaseQuery(qs.id)
-
 	splitRecords := args.SplitRecords
 	if splitRecords == 0 {
 		splitRecords = m.cfg.SplitRecords
 	}
-	mr := mapreduce.NewEngine(m.dfs, mapreduce.EngineConfig{
+	res, err := m.Execute(ctx, args.Query, q, choice, src, mapreduce.EngineConfig{
 		DefaultReducers: reducers,
 		SplitRecords:    splitRecords,
-		Cluster:         &remoteCluster{m: m, qid: qs.id},
 		Tracer:          m.cfg.Tracer,
-	}).WithContext(ctx)
-
-	res, err := engine.Run(eng, mr, q, src)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -1208,6 +1146,39 @@ func (m *Master) RunQuery(ctx context.Context, args *RunArgs) (*RunReply, error)
 	reply.Header, reply.RowsText = q.Render(res.Rows)
 	reply.TotalRows = len(reply.RowsText)
 	return reply, nil
+}
+
+// Execute runs one planned query across the cluster: q compiled from text
+// against this master's dictionary, choice applied to it, over src, a
+// source of one View of the warehouse. The query is registered for the
+// workers' plan rebuilds, and an MR engine configured by cfg runs the full
+// workflow with the remoteCluster JobRunner plugged into its seam, so
+// planning, plan-IR lowering, output decoding, metrics and tracing work
+// exactly as a local engine.Run — only task execution moves to the workers.
+// Like engine.Run, it never returns a nil result.
+func (m *Master) Execute(ctx context.Context, text string, q *query.Query, choice engines.Choice, src plan.Source, cfg mapreduce.EngineConfig) (*engine.Result, error) {
+	eng, err := choice.Apply(q)
+	if err != nil {
+		return &engine.Result{}, err
+	}
+	// The source says what the warehouse holds; engine.Plan decides, the
+	// same way here and in every worker's rebuild, what of it the plan uses
+	// (an uncompacted delta chain sets the layout aside until compaction).
+	spec := QuerySpec{
+		Query:   text,
+		Choice:  choice,
+		Input:   src.Base,
+		Deltas:  src.Deltas,
+		DictLen: m.dict.Len(),
+	}
+	if src.Part != nil {
+		spec.PartDir = src.Part.Dir
+		spec.PartBuckets = src.Part.Buckets
+	}
+	qs := m.registerQuery(spec)
+	defer m.releaseQuery(qs.id)
+	cfg.Cluster = &remoteCluster{m: m, qid: qs.id}
+	return engine.Run(eng, mapreduce.NewEngine(m.dfs, cfg).WithContext(ctx), q, src)
 }
 
 func (m *Master) registerQuery(spec QuerySpec) *queryState {

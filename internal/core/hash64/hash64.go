@@ -1,6 +1,6 @@
 // Package hash64 is the single fnv64a identity hash the repository draws
 // from. Seeded chaos injection (task faults, network faults), the dataset
-// content-hash handshake, and the partitioned-relation bucket assignment all
+// content-hash version, and the partitioned-relation bucket assignment all
 // need the same property — a cheap, deterministic, platform-independent map
 // from a formatted identity to a 64-bit value — and historically each grew
 // its own copy of the same four lines. Consolidating them here keeps the
@@ -95,6 +95,6 @@ func (h *Hasher) Addf(format string, args ...any) {
 // Sum64 returns the current hash value.
 func (h *Hasher) Sum64() uint64 { return h.h.Sum64() }
 
-// Hex returns the current hash as the fixed-width form the dataset
-// handshake ships ("%016x").
+// Hex returns the current hash as the fixed-width form dataset versions
+// take ("%016x").
 func (h *Hasher) Hex() string { return fmt.Sprintf("%016x", h.Sum64()) }

@@ -61,10 +61,13 @@ type View struct {
 // the only writers and run one at a time; each installs a fresh View.
 // Readers take View without locking.
 type Warehouse struct {
-	mu    sync.Mutex // serializes Ingest and Compact
+	mu    sync.Mutex // serializes Ingest, Compact and Terms
 	store *Store
 	state *plan.CatalogState
 	view  atomic.Pointer[View]
+	// served holds every dataset version the warehouse has installed: the
+	// boot version and each ingest's (guarded by mu).
+	served map[string]bool
 }
 
 // Open loads g into mr's DFS as the base relation input, builds the
@@ -92,7 +95,7 @@ func Open(mr *mapreduce.Engine, input string, g *rdf.Graph, layoutDir string, bu
 	if err != nil {
 		return nil, err
 	}
-	w := &Warehouse{store: store, state: plan.StateFromGraph(g)}
+	w := &Warehouse{store: store, state: plan.StateFromGraph(g), served: map[string]bool{store.Version(): true}}
 	w.install(cat, catVer, part)
 	return w, nil
 }
@@ -140,7 +143,38 @@ func (w *Warehouse) Ingest(r io.Reader) (*Result, error) {
 		return nil, err
 	}
 	w.install(cat, catVer, w.view.Load().Source.Part)
+	w.served[res.Version] = true
 	return res, nil
+}
+
+// Terms returns the dictionary's terms from index from onward, in ID order,
+// with the dataset version they belong to. Both are read under the writer
+// lock, so an ingest can never land between them: the terms are exactly the
+// dictionary of that version. A running Compact holds the same lock, so
+// Terms waits for it.
+func (w *Warehouse) Terms(from int) ([]rdf.Term, string) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	dict := w.store.Graph().Dict
+	terms := make([]rdf.Term, 0, max(dict.Len()-from, 0))
+	i := 0
+	dict.Range(func(_ rdf.ID, t rdf.Term) bool {
+		if i >= from {
+			terms = append(terms, t)
+		}
+		i++
+		return true
+	})
+	return terms, w.view.Load().Version
+}
+
+// Served reports whether the warehouse has ever installed version: the boot
+// version or one an ingest moved to. A dictionary built at a served version
+// is a prefix of this warehouse's dictionary.
+func (w *Warehouse) Served(version string) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.served[version]
 }
 
 // Compact folds the delta chain into a fresh base generation on mr — each

@@ -15,8 +15,8 @@ import (
 // engine runs on — a remote coordinator, its worker fleet — is unreachable,
 // rather than the job itself being at fault. Remote Cluster implementations
 // wrap it (e.g. cluster.ErrMasterLost) so callers up the stack can
-// distinguish "the network ate my cluster" (retry later, degrade, fall back
-// to local execution) from a genuinely failed query. The in-process
+// distinguish "the network ate my cluster" (retry later) from a genuinely
+// failed query. The in-process
 // LocalCluster never returns it.
 var ErrClusterUnavailable = errors.New("mapreduce: cluster unavailable")
 

@@ -32,8 +32,8 @@ func (g *Graph) AddID(t Triple) { g.Triples = append(g.Triples, t) }
 // Version content-hashes the graph's triples. IDs are stable for one
 // dictionary, which lives exactly as long as the loaded dataset, so two
 // processes that built their graphs the same way (or shipped the dictionary
-// over the wire in ID order) agree on the version — the handshake the
-// distributed cluster uses to refuse mixed datasets.
+// over the wire in ID order) agree on the version — the check the
+// distributed cluster uses to refuse a worker holding another dataset.
 func (g *Graph) Version() string {
 	h := hash64.New()
 	for _, t := range g.Triples {

@@ -3,9 +3,12 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
+	"fmt"
 	"net/http/httptest"
+	"net/rpc"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,9 +17,10 @@ import (
 	"ntga/internal/rdf"
 )
 
-// startServerCluster stands up an in-test master + two loopback workers
-// over the same graph a test server compiles from.
-func startServerCluster(t *testing.T, g *rdf.Graph) (*cluster.Master, []*cluster.Worker, *cluster.Client) {
+// startServerCluster builds a master over g serving its worker RPC on
+// loopback, registers two workers with it, and stands up a server hosting
+// that master under cfg.
+func startServerCluster(t *testing.T, g *rdf.Graph, cfg Config) (*Server, *cluster.Master, []*cluster.Worker) {
 	t.Helper()
 	m, err := cluster.NewMaster(cluster.MasterConfig{
 		Reducers:         4,
@@ -41,20 +45,39 @@ func startServerCluster(t *testing.T, g *rdf.Graph) (*cluster.Master, []*cluster
 		t.Cleanup(w.Close)
 		workers = append(workers, w)
 	}
-	c, err := cluster.Dial(nil, m.Addr())
+	cfg.Master = m
+	s, err := New(cfg, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(c.Close)
-	return m, workers, c
+	t.Cleanup(s.Close)
+	return s, m, workers
+}
+
+// jobShapes is a response's per-job breakdown without the wall clock, the
+// one field two runs of the same plan need not share.
+func jobShapes(jobs []JobSummary) []JobSummary {
+	out := make([]JobSummary, len(jobs))
+	for i, j := range jobs {
+		j.DurationMS = 0
+		out[i] = j
+	}
+	return out
 }
 
 func TestDistributedServeParity(t *testing.T) {
 	g := enginetest.BioGraph()
-	_, workers, cc := startServerCluster(t, g)
-
 	local := newTestServer(t, Config{Reducers: 4})
-	dist := newTestServer(t, Config{Reducers: 4, Cluster: cc})
+	dist, m, workers := startServerCluster(t, g, Config{Reducers: 4})
+
+	// One dataset per deployment: the server holds no DFS of its own, so the
+	// deployment stores exactly what a local-mode server does.
+	if dist.dfs != m.DFS() {
+		t.Error("distributed server built a DFS of its own")
+	}
+	if got, want := m.DFS().Used(), local.dfs.Used(); got != want {
+		t.Errorf("deployment DFS bytes in use = %d, local-mode server = %d", got, want)
+	}
 
 	ctx := context.Background()
 	req := Request{Query: twoStarQuery, Engine: "ntga-lazy", Metrics: true}
@@ -77,12 +100,12 @@ func TestDistributedServeParity(t *testing.T) {
 		t.Errorf("totals: local rows=%d cycles=%d, dist rows=%d cycles=%d",
 			lresp.TotalRows, lresp.Cycles, dresp.TotalRows, dresp.Cycles)
 	}
-	if len(dresp.Jobs) != dresp.Cycles {
-		t.Errorf("distributed metrics jobs = %d, want one per cycle (%d)", len(dresp.Jobs), dresp.Cycles)
+	if got, want := jobShapes(dresp.Jobs), jobShapes(lresp.Jobs); !reflect.DeepEqual(got, want) {
+		t.Errorf("distributed jobs diverge from local:\nlocal %+v\ndist  %+v", want, got)
 	}
 
 	// The reply populated the result cache: the second hit must not touch
-	// the cluster at all.
+	// the fleet at all.
 	before := dist.Snapshot().Cluster.TasksDispatched
 	again, err := dist.Evaluate(ctx, req)
 	if err != nil {
@@ -95,16 +118,25 @@ func TestDistributedServeParity(t *testing.T) {
 		t.Errorf("result-cache hit dispatched tasks (%d -> %d)", before, after)
 	}
 
-	// Timeline rendering needs the in-process tracer; distributed mode must
-	// refuse it as a bad request, not silently drop it.
-	if _, err := dist.Evaluate(ctx, Request{Query: twoStarQuery, Timeline: true, NoCache: true}); !errors.Is(err, ErrBadQuery) {
-		t.Errorf("timeline in distributed mode: err = %v, want ErrBadQuery", err)
+	// The engine's job spans are the lease spans' parents, so a timeline
+	// renders the fleet's task attempts, one per dispatched task.
+	tl, err := dist.Evaluate(ctx, Request{Query: twoStarQuery, Engine: "ntga-lazy", Timeline: true, NoCache: true})
+	if err != nil {
+		t.Fatalf("timeline in distributed mode: %v", err)
+	}
+	if n := strings.Count(tl.Timeline, "-- timeline: job "); n != tl.Cycles || !strings.Contains(tl.Timeline, "map[0]") {
+		t.Errorf("distributed timeline has %d job tables for %d cycles, or no lease spans:\n%s", n, tl.Cycles, tl.Timeline)
 	}
 
-	// Metrics must expose the worker fleet.
-	cm := dist.Snapshot().Cluster
-	if cm.Mode != "distributed" || cm.WorkersRegistered != 2 || cm.WorkersAlive != 2 || len(cm.Workers) != 2 {
+	// Metrics expose the worker fleet; no attempt temporaries outlive the
+	// queries.
+	snap := dist.Snapshot()
+	cm := snap.Cluster
+	if cm.Mode != "distributed" || cm.MasterAddr != m.Addr() || cm.WorkersRegistered != 2 || cm.WorkersAlive != 2 || len(cm.Workers) != 2 {
 		t.Errorf("cluster metrics = %+v", cm)
+	}
+	if snap.TempFiles != 0 {
+		t.Errorf("%d temp files remain after distributed queries, want 0", snap.TempFiles)
 	}
 	if lm := local.Snapshot().Cluster; lm.Mode != "local" || lm.NodesTotal == 0 {
 		t.Errorf("local cluster metrics = %+v", lm)
@@ -118,14 +150,14 @@ func TestDistributedServeParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Status != "ok" || h.Mode != "distributed" || h.WorkersAlive != 2 || h.WorkersRegistered != 2 {
+	if h.Status != HealthOK || h.Mode != "distributed" || h.WorkersAlive != 2 || h.WorkersRegistered != 2 {
 		t.Fatalf("health = %+v", h)
 	}
 	workers[1].Close()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		h, _ = hc.Health(ctx)
-		if h != nil && h.Status == "degraded" {
+		if h != nil && h.Status == HealthDegraded {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -144,16 +176,8 @@ func TestDistributedServeParity(t *testing.T) {
 	if !reflect.DeepEqual(lresp.Rows, fresh.Rows) {
 		t.Error("post-loss rows diverge from local")
 	}
-}
-
-// A master serving a different dataset must be refused at startup — row IDs
-// would otherwise silently mean different terms.
-func TestDistributedServeHandshakeMismatch(t *testing.T) {
-	other := rdf.NewGraph()
-	other.Add(enginetest.Ex("a"), enginetest.Ex("p"), enginetest.Ex("b"))
-	_, _, cc := startServerCluster(t, other)
-	if _, err := New(Config{Cluster: cc}, enginetest.BioGraph()); err == nil {
-		t.Fatal("New accepted a master serving a different dataset")
+	if n := dist.Snapshot().TempFiles; n != 0 {
+		t.Errorf("%d temp files remain after the post-loss query, want 0", n)
 	}
 }
 
@@ -174,5 +198,116 @@ func TestLocalHealthzMode(t *testing.T) {
 	}
 	if h.Status != "ok" || h.Mode != "local" || h.WorkersRegistered != 0 {
 		t.Errorf("local health = %+v", h)
+	}
+}
+
+// TestWarehouseRegisterSyncDuringServerIngest races server ingests against
+// workers registering and syncing with the hosted master. Register and Sync
+// read the dictionary and its dataset version from the one warehouse in one
+// step, so every reply's (term count, version) pair must be a state the
+// warehouse installed: the boot state, or the state after some ingest.
+// Each batch mints exactly two fresh terms, so the state after the n-th
+// ingest holds base + 2n terms.
+func TestWarehouseRegisterSyncDuringServerIngest(t *testing.T) {
+	g := enginetest.BioGraph()
+	base, boot := g.Dict.Len(), g.Version()
+	s, m, _ := startServerCluster(t, g, Config{})
+	const batches = 12
+
+	type state struct {
+		terms   int
+		version string
+	}
+	var (
+		mu       sync.Mutex
+		observed []state
+	)
+	// The ingests start once every client has a reply in hand, so the
+	// clients' calls overlap them.
+	done := make(chan struct{})
+	var wg, ready sync.WaitGroup
+	for c := 0; c < 3; c++ {
+		wg.Add(1)
+		ready.Add(1)
+		go func() {
+			defer wg.Done()
+			first := true
+			defer func() {
+				if first {
+					ready.Done()
+				}
+			}()
+			rc, err := rpc.Dial("tcp", m.Addr())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer rc.Close()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				var st state
+				if i%4 == 0 {
+					var reply cluster.RegisterReply
+					if err := rc.Call("Master.Register", &cluster.RegisterArgs{Addr: "127.0.0.1:1", KnownVersion: boot}, &reply); err != nil {
+						t.Error(err)
+						return
+					}
+					st = state{len(reply.Terms), reply.DatasetVersion}
+				} else {
+					var reply cluster.SyncReply
+					if err := rc.Call("Master.Sync", &cluster.SyncArgs{Have: base}, &reply); err != nil {
+						t.Error(err)
+						return
+					}
+					st = state{reply.From + len(reply.Terms), reply.DatasetVersion}
+				}
+				mu.Lock()
+				observed = append(observed, st)
+				mu.Unlock()
+				if first {
+					first = false
+					ready.Done()
+				}
+			}
+		}()
+	}
+	ready.Wait()
+
+	installed := map[state]bool{{base, boot}: true}
+	var imu sync.Mutex
+	var iwg sync.WaitGroup
+	for b := 0; b < batches; b++ {
+		iwg.Add(1)
+		go func() {
+			defer iwg.Done()
+			batch := fmt.Sprintf("<http://ex/race%d> <http://ex/label> \"race %d\" .\n", b, b)
+			res, err := s.Ingest(context.Background(), strings.NewReader(batch))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			imu.Lock()
+			installed[state{base + 2*res.Seq, res.DatasetVersion}] = true
+			imu.Unlock()
+		}()
+	}
+	iwg.Wait()
+	close(done)
+	wg.Wait()
+
+	if len(installed) != batches+1 {
+		t.Fatalf("%d distinct installed states, want %d", len(installed), batches+1)
+	}
+	for _, st := range observed {
+		if !installed[st] {
+			t.Fatalf("reply paired %d terms with dataset %s, a state the warehouse never installed", st.terms, st.version)
+		}
+	}
+	if got, want := g.Dict.Len(), base+2*batches; got != want {
+		t.Errorf("dictionary holds %d terms after %d batches, want %d", got, batches, want)
 	}
 }

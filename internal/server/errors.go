@@ -13,14 +13,6 @@ import (
 // away before the response": context.Canceled maps here.
 const StatusClientClosedRequest = 499
 
-// ErrUnavailable is the serve-path face of a lost distributed substrate:
-// the master (or its fleet) is unreachable, so the query could not run —
-// but the condition is environmental and retryable, not the query's fault.
-// The HTTP layer maps it to 503 with a Retry-After; it wraps
-// mapreduce.ErrClusterUnavailable's family (cluster.ErrMasterLost) at the
-// evaluate seam.
-var ErrUnavailable = errors.New("server: cluster unavailable")
-
 // ErrTooLarge rejects a request whose body exceeds the endpoint's byte cap
 // (maxQueryBodyBytes, maxIngestBodyBytes) before it is buffered whole.
 var ErrTooLarge = errors.New("server: request body too large")
@@ -59,7 +51,6 @@ var errorStatuses = []struct {
 	{ErrTooLarge, http.StatusRequestEntityTooLarge, 0},
 	{ErrBadQuery, http.StatusBadRequest, 0},
 	{ingest.ErrBadBatch, http.StatusUnprocessableEntity, 0},
-	{ErrUnavailable, http.StatusServiceUnavailable, 2},
 	{context.DeadlineExceeded, http.StatusGatewayTimeout, 0},
 	{context.Canceled, StatusClientClosedRequest, 0},
 }

@@ -20,8 +20,6 @@ func TestErrorStatusRoundTrip(t *testing.T) {
 		{"bad query", ErrBadQuery, http.StatusBadRequest},
 		{"too large", ErrTooLarge, http.StatusRequestEntityTooLarge},
 		{"overflowed body", tooLarge(&http.MaxBytesError{Limit: 8}), http.StatusRequestEntityTooLarge},
-		{"unavailable", ErrUnavailable, http.StatusServiceUnavailable},
-		{"wrapped unavailable", fmt.Errorf("%w: master lost", ErrUnavailable), http.StatusServiceUnavailable},
 		{"deadline", context.DeadlineExceeded, http.StatusGatewayTimeout},
 		{"canceled", context.Canceled, StatusClientClosedRequest},
 		{"wrapped overloaded", fmt.Errorf("tenant x: %w", ErrOverloaded), http.StatusTooManyRequests},
@@ -48,9 +46,6 @@ func TestErrorStatusRoundTrip(t *testing.T) {
 		t.Errorf("unmapped status must give an untyped error, got %v", err)
 	}
 	// Retry-After hints travel only on the "try again soon" statuses.
-	if retryAfterSeconds(http.StatusServiceUnavailable) != 2 {
-		t.Error("503 lost its Retry-After hint")
-	}
 	if retryAfterSeconds(http.StatusTooManyRequests) != 1 {
 		t.Error("429 lost its Retry-After hint")
 	}

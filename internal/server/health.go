@@ -1,67 +1,19 @@
 package server
 
-import (
-	"sync"
-	"time"
-)
-
-// The cluster health ladder. A distributed server is "ok" while the master
-// answers and every registered worker is alive, "degraded" while the master
-// answers but the fleet is impaired (workers dead, or none registered), and
-// "down" while the master itself is unreachable — the state in which
-// queries can only 503 or fall back to local execution. A local-mode server
-// is always "ok": its substrate is this process.
+// The cluster health ladder. A distributed server is "ok" while every
+// registered worker is alive and "degraded" while the fleet is impaired
+// (workers dead, or none registered); its master is this process, so the
+// server cannot lose it and keep answering. A local-mode server is always
+// "ok": its substrate is this process.
 const (
 	HealthOK       = "ok"
 	HealthDegraded = "degraded"
-	HealthDown     = "down"
 )
 
 // healthOf classifies one substrate scrape onto the ladder.
 func healthOf(cm ClusterMetrics) string {
-	if cm.Mode != "distributed" {
-		return HealthOK
-	}
-	switch {
-	case cm.Error != "":
-		return HealthDown
-	case cm.WorkersAlive == 0 || cm.WorkersAlive < cm.WorkersRegistered:
+	if cm.Mode == "distributed" && (cm.WorkersAlive == 0 || cm.WorkersAlive < cm.WorkersRegistered) {
 		return HealthDegraded
-	default:
-		return HealthOK
 	}
-}
-
-// healthTracker is the server's persistent position on the ladder, fed by
-// every substrate probe — the periodic prober when armed, on-demand
-// /healthz and /metrics scrapes, and direct in-band evidence (a query that
-// lost the master observes "down" without waiting for the next probe).
-type healthTracker struct {
-	mu          sync.Mutex
-	state       string
-	since       time.Time
-	transitions int64
-}
-
-func newHealthTracker() *healthTracker {
-	return &healthTracker{state: HealthOK, since: time.Now()}
-}
-
-// observe moves the tracker to state, timestamping the transition.
-func (t *healthTracker) observe(state string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if state != t.state {
-		t.state = state
-		t.since = time.Now()
-		t.transitions++
-	}
-}
-
-// snapshot reports the current state, how long it has held, and how many
-// transitions the ladder has seen.
-func (t *healthTracker) snapshot() (state string, held time.Duration, transitions int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.state, time.Since(t.since), t.transitions
+	return HealthOK
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"time"
 )
 
 // Handler returns the service's HTTP API:
@@ -91,11 +92,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.Snapshot())
 }
 
-// Health is the GET /healthz body. Status is the health ladder: "ok",
+// Health is the GET /healthz body. Status is the health ladder: "ok", or
 // "degraded" when the service answers but its worker fleet is impaired (no
-// workers registered, or some dead), or "down" when the distributed master
-// itself is unreachable — the state where queries 503 or run the local
-// fallback.
+// workers registered, or some dead).
 type Health struct {
 	Status         string `json:"status"`
 	Mode           string `json:"mode"`
@@ -105,26 +104,19 @@ type Health struct {
 	// Worker liveness (distributed mode only).
 	WorkersAlive      int `json:"workers_alive,omitempty"`
 	WorkersRegistered int `json:"workers_registered,omitempty"`
-	// StatusHeldMS is how long the ladder has sat in Status;
-	// HealthTransitions counts ladder moves since startup.
-	StatusHeldMS      int64 `json:"status_held_ms,omitempty"`
-	HealthTransitions int64 `json:"health_transitions,omitempty"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	cm := s.clusterMetrics() // doubles as a probe: feeds the ladder
-	state, held, transitions := s.health.snapshot()
+	cm := s.clusterMetrics()
 	ds := s.wh.View()
 	h := Health{
-		Status:            state,
+		Status:            cm.Health,
 		Mode:              cm.Mode,
 		Triples:           ds.Triples,
 		DatasetVersion:    ds.Version,
-		UptimeMS:          s.Snapshot().UptimeMS,
+		UptimeMS:          time.Since(s.started).Milliseconds(),
 		WorkersAlive:      cm.WorkersAlive,
 		WorkersRegistered: cm.WorkersRegistered,
-		StatusHeldMS:      held.Milliseconds(),
-		HealthTransitions: transitions,
 	}
 	writeJSON(w, http.StatusOK, h)
 }
@@ -142,8 +134,8 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func writeError(w http.ResponseWriter, err error) {
 	code := statusForError(err)
-	// Retry-After travels on the statuses that mean "try again soon"
-	// (503 cluster-unavailable, 429 shed) — headers must precede the body.
+	// Retry-After travels on the statuses that mean "try again soon" (429
+	// shed) — headers must precede the body.
 	if ra := retryAfterSeconds(code); ra > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(ra))
 	}

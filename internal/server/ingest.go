@@ -44,10 +44,8 @@ type IngestResult struct {
 // folds the batch into the mergeable catalog state (no rescan), moves the
 // dataset view queries snapshot, and maintains the result cache — evicting
 // only entries whose query could match a batch triple and re-keying the
-// rest to the new versions. In distributed mode the raw batch is forwarded
-// to the master first and applied locally in lockstep; deterministic
-// first-occurrence interning makes both sides mint identical IDs and
-// versions, which Ingest asserts.
+// rest to the new versions. In distributed mode the warehouse is the
+// master's, so the fleet sees the batch as soon as it is applied.
 func (s *Server) Ingest(ctx context.Context, r io.Reader) (*IngestResult, error) {
 	batch, err := io.ReadAll(r)
 	if err != nil {
@@ -56,24 +54,9 @@ func (s *Server) Ingest(ctx context.Context, r io.Reader) (*IngestResult, error)
 		}
 		return nil, fmt.Errorf("%w: reading batch: %v", ingest.ErrBadBatch, err)
 	}
-	if _, err := ingest.ValidateBatch(bytes.NewReader(batch)); err != nil {
-		return nil, err
-	}
 
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
-
-	// Master first: if the fleet refuses the batch, the local store never
-	// moves and the two stay in lockstep.
-	var masterVer string
-	if s.cfg.Cluster != nil {
-		reply, err := s.cfg.Cluster.Ingest(ctx, batch)
-		if err != nil {
-			return nil, err
-		}
-		masterVer = reply.DatasetVersion
-	}
-
 	res, err := s.wh.Ingest(bytes.NewReader(batch))
 	if err != nil {
 		return nil, err
@@ -89,9 +72,6 @@ func (s *Server) Ingest(ctx context.Context, r io.Reader) (*IngestResult, error)
 	}
 	if len(res.Triples) == 0 {
 		return out, nil
-	}
-	if masterVer != "" && masterVer != res.Version {
-		return nil, fmt.Errorf("server: ingest split brain: master moved to dataset %s but local store to %s", masterVer, res.Version)
 	}
 
 	retained, evicted := s.results.maintain(res.Triples, ds.CatalogVersion, ds.Version)
@@ -126,11 +106,6 @@ func (s *Server) Compact(ctx context.Context) (*ingest.CompactResult, error) {
 }
 
 func (s *Server) compactLocked(ctx context.Context) (*ingest.CompactResult, error) {
-	if s.cfg.Cluster != nil {
-		if _, err := s.cfg.Cluster.Compact(ctx); err != nil {
-			return nil, err
-		}
-	}
 	mr := mapreduce.NewEngine(s.dfs, mapreduce.EngineConfig{
 		DefaultReducers: s.cfg.Reducers,
 		SplitRecords:    s.cfg.SplitRecords,

@@ -15,6 +15,7 @@ import (
 	"ntga/internal/hdfs"
 	"ntga/internal/ingest"
 	"ntga/internal/mapreduce"
+	"ntga/internal/plan"
 	"ntga/internal/query"
 	"ntga/internal/rdf"
 	"ntga/internal/trace"
@@ -76,27 +77,15 @@ type Config struct {
 	// concurrency acceptance tests use it to prove from task spans that
 	// in-flight tasks never exceed the slot pool.
 	Tracer *trace.Tracer
-	// Cluster switches execution to distributed mode: queries are shipped
-	// to this ntga-master (which owns the authoritative DFS and the worker
-	// fleet) instead of running on the in-process engine. The server still
-	// compiles, plans, caches, and renders locally — New verifies at
-	// startup that the master serves the same dataset (content-hash
-	// handshake), so row IDs and caches stay valid.
-	Cluster *cluster.Client
-	// LocalFallback arms the serve-path degradation endgame: a query that
-	// cannot reach the cluster (master lost at submit or mid-flight)
-	// transparently re-runs on the in-process engine over the server's own
-	// copy of the dataset — same plan, byte-identical rows — instead of
-	// failing with 503. The server always loads the dataset locally (the
-	// dictionary and catalog need it), so the fallback costs no extra
-	// memory; it only trades the fleet's parallelism for availability.
-	LocalFallback bool
-	// ProbeEvery, in distributed mode, starts a background prober that
-	// scrapes the master's status on this interval and walks the health
-	// ladder (ok → degraded → down) between requests; 0 relies on
-	// on-demand scrapes (each /healthz, /metrics, and failed cluster
-	// query also feeds the ladder).
-	ProbeEvery time.Duration
+	// Master switches execution to distributed mode: the server hosts this
+	// coordinator, which must already serve its worker RPC (Master.Serve).
+	// The server then holds no dataset of its own: it plans, caches,
+	// ingests and compacts over the master's DFS and warehouse — the one
+	// copy the workers read — and every query's jobs run on the master's
+	// fleet (Master.Execute) instead of the in-process engine. Nodes and
+	// Replication then go unused (the master sized its DFS), and the
+	// workers' slots, not MapSlots/ReduceSlots, bound query tasks.
+	Master *cluster.Master
 	// CompactAfter, when > 0, auto-runs delta-merge compaction at the end
 	// of any ingest that leaves the delta chain this long or longer. 0
 	// leaves compaction to explicit POST /compact calls.
@@ -146,8 +135,8 @@ type Server struct {
 	dict *rdf.Dict
 
 	// wh owns the versioned dataset: every query takes one View of it, and
-	// ingestMu serializes this server's ingest/compact sequences (master
-	// forward, local apply, cache upkeep) against each other.
+	// ingestMu serializes this server's ingest/compact sequences (apply,
+	// cache upkeep) against each other.
 	wh       *ingest.Warehouse
 	ingestMu sync.Mutex
 
@@ -166,10 +155,6 @@ type Server struct {
 
 	jobs *jobRegistry
 
-	// health is the server's position on the cluster health ladder
-	// (always "ok" in local mode).
-	health *healthTracker
-
 	baseCtx context.Context
 	stop    context.CancelFunc
 	started time.Time
@@ -181,7 +166,6 @@ type Server struct {
 	mShed      atomic.Int64
 	mCycles    atomic.Int64
 	mReclaimed atomic.Int64
-	mFallbacks atomic.Int64
 	// Ingest-path counters: accepted batches / triples, compactions run,
 	// and the cumulative retained/evicted split of result-cache upkeep.
 	mIngests       atomic.Int64
@@ -193,32 +177,24 @@ type Server struct {
 
 // New builds a server over the given graph: loads the triple relation into
 // a fresh DFS, computes the exact statistics catalog and the content
-// versions, and stands up the pool, caches, and admission state.
+// versions, and stands up the pool, caches, and admission state. With
+// Config.Master the server serves the master's warehouse instead, and g is
+// unused.
 func New(cfg Config, g *rdf.Graph) (*Server, error) {
 	cfg = cfg.withDefaults()
 	pool, err := NewPool(cfg.MapSlots, cfg.ReduceSlots)
 	if err != nil {
 		return nil, err
 	}
-	dfs := hdfs.New(hdfs.Config{Nodes: cfg.Nodes, Replication: cfg.Replication})
-	// The server plans without a layout, so Open runs no MR job here.
-	wh, err := ingest.Open(mapreduce.NewEngine(dfs, mapreduce.EngineConfig{}), "data/triples", g, "", 0)
-	if err != nil {
-		return nil, fmt.Errorf("server: %w", err)
-	}
-	if cfg.Cluster != nil {
-		// Distributed mode: the master must be serving the exact dataset
-		// this server compiled its dictionary from, or every shipped plan
-		// and returned row would silently mean different terms.
-		hctx, hcancel := context.WithTimeout(context.Background(), 10*time.Second)
-		st, err := cfg.Cluster.Status(hctx)
-		hcancel()
-		if err != nil {
-			return nil, fmt.Errorf("server: cluster handshake with %s: %w", cfg.Cluster.Addr(), err)
-		}
-		if version := wh.View().Version; st.DatasetVersion != version {
-			return nil, fmt.Errorf("server: cluster master %s serves dataset %s but -data hashes to %s; point both at the same file",
-				cfg.Cluster.Addr(), st.DatasetVersion, version)
+	var dfs *hdfs.DFS
+	var wh *ingest.Warehouse
+	if m := cfg.Master; m != nil {
+		dfs, wh = m.DFS(), m.Warehouse()
+	} else {
+		dfs = hdfs.New(hdfs.Config{Nodes: cfg.Nodes, Replication: cfg.Replication})
+		// The server plans without a layout, so Open runs no MR job here.
+		if wh, err = ingest.Open(mapreduce.NewEngine(dfs, mapreduce.EngineConfig{}), "data/triples", g, "", 0); err != nil {
+			return nil, fmt.Errorf("server: %w", err)
 		}
 	}
 	var ctrl *admissionController
@@ -232,7 +208,7 @@ func New(cfg Config, g *rdf.Graph) (*Server, error) {
 	s := &Server{
 		cfg:        cfg,
 		dfs:        dfs,
-		dict:       g.Dict,
+		dict:       wh.Graph().Dict,
 		wh:         wh,
 		pool:       pool,
 		plans:      newPlanCache(),
@@ -241,30 +217,11 @@ func New(cfg Config, g *rdf.Graph) (*Server, error) {
 		admission:  ctrl,
 		queueWaits: newQueueWaits(),
 		jobs:       newJobRegistry(),
-		health:     newHealthTracker(),
 		baseCtx:    ctx,
 		stop:       cancel,
 		started:    time.Now(),
 	}
-	if cfg.Cluster != nil && cfg.ProbeEvery > 0 {
-		go s.prober(cfg.ProbeEvery)
-	}
 	return s, nil
-}
-
-// prober walks the health ladder on a clock, so /healthz reflects a lost
-// master even between requests. It dies with the server's base context.
-func (s *Server) prober(every time.Duration) {
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.baseCtx.Done():
-			return
-		case <-t.C:
-			s.clusterMetrics()
-		}
-	}
 }
 
 // Close cancels every in-flight query's base context.
@@ -349,10 +306,6 @@ type Response struct {
 	DurationMS         int64  `json:"duration_ms"`
 	JoinOrder          []int  `json:"join_order,omitempty"`
 	Tenant             string `json:"tenant,omitempty"`
-
-	// Fallback marks a distributed request that lost the cluster and was
-	// served by the in-process engine instead (Config.LocalFallback).
-	Fallback bool `json:"fallback,omitempty"`
 
 	Jobs     []JobSummary `json:"jobs,omitempty"`
 	Timeline string       `json:"timeline,omitempty"`
@@ -500,51 +453,14 @@ func (s *Server) evaluate(ctx context.Context, req Request) (*Response, error) {
 	}
 	defer func() { <-s.sem }()
 
-	if s.cfg.Cluster != nil {
-		resp2, err := s.evaluateCluster(ctx, req, q, entry, resp, resultKey, cid, start)
-		if err == nil {
-			s.mSucceeded.Add(1)
-			return resp2, nil
-		}
-		if !errors.Is(err, mapreduce.ErrClusterUnavailable) {
-			s.mFailed.Add(1)
-			return resp2, err
-		}
-		// The substrate is gone, not the query: record the direct evidence
-		// on the health ladder, then degrade — 503 + Retry-After, or (with
-		// the fallback armed) run the exact same plan on the in-process
-		// engine over the server's own copy of the dataset.
-		s.health.observe(HealthDown)
-		if !s.cfg.LocalFallback {
-			s.mFailed.Add(1)
-			return resp2, fmt.Errorf("%w: %v", ErrUnavailable, err)
-		}
-		s.mFallbacks.Add(1)
-		resp.Fallback = true
-	}
-
-	resp2, err := s.evaluateLocal(ctx, req, q, entry, resp, ds, resultKey, cid, start)
-	if err != nil {
-		s.mFailed.Add(1)
-		return resp2, err
-	}
-	s.mSucceeded.Add(1)
-	return resp2, nil
-}
-
-// evaluateLocal runs the planned query on the in-process engine — the
-// local-mode execution path, and the byte-identical fallback a distributed
-// server degrades to when the fleet is unreachable.
-func (s *Server) evaluateLocal(ctx context.Context, req Request, q *query.Query, entry planEntry, resp *Response, ds ingest.View, resultKey string, cid cacheIdentity, start time.Time) (*Response, error) {
-	eng, err := entry.Apply(q)
-	if err != nil {
-		return nil, err
-	}
 	tracer := s.cfg.Tracer
 	if req.Timeline {
 		tracer = trace.New()
 	}
-	mr := mapreduce.NewEngine(s.dfs, mapreduce.EngineConfig{
+	// The snapshot's base and delta chain run together: uncompacted delta
+	// blocks are overlaid on every scan of the triple relation, with rows
+	// byte-identical to a from-scratch load of the merged dataset.
+	res, err := s.execute(ctx, req.Query, q, entry.Choice, ds.Source, mapreduce.EngineConfig{
 		DefaultReducers: s.cfg.Reducers,
 		SplitRecords:    s.cfg.SplitRecords,
 		SortBufferBytes: s.cfg.SortBufferBytes,
@@ -552,12 +468,7 @@ func (s *Server) evaluateLocal(ctx context.Context, req Request, q *query.Query,
 		Faults:          s.cfg.Faults,
 		Slots:           s.pool.Lease(req.Tenant, req.Weight),
 		Tracer:          tracer,
-	}).WithContext(ctx)
-
-	// The snapshot's base and delta chain run together: uncompacted delta
-	// blocks are overlaid on every scan of the triple relation, with rows
-	// byte-identical to a from-scratch load of the merged dataset.
-	res, err := engine.Run(eng, mr, q, ds.Source)
+	})
 	s.foldWorkflow(resp, &res.Workflow, req.Metrics)
 	// Only the request-private tracer is rendered: snapshotting a shared
 	// config tracer here would race with other queries' spans finishing.
@@ -565,53 +476,38 @@ func (s *Server) evaluateLocal(ctx context.Context, req Request, q *query.Query,
 		resp.Timeline = trace.Timeline(tracer.Roots())
 	}
 	if err != nil {
+		s.mFailed.Add(1)
 		return resp, err
 	}
 
 	cached := newResultEntry(q, res.Engine, res.Rows, res.IsCount, res.Count, res.OutputRecords, res.OutputBytes)
-	return s.answer(resp, req, cached, resultKey, cid, start), nil
+	s.results.put(resultKey, cached, cid)
+	resp.Engine = cached.engine
+	s.renderRows(resp, cached, req.Limit)
+	resp.DurationMS = time.Since(start).Milliseconds()
+	s.mSucceeded.Add(1)
+	return resp, nil
 }
 
-// evaluateCluster ships the planned query to the distributed master and
-// folds the reply into the response/result-cache machinery exactly where a
-// local engine run would. The server's planning decisions travel with the
-// query (resolved engine, φ_m, optimizer join order), so the master
-// executes the same physical plan the local path would have.
-func (s *Server) evaluateCluster(ctx context.Context, req Request, q *query.Query, entry planEntry, resp *Response, resultKey string, cid cacheIdentity, start time.Time) (*Response, error) {
-	if req.Timeline {
-		return nil, fmt.Errorf("%w: timeline rendering is not available in distributed (-cluster) mode", ErrBadQuery)
+// execute runs a planned query over src, a source of one warehouse View:
+// on the master's fleet in distributed mode, on the in-process engine over
+// the server's DFS otherwise. Both run the same plan through the same MR
+// engine; only the JobRunner under it differs. Like engine.Run, it never
+// returns a nil result.
+func (s *Server) execute(ctx context.Context, text string, q *query.Query, choice engines.Choice, src plan.Source, cfg mapreduce.EngineConfig) (*engine.Result, error) {
+	if m := s.cfg.Master; m != nil {
+		return m.Execute(ctx, text, q, choice, src, cfg)
 	}
-	args := &cluster.RunArgs{
-		Query:        req.Query,
-		Engine:       entry.Engine,
-		PhiM:         entry.PhiM,
-		Order:        entry.Order,
-		HasOrder:     entry.Reordered,
-		Reducers:     s.cfg.Reducers,
-		SplitRecords: s.cfg.SplitRecords,
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		// Hand the master the remaining budget so it stops the actual work,
-		// not just our wait.
-		if ms := time.Until(dl).Milliseconds(); ms > 0 {
-			args.TimeoutMS = ms
-		}
-	}
-	reply, err := s.cfg.Cluster.Run(ctx, args)
+	eng, err := choice.Apply(q)
 	if err != nil {
-		return resp, err
+		return &engine.Result{}, err
 	}
-	s.foldWorkflow(resp, &reply.Workflow, req.Metrics)
-	// The handshake pinned both processes to one dataset, so the master's
-	// row IDs are this dictionary's IDs: cache and render as if local.
-	cached := newResultEntry(q, reply.Engine, reply.Rows, reply.IsCount, reply.Count, reply.OutputRecords, reply.OutputBytes)
-	return s.answer(resp, req, cached, resultKey, cid, start), nil
+	return engine.Run(eng, mapreduce.NewEngine(s.dfs, cfg).WithContext(ctx), q, src)
 }
 
 // foldWorkflow records one execution's cost on the response and the
 // daemon's counters, with the per-job breakdown when the request asked for
-// it. Both substrates report a mapreduce.WorkflowMetrics, so a local run and
-// a cluster reply fold identically.
+// it.
 func (s *Server) foldWorkflow(resp *Response, wf *mapreduce.WorkflowMetrics, perJob bool) {
 	resp.Cycles = len(wf.Jobs)
 	resp.ShuffleBytes = wf.TotalMapOutputBytes()
@@ -634,16 +530,6 @@ func (s *Server) foldWorkflow(resp *Response, wf *mapreduce.WorkflowMetrics, per
 			TempBytesReclaimed: j.TempBytesReclaimed,
 		})
 	}
-}
-
-// answer is the tail of every executed query, whichever substrate produced
-// the result: cache it, render the requested window, stamp the duration.
-func (s *Server) answer(resp *Response, req Request, result resultEntry, resultKey string, cid cacheIdentity, start time.Time) *Response {
-	s.results.put(resultKey, result, cid)
-	resp.Engine = result.engine
-	s.renderRows(resp, result, req.Limit)
-	resp.DurationMS = time.Since(start).Milliseconds()
-	return resp
 }
 
 // observeQueueWait records one admission→execution-token wait against the
@@ -750,16 +636,16 @@ type AdmissionMetrics struct {
 // ClusterMetrics is the /metrics view of where queries actually execute.
 type ClusterMetrics struct {
 	// Mode is "local" (in-process engine over the simulated DFS) or
-	// "distributed" (shipped to an ntga-master's worker fleet).
+	// "distributed" (jobs run on the hosted master's worker fleet).
 	Mode string `json:"mode"`
-	// Health is the ladder state this scrape lands on: "ok", "degraded"
-	// (fleet impaired), or "down" (master unreachable). Local mode is
-	// always "ok".
+	// Health is "ok", or "degraded" while the fleet is impaired (see
+	// healthOf). Local mode is always "ok".
 	Health string `json:"health"`
 	// Local mode: simulated DFS data nodes.
 	NodesAlive int `json:"nodes_alive,omitempty"`
 	NodesTotal int `json:"nodes_total,omitempty"`
-	// Distributed mode: the master and its registered workers.
+	// Distributed mode: the master's worker RPC address and its registered
+	// workers.
 	MasterAddr        string                 `json:"master_addr,omitempty"`
 	WorkersAlive      int                    `json:"workers_alive,omitempty"`
 	WorkersRegistered int                    `json:"workers_registered,omitempty"`
@@ -767,18 +653,14 @@ type ClusterMetrics struct {
 	ActiveQueries     int                    `json:"active_queries,omitempty"`
 	TasksDispatched   int64                  `json:"tasks_dispatched,omitempty"`
 	Workers           []cluster.WorkerStatus `json:"workers,omitempty"`
-	// Transport-recovery rollup: retries and re-dials the retrying RPC
-	// layer absorbed (fleet totals from worker heartbeats plus this
-	// server's own master link), transient shuffle-fetch retries, worker
-	// re-registrations the master accepted, and queries this server served
-	// via the local fallback after losing the cluster.
+	// Transport-recovery rollup: retries and re-dials the workers' retrying
+	// RPC layer absorbed (fleet totals from heartbeats), transient
+	// shuffle-fetch retries, and worker re-registrations the master
+	// accepted.
 	RPCRetries            int64 `json:"rpc_retries,omitempty"`
 	Redials               int64 `json:"redials,omitempty"`
 	FetchTransientRetries int64 `json:"fetch_transient_retries,omitempty"`
 	WorkerReregistrations int64 `json:"worker_reregistrations,omitempty"`
-	LocalFallbacks        int64 `json:"local_fallbacks,omitempty"`
-	// Error reports a failed status scrape (master unreachable).
-	Error string `json:"error,omitempty"`
 }
 
 // Snapshot assembles the current service metrics.
@@ -826,10 +708,10 @@ func (s *Server) Snapshot() Metrics {
 }
 
 // clusterMetrics scrapes the execution substrate: DFS node liveness in
-// local mode, the master's worker table in distributed mode. Every scrape
-// feeds the health ladder, so /metrics and /healthz double as probes.
+// local mode, the hosted master's worker table in distributed mode.
 func (s *Server) clusterMetrics() ClusterMetrics {
-	if s.cfg.Cluster == nil {
+	m := s.cfg.Master
+	if m == nil {
 		return ClusterMetrics{
 			Mode:       "local",
 			Health:     HealthOK,
@@ -837,34 +719,26 @@ func (s *Server) clusterMetrics() ClusterMetrics {
 			NodesTotal: s.dfs.Config().Nodes,
 		}
 	}
-	cm := ClusterMetrics{Mode: "distributed", MasterAddr: s.cfg.Cluster.Addr()}
-	cm.LocalFallbacks = s.mFallbacks.Load()
-	cm.RPCRetries, cm.Redials = s.cfg.Cluster.Stats()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	st, err := s.cfg.Cluster.Status(ctx)
-	if err != nil {
-		cm.Error = err.Error()
-		cm.Health = healthOf(cm)
-		s.health.observe(cm.Health)
-		return cm
+	st := m.Status()
+	cm := ClusterMetrics{
+		Mode:                  "distributed",
+		MasterAddr:            m.Addr(),
+		WorkersRegistered:     len(st.Workers),
+		WorkersLost:           st.WorkersLost,
+		ActiveQueries:         st.ActiveQueries,
+		TasksDispatched:       st.TasksDispatched,
+		Workers:               st.Workers,
+		RPCRetries:            st.RPCRetries,
+		Redials:               st.Redials,
+		FetchTransientRetries: st.FetchTransientRetries,
+		WorkerReregistrations: st.WorkerReregistrations,
 	}
-	cm.WorkersRegistered = len(st.Workers)
 	for _, w := range st.Workers {
 		if w.Alive {
 			cm.WorkersAlive++
 		}
 	}
-	cm.WorkersLost = st.WorkersLost
-	cm.ActiveQueries = st.ActiveQueries
-	cm.TasksDispatched = st.TasksDispatched
-	cm.Workers = st.Workers
-	cm.RPCRetries += st.RPCRetries
-	cm.Redials += st.Redials
-	cm.FetchTransientRetries = st.FetchTransientRetries
-	cm.WorkerReregistrations = st.WorkerReregistrations
 	cm.Health = healthOf(cm)
-	s.health.observe(cm.Health)
 	return cm
 }
 

@@ -4,16 +4,22 @@
 # ntga-worker processes, run a catalog-style query through ntga-run
 # -cluster, kill -9 one worker while a second (stretched) query is mid
 # flight, and assert the run still completes with output byte-identical to
-# a local ntga-run. Exits non-zero on any failed step.
+# a local ntga-run. Then boot ntga-serve hosting the master itself
+# (-workers) plus one ntga-worker, and assert a query through ntga-run
+# -server prints the same bytes. Exits non-zero on any failed step.
 set -eu
 
 ADDR="${DIST_SMOKE_ADDR:-127.0.0.1:7455}"
+SERVE_ADDR="${DIST_SMOKE_SERVE_ADDR:-127.0.0.1:7458}"
+WORKERS_ADDR="${DIST_SMOKE_WORKERS_ADDR:-127.0.0.1:7456}"
 WORK="$(mktemp -d)"
 MASTER_PID=""
 W1_PID=""
 W2_PID=""
+SERVE_PID=""
+W3_PID=""
 cleanup() {
-    for p in "$MASTER_PID" "$W1_PID" "$W2_PID"; do
+    for p in "$MASTER_PID" "$W1_PID" "$W2_PID" "$SERVE_PID" "$W3_PID"; do
         [ -n "$p" ] && kill "$p" 2>/dev/null || true
     done
     rm -rf "$WORK"
@@ -24,6 +30,7 @@ echo "== build"
 go build -o "$WORK/ntga-master" ./cmd/ntga-master
 go build -o "$WORK/ntga-worker" ./cmd/ntga-worker
 go build -o "$WORK/ntga-run" ./cmd/ntga-run
+go build -o "$WORK/ntga-serve" ./cmd/ntga-serve
 go build -o "$WORK/ntga-datagen" ./cmd/ntga-datagen
 
 echo "== dataset"
@@ -128,6 +135,43 @@ done
 echo "$STATUS"
 echo "$STATUS" | grep -q "workers: 1 alive / 2 registered" || {
     echo "unexpected worker liveness after kill" >&2
+    exit 1
+}
+
+echo "== ntga-serve hosting the master (-workers $WORKERS_ADDR) + 1 worker"
+# The daemon's -reducers and -split-records shape the plan; ntga-run
+# -server sends only the query and the engine.
+"$WORK/ntga-serve" -data "$WORK/bio.nt" -addr "$SERVE_ADDR" -workers "$WORKERS_ADDR" \
+    -reducers 4 -split-records 128 2>"$WORK/serve.log" &
+SERVE_PID=$!
+i=0
+until grep -q "listening on" "$WORK/serve.log"; do
+    i=$((i + 1))
+    if [ "$i" -ge 50 ] || ! kill -0 "$SERVE_PID" 2>/dev/null; then
+        echo "ntga-serve never came up (is $SERVE_ADDR or $WORKERS_ADDR taken?); log:" >&2
+        cat "$WORK/serve.log" >&2
+        exit 1
+    fi
+    sleep 0.2
+done
+"$WORK/ntga-worker" -master "$WORKERS_ADDR" 2>"$WORK/w3.log" &
+W3_PID=$!
+i=0
+until HEALTH="$("$WORK/ntga-run" -health "$SERVE_ADDR" 2>/dev/null)" &&
+    echo "$HEALTH" | grep -q "workers=1/1"; do
+    i=$((i + 1))
+    if [ "$i" -ge 50 ]; then
+        echo "the worker never registered with ntga-serve; logs:" >&2
+        cat "$WORK/serve.log" "$WORK/w3.log" >&2
+        exit 1
+    fi
+    sleep 0.2
+done
+echo "$HEALTH"
+"$WORK/ntga-run" -server "$SERVE_ADDR" -query "$WORK/q.rq" -engine ntga-lazy \
+    -reducers 4 -split-records 128 >"$WORK/serve.out"
+diff "$WORK/local.out" "$WORK/serve.out" || {
+    echo "ntga-serve -workers output differs from local run" >&2
     exit 1
 }
 
