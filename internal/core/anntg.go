@@ -309,14 +309,25 @@ func Phi(o rdf.ID, m int) int {
 // candidates. The slot remains Nested; the bucket id is returned alongside
 // so the caller can key the shuffle by it.
 func (s *Scratch) PartialBetaUnnest(st *query.Star, a AnnTG, si, m int) []PartialTG {
+	return s.PartialBetaUnnestBy(st, a, si, m, Phi)
+}
+
+// PartialBetaUnnestBy is PartialBetaUnnest with the partition function phi
+// in place of Phi — the bucketed layout routes by its own placement hash.
+// phi(o, m) must lie in [0, m); it is called once per slot candidate.
+func (s *Scratch) PartialBetaUnnestBy(st *query.Star, a AnnTG, si, m int, phi func(rdf.ID, int) int) []PartialTG {
 	s.idx = a.SlotCandidates(s.idx[:0], st, si)
+	s.bkt = slices.Grow(s.bkt[:0], len(s.idx))
+	for _, ci := range s.idx {
+		s.bkt = append(s.bkt, phi(a.Triples[ci].O, m))
+	}
 	others := s.needed(st, a, si)
 	s.parts = room(s.parts, len(s.idx))
 	start := len(s.parts)
 	for last := -1; ; {
 		bucket := m // the smallest non-empty bucket above last
-		for _, ci := range s.idx {
-			if b := Phi(a.Triples[ci].O, m); b > last && b < bucket {
+		for _, b := range s.bkt {
+			if b > last && b < bucket {
 				bucket = b
 			}
 		}
@@ -324,8 +335,8 @@ func (s *Scratch) PartialBetaUnnest(st *query.Star, a AnnTG, si, m int) []Partia
 			return slices.Clip(s.parts[start:])
 		}
 		s.keep2 = append(s.keep2[:0], others...)
-		for _, ci := range s.idx {
-			if Phi(a.Triples[ci].O, m) == bucket {
+		for k, ci := range s.idx {
+			if s.bkt[k] == bucket {
 				s.keep2[ci] = true
 			}
 		}
@@ -353,11 +364,17 @@ func (s *Scratch) UnnestSlotInBucket(st *query.Star, a AnnTG, si, m, b int) []An
 		if m > 0 && a.SlotSel[si] == Nested && Phi(a.Triples[idx].O, m) != b {
 			continue
 		}
-		c := a
-		c.SlotSel = s.pinned(a.SlotSel, si, idx)
-		s.tgs = append(s.tgs, s.Compact(st, c))
+		s.tgs = append(s.tgs, s.PinSlot(st, a, si, idx))
 	}
 	return slices.Clip(s.tgs[start:])
+}
+
+// PinSlot β-unnests slot si of a to the single candidate pair k and compacts
+// the result: one member of UnnestSlot's output, built alone — the map-side
+// join pins a partial left this way only once a right record matches it.
+func (s *Scratch) PinSlot(st *query.Star, a AnnTG, si, k int) AnnTG {
+	a.SlotSel = s.pinned(a.SlotSel, si, k)
+	return s.Compact(st, a)
 }
 
 // UnnestSlot expands a single slot fully (the map-side full β-unnest used

@@ -34,18 +34,18 @@ func Mod(mod uint64, format string, args ...any) uint64 {
 // Bucket assigns a dictionary ID (or any 64-bit key) to one of n buckets by
 // hashing its 8 little-endian bytes. This is the partitioned layout's
 // placement function: the loader writes triple t to Bucket(t.S, n), and the
-// map-only join rewrite routes records by Bucket(joinValue, n).
+// map-only join rewrite routes records by Bucket(joinValue, n). The FNV-1a
+// loop is inlined (as mapreduce.HashPartitioner's is) so no hasher is
+// allocated or called through an interface per key.
 func Bucket(v uint64, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	h := fnv.New64a()
-	var b [8]byte
+	h := uint64(fnv64aOffset)
 	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
+		h = (h ^ (v >> (8 * i) & 0xff)) * fnv64aPrime
 	}
-	h.Write(b[:])
-	return int(h.Sum64() % uint64(n))
+	return int(h % uint64(n))
 }
 
 // Hasher accumulates formatted writes into one fnv64a state — the streaming
@@ -69,8 +69,11 @@ func Resume(sum uint64) *Hasher {
 	return &Hasher{h: &resumed{state: sum}}
 }
 
-// fnv64aPrime is FNV-1a's 64-bit multiplication prime (matching hash/fnv).
-const fnv64aPrime = 1099511628211
+// FNV-1a's 64-bit offset basis and multiplication prime (matching hash/fnv).
+const (
+	fnv64aOffset = 14695981039346656037
+	fnv64aPrime  = 1099511628211
+)
 
 // resumed is an fnv64a state seeded from an arbitrary prior sum.
 type resumed struct{ state uint64 }

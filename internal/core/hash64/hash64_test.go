@@ -140,3 +140,43 @@ func TestResumeContinuesStream(t *testing.T) {
 		t.Fatalf("Hex mismatch: %s vs %s", rest.Hex(), whole.Hex())
 	}
 }
+
+// legacyBucket is Bucket as it was written over hash/fnv's hasher: the
+// layout's placement, which manifests and bucket files on disk record.
+func legacyBucket(v uint64, n int) int {
+	if n <= 1 {
+		return 0
+	}
+	h := fnv.New64a()
+	var b [8]byte
+	for i := 0; i < 8; i++ {
+		b[i] = byte(v >> (8 * i))
+	}
+	h.Write(b[:])
+	return int(h.Sum64() % uint64(n))
+}
+
+// TestPinBucket: the inlined FNV-1a places every key where the hash/fnv
+// form did, for small, dense, sparse and extreme keys and the bucket counts
+// layouts use.
+func TestPinBucket(t *testing.T) {
+	keys := []uint64{0, 1, 255, 256, 1<<32 - 1, 1 << 32, 1<<64 - 1, 0x0123456789abcdef}
+	for v := uint64(0); v < 5000; v++ {
+		keys = append(keys, v, v*2654435761, v<<40|v)
+	}
+	for _, n := range []int{1, 2, 3, 8, 64} {
+		for _, v := range keys {
+			if got, want := Bucket(v, n), legacyBucket(v, n); got != want {
+				t.Fatalf("Bucket(%#x, %d) = %d, hash/fnv placement %d", v, n, got, want)
+			}
+		}
+	}
+}
+
+func BenchmarkBucket(b *testing.B) {
+	s := 0
+	for i := 0; i < b.N; i++ {
+		s += Bucket(uint64(i), 8)
+	}
+	_ = s
+}

@@ -33,7 +33,7 @@ type Scratch struct {
 	parts []PartialTG
 
 	// Valid within one operator call.
-	idx         []int
+	idx, bkt    []int
 	keep, keep2 []bool
 }
 
@@ -73,7 +73,7 @@ func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 // must not be used afterwards.
 func (s *Scratch) Release() {
 	const word, tg = 8, 96 // bytes per PO or int, and per AnnTG or PartialTG
-	if word*(cap(s.Pairs)+cap(s.pos)+cap(s.ints)+cap(s.idx))+tg*(cap(s.tgs)+cap(s.parts))+
+	if word*(cap(s.Pairs)+cap(s.pos)+cap(s.ints)+cap(s.idx)+cap(s.bkt))+tg*(cap(s.tgs)+cap(s.parts))+
 		cap(s.Buf)+cap(s.keep)+cap(s.keep2) > maxPooledBytes {
 		*s = Scratch{}
 	}

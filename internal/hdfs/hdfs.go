@@ -137,7 +137,10 @@ type DFS struct {
 	dead          []bool // per-node liveness (KillNode)
 	nodesKilled   int
 	metrics       Metrics
-	spillRead     atomic.Int64 // Metrics.SpillBytesRead, charged without mu
+
+	// Read counters charged without mu, per record on the scan path.
+	bytesRead, recordsRead atomic.Int64 // Metrics.BytesRead, RecordsRead
+	spillRead              atomic.Int64 // Metrics.SpillBytesRead
 }
 
 // New creates a cluster per cfg.
@@ -164,6 +167,7 @@ func (d *DFS) Metrics() Metrics {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	m := d.metrics
+	m.BytesRead, m.RecordsRead = d.bytesRead.Load(), d.recordsRead.Load()
 	m.SpillBytesRead = d.spillRead.Load()
 	return m
 }
@@ -173,6 +177,8 @@ func (d *DFS) ResetMetrics() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.metrics = Metrics{}
+	d.bytesRead.Store(0)
+	d.recordsRead.Store(0)
 	d.spillRead.Store(0)
 }
 

@@ -134,9 +134,16 @@ func (d *DFS) ReadAll(name string) ([][]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
-	d.metrics.BytesRead += f.size
-	d.metrics.RecordsRead += int64(len(f.records))
+	d.chargeRead(f.size, int64(len(f.records)))
 	return f.records, nil
+}
+
+// chargeRead adds delivered bytes and records to the read counters. They are
+// atomics outside mu: a scan charges every record it streams, and a lock
+// per record made them the hottest lock of a map-heavy query.
+func (d *DFS) chargeRead(bytes, records int64) {
+	d.bytesRead.Add(bytes)
+	d.recordsRead.Add(records)
 }
 
 // FileReader streams a file's records one at a time, charging the read
@@ -192,10 +199,7 @@ func (r *FileReader) Next() ([]byte, error) {
 	}
 	rec := r.recs[r.i]
 	r.i++
-	r.d.mu.Lock()
-	r.d.metrics.BytesRead += int64(len(rec))
-	r.d.metrics.RecordsRead++
-	r.d.mu.Unlock()
+	r.d.chargeRead(int64(len(rec)), 1)
 	return rec, nil
 }
 
@@ -217,10 +221,11 @@ func (d *DFS) ReadRange(name string, off, n int) ([][]byte, error) {
 	}
 	off, end := clampRange(len(f.records), off, n)
 	recs := f.records[off:end]
+	var bytes int64
 	for _, rec := range recs {
-		d.metrics.BytesRead += int64(len(rec))
+		bytes += int64(len(rec))
 	}
-	d.metrics.RecordsRead += int64(len(recs))
+	d.chargeRead(bytes, int64(len(recs)))
 	return recs, nil
 }
 

@@ -2,8 +2,10 @@ package hdfs
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -249,5 +251,96 @@ func TestRangeClampsHugeAndNegativeCounts(t *testing.T) {
 				t.Errorf("%s: record %d = %q, want %q", tc.name, i, got[i], w)
 			}
 		}
+	}
+}
+
+// TestConcurrentReadsChargeExactly: readers stream, range-read and ReadAll
+// one file concurrently while another goroutine snapshots Metrics. The read
+// counters are charged outside the DFS lock, so the run must be race-free
+// (make check runs it under -race), every snapshot monotonic, and the final
+// counts exact.
+func TestConcurrentReadsChargeExactly(t *testing.T) {
+	d := New(Config{Nodes: 2})
+	const n = 500
+	recs := make([][]byte, n)
+	var size int64
+	for i := range recs {
+		recs[i] = make([]byte, 1+i%7)
+		size += int64(len(recs[i]))
+	}
+	if err := d.WriteFile("f", recs); err != nil {
+		t.Fatal(err)
+	}
+	d.ResetMetrics()
+	const readers = 4
+	var wg sync.WaitGroup
+	errs := make(chan error, readers)
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			switch g % 3 {
+			case 0:
+				r, err := d.Open("f")
+				if err != nil {
+					errs <- err
+					return
+				}
+				for {
+					if _, err := r.Next(); err == io.EOF {
+						return
+					} else if err != nil {
+						errs <- err
+						return
+					}
+				}
+			case 1:
+				for off := 0; off < n; off += 50 {
+					if _, err := d.ReadRange("f", off, 50); err != nil {
+						errs <- err
+						return
+					}
+				}
+			default:
+				if _, err := d.ReadAll("f"); err != nil {
+					errs <- err
+				}
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	snapped := make(chan error, 1)
+	go func() {
+		var last Metrics
+		for {
+			m := d.Metrics()
+			if m.BytesRead < last.BytesRead || m.RecordsRead < last.RecordsRead {
+				snapped <- fmt.Errorf("read counters went backwards: %+v after %+v", m, last)
+				return
+			}
+			last = m
+			select {
+			case <-done:
+				snapped <- nil
+				return
+			default:
+			}
+		}
+	}()
+	wg.Wait()
+	close(done)
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := <-snapped; err != nil {
+		t.Fatal(err)
+	}
+	if m := d.Metrics(); m.BytesRead != readers*size || m.RecordsRead != readers*n {
+		t.Errorf("BytesRead=%d RecordsRead=%d, want %d, %d", m.BytesRead, m.RecordsRead, readers*size, readers*n)
+	}
+	d.ResetMetrics()
+	if m := d.Metrics(); m.BytesRead != 0 || m.RecordsRead != 0 {
+		t.Errorf("after ResetMetrics: BytesRead=%d RecordsRead=%d, want 0, 0", m.BytesRead, m.RecordsRead)
 	}
 }

@@ -71,7 +71,7 @@ SELECT * WHERE {
 	if j.Left.Role != query.RoleSlotObj {
 		t.Fatalf("fixture: join %+v does not bind through the slot", j)
 	}
-	m = &tgJoinMapper{q: q, join: j, mode: bucketedMode, phiM: phiM, rightFile: "grouped"}
+	m = &tgJoinMapper{q: q, join: j, mode: bucketedMode, phiM: phiM}
 	r = &tgJoinReducer{q: q, join: j, mode: bucketedMode, phiM: phiM}
 	sink := &pairSink{keep: true}
 	for _, tg := range core.Group(g.Triples) {

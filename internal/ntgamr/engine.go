@@ -209,29 +209,44 @@ func (n *NTGA) PlanSource(q *query.Query, src plan.Source, cl *engine.Cleaner) (
 				ExtraOutputs:    jlFilesOf(next),
 				WholeFileSplits: true,
 				TaskSideInputs:  jl.files,
-				MapOnlyFactory:  &joinTaskFactory{q: q, join: j, next: next},
+				MapOnlyFactory:  &joinTaskFactory{q: q, join: j, buckets: part.Buckets, next: next},
 			}
 			inputs := []string{grouped}
 			if ji > 0 {
 				inputs = []string{acc, grouped}
 			}
-			p.Stages = append(p.Stages, plan.Stage{{
+			// A nested joining slot crosses the routed bucket files as
+			// μ^β_φm over the layout's buckets (jlRoute.emit).
+			node := &plan.Node{
 				Kind: plan.KindTGJoin, Name: name, Star: -1,
 				Inputs: inputs, Output: out, Join: &q.Joins[ji],
-				Unnest:  n.unnestFor(j, directMode),
+				Unnest:  n.unnestFor(j, bucketedMode),
 				MapSide: true, Part: part, Job: job,
-			}})
+			}
+			if node.Unnest == plan.UnnestPartial {
+				node.PhiM = part.Buckets
+			}
+			p.Stages = append(p.Stages, plan.Stage{node})
 			jl = next
 			acc = out
 			continue
 		}
-		// The shuffle cycle, reading the accumulated result and the (flat)
-		// grouping output.
+		// The shuffle cycle, reading the accumulated result and the grouping
+		// output: over the layout, where grouping wrote only the grouped
+		// bucket files, those files.
 		mode := n.joinModeFor(q, j)
-		job := tgJoinJob(q, name, j, mode, n.phiM, acc, grouped, out)
+		rights := []string{grouped}
+		if grpFiles != nil {
+			rights = grpFiles
+		}
+		job := tgJoinJob(q, name, j, mode, n.phiM, acc, rights, out)
+		inputs := []string{grouped}
+		if acc != grouped {
+			inputs = []string{acc, grouped}
+		}
 		node := &plan.Node{
 			Kind: plan.KindTGJoin, Name: name, Star: -1,
-			Inputs: append([]string(nil), job.Inputs...), Output: out,
+			Inputs: inputs, Output: out,
 			Join: &q.Joins[ji], Unnest: n.unnestFor(j, mode), Job: job,
 		}
 		if node.Unnest == plan.UnnestPartial {

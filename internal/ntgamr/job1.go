@@ -22,7 +22,6 @@ import (
 
 	"ntga/internal/codec"
 	"ntga/internal/core"
-	"ntga/internal/core/hash64"
 	"ntga/internal/mapreduce"
 	"ntga/internal/query"
 	"ntga/internal/rdf"
@@ -67,10 +66,11 @@ func emitTriple(record []byte, out mapreduce.Emitter) error {
 // the subject triplegroup, applies the β group-filter for every equivalence
 // class, and — under the Eager strategy — β-unnests immediately.
 //
-// Over a subject-partitioned layout the grouping cycle also routes each AnnTG
-// to its subject's grouped bucket (grpFiles, indexed by hash64.Bucket of the
-// subject) and the first map-only join's left side through jl; both are nil
-// when unused.
+// Over a subject-partitioned layout with a map-only join prefix, the grouping
+// cycle writes each AnnTG once — to its subject's grouped bucket (grpFiles,
+// indexed by layoutBucket of the subject) instead of the main output — and
+// routes the first map-only join's left side through jl; both are nil when
+// unused.
 type groupFilterReducer struct {
 	q        *query.Query
 	eager    bool
@@ -86,24 +86,21 @@ func (r *groupFilterReducer) Reduce(key []byte, values mapreduce.ValueIter, out 
 		return err
 	}
 	out.Inc(CounterGroups, 1)
+	if r.grpFiles == nil {
+		return filterGroup(s, r.q, tg, r.eager, out, func(_ []core.AnnTG, rec []byte) error {
+			return out.Collect(rec)
+		})
+	}
+	nc, ok := out.(mapreduce.NamedCollector)
+	if !ok {
+		return fmt.Errorf("ntgamr: collector lacks MultipleOutputs support")
+	}
+	grp := r.grpFiles[layoutBucket(tg.Subject, len(r.grpFiles))]
 	return filterGroup(s, r.q, tg, r.eager, out, func(comps []core.AnnTG, rec []byte) error {
-		if err := out.Collect(rec); err != nil {
+		if err := nc.CollectTo(grp, rec); err != nil {
 			return err
 		}
-		if r.grpFiles == nil && r.jl == nil {
-			return nil
-		}
-		nc, ok := out.(mapreduce.NamedCollector)
-		if !ok {
-			return fmt.Errorf("ntgamr: collector lacks MultipleOutputs support")
-		}
-		if r.grpFiles != nil {
-			b := hash64.Bucket(uint64(tg.Subject), len(r.grpFiles))
-			if err := nc.CollectTo(r.grpFiles[b], rec); err != nil {
-				return err
-			}
-		}
-		if r.jl != nil && comps[0].EC == r.jl.pos.Star {
+		if comps[0].EC == r.jl.pos.Star {
 			return r.jl.emit(s, r.q, comps, nc)
 		}
 		return nil

@@ -31,12 +31,11 @@ const (
 
 // tgJoinMapper is the map side of a triplegroup join cycle.
 type tgJoinMapper struct {
-	q         *query.Query
-	join      query.Join
-	mode      joinMode
-	phiM      int
-	leftFile  string // "" when both sides come from the single input file
-	rightFile string
+	q        *query.Query
+	join     query.Join
+	mode     joinMode
+	phiM     int
+	leftFile string // "" when both sides come from the single input file
 }
 
 func (m *tgJoinMapper) Map(input string, record []byte, out mapreduce.Emitter) error {
@@ -60,18 +59,15 @@ func (m *tgJoinMapper) Map(input string, record []byte, out mapreduce.Emitter) e
 			return nil // a later join's star
 		}
 	}
-	switch input {
-	case m.leftFile:
+	if input == m.leftFile {
 		return m.emitSide(s, comps, m.join.Left, tagLeft, out)
-	case m.rightFile:
-		// The grouping output holds every EC; this join wants one.
-		if len(comps) != 1 || comps[0].EC != m.join.Right.Star {
-			return nil
-		}
-		return m.emitSide(s, comps, m.join.Right, tagRight, out)
-	default:
-		return fmt.Errorf("ntgamr: join mapper got unexpected input %q", input)
 	}
+	// Every other input is the grouping output, which holds every EC; this
+	// join wants one.
+	if len(comps) != 1 || comps[0].EC != m.join.Right.Star {
+		return nil
+	}
+	return m.emitSide(s, comps, m.join.Right, tagRight, out)
 }
 
 // emitTagged frames one map output pair in s.Buf: the uvarint key, then the side
@@ -273,23 +269,23 @@ func (r *tgJoinReducer) Reduce(key []byte, values mapreduce.ValueIter, out mapre
 	}
 }
 
-// tgJoinJob builds one triplegroup join cycle. When leftFile equals
-// rightFile (the first join), the job scans that file once and the mapper
-// routes records by equivalence class.
+// tgJoinJob builds one triplegroup join cycle. When the left file is the
+// only right file (the first join), the job scans that file once and the
+// mapper routes records by equivalence class; otherwise the right side is
+// the grouping output, one file or the layout's grouped bucket files.
 func tgJoinJob(q *query.Query, name string, j query.Join, mode joinMode, phiM int,
-	leftFile, rightFile, output string) *mapreduce.Job {
-	inputs := []string{leftFile, rightFile}
+	leftFile string, rightFiles []string, output string) *mapreduce.Job {
+	inputs := append([]string{leftFile}, rightFiles...)
 	mLeft := leftFile
-	if leftFile == rightFile {
-		inputs = []string{rightFile}
+	if len(rightFiles) == 1 && leftFile == rightFiles[0] {
+		inputs = rightFiles
 		mLeft = ""
 	}
 	return &mapreduce.Job{
-		Name:   name,
-		Inputs: inputs,
-		Output: output,
-		Mapper: &tgJoinMapper{q: q, join: j, mode: mode, phiM: phiM,
-			leftFile: mLeft, rightFile: rightFile},
+		Name:          name,
+		Inputs:        inputs,
+		Output:        output,
+		Mapper:        &tgJoinMapper{q: q, join: j, mode: mode, phiM: phiM, leftFile: mLeft},
 		StreamReducer: &tgJoinReducer{q: q, join: j, mode: mode, phiM: phiM},
 	}
 }

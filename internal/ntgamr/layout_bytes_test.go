@@ -1,0 +1,123 @@
+package ntgamr_test
+
+import (
+	"testing"
+
+	"ntga/internal/bench"
+	"ntga/internal/engine"
+	"ntga/internal/enginetest"
+	"ntga/internal/hdfs"
+	"ntga/internal/mapreduce"
+	"ntga/internal/ntgamr"
+	"ntga/internal/plan"
+	"ntga/internal/query"
+	"ntga/internal/rdf"
+	"ntga/internal/refengine"
+)
+
+// TestLayoutGroupingWritesEachAnnTGOnce holds the grouping cycle over an
+// 8-bucket layout to one copy of the grouping output, for every catalog
+// query and both NTGA strategies. With a map-only join prefix it writes the
+// flat grouping output's bytes to the grouped bucket files, nothing to its
+// main output, and beside them only the first join's routed lefts: its
+// written bytes are the flat grouping output plus the routed-left bytes.
+// Without a prefix it writes the flat output itself. A plan whose shuffled
+// join follows a map-only prefix (B7's) reads the grouped bucket files and
+// must still return the reference evaluator's rows.
+func TestLayoutGroupingWritesEachAnnTGOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("catalog sweep")
+	}
+	const buckets = 8
+	graphs := map[string]*rdf.Graph{}
+	for _, cq := range bench.Catalog() {
+		t.Run(cq.ID, func(t *testing.T) {
+			g, ok := graphs[cq.Dataset]
+			if !ok {
+				var err error
+				if g, err = bench.Dataset(cq.Dataset, 1, 42); err != nil {
+					t.Fatal(err)
+				}
+				graphs[cq.Dataset] = g
+			}
+			q := enginetest.Compile(t, g, cq.Src)
+			for _, eng := range []*ntgamr.NTGA{ntgamr.NewEager(), ntgamr.NewLazy()} {
+				mr := mapreduce.NewEngine(hdfs.New(hdfs.Config{Nodes: 4}),
+					mapreduce.EngineConfig{DefaultReducers: 4, SplitRecords: 1024})
+				dfs := mr.DFS()
+				const input = "data/triples"
+				if err := engine.LoadGraph(dfs, input, g); err != nil {
+					t.Fatal(err)
+				}
+				part, err := plan.BuildPartitionLayout(mr, input, "part/T", buckets, g.Version())
+				if err != nil {
+					t.Fatal(err)
+				}
+				// runGroup runs the plan's grouping cycle alone and returns its
+				// job and metrics; the outputs stay until cl is cleaned.
+				runGroup := func(src plan.Source, cl *engine.Cleaner) (*mapreduce.Job, mapreduce.JobMetrics) {
+					p, err := engine.Plan(eng, q, src, cl)
+					if err != nil {
+						t.Fatal(err)
+					}
+					job := p.Stages[0][0].Job
+					m, err := mr.Run(job)
+					if err != nil {
+						t.Fatalf("%s %s: %v", eng.Name(), job.Name, err)
+					}
+					return job, m
+				}
+				size := func(files ...string) int64 {
+					var n int64
+					for _, f := range files {
+						s, err := dfs.FileSize(f)
+						if err != nil {
+							t.Fatal(err)
+						}
+						n += s
+					}
+					return n
+				}
+				var flatCl, partCl engine.Cleaner
+				flatJob, _ := runGroup(plan.Source{Base: input}, &flatCl)
+				flat := size(flatJob.Output)
+				job, m := runGroup(plan.Source{Base: input, Part: part}, &partCl)
+				prefix := ntgamr.MapOnlyPrefix(part, q.Joins)
+				if prefix == 0 {
+					if len(job.ExtraOutputs) != 0 || m.ReduceOutputBytes != flat || size(job.Output) != flat {
+						t.Errorf("%s: grouping wrote %d bytes (%d extra outputs), want the flat output's %d",
+							eng.Name(), m.ReduceOutputBytes, len(job.ExtraOutputs), flat)
+					}
+				} else {
+					grp, routed := job.ExtraOutputs[:buckets], job.ExtraOutputs[buckets:]
+					if len(routed) != buckets {
+						t.Fatalf("%s: %d routed-left files, want %d", eng.Name(), len(routed), buckets)
+					}
+					if got := size(grp...); got != flat {
+						t.Errorf("%s: grouped bucket files hold %d bytes, flat grouping output %d", eng.Name(), got, flat)
+					}
+					if got := size(job.Output); got != 0 {
+						t.Errorf("%s: main output holds %d bytes beside the grouped bucket files", eng.Name(), got)
+					}
+					if want := flat + size(routed...); m.ReduceOutputBytes != want {
+						t.Errorf("%s: grouping wrote %d bytes, want flat %d + routed lefts %d",
+							eng.Name(), m.ReduceOutputBytes, flat, want-flat)
+					}
+				}
+				flatCl.Clean(mr)
+				partCl.Clean(mr)
+				if prefix == 0 || prefix == len(q.Joins) {
+					continue
+				}
+				res, err := engine.Run(eng, mr, q, plan.Source{Base: input, Part: part})
+				if err != nil {
+					t.Fatalf("%s: %v", eng.Name(), err)
+				}
+				if want := refengine.Evaluate(q, g); !query.RowsEqual(want, res.Rows) {
+					t.Errorf("%s rows after a map-only prefix differ from reference:\n%s",
+						eng.Name(), query.DiffRows(want, res.Rows, 6))
+				}
+			}
+		})
+	}
+}

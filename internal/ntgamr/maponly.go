@@ -1,10 +1,8 @@
 package ntgamr
 
 import (
-	"encoding/binary"
 	"fmt"
 
-	"ntga/internal/codec"
 	"ntga/internal/core"
 	"ntga/internal/core/hash64"
 	"ntga/internal/engine"
@@ -24,14 +22,22 @@ import (
 //     (PutID(S), PutID(P)+PutID(O)) — the grouping cycle's own key/value
 //     encoding — so the grouping cycle is job1 itself with WholeFileSplits
 //     set: each task hands its bucket's subject runs, already in the flat
-//     reducer's sorted-value order, straight to groupFilterReducer;
-//   - join i's left side is resolved (pinned / fully β-unnested) by the
-//     producing job and routed to the bucket of its join value, so join i's
-//     map-only task b joins lefts and rights that both hash to b.
+//     reducer's sorted-value order, straight to groupFilterReducer, which
+//     writes each AnnTG once, to its subject's grouped bucket file;
+//   - join i's left side is routed by the producing job to the bucket of
+//     its join value, so join i's map-only task b joins lefts and rights
+//     that both hash to b.
 //
-// Partial β-unnest (μ^β_φm) never appears on this path: it exists to shrink
-// shuffled bytes, and here there are none — a nested joining slot is fully
-// unnested instead, which yields the same rows.
+// The routed bucket files are this path's exchange, so a left whose joining
+// slot is still nested crosses it as the paper's partial β-unnest μ^β_φm
+// (TG_OptUnbJoin) with φ = hash64.Bucket and φm = the layout's bucket count:
+// one record per bucket its candidates hash to, the rest of the group
+// written once per bucket instead of once per candidate. The join task
+// indexes such a left under each of its candidates in the task's bucket and
+// pins the slot only when a right subject matches — Lazy's deferral carried
+// into the join. A left already resolved at its join position (a subject,
+// a pinned slot, a bound object pinned per candidate) is routed as one
+// record per join value.
 
 // MapOnlyPrefix returns how many leading joins of the chain the partitioned
 // layout can serve map-side: the unbroken prefix whose joins all bind the
@@ -55,41 +61,61 @@ func partMissReason(j query.Join) string {
 		j.Var, j.Right.Star, j.Right.Role)
 }
 
-// decodeResolved reads one routed left-side record — the concrete join value
-// followed by the joined-components encoding (jlRoute.emit's framing) — into s.
-func decodeResolved(s *core.Scratch, rec []byte) (rdf.ID, []core.AnnTG, error) {
-	rd := codec.NewReader(rec)
-	v, err := rd.ID()
-	if err != nil {
-		return 0, nil, err
-	}
-	comps, err := s.DecodeJoined(rec[len(rec)-rd.Remaining():])
-	return v, comps, err
-}
+// layoutBucket is the layout's placement function over dictionary IDs.
+func layoutBucket(v rdf.ID, n int) int { return hash64.Bucket(uint64(v), n) }
 
-// jlRoute routes resolved left-side records of one upcoming map-only join to
-// its bucket files.
+// jlRoute routes the left side of one upcoming map-only join to the bucket
+// files of its join values.
 type jlRoute struct {
 	pos   query.Pos // the join's left position
-	files []string  // bucket files, indexed by hash64.Bucket(join value)
+	files []string  // bucket files, indexed by layoutBucket(join value)
 }
 
 func (r *jlRoute) emit(s *core.Scratch, q *query.Query, comps []core.AnnTG, nc mapreduce.NamedCollector) error {
+	route := func(b int, comps []core.AnnTG) error {
+		s.Buf = core.AppendJoined(s.Buf[:0], comps)
+		return nc.CollectTo(r.files[b], s.Buf)
+	}
+	if r.pos.Role == query.RoleSlotObj {
+		ci, err := compOf(comps, r.pos.Star)
+		if err != nil {
+			return err
+		}
+		if comp := comps[ci]; comp.SlotSel[r.pos.Idx] == core.Nested {
+			for _, pt := range s.PartialBetaUnnestBy(q.Stars[r.pos.Star], comp, r.pos.Idx, len(r.files), layoutBucket) {
+				nc.Inc(CounterPartialTGs, 1)
+				comps[ci] = pt.TG
+				if err := route(pt.Bucket, comps); err != nil {
+					return err
+				}
+			}
+			comps[ci] = comp
+			return nil
+		}
+	}
 	return resolveJoinSide(s, q, comps, r.pos, nc, func(v rdf.ID, comps []core.AnnTG) error {
-		s.Buf = core.AppendJoined(binary.AppendUvarint(s.Buf[:0], uint64(v)), comps)
-		return nc.CollectTo(r.files[hash64.Bucket(uint64(v), len(r.files))], s.Buf)
+		return route(layoutBucket(v, len(r.files)), comps)
 	})
 }
 
+// leftRef is one routed left record indexed under one join value: the
+// record's components, the index of its joining component, and — for a left
+// routed partially — the slot candidate pair to pin on a match (-1 when the
+// join position was already resolved).
+type leftRef struct {
+	comps    []core.AnnTG
+	ci, pair int
+}
+
 // joinTask is the map-only join operator for one bucket: the side input
-// holds every resolved left record whose join value hashes to this bucket,
-// and the task streams the grouped bucket joining right-side records (whose
-// subject is the join value — map-only joins always bind the right star
-// through its subject, so right subjects co-hash with their lefts).
+// holds every left record routed to this bucket, and the task streams the
+// grouped bucket joining right-side records (whose subject is the join value
+// — map-only joins always bind the right star through its subject, so right
+// subjects co-hash with their lefts).
 type joinTask struct {
 	q     *query.Query
 	join  query.Join
-	lefts map[rdf.ID][][]core.AnnTG
+	lefts map[rdf.ID][]leftRef
 	next  *jlRoute // the following map-only join's left routing (nil when last)
 	sc    core.Scratch
 }
@@ -104,7 +130,12 @@ func (j *joinTask) MapRecord(_ string, record []byte, out mapreduce.Collector) e
 		return nil // another star's group — a different join consumes it
 	}
 	for _, l := range j.lefts[comps[0].Subject] {
-		joined := j.sc.Concat(l, comps)
+		joined := j.sc.Concat(l.comps, comps)
+		if l.pair >= 0 {
+			out.Inc(CounterMapUnnest, 1)
+			pos := j.join.Left
+			joined[l.ci] = j.sc.PinSlot(j.q.Stars[pos.Star], joined[l.ci], pos.Idx, l.pair)
+		}
 		j.sc.Buf = core.AppendJoined(j.sc.Buf[:0], joined)
 		if err := out.Collect(j.sc.Buf); err != nil {
 			return err
@@ -123,22 +154,47 @@ func (j *joinTask) MapRecord(_ string, record []byte, out mapreduce.Collector) e
 }
 
 // joinTaskFactory builds the join operator per bucket task from its side
-// input (the routed left records).
+// input (the left records routed to the bucket).
 type joinTaskFactory struct {
-	q    *query.Query
-	join query.Join
-	next *jlRoute
+	q       *query.Query
+	join    query.Join
+	buckets int
+	next    *jlRoute
 }
 
-func (f *joinTaskFactory) NewTask(_ int, side [][]byte) (mapreduce.MapOnlyMapper, error) {
-	lefts := make(map[rdf.ID][][]core.AnnTG, len(side))
+// NewTask indexes the bucket's routed lefts by join value. A partially
+// routed left is indexed, not unnested, under each slot candidate that falls
+// in this bucket — the others are the same left's records in other buckets.
+func (f *joinTaskFactory) NewTask(task int, side [][]byte) (mapreduce.MapOnlyMapper, error) {
+	pos := f.join.Left
+	st := f.q.Stars[pos.Star]
+	lefts := make(map[rdf.ID][]leftRef, len(side))
 	var ls core.Scratch // the lefts live in its slabs for the whole task
+	var cands []int
 	for _, rec := range side {
-		v, comps, err := decodeResolved(&ls, rec)
+		comps, err := ls.DecodeJoined(rec)
 		if err != nil {
 			return nil, err
 		}
-		lefts[v] = append(lefts[v], comps)
+		ci, err := compOf(comps, pos.Star)
+		if err != nil {
+			return nil, err
+		}
+		c := comps[ci]
+		if pos.Role != query.RoleSlotObj || c.SlotSel[pos.Idx] != core.Nested {
+			v, err := core.JoinValue(st, c, pos)
+			if err != nil {
+				return nil, err
+			}
+			lefts[v] = append(lefts[v], leftRef{comps: comps, ci: ci, pair: -1})
+			continue
+		}
+		cands = c.SlotCandidates(cands[:0], st, pos.Idx)
+		for _, k := range cands {
+			if v := c.Triples[k].O; layoutBucket(v, f.buckets) == task {
+				lefts[v] = append(lefts[v], leftRef{comps: comps, ci: ci, pair: k})
+			}
+		}
 	}
 	return &joinTask{q: f.q, join: f.join, lefts: lefts, next: f.next}, nil
 }
