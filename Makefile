@@ -105,20 +105,20 @@ serve-smoke:
 ingest-smoke:
 	sh scripts/ingest_smoke.sh
 
-# End-to-end distributed smoke test: boot ntga-master + two ntga-worker
-# processes over RPC, run a query through ntga-run -cluster, kill -9 one
-# worker mid-run, then boot ntga-serve -workers (the daemon hosting the
-# master) + one ntga-worker and query it through ntga-run -server; assert
-# every run prints output byte-identical to a local ntga-run over the same
-# data.
+# End-to-end distributed smoke test: boot ntga-serve -workers (the daemon
+# hosting the master) + two ntga-worker processes over RPC, run a query
+# through ntga-run -server, kill -9 one worker mid-run, and assert every run
+# prints output byte-identical to a local ntga-run over the same data with
+# the daemon's -reducers and -split-records.
 dist-smoke:
 	sh scripts/dist_smoke.sh
 
-# End-to-end partition-tolerance smoke test: boot ntga-master + two
+# End-to-end partition-tolerance smoke test: boot ntga-serve -workers + two
 # ntga-worker processes (one behind the seeded chaos transport), cut the
 # worker↔master edge mid-query and assert recovery with local-identical
-# output, then kill -9 the master, restart it, and assert both workers
-# re-register and answer queries again (scripts/partition_smoke.sh).
+# output, then kill -9 the daemon (the master), restart it on the same
+# addresses, and assert both workers re-register and answer queries again
+# (scripts/partition_smoke.sh).
 partition-smoke:
 	sh scripts/partition_smoke.sh
 

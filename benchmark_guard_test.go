@@ -34,8 +34,10 @@ func TestBenchmarkHarnessVets(t *testing.T) {
 }
 
 // TestToolingReferencesResolve keeps Makefile, scripts/ and CI naming each
-// other consistently, so deleting a script or a target cannot leave a
-// dangling reference that only fails when somebody runs it.
+// other consistently, and every ./cmd/<name> path the docs, Makefile,
+// scripts and CI build or run naming a command that exists, so deleting a
+// script, a target or a binary cannot leave a dangling reference that only
+// fails when somebody runs it.
 func TestToolingReferencesResolve(t *testing.T) {
 	read := func(path string) string {
 		raw, err := os.ReadFile(path)
@@ -87,6 +89,17 @@ func TestToolingReferencesResolve(t *testing.T) {
 	for _, m := range regexp.MustCompile(`\bmake +([A-Za-z0-9_-]+)`).FindAllStringSubmatch(ci, -1) {
 		if !targets[m[1]] {
 			t.Errorf("ci.yml runs `make %s`, which the Makefile does not define", m[1])
+		}
+	}
+
+	// Paths only: engine names such as ntga-lazy share the binaries' prefix.
+	docs := append([]string{"README.md", "DESIGN.md", "Makefile", filepath.Join(".github", "workflows", "ci.yml")}, onDisk...)
+	cmdPath := regexp.MustCompile(`\./cmd/([A-Za-z0-9_-]+)`)
+	for _, doc := range docs {
+		for _, m := range cmdPath.FindAllStringSubmatch(read(doc), -1) {
+			if _, err := os.Stat(filepath.Join("cmd", m[1])); err != nil {
+				t.Errorf("%s names %s, which does not exist", filepath.ToSlash(doc), m[0])
+			}
 		}
 	}
 }

@@ -7,6 +7,7 @@
 //	ntga-run -data data.nt -query query.rq -engine ntga-lazy
 //	ntga-run -data data.nt -e 'SELECT * WHERE { ?s ?p ?o . }' -engine hive -metrics
 //	ntga-run -server 127.0.0.1:7457 -ingest delta.nt -compact
+//	ntga-run -health 127.0.0.1:7457
 package main
 
 import (
@@ -20,7 +21,6 @@ import (
 	"strconv"
 	"strings"
 
-	"ntga/internal/cluster"
 	"ntga/internal/engine"
 	"ntga/internal/engines"
 	"ntga/internal/hdfs"
@@ -50,11 +50,7 @@ type options struct {
 	advise, optimize                    bool
 	server, health, tenant              string
 	noCache                             bool
-	cluster                             string
-	clusterStatus                       bool
 	reducers, splitRecords, partBuckets int
-	partOut                             string
-	noPartition                         bool
 	ingest                              string
 	compact                             bool
 }
@@ -83,16 +79,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.statsOut, "stats-out", "", "build the statistics catalog (map-only MR job) and write it to this file")
 	fs.IntVar(&o.limit, "limit", 0, "print at most N rows (0 = all)")
 	fs.StringVar(&o.server, "server", "", "client mode: send the query to a running ntga-serve daemon at this address instead of evaluating locally")
-	fs.StringVar(&o.health, "health", "", "check a running ntga-serve daemon's /healthz and exit")
+	fs.StringVar(&o.health, "health", "", "check a running ntga-serve daemon's /healthz and exit; a daemon hosting the master (-workers) also prints its worker fleet's status")
 	fs.StringVar(&o.tenant, "tenant", "", "client mode: slot-pool scheduling class for this query")
 	fs.BoolVar(&o.noCache, "no-cache", false, "client mode: bypass the server's result cache")
-	fs.StringVar(&o.cluster, "cluster", "", "distributed mode: submit the query to a running ntga-master at this RPC address instead of evaluating locally")
-	fs.BoolVar(&o.clusterStatus, "cluster-status", false, "distributed mode: print the master's cluster status and exit")
 	fs.IntVar(&o.reducers, "reducers", 0, "reduce partitions per job (0 = engine default)")
 	fs.IntVar(&o.splitRecords, "split-records", 0, "records per map split (0 = engine default)")
-	fs.IntVar(&o.partBuckets, "partition-buckets", 0, "build the hash-of-subject partitioned layout with this many buckets and run the query over it (0 = flat); in -cluster mode, 0 keeps the master's default")
-	fs.StringVar(&o.partOut, "partition-out", "part/T", "DFS directory for the partitioned layout (with -partition-buckets)")
-	fs.BoolVar(&o.noPartition, "no-partition", false, "cluster mode: force the flat plan even when the master holds a partitioned layout")
+	fs.IntVar(&o.partBuckets, "partition-buckets", 0, "build the hash-of-subject partitioned layout with this many buckets and run the query over it (0 = flat)")
 	fs.StringVar(&o.ingest, "ingest", "", "comma-separated N-Triples files appended as delta blocks after the base load, or with -server posted to the daemon's /ingest; the query runs over base ∪ deltas")
 	fs.BoolVar(&o.compact, "compact", false, "fold the delta chain into a fresh base generation (delta-merge MR job) before running the query; with -server, POST /compact")
 	if err := fs.Parse(args); err != nil {
@@ -106,10 +98,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch {
 	case o.health != "":
 		err = checkHealth(stdout, o.health)
-	case o.cluster != "" && o.clusterStatus:
-		err = clusterStatus(stdout, o.cluster)
-	case o.cluster != "":
-		err = runCluster(stdout, stderr, &o)
 	case o.server != "":
 		err = runRemote(stdout, stderr, &o)
 	default:
@@ -292,7 +280,7 @@ func openLocal(o *options, g *rdf.Graph) (localRun, error) {
 	}
 	lr.mr = mapreduce.NewEngine(hdfs.New(hdfs.Config{Nodes: o.nodes, Replication: o.rep}), cfg)
 	var err error
-	lr.wh, err = ingest.Open(lr.mr, "data/triples", g, o.partOut, o.partBuckets)
+	lr.wh, err = ingest.Open(lr.mr, "data/triples", g, "part/T", o.partBuckets)
 	return lr, err
 }
 
@@ -468,84 +456,6 @@ func parseFaults(s string) (*mapreduce.FaultPlan, int, error) {
 	return plan, 8, nil
 }
 
-// runCluster submits the query to a running ntga-master and prints the
-// master-rendered rows exactly as a local run would print its own.
-func runCluster(stdout, stderr io.Writer, o *options) error {
-	src, err := queryText(o)
-	if err != nil {
-		return err
-	}
-	c, err := cluster.Dial(nil, o.cluster)
-	if err != nil {
-		return fmt.Errorf("dialing master %s: %w", o.cluster, err)
-	}
-	defer c.Close()
-	reply, err := c.Run(context.Background(), &cluster.RunArgs{
-		Query:        src,
-		Engine:       o.engine,
-		PhiM:         o.phiM,
-		Reducers:     o.reducers,
-		SplitRecords: o.splitRecords,
-		NoPartition:  o.noPartition,
-	})
-	if err != nil {
-		return err
-	}
-	if o.metrics {
-		printMetrics(stderr, &engine.Result{
-			Engine:        reply.Engine,
-			Workflow:      reply.Workflow,
-			Counters:      reply.Counters,
-			OutputRecords: reply.OutputRecords,
-			OutputBytes:   reply.OutputBytes,
-			PeakDFSUsed:   reply.PeakDFSUsed,
-		})
-	}
-	if reply.IsCount {
-		fmt.Fprintf(stdout, "%s\n%d\n", reply.Header[0], reply.Count)
-		return nil
-	}
-	printRows(stdout, reply.Header, reply.RowsText, reply.TotalRows, o.limit)
-	fmt.Fprintf(stderr, "%d rows\n", reply.TotalRows)
-	return nil
-}
-
-// clusterStatus prints the master's view of the cluster: dataset identity,
-// per-worker liveness and slot occupancy, and scheduler totals.
-func clusterStatus(out io.Writer, addr string) error {
-	c, err := cluster.Dial(nil, addr)
-	if err != nil {
-		return fmt.Errorf("dialing master %s: %w", addr, err)
-	}
-	defer c.Close()
-	st, err := c.Status(context.Background())
-	if err != nil {
-		return err
-	}
-	alive := 0
-	for _, w := range st.Workers {
-		if w.Alive {
-			alive++
-		}
-	}
-	fmt.Fprintf(out, "master %s: %d triples, dataset %s\n", addr, st.Triples, st.DatasetVersion)
-	fmt.Fprintf(out, "workers: %d alive / %d registered, workers_lost=%d, active_queries=%d, tasks_dispatched=%d\n",
-		alive, len(st.Workers), st.WorkersLost, st.ActiveQueries, st.TasksDispatched)
-	fmt.Fprintf(out, "transport: rpc_retries=%d redials=%d fetch_transient_retries=%d worker_reregistrations=%d\n",
-		st.RPCRetries, st.Redials, st.FetchTransientRetries, st.WorkerReregistrations)
-	fmt.Fprintf(out, "scheduler: affine_leases=%d\n", st.AffineLeases)
-	for _, w := range st.Workers {
-		state := "alive"
-		if !w.Alive {
-			state = "dead"
-		}
-		fmt.Fprintf(out, "  worker %d %s %s map %d/%d reduce %d/%d done=%d failed=%d\n",
-			w.ID, w.Addr, state, w.MapBusy, w.MapSlots, w.ReduceBusy, w.ReduceSlots,
-			w.TasksDone, w.TasksFailed)
-	}
-	return nil
-}
-
 // printRecovery summarizes what the fault-tolerance machinery did during the
 // run: attempts retried or killed, nodes lost, map output regenerated,
 // speculative backups raced, and the attempt-private bytes reclaimed.
@@ -571,19 +481,43 @@ func writeTrace(path string, tr *trace.Tracer) error {
 }
 
 // checkHealth probes a running daemon's /healthz and fails if it is
-// unreachable or unhealthy (the smoke harnesses' readiness gate). A daemon
-// hosting the master also reports its alive and registered workers.
+// unreachable or not "ok" (the smoke harnesses' readiness gate). A daemon
+// hosting the master also prints its fleet's status from /metrics —
+// liveness, losses and the transport recovery its workers absorbed — even
+// when degraded, the state those lines explain.
 func checkHealth(w io.Writer, addr string) error {
-	h, err := server.NewClient(addr).Health(context.Background())
+	c := server.NewClient(addr)
+	ctx := context.Background()
+	h, unhealthy := c.Health(ctx)
+	if h == nil {
+		return unhealthy
+	}
+	fmt.Fprintf(w, "%s triples=%d dataset=%s uptime=%dms", h.Status, h.Triples, h.DatasetVersion, h.UptimeMS)
+	if h.Mode != "distributed" {
+		fmt.Fprintln(w)
+		return unhealthy
+	}
+	fmt.Fprintf(w, " workers=%d/%d\n", h.WorkersAlive, h.WorkersRegistered)
+	m, err := c.Metrics(ctx)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "ok triples=%d dataset=%s uptime=%dms", h.Triples, h.DatasetVersion, h.UptimeMS)
-	if h.Mode == "distributed" {
-		fmt.Fprintf(w, " workers=%d/%d", h.WorkersAlive, h.WorkersRegistered)
+	cm := m.Cluster
+	fmt.Fprintf(w, "workers: %d alive / %d registered, workers_lost=%d, active_queries=%d, tasks_dispatched=%d\n",
+		cm.WorkersAlive, cm.WorkersRegistered, cm.WorkersLost, cm.ActiveQueries, cm.TasksDispatched)
+	fmt.Fprintf(w, "transport: rpc_retries=%d redials=%d fetch_transient_retries=%d worker_reregistrations=%d\n",
+		cm.RPCRetries, cm.Redials, cm.FetchTransientRetries, cm.WorkerReregistrations)
+	fmt.Fprintf(w, "scheduler: affine_leases=%d\n", cm.AffineLeases)
+	for _, ws := range cm.Workers {
+		state := "alive"
+		if !ws.Alive {
+			state = "dead"
+		}
+		fmt.Fprintf(w, "  worker %d %s %s map %d/%d reduce %d/%d done=%d failed=%d\n",
+			ws.ID, ws.Addr, state, ws.MapBusy, ws.MapSlots, ws.ReduceBusy, ws.ReduceSlots,
+			ws.TasksDone, ws.TasksFailed)
 	}
-	fmt.Fprintln(w)
-	return nil
+	return unhealthy
 }
 
 // ingestFiles lists the -ingest files in order.

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"ntga/internal/cluster"
 	"ntga/internal/enginetest"
 	"ntga/internal/rdf"
 	"ntga/internal/server"
@@ -49,11 +50,31 @@ func TestRun(t *testing.T) {
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 	addr := strings.TrimPrefix(hs.URL, "http://")
+	// distAddr is a daemon hosting the master with no worker registered:
+	// degraded, with its fleet's status to print.
+	m, err := cluster.NewMaster(cluster.MasterConfig{}, enginetest.BioGraph())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if err := m.Serve("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	dist, err := server.New(server.Config{Master: m}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dist.Close()
+	dhs := httptest.NewServer(dist.Handler())
+	defer dhs.Close()
+	distAddr := strings.TrimPrefix(dhs.URL, "http://")
 	delta := writeFile(t, dir, "delta.nt", "<http://ex/geneZ> <http://ex/label> \"gene Z\" .\n")
 	zeta := writeFile(t, dir, "zeta.nt", "<http://ex/geneZ> <http://ex/zeta> \"z\" .\n")
 	bad := writeFile(t, dir, "bad.nt", "<http://ex/geneZ> <http://ex/label> .\n")
-	// dataset masks the version hashes the daemon reports.
+	// dataset masks the version hashes the daemon reports, and health the
+	// hash and uptime of a health line.
 	dataset := regexp.MustCompile(`dataset [0-9a-f]{16}\)`)
+	health := regexp.MustCompile(`dataset=[0-9a-f]{16} uptime=[0-9]+ms`)
 	const (
 		q      = `PREFIX ex: <http://ex/> SELECT * WHERE { ?g ex:label ?l . ?g ?p ?x . ?x ex:type ?t . }`
 		count  = `PREFIX ex: <http://ex/> SELECT (COUNT(*) AS ?n) WHERE { ?g ex:label ?l . ?g ?p ?x . }`
@@ -173,6 +194,24 @@ func TestRun(t *testing.T) {
 			}
 		}},
 		{"unknown flag", []string{"-badflag"}, 2, nil},
+		{"removed flag -cluster", []string{"-cluster", addr, "-e", q}, 2, nil},
+		{"removed flag -cluster-status", []string{"-cluster-status"}, 2, nil},
+		{"removed flag -no-partition", []string{"-data", data, "-e", q, "-no-partition"}, 2, nil},
+		{"removed flag -partition-out", []string{"-data", data, "-e", q, "-partition-out", "part/X"}, 2, nil},
+		{"health of a local daemon", []string{"-health", addr}, 0, func(t *testing.T, stdout, stderr string) {
+			if got := health.ReplaceAllString(stdout, "dataset=V uptime=U"); got != "ok triples=52 dataset=V uptime=U\n" || stderr != "" {
+				t.Errorf("stdout %q, stderr %q", stdout, stderr)
+			}
+		}},
+		{"health of a distributed daemon without workers", []string{"-health", distAddr}, 1, func(t *testing.T, stdout, stderr string) {
+			want := "degraded triples=52 dataset=V uptime=U workers=0/0\n" +
+				"workers: 0 alive / 0 registered, workers_lost=0, active_queries=0, tasks_dispatched=0\n" +
+				"transport: rpc_retries=0 redials=0 fetch_transient_retries=0 worker_reregistrations=0\n" +
+				"scheduler: affine_leases=0\n"
+			if got := health.ReplaceAllString(stdout, "dataset=V uptime=U"); got != want || stderr != "ntga-run: server unhealthy: status=\"degraded\"\n" {
+				t.Errorf("stdout %q, stderr %q, want stdout %q", stdout, stderr, want)
+			}
+		}},
 		{"server ingest", []string{"-server", addr, "-ingest", delta}, 0, func(t *testing.T, stdout, stderr string) {
 			want := "ingested 1 triples (seq 1, 1 delta blocks, dataset V)\ncache: 0 retained, 0 evicted\n"
 			if got := dataset.ReplaceAllString(stderr, "dataset V)"); stdout != "" || got != want {

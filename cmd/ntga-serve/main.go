@@ -3,15 +3,19 @@
 // serves concurrent SPARQL queries over HTTP, with a cluster-wide
 // weighted-fair slot pool, admission control, and plan/result caches.
 //
-// With -workers the daemon is also the cluster master: it serves the worker
-// RPC on that address, ntga-worker processes register there, and every
-// query's jobs run on them. The daemon keeps one copy of the dataset either
-// way; planning, caching, ingest, compaction and rendering stay in it.
+// With -workers the daemon is also the cluster master — the only way to
+// stand up a cluster: it serves the worker RPC on that address, ntga-worker
+// processes register there, and every query's jobs run on them. The daemon
+// keeps one copy of the dataset either way; planning, caching, ingest,
+// compaction and rendering stay in it. -partition-buckets has the master
+// build the hash-of-subject bucketed layout at boot and plan over it.
 //
 // Usage:
 //
 //	ntga-serve -data data.nt -addr 127.0.0.1:7457
-//	ntga-serve -data data.nt -addr 127.0.0.1:7457 -workers 127.0.0.1:7455
+//	ntga-serve -data data.nt -addr 127.0.0.1:7457 -workers 127.0.0.1:7455 -partition-buckets 8
+//	ntga-worker -master 127.0.0.1:7455
+//	ntga-run -health 127.0.0.1:7457
 //	curl -s localhost:7457/healthz
 //	curl -s -X POST localhost:7457/query -d '{"query":"SELECT * WHERE { ?s ?p ?o . }"}'
 //
@@ -40,6 +44,7 @@ func main() {
 // options are the parsed command-line flags.
 type options struct {
 	dataFile, addr, workers string
+	partBuckets             int
 	cfg                     server.Config
 	adaptive                time.Duration
 }
@@ -68,12 +73,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Int64Var(&c.SortBufferBytes, "sortbuf", 0, "map sort-buffer budget in bytes (0 = unbounded)")
 	fs.IntVar(&c.SplitRecords, "split-records", 0, "records per map split (0 = default 8192)")
 	fs.StringVar(&o.workers, "workers", "", "distributed mode: host the cluster master in this process and serve its worker RPC on this address; queries run on the ntga-worker processes that register there")
+	fs.IntVar(&o.partBuckets, "partition-buckets", 0, "with -workers: build the hash-of-subject partitioned layout with this many buckets at boot and plan queries over it (0 = flat)")
 	fs.DurationVar(&o.adaptive, "adaptive-target", 0, "enable p95-adaptive admission steering the queue-wait p95 to this target (0 = fixed max-inflight+max-queue window)")
 	fs.IntVar(&c.CompactAfter, "compact-after", 0, "auto-run delta-merge compaction when an ingest leaves this many uncompacted delta blocks (0 = compact only on POST /compact)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
+		return 2
+	}
+	switch {
+	case o.partBuckets < 0:
+		fmt.Fprintf(stderr, "ntga-serve: -partition-buckets %d is negative\n", o.partBuckets)
+		return 2
+	case o.partBuckets > 0 && o.workers == "":
+		fmt.Fprintln(stderr, "ntga-serve: -partition-buckets needs -workers")
 		return 2
 	}
 	if err := serve(stderr, &o); err != nil {
@@ -106,10 +120,11 @@ func serve(stderr io.Writer, o *options) error {
 	mode := "local"
 	if o.workers != "" {
 		m, err := cluster.NewMaster(cluster.MasterConfig{
-			Nodes:        cfg.Nodes,
-			Replication:  cfg.Replication,
-			Reducers:     cfg.Reducers,
-			SplitRecords: cfg.SplitRecords,
+			Nodes:            cfg.Nodes,
+			Replication:      cfg.Replication,
+			Reducers:         cfg.Reducers,
+			SplitRecords:     cfg.SplitRecords,
+			PartitionBuckets: o.partBuckets,
 		}, g)
 		if err != nil {
 			return err

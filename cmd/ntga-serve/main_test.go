@@ -51,6 +51,8 @@ func TestRun(t *testing.T) {
 		{"unreadable -data", []string{"-data", filepath.Join(dir, "none.nt")}, 1, "none.nt: no such file or directory"},
 		{"malformed -data", []string{"-data", bad}, 1, "bad.nt: "},
 		{"-addr cannot be bound", []string{"-data", data, "-addr", taken}, 1, "address already in use"},
+		{"-partition-buckets without -workers", []string{"-data", data, "-partition-buckets", "8"}, 2, "ntga-serve: -partition-buckets needs -workers\n"},
+		{"negative -partition-buckets", []string{"-data", data, "-workers", "127.0.0.1:0", "-partition-buckets", "-1"}, 2, "ntga-serve: -partition-buckets -1 is negative\n"},
 		{"-workers cannot be bound", []string{"-data", data, "-addr", "127.0.0.1:0", "-workers", taken}, 1, "ntga-serve: serving the worker RPC: "},
 		{"removed flag -cluster", []string{"-data", data, "-cluster", taken}, 2, "flag provided but not defined: -cluster"},
 		{"removed flag -local-fallback", []string{"-data", data, "-local-fallback"}, 2, "flag provided but not defined: -local-fallback"},

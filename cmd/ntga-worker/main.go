@@ -1,16 +1,20 @@
 // Command ntga-worker runs one distributed-mode worker: it registers with
-// an ntga-master, rebuilds query plans from the specs the master leases to
-// it, executes map/reduce task attempts, and serves its committed map
-// output to peer workers over the same RPC transport.
+// the master an ntga-serve -workers daemon hosts, rebuilds query plans from
+// the specs the master leases to it, executes map/reduce task attempts, and
+// serves its committed map output to peer workers over the same RPC
+// transport.
 //
 // Usage:
 //
+//	ntga-serve -data data.nt -addr 127.0.0.1:7457 -workers 127.0.0.1:7455
 //	ntga-worker -master 127.0.0.1:7455
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -20,33 +24,57 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its process state passed in: the arguments after the
+// program name, the two output streams, and the exit status returned. A
+// worker that started serves until SIGINT or SIGTERM.
+func run(args []string, _, stderr io.Writer) int {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		master    = flag.String("master", "", "master RPC address (required)")
-		addr      = flag.String("addr", "127.0.0.1:0", "this worker's shuffle-serving listen address")
-		mapSlots  = flag.Int("map-slots", 2, "concurrent map tasks")
-		redSlots  = flag.Int("reduce-slots", 2, "concurrent reduce tasks")
-		taskDelay = flag.Duration("task-delay", 0, "artificial per-task delay (smoke tests: stretch jobs so failures land mid-run)")
+		master    = fs.String("master", "", "the master's worker RPC address: the -workers address of ntga-serve (required)")
+		addr      = fs.String("addr", "127.0.0.1:0", "this worker's shuffle-serving listen address")
+		mapSlots  = fs.Int("map-slots", 2, "concurrent map tasks")
+		redSlots  = fs.Int("reduce-slots", 2, "concurrent reduce tasks")
+		taskDelay = fs.Duration("task-delay", 0, "artificial per-task delay (smoke tests: stretch jobs so failures land mid-run)")
 
 		// Seeded network chaos on this worker's outbound edges (master RPC
 		// and peer shuffle fetches) — the wire-level counterpart of the
 		// engine's FaultPlan task chaos (ntga-run -faults).
-		chaosSeed   = flag.Int64("chaos-seed", 0, "seed for the network fault plan draws")
-		chaosDrop   = flag.Float64("chaos-drop", 0, "probability an outbound dial is refused")
-		chaosSever  = flag.Float64("chaos-sever", 0, "probability an outbound message severs its connection")
-		chaosSevers = flag.Int("chaos-max-severs", 0, "cap on sever injections (0 = unlimited)")
-		chaosDelayP = flag.Float64("chaos-delay-rate", 0, "probability an outbound message is delayed by -chaos-delay")
-		chaosDelay  = flag.Duration("chaos-delay", 0, "injected per-message delay")
+		chaosSeed   = fs.Int64("chaos-seed", 0, "seed for the network fault plan draws")
+		chaosDrop   = fs.Float64("chaos-drop", 0, "probability an outbound dial is refused")
+		chaosSever  = fs.Float64("chaos-sever", 0, "probability an outbound message severs its connection")
+		chaosSevers = fs.Int("chaos-max-severs", 0, "cap on sever injections (0 = unlimited)")
+		chaosDelayP = fs.Float64("chaos-delay-rate", 0, "probability an outbound message is delayed by -chaos-delay")
+		chaosDelay  = fs.Duration("chaos-delay", 0, "injected per-message delay")
 
 		// A scripted partition window: cut this worker off from the master
 		// mid-run, then heal — the partition_smoke.sh scenario.
-		partAfter = flag.Duration("partition-master-after", 0, "partition this worker from the master after this long (0 = never)")
-		partFor   = flag.Duration("partition-master-for", 2*time.Second, "how long the scripted partition lasts before healing")
+		partAfter = fs.Duration("partition-master-after", 0, "partition this worker from the master after this long (0 = never)")
+		partFor   = fs.Duration("partition-master-for", 2*time.Second, "how long the scripted partition lasts before healing")
 	)
-	flag.Parse()
-
-	if *master == "" {
-		fatal(fmt.Errorf("-master is required"))
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
+	for _, p := range []struct {
+		name string
+		v    float64
+	}{{"-chaos-drop", *chaosDrop}, {"-chaos-sever", *chaosSever}, {"-chaos-delay-rate", *chaosDelayP}} {
+		if p.v < 0 || p.v > 1 {
+			fmt.Fprintf(stderr, "ntga-worker: %s %v is not a probability in [0, 1]\n", p.name, p.v)
+			return 2
+		}
+	}
+	if *master == "" {
+		fmt.Fprintln(stderr, "ntga-worker: -master is required")
+		return 1
+	}
+
 	var tr cluster.Transport
 	var chaos *cluster.ChaosNetwork
 	const chaosLabel = "worker"
@@ -68,9 +96,10 @@ func main() {
 		TaskDelay:   *taskDelay,
 	}, tr, *master)
 	if err := w.Start(); err != nil {
-		fatal(err)
+		fmt.Fprintln(stderr, "ntga-worker:", err)
+		return 1
 	}
-	fmt.Fprintf(os.Stderr, "ntga-worker: registered as worker %d at %s (master %s, %d map + %d reduce slots)\n",
+	fmt.Fprintf(stderr, "ntga-worker: registered as worker %d at %s (master %s, %d map + %d reduce slots)\n",
 		w.ID(), w.Addr(), *master, *mapSlots, *redSlots)
 
 	if chaos != nil && *partAfter > 0 {
@@ -78,11 +107,11 @@ func main() {
 		// its dial address.
 		go func() {
 			time.Sleep(*partAfter)
-			fmt.Fprintf(os.Stderr, "ntga-worker: chaos: partitioning from master for %s\n", *partFor)
+			fmt.Fprintf(stderr, "ntga-worker: chaos: partitioning from master for %s\n", *partFor)
 			chaos.PartitionBoth(chaosLabel, *master)
 			time.Sleep(*partFor)
 			chaos.HealBoth(chaosLabel, *master)
-			fmt.Fprintf(os.Stderr, "ntga-worker: chaos: partition healed\n")
+			fmt.Fprintf(stderr, "ntga-worker: chaos: partition healed\n")
 		}()
 	}
 
@@ -92,9 +121,5 @@ func main() {
 	w.Close()
 	// Give in-flight RPC teardown a beat before exiting.
 	time.Sleep(50 * time.Millisecond)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ntga-worker:", err)
-	os.Exit(1)
+	return 0
 }

@@ -247,10 +247,7 @@ func TestDistributedPartitionRecovery(t *testing.T) {
 			t.Fatal("victim never accumulated tasks")
 		case <-time.After(5 * time.Millisecond):
 		}
-		st, err := tc.client.Status(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := tc.master.Status()
 		for _, ws := range st.Workers {
 			if ws.ID == victim.ID() && ws.TasksDone >= 2 {
 				net.Isolate("w3")
@@ -277,10 +274,7 @@ func TestDistributedPartitionRecovery(t *testing.T) {
 	// a full re-registration, whichever won the race.
 	healDeadline := time.Now().Add(15 * time.Second)
 	for {
-		st, err := tc.client.Status(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := tc.master.Status()
 		alive := 0
 		for _, ws := range st.Workers {
 			if ws.Alive {
@@ -427,5 +421,88 @@ func TestWorkerReregistersAfterMasterRestart(t *testing.T) {
 	}
 	if !sameRows(local.Rows, reply.Rows) {
 		t.Error("post-restart rows not identical to local")
+	}
+}
+
+// TestStaleWorkerIDReregistersAfterMasterRestart restarts the master while
+// w1 is cut off from it, so w2 re-registers first and the new master hands
+// it ID 1 — w1's ID with the old master. When w1's link heals, its stale ID
+// must not pass for w2's record: the new master answers it "unknown worker",
+// w1 re-registers, and both workers end up registered.
+func TestStaleWorkerIDReregistersAfterMasterRestart(t *testing.T) {
+	g := enginetest.BioGraph()
+	mcfg := chaosMasterConfig(paritySplit)
+	m1, err := cluster.NewMaster(mcfg, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m1.Serve("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	addr := m1.Addr()
+
+	net := cluster.NewChaosNetwork(cluster.NetFaultPlan{})
+	var workers []*cluster.Worker
+	for _, label := range []string{"w1", "w2"} {
+		w := cluster.NewWorker(chaosWorkerConfig(), net.Transport(label, nil), addr)
+		if err := w.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		workers = append(workers, w)
+	}
+	w1, w2 := workers[0], workers[1]
+	if w1.ID() != 1 || w2.ID() != 2 {
+		t.Fatalf("worker IDs %d, %d; want 1, 2", w1.ID(), w2.ID())
+	}
+
+	net.PartitionBoth("w1", addr)
+	m1.Close()
+	m2, err := cluster.NewMaster(mcfg, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var serveErr error
+	for i := 0; i < 100; i++ {
+		if serveErr = m2.Serve(addr); serveErr == nil {
+			break
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if serveErr != nil {
+		t.Fatalf("restarting master on %s: %v", addr, serveErr)
+	}
+	defer m2.Close()
+
+	// waitFor polls the new master's status until ok accepts it.
+	waitFor := func(what string, ok func(cluster.StatusReply) bool) {
+		t.Helper()
+		deadline := time.Now().Add(20 * time.Second)
+		for {
+			st := m2.Status()
+			if ok(st) {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: status %+v", what, st.Workers)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	waitFor("w2 never re-registered as worker 1", func(st cluster.StatusReply) bool {
+		return len(st.Workers) == 1 && st.Workers[0].ID == 1 && st.Workers[0].Addr == w2.Addr()
+	})
+	net.HealBoth("w1", addr)
+	waitFor("w1 never re-registered beside w2", func(st cluster.StatusReply) bool {
+		alive := 0
+		for _, ws := range st.Workers {
+			if ws.Alive {
+				alive++
+			}
+		}
+		return len(st.Workers) == 2 && alive == 2
+	})
+	if w1.ID() == w2.ID() {
+		t.Errorf("both workers hold ID %d", w1.ID())
 	}
 }

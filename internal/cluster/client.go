@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"ntga/internal/ingest"
 	"ntga/internal/mapreduce"
 )
 
@@ -14,10 +13,11 @@ import (
 // whole family with errors.Is.
 var ErrMasterLost = fmt.Errorf("cluster: master lost: %w", mapreduce.ErrClusterUnavailable)
 
-// Client is a front-end connection to a master: query submission and
-// cluster status, used by ntga-run -cluster. The
-// underlying connection re-dials lazily, so a client outlives master
-// restarts and healed partitions.
+// Client submits queries to a master over its Run RPC. A deployment's own
+// front end is ntga-serve -workers, which hosts the master and calls
+// Master.Execute in-process; Client is for in-process harnesses that drive
+// the RPC directly. The underlying connection re-dials lazily, so a client
+// outlives master restarts and healed partitions.
 type Client struct {
 	rc *rclient
 }
@@ -26,16 +26,10 @@ type Client struct {
 // Dialing is verified eagerly so a bad address fails here, but the returned
 // client re-dials on demand after any later connection loss.
 func Dial(tr Transport, addr string) (*Client, error) {
-	return DialRetry(tr, addr, RetryPolicy{})
-}
-
-// DialRetry is Dial with an explicit retry policy for Status (and the
-// re-dial backoff of all calls).
-func DialRetry(tr Transport, addr string, pol RetryPolicy) (*Client, error) {
 	if tr == nil {
 		tr = TCP()
 	}
-	rc := newRClient(tr, addr, pol, nil)
+	rc := newRClient(tr, addr, RetryPolicy{}, nil)
 	if _, err := rc.conn(); err != nil {
 		return nil, err
 	}
@@ -55,50 +49,6 @@ func (c *Client) Stats() (retries, redials int64) { return c.rc.Stats() }
 func (c *Client) Run(ctx context.Context, args *RunArgs) (*RunReply, error) {
 	reply := new(RunReply)
 	if err := c.rc.CallNoRetry(ctx, "Master.Run", args, reply); err != nil {
-		if isTransportErr(err) {
-			return nil, fmt.Errorf("%w: %v", ErrMasterLost, err)
-		}
-		return nil, err
-	}
-	return reply, nil
-}
-
-// Ingest submits one raw N-Triples batch to the master's versioned dataset
-// store. Like Run, the call is never replayed blindly — appending a batch is
-// not idempotent (a replay would double-ingest it) — so a broken wire maps
-// to ErrMasterLost and the caller decides whether the batch landed (compare
-// dataset versions via Status).
-func (c *Client) Ingest(ctx context.Context, batch []byte) (*IngestReply, error) {
-	reply := new(IngestReply)
-	if err := c.rc.CallNoRetry(ctx, "Master.Ingest", &IngestArgs{Batch: batch}, reply); err != nil {
-		if isTransportErr(err) {
-			return nil, fmt.Errorf("%w: %v", ErrMasterLost, err)
-		}
-		return nil, err
-	}
-	return reply, nil
-}
-
-// Compact asks the master to fold its delta chain into a new base
-// generation. Not retried for the same reason as Ingest: a replay would
-// race the compaction it already triggered.
-func (c *Client) Compact(ctx context.Context) (*ingest.CompactResult, error) {
-	reply := new(CompactReply)
-	if err := c.rc.CallNoRetry(ctx, "Master.Compact", &CompactArgs{}, reply); err != nil {
-		if isTransportErr(err) {
-			return nil, fmt.Errorf("%w: %v", ErrMasterLost, err)
-		}
-		return nil, err
-	}
-	return &reply.Result, nil
-}
-
-// Status fetches the master's cluster snapshot, retrying transient
-// transport failures (status is idempotent). Exhausted retries map to
-// ErrMasterLost.
-func (c *Client) Status(ctx context.Context) (*StatusReply, error) {
-	reply := new(StatusReply)
-	if err := c.rc.Call(ctx, "Master.Status", &StatusArgs{}, reply); err != nil {
 		if isTransportErr(err) {
 			return nil, fmt.Errorf("%w: %v", ErrMasterLost, err)
 		}

@@ -1,5 +1,5 @@
-// Distributed ingest parity: a live 3-worker cluster accepts N-Triples
-// batches mid-serving, queries see base ∪ delta rows byte-identical to a
+// Distributed ingest parity: the warehouse of a live 3-worker cluster's
+// master accepts N-Triples batches mid-serving, queries see base ∪ delta rows byte-identical to a
 // local run over the same versioned store, workers learn newly minted
 // dictionary terms lazily (Master.Sync), and delta-merge compaction leaves
 // the servable content — and every row — unchanged.
@@ -86,6 +86,12 @@ func TestDistributedIngestParity(t *testing.T) {
 		cluster.WorkerConfig{MapSlots: 2, ReduceSlots: 2},
 		cluster.MasterConfig{Reducers: parityReducers, SplitRecords: paritySplit})
 
+	// The warehouse's writers run in-process, as a hosting ntga-serve runs
+	// them; the fleet learns of every write over its RPC alone.
+	wh := tc.master.Warehouse()
+	compact := func() (*ingest.CompactResult, error) {
+		return wh.Compact(mapreduce.NewEngine(tc.master.DFS(), mapreduce.EngineConfig{DefaultReducers: parityReducers, SplitRecords: paritySplit}))
+	}
 	run := func(src string) *cluster.RunReply {
 		t.Helper()
 		reply, err := tc.client.Run(ctx, &cluster.RunArgs{
@@ -104,28 +110,22 @@ func TestDistributedIngestParity(t *testing.T) {
 	// Prime the fleet on the boot version so the ingest lands on workers
 	// holding cached plans and a pre-ingest dictionary.
 	before := run(ingestParityQuery)
-	st, err := tc.client.Status(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := tc.master.Status()
 	bootVer := st.DatasetVersion
 
-	reply, err := tc.client.Ingest(ctx, []byte(ingestParityBatch))
+	reply, err := wh.Ingest(strings.NewReader(ingestParityBatch))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reply.Triples != 5 || reply.DeltaBlocks != 1 {
-		t.Fatalf("ingest reply = %+v, want 5 triples / 1 block", reply)
+	if blocks := len(wh.View().Source.Deltas); len(reply.Triples) != 5 || blocks != 1 {
+		t.Fatalf("ingest = %d triples / %d blocks, want 5 triples / 1 block", len(reply.Triples), blocks)
 	}
-	if reply.DatasetVersion == bootVer {
+	if reply.Version == bootVer {
 		t.Error("ingest did not move the cluster dataset version")
 	}
-	st, err = tc.client.Status(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.DatasetVersion != reply.DatasetVersion {
-		t.Errorf("status version %s != ingest version %s", st.DatasetVersion, reply.DatasetVersion)
+	st = tc.master.Status()
+	if st.DatasetVersion != reply.Version {
+		t.Errorf("status version %s != ingest version %s", st.DatasetVersion, reply.Version)
 	}
 
 	// The overlay query sees the delta rows, byte-identical to the local
@@ -154,19 +154,16 @@ func TestDistributedIngestParity(t *testing.T) {
 
 	// Compaction folds the chain without changing content: the version and
 	// every row stay put, and the plan goes back to map-only-eligible shape.
-	cres, err := tc.client.Compact(ctx)
+	cres, err := compact()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cres.Folded != 1 || cres.FoldedTriples != 5 {
 		t.Errorf("compaction = %+v, want 1 block / 5 triples folded", cres)
 	}
-	st, err = tc.client.Status(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.DatasetVersion != reply.DatasetVersion {
-		t.Errorf("compaction moved the dataset version %s -> %s", reply.DatasetVersion, st.DatasetVersion)
+	st = tc.master.Status()
+	if st.DatasetVersion != reply.Version {
+		t.Errorf("compaction moved the dataset version %s -> %s", reply.Version, st.DatasetVersion)
 	}
 	compacted := run(ingestParityQuery)
 	if !sameRows(after.Rows, compacted.Rows) {
@@ -174,12 +171,11 @@ func TestDistributedIngestParity(t *testing.T) {
 	}
 
 	// A second ingest on top of the compacted base keeps the chain going.
-	second, err := tc.client.Ingest(ctx, []byte("<http://ex/gene9> <http://ex/xGO> <http://ex/go0> .\n"))
-	if err != nil {
+	if _, err := wh.Ingest(strings.NewReader("<http://ex/gene9> <http://ex/xGO> <http://ex/go0> .\n")); err != nil {
 		t.Fatal(err)
 	}
-	if second.DeltaBlocks != 1 {
-		t.Errorf("post-compaction ingest chain length = %d, want 1", second.DeltaBlocks)
+	if blocks := len(wh.View().Source.Deltas); blocks != 1 {
+		t.Errorf("post-compaction ingest chain length = %d, want 1", blocks)
 	}
 	final := run(ingestParityQuery)
 	localFinal := runLocalDeltas(t, ingestParityQuery, []string{ingestParityBatch, "<http://ex/gene9> <http://ex/xGO> <http://ex/go0> .\n"})
@@ -202,6 +198,8 @@ func TestMasterQueriesDuringIngestAndCompact(t *testing.T) {
 	tc := startTestCluster(t, enginetest.BioGraph(), 2,
 		cluster.WorkerConfig{MapSlots: 2, ReduceSlots: 2},
 		cluster.MasterConfig{Reducers: parityReducers, SplitRecords: paritySplit, PartitionBuckets: 4})
+	wh := tc.master.Warehouse()
+	mr := mapreduce.NewEngine(tc.master.DFS(), mapreduce.EngineConfig{DefaultReducers: parityReducers, SplitRecords: paritySplit})
 	run := func(noPartition bool) (*cluster.RunReply, error) {
 		return tc.client.Run(ctx, &cluster.RunArgs{
 			Query: ingestParityQuery, Engine: "ntga-lazy", TimeoutMS: 30_000, NoPartition: noPartition,
@@ -236,11 +234,11 @@ func TestMasterQueriesDuringIngestAndCompact(t *testing.T) {
 	// landing while queries that planned from an earlier view still run.
 	for i := 0; i < 3; i++ {
 		batch := fmt.Sprintf("<http://ex/gene%d> <http://ex/xGO> <http://ex/go%d> .\n<http://ex/gene%d> <http://ex/label> \"gene %d\" .\n", 20+i, i, 20+i, 20+i)
-		if _, err := tc.master.Ingest(strings.NewReader(batch)); err != nil {
+		if _, err := wh.Ingest(strings.NewReader(batch)); err != nil {
 			t.Fatal(err)
 		}
 		for n := done.Load(); done.Load() < n+4 && len(errs) == 0; {
-			if _, err := tc.master.Compact(); err != nil {
+			if _, err := wh.Compact(mr); err != nil {
 				t.Fatal(err)
 			}
 		}

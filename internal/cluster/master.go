@@ -1,11 +1,9 @@
 package cluster
 
 import (
-	"bytes"
 	"cmp"
 	"context"
 	"fmt"
-	"io"
 	"net"
 	"net/rpc"
 	"slices"
@@ -32,8 +30,6 @@ type MasterConfig struct {
 	// override both).
 	Reducers     int
 	SplitRecords int
-	// DefaultEngine answers RunArgs with an empty engine name.
-	DefaultEngine string
 	// PartitionBuckets, when > 0, makes the master build the partitioned
 	// triple layout at boot (a one-time load job over its own DFS) and run
 	// queries against it by default (RunArgs.NoPartition opts out per query).
@@ -73,9 +69,6 @@ func (c MasterConfig) withDefaults() MasterConfig {
 	if c.SplitRecords == 0 {
 		c.SplitRecords = 8192
 	}
-	if c.DefaultEngine == "" {
-		c.DefaultEngine = "ntga-lazy"
-	}
 	if c.LeaseTimeout == 0 {
 		c.LeaseTimeout = 10 * time.Second
 	}
@@ -112,11 +105,17 @@ type workerState struct {
 	lastBeat    time.Time
 	tasksDone   int64
 	tasksFailed int64
-	// Transport-recovery totals shipped in heartbeats. Cumulative on the
-	// worker and max-merged here (heartbeats can arrive out of order).
-	rpcRetries   int64
-	redials      int64
-	fetchRetries int64
+	// counts are the transport-recovery totals shipped in heartbeats and
+	// registrations, max-merged (foldCounts).
+	counts TransportCounts
+}
+
+// foldCounts max-merges a worker's shipped transport counts: they are
+// cumulative on the worker, and its heartbeats can race its registration.
+func (w *workerState) foldCounts(c TransportCounts) {
+	w.counts.RPCRetries = max(w.counts.RPCRetries, c.RPCRetries)
+	w.counts.Redials = max(w.counts.Redials, c.Redials)
+	w.counts.FetchRetries = max(w.counts.FetchRetries, c.FetchRetries)
 }
 
 // queryState tracks one in-flight query: its rebuild spec (shipped inside
@@ -211,11 +210,11 @@ type Master struct {
 	input string
 
 	// wh owns the versioned dataset: every query plans from one View of
-	// it, Register and Sync read the dictionary and its version from it in
-	// one step, and the master's own jobs (layout load, compaction) run on
-	// the in-process engine mr — no worker takes part.
+	// it, and Register and Sync read the dictionary and its version from it
+	// in one step.
 	wh *ingest.Warehouse
-	mr *mapreduce.Engine
+	// epoch names this boot; workers quote it with their ID (RegisterReply).
+	epoch int64
 
 	ln     net.Listener
 	conns  *connSet
@@ -238,7 +237,8 @@ type Master struct {
 // NewMaster builds a coordinator over the given graph: a warehouse over a
 // fresh master-resident DFS holds the triples, the statistics catalog the
 // "auto" engine advisor consults, and — with PartitionBuckets — the
-// bucketed layout.
+// bucketed layout, built by an in-process MR job at boot (no worker takes
+// part).
 func NewMaster(cfg MasterConfig, g *rdf.Graph) (*Master, error) {
 	cfg = cfg.withDefaults()
 	dfs := hdfs.New(hdfs.Config{Nodes: cfg.Nodes, Replication: cfg.Replication})
@@ -257,7 +257,7 @@ func NewMaster(cfg MasterConfig, g *rdf.Graph) (*Master, error) {
 		dict:    g.Dict,
 		input:   input,
 		wh:      wh,
-		mr:      mr,
+		epoch:   time.Now().UnixNano(),
 		ctx:     ctx,
 		cancel:  cancel,
 		workers: make(map[int]*workerState),
@@ -419,6 +419,17 @@ type masterRPC struct {
 	m *Master
 }
 
+// workerLocked resolves a worker's ID within this master's boot: an ID
+// quoted from another epoch names a record of a master that no longer
+// exists (a restarted master numbers its workers from 1 again), so it is
+// as unknown as a missing one, and the worker re-registers.
+func (m *Master) workerLocked(id int, epoch int64) (*workerState, error) {
+	if w := m.workers[id]; w != nil && epoch == m.epoch {
+		return w, nil
+	}
+	return nil, fmt.Errorf("cluster: unknown worker %d", id)
+}
+
 func (r *masterRPC) Register(args *RegisterArgs, reply *RegisterReply) error {
 	m := r.m
 	if args.KnownVersion != "" && !m.wh.Served(args.KnownVersion) {
@@ -436,12 +447,7 @@ func (r *masterRPC) Register(args *RegisterArgs, reply *RegisterReply) error {
 		// committed map outputs stay addressed. Busy counters were zeroed
 		// when the sweep declared it dead; if the sweep never fired (the
 		// partition healed fast), the leases it still holds settle normally.
-		// The address must match: a restarted master reassigns ids from 1,
-		// so another returning worker's stale id could otherwise collide
-		// with — and silently steal — a freshly created record.
-		if prev := m.workers[args.PrevWorker]; prev != nil && prev.addr == args.Addr {
-			w = prev
-		}
+		w, _ = m.workerLocked(args.PrevWorker, args.PrevEpoch)
 	}
 	if w != nil {
 		w.addr = args.Addr
@@ -450,8 +456,8 @@ func (r *masterRPC) Register(args *RegisterArgs, reply *RegisterReply) error {
 		w.alive = true
 		w.lastBeat = time.Now()
 	} else {
-		// First registration — or a PrevWorker this master does not know
-		// (it restarted and lost its fleet table): assign a fresh ID.
+		// First registration — or a PrevWorker of another boot (this master
+		// restarted and lost its fleet table): assign a fresh ID.
 		m.workerSeq++
 		w = &workerState{
 			id:          m.workerSeq,
@@ -463,9 +469,11 @@ func (r *masterRPC) Register(args *RegisterArgs, reply *RegisterReply) error {
 		}
 		m.workers[w.id] = w
 	}
+	w.foldCounts(args.TransportCounts)
 	m.mu.Unlock()
 
 	reply.Worker = w.id
+	reply.Epoch = m.epoch
 	reply.Terms, reply.DatasetVersion = m.wh.Terms(0)
 	reply.Input = m.input
 	reply.HeartbeatEvery = m.cfg.HeartbeatEvery
@@ -473,30 +481,23 @@ func (r *masterRPC) Register(args *RegisterArgs, reply *RegisterReply) error {
 	return nil
 }
 
+// Heartbeat is the only call besides Register that revives a worker the
+// sweep declared dead, and both carry its transport counts: the status never
+// shows a revived worker without them.
 func (r *masterRPC) Heartbeat(args *HeartbeatArgs, reply *HeartbeatReply) error {
 	m := r.m
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	w := m.workers[args.Worker]
-	if w == nil {
-		return fmt.Errorf("cluster: unknown worker %d", args.Worker)
+	w, err := m.workerLocked(args.Worker, args.Epoch)
+	if err != nil {
+		return err
 	}
 	w.lastBeat = time.Now()
 	// A worker that was declared dead and then reappears stays lost: its
 	// map outputs were already re-queued, so resurrecting it as a lease
 	// target is fine — just mark it alive again.
-	if !w.alive {
-		w.alive = true
-	}
-	if args.RPCRetries > w.rpcRetries {
-		w.rpcRetries = args.RPCRetries
-	}
-	if args.Redials > w.redials {
-		w.redials = args.Redials
-	}
-	if args.FetchRetries > w.fetchRetries {
-		w.fetchRetries = args.FetchRetries
-	}
+	w.alive = true
+	w.foldCounts(args.TransportCounts)
 	for qid := range m.queries {
 		reply.LiveQueries = append(reply.LiveQueries, qid)
 	}
@@ -513,63 +514,19 @@ func (r *masterRPC) Sync(args *SyncArgs, reply *SyncReply) error {
 	return nil
 }
 
-func (r *masterRPC) Ingest(args *IngestArgs, reply *IngestReply) error {
-	res, err := r.m.Ingest(bytes.NewReader(args.Batch))
-	if err != nil {
-		return err
-	}
-	*reply = *res
-	return nil
-}
-
-func (r *masterRPC) Compact(args *CompactArgs, reply *CompactReply) error {
-	res, err := r.m.Compact()
-	if err != nil {
-		return err
-	}
-	reply.Result = *res
-	return nil
-}
-
-// Ingest appends one N-Triples batch to the master's warehouse, which
-// folds it into the catalog the "auto" advisor consults. The fleet learns
-// the new version via heartbeats and the new dictionary terms lazily via
-// Master.Sync at plan-rebuild time; nothing is pushed — delta blocks live
-// on the master's DFS, which workers already read splits through.
-func (m *Master) Ingest(r io.Reader) (*IngestReply, error) {
-	res, err := m.wh.Ingest(r)
-	if err != nil {
-		return nil, err
-	}
-	return &IngestReply{
-		Triples:        len(res.Triples),
-		Seq:            res.Seq,
-		DatasetVersion: res.Version,
-		DeltaBlocks:    len(m.wh.View().Source.Deltas),
-	}, nil
-}
-
-// Compact folds the delta chain into a fresh base generation on the
-// master's own in-process MR engine — the master owns the DFS, so no worker
-// is involved — and maintains the partition layout in the same pass when
-// one exists. The dataset version (and the fleet's dictionaries) are
-// untouched: content is unchanged.
-func (m *Master) Compact() (*ingest.CompactResult, error) { return m.wh.Compact(m.mr) }
-
 func (r *masterRPC) Lease(args *LeaseArgs, reply *LeaseReply) error {
 	m := r.m
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	w := m.workers[args.Worker]
-	if w == nil {
-		return fmt.Errorf("cluster: unknown worker %d", args.Worker)
+	w, err := m.workerLocked(args.Worker, args.Epoch)
+	if err != nil {
+		return err
 	}
-	if !w.alive {
-		// Leasing is as good as a heartbeat.
-		w.alive = true
-		w.lastBeat = time.Now()
+	if w.alive {
+		// A worker the sweep declared dead gets no work until its next
+		// heartbeat or registration revives it.
+		reply.Task = m.leaseLocked(w, args.Kind)
 	}
-	reply.Task = m.leaseLocked(w, args.Kind)
 	return nil
 }
 
@@ -698,7 +655,11 @@ func (r *masterRPC) Report(args *ReportArgs, reply *ReportReply) error {
 func (m *Master) report(args *ReportArgs) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if w := m.workers[args.Worker]; w != nil && w.alive {
+	w, err := m.workerLocked(args.Worker, args.Epoch)
+	if err != nil {
+		return // leased by another boot of the master: its job IDs mean nothing here
+	}
+	if w.alive {
 		decBusy(w, args.Kind)
 		if args.OK {
 			w.tasksDone++
@@ -872,11 +833,6 @@ func (r *masterRPC) Run(args *RunArgs, reply *RunReply) error {
 	return nil
 }
 
-func (r *masterRPC) Status(args *StatusArgs, reply *StatusReply) error {
-	*reply = r.m.Status()
-	return nil
-}
-
 // Status snapshots the cluster.
 func (m *Master) Status() StatusReply {
 	ds := m.wh.View()
@@ -892,9 +848,9 @@ func (m *Master) Status() StatusReply {
 		AffineLeases:          m.affineLeases,
 	}
 	for _, w := range m.workers {
-		st.RPCRetries += w.rpcRetries
-		st.Redials += w.redials
-		st.FetchTransientRetries += w.fetchRetries
+		st.RPCRetries += w.counts.RPCRetries
+		st.Redials += w.counts.Redials
+		st.FetchTransientRetries += w.counts.FetchRetries
 		st.Workers = append(st.Workers, WorkerStatus{
 			ID:              w.id,
 			Addr:            w.addr,
@@ -1096,7 +1052,7 @@ func (m *Master) RunQuery(ctx context.Context, args *RunArgs) (*RunReply, error)
 	}
 	engName := args.Engine
 	if engName == "" {
-		engName = m.cfg.DefaultEngine
+		engName = "ntga-lazy"
 	}
 	reducers := args.Reducers
 	if reducers == 0 {
@@ -1107,13 +1063,11 @@ func (m *Master) RunQuery(ctx context.Context, args *RunArgs) (*RunReply, error)
 	// (compaction retains old generations), so a query admitted here
 	// finishes on its pinned version even if an ingest lands mid-run.
 	ds := m.wh.View()
-	// The join order is the caller's (a server ships its optimizer's); the
-	// master itself never searches.
+	// The compiled join order runs unchanged: the master never searches.
 	choice, _, _, err := engines.Choose(ds.Catalog, q, engName, args.PhiM, reducers, false)
 	if err != nil {
 		return nil, err
 	}
-	choice.Order, choice.Reordered = args.Order, args.HasOrder
 	src := ds.Source
 	if args.NoPartition {
 		src.Part = nil

@@ -253,10 +253,7 @@ func TestDistributedWorkerKillRecovery(t *testing.T) {
 			t.Fatal("victim never accumulated tasks")
 		case <-time.After(5 * time.Millisecond):
 		}
-		st, err := tc.client.Status(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := tc.master.Status()
 		for _, ws := range st.Workers {
 			if ws.ID == victim.ID() && ws.TasksDone >= 2 {
 				victim.Close()
@@ -276,10 +273,7 @@ func TestDistributedWorkerKillRecovery(t *testing.T) {
 	if !query.RowsEqual(refengine.Evaluate(q, g), o.reply.Rows) {
 		t.Error("post-kill rows diverge from reference")
 	}
-	st, err := tc.client.Status(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := tc.master.Status()
 	if st.WorkersLost < 1 {
 		t.Errorf("master never declared the killed worker lost (workersLost=%d)", st.WorkersLost)
 	}

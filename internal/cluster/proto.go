@@ -5,6 +5,12 @@
 // re-execution of work (including committed map output) lost to dead
 // workers.
 //
+// The master runs inside its one front end, ntga-serve -workers: the server
+// plans, caches, ingests and compacts over the master's warehouse and runs
+// every query through Master.Execute. The RPC surface is the worker
+// protocol (Register, Heartbeat, Sync, Lease, Report, ReadRange) plus Run,
+// which in-process harnesses drive through Client.
+//
 // Jobs cross the wire as (query, engine, join order) specs, not closures:
 // every worker deterministically rebuilds the same physical plan from the
 // query text and the master-shipped dictionary, so a TaskSpec only needs to
@@ -18,7 +24,6 @@ import (
 	"time"
 
 	"ntga/internal/engines"
-	"ntga/internal/ingest"
 	"ntga/internal/mapreduce"
 	"ntga/internal/rdf"
 )
@@ -94,28 +99,35 @@ type TaskSpec struct {
 // RegisterArgs announces a worker: the address its Fetch service listens on
 // and how many concurrent tasks of each kind it runs. PrevWorker non-zero
 // marks a *re*-registration after sustained master loss: a master that
-// still remembers the ID revives the existing worker record (same ID, no
-// double-counted slots); a master that does not (it restarted) assigns a
-// fresh ID. Either way the worker keeps its committed map segments
-// servable.
+// still remembers the ID from its own boot (PrevEpoch is its Epoch) revives
+// the existing worker record (same ID, no double-counted slots); any other
+// master — one that restarted — assigns a fresh ID. Either way the worker
+// keeps its committed map segments servable, and its transport counts fold
+// in as a heartbeat's would, so a revived worker never reads alive without
+// them.
 type RegisterArgs struct {
 	Addr        string
 	MapSlots    int
 	ReduceSlots int
 	PrevWorker  int
+	PrevEpoch   int64
 	// KnownVersion is the dataset version the worker currently holds ("" on
 	// first registration). The master accepts any version in its ingest
 	// lineage — the worker's dictionary is a prefix of the master's, and a
 	// Sync brings it forward — but refuses a version it has never served:
 	// that worker's dictionary belongs to a genuinely different dataset.
 	KnownVersion string
+	TransportCounts
 }
 
 // RegisterReply assigns the worker its ID and ships the dataset dictionary
 // in ID order, so re-encoding the terms in order reproduces the master's
-// IDs exactly.
+// IDs exactly. Epoch names the master's boot: a restarted master numbers
+// its workers from 1 again, so every later call names the worker by ID and
+// epoch, and a call from another boot's ID is answered "unknown worker".
 type RegisterReply struct {
 	Worker         int
+	Epoch          int64
 	Terms          []rdf.Term
 	DatasetVersion string
 	Input          string
@@ -123,16 +135,22 @@ type RegisterReply struct {
 	LeaseEvery     time.Duration
 }
 
-// HeartbeatArgs is a worker liveness ping. The counter fields are the
-// worker's cumulative transport-recovery totals (master-link retries,
-// re-dials across master and peer links, and transient shuffle-fetch
-// retries); the master max-merges them per worker — they only grow, and
-// heartbeats can race reports — and sums them into StatusReply.
-type HeartbeatArgs struct {
-	Worker       int
+// TransportCounts are a worker's cumulative transport-recovery totals:
+// master-link retries, re-dials across master and peer links, and transient
+// shuffle-fetch retries. The master max-merges them per worker — they only
+// grow, and heartbeats can race registrations — and sums them into
+// StatusReply.
+type TransportCounts struct {
 	RPCRetries   int64
 	Redials      int64
 	FetchRetries int64
+}
+
+// HeartbeatArgs is a worker liveness ping with its transport counts.
+type HeartbeatArgs struct {
+	Worker int
+	Epoch  int64
+	TransportCounts
 }
 
 // HeartbeatReply carries the IDs of queries still in flight, so workers can
@@ -161,31 +179,10 @@ type SyncReply struct {
 	DatasetVersion string
 }
 
-// IngestArgs submits one raw N-Triples batch to the master's versioned
-// dataset store.
-type IngestArgs struct {
-	Batch []byte
-}
-
-// IngestReply reports the accepted batch's effect.
-type IngestReply struct {
-	Triples        int
-	Seq            int
-	DatasetVersion string
-	DeltaBlocks    int
-}
-
-// CompactArgs is empty.
-type CompactArgs struct{}
-
-// CompactReply carries the delta-merge compaction summary.
-type CompactReply struct {
-	Result ingest.CompactResult
-}
-
 // LeaseArgs asks for one task of the given kind ("map" or "reduce").
 type LeaseArgs struct {
 	Worker int
+	Epoch  int64
 	Kind   string
 }
 
@@ -199,6 +196,7 @@ type LeaseReply struct {
 // output records for the master to commit.
 type ReportArgs struct {
 	Worker  int
+	Epoch   int64 // the master boot that granted the lease
 	QueryID string
 	JobID   int64
 	Kind    string
@@ -258,17 +256,14 @@ type FetchReply struct {
 	KVs KVs
 }
 
-// RunArgs submits a query to the master. Engine "" selects the master's
-// default; "auto" asks the master's catalog advisor. Order/HasOrder inject
-// a join order decided by the caller (ntga-serve runs its own optimizer);
-// without one the compiled order runs unchanged, matching a plain local
-// run. Reducers/SplitRecords of 0 select the master's defaults.
+// RunArgs submits a query to the master. Engine "" selects "ntga-lazy";
+// "auto" asks the master's catalog advisor. The compiled join order runs
+// unchanged: the master never searches. Reducers/SplitRecords of 0 select
+// the master's defaults.
 type RunArgs struct {
 	Query        string
 	Engine       string
 	PhiM         int
-	Order        []int
-	HasOrder     bool
 	Reducers     int
 	SplitRecords int
 	TimeoutMS    int64
@@ -277,10 +272,9 @@ type RunArgs struct {
 	NoPartition bool
 }
 
-// RunReply is a completed query: the raw binding rows (for callers with a
-// dictionary-equivalent view, e.g. ntga-serve's result cache) and the
-// master-rendered header/text rows (for dictionary-less callers like
-// ntga-run -cluster), plus the workflow metrics a local run would report.
+// RunReply is a completed query: the raw binding rows (for callers holding
+// the master's dictionary) and the master-rendered header/text rows (for
+// callers without one), plus the workflow metrics a local run would report.
 type RunReply struct {
 	Engine    string
 	IsCount   bool
@@ -297,9 +291,6 @@ type RunReply struct {
 	Workflow      mapreduce.WorkflowMetrics
 }
 
-// StatusArgs is empty.
-type StatusArgs struct{}
-
 // WorkerStatus is one worker's row in the master's status report.
 type WorkerStatus struct {
 	ID              int    `json:"id"`
@@ -314,10 +305,11 @@ type WorkerStatus struct {
 	TasksFailed     int64  `json:"tasks_failed"`
 }
 
-// StatusReply is the master's cluster snapshot. The four transport-recovery
-// counters aggregate what the fleet's retrying RPC layer absorbed:
+// StatusReply is the master's cluster snapshot (Master.Status; a hosting
+// ntga-serve shows it in /metrics). The four transport-recovery counters
+// aggregate what the fleet's retrying RPC layer absorbed:
 // RPCRetries/Redials/FetchTransientRetries sum the workers' shipped
-// heartbeat totals, WorkerReregistrations counts re-registrations this
+// TransportCounts, WorkerReregistrations counts re-registrations this
 // master has accepted (returning workers after a healed partition, or a
 // fleet re-joining a restarted master).
 type StatusReply struct {

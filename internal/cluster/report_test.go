@@ -17,6 +17,7 @@ type reportFixture struct {
 	m      *Master
 	c      *rpc.Client
 	worker int
+	epoch  int64
 	js     *jobState
 }
 
@@ -57,7 +58,7 @@ func newReportFixture(t *testing.T) *reportFixture {
 	m.jobs = append(m.jobs, js)
 	m.queries[qid] = &queryState{id: qid, bucketHolder: map[int]int{}}
 	m.mu.Unlock()
-	return &reportFixture{m: m, c: c, worker: reg.Worker, js: js}
+	return &reportFixture{m: m, c: c, worker: reg.Worker, epoch: reg.Epoch, js: js}
 }
 
 // state renders the job's scheduling state, for before/after comparisons.
@@ -73,7 +74,7 @@ func (f *reportFixture) state() string {
 
 func (f *reportFixture) report(t *testing.T, args ReportArgs) {
 	t.Helper()
-	args.Worker, args.JobID = f.worker, f.js.id
+	args.Worker, args.Epoch, args.JobID = f.worker, f.epoch, f.js.id
 	var ack ReportReply
 	if err := f.c.Call("Master.Report", &args, &ack); err != nil {
 		t.Fatalf("report %+v: %v", args, err)
@@ -89,11 +90,11 @@ func TestReportRejectsNegativeIndexes(t *testing.T) {
 	f.report(t, ReportArgs{Kind: "reduce", Task: -1, Err: "boom"})
 	f.report(t, ReportArgs{Kind: "map", Task: -1, OK: true})
 	f.report(t, ReportArgs{Kind: "reduce", Task: 0, Err: "fetch", LostMaps: []int{-1}})
-	var st StatusReply
-	if err := f.c.Call("Master.Status", &StatusArgs{}, &st); err != nil {
+	var hb HeartbeatReply
+	if err := f.c.Call("Master.Heartbeat", &HeartbeatArgs{Worker: f.worker, Epoch: f.epoch}, &hb); err != nil {
 		t.Fatalf("master stopped serving: %v", err)
 	}
-	if len(st.Workers) != 1 || !st.Workers[0].Alive {
+	if st := f.m.Status(); len(st.Workers) != 1 || !st.Workers[0].Alive {
 		t.Errorf("status workers = %+v, want the one live worker", st.Workers)
 	}
 	if after := f.state(); after != before {
@@ -109,7 +110,7 @@ func TestFetchFailuresChargeTheMap(t *testing.T) {
 	f := newReportFixture(t)
 	for i := 0; i < 4; i++ {
 		var lease LeaseReply
-		if err := f.c.Call("Master.Lease", &LeaseArgs{Worker: f.worker, Kind: "reduce"}, &lease); err != nil {
+		if err := f.c.Call("Master.Lease", &LeaseArgs{Worker: f.worker, Epoch: f.epoch, Kind: "reduce"}, &lease); err != nil {
 			t.Fatal(err)
 		}
 		if i < 2 && lease.Task == nil {
@@ -128,10 +129,46 @@ func TestFetchFailuresChargeTheMap(t *testing.T) {
 	}
 	// The re-queued map is the next task the worker leases.
 	var lease LeaseReply
-	if err := f.c.Call("Master.Lease", &LeaseArgs{Worker: f.worker, Kind: "map"}, &lease); err != nil {
+	if err := f.c.Call("Master.Lease", &LeaseArgs{Worker: f.worker, Epoch: f.epoch, Kind: "map"}, &lease); err != nil {
 		t.Fatal(err)
 	}
 	if lease.Task == nil || lease.Task.JobID != f.js.id || lease.Task.Kind != "map" || lease.Task.Task != 0 || lease.Task.Attempt != 1 {
 		t.Errorf("map lease = %+v, want the job's map task 0, attempt 1", lease.Task)
+	}
+}
+
+// TestRevivalCarriesTransportCounts declares the fixture's worker dead and
+// revives it. A lease poll from the dead worker must neither revive it nor
+// grant it work, and a re-registration that revives it must fold its
+// transport counts in the same call: Status read right after the revival
+// shows the worker alive with its counts, never alive without them.
+func TestRevivalCarriesTransportCounts(t *testing.T) {
+	f := newReportFixture(t)
+	f.m.sweep(time.Now().Add(time.Hour))
+	if st := f.m.Status(); st.WorkersLost != 1 || st.Workers[0].Alive {
+		t.Fatalf("after the sweep: lost %d, workers %+v; want the worker dead", st.WorkersLost, st.Workers)
+	}
+	var lease LeaseReply
+	if err := f.c.Call("Master.Lease", &LeaseArgs{Worker: f.worker, Epoch: f.epoch, Kind: "map"}, &lease); err != nil {
+		t.Fatal(err)
+	}
+	if st := f.m.Status(); lease.Task != nil || st.Workers[0].Alive {
+		t.Errorf("a lease poll from the dead worker granted %+v and left it alive=%v", lease.Task, st.Workers[0].Alive)
+	}
+	counts := TransportCounts{RPCRetries: 3, Redials: 2, FetchRetries: 1}
+	var reg RegisterReply
+	if err := f.c.Call("Master.Register", &RegisterArgs{
+		Addr: "127.0.0.1:1", MapSlots: 1, ReduceSlots: 1,
+		PrevWorker: f.worker, PrevEpoch: f.epoch, TransportCounts: counts,
+	}, &reg); err != nil {
+		t.Fatal(err)
+	}
+	st := f.m.Status()
+	if reg.Worker != f.worker || len(st.Workers) != 1 || !st.Workers[0].Alive {
+		t.Fatalf("re-registration got ID %d, workers %+v; want worker %d revived", reg.Worker, st.Workers, f.worker)
+	}
+	if st.RPCRetries != 3 || st.Redials != 2 || st.FetchTransientRetries != 1 || st.WorkerReregistrations != 1 {
+		t.Errorf("status right after the revival: retries %d, redials %d, fetch retries %d, re-registrations %d; want 3, 2, 1, 1",
+			st.RPCRetries, st.Redials, st.FetchTransientRetries, st.WorkerReregistrations)
 	}
 }

@@ -114,8 +114,10 @@ type Worker struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	mu         sync.Mutex
+	mu sync.Mutex
+	// id and epoch name this worker to the master boot it registered with.
 	id         int
+	epoch      int64
 	dict       *rdf.Dict
 	hbEvery    time.Duration
 	leaseEvery time.Duration
@@ -199,7 +201,7 @@ func (w *Worker) Start() error {
 	dict.Freeze()
 	w.mu.Lock()
 	w.ver = reply.DatasetVersion
-	w.id = reply.Worker
+	w.id, w.epoch = reply.Worker, reply.Epoch
 	w.dict = dict
 	w.hbEvery = reply.HeartbeatEvery
 	w.leaseEvery = reply.LeaseEvery
@@ -298,10 +300,11 @@ func (w *Worker) jitter(d time.Duration) time.Duration {
 	return d/2 + time.Duration(j)
 }
 
-func (w *Worker) wid() int {
+// ident is the worker's ID and the master epoch it was assigned in.
+func (w *Worker) ident() (int, int64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.id
+	return w.id, w.epoch
 }
 
 // version is the dataset version this worker currently tracks; it moves
@@ -341,13 +344,12 @@ func isUnknownWorker(err error) bool {
 	return errors.As(err, &se) && strings.Contains(string(se), "unknown worker")
 }
 
-// heartbeatArgs snapshots the worker's transport-recovery counters for the
-// master's fleet-wide rollup.
-func (w *Worker) heartbeatArgs() *HeartbeatArgs {
+// transportCounts snapshots the worker's transport-recovery counters for
+// the master's fleet-wide rollup.
+func (w *Worker) transportCounts() TransportCounts {
 	mret, mred := w.master.Stats()
 	pret, pred := w.peerStats()
-	return &HeartbeatArgs{
-		Worker:       w.wid(),
+	return TransportCounts{
 		RPCRetries:   mret + pret,
 		Redials:      mred + pred,
 		FetchRetries: pret,
@@ -377,7 +379,9 @@ func (w *Worker) heartbeatLoop() {
 		case <-time.After(w.jitter(w.hbWait())):
 		}
 		var reply HeartbeatReply
-		err := w.master.Call(context.Background(), "Master.Heartbeat", w.heartbeatArgs(), &reply)
+		id, epoch := w.ident()
+		args := &HeartbeatArgs{Worker: id, Epoch: epoch, TransportCounts: w.transportCounts()}
+		err := w.master.Call(context.Background(), "Master.Heartbeat", args, &reply)
 		switch {
 		case err == nil:
 			misses = 0
@@ -411,9 +415,10 @@ func isDifferentDataset(err error) bool {
 }
 
 // reregister re-dials the master and registers again, announcing the
-// previous ID so a surviving master revives the same worker record (no
-// double-counted slots) while a restarted one issues a fresh ID. Committed
-// map segments stay servable either way. The announced KnownVersion lets
+// previous ID and its epoch so a surviving master revives the same worker
+// record (no double-counted slots) while a restarted one issues a fresh ID.
+// Committed map segments stay servable either way, and the worker's
+// transport counts ride along. The announced KnownVersion lets
 // the master vet lineage: a worker that missed ingests behind a partition
 // holds an *ancestor* version — acceptable, the dictionary is a prefix and
 // syncs forward — while a genuinely different dataset is refused and fatal
@@ -430,12 +435,15 @@ func (w *Worker) reregister() bool {
 		return true
 	}
 	var reply RegisterReply
+	id, epoch := w.ident()
 	err := w.master.Call(context.Background(), "Master.Register", &RegisterArgs{
-		Addr:         w.ln.Addr().String(),
-		MapSlots:     w.cfg.MapSlots,
-		ReduceSlots:  w.cfg.ReduceSlots,
-		PrevWorker:   w.wid(),
-		KnownVersion: w.version(),
+		Addr:            w.ln.Addr().String(),
+		MapSlots:        w.cfg.MapSlots,
+		ReduceSlots:     w.cfg.ReduceSlots,
+		PrevWorker:      id,
+		PrevEpoch:       epoch,
+		KnownVersion:    w.version(),
+		TransportCounts: w.transportCounts(),
 	}, &reply)
 	if err != nil {
 		if isDifferentDataset(err) {
@@ -444,7 +452,7 @@ func (w *Worker) reregister() bool {
 		return false
 	}
 	w.mu.Lock()
-	w.id = reply.Worker
+	w.id, w.epoch = reply.Worker, reply.Epoch
 	w.hbEvery = reply.HeartbeatEvery
 	w.leaseEvery = reply.LeaseEvery
 	if reply.DatasetVersion != "" {
@@ -486,7 +494,8 @@ func (w *Worker) executor(kind string) {
 			return
 		}
 		var reply LeaseReply
-		err := w.master.Call(context.Background(), "Master.Lease", &LeaseArgs{Worker: w.wid(), Kind: kind}, &reply)
+		id, epoch := w.ident()
+		err := w.master.Call(context.Background(), "Master.Lease", &LeaseArgs{Worker: id, Epoch: epoch, Kind: kind}, &reply)
 		if err != nil && isUnknownWorker(err) {
 			w.reregister()
 		}
@@ -498,7 +507,7 @@ func (w *Worker) executor(kind string) {
 			}
 			continue
 		}
-		w.execute(reply.Task)
+		w.execute(reply.Task, id, epoch)
 	}
 }
 
@@ -515,8 +524,9 @@ func (e *fetchError) Error() string {
 	return fmt.Sprintf("cluster: map output unavailable for tasks %v", e.lost)
 }
 
-// execute runs one leased attempt and reports its outcome.
-func (w *Worker) execute(ts *TaskSpec) {
+// execute runs one attempt leased under the worker's id and epoch and
+// reports its outcome under them.
+func (w *Worker) execute(ts *TaskSpec, id int, epoch int64) {
 	if w.cfg.TaskDelay > 0 {
 		select {
 		case <-w.ctx.Done():
@@ -526,7 +536,8 @@ func (w *Worker) execute(ts *TaskSpec) {
 	}
 	start := time.Now()
 	rep := &ReportArgs{
-		Worker:  w.wid(),
+		Worker:  id,
+		Epoch:   epoch,
 		QueryID: ts.QueryID,
 		JobID:   ts.JobID,
 		Kind:    ts.Kind,
@@ -765,7 +776,7 @@ func (w *Worker) readSplit(sp mapreduce.Split) ([][]byte, error) {
 // query) fails immediately — retrying cannot conjure the segment back.
 func (w *Worker) fetchMap(ts *TaskSpec, ml MapLoc) ([]mapreduce.KV, error) {
 	key := outKey{ts.QueryID, ts.JobID, ml.Task}
-	if ml.Worker == w.wid() {
+	if ml.Worker == w.ID() {
 		w.mu.Lock()
 		parts := w.outs[key]
 		w.mu.Unlock()

@@ -183,6 +183,14 @@ func (n *NTGA) PlanSource(q *query.Query, src plan.Source, cl *engine.Cleaner) (
 		group.Inputs = []string{part.Dir}
 		group.MapSide, group.Part = true, part
 		red.grpFiles, red.jl = grpFiles, jl
+		if grpFiles != nil {
+			// Every join, map-only or shuffled after the prefix, reads its
+			// right star from the grouped bucket files.
+			red.grpECs = make([]bool, len(q.Stars))
+			for _, j := range q.Joins {
+				red.grpECs[j.Right.Star] = true
+			}
+		}
 		group.Job = job1(q, red, part.Files(), grouped)
 		group.Job.ExtraOutputs = append(append([]string(nil), grpFiles...), jlFilesOf(jl)...)
 		group.Job.WholeFileSplits = true

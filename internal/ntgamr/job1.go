@@ -67,14 +67,17 @@ func emitTriple(record []byte, out mapreduce.Emitter) error {
 // class, and — under the Eager strategy — β-unnests immediately.
 //
 // Over a subject-partitioned layout with a map-only join prefix, the grouping
-// cycle writes each AnnTG once — to its subject's grouped bucket (grpFiles,
-// indexed by layoutBucket of the subject) instead of the main output — and
-// routes the first map-only join's left side through jl; both are nil when
-// unused.
+// cycle writes each AnnTG a grouped-file reader consumes — one whose EC is
+// some join's right star (grpECs) — once, to its subject's grouped bucket
+// (grpFiles, indexed by layoutBucket of the subject) instead of the main
+// output, and routes the first map-only join's left side through jl; all
+// three are nil when unused. The first join's left star reaches its join
+// only through jl.
 type groupFilterReducer struct {
 	q        *query.Query
 	eager    bool
 	grpFiles []string
+	grpECs   []bool
 	jl       *jlRoute
 }
 
@@ -97,8 +100,10 @@ func (r *groupFilterReducer) Reduce(key []byte, values mapreduce.ValueIter, out 
 	}
 	grp := r.grpFiles[layoutBucket(tg.Subject, len(r.grpFiles))]
 	return filterGroup(s, r.q, tg, r.eager, out, func(comps []core.AnnTG, rec []byte) error {
-		if err := nc.CollectTo(grp, rec); err != nil {
-			return err
+		if r.grpECs[comps[0].EC] {
+			if err := nc.CollectTo(grp, rec); err != nil {
+				return err
+			}
 		}
 		if comps[0].EC == r.jl.pos.Star {
 			return r.jl.emit(s, r.q, comps, nc)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ntga/internal/bench"
+	"ntga/internal/core"
 	"ntga/internal/engine"
 	"ntga/internal/enginetest"
 	"ntga/internal/hdfs"
@@ -16,11 +17,13 @@ import (
 )
 
 // TestLayoutGroupingWritesEachAnnTGOnce holds the grouping cycle over an
-// 8-bucket layout to one copy of the grouping output, for every catalog
-// query and both NTGA strategies. With a map-only join prefix it writes the
-// flat grouping output's bytes to the grouped bucket files, nothing to its
-// main output, and beside them only the first join's routed lefts: its
-// written bytes are the flat grouping output plus the routed-left bytes.
+// 8-bucket layout to at most one copy of the grouping output, for every
+// catalog query and both NTGA strategies. With a map-only join prefix it
+// writes to the grouped bucket files the flat grouping output's AnnTGs of
+// the stars some join reads as its right star — the flat output less the
+// first join's left star, which reaches its join only as routed lefts —
+// nothing to its main output, and beside them only those routed lefts: its
+// written bytes are the grouped bucket files plus the routed-left bytes.
 // Without a prefix it writes the flat output itself. A plan whose shuffled
 // join follows a map-only prefix (B7's) reads the grouped bucket files and
 // must still return the reference evaluator's rows.
@@ -78,6 +81,31 @@ func TestLayoutGroupingWritesEachAnnTGOnce(t *testing.T) {
 					}
 					return n
 				}
+				rights := make([]bool, len(q.Stars))
+				for _, j := range q.Joins {
+					rights[j.Right.Star] = true
+				}
+				// unread sums the bytes of a grouping output's AnnTGs no join
+				// reads as its right star.
+				unread := func(file string) int64 {
+					recs, err := dfs.ReadAll(file)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var s core.Scratch
+					var n int64
+					for _, rec := range recs {
+						s.Reset()
+						comps, err := s.DecodeJoined(rec)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !rights[comps[0].EC] {
+							n += int64(len(rec))
+						}
+					}
+					return n
+				}
 				var flatCl, partCl engine.Cleaner
 				flatJob, _ := runGroup(plan.Source{Base: input}, &flatCl)
 				flat := size(flatJob.Output)
@@ -93,15 +121,17 @@ func TestLayoutGroupingWritesEachAnnTGOnce(t *testing.T) {
 					if len(routed) != buckets {
 						t.Fatalf("%s: %d routed-left files, want %d", eng.Name(), len(routed), buckets)
 					}
-					if got := size(grp...); got != flat {
-						t.Errorf("%s: grouped bucket files hold %d bytes, flat grouping output %d", eng.Name(), got, flat)
+					grouped := flat - unread(flatJob.Output)
+					if got := size(grp...); got != grouped {
+						t.Errorf("%s: grouped bucket files hold %d bytes, want the flat grouping output's %d less the unread stars' %d",
+							eng.Name(), got, flat, flat-grouped)
 					}
 					if got := size(job.Output); got != 0 {
 						t.Errorf("%s: main output holds %d bytes beside the grouped bucket files", eng.Name(), got)
 					}
-					if want := flat + size(routed...); m.ReduceOutputBytes != want {
-						t.Errorf("%s: grouping wrote %d bytes, want flat %d + routed lefts %d",
-							eng.Name(), m.ReduceOutputBytes, flat, want-flat)
+					if want := grouped + size(routed...); m.ReduceOutputBytes != want {
+						t.Errorf("%s: grouping wrote %d bytes, want grouped %d + routed lefts %d",
+							eng.Name(), m.ReduceOutputBytes, grouped, want-grouped)
 					}
 				}
 				flatCl.Clean(mr)

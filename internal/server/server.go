@@ -661,6 +661,9 @@ type ClusterMetrics struct {
 	Redials               int64 `json:"redials,omitempty"`
 	FetchTransientRetries int64 `json:"fetch_transient_retries,omitempty"`
 	WorkerReregistrations int64 `json:"worker_reregistrations,omitempty"`
+	// AffineLeases counts whole-bucket tasks leased back to the worker that
+	// already processed the bucket earlier in the query.
+	AffineLeases int64 `json:"affine_leases,omitempty"`
 }
 
 // Snapshot assembles the current service metrics.
@@ -732,6 +735,7 @@ func (s *Server) clusterMetrics() ClusterMetrics {
 		Redials:               st.Redials,
 		FetchTransientRetries: st.FetchTransientRetries,
 		WorkerReregistrations: st.WorkerReregistrations,
+		AffineLeases:          st.AffineLeases,
 	}
 	for _, w := range st.Workers {
 		if w.Alive {
