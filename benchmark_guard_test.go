@@ -37,7 +37,8 @@ func TestBenchmarkHarnessVets(t *testing.T) {
 // other consistently, and every ./cmd/<name> path the docs, Makefile,
 // scripts and CI build or run naming a command that exists, so deleting a
 // script, a target or a binary cannot leave a dangling reference that only
-// fails when somebody runs it.
+// fails when somebody runs it. Every command also has a main_test.go, so
+// no binary's flag handling goes untested.
 func TestToolingReferencesResolve(t *testing.T) {
 	read := func(path string) string {
 		raw, err := os.ReadFile(path)
@@ -89,6 +90,16 @@ func TestToolingReferencesResolve(t *testing.T) {
 	for _, m := range regexp.MustCompile(`\bmake +([A-Za-z0-9_-]+)`).FindAllStringSubmatch(ci, -1) {
 		if !targets[m[1]] {
 			t.Errorf("ci.yml runs `make %s`, which the Makefile does not define", m[1])
+		}
+	}
+
+	cmds, err := filepath.Glob(filepath.Join("cmd", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cmd := range cmds {
+		if _, err := os.Stat(filepath.Join(cmd, "main_test.go")); err != nil {
+			t.Errorf("%s has no main_test.go", filepath.ToSlash(cmd))
 		}
 	}
 

@@ -1,13 +1,19 @@
 // Command ntga-run evaluates a SPARQL query (in the supported unbound-
 // property subset) over an N-Triples file using any of the MapReduce query
 // engines, printing the result bindings and the workflow's cost metrics.
+// With -explain it prints every engine's plan and estimated cost instead.
 //
 // Usage:
 //
 //	ntga-run -data data.nt -query query.rq -engine ntga-lazy
 //	ntga-run -data data.nt -e 'SELECT * WHERE { ?s ?p ?o . }' -engine hive -metrics
+//	ntga-run -explain -stats catalog.json -e 'SELECT * WHERE { ?s ?p ?o . }'
 //	ntga-run -server 127.0.0.1:7457 -ingest delta.nt -compact
 //	ntga-run -health 127.0.0.1:7457
+//
+// -health, -server and -explain each select a mode, and a run without them
+// is local. Each mode reads only the flags the mode table below lists; any
+// other flag on the command line exits 2 instead of being silently ignored.
 package main
 
 import (
@@ -17,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -53,6 +60,42 @@ type options struct {
 	reducers, splitRecords, partBuckets int
 	ingest                              string
 	compact                             bool
+	explain, jsonOut, analyze           bool
+	stats                               string
+}
+
+// A mode is one way ntga-run runs. It reads the flags in reads (nil: every
+// flag but those in refuses); a refusal names the flag and the mode and
+// says why the flag does nothing there.
+type mode struct {
+	name, why      string
+	reads, refuses []string
+}
+
+// The mode table, in the order run selects a mode. A local run over the
+// reference engine checks local's rule and then ref's.
+var (
+	healthMode = mode{name: "with -health", why: "it only probes the daemon",
+		reads: []string{"health"}}
+	serverMode = mode{name: "with -server", why: "the daemon's boot flags decide",
+		reads: []string{"server", "query", "e", "engine", "phim", "limit", "metrics", "timeline", "tenant", "no-cache", "ingest", "compact"}}
+	explainMode = mode{name: "with -explain", why: "EXPLAIN prints every engine at its defaults",
+		reads: []string{"explain", "data", "stats", "query", "e", "optimize", "partition-buckets", "json", "analyze"}}
+	localMode = mode{name: "on a local run", why: "only -server or -explain reads it",
+		refuses: []string{"tenant", "no-cache", "stats", "json", "analyze"}}
+	refMode = mode{name: "with -engine ref", why: "the reference engine runs without a simulated cluster",
+		refuses: []string{"nodes", "replication", "sortbuf", "faults", "speculate", "trace", "timeline", "metrics", "split-records", "partition-buckets", "ingest", "compact"}}
+)
+
+// check refuses the first of the flags set on the command line that m does
+// not read.
+func (m mode) check(set []string) error {
+	for _, name := range set {
+		if m.reads != nil && !slices.Contains(m.reads, name) || slices.Contains(m.refuses, name) {
+			return fmt.Errorf("-%s has no effect %s (%s)", name, m.name, m.why)
+		}
+	}
+	return nil
 }
 
 // run is main with its process state passed in: the arguments after the
@@ -61,7 +104,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var o options
-	fs.StringVar(&o.data, "data", "", "N-Triples input file (required)")
+	fs.StringVar(&o.data, "data", "", "N-Triples input file (required, except by -explain -stats)")
 	fs.StringVar(&o.queryFile, "query", "", "SPARQL query file")
 	fs.StringVar(&o.inline, "e", "", "inline SPARQL query text")
 	fs.StringVar(&o.engine, "engine", "ntga-lazy", "engine: auto, pig, hive, sj-per-cycle, sel-sj-first, ntga-eager, ntga-lazy, ntga-lazy-full, ntga-lazy-partial, ref (auto lets the cost advisor pick)")
@@ -87,6 +130,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&o.partBuckets, "partition-buckets", 0, "build the hash-of-subject partitioned layout with this many buckets and run the query over it (0 = flat)")
 	fs.StringVar(&o.ingest, "ingest", "", "comma-separated N-Triples files appended as delta blocks after the base load, or with -server posted to the daemon's /ingest; the query runs over base ∪ deltas")
 	fs.BoolVar(&o.compact, "compact", false, "fold the delta chain into a fresh base generation (delta-merge MR job) before running the query; with -server, POST /compact")
+	fs.BoolVar(&o.explain, "explain", false, "print the logical plan and every engine's physical plan and estimated cost instead of running the query")
+	fs.StringVar(&o.stats, "stats", "", "with -explain: statistics catalog file to plan from instead of -data (no graph load)")
+	fs.BoolVar(&o.jsonOut, "json", false, "with -explain: emit the plans and cost estimates as JSON")
+	fs.BoolVar(&o.analyze, "analyze", false, "with -explain: also execute the query per engine and report estimated vs actual costs (needs -data)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -94,16 +141,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var err error
+	var set []string // in name order
+	fs.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if o.server != "" && !slices.Contains(set, "engine") {
+		o.engine = "" // the daemon applies its own default
+	}
+	m, do := &localMode, func() error { return runLocal(stdout, stderr, &o) }
 	switch {
 	case o.health != "":
-		err = checkHealth(stdout, o.health)
+		m, do = &healthMode, func() error { return checkHealth(stdout, o.health) }
 	case o.server != "":
-		err = runRemote(stdout, stderr, &o)
-	default:
-		err = runLocal(stdout, stderr, &o)
+		m, do = &serverMode, func() error { return runRemote(stdout, stderr, &o) }
+	case o.explain:
+		m, do = &explainMode, func() error { return explainQuery(stdout, &o) }
+	}
+	err := m.check(set)
+	if err == nil && m == &localMode && o.engine == "ref" {
+		err = refMode.check(set)
 	}
 	if err != nil {
+		fmt.Fprintln(stderr, "ntga-run:", err)
+		return 2
+	}
+	if err := do(); err != nil {
 		fmt.Fprintln(stderr, "ntga-run:", err)
 		return 1
 	}
@@ -120,6 +180,16 @@ func queryText(o *options) (string, error) {
 	}
 	b, err := os.ReadFile(o.queryFile)
 	return string(b), err
+}
+
+// readGraph loads the N-Triples file at path.
+func readGraph(path string) (*rdf.Graph, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return rdf.ReadNTriples(f)
 }
 
 // printRows prints a row result the same way in every mode: the header,
@@ -148,12 +218,7 @@ func runLocal(stdout, stderr io.Writer, o *options) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.Open(o.data)
-	if err != nil {
-		return err
-	}
-	g, err := rdf.ReadNTriples(f)
-	f.Close()
+	g, err := readGraph(o.data)
 	if err != nil {
 		return err
 	}
@@ -179,9 +244,6 @@ func runLocal(stdout, stderr io.Writer, o *options) error {
 	var lr localRun
 	var cat *plan.Catalog
 	if o.engine == "ref" {
-		if o.ingest != "" || o.compact {
-			return fmt.Errorf("-ingest/-compact need a MapReduce engine (the reference engine has no versioned store)")
-		}
 		cat = plan.FromGraph(g)
 	} else {
 		if lr, err = openLocal(o, g); err != nil {
@@ -298,7 +360,7 @@ func runMR(stderr io.Writer, o *options, lr localRun, src string, q *query.Query
 	if o.statsOut != "" {
 		// Build the catalog the way a warehouse would: a map-only MR job
 		// over the DFS-resident relation, persisted both as a DFS file
-		// (plan-time loading) and as an OS file (ntga-explain -stats).
+		// (plan-time loading) and as an OS file (ntga-run -explain -stats).
 		cat, err := plan.BuildCatalog(mr, "data/triples", "data/catalog", wh.Graph().Dict)
 		if err != nil {
 			return nil, err
@@ -572,17 +634,13 @@ func runRemote(stdout, stderr io.Writer, o *options) error {
 	}
 	req := server.Request{
 		Query:    src,
+		Engine:   o.engine,
 		PhiM:     o.phiM,
 		Tenant:   o.tenant,
 		NoCache:  o.noCache,
 		Limit:    o.limit,
 		Metrics:  o.metrics,
 		Timeline: o.timeline,
-	}
-	// The local default is baked into the flag; let the server apply its
-	// own default unless the user explicitly picked an engine.
-	if o.engine != "ntga-lazy" {
-		req.Engine = o.engine
 	}
 	resp, err := c.Query(ctx, req)
 	if err != nil {

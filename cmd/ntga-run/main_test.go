@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -12,6 +13,8 @@ import (
 
 	"ntga/internal/cluster"
 	"ntga/internal/enginetest"
+	"ntga/internal/explain"
+	"ntga/internal/plan"
 	"ntga/internal/rdf"
 	"ntga/internal/server"
 )
@@ -26,19 +29,54 @@ func writeFile(t *testing.T, dir, name, body string) string {
 	return path
 }
 
+// writeBio writes the bio test graph as N-Triples under dir and returns
+// its path.
+func writeBio(t *testing.T, dir string) string {
+	t.Helper()
+	var b strings.Builder
+	if err := rdf.WriteNTriples(&b, enginetest.BioGraph()); err != nil {
+		t.Fatal(err)
+	}
+	return writeFile(t, dir, "bio.nt", b.String())
+}
+
+// runCase is one row of a run table: the arguments, the exit status, and
+// check, which inspects the two streams (nil: only the status matters).
+type runCase struct {
+	name   string
+	args   []string
+	status int
+	check  func(t *testing.T, stdout, stderr string)
+}
+
+// runCases runs the rows in order, each as a subtest.
+func runCases(t *testing.T, cases []runCase) {
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if got := run(tc.args, &stdout, &stderr); got != tc.status {
+				t.Fatalf("run(%v) = %d, want %d (stderr: %s)", tc.args, got, tc.status, stderr.String())
+			}
+			if tc.check != nil {
+				tc.check(t, stdout.String(), stderr.String())
+			}
+		})
+	}
+}
+
+// refused checks that a run wrote nothing to stdout and only want, the
+// refusal of a flag its mode does not read, to stderr.
+func refused(want string) func(t *testing.T, stdout, stderr string) {
+	return func(t *testing.T, stdout, stderr string) {
+		if stdout != "" || stderr != "ntga-run: "+want+"\n" {
+			t.Errorf("stdout %q, stderr %q, want stderr %q", stdout, stderr, want)
+		}
+	}
+}
+
 func TestRun(t *testing.T) {
 	dir := t.TempDir()
-	data := filepath.Join(dir, "bio.nt")
-	f, err := os.Create(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rdf.WriteNTriples(f, enginetest.BioGraph()); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	data := writeBio(t, dir)
 	// The -server cases share one daemon over the same graph and run in
 	// table order: two ingests, a refused batch between them, then a
 	// compaction of the two blocks.
@@ -68,6 +106,15 @@ func TestRun(t *testing.T) {
 	dhs := httptest.NewServer(dist.Handler())
 	defer dhs.Close()
 	distAddr := strings.TrimPrefix(dhs.URL, "http://")
+	// hiveAddr is a daemon whose default engine is not a local run's.
+	hive, err := server.New(server.Config{DefaultEngine: "hive"}, enginetest.BioGraph())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hive.Close()
+	hhs := httptest.NewServer(hive.Handler())
+	defer hhs.Close()
+	hiveAddr := strings.TrimPrefix(hhs.URL, "http://")
 	delta := writeFile(t, dir, "delta.nt", "<http://ex/geneZ> <http://ex/label> \"gene Z\" .\n")
 	zeta := writeFile(t, dir, "zeta.nt", "<http://ex/geneZ> <http://ex/zeta> \"z\" .\n")
 	bad := writeFile(t, dir, "bad.nt", "<http://ex/geneZ> <http://ex/label> .\n")
@@ -91,13 +138,16 @@ func TestRun(t *testing.T) {
 			t.Errorf("stderr = %q, want the 13-row total last", stderr)
 		}
 	}
-	cases := []struct {
-		name   string
-		args   []string
-		status int
-		// check inspects the two streams; nil means only the status matters.
-		check func(t *testing.T, stdout, stderr string)
-	}{
+	// engineLine checks that the daemon answered q and which engine it
+	// reports it ran.
+	engineLine := func(name string) func(t *testing.T, stdout, stderr string) {
+		return func(t *testing.T, stdout, stderr string) {
+			if !strings.HasPrefix(stdout, header) || !strings.HasPrefix(stderr, "server: engine="+name+" ") {
+				t.Errorf("stdout %q, stderr %q, want q's rows by engine=%s", stdout, stderr, name)
+			}
+		}
+	}
+	runCases(t, []runCase{
 		{"rows with a limit", []string{"-data", data, "-e", q, "-limit", "2"}, 0, func(t *testing.T, stdout, stderr string) {
 			rows(t, stdout, stderr)
 			if stderr != "13 rows\n" {
@@ -238,16 +288,112 @@ func TestRun(t *testing.T) {
 				t.Errorf("stdout %q, stderr %q, want stderr %q", stdout, got, want)
 			}
 		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var stdout, stderr bytes.Buffer
-			if got := run(tc.args, &stdout, &stderr); got != tc.status {
-				t.Fatalf("run(%v) = %d, want %d (stderr: %s)", tc.args, got, tc.status, stderr.String())
+		{"server applies its default engine", []string{"-server", hiveAddr, "-e", q, "-limit", "2"}, 0, engineLine("Hive")},
+		{"server is sent an explicit -engine ntga-lazy", []string{"-server", hiveAddr, "-engine", "ntga-lazy", "-e", q, "-limit", "2"}, 0, engineLine("NTGA-Lazy")},
+		// Each mode refuses the flags it does not read.
+		{"-health refuses -e", []string{"-health", addr, "-e", q}, 2,
+			refused("-e has no effect with -health (it only probes the daemon)")},
+		{"-server refuses -reducers", []string{"-server", addr, "-reducers", "4", "-e", q}, 2,
+			refused("-reducers has no effect with -server (the daemon's boot flags decide)")},
+		{"-server refuses -optimize", []string{"-server", addr, "-optimize", "-e", q}, 2,
+			refused("-optimize has no effect with -server (the daemon's boot flags decide)")},
+		{"-explain refuses -engine", []string{"-explain", "-data", data, "-engine", "hive", "-e", q}, 2,
+			refused("-engine has no effect with -explain (EXPLAIN prints every engine at its defaults)")},
+		{"a local run refuses -tenant", []string{"-data", data, "-e", q, "-tenant", "gold"}, 2,
+			refused("-tenant has no effect on a local run (only -server or -explain reads it)")},
+		{"a local run refuses -json", []string{"-data", data, "-e", q, "-json"}, 2,
+			refused("-json has no effect on a local run (only -server or -explain reads it)")},
+		{"the reference engine refuses -metrics", []string{"-data", data, "-e", q, "-engine", "ref", "-metrics"}, 2,
+			refused("-metrics has no effect with -engine ref (the reference engine runs without a simulated cluster)")},
+		{"the reference engine refuses -ingest", []string{"-data", data, "-e", q, "-engine", "ref", "-ingest", delta}, 2,
+			refused("-ingest has no effect with -engine ref (the reference engine runs without a simulated cluster)")},
+		{"the reference engine reads -reducers and -advise", []string{"-data", data, "-e", q, "-engine", "ref", "-reducers", "32", "-advise", "-limit", "2"}, 0, func(t *testing.T, stdout, stderr string) {
+			rows(t, stdout, stderr)
+			if !strings.HasPrefix(stderr, "advisor: strategy=LazyAuto phiM=32\n") {
+				t.Errorf("stderr = %q", stderr)
 			}
-			if tc.check != nil {
-				tc.check(t, stdout.String(), stderr.String())
-			}
-		})
+		}},
+	})
+}
+
+// TestRunExplain is the -explain mode's table.
+func TestRunExplain(t *testing.T) {
+	dir := t.TempDir()
+	data := writeBio(t, dir)
+	stats := filepath.Join(dir, "catalog.json")
+	if err := plan.FromGraph(enginetest.BioGraph()).WriteFile(stats); err != nil {
+		t.Fatal(err)
 	}
+	const q = `PREFIX ex: <http://ex/> SELECT * WHERE { ?g ex:label ?l . ?g ?p ?x . ?x ex:type ?t . }`
+	// estimates is the output from the cost table on: what a catalog prices,
+	// without the logical plan the query compiled to.
+	estimates := func(stdout string) string {
+		i := strings.Index(stdout, "== estimated cost ==")
+		if i < 0 {
+			return ""
+		}
+		return stdout[i:]
+	}
+	var fromData string
+	runCases(t, []runCase{
+		{"no statistics", []string{"-explain", "-e", q}, 1, func(t *testing.T, stdout, stderr string) {
+			if stdout != "" || stderr != "ntga-run: one of -data or -stats is required\n" {
+				t.Errorf("stdout %q, stderr %q", stdout, stderr)
+			}
+		}},
+		{"-analyze without -data", []string{"-explain", "-stats", stats, "-e", q, "-analyze"}, 1, func(t *testing.T, _, stderr string) {
+			if stderr != "ntga-run: -analyze executes the query and therefore needs -data\n" {
+				t.Errorf("stderr %q", stderr)
+			}
+		}},
+		{"no query", []string{"-explain", "-data", data}, 1, func(t *testing.T, _, stderr string) {
+			if stderr != "ntga-run: one of -query or -e is required\n" {
+				t.Errorf("stderr %q", stderr)
+			}
+		}},
+		{"missing query file", []string{"-explain", "-data", data, "-query", filepath.Join(dir, "none.rq")}, 1, nil},
+		{"unknown flag", []string{"-explain", "-badflag"}, 2, nil},
+		{"-data", []string{"-explain", "-data", data, "-e", q}, 0, func(t *testing.T, stdout, stderr string) {
+			fromData = estimates(stdout)
+			if !strings.HasPrefix(stdout, "== logical plan ==\nquery: 2 star(s), 1 join(s), 5 var(s)\n") ||
+				!strings.Contains(fromData, "== NTGA-Lazy plan ==\nstage 1: GroupFilter  $1 <- T\n") || stderr != "" {
+				t.Errorf("stdout %q, stderr %q", stdout, stderr)
+			}
+		}},
+		{"-stats prices the plans as -data does", []string{"-explain", "-stats", stats, "-e", q}, 0, func(t *testing.T, stdout, _ string) {
+			if got := estimates(stdout); fromData == "" || got != fromData {
+				t.Errorf("estimates from the catalog file:\n%s\nfrom the data:\n%s", got, fromData)
+			}
+		}},
+		{"-analyze over the bucketed layout", []string{"-explain", "-data", data, "-e", q, "-analyze", "-partition-buckets", "4"}, 0, func(t *testing.T, stdout, _ string) {
+			// Both NTGA engines run every cycle shuffle-free.
+			for _, eng := range []string{"NTGA-Eager", "NTGA-Lazy"} {
+				want := eng + strings.Repeat(" ", 15-len(eng)) + "2/2          0/0        0/0                    13\n"
+				if !strings.Contains(stdout, want) {
+					t.Errorf("stdout %q lacks %q", stdout, want)
+				}
+			}
+		}},
+		{"-analyze -json over the bucketed layout", []string{"-explain", "-data", data, "-e", q, "-analyze", "-json", "-partition-buckets", "4"}, 0, func(t *testing.T, stdout, _ string) {
+			var runs []explain.RunCost
+			if err := json.Unmarshal([]byte(stdout), &runs); err != nil {
+				t.Fatal(err)
+			}
+			ntga := 0
+			for _, rc := range runs {
+				if !strings.HasPrefix(rc.Engine, "NTGA-") {
+					continue
+				}
+				ntga++
+				if !rc.Ran || rc.Rows != 13 || rc.ActShuffleBytes != 0 ||
+					strings.Count(rc.Plan, "map-only part=subject/4") != 2 {
+					t.Errorf("%s: ran %v, %d rows, %d shuffle bytes, plan %q; want a 13-row run of two map-only cycles, nothing shuffled",
+						rc.Engine, rc.Ran, rc.Rows, rc.ActShuffleBytes, rc.Plan)
+				}
+			}
+			if ntga != 2 {
+				t.Errorf("%d NTGA engines analyzed, want 2", ntga)
+			}
+		}},
+	})
 }

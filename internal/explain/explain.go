@@ -2,7 +2,7 @@
 // the physical plan it would run and the catalog-estimated cost (MR cycles,
 // full scans of the triple relation, shuffle bytes). It needs only a
 // statistics catalog and a compiled query — no dataset, no execution — so
-// `ntga-explain -stats` can price plans from a persisted catalog alone.
+// `ntga-run -explain -stats` can price plans from a persisted catalog alone.
 package explain
 
 import (

@@ -24,7 +24,8 @@ var update = flag.Bool("update", false, "rewrite the EXPLAIN golden files")
 //
 // Each query is priced twice: once compiled against the dataset dictionary
 // (the execution path) and once against an empty dictionary (the
-// `ntga-explain -stats` path, where only the persisted catalog exists).
+// `ntga-run -explain -stats` path, where only the persisted catalog
+// exists).
 // Both renderings must match the golden byte for byte — the planner's view
 // may not depend on having the data loaded.
 func TestExplainGoldens(t *testing.T) {

@@ -36,7 +36,7 @@ func (p PropStats) Multiplicity() float64 {
 // Catalog is the warehouse statistics catalog the planner consumes. It is
 // keyed by property term keys (rdf.Term.Key), not dictionary IDs, so a
 // persisted catalog remains meaningful in a process that never loaded the
-// dataset — the `ntga-explain -stats` path.
+// dataset — the `ntga-run -explain -stats` path.
 type Catalog struct {
 	// Triples / Subjects / Objects are the relation's global counts
 	// (distinct subjects and objects).
@@ -141,7 +141,7 @@ func Read(r io.Reader) (*Catalog, error) {
 }
 
 // WriteFile persists the catalog to an OS file (the cross-process form
-// ntga-explain -stats loads).
+// ntga-run -explain -stats loads).
 func (c *Catalog) WriteFile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {

@@ -31,8 +31,8 @@ const (
 // Estimator prices plans against a statistics catalog. All selectivities
 // are derived from the query's *source* AST (property IRIs, constants,
 // filters) rather than compiled dictionary IDs, so the same estimates come
-// out whether or not the dataset was loaded — the `ntga-explain -stats`
-// path compiles against an empty dictionary.
+// out whether or not the dataset was loaded — the
+// `ntga-run -explain -stats` path compiles against an empty dictionary.
 type Estimator struct {
 	cat   *Catalog
 	q     *query.Query

@@ -3,8 +3,9 @@
 # layout: generate a dataset, run each query below once over the flat triple
 # file and once with -partition-buckets (which builds the hash-of-subject
 # layout, then takes the map-only plan), assert the partitioned workflow
-# moved ZERO shuffle bytes, and assert the two runs' sorted row output is
-# byte-identical. Exits non-zero on any failed step.
+# moved ZERO shuffle bytes, that EXPLAIN over the same layout estimates zero
+# for it, and that the two runs' sorted row output is byte-identical. Exits
+# non-zero on any failed step.
 set -eu
 
 WORK="$(mktemp -d)"
@@ -50,6 +51,16 @@ smoke() {
     if [ "$part_shuffle" != "0B" ]; then
         echo "FAIL: $name: partitioned run shuffled $part_shuffle, want 0B" >&2
         cat "$WORK/$name.part.out" >&2
+        exit 1
+    fi
+    echo "== $name: EXPLAIN over the layout (estimate beside the measurement)"
+    "$WORK/ntga-run" -explain -data "$WORK/bsbm.nt" -partition-buckets 8 -e "$query" >"$WORK/$name.explain.out"
+    # The estimated-cost table's rows read engine, cycles, scans, shuffle(est).
+    est_shuffle="$(sed -n '/^== estimated cost ==$/,/^$/p' "$WORK/$name.explain.out" | awk '$1 == "NTGA-Lazy" { print $4 }')"
+    echo "   NTGA-Lazy estimated shuffle over the layout: $est_shuffle"
+    if [ "$est_shuffle" != "0" ]; then
+        echo "FAIL: $name: EXPLAIN estimates $est_shuffle shuffle bytes over the layout, the run moved 0B" >&2
+        cat "$WORK/$name.explain.out" >&2
         exit 1
     fi
     if [ -n "$counter" ]; then
@@ -98,4 +109,4 @@ SELECT * WHERE {
   ?x bsbm:label ?xl . ?x rdf:type bsbm:FeatureType .
 }' ntga.join.partial_tgs
 
-echo "partition-layout-smoke: OK (Q1a and B1 byte-identical flat and bucketed, 0B shuffled)"
+echo "partition-layout-smoke: OK (Q1a and B1 byte-identical flat and bucketed, 0B shuffled, 0 estimated)"
