@@ -38,7 +38,10 @@ func TestBenchmarkHarnessVets(t *testing.T) {
 // scripts and CI build or run naming a command that exists, so deleting a
 // script, a target or a binary cannot leave a dangling reference that only
 // fails when somebody runs it. Every command also has a main_test.go, so
-// no binary's flag handling goes untested.
+// no binary's flag handling goes untested. Every -run and -fuzz pattern of
+// the check target selects a test in each package its line names: go test
+// passes silently when a pattern matches nothing, so renaming a test could
+// otherwise turn a race or fuzz step into a no-op.
 func TestToolingReferencesResolve(t *testing.T) {
 	read := func(path string) string {
 		raw, err := os.ReadFile(path)
@@ -103,6 +106,36 @@ func TestToolingReferencesResolve(t *testing.T) {
 		}
 	}
 
+	check := regexp.MustCompile(`(?ms)^check:\n(.*?)\n\n`).FindStringSubmatch(makefile)
+	if check == nil {
+		t.Fatal("Makefile has no check target")
+	}
+	pattern := regexp.MustCompile(`-(run|fuzz) '([^']*)'`)
+	for _, line := range strings.Split(strings.ReplaceAll(check[1], "$$", "$"), "\n") {
+		var pkgs []string
+		for _, f := range strings.Fields(line) {
+			if strings.HasPrefix(f, "./") {
+				pkgs = append(pkgs, f)
+			}
+		}
+		for _, m := range pattern.FindAllStringSubmatch(line, -1) {
+			flag, expr := m[1], m[2]
+			if expr == "^$" {
+				continue // selects no test on purpose: a fuzz step's -run
+			}
+			re, err := regexp.Compile(expr)
+			if err != nil {
+				t.Errorf("Makefile check: -%s '%s': %v", flag, expr, err)
+				continue
+			}
+			for _, pkg := range pkgs {
+				if !matchesTestFunc(t, pkg, re, flag == "fuzz") {
+					t.Errorf("Makefile check: -%s '%s' matches no test in %s", flag, expr, pkg)
+				}
+			}
+		}
+	}
+
 	// Paths only: engine names such as ntga-lazy share the binaries' prefix.
 	docs := append([]string{"README.md", "DESIGN.md", "Makefile", filepath.Join(".github", "workflows", "ci.yml")}, onDisk...)
 	cmdPath := regexp.MustCompile(`\./cmd/([A-Za-z0-9_-]+)`)
@@ -113,6 +146,29 @@ func TestToolingReferencesResolve(t *testing.T) {
 			}
 		}
 	}
+}
+
+// matchesTestFunc reports whether re matches the name of a func Test… or
+// func Fuzz… (only Fuzz… when fuzzOnly) in the test files of the package at
+// dir, as go test's -run and -fuzz select them.
+func matchesTestFunc(t *testing.T, dir string, re *regexp.Regexp, fuzzOnly bool) bool {
+	files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decl := regexp.MustCompile(`(?m)^func ((Test|Fuzz)[A-Za-z0-9_]*)\(`)
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range decl.FindAllStringSubmatch(string(src), -1) {
+			if (!fuzzOnly || m[2] == "Fuzz") && re.MatchString(m[1]) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // TestOneQueryFrontDoor keeps the decisions taken before any job exists in

@@ -2,16 +2,14 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
-
-	"ntga/internal/mapreduce"
 )
 
 // ErrMasterLost marks a front-end call that could not reach the master (or
 // lost it mid-call): the cluster substrate is unavailable, not the query
-// wrong. It wraps mapreduce.ErrClusterUnavailable so callers can match the
-// whole family with errors.Is.
-var ErrMasterLost = fmt.Errorf("cluster: master lost: %w", mapreduce.ErrClusterUnavailable)
+// wrong.
+var ErrMasterLost = errors.New("cluster: master lost")
 
 // Client submits queries to a master over its Run RPC. A deployment's own
 // front end is ntga-serve -workers, which hosts the master and calls

@@ -878,8 +878,6 @@ type remoteCluster struct {
 	qid string
 }
 
-func (rc *remoteCluster) Name() string { return "distributed" }
-
 func (rc *remoteCluster) RunJob(ctx context.Context, jsp *trace.Span, job *mapreduce.Job, cfg mapreduce.EngineConfig) (mapreduce.JobMetrics, error) {
 	return rc.m.runJob(ctx, rc.qid, jsp, job, cfg)
 }
@@ -1106,7 +1104,7 @@ func (m *Master) RunQuery(ctx context.Context, args *RunArgs) (*RunReply, error)
 // against this master's dictionary, choice applied to it, over src, a
 // source of one View of the warehouse. The query is registered for the
 // workers' plan rebuilds, and an MR engine configured by cfg runs the full
-// workflow with the remoteCluster JobRunner plugged into its seam, so
+// workflow with the remoteCluster as its EngineConfig.Runner, so
 // planning, plan-IR lowering, output decoding, metrics and tracing work
 // exactly as a local engine.Run — only task execution moves to the workers.
 // Like engine.Run, it never returns a nil result.
@@ -1131,7 +1129,7 @@ func (m *Master) Execute(ctx context.Context, text string, q *query.Query, choic
 	}
 	qs := m.registerQuery(spec)
 	defer m.releaseQuery(qs.id)
-	cfg.Cluster = &remoteCluster{m: m, qid: qs.id}
+	cfg.Runner = &remoteCluster{m: m, qid: qs.id}
 	return engine.Run(eng, mapreduce.NewEngine(m.dfs, cfg).WithContext(ctx), q, src)
 }
 

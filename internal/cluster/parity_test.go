@@ -1,5 +1,5 @@
 // Cross-transport parity: every catalog query, on every engine family,
-// executed once on the in-process LocalCluster and once on a real 3-worker
+// executed once on the in-process engine and once on a real 3-worker
 // distributed cluster (workers as goroutine-hosted RPC servers over
 // loopback TCP), must produce byte-identical results — same rows in the
 // same order, same output file shape, same engine counters. A second suite

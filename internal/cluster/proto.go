@@ -1,5 +1,5 @@
-// Package cluster is the distributed execution substrate behind the
-// mapreduce Cluster seam: a coordinator (Master) that owns the DFS and
+// Package cluster is the distributed execution substrate behind
+// mapreduce.EngineConfig.Runner: a coordinator (Master) that owns the DFS and
 // leases map/reduce task attempts to network-registered Workers over
 // net/rpc + gob, with heartbeat-based liveness, lease deadlines, and
 // re-execution of work (including committed map output) lost to dead

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -215,12 +216,29 @@ func fanOutRows(lo, hi int) []query.Row {
 	return rows
 }
 
+// slotPool is a SlotPool of cap(p) slots shared by both kinds, for tests
+// that fix how many tasks run at once.
+type slotPool chan struct{}
+
+// NSlots returns a pool of n slots (the external sink tests use it too).
+func NSlots(n int) mapreduce.SlotPool { return make(slotPool, n) }
+
+func (p slotPool) Acquire(ctx context.Context, _ string) (func(), error) {
+	select {
+	case p <- struct{}{}:
+		var once sync.Once
+		return func() { once.Do(func() { <-p }) }, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
 // copyFinal runs, through Execute, a map-only job that copies the fixture
 // file "final" to "out" in tasks of split records, on par map slots. "out"
 // is not tracked, so a persisted copy outlives the run.
 func copyFinal(dfs *hdfs.DFS, split, par int, cfg mapreduce.EngineConfig, q *query.Query,
 	decoder func() DecodeFunc, persist bool) (*Result, error) {
-	cfg.SplitRecords, cfg.MapParallelism = split, par
+	cfg.SplitRecords, cfg.Slots = split, NSlots(par)
 	job := &mapreduce.Job{
 		Name: "copy", Inputs: []string{"final"}, Output: "out",
 		MapOnly: mapreduce.MapOnlyFunc(func(_ string, r []byte, c mapreduce.Collector) error {

@@ -73,7 +73,7 @@ func TestEnginesSinkInTaskOrder(t *testing.T) {
 	run := func(eng engine.QueryEngine, q *query.Query, cpus, reducers int) *engine.Result {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(cpus))
 		return runOn(t, g, eng, q, mapreduce.EngineConfig{
-			MapParallelism: 4, SplitRecords: 256, DefaultReducers: reducers}, false)
+			Slots: engine.NSlots(4), SplitRecords: 256, DefaultReducers: reducers}, false)
 	}
 	ran := make(map[string]int)
 	for _, src := range srcs {
@@ -122,7 +122,7 @@ func TestSinkMatchesPersisted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := mapreduce.EngineConfig{MapParallelism: 2, SplitRecords: 1024, DefaultReducers: 4}
+	cfg := mapreduce.EngineConfig{Slots: engine.NSlots(2), SplitRecords: 1024, DefaultReducers: 4}
 	for _, cq := range bench.Catalog() {
 		if cq.Dataset != "bsbm" {
 			continue

@@ -39,8 +39,12 @@ func BenchmarkShuffleThroughput(b *testing.B) {
 				}
 				return out.Emit(r, nil)
 			}),
-			Reducer: ReducerFunc(func(key []byte, values [][]byte, out Collector) error {
-				return out.Collect([]byte(fmt.Sprintf("%s=%d", key, len(values))))
+			StreamReducer: StreamReducerFunc(func(key []byte, values ValueIter, out Collector) error {
+				n, err := countValues(values)
+				if err != nil {
+					return err
+				}
+				return out.Collect([]byte(fmt.Sprintf("%s=%d", key, n)))
 			}),
 		}
 	}

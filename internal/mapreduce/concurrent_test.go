@@ -24,8 +24,6 @@ func TestEngineConfigValidateNegative(t *testing.T) {
 		cfg  EngineConfig
 		want string
 	}{
-		{"map parallelism", EngineConfig{MapParallelism: -1}, "MapParallelism"},
-		{"reduce parallelism", EngineConfig{ReduceParallelism: -3}, "ReduceParallelism"},
 		{"task max attempts", EngineConfig{TaskMaxAttempts: -2}, "TaskMaxAttempts"},
 		{"merge factor", EngineConfig{MergeFactor: 1}, "MergeFactor"},
 		{"sort buffer", EngineConfig{SortBufferBytes: -1}, "SortBufferBytes"},
@@ -80,7 +78,7 @@ func TestFailedJobSweepsOnlyItsOwnWorkflow(t *testing.T) {
 			return col.Collect(rec)
 		}),
 	}
-	a := NewEngine(dfs, EngineConfig{SplitRecords: 64, MapParallelism: 1})
+	a := NewEngine(dfs, EngineConfig{SplitRecords: 64, Slots: newCountingPool(1)})
 	aErr := make(chan error, 1)
 	go func() {
 		_, err := a.Run(blockingJob)
@@ -192,7 +190,7 @@ func TestConcurrentSameNameWorkflows(t *testing.T) {
 func TestCancelMidMapReclaimsSpills(t *testing.T) {
 	e := NewEngine(hdfs.New(hdfs.Config{Nodes: 2}), EngineConfig{
 		SplitRecords:    200,
-		MapParallelism:  2,
+		Slots:           newCountingPool(2),
 		SortBufferBytes: 64, // spill every few records
 		TaskMaxAttempts: 5,
 	})
@@ -255,8 +253,8 @@ func TestCancelMidReduceSweepsPartFiles(t *testing.T) {
 	defer cancel()
 	var reduced atomic.Int64
 	job := wordCountJob("in", "out")
-	base := job.Reducer
-	job.Reducer = ReducerFunc(func(key []byte, vals [][]byte, out Collector) error {
+	base := job.StreamReducer
+	job.StreamReducer = StreamReducerFunc(func(key []byte, vals ValueIter, out Collector) error {
 		if err := base.Reduce(key, vals, out); err != nil {
 			return err
 		}
@@ -303,7 +301,7 @@ func TestWorkflowCancelledBetweenStages(t *testing.T) {
 }
 
 func TestRunDeadlineExceeded(t *testing.T) {
-	e := NewEngine(hdfs.New(hdfs.Config{Nodes: 2}), EngineConfig{SplitRecords: 8, MapParallelism: 2})
+	e := NewEngine(hdfs.New(hdfs.Config{Nodes: 2}), EngineConfig{SplitRecords: 8, Slots: newCountingPool(2)})
 	input := make([][]byte, 64)
 	for i := range input {
 		input[i] = []byte("x y z")
@@ -327,13 +325,15 @@ func TestRunDeadlineExceeded(t *testing.T) {
 	}
 }
 
-// countingPool is a minimal SlotPool that enforces a hard cap and records
-// the high-water mark of concurrently held slots.
+// countingPool is a minimal SlotPool that enforces a hard cap (shared by
+// both kinds) and records how often it was asked for a slot and the
+// high-water mark of concurrently held slots.
 type countingPool struct {
-	sem  chan struct{}
-	mu   sync.Mutex
-	held int
-	peak int
+	sem      chan struct{}
+	acquires atomic.Int64
+	mu       sync.Mutex
+	held     int
+	peak     int
 }
 
 func newCountingPool(capacity int) *countingPool {
@@ -341,6 +341,7 @@ func newCountingPool(capacity int) *countingPool {
 }
 
 func (p *countingPool) Acquire(ctx context.Context, kind string) (func(), error) {
+	p.acquires.Add(1)
 	select {
 	case p.sem <- struct{}{}:
 	case <-ctx.Done():
@@ -368,12 +369,7 @@ func TestSlotPoolGovernsTaskConcurrency(t *testing.T) {
 	e := NewEngine(hdfs.New(hdfs.Config{Nodes: 4}), EngineConfig{
 		SplitRecords:    4,
 		DefaultReducers: 6,
-		// With Slots set these widths are ignored; make them large so a
-		// regression (falling back to worker pools) would show up as
-		// peak > 2.
-		MapParallelism:    32,
-		ReduceParallelism: 32,
-		Slots:             pool,
+		Slots:           pool,
 	})
 	input := make([][]byte, 64)
 	for i := range input {
@@ -397,5 +393,102 @@ func TestSlotPoolGovernsTaskConcurrency(t *testing.T) {
 	}
 	if len(recs) != 11 { // 11 distinct words
 		t.Errorf("output groups = %d, want 11", len(recs))
+	}
+}
+
+// TestFailedPhaseStopsQueueingForSlots fails the first of eight map tasks
+// under a 1-slot pool: the phase stops asking for slots, so at most the
+// task queued behind the failure takes one and hands it straight back.
+func TestFailedPhaseStopsQueueingForSlots(t *testing.T) {
+	pool := newCountingPool(1)
+	e := NewEngine(hdfs.New(hdfs.Config{Nodes: 2}), EngineConfig{SplitRecords: 1, TaskMaxAttempts: 1, Slots: pool})
+	input := make([][]byte, 8)
+	for i := range input {
+		input[i] = []byte(fmt.Sprintf("r%d", i))
+	}
+	if err := e.DFS().WriteFile("in", input); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	job := &Job{
+		Name: "fail-first", Inputs: []string{"in"}, Output: "out",
+		MapOnly: MapOnlyFunc(func(_ string, rec []byte, col Collector) error {
+			if string(rec) == "r0" {
+				return boom
+			}
+			return col.Collect(rec)
+		}),
+	}
+	m, err := e.Run(job)
+	if !errors.Is(err, boom) {
+		t.Fatalf("Run = %v, want boom", err)
+	}
+	if m.MapTasks != 8 {
+		t.Fatalf("MapTasks = %d, want 8", m.MapTasks)
+	}
+	if n := pool.acquires.Load(); n > 2 {
+		t.Errorf("Acquire called %d times after task 0 failed, want at most 2", n)
+	}
+	if pool.held != 0 {
+		t.Errorf("%d slots still held after run", pool.held)
+	}
+}
+
+// startOrder records the order tasks start in; as a map-only factory it
+// records its own tasks.
+type startOrder struct {
+	mu     sync.Mutex
+	starts []int
+}
+
+func (f *startOrder) NewTask(task int, _ [][]byte) (MapOnlyMapper, error) {
+	f.mu.Lock()
+	f.starts = append(f.starts, task)
+	f.mu.Unlock()
+	return MapOnlyFunc(func(_ string, rec []byte, col Collector) error { return col.Collect(rec) }), nil
+}
+
+// TestOneSlotRunsTasksInIndexOrder: a 1-slot pool runs each phase's tasks
+// one at a time, in index order — the serial execution the seeded fault
+// scans rely on.
+func TestOneSlotRunsTasksInIndexOrder(t *testing.T) {
+	const n = 8
+	e := NewEngine(hdfs.New(hdfs.Config{Nodes: 2}), EngineConfig{SplitRecords: 1, DefaultReducers: n, Slots: newCountingPool(1)})
+	input := make([][]byte, n)
+	for i := range input {
+		input[i] = []byte{'0' + byte(i)}
+	}
+	if err := e.DFS().WriteFile("in", input); err != nil {
+		t.Fatal(err)
+	}
+	want := []int{0, 1, 2, 3, 4, 5, 6, 7}
+
+	maps := &startOrder{}
+	if _, err := e.Run(&Job{Name: "order-map", Inputs: []string{"in"}, Output: "out-map", MapOnlyFactory: maps}); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(maps.starts) != fmt.Sprint(want) {
+		t.Errorf("map tasks started in order %v, want %v", maps.starts, want)
+	}
+
+	// Key i goes to reduce partition i, so the reducer sees the partitions
+	// in the order they ran.
+	reduces := &startOrder{}
+	job := &Job{
+		Name: "order-reduce", Inputs: []string{"in"}, Output: "out-reduce",
+		Mapper: MapperFunc(func(_ string, rec []byte, out Emitter) error { return out.Emit(rec, nil) }),
+		StreamReducer: StreamReducerFunc(func(key []byte, _ ValueIter, out Collector) error {
+			reduces.mu.Lock()
+			reduces.starts = append(reduces.starts, int(key[0]-'0'))
+			reduces.mu.Unlock()
+			return out.Collect(key)
+		}),
+		Partitioner: func(key []byte, _ int) int { return int(key[0] - '0') },
+	}
+	if _, err := e.Run(job); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(reduces.starts) != fmt.Sprint(want) {
+		t.Errorf("reduce tasks ran in order %v, want %v", reduces.starts, want)
 	}
 }

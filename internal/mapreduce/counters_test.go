@@ -35,13 +35,13 @@ func TestCounters(t *testing.T) {
 // see: the mapper its lines and words, the reducer its keys.
 func countedWordCount(input, output string) *Job {
 	j := wordCountJob(input, output)
-	mapper, reducer := j.Mapper, j.Reducer
+	mapper, reducer := j.Mapper, j.StreamReducer
 	j.Mapper = MapperFunc(func(in string, rec []byte, out Emitter) error {
 		out.Inc("lines", 1)
 		out.Inc("words", int64(len(strings.Fields(string(rec)))))
 		return mapper.Map(in, rec, out)
 	})
-	j.Reducer = ReducerFunc(func(key []byte, values [][]byte, out Collector) error {
+	j.StreamReducer = StreamReducerFunc(func(key []byte, values ValueIter, out Collector) error {
 		out.Inc("keys", 1)
 		return reducer.Reduce(key, values, out)
 	})
@@ -94,7 +94,7 @@ func TestAttemptCountersCommitWithWinner(t *testing.T) {
 		// A 16-byte sort buffer spills every map task, so a node kill loses
 		// map output and forces its re-execution.
 		base := EngineConfig{SplitRecords: 4, DefaultReducers: 5, SortBufferBytes: 16,
-			MergeFactor: 2, MapParallelism: 4, ReduceParallelism: 4}
+			MergeFactor: 2, Slots: newCountingPool(4)}
 		if got := run(base).Counters; !reflect.DeepEqual(got, tc.want) {
 			t.Fatalf("%s fault-free: counters = %v, want %v", name, got, tc.want)
 		}

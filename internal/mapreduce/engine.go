@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,12 +14,6 @@ import (
 
 // EngineConfig tunes the execution engine.
 type EngineConfig struct {
-	// MapParallelism is the number of concurrent map tasks; 0 defaults to
-	// GOMAXPROCS.
-	MapParallelism int
-	// ReduceParallelism is the number of concurrent reduce tasks; 0
-	// defaults to GOMAXPROCS.
-	ReduceParallelism int
 	// DefaultReducers is the reduce partition count used when a job does
 	// not set NumReducers; 0 defaults to 8.
 	DefaultReducers int
@@ -46,14 +39,11 @@ type EngineConfig struct {
 	// the node), and straggler delays. See FaultPlan.
 	Faults *FaultPlan
 	// Speculation enables backup attempts for straggling tasks: when a
-	// task has run longer than SpeculationRatio × the median completed
-	// duration of its phase (and at least SpeculationMinRuntime), one
-	// backup attempt launches; the first attempt to commit wins and the
-	// loser is killed and its temporaries reclaimed.
+	// task has run longer than twice the median completed duration of its
+	// phase (and at least SpeculationMinRuntime), one backup attempt
+	// launches; the first attempt to commit wins and the loser is killed
+	// and its temporaries reclaimed.
 	Speculation bool
-	// SpeculationRatio is the straggler threshold multiplier; 0 defaults
-	// to 2.0.
-	SpeculationRatio float64
 	// SpeculationMinRuntime is the minimum elapsed time before a task can
 	// be speculated; 0 defaults to 5ms.
 	SpeculationMinRuntime time.Duration
@@ -64,34 +54,38 @@ type EngineConfig struct {
 	// A nil Tracer is a zero-overhead no-op — the engine skips all
 	// fine-grained timing.
 	Tracer *trace.Tracer
-	// Slots, when non-nil, supersedes MapParallelism/ReduceParallelism:
-	// instead of fixed per-run worker pools, every task attempt leases one
-	// slot of its kind ("map" or "reduce") from this shared pool for the
-	// task's whole lifetime, so concurrent workflows over one DFS divide
-	// cluster capacity under the pool's policy. See SlotPool.
+	// Slots is the pool every in-process task leases one slot of its kind
+	// ("map" or "reduce") from, for the task's whole lifetime, so
+	// concurrent workflows sharing a pool divide its capacity under the
+	// pool's policy. Nil gives each phase a fresh pool of GOMAXPROCS slots.
+	// See SlotPool.
 	Slots SlotPool
-	// Cluster selects the execution substrate. Nil defaults to the
-	// in-process LocalCluster (goroutine pools over the engine's DFS,
-	// honoring MapParallelism/ReduceParallelism/Slots). A JobRunner cluster
-	// takes over whole jobs instead — see internal/cluster for the
-	// master/worker RPC implementation.
-	Cluster Cluster
+	// Runner, when non-nil, takes every validated job whole instead of the
+	// in-process tasks — see internal/cluster for the master/worker RPC
+	// implementation.
+	Runner JobRunner
+}
+
+// JobRunner executes whole jobs elsewhere: the engine validates the job and
+// hands it over — split planning, task scheduling, shuffle movement and part
+// commits all happen on the runner's side. The returned metrics slot into
+// the workflow exactly where the local run's would.
+type JobRunner interface {
+	// RunJob executes the job to completion against the runner's DFS,
+	// attaching any task spans under jsp (nil-safe). On failure the job's
+	// output files must be removed, mirroring the local engine's failure
+	// contract.
+	RunJob(ctx context.Context, jsp *trace.Span, job *Job, cfg EngineConfig) (JobMetrics, error)
 }
 
 // validate rejects configurations that would silently misbehave: an
 // external merge needs at least two-way fan-in to make progress, a
-// negative sort budget would spill on every emitted pair, and negative
-// parallelism or attempt budgets would deadlock the worker pools or make
-// every task fail before its first attempt. Called (on the
-// defaults-applied config) at Run time so the error carries context —
-// zeros select defaults, so only genuinely negative values reach here.
+// negative sort budget would spill on every emitted pair, and a negative
+// attempt budget would make every task fail before its first attempt.
+// Called (on the defaults-applied config) at Run time so the error carries
+// context — zeros select defaults, so only genuinely negative values reach
+// here.
 func (c EngineConfig) validate() error {
-	if c.MapParallelism < 0 {
-		return fmt.Errorf("mapreduce: EngineConfig.MapParallelism must be >= 0 (got %d); 0 selects the default", c.MapParallelism)
-	}
-	if c.ReduceParallelism < 0 {
-		return fmt.Errorf("mapreduce: EngineConfig.ReduceParallelism must be >= 0 (got %d); 0 selects the default", c.ReduceParallelism)
-	}
 	if c.TaskMaxAttempts < 0 {
 		return fmt.Errorf("mapreduce: EngineConfig.TaskMaxAttempts must be >= 0 (got %d); 0 selects the default", c.TaskMaxAttempts)
 	}
@@ -111,12 +105,6 @@ func (c EngineConfig) validate() error {
 }
 
 func (c EngineConfig) withDefaults() EngineConfig {
-	if c.MapParallelism == 0 {
-		c.MapParallelism = runtime.GOMAXPROCS(0)
-	}
-	if c.ReduceParallelism == 0 {
-		c.ReduceParallelism = runtime.GOMAXPROCS(0)
-	}
 	if c.DefaultReducers == 0 {
 		c.DefaultReducers = 8
 	}
@@ -129,9 +117,6 @@ func (c EngineConfig) withDefaults() EngineConfig {
 	if c.TaskMaxAttempts == 0 {
 		c.TaskMaxAttempts = 1
 	}
-	if c.SpeculationRatio == 0 {
-		c.SpeculationRatio = 2.0
-	}
 	if c.SpeculationMinRuntime == 0 {
 		c.SpeculationMinRuntime = 5 * time.Millisecond
 	}
@@ -140,20 +125,14 @@ func (c EngineConfig) withDefaults() EngineConfig {
 
 // Engine executes jobs and workflows against a simulated DFS.
 type Engine struct {
-	dfs     *hdfs.DFS
-	cfg     EngineConfig
-	ctx     context.Context
-	cluster Cluster
+	dfs *hdfs.DFS
+	cfg EngineConfig
+	ctx context.Context
 }
 
 // NewEngine returns an engine over the given DFS.
 func NewEngine(dfs *hdfs.DFS, cfg EngineConfig) *Engine {
-	cfg = cfg.withDefaults()
-	cl := cfg.Cluster
-	if cl == nil {
-		cl = NewLocalCluster(dfs, cfg.MapParallelism, cfg.ReduceParallelism, cfg.Slots)
-	}
-	return &Engine{dfs: dfs, cfg: cfg, ctx: context.Background(), cluster: cl}
+	return &Engine{dfs: dfs, cfg: cfg.withDefaults(), ctx: context.Background()}
 }
 
 // DFS returns the engine's file system.
@@ -470,11 +449,11 @@ func (e *Engine) run(job *Job, jsp *trace.Span, wf string) (JobMetrics, error) {
 		return fail(err)
 	}
 
-	// A JobRunner cluster takes the validated job whole: split planning,
-	// task scheduling, shuffle movement, and part commits happen on the
-	// other side of the seam, which also owns output cleanup on failure.
-	if jr, ok := e.cluster.(JobRunner); ok {
-		rm, err := jr.RunJob(e.ctx, jsp, job, e.cfg)
+	// A Runner takes the validated job whole: split planning, task
+	// scheduling, shuffle movement, and part commits happen on its side,
+	// which also owns output cleanup on failure.
+	if e.cfg.Runner != nil {
+		rm, err := e.cfg.Runner.RunJob(e.ctx, jsp, job, e.cfg)
 		rm.Job = job.Name
 		rm.MapOnly, rm.Sunk = job.ShuffleFree(), job.Sunk()
 		rm.Duration = time.Since(start)

@@ -39,9 +39,37 @@ func wordCountJob(input, output string) *Job {
 			}
 			return nil
 		}),
-		Reducer: ReducerFunc(func(key []byte, values [][]byte, out Collector) error {
-			return out.Collect([]byte(fmt.Sprintf("%s\t%d", key, len(values))))
+		StreamReducer: StreamReducerFunc(func(key []byte, values ValueIter, out Collector) error {
+			n, err := countValues(values)
+			if err != nil {
+				return err
+			}
+			return out.Collect([]byte(fmt.Sprintf("%s\t%d", key, n)))
 		}),
+	}
+}
+
+// countValues drains one reduce group and returns its size.
+func countValues(values ValueIter) (int, error) {
+	n := 0
+	for {
+		_, ok, err := values.Next()
+		if err != nil || !ok {
+			return n, err
+		}
+		n++
+	}
+}
+
+// drainValues copies one reduce group's values out of the iterator.
+func drainValues(values ValueIter) ([][]byte, error) {
+	var vals [][]byte
+	for {
+		v, ok, err := values.Next()
+		if err != nil || !ok {
+			return vals, err
+		}
+		vals = append(vals, v)
 	}
 }
 
@@ -95,7 +123,7 @@ func TestDeterministicOutput(t *testing.T) {
 	// byte-identical output files, because reduce input is fully sorted.
 	mkEngine := func(par int) *Engine {
 		return NewEngine(hdfs.New(hdfs.Config{Nodes: 2}),
-			EngineConfig{SplitRecords: 2, DefaultReducers: 4, MapParallelism: par, ReduceParallelism: par})
+			EngineConfig{SplitRecords: 2, DefaultReducers: 4, Slots: newCountingPool(par)})
 	}
 	var outputs [2][][]byte
 	for i, par := range []int{1, 8} {
@@ -148,9 +176,13 @@ func TestTaggedJoin(t *testing.T) {
 			}
 			return out.Emit([]byte(parts[0]), []byte(tag+parts[1]))
 		}),
-		Reducer: ReducerFunc(func(key []byte, values [][]byte, out Collector) error {
+		StreamReducer: StreamReducerFunc(func(key []byte, values ValueIter, out Collector) error {
+			vals, err := drainValues(values)
+			if err != nil {
+				return err
+			}
 			var users, orders []string
-			for _, v := range values {
+			for _, v := range vals {
 				s := string(v)
 				if strings.HasPrefix(s, "U:") {
 					users = append(users, s[2:])
@@ -266,8 +298,8 @@ func TestMapErrorPropagates(t *testing.T) {
 	boom := errors.New("boom")
 	job := &Job{
 		Name: "failmap", Inputs: []string{"in"}, Output: "out",
-		Mapper:  MapperFunc(func(string, []byte, Emitter) error { return boom }),
-		Reducer: ReducerFunc(func([]byte, [][]byte, Collector) error { return nil }),
+		Mapper:        MapperFunc(func(string, []byte, Emitter) error { return boom }),
+		StreamReducer: StreamReducerFunc(func([]byte, ValueIter, Collector) error { return nil }),
 	}
 	m, err := e.Run(job)
 	if !errors.Is(err, boom) {
@@ -292,7 +324,7 @@ func TestReduceErrorPropagates(t *testing.T) {
 		Mapper: MapperFunc(func(_ string, r []byte, out Emitter) error {
 			return out.Emit(r, r)
 		}),
-		Reducer: ReducerFunc(func([]byte, [][]byte, Collector) error { return boom }),
+		StreamReducer: StreamReducerFunc(func([]byte, ValueIter, Collector) error { return boom }),
 	}
 	if _, err := e.Run(job); !errors.Is(err, boom) {
 		t.Errorf("err = %v, want boom", err)
@@ -316,8 +348,12 @@ func TestDiskFullFailsJob(t *testing.T) {
 			}
 			return nil
 		}),
-		Reducer: ReducerFunc(func(key []byte, values [][]byte, out Collector) error {
-			for _, v := range values {
+		StreamReducer: StreamReducerFunc(func(key []byte, values ValueIter, out Collector) error {
+			vals, err := drainValues(values)
+			if err != nil {
+				return err
+			}
+			for _, v := range vals {
 				if err := out.Collect(v); err != nil {
 					return err
 				}
@@ -393,8 +429,12 @@ func TestWorkflowStages(t *testing.T) {
 		Mapper: MapperFunc(func(_ string, r []byte, out Emitter) error {
 			return out.Emit([]byte("k"), r)
 		}),
-		Reducer: ReducerFunc(func(_ []byte, values [][]byte, out Collector) error {
-			return out.Collect([]byte(strconv.Itoa(len(values))))
+		StreamReducer: StreamReducerFunc(func(_ []byte, values ValueIter, out Collector) error {
+			n, err := countValues(values)
+			if err != nil {
+				return err
+			}
+			return out.Collect([]byte(strconv.Itoa(n)))
 		}),
 	}
 	stages := []Stage{
@@ -525,9 +565,13 @@ func TestMultipleOutputs(t *testing.T) {
 		Mapper: MapperFunc(func(_ string, r []byte, out Emitter) error {
 			return out.Emit(r[:1], r[2:])
 		}),
-		Reducer: ReducerFunc(func(key []byte, values [][]byte, out Collector) error {
+		StreamReducer: StreamReducerFunc(func(key []byte, values ValueIter, out Collector) error {
+			vals, err := drainValues(values)
+			if err != nil {
+				return err
+			}
 			nc := out.(NamedCollector)
-			for _, v := range values {
+			for _, v := range vals {
 				switch key[0] {
 				case 'a':
 					if err := nc.CollectTo("out-a", v); err != nil {

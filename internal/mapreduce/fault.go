@@ -188,9 +188,13 @@ func (js *jobRunState) noteDone(kind string, d time.Duration) {
 	js.specMu.Unlock()
 }
 
+// speculationRatio is the straggler threshold: a task running longer than
+// this multiple of its phase's median completed duration gets a backup.
+const speculationRatio = 2
+
 // shouldSpeculate decides whether a task of the given kind that has been
 // running for elapsed is straggling enough to deserve a backup attempt:
-// longer than SpeculationRatio × the median completed duration of its
+// longer than speculationRatio × the median completed duration of its
 // phase, with a floor so micro-tasks are never speculated.
 func (js *jobRunState) shouldSpeculate(kind string, elapsed time.Duration) bool {
 	if elapsed < js.e.cfg.SpeculationMinRuntime {
@@ -204,7 +208,7 @@ func (js *jobRunState) shouldSpeculate(kind string, elapsed time.Duration) bool 
 	}
 	sort.Slice(done, func(i, j int) bool { return done[i] < done[j] })
 	median := done[len(done)/2]
-	threshold := time.Duration(js.e.cfg.SpeculationRatio * float64(median))
+	threshold := speculationRatio * median
 	if threshold < js.e.cfg.SpeculationMinRuntime {
 		threshold = js.e.cfg.SpeculationMinRuntime
 	}

@@ -147,7 +147,7 @@ func TestNodeFailureRecoversMapOutput(t *testing.T) {
 	for seed := int64(1); seed <= 200 && !recovered; seed++ {
 		e := NewEngine(hdfs.New(hdfs.Config{Nodes: 4}),
 			EngineConfig{SplitRecords: 8, DefaultReducers: 3, SortBufferBytes: 64,
-				MergeFactor: 2, TaskMaxAttempts: 8, MapParallelism: 1, ReduceParallelism: 1,
+				MergeFactor: 2, TaskMaxAttempts: 8, Slots: newCountingPool(1),
 				Faults: &FaultPlan{Rate: 0.02, Seed: seed,
 					NodeFailureRate: 1.0, MaxNodeKills: 1}})
 		m, got := runWordCount(t, e, lines)
@@ -244,7 +244,7 @@ func TestSpeculationBeatsStragglingReducer(t *testing.T) {
 	mk := func(speculate bool) *Engine {
 		return NewEngine(hdfs.New(hdfs.Config{Nodes: 4}),
 			EngineConfig{SplitRecords: 8, DefaultReducers: nReduces, TaskMaxAttempts: 4,
-				MapParallelism: 4, ReduceParallelism: 4,
+				Slots:  newCountingPool(4),
 				Faults: plan, Speculation: speculate})
 	}
 	off, offOut := runWordCount(t, mk(false), lines)
@@ -329,7 +329,7 @@ func TestNodeDeathPreservesCommittedDFSFiles(t *testing.T) {
 	for seed := int64(1); seed <= 200 && !killed; seed++ {
 		e := NewEngine(hdfs.New(hdfs.Config{Nodes: 4}),
 			EngineConfig{SplitRecords: 2, DefaultReducers: 3, SortBufferBytes: 64,
-				TaskMaxAttempts: 8, MapParallelism: 1, ReduceParallelism: 1})
+				TaskMaxAttempts: 8, Slots: newCountingPool(1)})
 		if err := e.DFS().WriteFile("in", lines); err != nil {
 			t.Fatal(err)
 		}

@@ -369,14 +369,14 @@ func TestJobValidateMapOnlyShapes(t *testing.T) {
 	j = base()
 	j.WholeFileSplits = true
 	j.Mapper = MapperFunc(func(string, []byte, Emitter) error { return nil })
-	j.Reducer = ReducerFunc(func([]byte, [][]byte, Collector) error { return nil })
+	j.StreamReducer = StreamReducerFunc(func([]byte, ValueIter, Collector) error { return nil })
 	if err := j.validate(); err != nil {
 		t.Errorf("WholeFileSplits on a job with a reducer rejected: %v", err)
 	}
 	if !j.ShuffleFree() {
 		t.Error("WholeFileSplits on a job with a reducer is not shuffle-free")
 	}
-	j.Reducer = nil
+	j.StreamReducer = nil
 	if err := j.validate(); err == nil {
 		t.Error("WholeFileSplits job with a mapper and no reducer accepted")
 	}

@@ -245,7 +245,7 @@ func TestSpillRunCrossingDiskCapFails(t *testing.T) {
 			}
 			return nil
 		}),
-		Reducer: ReducerFunc(func(key []byte, values [][]byte, out Collector) error {
+		StreamReducer: StreamReducerFunc(func(key []byte, _ ValueIter, out Collector) error {
 			return out.Collect(key)
 		}),
 		Partitioner: func(key []byte, n int) int { return int(key[0]) % n },

@@ -161,7 +161,7 @@ func TestEmitCopiesAndValuesOutliveGroup(t *testing.T) {
 	}
 	for _, sortBuffer := range []int64{0, 256} {
 		e := NewEngine(hdfs.New(hdfs.Config{Nodes: 2}), EngineConfig{
-			SplitRecords: 100, DefaultReducers: 3, MapParallelism: 1, SortBufferBytes: sortBuffer, MergeFactor: 3,
+			SplitRecords: 100, DefaultReducers: 3, Slots: newCountingPool(1), SortBufferBytes: sortBuffer, MergeFactor: 3,
 		})
 		if err := e.DFS().WriteFile("in", input); err != nil {
 			t.Fatal(err)

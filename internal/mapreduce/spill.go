@@ -502,25 +502,6 @@ func (v *groupValues) drain() error {
 	}
 }
 
-// adaptedReducer presents a slice-based Reducer as a StreamReducer by
-// materializing each group's values.
-type adaptedReducer struct{ r Reducer }
-
-func (a adaptedReducer) Reduce(key []byte, values ValueIter, out Collector) error {
-	var vals [][]byte
-	for {
-		v, ok, err := values.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		vals = append(vals, v)
-	}
-	return a.r.Reduce(key, vals, out)
-}
-
 // mergeRuns reduces the number of on-disk runs to at most factor by
 // merging batches of runs into new single-segment runs on the attempt's
 // local disk, one merge pass per batch (Hadoop's multi-pass external merge

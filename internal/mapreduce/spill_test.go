@@ -156,9 +156,13 @@ func countingJob(input, output string) *Job {
 			return nil
 		}),
 		Combiner: sumCombiner(),
-		Reducer: ReducerFunc(func(key []byte, values [][]byte, out Collector) error {
+		StreamReducer: StreamReducerFunc(func(key []byte, values ValueIter, out Collector) error {
+			vals, err := drainValues(values)
+			if err != nil {
+				return err
+			}
 			var total uint64
-			for _, v := range values {
+			for _, v := range vals {
 				n, k := binary.Uvarint(v)
 				if k <= 0 {
 					return errors.New("bad count")
@@ -284,7 +288,7 @@ func TestSpillReleasedOnFailedJob(t *testing.T) {
 	}
 	boom := errors.New("boom")
 	job := wordCountJob("in", "out")
-	job.Reducer = ReducerFunc(func([]byte, [][]byte, Collector) error { return boom })
+	job.StreamReducer = StreamReducerFunc(func([]byte, ValueIter, Collector) error { return boom })
 	if _, err := e.Run(job); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
@@ -393,18 +397,6 @@ func TestStreamReducerMayStopEarly(t *testing.T) {
 	}
 	if m.ReduceOutputRecords != 3 {
 		t.Errorf("ReduceOutputRecords = %d, want 3 (one per group)", m.ReduceOutputRecords)
-	}
-}
-
-func TestBothReducerFormsRejected(t *testing.T) {
-	e := spillEngine(0, 0)
-	if err := e.DFS().WriteFile("in", [][]byte{[]byte("x")}); err != nil {
-		t.Fatal(err)
-	}
-	job := wordCountJob("in", "out")
-	job.StreamReducer = StreamReducerFunc(func([]byte, ValueIter, Collector) error { return nil })
-	if _, err := e.Run(job); err == nil {
-		t.Error("job with both Reducer and StreamReducer accepted")
 	}
 }
 

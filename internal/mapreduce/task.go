@@ -257,7 +257,6 @@ func RunMapOnlyTask(job *Job, task int, input string, side [][]byte, src RecordS
 // grows.
 type runEmitter struct {
 	job     *Job
-	reducer StreamReducer
 	col     Collector
 	started bool   // a run has begun; key is its key
 	key     []byte // the current run's key
@@ -269,11 +268,7 @@ type runEmitter struct {
 }
 
 func newRunEmitter(job *Job, col Collector) *runEmitter {
-	r := &runEmitter{job: job, reducer: job.StreamReducer, col: col, sorted: true}
-	if r.reducer == nil {
-		r.reducer = adaptedReducer{job.Reducer}
-	}
-	return r
+	return &runEmitter{job: job, col: col, sorted: true}
 }
 
 // Inc implements Counter: the reducer's collector holds the attempt's
@@ -315,7 +310,7 @@ func (r *runEmitter) reduce() error {
 		slices.SortFunc(vals, bytes.Compare)
 	}
 	r.run = runValues{vals: vals}
-	err := r.reducer.Reduce(r.key, &r.run, r.col)
+	err := r.job.StreamReducer.Reduce(r.key, &r.run, r.col)
 	r.vals, r.ends, r.sorted = r.vals[:0], r.ends[:0], true
 	return err
 }
@@ -349,9 +344,6 @@ type ReduceStats struct {
 func runReduceTask(job *Job, partition int, sources []kvSource, col Collector, h TaskHooks) (st ReduceStats, err error) {
 	wrap := func(err error) error { return fmt.Errorf("reduce partition %d: %w", partition, err) }
 	reducer := job.StreamReducer
-	if reducer == nil {
-		reducer = adaptedReducer{job.Reducer}
-	}
 	mi, err := newMergeIter(sources)
 	if err != nil {
 		return st, wrap(err)

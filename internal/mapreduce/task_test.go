@@ -125,22 +125,26 @@ func TestTaskBodyParity(t *testing.T) {
 		// operators that count.
 		j := countingJob("words", "out")
 		j.ExtraOutputs = []string{"singles"}
-		mapper, inner := j.Mapper, j.Reducer
+		mapper, inner := j.Mapper, j.StreamReducer
 		j.Mapper = MapperFunc(func(in string, rec []byte, out Emitter) error {
 			out.Inc("lines", 1)
 			return mapper.Map(in, rec, out)
 		})
-		j.Reducer = ReducerFunc(func(key []byte, values [][]byte, out Collector) error {
+		j.StreamReducer = StreamReducerFunc(func(key []byte, values ValueIter, out Collector) error {
 			if string(key) == "poison" {
 				return errors.New("refused key")
 			}
 			out.Inc("keys", 1)
-			if len(values) == 1 && string(values[0]) == "\x01" {
+			vals, err := drainValues(values)
+			if err != nil {
+				return err
+			}
+			if len(vals) == 1 && string(vals[0]) == "\x01" {
 				if err := out.(NamedCollector).CollectTo("singles", key); err != nil {
 					return err
 				}
 			}
-			return inner.Reduce(key, values, out)
+			return inner.Reduce(key, &runValues{vals: vals}, out)
 		})
 		return j
 	}

@@ -14,8 +14,9 @@
 //   - a workflow is a sequence of stages; jobs within a stage may run
 //     concurrently (Pig-style independent-job parallelism).
 //
-// Map and reduce tasks execute in parallel on goroutine pools, so wall-clock
-// measurements of a workflow reflect genuine parallel dataflow execution.
+// Map and reduce tasks execute in parallel, each on its own goroutine under a
+// slot leased from a SlotPool, so wall-clock measurements of a workflow
+// reflect genuine parallel dataflow execution.
 //
 // # Bounded-memory shuffle
 //
@@ -31,12 +32,11 @@
 // pointer-free array of (prefix, index) entries and then moves each pair
 // once. The prefixes are never spilled, shuffled or charged to the budget,
 // which counts key and value bytes only.
-// Reducers that implement StreamReducer consume each group's values through
-// a ValueIter fed straight from the merge, so neither the map output nor a
-// reduce group need ever be resident in memory; slice Reducers are adapted
-// transparently. Reduce output streams into the DFS writer record by record,
-// which means hdfs.ErrDiskFull can surface mid-reduce, exactly where a real
-// cluster hits it. A zero budget (the default) disables spilling; results
+// A StreamReducer consumes each group's values through a ValueIter fed
+// straight from the merge, so neither the map output nor a reduce group need
+// ever be resident in memory. Reduce output streams into the DFS writer
+// record by record, which means hdfs.ErrDiskFull can surface mid-reduce,
+// exactly where a real cluster hits it. A zero budget (the default) disables spilling; results
 // are byte-identical either way.
 package mapreduce
 
@@ -113,14 +113,6 @@ type MapOnlyMapper interface {
 	MapRecord(input string, record []byte, out Collector) error
 }
 
-// Reducer folds all values sharing one key into zero or more output records.
-// It is the fully-materialized form: the engine buffers every value of the
-// group in memory before the call. Large groups should implement
-// StreamReducer instead.
-type Reducer interface {
-	Reduce(key []byte, values [][]byte, out Collector) error
-}
-
 // ValueIter streams the values of one reduce group in sorted order. Next
 // returns ok=false once the group is exhausted. Returned slices alias
 // engine-owned storage that stays valid until the job completes (until the
@@ -130,11 +122,12 @@ type ValueIter interface {
 	Next() (value []byte, ok bool, err error)
 }
 
-// StreamReducer is the streaming form of Reducer: values arrive through an
-// iterator instead of a materialized slice, so a group larger than memory
-// can be folded incrementally. The engine feeds it from a merge of sorted
-// in-memory segments and on-disk spill runs; values within a group arrive
-// in nondecreasing byte order (the engine's deterministic shuffle order).
+// StreamReducer folds all values sharing one key into zero or more output
+// records. Values arrive through an iterator, never a materialized slice, so
+// a group larger than memory can be folded incrementally. The engine feeds
+// it from a merge of sorted in-memory segments and on-disk spill runs;
+// values within a group arrive in nondecreasing byte order (the engine's
+// deterministic shuffle order).
 type StreamReducer interface {
 	Reduce(key []byte, values ValueIter, out Collector) error
 }
@@ -154,14 +147,6 @@ type MapperFunc func(input string, record []byte, out Emitter) error
 // Map implements Mapper.
 func (f MapperFunc) Map(input string, record []byte, out Emitter) error {
 	return f(input, record, out)
-}
-
-// ReducerFunc adapts a function to the Reducer interface.
-type ReducerFunc func(key []byte, values [][]byte, out Collector) error
-
-// Reduce implements Reducer.
-func (f ReducerFunc) Reduce(key []byte, values [][]byte, out Collector) error {
-	return f(key, values, out)
 }
 
 // StreamReducerFunc adapts a function to the StreamReducer interface.
@@ -272,11 +257,8 @@ type Job struct {
 	// as the side argument ("" = no side input). The cascading map-side
 	// join routes the previous cycle's per-bucket join-left records here.
 	TaskSideInputs []string
-	// Reducer runs in the reduce phase (exclusive with StreamReducer).
-	Reducer Reducer
 	// StreamReducer runs in the reduce phase consuming values through an
-	// iterator; exactly one of Reducer and StreamReducer must be set for a
-	// job with a reduce phase.
+	// iterator; a job with a reduce phase must set it.
 	StreamReducer StreamReducer
 	// Combiner, when non-nil, pre-folds map output per key at spill time
 	// and on each map task's final in-memory segment. It must be
@@ -324,11 +306,8 @@ func (j *Job) validate() error {
 		if j.Mapper == nil {
 			return fmt.Errorf("mapreduce: job %s has no mapper", j.Name)
 		}
-		if j.Reducer == nil && j.StreamReducer == nil {
+		if j.StreamReducer == nil {
 			return fmt.Errorf("mapreduce: job %s has no reducer", j.Name)
-		}
-		if j.Reducer != nil && j.StreamReducer != nil {
-			return fmt.Errorf("mapreduce: job %s sets both Reducer and StreamReducer", j.Name)
 		}
 	}
 	if len(j.TaskSideInputs) > 0 {

@@ -136,7 +136,7 @@ func (n *NTGA) RunBatch(mr *mapreduce.Engine, qs []*query.Query, input string) (
 			j := q.Joins[ji]
 			mode := n.joinModeFor(q, j)
 			stage = append(stage, tgJoinJob(q, fmt.Sprintf("%s-batch-q%d-join%d", n.name, qi, ji),
-				j, mode, n.phiM, accs[qi], grouped[qi:qi+1], out))
+				j, mode, n.phiM, accs[qi], grouped[qi], out))
 			accs[qi] = out
 		}
 		stages = append(stages, stage)

@@ -184,11 +184,18 @@ func (n *NTGA) PlanSource(q *query.Query, src plan.Source, cl *engine.Cleaner) (
 		group.MapSide, group.Part = true, part
 		red.grpFiles, red.jl = grpFiles, jl
 		if grpFiles != nil {
-			// Every join, map-only or shuffled after the prefix, reads its
-			// right star from the grouped bucket files.
+			// A map-only join reads its right star from the grouped bucket
+			// files; a shuffled one after the prefix reads it from the main
+			// output, as on the flat path. The compiler folds each star in
+			// by one join, so no star is marked twice.
 			red.grpECs = make([]bool, len(q.Stars))
-			for _, j := range q.Joins {
-				red.grpECs[j.Right.Star] = true
+			red.mainECs = make([]bool, len(q.Stars))
+			for ji, j := range q.Joins {
+				if ji < prefix {
+					red.grpECs[j.Right.Star] = true
+				} else {
+					red.mainECs[j.Right.Star] = true
+				}
 			}
 		}
 		group.Job = job1(q, red, part.Files(), grouped)
@@ -240,14 +247,9 @@ func (n *NTGA) PlanSource(q *query.Query, src plan.Source, cl *engine.Cleaner) (
 			continue
 		}
 		// The shuffle cycle, reading the accumulated result and the grouping
-		// output: over the layout, where grouping wrote only the grouped
-		// bucket files, those files.
+		// output.
 		mode := n.joinModeFor(q, j)
-		rights := []string{grouped}
-		if grpFiles != nil {
-			rights = grpFiles
-		}
-		job := tgJoinJob(q, name, j, mode, n.phiM, acc, rights, out)
+		job := tgJoinJob(q, name, j, mode, n.phiM, acc, grouped, out)
 		inputs := []string{grouped}
 		if acc != grouped {
 			inputs = []string{acc, grouped}

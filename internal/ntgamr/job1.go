@@ -67,17 +67,18 @@ func emitTriple(record []byte, out mapreduce.Emitter) error {
 // class, and — under the Eager strategy — β-unnests immediately.
 //
 // Over a subject-partitioned layout with a map-only join prefix, the grouping
-// cycle writes each AnnTG a grouped-file reader consumes — one whose EC is
-// some join's right star (grpECs) — once, to its subject's grouped bucket
-// (grpFiles, indexed by layoutBucket of the subject) instead of the main
-// output, and routes the first map-only join's left side through jl; all
-// three are nil when unused. The first join's left star reaches its join
-// only through jl.
+// cycle writes each AnnTG some join reads as its right star once: a map-only
+// join's (grpECs) to its subject's grouped bucket (grpFiles, indexed by
+// layoutBucket of the subject), a shuffled join's (mainECs) to the main
+// output. It routes the first map-only join's left side through jl, the
+// only way that star reaches its join. Without a prefix grpFiles, the marks
+// and jl are nil, and every AnnTG goes to the main output.
 type groupFilterReducer struct {
 	q        *query.Query
 	eager    bool
 	grpFiles []string
 	grpECs   []bool
+	mainECs  []bool
 	jl       *jlRoute
 }
 
@@ -102,6 +103,11 @@ func (r *groupFilterReducer) Reduce(key []byte, values mapreduce.ValueIter, out 
 	return filterGroup(s, r.q, tg, r.eager, out, func(comps []core.AnnTG, rec []byte) error {
 		if r.grpECs[comps[0].EC] {
 			if err := nc.CollectTo(grp, rec); err != nil {
+				return err
+			}
+		}
+		if r.mainECs[comps[0].EC] {
+			if err := out.Collect(rec); err != nil {
 				return err
 			}
 		}

@@ -269,16 +269,15 @@ func (r *tgJoinReducer) Reduce(key []byte, values mapreduce.ValueIter, out mapre
 	}
 }
 
-// tgJoinJob builds one triplegroup join cycle. When the left file is the
-// only right file (the first join), the job scans that file once and the
-// mapper routes records by equivalence class; otherwise the right side is
-// the grouping output, one file or the layout's grouped bucket files.
+// tgJoinJob builds one triplegroup join cycle whose right side is the
+// grouping output. When the left file is that output too (the first join),
+// the job scans it once and the mapper routes records by equivalence class.
 func tgJoinJob(q *query.Query, name string, j query.Join, mode joinMode, phiM int,
-	leftFile string, rightFiles []string, output string) *mapreduce.Job {
-	inputs := append([]string{leftFile}, rightFiles...)
+	leftFile, rightFile, output string) *mapreduce.Job {
+	inputs := []string{leftFile, rightFile}
 	mLeft := leftFile
-	if len(rightFiles) == 1 && leftFile == rightFiles[0] {
-		inputs = rightFiles
+	if leftFile == rightFile {
+		inputs = inputs[1:]
 		mLeft = ""
 	}
 	return &mapreduce.Job{

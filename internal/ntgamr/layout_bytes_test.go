@@ -20,13 +20,14 @@ import (
 // 8-bucket layout to at most one copy of the grouping output, for every
 // catalog query and both NTGA strategies. With a map-only join prefix it
 // writes to the grouped bucket files the flat grouping output's AnnTGs of
-// the stars some join reads as its right star — the flat output less the
-// first join's left star, which reaches its join only as routed lefts —
-// nothing to its main output, and beside them only those routed lefts: its
-// written bytes are the grouped bucket files plus the routed-left bytes.
-// Without a prefix it writes the flat output itself. A plan whose shuffled
-// join follows a map-only prefix (B7's) reads the grouped bucket files and
-// must still return the reference evaluator's rows.
+// the map-only joins' right stars, to its main output those of the shuffled
+// joins' right stars, and beside them only the routed lefts (the first
+// join's left star reaches its join no other way): its written bytes are
+// those three. Each star is the right star of at most one join, so no AnnTG
+// is written to both. Without a prefix it writes the flat output itself. A
+// plan whose shuffled join follows a map-only prefix (B7's) reads its right
+// star from the main output and must still return the reference
+// evaluator's rows.
 func TestLayoutGroupingWritesEachAnnTGOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("catalog sweep")
@@ -81,13 +82,23 @@ func TestLayoutGroupingWritesEachAnnTGOnce(t *testing.T) {
 					}
 					return n
 				}
-				rights := make([]bool, len(q.Stars))
-				for _, j := range q.Joins {
-					rights[j.Right.Star] = true
+				prefix := ntgamr.MapOnlyPrefix(part, q.Joins)
+				// mapOnly and shuffled mark the right stars of the map-only
+				// and of the shuffled joins.
+				mapOnly, shuffled := make([]bool, len(q.Stars)), make([]bool, len(q.Stars))
+				for ji, j := range q.Joins {
+					if mapOnly[j.Right.Star] || shuffled[j.Right.Star] {
+						t.Fatalf("star %d is the right star of two joins", j.Right.Star)
+					}
+					if ji < prefix {
+						mapOnly[j.Right.Star] = true
+					} else {
+						shuffled[j.Right.Star] = true
+					}
 				}
-				// unread sums the bytes of a grouping output's AnnTGs no join
-				// reads as its right star.
-				unread := func(file string) int64 {
+				// bytesOf sums the bytes of a grouping output's AnnTGs whose
+				// star is marked.
+				bytesOf := func(file string, marked []bool) int64 {
 					recs, err := dfs.ReadAll(file)
 					if err != nil {
 						t.Fatal(err)
@@ -100,7 +111,7 @@ func TestLayoutGroupingWritesEachAnnTGOnce(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if !rights[comps[0].EC] {
+						if marked[comps[0].EC] {
 							n += int64(len(rec))
 						}
 					}
@@ -110,7 +121,6 @@ func TestLayoutGroupingWritesEachAnnTGOnce(t *testing.T) {
 				flatJob, _ := runGroup(plan.Source{Base: input}, &flatCl)
 				flat := size(flatJob.Output)
 				job, m := runGroup(plan.Source{Base: input, Part: part}, &partCl)
-				prefix := ntgamr.MapOnlyPrefix(part, q.Joins)
 				if prefix == 0 {
 					if len(job.ExtraOutputs) != 0 || m.ReduceOutputBytes != flat || size(job.Output) != flat {
 						t.Errorf("%s: grouping wrote %d bytes (%d extra outputs), want the flat output's %d",
@@ -121,17 +131,18 @@ func TestLayoutGroupingWritesEachAnnTGOnce(t *testing.T) {
 					if len(routed) != buckets {
 						t.Fatalf("%s: %d routed-left files, want %d", eng.Name(), len(routed), buckets)
 					}
-					grouped := flat - unread(flatJob.Output)
+					grouped, main := bytesOf(flatJob.Output, mapOnly), bytesOf(flatJob.Output, shuffled)
 					if got := size(grp...); got != grouped {
-						t.Errorf("%s: grouped bucket files hold %d bytes, want the flat grouping output's %d less the unread stars' %d",
-							eng.Name(), got, flat, flat-grouped)
+						t.Errorf("%s: grouped bucket files hold %d bytes, want the flat grouping output's %d of map-only right stars",
+							eng.Name(), got, grouped)
 					}
-					if got := size(job.Output); got != 0 {
-						t.Errorf("%s: main output holds %d bytes beside the grouped bucket files", eng.Name(), got)
+					if got := size(job.Output); got != main {
+						t.Errorf("%s: main output holds %d bytes, want the flat grouping output's %d of shuffled right stars",
+							eng.Name(), got, main)
 					}
-					if want := grouped + size(routed...); m.ReduceOutputBytes != want {
-						t.Errorf("%s: grouping wrote %d bytes, want grouped %d + routed lefts %d",
-							eng.Name(), m.ReduceOutputBytes, grouped, want-grouped)
+					if want := grouped + main + size(routed...); m.ReduceOutputBytes != want {
+						t.Errorf("%s: grouping wrote %d bytes, want grouped %d + main %d + routed lefts %d",
+							eng.Name(), m.ReduceOutputBytes, grouped, main, want-grouped-main)
 					}
 				}
 				flatCl.Clean(mr)

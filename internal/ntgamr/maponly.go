@@ -23,7 +23,8 @@ import (
 //     encoding — so the grouping cycle is job1 itself with WholeFileSplits
 //     set: each task hands its bucket's subject runs, already in the flat
 //     reducer's sorted-value order, straight to groupFilterReducer, which
-//     writes each AnnTG once, to its subject's grouped bucket file;
+//     writes each AnnTG a map-only join reads once, to its subject's grouped
+//     bucket file (a shuffled join's right star goes to the main output);
 //   - join i's left side is routed by the producing job to the bucket of
 //     its join value, so join i's map-only task b joins lefts and rights
 //     that both hash to b.

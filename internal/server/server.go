@@ -37,8 +37,8 @@ type Config struct {
 	Nodes       int
 	Replication int
 	// MapSlots / ReduceSlots size the shared slot pool every in-flight
-	// workflow leases tasks from (defaults 8 / 8). These replace the
-	// per-run MapParallelism/ReduceParallelism knobs.
+	// workflow's tasks lease from (defaults 8 / 8), so together they bound
+	// the server's concurrent map and reduce tasks.
 	MapSlots    int
 	ReduceSlots int
 	// MaxInflight bounds concurrently executing queries; MaxQueue bounds
