@@ -16,7 +16,12 @@ all: build check test
 # over under -race (-short leaves out the two engine/catalog sweeps there; the
 # single race pass over internal/engine runs them), and so do the
 # attempt-counter commit tests, whose concurrent winners fold their counters
-# into one job total. The cluster's wire decoders run inside the net/rpc
+# into one job total. The master's scheduling core (internal/cluster/sched.go)
+# runs its event-driven tests — the late-report and report cases, the
+# exhaustive small-scope walk and the replay — three times over under -race:
+# the core must give one action sequence for one event sequence, so any
+# dependence on map order or timing shows up as a difference between runs.
+# The cluster's wire decoders run inside the net/rpc
 # server, so FuzzWireDecode also explores for ten seconds, and so does
 # FuzzCellsDecode over the hand-written decoders of the /query term table that
 # server.Client runs on every answer, FuzzParseTriple over the N-Triples
@@ -38,6 +43,7 @@ check:
 	go test -race -count=10 -short -run 'Sink|Decode' ./internal/engine/
 	go test -race -count=10 -short -run 'AttemptCounters' ./internal/mapreduce/
 	go test -race -short ./internal/cluster/
+	go test -race -count=3 -run 'Sched|ReportRejects|FetchFailuresCharge|RevivalCarries' ./internal/cluster/
 	go test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 10s ./internal/cluster/
 	go test -run '^$$' -fuzz '^FuzzCellsDecode$$' -fuzztime 10s ./internal/server/
 	go test -run '^$$' -fuzz '^FuzzParseTriple$$' -fuzztime 10s ./internal/rdf/

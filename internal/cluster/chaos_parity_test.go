@@ -45,7 +45,6 @@ func chaosMasterConfig(splitRecords int) cluster.MasterConfig {
 		Reducers:         parityReducers,
 		SplitRecords:     splitRecords,
 		HeartbeatTimeout: 500 * time.Millisecond,
-		SweepEvery:       20 * time.Millisecond,
 		HeartbeatEvery:   40 * time.Millisecond,
 		LeaseEvery:       2 * time.Millisecond,
 		LeaseTimeout:     5 * time.Second,

@@ -47,9 +47,6 @@ func startTestCluster(t *testing.T, g *rdf.Graph, nWorkers int, wcfg cluster.Wor
 	if mcfg.HeartbeatTimeout == 0 {
 		mcfg.HeartbeatTimeout = 400 * time.Millisecond
 	}
-	if mcfg.SweepEvery == 0 {
-		mcfg.SweepEvery = 25 * time.Millisecond
-	}
 	if mcfg.HeartbeatEvery == 0 {
 		mcfg.HeartbeatEvery = 50 * time.Millisecond
 	}

@@ -27,7 +27,6 @@ func TestWorkerCloseStopsInFlightTask(t *testing.T) {
 	m, err := NewMaster(MasterConfig{
 		SplitRecords:     g.Len(), // one map task scans the whole relation
 		HeartbeatTimeout: 300 * time.Millisecond,
-		SweepEvery:       25 * time.Millisecond,
 		HeartbeatEvery:   50 * time.Millisecond,
 		LeaseEvery:       2 * time.Millisecond,
 	}, g)

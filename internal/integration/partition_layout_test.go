@@ -211,7 +211,6 @@ func TestPartitionedLayoutClusterParity(t *testing.T) {
 		SplitRecords:     1024,
 		PartitionBuckets: layoutBuckets,
 		HeartbeatTimeout: 400 * time.Millisecond,
-		SweepEvery:       25 * time.Millisecond,
 		HeartbeatEvery:   50 * time.Millisecond,
 		LeaseEvery:       2 * time.Millisecond,
 		LeaseTimeout:     5 * time.Second,

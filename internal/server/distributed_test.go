@@ -25,7 +25,6 @@ func startServerCluster(t *testing.T, g *rdf.Graph, cfg Config) (*Server, *clust
 	m, err := cluster.NewMaster(cluster.MasterConfig{
 		Reducers:         4,
 		HeartbeatTimeout: 400 * time.Millisecond,
-		SweepEvery:       25 * time.Millisecond,
 		HeartbeatEvery:   50 * time.Millisecond,
 		LeaseEvery:       2 * time.Millisecond,
 	}, g)
