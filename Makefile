@@ -23,8 +23,9 @@ all: build check test
 # dependence on map order or timing shows up as a difference between runs.
 # The cluster's wire decoders run inside the net/rpc
 # server, so FuzzWireDecode also explores for ten seconds, and so does
-# FuzzCellsDecode over the hand-written decoders of the /query term table that
-# server.Client runs on every answer, FuzzParseTriple over the N-Triples
+# FuzzResponseDecode over the hand-written /query and /jobs body codec that
+# server.Client decodes every answer with (checked against encoding/json both
+# ways), FuzzParseTriple over the N-Triples
 # parser every /ingest line goes through, FuzzParseSPARQL over the SPARQL
 # parser every /query body goes through, and FuzzShuffleOrder over the
 # prefix-sorted shuffle (arbitrary pairs through a tiny sort buffer, spills
@@ -45,7 +46,7 @@ check:
 	go test -race -short ./internal/cluster/
 	go test -race -count=3 -run 'Sched|ReportRejects|FetchFailuresCharge|RevivalCarries' ./internal/cluster/
 	go test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 10s ./internal/cluster/
-	go test -run '^$$' -fuzz '^FuzzCellsDecode$$' -fuzztime 10s ./internal/server/
+	go test -run '^$$' -fuzz '^FuzzResponseDecode$$' -fuzztime 10s ./internal/server/
 	go test -run '^$$' -fuzz '^FuzzParseTriple$$' -fuzztime 10s ./internal/rdf/
 	go test -run '^$$' -fuzz '^FuzzParseSPARQL$$' -fuzztime 10s ./internal/sparql/
 	go test -run '^$$' -fuzz '^FuzzShuffleOrder$$' -fuzztime 10s ./internal/mapreduce/
@@ -73,7 +74,7 @@ test-race:
 # A local convenience only: `go test ./...` (the `test` target and CI's Test
 # step) runs without -short and so already executes TestChaos* and TestFuzz*;
 # CI has no separate chaos step (its -fuzz runs, FuzzWireDecode,
-# FuzzCellsDecode, FuzzParseTriple, FuzzParseSPARQL and FuzzShuffleOrder, are
+# FuzzResponseDecode, FuzzParseTriple, FuzzParseSPARQL and FuzzShuffleOrder, are
 # in check).
 chaos:
 	go test ./internal/integration -run TestChaos -count=1 -timeout 15m

@@ -62,6 +62,29 @@ func TestReportRejectsNegativeIndexes(t *testing.T) {
 	}
 }
 
+// TestDroppedReportsDoNotCount sends the malformed reports of
+// TestReportRejectsNegativeIndexes and one naming a job the master never
+// had. The master drops them all, so the worker's done and failed counts —
+// which /metrics reports per worker — stay as they were.
+func TestDroppedReportsDoNotCount(t *testing.T) {
+	f := newReportFixture(t)
+	counts := func() string {
+		w := f.s.status(f.now).Workers[0]
+		return fmt.Sprintf("done=%d failed=%d", w.TasksDone, w.TasksFailed)
+	}
+	before := counts()
+	if before != "done=1 failed=0" {
+		t.Fatalf("fixture counts %s, want the committed map only", before)
+	}
+	f.send(ReportArgs{Kind: "reduce", Task: -1, Err: "boom"})
+	f.send(ReportArgs{Kind: "map", Task: -1, OK: true})
+	f.send(ReportArgs{Kind: "reduce", Task: 0, Err: "fetch", LostMaps: []int{-1}})
+	f.report(ReportArgs{Worker: f.worker, JobID: 999, Kind: "map", Task: 0, OK: true})
+	if after := counts(); after != before {
+		t.Errorf("dropped reports moved the worker's counts: %s → %s", before, after)
+	}
+}
+
 // TestFetchFailuresChargeTheMap sends four fetch-failure reports from the
 // reduce task against a holder that still looks alive. They are charged to
 // the map, not to the reduce's attempt budget (4): the job keeps running,

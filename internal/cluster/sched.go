@@ -466,17 +466,13 @@ func (s *sched) lose(w *workerState, acts []action) []action {
 // deterministic outputs make later ones redundant: a shuffle map's output
 // stays on its worker and only its counts travel; a reduce or map-only
 // task's shipped output must be written first (actWrite, then committed).
+// A live worker's done/failed counts move only for a report the core
+// applies: one naming a task of an unsettled job, and lost maps, if any,
+// that are maps of that job.
 func (s *sched) report(a *ReportArgs) []action {
 	w, err := s.worker(a.Worker, a.Epoch)
 	if err != nil {
 		return nil // leased by another boot of the master: its job IDs mean nothing here
-	}
-	if w.Alive {
-		if a.OK {
-			w.TasksDone++
-		} else {
-			w.TasksFailed++
-		}
 	}
 	i := slices.IndexFunc(s.jobs, func(js *jobState) bool { return js.id == a.JobID })
 	if i < 0 || s.jobs[i].settled {
@@ -486,8 +482,17 @@ func (s *sched) report(a *ReportArgs) []action {
 	if a.Kind == "reduce" {
 		tasks = js.reduces
 	}
-	if a.Task < 0 || a.Task >= len(tasks) {
-		return nil // the index comes from the worker: it names no task of this job
+	// The indexes come from the worker: a report naming no task of this job,
+	// or a lost map that is none, is dropped whole.
+	if a.Task < 0 || a.Task >= len(tasks) || slices.ContainsFunc(a.LostMaps, func(t int) bool { return t < 0 || t >= len(js.maps) }) {
+		return nil
+	}
+	if w.Alive {
+		if a.OK {
+			w.TasksDone++
+		} else {
+			w.TasksFailed++
+		}
 	}
 	ts := tasks[a.Task]
 	var acts []action
@@ -570,12 +575,7 @@ func (s *sched) committed(w action, err error) []action {
 // reports have named it, and the reduce waits for it. Any other failure —
 // or a report whose lease had already ended — leaves the attempt charged.
 func (s *sched) failed(js *jobState, ts *taskState, a *ReportArgs, named bool, acts []action) []action {
-	lostMaps := false
 	for _, t := range a.LostMaps {
-		if t < 0 || t >= len(js.maps) {
-			continue
-		}
-		lostMaps = true
 		mt := js.maps[t]
 		if !mt.done {
 			continue
@@ -586,7 +586,7 @@ func (s *sched) failed(js *jobState, ts *taskState, a *ReportArgs, named bool, a
 		}
 		js.loseOutput(mt)
 	}
-	if lostMaps && named {
+	if len(a.LostMaps) > 0 && named {
 		ts.fetchFailed++
 	}
 	return s.charge(js, ts, a.Err, acts)

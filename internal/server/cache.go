@@ -101,8 +101,8 @@ type resultEntry struct {
 	outRecords int64
 	outBytes   int64
 	header     []string
-	terms      Terms // distinct rendered terms, in order of first use
-	cells      Cells // one index into terms per projected cell; nil for counts
+	terms      []string // distinct rendered terms, in order of first use
+	cells      []uint32 // one index into terms per projected cell; nil for counts
 	totalRows  int
 }
 

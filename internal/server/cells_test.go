@@ -1,9 +1,7 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -142,8 +140,8 @@ func TestTableParity(t *testing.T) {
 const bsbmPrefix = "PREFIX bsbm: <http://bsbm.example.org/>\n"
 
 // badTables are term tables no server sends, each as the JSON of its terms
-// and of its cells plus the header width; testdata/fuzz/FuzzCellsDecode
-// seeds the fuzz target with the same cases.
+// and of its cells plus the header width; testdata/fuzz/FuzzResponseDecode
+// seeds the fuzz target with their bodies (tableBody).
 var badTables = []struct {
 	name         string
 	terms, cells string
@@ -202,16 +200,10 @@ func TestClientRejectsBadTable(t *testing.T) {
 // A term table survives the wire: the rows the client rebuilds are the rows
 // the server's table stands for, whatever the escapes in the terms.
 func TestTableRoundTrip(t *testing.T) {
-	terms := Terms{`<http://ex/a>`, `"say \"hi\""`, "\"line\nfeed\ttab\"", `"é ☃ 𝄞"`, `_:b0`, `_`, ``, "\"\x01 </script>\""}
-	resp := Response{Header: []string{"?x", "?y"}, Terms: terms, Cells: Cells{0, 1, 2, 3, 4, 5, 6, 7, 7, 0}, TotalRows: 5}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(resp); err != nil {
-		t.Fatal(err)
-	}
+	terms := []string{`<http://ex/a>`, `"say \"hi\""`, "\"line\nfeed\ttab\"", `"é ☃ 𝄞"`, `_:b0`, `_`, ``, "\"\x01 </script>\""}
+	resp := Response{Header: []string{"?x", "?y"}, Terms: terms, Cells: []uint32{0, 1, 2, 3, 4, 5, 6, 7, 7, 0}, TotalRows: 5}
 	var got Response
-	if err := json.NewDecoder(&buf).Decode(&got); err != nil {
+	if err := (&decoder{b: appendResponse(nil, &resp)}).responseBody(&got); err != nil {
 		t.Fatal(err)
 	}
 	if err := got.unpackRows(); err != nil {
@@ -226,73 +218,5 @@ func TestTableRoundTrip(t *testing.T) {
 	}
 	if want := "\"line\nfeed\ttab\"\t\"é ☃ 𝄞\""; got.Rows[1] != want {
 		t.Errorf("row 1 = %q, want %q", got.Rows[1], want)
-	}
-}
-
-// FuzzCellsDecode feeds arbitrary bytes to the term table's hand-written
-// decoders, alone and inside a /query body decoded as Client.Query decodes
-// one. Any input must give an error or a value, never a panic. A value the
-// decoders accept is what encoding/json decodes from the same bytes into a
-// []uint32 or []string, and it re-encodes exactly as encoding/json encodes
-// it; they reject only what encoding/json rejects, or null items, which a
-// term table never holds. Rows rebuilt from an accepted body are the cells'
-// terms joined by tabs. The seed corpus under testdata/fuzz holds the cases
-// of badTables and well-formed tables.
-func FuzzCellsDecode(f *testing.F) {
-	f.Fuzz(func(t *testing.T, cells, terms []byte, width uint8) {
-		var c Cells
-		var std []uint32
-		checkAgainstStd(t, "cells", cells, c.UnmarshalJSON(cells), json.Unmarshal(cells, &std), []uint32(c), std)
-		if c != nil {
-			enc, err := c.MarshalJSON()
-			want, _ := json.Marshal(std)
-			if err != nil || !bytes.Equal(enc, want) {
-				t.Errorf("cells %v encode as %q, encoding/json gives %q", c, enc, want)
-			}
-		}
-		var ts Terms
-		var stds []string
-		checkAgainstStd(t, "terms", terms, ts.UnmarshalJSON(terms), json.Unmarshal(terms, &stds), []string(ts), stds)
-
-		var resp Response
-		err := json.NewDecoder(strings.NewReader(tableBody(string(terms), string(cells), int(width)))).Decode(&resp)
-		if err == nil {
-			err = resp.unpackRows()
-		}
-		if err != nil {
-			return
-		}
-		if len(resp.Cells) == 0 {
-			if resp.Rows != nil {
-				t.Errorf("no cells, %d rows", len(resp.Rows))
-			}
-			return
-		}
-		w := int(width)
-		if len(resp.Rows)*w != len(resp.Cells) {
-			t.Fatalf("%d rows %d wide from %d cells", len(resp.Rows), w, len(resp.Cells))
-		}
-		row := make([]string, w)
-		for i, got := range resp.Rows {
-			for j, cell := range resp.Cells[i*w : (i+1)*w] {
-				row[j] = resp.Terms[cell]
-			}
-			if want := strings.Join(row, "\t"); got != want {
-				t.Errorf("row %d = %q, want %q", i, got, want)
-			}
-		}
-	})
-}
-
-// checkAgainstStd compares one hand-written decode of in with encoding/json's.
-func checkAgainstStd[E comparable](t *testing.T, what string, in []byte, err, stdErr error, got, std []E) {
-	t.Helper()
-	switch {
-	case err == nil && stdErr != nil:
-		t.Errorf("%s %q: accepted as %v, encoding/json rejects it: %v", what, in, got, stdErr)
-	case err == nil && (!slices.Equal(got, std) || (got == nil) != (std == nil)):
-		t.Errorf("%s %q: decoded %#v, encoding/json gives %#v", what, in, got, std)
-	case err != nil && stdErr == nil && !bytes.Contains(in, []byte("null")):
-		t.Errorf("%s %q: rejected (%v), encoding/json decodes %v", what, in, err, std)
 	}
 }

@@ -40,7 +40,7 @@ func (c *Client) http() *http.Client {
 // answer's Rows from its term table.
 func (c *Client) Query(ctx context.Context, req Request) (*Response, error) {
 	var resp Response
-	if err := c.post(ctx, "/query", req, &resp); err != nil {
+	if err := c.post(ctx, "/query", req, func(d *decoder) error { return d.responseBody(&resp) }); err != nil {
 		return nil, err
 	}
 	if err := resp.unpackRows(); err != nil {
@@ -54,7 +54,7 @@ func (c *Client) Submit(ctx context.Context, req Request) (string, error) {
 	var out struct {
 		JobID string `json:"job_id"`
 	}
-	if err := c.post(ctx, "/query?async=1", req, &out); err != nil {
+	if err := c.post(ctx, "/query?async=1", req, jsonBody(&out)); err != nil {
 		return "", err
 	}
 	return out.JobID, nil
@@ -64,7 +64,7 @@ func (c *Client) Submit(ctx context.Context, req Request) (string, error) {
 // table.
 func (c *Client) Job(ctx context.Context, id string) (*JobStatus, error) {
 	var st JobStatus
-	if err := c.get(ctx, "/jobs/"+id, &st); err != nil {
+	if err := c.get(ctx, "/jobs/"+id, func(d *decoder) error { return d.jobStatusBody(&st) }); err != nil {
 		return nil, err
 	}
 	if st.Response != nil {
@@ -78,7 +78,7 @@ func (c *Client) Job(ctx context.Context, id string) (*JobStatus, error) {
 // Metrics fetches the service metrics snapshot.
 func (c *Client) Metrics(ctx context.Context) (*Metrics, error) {
 	var m Metrics
-	if err := c.get(ctx, "/metrics", &m); err != nil {
+	if err := c.get(ctx, "/metrics", jsonBody(&m)); err != nil {
 		return nil, err
 	}
 	return &m, nil
@@ -92,7 +92,7 @@ func (c *Client) Ingest(ctx context.Context, batch io.Reader) (*IngestResult, er
 	}
 	req.Header.Set("Content-Type", "application/n-triples")
 	var res IngestResult
-	if err := c.do(req, &res); err != nil {
+	if err := c.do(req, jsonBody(&res)); err != nil {
 		return nil, err
 	}
 	return &res, nil
@@ -106,7 +106,7 @@ func (c *Client) Compact(ctx context.Context) (*ingest.CompactResult, error) {
 		return nil, err
 	}
 	var res ingest.CompactResult
-	if err := c.do(req, &res); err != nil {
+	if err := c.do(req, jsonBody(&res)); err != nil {
 		return nil, err
 	}
 	return &res, nil
@@ -115,7 +115,7 @@ func (c *Client) Compact(ctx context.Context) (*ingest.CompactResult, error) {
 // Health checks /healthz.
 func (c *Client) Health(ctx context.Context) (*Health, error) {
 	var h Health
-	if err := c.get(ctx, "/healthz", &h); err != nil {
+	if err := c.get(ctx, "/healthz", jsonBody(&h)); err != nil {
 		return nil, err
 	}
 	if h.Status != "ok" {
@@ -124,7 +124,7 @@ func (c *Client) Health(ctx context.Context) (*Health, error) {
 	return &h, nil
 }
 
-func (c *Client) post(ctx context.Context, path string, body, out any) error {
+func (c *Client) post(ctx context.Context, path string, body any, decode func(*decoder) error) error {
 	b, err := json.Marshal(body)
 	if err != nil {
 		return err
@@ -134,30 +134,34 @@ func (c *Client) post(ctx context.Context, path string, body, out any) error {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	return c.do(req, out)
+	return c.do(req, decode)
 }
 
-func (c *Client) get(ctx context.Context, path string, out any) error {
+func (c *Client) get(ctx context.Context, path string, decode func(*decoder) error) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
 	if err != nil {
 		return err
 	}
-	return c.do(req, out)
+	return c.do(req, decode)
 }
 
-// do sends req and decodes a success body into out straight from the
-// stream. The body is drained before it is closed: a connection whose body
+// jsonBody decodes a body into v with encoding/json.
+func jsonBody(v any) func(*decoder) error {
+	return func(d *decoder) error { return json.Unmarshal(d.b, v) }
+}
+
+// do sends req and decodes a success body, read whole (readBody), with
+// decode. The body is drained before it is closed: a connection whose body
 // was not read to EOF is not reused by HTTP keep-alive. An error body is
 // read whole, so its message and typed error survive the round trip.
-func (c *Client) do(req *http.Request, out any) error {
+func (c *Client) do(req *http.Request, decode func(*decoder) error) error {
 	resp, err := c.http().Do(req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	body := io.LimitReader(resp.Body, 64<<20)
 	if resp.StatusCode >= 400 {
-		msg, err := io.ReadAll(body)
+		msg, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
 		if err != nil {
 			return err
 		}
@@ -171,11 +175,15 @@ func (c *Client) do(req *http.Request, out any) error {
 		}
 		return fmt.Errorf("server: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
 	}
-	if out != nil {
-		if err := json.NewDecoder(body).Decode(out); err != nil {
-			return err
-		}
+	d, err := readBody(resp)
+	if err != nil {
+		return err
 	}
-	_, err = io.Copy(io.Discard, body)
+	err = decode(d)
+	decoders.Put(d)
+	if err != nil {
+		return err
+	}
+	_, err = io.Copy(io.Discard, resp.Body)
 	return err
 }

@@ -76,7 +76,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeBody(w, http.StatusOK, func(b []byte) []byte { return appendResponse(b, resp) })
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -85,7 +85,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown job"})
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	writeBody(w, http.StatusOK, func(b []byte) []byte { return appendJobStatus(b, &st) })
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -19,20 +20,27 @@ import (
 // the race detector, whose instrumentation allocates.
 var raceEnabled bool
 
-// The client decodes /query from the stream and must still leave every
+// The client reads every /query body whole and must still leave every
 // connection reusable: twenty sequential queries over keep-alive open
-// exactly one connection. Whether the decoder alone happens to read a body
-// to EOF depends on where read and chunk boundaries fall, so every body here
-// carries trailing whitespace after the JSON value — legal, and never read
-// by the decoder. Only the drain after the decode reaches EOF; without it
-// the transport closes each connection instead of pooling it.
+// exactly one connection. Every body here carries 8 KiB of whitespace after
+// the JSON value — legal, and past the end of the value the decoder reads —
+// half of them declared in a Content-Length, half sent chunked, so the
+// client reads both kinds of body to EOF before it closes it; a connection
+// whose body was not read to EOF is closed by the transport instead of
+// pooled.
 func TestClientReusesOneConnection(t *testing.T) {
 	s := newTestServer(t, Config{})
-	var opened atomic.Int64
+	var opened, served atomic.Int64
 	pad := bytes.Repeat([]byte(" "), 8<<10)
 	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.Handler().ServeHTTP(w, r)
-		_, _ = w.Write(pad)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, r)
+		body := append(rec.Body.Bytes(), pad...)
+		if served.Add(1)%2 == 0 {
+			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		}
+		w.WriteHeader(rec.Code)
+		_, _ = w.Write(body)
 	}))
 	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
 		if st == http.StateNew {
@@ -61,9 +69,10 @@ func TestClientReusesOneConnection(t *testing.T) {
 	}
 }
 
-// A /query body is compact JSON with HTML escaping off: IRIs keep their
-// angle brackets, and no line is indented. The rows travel as a term table
-// only: terms, then integer cells, and no "rows" key.
+// A /query body is compact JSON with HTML escaping off, sent with its
+// Content-Length: IRIs keep their angle brackets, and no line is indented.
+// The rows travel as a term table only: terms, then integer cells, and no
+// "rows" key.
 func TestQueryBodyIsCompact(t *testing.T) {
 	s := newTestServer(t, Config{})
 	rec := httptest.NewRecorder()
@@ -78,6 +87,9 @@ func TestQueryBodyIsCompact(t *testing.T) {
 	}
 	if strings.Contains(out, `\u003c`) || strings.Count(out, "\n") != 1 {
 		t.Errorf("body is not compact unescaped JSON: %.200s", out)
+	}
+	if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(len(out)) {
+		t.Errorf("Content-Length %q for a %d-byte body", cl, len(out))
 	}
 }
 
@@ -129,11 +141,12 @@ func TestQueryAllocationCeiling(t *testing.T) {
 }
 
 // TestClientDecodeAllocationCeiling gates the client side of one B1 /query:
-// Client.Query sending the request, decoding the body from the stream and
-// rebuilding the rows. The terms decode into one string, the cells into one
-// slice and the rows into one string, so the count is a fixed handful
-// whatever the number of terms or rows: 10,650 allocations when the body
-// carried every row as a JSON string, ≈ 135 for the term table.
+// Client.Query sending the request, reading the body whole into a pooled
+// buffer, decoding it and rebuilding the rows. The terms decode into one
+// string, the cells into one slice and the rows into one string, so the
+// count is a fixed handful whatever the number of terms or rows: 10,650
+// allocations when the body carried every row as a JSON string, ≈ 139 for
+// the term table under encoding/json, ≈ 121 with the one-pass decoder.
 func TestClientDecodeAllocationCeiling(t *testing.T) {
 	h, req := b1Handler(t)
 	rec := httptest.NewRecorder()
@@ -146,6 +159,7 @@ func TestClientDecodeAllocationCeiling(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		_, _ = io.Copy(io.Discard, r.Body)
 		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 		_, _ = w.Write(body)
 	}))
 	t.Cleanup(ts.Close)

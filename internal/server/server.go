@@ -285,8 +285,8 @@ type Response struct {
 	// term once, in order of first use, then one index into Terms per
 	// cell, row-major, len(Header) wide. Terms holds only the terms the
 	// returned cells name.
-	Terms Terms `json:"terms,omitempty"`
-	Cells Cells `json:"cells,omitempty"`
+	Terms []string `json:"terms,omitempty"`
+	Cells []uint32 `json:"cells,omitempty"`
 	// Rows are the same rows as text, each its cells' terms joined by '\t'.
 	// They never cross the wire: Server.Evaluate, Client.Query and
 	// Client.Job rebuild them from the table. An in-process async job's
