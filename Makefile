@@ -33,7 +33,11 @@ all: build check test
 # runs replay only their seed corpora). The warehouse and catalog-scan tests run five times
 # over under -race: every query reads a warehouse view while Ingest and
 # Compact install new ones, and the catalog scan's retried attempts share one
-# mapper.
+# mapper. The triplegroup join tests run five times over under -race too: one
+# join reducer serves concurrent reduce tasks, each group filing its lefts in
+# a join index taken from a shared pool, and one map-only join factory builds
+# every bucket task's index (the shared-operator test, the probe-then-pin
+# reducer against its pin-everything oracle, and the lefts-only group).
 check:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -52,6 +56,7 @@ check:
 	go test -run '^$$' -fuzz '^FuzzShuffleOrder$$' -fuzztime 10s ./internal/mapreduce/
 	go test -race ./internal/ingest/
 	go test -race -count=5 -run 'Warehouse|Catalog.*Fault' ./internal/ingest/ ./internal/plan/
+	go test -race -count=5 -run 'SharedOperators|PinAllOracle|LeftsWithoutRight' ./internal/ntgamr/
 	go test ./internal/plan/ ./internal/explain/
 
 build:

@@ -351,11 +351,12 @@ type PartialTG struct {
 	TG     AnnTG
 }
 
-// UnnestSlotInBucket finishes a partial β-unnest on the reduce side: it
-// expands slot si of a partial AnnTG, selecting only candidates whose join
-// key falls in bucket b under φ_m — exactly the candidates the map side
-// placed in this partition — and compacts each result. Other slots stay as
-// they are. With m == 0 every candidate is selected.
+// UnnestSlotInBucket finishes a partial β-unnest: it expands slot si of a
+// partial AnnTG, selecting only candidates whose join key falls in bucket b
+// under φ_m — exactly the candidates the map side placed in this partition
+// — and compacts each result. Other slots stay as they are. With m == 0
+// every candidate is selected. The join reducer builds the same members one
+// at a time, with PinSlot, and only those a right record matches.
 func (s *Scratch) UnnestSlotInBucket(st *query.Star, a AnnTG, si, m, b int) []AnnTG {
 	s.idx = a.SlotCandidates(s.idx[:0], st, si)
 	s.tgs = room(s.tgs, len(s.idx))
@@ -370,8 +371,9 @@ func (s *Scratch) UnnestSlotInBucket(st *query.Star, a AnnTG, si, m, b int) []An
 }
 
 // PinSlot β-unnests slot si of a to the single candidate pair k and compacts
-// the result: one member of UnnestSlot's output, built alone — the map-side
-// join pins a partial left this way only once a right record matches it.
+// the result: one member of UnnestSlot's output, built alone — both
+// triplegroup joins pin a partial left this way only once a right record
+// matches it.
 func (s *Scratch) PinSlot(st *query.Star, a AnnTG, si, k int) AnnTG {
 	a.SlotSel = s.pinned(a.SlotSel, si, k)
 	return s.Compact(st, a)

@@ -10,8 +10,12 @@
 //   - the β group-filter σ^βγ (Definition 1) as UnbGrpFilter;
 //   - the β-unnest operator μ^β (Definition 2) as BetaUnnest;
 //   - the partial β-unnest operator μ^β_φm (Definition 3) as
-//     PartialBetaUnnest / UnnestSlotInBucket — these, and the AnnTG decoder,
-//     are methods of Scratch, the per-call working memory they build in;
+//     PartialBetaUnnest / UnnestSlotInBucket, the latter one PinSlot per
+//     in-bucket candidate — these, and the AnnTG decoder, are methods of
+//     Scratch, the per-call working memory they build in (package ntgamr's
+//     triplegroup joins finish μ^β_φm through one join index, which files a
+//     partial triplegroup under each in-bucket candidate and calls PinSlot
+//     only for a candidate a right record matches);
 //   - Expand, which enumerates the variable bindings an (possibly still
 //     nested) AnnTG implicitly represents — the content-equivalence side
 //     of Lemma 1.

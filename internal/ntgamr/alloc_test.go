@@ -108,7 +108,7 @@ var raceEnabled bool
 // TestJoinCycleAllocationCeilings gates the per-record cost of a join cycle:
 // one map record (decode, partial β-unnest into 4 buckets, one emitted pair
 // per bucket) and one reduce group (8 values, 5 joined records), each with
-// the count at commit 39acfa2 and now.
+// the count at commit 39acfa2 (and, for the reduce, at 3f5422f) and now.
 func TestJoinCycleAllocationCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -133,29 +133,41 @@ func TestJoinCycleAllocationCeilings(t *testing.T) {
 	if got := testing.AllocsPerRun(100, mapOne); got > 0 {
 		t.Errorf("tgJoinMapper.Map: %.0f allocations per record, ceiling 0", got)
 	}
-	// 132 → 6: the left index (a map and one slice per join value) is all
-	// that is left.
-	if got := testing.AllocsPerRun(100, reduceOne); got > 8 {
-		t.Errorf("tgJoinReducer.Reduce: %.0f allocations per group, ceiling 8", got)
+	// 132 → 6 → 0: the left index was a map and one slice per join value
+	// (6); it is now a pooled joinIndex, reset per group, so a group costs
+	// no heap allocation.
+	if got := testing.AllocsPerRun(100, reduceOne); got > 0 {
+		t.Errorf("tgJoinReducer.Reduce: %.0f allocations per group, ceiling 0", got)
 	}
 }
 
-// TestSharedOperatorsAcrossGoroutines runs one mapper and one reducer
-// instance from many goroutines at once, as concurrent tasks of a job do:
-// every call must produce exactly what a lone call produces, counts included
-// (and -race must stay quiet — scratch and counters are per call, never per
-// operator).
+// TestSharedOperatorsAcrossGoroutines runs one mapper, one reducer and one
+// map-only join factory instance from many goroutines at once, as concurrent
+// tasks of a job do: every call must produce exactly what a lone call
+// produces, counts included (and -race must stay quiet — scratch, join
+// indexes and counters are per call or per task, never per operator).
 func TestSharedOperatorsAcrossGoroutines(t *testing.T) {
 	m, r, geneRec, key, group := joinAllocFixture(t)
+	f, bucket, side, rights := mapOnlyAllocFixture(t)
 	run := func() string {
-		mapped, joined := &pairSink{keep: true}, &pairSink{keep: true}
+		mapped, joined, mapOnly := &pairSink{keep: true}, &pairSink{keep: true}, &pairSink{keep: true}
 		if err := m.Map("grouped", geneRec, mapped); err != nil {
 			return err.Error()
 		}
 		if err := r.Reduce(key, &sliceValues{vals: group}, joined); err != nil {
 			return err.Error()
 		}
-		return fmt.Sprintf("%x %x %x %v %v", mapped.keys, mapped.vals, joined.vals, mapped.counts, joined.counts)
+		task, err := f.NewTask(bucket, side)
+		if err != nil {
+			return err.Error()
+		}
+		for _, rec := range rights {
+			if err := task.MapRecord("grouped", rec, mapOnly); err != nil {
+				return err.Error()
+			}
+		}
+		return fmt.Sprintf("%x %x %x %x %v %v %v", mapped.keys, mapped.vals, joined.vals, mapOnly.vals,
+			mapped.counts, joined.counts, mapOnly.counts)
 	}
 	want := run()
 	var wg sync.WaitGroup
@@ -172,4 +184,98 @@ func TestSharedOperatorsAcrossGoroutines(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// mapOnlyAllocFixture builds one map-only join task's inputs for a
+// B1-shaped query over a 4-bucket layout: four genes, each with 12 slot
+// candidates among 24 labelled objects, routed partially (μ^β_φm) to the
+// buckets their candidates hash to. It returns the factory, the bucket
+// holding the most routed lefts, those lefts (the task's side input) and the
+// right star's records of that bucket.
+func mapOnlyAllocFixture(t *testing.T) (f *joinTaskFactory, bucket int, side, rights [][]byte) {
+	t.Helper()
+	const n = 4
+	g := rdf.NewGraph()
+	objs, _ := slotPool(g, 24, n)
+	ex := enginetest.Ex
+	for i := 0; i < 4; i++ {
+		gene := ex(fmt.Sprintf("gene%d", i))
+		g.Add(gene, ex("kind"), ex("Gene"))
+		for k := 0; k < 12; k++ {
+			g.Add(gene, ex(fmt.Sprintf("p%d", k%3)), objs[(i*5+k)%len(objs)])
+		}
+	}
+	g.Dedup()
+	q := enginetest.Compile(t, g, `
+PREFIX ex: <http://ex/>
+SELECT * WHERE { ?g ex:kind ex:Gene . ?g ?p ?x . ?x ex:label ?xl . }`)
+	j := q.Joins[0]
+	if j.Left.Role != query.RoleSlotObj || j.Right.Role != query.RoleSubject {
+		t.Fatalf("fixture: join %+v is not B1's", j)
+	}
+	files := make([]string, n)
+	for b := range files {
+		files[b] = fmt.Sprintf("jl/bucket-%05d", b)
+	}
+	rec := &routeRecorder{files: map[string][][]byte{}}
+	route := &jlRoute{pos: j.Left, files: files}
+	var s core.Scratch
+	for _, comps := range firstLefts(q, g, j.Left.Star) {
+		if err := route.emit(&s, q, comps, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for b, file := range files {
+		if len(rec.files[file]) > len(side) {
+			bucket, side = b, rec.files[file]
+		}
+	}
+	for _, comps := range firstLefts(q, g, j.Right.Star) {
+		if layoutBucket(comps[0].Subject, n) == bucket {
+			rights = append(rights, core.EncodeJoined(comps))
+		}
+	}
+	return &joinTaskFactory{q: q, join: j, buckets: n}, bucket, side, rights
+}
+
+// TestMapOnlyJoinAllocationCeiling gates one map-only join task: NewTask
+// filing the bucket's routed lefts, then MapRecord over the bucket's right
+// records, pinning each matched left, with the count at commit 3f5422f and
+// now.
+func TestMapOnlyJoinAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	f, bucket, side, rights := mapOnlyAllocFixture(t)
+	sink := &pairSink{}
+	runTask := func() {
+		task, err := f.NewTask(bucket, side)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rights {
+			if err := task.MapRecord("grouped", r, sink); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	joined := &pairSink{}
+	task, err := f.NewTask(bucket, side)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rights {
+		if err := task.MapRecord("grouped", r, joined); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if joined.counts[CounterMapUnnest] == 0 {
+		t.Fatal("fixture: the task pinned no left")
+	}
+	// 43 → 35: the index was a map and one slice per join value; it is now
+	// one map and one slab of entries. What is left is the task itself and
+	// the slabs of its two Scratches, which live as long as the task.
+	if got := testing.AllocsPerRun(100, runTask); got > 35 {
+		t.Errorf("map-only join task: %.0f allocations, ceiling 35", got)
+	}
 }

@@ -25,7 +25,9 @@ const (
 	directMode joinMode = iota
 	// bucketedMode keys the shuffle by φ_m(join value): TG_OptUnbJoin. The
 	// joining slot stays nested through the shuffle inside partial
-	// triplegroups and is unnested per-bucket in the reduce (Algorithm 3).
+	// triplegroups; the reduce files each under its in-bucket candidates
+	// and unnests a candidate only when a right record matches it
+	// (Algorithm 3, deferred to the probe).
 	bucketedMode
 )
 
@@ -172,68 +174,31 @@ type tgJoinReducer struct {
 	phiM int
 }
 
-// resolveSide is resolveJoinSide on the reduce side: the map side left a
-// position unresolved only under TG_OptUnbJoin, whose deferred β-unnest it
-// finishes within the reduce bucket, counting the unnested triplegroups on cnt.
-func (r *tgJoinReducer) resolveSide(s *core.Scratch, comps []core.AnnTG, pos query.Pos, bucket int,
-	cnt mapreduce.Counter, yield func(rdf.ID, []core.AnnTG) error) error {
-	ci, err := compOf(comps, pos.Star)
-	if err != nil {
-		return err
-	}
-	st, comp := r.q.Stars[pos.Star], comps[ci]
-	if pos.Role != query.RoleSlotObj || comp.SlotSel[pos.Idx] != core.Nested {
-		v, err := core.JoinValue(st, comp, pos)
-		if err != nil {
-			return err
-		}
-		return yield(v, comps)
-	}
-	if r.mode != bucketedMode {
-		return fmt.Errorf("ntgamr: nested slot reached a direct-mode reducer")
-	}
-	for _, u := range s.UnnestSlotInBucket(st, comp, pos.Idx, r.phiM, bucket) {
-		cnt.Inc(CounterReduceUnnest, 1)
-		comps[ci] = u
-		if err := yield(u.Triples[u.SlotSel[pos.Idx]].O, comps); err != nil {
-			return err
-		}
-	}
-	comps[ci] = comp
-	return nil
-}
-
 // Reduce streams the group. The side tag leads every value and the engine
 // delivers values in sorted order, so every left (tag 0) arrives before the
-// first right (tag 1): only the left side — indexed by join value, held in
-// the group's own Scratch — is buffered, and each right record joins and is
-// emitted as it streams past through a second Scratch reset per record.
+// first right (tag 1): only the left side is buffered — decoded into the
+// group's own Scratch and filed in a pooled joinIndex — and each right
+// record probes the index and is emitted as it streams past, through a
+// second Scratch reset per record.
 func (r *tgJoinReducer) Reduce(key []byte, values mapreduce.ValueIter, out mapreduce.Collector) error {
-	bucket := 0
+	x := getJoinIndex()
+	defer x.release()
+	return r.reduce(key, values, x, out)
+}
+
+// reduce is Reduce over the given empty index, which it leaves filled.
+func (r *tgJoinReducer) reduce(key []byte, values mapreduce.ValueIter, x *joinIndex, out mapreduce.Collector) error {
+	bucket, m := 0, 0
 	if r.mode == bucketedMode {
 		b, err := codec.NewReader(key).Uvarint()
 		if err != nil {
 			return err
 		}
-		bucket = int(b)
+		bucket, m = int(b), r.phiM
 	}
 	ls, rs := core.GetScratch(), core.GetScratch()
 	defer ls.Release()
 	defer rs.Release()
-	lefts := make(map[rdf.ID][][]core.AnnTG)
-	keepLeft := func(v rdf.ID, comps []core.AnnTG) error {
-		lefts[v] = append(lefts[v], ls.Concat(comps, nil))
-		return nil
-	}
-	joinRight := func(v rdf.ID, comps []core.AnnTG) error {
-		for _, l := range lefts[v] {
-			rs.Buf = core.AppendJoined(rs.Buf[:0], rs.Concat(l, comps))
-			if err := out.Collect(rs.Buf); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	for {
 		v, ok, err := values.Next()
 		if err != nil {
@@ -247,18 +212,25 @@ func (r *tgJoinReducer) Reduce(key []byte, values mapreduce.ValueIter, out mapre
 		}
 		switch v[0] {
 		case tagLeft:
+			// TG_OptUnbJoin's deferred β-unnest: a left still nested at
+			// its joining slot counts as unnested once per candidate in
+			// the bucket, but is pinned only when a right matches one.
 			comps, err := ls.DecodeJoined(v[1:])
-			if err == nil {
-				err = r.resolveSide(ls, comps, r.join.Left, bucket, out, keepLeft)
-			}
 			if err != nil {
 				return err
+			}
+			n, err := x.addLeft(r.q, r.join.Left, comps, core.Phi, m, bucket)
+			if err != nil {
+				return err
+			}
+			if n > 0 {
+				out.Inc(CounterReduceUnnest, int64(n))
 			}
 		case tagRight:
 			rs.Reset()
 			comps, err := rs.DecodeJoined(v[1:])
 			if err == nil {
-				err = r.resolveSide(rs, comps, r.join.Right, bucket, out, joinRight)
+				err = r.probe(x, ls, rs, comps, m, bucket, out)
 			}
 			if err != nil {
 				return err
@@ -267,6 +239,64 @@ func (r *tgJoinReducer) Reduce(key []byte, values mapreduce.ValueIter, out mapre
 			return fmt.Errorf("ntgamr: unknown join tag %d", v[0])
 		}
 	}
+}
+
+// probe joins one right record with the lefts filed under its join value,
+// collecting each joined record in the order the lefts were filed; a
+// matched left still unpinned is pinned in ls, once. A right whose joining
+// slot is still nested counts as unnested once per candidate in the bucket,
+// and is pinned in rs only for a candidate the index holds, in candidate
+// order.
+func (r *tgJoinReducer) probe(x *joinIndex, ls, rs *core.Scratch, comps []core.AnnTG, m, bucket int,
+	out mapreduce.Collector) error {
+	pos := r.join.Right
+	ci, err := compOf(comps, pos.Star)
+	if err != nil {
+		return err
+	}
+	st, c := r.q.Stars[pos.Star], comps[ci]
+	if !nestedSlot(c, pos) {
+		v, err := core.JoinValue(st, c, pos)
+		if err != nil {
+			return err
+		}
+		return r.collect(x, x.first(v), ls, rs, comps, out)
+	}
+	if m == 0 {
+		return fmt.Errorf("ntgamr: nested slot reached a direct-mode join")
+	}
+	x.cands = c.SlotCandidates(x.cands[:0], st, pos.Idx)
+	for _, k := range x.cands {
+		v := c.Triples[k].O
+		if core.Phi(v, m) != bucket {
+			continue
+		}
+		out.Inc(CounterReduceUnnest, 1)
+		i := x.first(v)
+		if i < 0 {
+			continue
+		}
+		comps[ci] = rs.PinSlot(st, c, pos.Idx, k)
+		if err := r.collect(x, i, ls, rs, comps, out); err != nil {
+			return err
+		}
+	}
+	comps[ci] = c
+	return nil
+}
+
+// collect emits the chain of lefts from entry i on, each joined with right.
+func (r *tgJoinReducer) collect(x *joinIndex, i int32, ls, rs *core.Scratch, right []core.AnnTG,
+	out mapreduce.Collector) error {
+	lst, si := r.q.Stars[r.join.Left.Star], r.join.Left.Idx
+	for ; i >= 0; i = x.entries[i].next {
+		l := x.resolve(i, ls, lst, si)
+		rs.Buf = core.AppendJoined(rs.Buf[:0], rs.Concat(l.comps, right))
+		if err := out.Collect(rs.Buf); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // tgJoinJob builds one triplegroup join cycle whose right side is the

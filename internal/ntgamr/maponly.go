@@ -34,11 +34,12 @@ import (
 // (TG_OptUnbJoin) with φ = hash64.Bucket and φm = the layout's bucket count:
 // one record per bucket its candidates hash to, the rest of the group
 // written once per bucket instead of once per candidate. The join task
-// indexes such a left under each of its candidates in the task's bucket and
-// pins the slot only when a right subject matches — Lazy's deferral carried
-// into the join. A left already resolved at its join position (a subject,
-// a pinned slot, a bound object pinned per candidate) is routed as one
-// record per join value.
+// files such a left in its joinIndex (index.go, the shuffled TG_OptUnbJoin
+// reducer's index too) under each of its candidates in the task's bucket
+// and pins the slot only when a right subject matches — Lazy's deferral
+// carried into the join. A left already resolved at its join position (a
+// subject, a pinned slot, a bound object pinned per candidate) is routed as
+// one record per join value.
 
 // MapOnlyPrefix returns how many leading joins of the chain the partitioned
 // layout can serve map-side: the unbroken prefix whose joins all bind the
@@ -99,24 +100,15 @@ func (r *jlRoute) emit(s *core.Scratch, q *query.Query, comps []core.AnnTG, nc m
 	})
 }
 
-// leftRef is one routed left record indexed under one join value: the
-// record's components, the index of its joining component, and — for a left
-// routed partially — the slot candidate pair to pin on a match (-1 when the
-// join position was already resolved).
-type leftRef struct {
-	comps    []core.AnnTG
-	ci, pair int
-}
-
 // joinTask is the map-only join operator for one bucket: the side input
-// holds every left record routed to this bucket, and the task streams the
-// grouped bucket joining right-side records (whose subject is the join value
-// — map-only joins always bind the right star through its subject, so right
-// subjects co-hash with their lefts).
+// holds every left record routed to this bucket, filed in a joinIndex, and
+// the task streams the grouped bucket joining right-side records (whose
+// subject is the join value — map-only joins always bind the right star
+// through its subject, so right subjects co-hash with their lefts).
 type joinTask struct {
 	q     *query.Query
 	join  query.Join
-	lefts map[rdf.ID][]leftRef
+	lefts *joinIndex
 	next  *jlRoute // the following map-only join's left routing (nil when last)
 	sc    core.Scratch
 }
@@ -130,11 +122,12 @@ func (j *joinTask) MapRecord(_ string, record []byte, out mapreduce.Collector) e
 	if len(comps) != 1 || comps[0].EC != j.join.Right.Star {
 		return nil // another star's group — a different join consumes it
 	}
-	for _, l := range j.lefts[comps[0].Subject] {
+	pos := j.join.Left
+	for i := j.lefts.first(comps[0].Subject); i >= 0; i = j.lefts.entries[i].next {
+		l := &j.lefts.entries[i]
 		joined := j.sc.Concat(l.comps, comps)
 		if l.pair >= 0 {
 			out.Inc(CounterMapUnnest, 1)
-			pos := j.join.Left
 			joined[l.ci] = j.sc.PinSlot(j.q.Stars[pos.Star], joined[l.ci], pos.Idx, l.pair)
 		}
 		j.sc.Buf = core.AppendJoined(j.sc.Buf[:0], joined)
@@ -163,38 +156,20 @@ type joinTaskFactory struct {
 	next    *jlRoute
 }
 
-// NewTask indexes the bucket's routed lefts by join value. A partially
-// routed left is indexed, not unnested, under each slot candidate that falls
-// in this bucket — the others are the same left's records in other buckets.
+// NewTask files the bucket's routed lefts in the task's joinIndex. A
+// partially routed left is filed, not unnested, under each slot candidate
+// that falls in this bucket — the others are the same left's records in
+// other buckets.
 func (f *joinTaskFactory) NewTask(task int, side [][]byte) (mapreduce.MapOnlyMapper, error) {
-	pos := f.join.Left
-	st := f.q.Stars[pos.Star]
-	lefts := make(map[rdf.ID][]leftRef, len(side))
+	lefts := newJoinIndex(len(side))
 	var ls core.Scratch // the lefts live in its slabs for the whole task
-	var cands []int
 	for _, rec := range side {
 		comps, err := ls.DecodeJoined(rec)
 		if err != nil {
 			return nil, err
 		}
-		ci, err := compOf(comps, pos.Star)
-		if err != nil {
+		if _, err := lefts.addLeft(f.q, f.join.Left, comps, layoutBucket, f.buckets, task); err != nil {
 			return nil, err
-		}
-		c := comps[ci]
-		if pos.Role != query.RoleSlotObj || c.SlotSel[pos.Idx] != core.Nested {
-			v, err := core.JoinValue(st, c, pos)
-			if err != nil {
-				return nil, err
-			}
-			lefts[v] = append(lefts[v], leftRef{comps: comps, ci: ci, pair: -1})
-			continue
-		}
-		cands = c.SlotCandidates(cands[:0], st, pos.Idx)
-		for _, k := range cands {
-			if v := c.Triples[k].O; layoutBucket(v, f.buckets) == task {
-				lefts[v] = append(lefts[v], leftRef{comps: comps, ci: ci, pair: k})
-			}
 		}
 	}
 	return &joinTask{q: f.q, join: f.join, lefts: lefts, next: f.next}, nil

@@ -275,12 +275,13 @@ func checkRouting(t *testing.T, q *query.Query, j query.Join, n int, lefts [][]c
 			if err != nil {
 				t.Fatal(err)
 			}
-			for v, refs := range task.(*joinTask).lefts {
+			x := task.(*joinTask).lefts
+			for v := range x.heads {
 				if layoutBucket(v, n) != b {
 					t.Errorf("task %d indexed join value %d of bucket %d", b, v, layoutBucket(v, n))
 				}
-				for _, l := range refs {
-					if l.pair < 0 || l.comps[l.ci].Triples[l.pair].O != v {
+				for i := x.first(v); i >= 0; i = x.entries[i].next {
+					if l := x.entries[i]; l.pair < 0 || l.comps[l.ci].Triples[l.pair].O != v {
 						t.Errorf("task %d indexed %+v under %d", b, l, v)
 					}
 					gotVals = append(gotVals, v)

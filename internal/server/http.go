@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -52,8 +53,15 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	// The body is read whole and decoded as one JSON value, so anything but
+	// whitespace after the request object — garbage, or a second request —
+	// is a bad request rather than silently ignored.
 	var req Request
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBodyBytes)).Decode(&req); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxQueryBodyBytes))
+	if err == nil {
+		err = json.Unmarshal(body, &req)
+	}
+	if err != nil {
 		if tl := tooLarge(err); tl != nil {
 			err = tl
 		} else {

@@ -2,10 +2,12 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -194,5 +196,60 @@ func TestClientAddrNormalization(t *testing.T) {
 	}
 	if c := NewClient("https://svc.example/"); c.BaseURL != "https://svc.example" {
 		t.Errorf("BaseURL = %q", c.BaseURL)
+	}
+}
+
+// TestHTTPQueryBodyIsOneValue: a /query body is exactly one JSON object.
+// Trailing whitespace is allowed and answers as the bare object does;
+// anything else after the object — garbage, or a second request — is a bad
+// request, and an oversized body is still refused at the cap.
+func TestHTTPQueryBodyIsOneValue(t *testing.T) {
+	s := newTestServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	post := func(body string) (int, Response) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var r Response
+		if resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode, r
+	}
+	q, err := json.Marshal(Request{Query: twoStarQuery, NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := string(q)
+	code, want := post(req)
+	if code != http.StatusOK || want.TotalRows == 0 {
+		t.Fatalf("bare request → %d with %d rows, want 200 with rows", code, want.TotalRows)
+	}
+	for _, tc := range []struct {
+		name, body string
+		code       int
+	}{
+		{"trailing garbage", req + " trailing garbage", http.StatusBadRequest},
+		{"second request", req + `{"query":"SELECT * WHERE { ?s ?p ?o . }"}`, http.StatusBadRequest},
+		{"second request after newline", req + "\n" + req, http.StatusBadRequest},
+		{"trailing newline", req + "\n", http.StatusOK},
+		{"trailing spaces", req + "  \t\r\n  ", http.StatusOK},
+		{"oversized", `{"query": "` + strings.Repeat(" ", maxQueryBodyBytes) + `"}`, http.StatusRequestEntityTooLarge},
+	} {
+		code, got := post(tc.body)
+		if code != tc.code {
+			t.Errorf("%s → %d, want %d", tc.name, code, tc.code)
+			continue
+		}
+		if code == http.StatusOK && (got.TotalRows != want.TotalRows || !slices.Equal(got.Header, want.Header) ||
+			!slices.Equal(got.Terms, want.Terms) || !slices.Equal(got.Cells, want.Cells)) {
+			t.Errorf("%s answered %d rows, the bare request %d (or the tables differ)", tc.name, got.TotalRows, want.TotalRows)
+		}
 	}
 }
