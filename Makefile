@@ -57,6 +57,7 @@ check:
 	go test -race ./internal/ingest/
 	go test -race -count=5 -run 'Warehouse|Catalog.*Fault' ./internal/ingest/ ./internal/plan/
 	go test -race -count=5 -run 'SharedOperators|PinAllOracle|LeftsWithoutRight' ./internal/ntgamr/
+	go test -race -count=3 -run 'SinkMatchesPersisted|EnginesSinkInTaskOrder|SharedOperators' ./internal/engine/ ./internal/ntgamr/
 	go test ./internal/plan/ ./internal/explain/
 
 build:

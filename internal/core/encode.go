@@ -117,15 +117,21 @@ func EncodeJoined(comps []AnnTG) []byte { return AppendJoined(nil, comps) }
 // AppendJoined appends the encoding of a joined result to dst, growing it at
 // most once.
 func AppendJoined(dst []byte, comps []AnnTG) []byte {
-	size := codec.UvarintLen(uint64(len(comps)))
-	for _, c := range comps {
-		size += EncodedSize(c)
-	}
-	dst = binary.AppendUvarint(slices.Grow(dst, size), uint64(len(comps)))
+	dst = binary.AppendUvarint(slices.Grow(dst, JoinedSize(comps)), uint64(len(comps)))
 	for _, c := range comps {
 		dst = appendAnnTG(dst, c)
 	}
 	return dst
+}
+
+// JoinedSize returns the byte size of a joined result's encoding
+// (AppendJoined) without materializing it.
+func JoinedSize(comps []AnnTG) int {
+	size := codec.UvarintLen(uint64(len(comps)))
+	for _, c := range comps {
+		size += EncodedSize(c)
+	}
+	return size
 }
 
 // DecodeJoined decodes a joined result record into s.

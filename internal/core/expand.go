@@ -124,6 +124,19 @@ func AppendExpanded(dst []rdf.ID, q *query.Query, comps []AnnTG) ([]rdf.ID, int,
 	return out, total, nil
 }
 
+// AppendRows appends the binding rows of a joined result to dst as
+// AppendExpanded lays them out or, for a COUNT(*) query, appends nothing and
+// returns the number of rows the result stands for (CountJoined). It is the
+// one expansion of a final record, whether the record arrives encoded or as
+// components.
+func AppendRows(dst []rdf.ID, q *query.Query, comps []AnnTG) ([]rdf.ID, int64, error) {
+	if q.IsCount() {
+		return dst, CountJoined(q, comps), nil
+	}
+	dst, rows, err := AppendExpanded(dst, q, comps)
+	return dst, int64(rows), err
+}
+
 // CountExpansions returns the number of binding rows a (possibly still
 // nested) AnnTG implicitly represents, without materializing them: the
 // product of candidate-set sizes over all binding patterns. It equals

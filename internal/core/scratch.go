@@ -27,10 +27,11 @@ type Scratch struct {
 	Pairs []PO
 	Buf   []byte
 
-	pos   []PO
-	ints  []int
-	tgs   []AnnTG
-	parts []PartialTG
+	pos    []PO
+	ints   []int
+	tgs    []AnnTG
+	parts  []PartialTG
+	joined []AnnTG // Join's buffer, reused from call to call
 
 	// Valid within one operator call.
 	idx, bkt    []int
@@ -59,6 +60,15 @@ func (s *Scratch) Concat(a, b []AnnTG) []AnnTG {
 	return slices.Clip(s.tgs[start:])
 }
 
+// Join returns the component list a followed by b in a buffer s reuses from
+// call to call: unlike Concat's, the result is valid only until the next
+// Join, and a join of any length costs no allocation once the buffer has
+// grown to the longest.
+func (s *Scratch) Join(a, b []AnnTG) []AnnTG {
+	s.joined = append(append(s.joined[:0], a...), b...)
+	return s.joined
+}
+
 // maxPooledBytes bounds what a pooled Scratch may hold on to — one map-side
 // sort-buffer chunk (chunk.Max bytes) — so one oversized group cannot ratchet
 // the live heap up for the rest of the process.
@@ -73,10 +83,11 @@ func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 // must not be used afterwards.
 func (s *Scratch) Release() {
 	const word, tg = 8, 96 // bytes per PO or int, and per AnnTG or PartialTG
-	if word*(cap(s.Pairs)+cap(s.pos)+cap(s.ints)+cap(s.idx)+cap(s.bkt))+tg*(cap(s.tgs)+cap(s.parts))+
+	if word*(cap(s.Pairs)+cap(s.pos)+cap(s.ints)+cap(s.idx)+cap(s.bkt))+tg*(cap(s.tgs)+cap(s.parts)+cap(s.joined))+
 		cap(s.Buf)+cap(s.keep)+cap(s.keep2) > maxPooledBytes {
 		*s = Scratch{}
 	}
+	clear(s.joined[:cap(s.joined)]) // drop another Scratch's components
 	s.Reset()
 	scratchPool.Put(s)
 }

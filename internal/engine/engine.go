@@ -17,7 +17,7 @@ import (
 type Result struct {
 	// Engine is the name of the engine that produced the result.
 	Engine string
-	// Rows are the full binding rows (indexed by query.AllVars) decoded
+	// Rows are the full binding rows (indexed by query.AllVars) expanded
 	// from the final job's records, in task order (the order of the final
 	// file, had it been written). They are views of a few ID slabs, each
 	// clipped to its own width (see Execute). Nil if the workflow failed, if
@@ -63,7 +63,9 @@ type QueryEngine interface {
 	// Physical.Lower yields the executable stages.
 	PlanSource(q *query.Query, src plan.Source, cl *Cleaner) (*plan.Physical, error)
 	// Decoder returns a fresh decoder of the plan's final records (see
-	// DecodeFunc); Execute asks for one per task attempt of the final job.
+	// DecodeFunc); Execute asks for one per task attempt of the final job
+	// that collects an encoded record (records an NTGA operator hands over
+	// in process need none).
 	Decoder(q *query.Query) DecodeFunc
 
 	// Plan and Run are harness-facing: the frozen benchmark/adapter.go calls

@@ -8,6 +8,7 @@ import (
 
 	"ntga/internal/chunk"
 	"ntga/internal/codec"
+	"ntga/internal/core"
 	"ntga/internal/hdfs"
 	"ntga/internal/mapreduce"
 	"ntga/internal/query"
@@ -48,14 +49,19 @@ type DecodeFunc func(dst []rdf.ID, record []byte) (slab []rdf.ID, rows int64, er
 // Execute runs a planned workflow whose final job — the one writing
 // finalFile — hands its records to the caller through a result sink, fills in
 // the Result, and removes every tracked intermediate file: the tail of Run.
-// Each task attempt of the final job decodes its records as it produces them
-// (decoder() gives each attempt its own DecodeFunc); only the attempt that
-// wins its task's commit keeps its rows, and Result.Rows is built once, in
-// task order — the order the final file's parts would be spliced in. With
+// Each task attempt of the final job turns its records into rows as it
+// produces them, in one of two ways. An NTGA final operator running in this
+// process hands each joined record over as its components (CollectJoined),
+// which the attempt expands straight into its rows; every other record
+// arrives encoded — a relational tuple, a record persisted too, a record a
+// worker shipped — and the attempt decodes it with its own DecodeFunc
+// (decoder() makes one on the attempt's first such record). Only the attempt
+// that wins its task's commit keeps its rows, and Result.Rows is built once,
+// in task order — the order the final file's parts would be spliced in. With
 // persist the final job also writes finalFile, as every cycle before it
-// does, in the same pass. Counters are the workflow's sum. The caller's
-// stages are not modified. On workflow failure the partial Result (metrics
-// only) and the error are returned.
+// does, in the same pass, so every record arrives encoded. Counters are the
+// workflow's sum. The caller's stages are not modified. On workflow failure
+// the partial Result (metrics only) and the error are returned.
 func Execute(mr *mapreduce.Engine, name string, stages []mapreduce.Stage,
 	finalFile string, cleaner *Cleaner,
 	q *query.Query, decoder func() DecodeFunc, persist bool) (*Result, error) {
@@ -65,7 +71,7 @@ func Execute(mr *mapreduce.Engine, name string, stages []mapreduce.Stage,
 	res := &Result{Engine: name, IsCount: q.IsCount()}
 	defer cleaner.Clean(mr)
 
-	sink := &resultSink{count: q.IsCount(), decoder: decoder}
+	sink := &resultSink{q: q, count: q.IsCount(), decoder: decoder}
 	stages, err := withSink(stages, finalFile, sink, persist)
 	if err != nil {
 		return res, err
@@ -135,11 +141,11 @@ type slab struct {
 	rows int64
 }
 
-// decoded is what one task's final records (or one file) decoded to. Rows
-// are appended straight into ID slabs. A slab holds no pointers, so the
-// garbage collector never scans it, and a slab three quarters full is left
-// to its rows and a larger one started (chunk.Next), so rows are never
-// copied as the result grows.
+// decoded is what one task's final records (or one file) expanded to: the
+// records decoded, or handed over as components. Rows are appended straight
+// into ID slabs. A slab holds no pointers, so the garbage collector never
+// scans it, and a slab three quarters full is left to its rows and a larger
+// one started (chunk.Next), so rows are never copied as the result grows.
 type decoded struct {
 	decode         DecodeFunc
 	count          bool
@@ -150,19 +156,40 @@ type decoded struct {
 
 // add decodes one record.
 func (d *decoded) add(rec []byte) error {
-	d.records++
-	d.bytes += int64(len(rec))
+	d.room()
+	ids, rows, err := d.decode(d.cur.ids, rec)
+	return d.took(len(rec), ids, rows, err)
+}
+
+// addJoined expands one joined record handed over as its components, and
+// returns the length of its encoding, which it counts as add counts a
+// record's bytes.
+func (d *decoded) addJoined(q *query.Query, comps []core.AnnTG) (int, error) {
+	size := core.JoinedSize(comps)
+	d.room()
+	ids, rows, err := core.AppendRows(d.cur.ids, q, comps)
+	return size, d.took(size, ids, rows, err)
+}
+
+// room starts a larger slab once the one being filled is three quarters
+// full.
+func (d *decoded) room() {
 	if c := cap(d.cur.ids); !d.count && 4*len(d.cur.ids) >= 3*c {
 		if d.cur.rows > 0 {
 			d.slabs = append(d.slabs, d.cur)
 		}
 		d.cur = slab{ids: make([]rdf.ID, 0, chunk.Next(c, 0))}
 	}
-	var rows int64
-	var err error
-	if d.cur.ids, rows, err = d.decode(d.cur.ids, rec); err != nil {
+}
+
+// took counts one record of size bytes and keeps the rows it appended.
+func (d *decoded) took(size int, ids []rdf.ID, rows int64, err error) error {
+	d.records++
+	d.bytes += int64(size)
+	if err != nil {
 		return err
 	}
+	d.cur.ids = ids
 	d.cur.rows += rows
 	return nil
 }
@@ -209,9 +236,10 @@ func (res *Result) fill(q *query.Query, parts []*decoded) {
 }
 
 // resultSink is the mapreduce.Sink of a query's final job: each task attempt
-// decodes its records as they are collected, and the winning attempt of task
-// i parks its slabs at tasks[i].
+// turns its records into rows as they are collected, and the winning attempt
+// of task i parks its slabs at tasks[i].
 type resultSink struct {
+	q       *query.Query
 	count   bool
 	decoder func() DecodeFunc
 	mu      sync.Mutex
@@ -224,18 +252,27 @@ func (s *resultSink) Attempt() mapreduce.SinkAttempt {
 }
 
 // sinkAttempt is one task attempt's rows. Its decoder is made on the first
-// record, so a task with no output costs no decoder.
+// encoded record, so a task with no output, or whose records are all handed
+// over as components, costs no decoder.
 type sinkAttempt struct {
 	s *resultSink
 	d decoded
 }
 
-// Collect implements mapreduce.Collector.
+// Collect implements mapreduce.SinkAttempt: one encoded record, decoded.
 func (a *sinkAttempt) Collect(rec []byte) error {
 	if a.d.decode == nil {
 		a.d.decode = a.s.decoder()
 	}
 	return a.d.add(rec)
+}
+
+// CollectJoined takes one joined record from an NTGA final operator in this
+// process, as its components, and expands it with no encode or decode. It
+// returns the length the record's encoding would have had, which it counts
+// as Collect counts a record's bytes.
+func (a *sinkAttempt) CollectJoined(comps []core.AnnTG) (int, error) {
+	return a.d.addJoined(a.s.q, comps)
 }
 
 // Commit implements mapreduce.SinkAttempt.

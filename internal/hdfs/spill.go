@@ -2,6 +2,7 @@ package hdfs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -115,6 +116,10 @@ func (w *SpillWriter) Write(p []byte) (int, error) {
 	}
 	return len(p), nil
 }
+
+// Grow reserves room for n more bytes, so a writer told its size up front
+// holds its file in one allocation. It charges nothing: Write does.
+func (w *SpillWriter) Grow(n int) { w.data = slices.Grow(w.data, n) }
 
 // Len reports the bytes written so far.
 func (w *SpillWriter) Len() int { return len(w.data) }

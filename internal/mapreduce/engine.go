@@ -212,10 +212,11 @@ type partOut struct {
 // overruns cluster capacity fails mid-reduce (hdfs.ErrDiskFull while
 // records are produced), not at a commit step afterwards. A job with a Sink
 // hands its main-output records to the attempt's SinkAttempt as well (or,
-// when the output is sunk, instead). publish renames the temps to their
-// final part names and commits the sink attempt; abort deletes the temps,
-// and an uncommitted sink attempt is dropped. Like the records, the
-// attempt's counters count only if it commits.
+// when the output is sunk, instead, and then offers the operator that sink
+// attempt for records it hands over unencoded: DirectCollector). publish
+// renames the temps to their final part names and commits the sink attempt;
+// abort deletes the temps, and an uncommitted sink attempt is dropped. Like
+// the records, the attempt's counters count only if it commits.
 type streamCollector struct {
 	files  []partOut    // every DFS part file of the attempt
 	main   *hdfs.Writer // the main output's, nil when it is sunk
@@ -290,6 +291,23 @@ func (c *streamCollector) Collect(record []byte) error {
 		c.sunkBytes += int64(len(record))
 	}
 	return nil
+}
+
+// Direct implements DirectCollector: the sink attempt, when the main output
+// goes to it alone.
+func (c *streamCollector) Direct() SinkAttempt {
+	if c.main != nil {
+		return nil
+	}
+	return c.sink
+}
+
+// Handed implements DirectCollector.
+func (c *streamCollector) Handed(size int) {
+	c.records++
+	c.bytes += int64(size)
+	c.sunkRecords++
+	c.sunkBytes += int64(size)
 }
 
 func (c *streamCollector) CollectTo(output string, record []byte) error {

@@ -215,6 +215,7 @@ func (t *taskEmitter) spillBuffer() error {
 		recsBefore = t.spilledRecords
 	}
 	w := t.dfs.CreateSpillOn(t.node)
+	w.Grow(t.framedSize())
 	run := &spillRun{segs: make([]runSeg, t.nReducers)}
 	off := 0
 	for p := range t.parts {
@@ -255,6 +256,19 @@ func (t *taskEmitter) spillBuffer() error {
 		})
 	}
 	return nil
+}
+
+// framedSize is the length of the buffered pairs as a spill run frames
+// them, each key and value behind its uvarint length: the run's size unless
+// the combiner folds some away.
+func (t *taskEmitter) framedSize() int {
+	n := int(t.buffered)
+	for _, part := range t.parts {
+		for _, kv := range part {
+			n += codec.UvarintLen(uint64(len(kv.Key))) + codec.UvarintLen(uint64(len(kv.Value)))
+		}
+	}
+	return n
 }
 
 // seal sorts (and combines) the final in-memory segment of every partition.
@@ -531,6 +545,11 @@ func (e *Engine) mergeRuns(srcs []*runSource, factor int, tsp *trace.Span, ac *a
 			return srcs, temps, err
 		}
 		w := e.dfs.CreateSpillOn(ac.node)
+		size := 0
+		for _, s := range srcs[:factor] {
+			size += s.r.Remaining()
+		}
+		w.Grow(size) // the merged run re-frames exactly its inputs' pairs
 		off, nrec := 0, 0
 		for {
 			p, ok, err := mi.next()

@@ -231,7 +231,13 @@ func RunMapOnlyTask(job *Job, task int, input string, side [][]byte, src RecordS
 		}
 		fn = func(rec []byte) error { return tm.MapRecord(input, rec, col) }
 	} else {
-		runs = newRunEmitter(job, col)
+		reducer := job.StreamReducer
+		if f, ok := reducer.(TaskReducerFactory); ok {
+			tr := f.NewTaskReducer(task)
+			defer tr.Done()
+			reducer = tr
+		}
+		runs = newRunEmitter(job, reducer, col)
 		fn = func(rec []byte) error { return job.Mapper.Map(input, rec, runs) }
 	}
 	st, err := scanLoop(task, input, src, h, fn)
@@ -257,6 +263,7 @@ func RunMapOnlyTask(job *Job, task int, input string, side [][]byte, src RecordS
 // grows.
 type runEmitter struct {
 	job     *Job
+	reducer StreamReducer
 	col     Collector
 	started bool   // a run has begun; key is its key
 	key     []byte // the current run's key
@@ -267,8 +274,8 @@ type runEmitter struct {
 	run     runValues
 }
 
-func newRunEmitter(job *Job, col Collector) *runEmitter {
-	return &runEmitter{job: job, col: col, sorted: true}
+func newRunEmitter(job *Job, reducer StreamReducer, col Collector) *runEmitter {
+	return &runEmitter{job: job, reducer: reducer, col: col, sorted: true}
 }
 
 // Inc implements Counter: the reducer's collector holds the attempt's
@@ -310,7 +317,7 @@ func (r *runEmitter) reduce() error {
 		slices.SortFunc(vals, bytes.Compare)
 	}
 	r.run = runValues{vals: vals}
-	err := r.job.StreamReducer.Reduce(r.key, &r.run, r.col)
+	err := r.reducer.Reduce(r.key, &r.run, r.col)
 	r.vals, r.ends, r.sorted = r.vals[:0], r.ends[:0], true
 	return err
 }
@@ -344,6 +351,11 @@ type ReduceStats struct {
 func runReduceTask(job *Job, partition int, sources []kvSource, col Collector, h TaskHooks) (st ReduceStats, err error) {
 	wrap := func(err error) error { return fmt.Errorf("reduce partition %d: %w", partition, err) }
 	reducer := job.StreamReducer
+	if f, ok := reducer.(TaskReducerFactory); ok {
+		tr := f.NewTaskReducer(partition)
+		defer tr.Done()
+		reducer = tr
+	}
 	mi, err := newMergeIter(sources)
 	if err != nil {
 		return st, wrap(err)

@@ -187,6 +187,38 @@ type SinkAttempt interface {
 	Commit(task int)
 }
 
+// DirectCollector is implemented by the Collector an in-process task attempt
+// is handed. Direct returns the attempt's share of the job's Sink when the
+// main output goes to that Sink alone (Job.Sunk), and nil otherwise: an
+// output that is persisted, written to the DFS or shipped to another process
+// takes bytes. An operator whose records that SinkAttempt also takes in an
+// unencoded form the two share may hand them over that way, skipping the
+// encode and the sink's decode; it then reports each record so handed with
+// Handed, giving the length its encoding would have had, so the attempt
+// counts it exactly as Collect would.
+type DirectCollector interface {
+	Direct() SinkAttempt
+	Handed(size int)
+}
+
+// TaskReducerFactory is implemented by a StreamReducer whose reduce keeps
+// working memory from one group to the next: the engine calls NewTaskReducer
+// once per task attempt that reduces (a reduce task, or a whole-file task
+// reducing in place) and feeds that attempt's groups to the reducer it
+// returns, which no other attempt sees. It mirrors TaskMapperFactory. The
+// StreamReducer's own Reduce must still serve a lone call.
+type TaskReducerFactory interface {
+	NewTaskReducer(task int) TaskReducer
+}
+
+// TaskReducer is one task attempt's reducer (TaskReducerFactory). The engine
+// calls Done once the attempt has reduced its last group, or has failed, and
+// never calls the reducer again, so Done may give its working memory back.
+type TaskReducer interface {
+	StreamReducer
+	Done()
+}
+
 // TaskMapperFactory builds the map-only operator for one task attempt, so
 // operators with attempt-private state never see a rival attempt's. The
 // side argument carries the records of the task's side input

@@ -3,6 +3,7 @@ package ntgamr
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -105,10 +106,42 @@ SELECT * WHERE {
 // the race detector, whose instrumentation allocates.
 var raceEnabled bool
 
+// directSink is the collector of a task attempt whose main output goes to a
+// result sink alone: it offers itself as that sink's attempt
+// (mapreduce.DirectCollector) and expands each joined record it is handed
+// into one slab, as the engine's result sink does. Encoded records are only
+// counted.
+type directSink struct {
+	pairSink
+	q                   *query.Query
+	ids                 []rdf.ID
+	rows                int64
+	handed, handedBytes int
+	collected           int
+}
+
+func (d *directSink) Direct() mapreduce.SinkAttempt { return d }
+func (d *directSink) Handed(size int)               { d.handed++; d.handedBytes += size }
+func (d *directSink) Collect([]byte) error          { d.collected++; return nil }
+func (d *directSink) Commit(int)                    {}
+
+func (d *directSink) CollectJoined(comps []core.AnnTG) (int, error) {
+	ids, rows, err := core.AppendRows(d.ids, d.q, comps)
+	d.ids, d.rows = ids, d.rows+rows
+	return core.JoinedSize(comps), err
+}
+
+// LargeJoinGroup returns BenchmarkJoinReduce's group, B5's largest join1
+// reduce group over BSBM scale 2 (320 values). The catalog and the data set
+// live in internal/bench, which imports this package, so join_equiv_test.go
+// sets it.
+var LargeJoinGroup func(testing.TB) *JoinGroup
+
 // TestJoinCycleAllocationCeilings gates the per-record cost of a join cycle:
 // one map record (decode, partial β-unnest into 4 buckets, one emitted pair
 // per bucket) and one reduce group (8 values, 5 joined records), each with
-// the count at commit 39acfa2 (and, for the reduce, at 3f5422f) and now.
+// the count at commit 39acfa2 (and, for the reduce, at 3f5422f) and now; the
+// same group handed to a result sink; and a large group.
 func TestJoinCycleAllocationCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -121,9 +154,10 @@ func TestJoinCycleAllocationCeilings(t *testing.T) {
 		}
 	}
 	values := &sliceValues{vals: group}
+	task := r.NewTaskReducer(0)
 	reduceOne := func() {
 		values.i = 0
-		if err := r.Reduce(key, values, sink); err != nil {
+		if err := task.Reduce(key, values, sink); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -134,10 +168,64 @@ func TestJoinCycleAllocationCeilings(t *testing.T) {
 		t.Errorf("tgJoinMapper.Map: %.0f allocations per record, ceiling 0", got)
 	}
 	// 132 → 6 → 0: the left index was a map and one slice per join value
-	// (6); it is now a pooled joinIndex, reset per group, so a group costs
-	// no heap allocation.
+	// (6); it is now the task reducer's joinIndex, reset per group, so a
+	// group costs no heap allocation.
 	if got := testing.AllocsPerRun(100, reduceOne); got > 0 {
 		t.Errorf("tgJoinReducer.Reduce: %.0f allocations per group, ceiling 0", got)
+	}
+
+	// The hand-off: collected into a result sink's attempt, the group's
+	// joined records cross as components — the same records, sizes and rows
+	// as their encodings, none of them encoded — and once the sink's slab has
+	// grown the group allocates nothing.
+	encoded := &pairSink{keep: true}
+	values.i = 0
+	if err := task.Reduce(key, values, encoded); err != nil {
+		t.Fatal(err)
+	}
+	want := &directSink{q: r.q}
+	for _, rec := range encoded.vals {
+		comps, err := new(core.Scratch).DecodeJoined(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := want.CollectJoined(comps); err != nil {
+			t.Fatal(err)
+		}
+		want.handed++
+		want.handedBytes += len(rec)
+	}
+	direct := &directSink{q: r.q}
+	handOne := func() {
+		values.i = 0
+		direct.ids, direct.rows, direct.handed, direct.handedBytes = direct.ids[:0], 0, 0, 0
+		if err := task.Reduce(key, values, direct); err != nil {
+			t.Fatal(err)
+		}
+	}
+	handOne()
+	if direct.collected != 0 || direct.handed != want.handed || direct.handedBytes != want.handedBytes ||
+		direct.rows != want.rows || !slices.Equal(direct.ids, want.ids) || want.rows == 0 {
+		t.Fatalf("hand-off: %d encoded, %d handed (%d bytes, %d rows); the encodings: %d (%d bytes, %d rows)",
+			direct.collected, direct.handed, direct.handedBytes, direct.rows, want.handed, want.handedBytes, want.rows)
+	}
+	if got := testing.AllocsPerRun(100, handOne); got > 0 {
+		t.Errorf("tgJoinReducer.Reduce into a result sink: %.0f allocations per group, ceiling 0", got)
+	}
+
+	// 306 → 37 → 2: B5's largest join1 group re-grew both Scratches from
+	// empty when they came from the pool (a Scratch past 64 KiB was dropped
+	// on release, and the GC empties the pool); the task reducer keeps
+	// them. The 2 left are the harness's value iterator and sink.
+	large := LargeJoinGroup(t)
+	reduceLarge := func() {
+		if _, err := large.ReduceAgain(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reduceLarge()
+	if got := testing.AllocsPerRun(20, reduceLarge); got > 5 {
+		t.Errorf("tgJoinReducer.Reduce, %d-value group: %.0f allocations per group, ceiling 5", large.Values(), got)
 	}
 }
 
@@ -272,10 +360,12 @@ func TestMapOnlyJoinAllocationCeiling(t *testing.T) {
 	if joined.counts[CounterMapUnnest] == 0 {
 		t.Fatal("fixture: the task pinned no left")
 	}
-	// 43 → 35: the index was a map and one slice per join value; it is now
-	// one map and one slab of entries. What is left is the task itself and
-	// the slabs of its two Scratches, which live as long as the task.
-	if got := testing.AllocsPerRun(100, runTask); got > 35 {
-		t.Errorf("map-only join task: %.0f allocations, ceiling 35", got)
+	// 43 → 35 → 34: the index was a map and one slice per join value; it is
+	// now one map and one slab of entries, and each joined record is built
+	// in one reused buffer rather than a growing slab. What is left is the
+	// task itself and the slabs of its two Scratches, which live as long as
+	// the task.
+	if got := testing.AllocsPerRun(100, runTask); got > 34 {
+		t.Errorf("map-only join task: %.0f allocations, ceiling 34", got)
 	}
 }

@@ -73,15 +73,16 @@ func (r *batchGroupReducer) Reduce(key []byte, values mapreduce.ValueIter, out m
 	}
 	out.Inc(CounterGroups, 1)
 	for qid, q := range r.qs {
-		err := filterGroup(s, q, tg, r.eager, out, func(_ []core.AnnTG, rec []byte) error {
+		err := filterGroup(s, q, tg, r.eager, out, func(comps []core.AnnTG) error {
+			s.Buf = core.AppendJoined(s.Buf[:0], comps)
 			if qid == 0 {
-				return out.Collect(rec)
+				return out.Collect(s.Buf)
 			}
 			nc, ok := out.(mapreduce.NamedCollector)
 			if !ok {
 				return fmt.Errorf("ntgamr: collector lacks MultipleOutputs support")
 			}
-			return nc.CollectTo(r.outputs[qid], rec)
+			return nc.CollectTo(r.outputs[qid], s.Buf)
 		})
 		if err != nil {
 			return err

@@ -298,9 +298,10 @@ func (n *NTGA) Decoder(q *query.Query) engine.DecodeFunc {
 	return joinedDecoder(q)
 }
 
-// joinedDecoder decodes final records that are joined triplegroups: their
-// rows expanded straight into the slab or, for a COUNT(*) query, counted
-// without expansion.
+// joinedDecoder decodes final records that are joined triplegroups, then
+// expands them as the result sink expands the components a final operator
+// hands it in process (core.AppendRows): their rows straight into the slab
+// or, for a COUNT(*) query, counted without expansion.
 func joinedDecoder(q *query.Query) engine.DecodeFunc {
 	var s core.Scratch // a DecodeFunc is one goroutine's
 	return func(dst []rdf.ID, record []byte) ([]rdf.ID, int64, error) {
@@ -309,12 +310,37 @@ func joinedDecoder(q *query.Query) engine.DecodeFunc {
 		if err != nil {
 			return dst, 0, err
 		}
-		if q.IsCount() {
-			return dst, core.CountJoined(q, comps), nil
-		}
-		dst, rows, err := core.AppendExpanded(dst, q, comps)
-		return dst, int64(rows), err
+		return core.AppendRows(dst, q, comps)
 	}
+}
+
+// joinedCollector takes joined results as their components instead of
+// their encoding: the engine's result sink attempt does. CollectJoined
+// returns the length the record's encoding would have had
+// (core.JoinedSize), and must not keep comps, which the caller reuses.
+type joinedCollector interface {
+	CollectJoined(comps []core.AnnTG) (size int, err error)
+}
+
+// collectJoined hands one joined record to out. When out offers the query's
+// result sink (mapreduce.DirectCollector: this job's main output goes to it
+// alone, in this process) and that sink takes components, the record goes
+// over as comps, with no encode or decode; otherwise it is encoded into *buf
+// and collected as bytes — for a DFS file, a persisted final output or a
+// worker's report.
+func collectJoined(out mapreduce.Collector, comps []core.AnnTG, buf *[]byte) error {
+	if dc, ok := out.(mapreduce.DirectCollector); ok {
+		if jc, ok := dc.Direct().(joinedCollector); ok {
+			size, err := jc.CollectJoined(comps)
+			if err != nil {
+				return err
+			}
+			dc.Handed(size)
+			return nil
+		}
+	}
+	*buf = core.AppendJoined((*buf)[:0], comps)
+	return out.Collect(*buf)
 }
 
 // Plan is harness-facing (benchmark/adapter.go); use engine.Plan.

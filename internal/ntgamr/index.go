@@ -12,8 +12,9 @@ import (
 
 // joinIndex is the left side of a triplegroup join, built before the first
 // right record and probed by each right as it streams past. Both
-// triplegroup joins use it: the shuffled join's reducer fills one per reduce
-// group (taken from a pool), the map-only join task one per bucket.
+// triplegroup joins use it: the shuffled join's reduce task attempt takes
+// one from a pool and fills it per reduce group, reset between groups; the
+// map-only join task builds one per bucket.
 //
 // Every left record is filed under each join value it can take. A left
 // already resolved at its join position (a subject, a pinned slot, a pinned
@@ -125,7 +126,7 @@ func nestedSlot(a core.AnnTG, pos query.Pos) bool {
 }
 
 // maxPooledIndexBytes bounds what a pooled joinIndex may hold on to, as
-// core.Scratch's pool does, so one oversized group cannot ratchet the live
+// core.Scratch's pool does, so one oversized task cannot ratchet the live
 // heap up for the rest of the process.
 const maxPooledIndexBytes = chunk.Max
 

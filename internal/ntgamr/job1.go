@@ -91,8 +91,10 @@ func (r *groupFilterReducer) Reduce(key []byte, values mapreduce.ValueIter, out 
 	}
 	out.Inc(CounterGroups, 1)
 	if r.grpFiles == nil {
-		return filterGroup(s, r.q, tg, r.eager, out, func(_ []core.AnnTG, rec []byte) error {
-			return out.Collect(rec)
+		// A one-star query's grouping cycle is its final job: its AnnTGs
+		// may go to the result sink as they are.
+		return filterGroup(s, r.q, tg, r.eager, out, func(comps []core.AnnTG) error {
+			return collectJoined(out, comps, &s.Buf)
 		})
 	}
 	nc, ok := out.(mapreduce.NamedCollector)
@@ -100,15 +102,18 @@ func (r *groupFilterReducer) Reduce(key []byte, values mapreduce.ValueIter, out 
 		return fmt.Errorf("ntgamr: collector lacks MultipleOutputs support")
 	}
 	grp := r.grpFiles[layoutBucket(tg.Subject, len(r.grpFiles))]
-	return filterGroup(s, r.q, tg, r.eager, out, func(comps []core.AnnTG, rec []byte) error {
-		if r.grpECs[comps[0].EC] {
-			if err := nc.CollectTo(grp, rec); err != nil {
-				return err
+	return filterGroup(s, r.q, tg, r.eager, out, func(comps []core.AnnTG) error {
+		if ec := comps[0].EC; r.grpECs[ec] || r.mainECs[ec] {
+			s.Buf = core.AppendJoined(s.Buf[:0], comps)
+			if r.grpECs[ec] {
+				if err := nc.CollectTo(grp, s.Buf); err != nil {
+					return err
+				}
 			}
-		}
-		if r.mainECs[comps[0].EC] {
-			if err := out.Collect(rec); err != nil {
-				return err
+			if r.mainECs[ec] {
+				if err := out.Collect(s.Buf); err != nil {
+					return err
+				}
 			}
 		}
 		if comps[0].EC == r.jl.pos.Star {
@@ -150,15 +155,15 @@ func readGroup(s *core.Scratch, key []byte, values mapreduce.ValueIter) (core.Tr
 
 // filterGroup applies one query's TG_UnbGrpFilter to a subject triplegroup
 // and — under the Eager strategy — β-unnests immediately, handing emit each
-// resulting AnnTG as a singleton component list with its record. Both are
-// s's and last until emit returns. The AnnTGs are counted on cnt.
+// resulting AnnTG as a singleton component list, s's until emit returns;
+// emit encodes it (into s.Buf) only where it needs bytes. The AnnTGs are
+// counted on cnt.
 func filterGroup(s *core.Scratch, q *query.Query, tg core.TripleGroup, eager bool,
-	cnt mapreduce.Counter, emit func(comps []core.AnnTG, rec []byte) error) error {
+	cnt mapreduce.Counter, emit func(comps []core.AnnTG) error) error {
 	emitEach := func(anns []core.AnnTG, counter string) error {
 		for i := range anns {
 			cnt.Inc(counter, 1)
-			s.Buf = core.AppendJoined(s.Buf[:0], anns[i:i+1])
-			if err := emit(anns[i:i+1], s.Buf); err != nil {
+			if err := emit(anns[i : i+1]); err != nil {
 				return err
 			}
 		}

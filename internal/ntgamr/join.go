@@ -174,20 +174,62 @@ type tgJoinReducer struct {
 	phiM int
 }
 
-// Reduce streams the group. The side tag leads every value and the engine
-// delivers values in sorted order, so every left (tag 0) arrives before the
-// first right (tag 1): only the left side is buffered — decoded into the
-// group's own Scratch and filed in a pooled joinIndex — and each right
-// record probes the index and is emitted as it streams past, through a
-// second Scratch reset per record.
-func (r *tgJoinReducer) Reduce(key []byte, values mapreduce.ValueIter, out mapreduce.Collector) error {
-	x := getJoinIndex()
-	defer x.release()
-	return r.reduce(key, values, x, out)
+// NewTaskReducer implements mapreduce.TaskReducerFactory: a task attempt's
+// reducer keeps its joinIndex and both Scratches from one group to the next,
+// so once they have grown to the task's largest group a group costs no
+// allocation. It takes them from their pools on its first group and gives
+// them back when the attempt is done, so the tasks of a process share them.
+func (r *tgJoinReducer) NewTaskReducer(int) mapreduce.TaskReducer {
+	return &joinReduceTask{r: r}
 }
 
-// reduce is Reduce over the given empty index, which it leaves filled.
-func (r *tgJoinReducer) reduce(key []byte, values mapreduce.ValueIter, x *joinIndex, out mapreduce.Collector) error {
+// Reduce joins one group on its own; the engine reduces through
+// NewTaskReducer's per-attempt reducer instead.
+func (r *tgJoinReducer) Reduce(key []byte, values mapreduce.ValueIter, out mapreduce.Collector) error {
+	t := r.NewTaskReducer(0)
+	defer t.Done()
+	return t.Reduce(key, values, out)
+}
+
+// joinReduceTask is one task attempt's tgJoinReducer: the left side's index
+// and Scratch (ls), and the Scratch each right is decoded and joined in (rs);
+// nil until the first group.
+type joinReduceTask struct {
+	r      *tgJoinReducer
+	x      *joinIndex
+	ls, rs *core.Scratch
+}
+
+// Reduce streams the group. The side tag leads every value and the engine
+// delivers values in sorted order, so every left (tag 0) arrives before the
+// first right (tag 1): only the left side is buffered — decoded into ls and
+// filed in the index — and each right record probes the index and is
+// emitted as it streams past, through rs, reset per record.
+func (t *joinReduceTask) Reduce(key []byte, values mapreduce.ValueIter, out mapreduce.Collector) error {
+	if t.x == nil {
+		t.x, t.ls, t.rs = getJoinIndex(), core.GetScratch(), core.GetScratch()
+	} else {
+		t.x.reset()
+		t.ls.Reset()
+	}
+	return t.r.reduce(key, values, t.x, t.ls, t.rs, out)
+}
+
+// Done implements mapreduce.TaskReducer: the index and the Scratches go
+// back to their pools.
+func (t *joinReduceTask) Done() {
+	if t.x != nil {
+		t.x.release()
+		t.ls.Release()
+		t.rs.Release()
+		t.x, t.ls, t.rs = nil, nil, nil
+	}
+}
+
+// reduce is one group's join over the given empty index and left Scratch,
+// which it leaves filled.
+func (r *tgJoinReducer) reduce(key []byte, values mapreduce.ValueIter, x *joinIndex, ls, rs *core.Scratch,
+	out mapreduce.Collector) error {
 	bucket, m := 0, 0
 	if r.mode == bucketedMode {
 		b, err := codec.NewReader(key).Uvarint()
@@ -196,9 +238,6 @@ func (r *tgJoinReducer) reduce(key []byte, values mapreduce.ValueIter, x *joinIn
 		}
 		bucket, m = int(b), r.phiM
 	}
-	ls, rs := core.GetScratch(), core.GetScratch()
-	defer ls.Release()
-	defer rs.Release()
 	for {
 		v, ok, err := values.Next()
 		if err != nil {
@@ -285,14 +324,14 @@ func (r *tgJoinReducer) probe(x *joinIndex, ls, rs *core.Scratch, comps []core.A
 	return nil
 }
 
-// collect emits the chain of lefts from entry i on, each joined with right.
+// collect emits the chain of lefts from entry i on, each joined with right
+// in rs's one reused join buffer.
 func (r *tgJoinReducer) collect(x *joinIndex, i int32, ls, rs *core.Scratch, right []core.AnnTG,
 	out mapreduce.Collector) error {
 	lst, si := r.q.Stars[r.join.Left.Star], r.join.Left.Idx
 	for ; i >= 0; i = x.entries[i].next {
 		l := x.resolve(i, ls, lst, si)
-		rs.Buf = core.AppendJoined(rs.Buf[:0], rs.Concat(l.comps, right))
-		if err := out.Collect(rs.Buf); err != nil {
+		if err := collectJoined(out, rs.Join(l.comps, right), &rs.Buf); err != nil {
 			return err
 		}
 	}

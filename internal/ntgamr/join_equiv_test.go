@@ -131,46 +131,56 @@ SELECT * WHERE {
 	}
 }
 
-// BenchmarkJoinReduce reduces one B5-shaped bucket group — the largest
-// reduce group of B5's second join (LazyAuto, TG_OptUnbJoin) over BSBM scale
-// 2 with φm 32, whose lefts are joined records still nested at the slot —
-// per op: the join operator's own row, ns/op and allocs/op.
-func BenchmarkJoinReduce(b *testing.B) {
+func init() { ntgamr.LargeJoinGroup = b5JoinGroup }
+
+// b5JoinGroup runs B5 (LazyAuto, TG_OptUnbJoin) over BSBM scale 2 with φm
+// 32 and returns the largest reduce group of its second join, whose lefts
+// are joined records still nested at the slot, ready to be reduced again.
+func b5JoinGroup(tb testing.TB) *ntgamr.JoinGroup {
+	tb.Helper()
 	g, err := bench.Dataset("bsbm", 2, 42)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	cq, err := bench.Lookup("B5")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	mr := enginetest.NewMR()
 	const input = "data/triples"
 	if err := engine.LoadGraph(mr.DFS(), input, g); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	eng := ntgamr.New(ntgamr.LazyAuto, bench.PhiMForScale(2))
 	q, err := query.Parse(cq.Src, g.Dict)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var cl engine.Cleaner
 	p, err := engine.Plan(eng, q, plan.Source{Base: input}, &cl)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	group, err := ntgamr.RecordLargestJoinGroup(p, eng.Name()+"-join1")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	stages, err := p.Lower()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if _, err := engine.Execute(mr, p.Engine, stages, p.Final, &cl, q,
 		func() engine.DecodeFunc { return eng.Decoder(q) }, false); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return group
+}
+
+// BenchmarkJoinReduce reduces B5's largest join1 group (b5JoinGroup) per op,
+// through one task reducer as a reduce task attempt does: the join
+// operator's own row, ns/op and allocs/op.
+func BenchmarkJoinReduce(b *testing.B) {
+	group := b5JoinGroup(b)
 	records, err := group.ReduceAgain()
 	if err != nil {
 		b.Fatal(err)

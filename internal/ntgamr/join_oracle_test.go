@@ -204,10 +204,12 @@ func TestJoinReducerLeftsWithoutRight(t *testing.T) {
 		t.Fatalf("fixture: %d of %d values are lefts", len(lefts), len(group))
 	}
 	got, want := &pairSink{keep: true}, &pairSink{keep: true}
-	x := newJoinIndex(0)
-	if err := r.reduce(key, &sliceValues{vals: lefts}, x, got); err != nil {
+	task := r.NewTaskReducer(0).(*joinReduceTask)
+	defer task.Done()
+	if err := task.Reduce(key, &sliceValues{vals: lefts}, got); err != nil {
 		t.Fatal(err)
 	}
+	x := task.x
 	if err := (pinAllReducer{r}).Reduce(key, &sliceValues{vals: lefts}, want); err != nil {
 		t.Fatal(err)
 	}
@@ -229,9 +231,11 @@ func TestJoinReducerLeftsWithoutRight(t *testing.T) {
 }
 
 // JoinGroup is the largest reduce group one shuffled join saw in a run
-// (RecordLargestJoinGroup), kept to be reduced again on its own.
+// (RecordLargestJoinGroup), kept to be reduced again by one task reducer,
+// as a reduce task attempt reduces its groups one after another.
 type JoinGroup struct {
 	r    *tgJoinReducer
+	task mapreduce.TaskReducer
 	mu   sync.Mutex
 	key  []byte
 	vals [][]byte
@@ -242,7 +246,7 @@ type JoinGroup struct {
 func RecordLargestJoinGroup(p *plan.Physical, name string) (*JoinGroup, error) {
 	for _, node := range p.Nodes() {
 		if r, ok := node.Job.StreamReducer.(*tgJoinReducer); ok && node.Name == name {
-			g := &JoinGroup{r: r}
+			g := &JoinGroup{r: r, task: r.NewTaskReducer(0)}
 			node.Job.StreamReducer = g
 			return g, nil
 		}
@@ -273,11 +277,12 @@ func (g *JoinGroup) Reduce(key []byte, values mapreduce.ValueIter, out mapreduce
 // Values returns how many values the recorded group holds.
 func (g *JoinGroup) Values() int { return len(g.vals) }
 
-// ReduceAgain reduces the recorded group once more into a sink that keeps
-// nothing, and returns how many records it collected.
+// ReduceAgain reduces the recorded group once more, through the group's one
+// task reducer, into a sink that keeps nothing, and returns how many records
+// it collected.
 func (g *JoinGroup) ReduceAgain() (int64, error) {
 	var sink countingSink
-	err := g.r.Reduce(g.key, &sliceValues{vals: g.vals}, &sink)
+	err := g.task.Reduce(g.key, &sliceValues{vals: g.vals}, &sink)
 	return sink.records, err
 }
 

@@ -125,23 +125,27 @@ func (j *joinTask) MapRecord(_ string, record []byte, out mapreduce.Collector) e
 	pos := j.join.Left
 	for i := j.lefts.first(comps[0].Subject); i >= 0; i = j.lefts.entries[i].next {
 		l := &j.lefts.entries[i]
-		joined := j.sc.Concat(l.comps, comps)
+		joined := j.sc.Join(l.comps, comps)
 		if l.pair >= 0 {
 			out.Inc(CounterMapUnnest, 1)
 			joined[l.ci] = j.sc.PinSlot(j.q.Stars[pos.Star], joined[l.ci], pos.Idx, l.pair)
 		}
-		j.sc.Buf = core.AppendJoined(j.sc.Buf[:0], joined)
-		if err := out.Collect(j.sc.Buf); err != nil {
-			return err
-		}
-		if j.next != nil {
-			nc, ok := out.(mapreduce.NamedCollector)
-			if !ok {
-				return fmt.Errorf("ntgamr: collector lacks MultipleOutputs support")
-			}
-			if err := j.next.emit(&j.sc, j.q, joined, nc); err != nil {
+		if j.next == nil {
+			// The last join of the prefix: its main output is what the next
+			// (shuffled) join, or the caller, reads.
+			if err := collectJoined(out, joined, &j.sc.Buf); err != nil {
 				return err
 			}
+			continue
+		}
+		// A map-only successor reads its lefts from the routed bucket files
+		// alone, so the main output would be written and never read.
+		nc, ok := out.(mapreduce.NamedCollector)
+		if !ok {
+			return fmt.Errorf("ntgamr: collector lacks MultipleOutputs support")
+		}
+		if err := j.next.emit(&j.sc, j.q, joined, nc); err != nil {
+			return err
 		}
 	}
 	return nil
