@@ -16,7 +16,10 @@ all: build check test
 # over under -race (-short leaves out the two engine/catalog sweeps there; the
 # single race pass over internal/engine runs them), and so do the
 # attempt-counter commit tests, whose concurrent winners fold their counters
-# into one job total. The master's scheduling core (internal/cluster/sched.go)
+# into one job total. The shuffle's tests run three times over under -race:
+# a map attempt's sort scratch and a reduce attempt's merge state come from
+# pools shared by concurrent attempts, and a worker's sealed segment is read
+# by its own reduce and by its Fetch server at once. The master's scheduling core (internal/cluster/sched.go)
 # runs its event-driven tests — the late-report and report cases, the
 # exhaustive small-scope walk and the replay — three times over under -race:
 # the core must give one action sequence for one event sequence, so any
@@ -47,6 +50,7 @@ check:
 	go test -race ./internal/mapreduce/ ./internal/hdfs/ ./internal/server/ ./internal/workload/ ./internal/core/ ./internal/core/hash64/ ./internal/ntgamr/ ./internal/query/ ./internal/rdf/ ./internal/engine/
 	go test -race -count=10 -short -run 'Sink|Decode' ./internal/engine/
 	go test -race -count=10 -short -run 'AttemptCounters' ./internal/mapreduce/
+	go test -race -count=3 -run 'Shuffle|Spill|Segment|AllocationCeiling' ./internal/mapreduce/ ./internal/cluster/
 	go test -race -short ./internal/cluster/
 	go test -race -count=3 -run 'Sched|ReportRejects|FetchFailuresCharge|RevivalCarries' ./internal/cluster/
 	go test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 10s ./internal/cluster/

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 
 	"ntga/internal/codec"
@@ -30,8 +31,12 @@ import (
 type Records [][]byte
 
 // KVs is one map task's sorted segment for one reduce partition
-// (FetchReply).
-type KVs []mapreduce.KV
+// (FetchReply). Its frame is the segment itself behind its pair count, so it
+// is encoded with one copy and decoded with one check and one copy, never
+// pair by pair. It keeps the name, and FetchReply the field name, of the
+// pair list it replaced, so a FetchReply's gob encoding is byte-identical to
+// that list's.
+type KVs mapreduce.Segment
 
 // Rows is a query's binding rows (RunReply).
 type Rows []query.Row
@@ -78,45 +83,29 @@ func (rs *Records) GobDecode(blob []byte) (err error) {
 	return nil
 }
 
-// GobEncode frames the pairs, each as its key then its value.
+// GobEncode frames the segment: its pair count, then its framed pairs.
 func (kvs KVs) GobEncode() ([]byte, error) {
-	n := codec.UvarintLen(uint64(len(kvs)))
-	for _, kv := range kvs {
-		n += bytesLen(len(kv.Key)) + bytesLen(len(kv.Value))
-	}
-	b := codec.NewBuffer(n)
-	b.PutUvarint(uint64(len(kvs)))
-	for _, kv := range kvs {
-		b.PutBytes(kv.Key)
-		b.PutBytes(kv.Value)
-	}
-	return b.Bytes(), nil
+	b := make([]byte, 0, codec.UvarintLen(uint64(kvs.Pairs))+len(kvs.Data))
+	b = binary.AppendUvarint(b, uint64(kvs.Pairs))
+	return append(b, kvs.Data...), nil
 }
 
-// GobDecode decodes a frame into pairs that share one copy of it.
+// GobDecode checks that a frame holds exactly its declared pairs, with the
+// reader the reduce-side merge uses (Segment.Check), and keeps one copy of
+// them as the segment.
 func (kvs *KVs) GobDecode(blob []byte) (err error) {
 	defer wrapFrameErr("KVs", &err)
-	n, body, err := openFrame(blob, 2, true)
+	n, body, err := openFrame(blob, 2, false)
 	if err != nil {
 		return err
 	}
-	r := codec.NewReader(body)
-	var out KVs
-	if n > 0 {
-		out = make(KVs, n)
-	}
-	for i := range out {
-		if out[i].Key, err = item(r); err != nil {
-			return err
-		}
-		if out[i].Value, err = item(r); err != nil {
-			return err
-		}
-	}
-	if err := closeFrame(r); err != nil {
+	if err := (mapreduce.Segment{Pairs: n, Data: body}).Check(); err != nil {
 		return err
 	}
-	*kvs = out
+	*kvs = KVs{}
+	if n > 0 {
+		*kvs = KVs{Pairs: n, Data: bytes.Clone(body)}
+	}
 	return nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"ntga/internal/codec"
 	"ntga/internal/mapreduce"
 	"ntga/internal/query"
 	"ntga/internal/rdf"
@@ -100,12 +101,13 @@ func TestWireRoundTripMatchesPlainGob(t *testing.T) {
 	} {
 		var got FetchReply
 		var want plainFetch
-		gobRoundTrip(t, &FetchReply{KVs: kvs}, &got)
+		gobRoundTrip(t, &FetchReply{KVs: segmentOf(kvs)}, &got)
 		gobRoundTrip(t, &plainFetch{KVs: kvs}, &want)
-		if !reflect.DeepEqual([]mapreduce.KV(got.KVs), want.KVs) {
-			t.Errorf("FetchReply %s: %q, plain gob gives %q", name, got.KVs, want.KVs)
+		pairs := pairsOf(t, got.KVs)
+		if !reflect.DeepEqual(pairs, want.KVs) {
+			t.Errorf("FetchReply %s: %q, plain gob gives %q", name, pairs, want.KVs)
 		}
-		for _, kv := range got.KVs {
+		for _, kv := range pairs {
 			checkCapped(t, "FetchReply "+name, [][]byte{kv.Key, kv.Value})
 		}
 	}
@@ -148,11 +150,12 @@ func TestWireItemsDoNotShareGrowth(t *testing.T) {
 		t.Errorf("appending to record 0 overwrote record 1: %q", rr.Records[1])
 	}
 	var fr FetchReply
-	gobRoundTrip(t, &FetchReply{KVs: KVs{{Key: []byte("k"), Value: []byte("v")}, {Key: []byte("l"), Value: []byte("w")}}}, &fr)
-	_ = append(fr.KVs[0].Key, 'X')
-	_ = append(fr.KVs[0].Value, 'Y')
-	if string(fr.KVs[0].Value) != "v" || string(fr.KVs[1].Key) != "l" {
-		t.Errorf("appending to pair 0 overwrote its neighbours: %q", fr.KVs)
+	gobRoundTrip(t, &FetchReply{KVs: segmentOf([]mapreduce.KV{{Key: []byte("k"), Value: []byte("v")}, {Key: []byte("l"), Value: []byte("w")}})}, &fr)
+	pairs := pairsOf(t, fr.KVs)
+	_ = append(pairs[0].Key, 'X')
+	_ = append(pairs[0].Value, 'Y')
+	if pairs = pairsOf(t, fr.KVs); string(pairs[0].Value) != "v" || string(pairs[1].Key) != "l" {
+		t.Errorf("appending to pair 0 overwrote its neighbours: %q", pairs)
 	}
 	var run RunReply
 	gobRoundTrip(t, &RunReply{Rows: Rows{{1, 2}, {3, 4}}}, &run)
@@ -183,11 +186,11 @@ func TestWireDecodeAllocsFlat(t *testing.T) {
 			return r
 		}, func() any { return new(ReadRangeReply) }},
 		{"FetchReply", func(n int) any {
-			r := &FetchReply{KVs: make(KVs, n)}
-			for i := range r.KVs {
-				r.KVs[i] = mapreduce.KV{Key: record(i), Value: record(n - i)}
+			kvs := make([]mapreduce.KV, n)
+			for i := range kvs {
+				kvs[i] = mapreduce.KV{Key: record(i), Value: record(n - i)}
 			}
-			return r
+			return &FetchReply{KVs: segmentOf(kvs)}
 		}, func() any { return new(FetchReply) }},
 		{"RunReply", func(n int) any {
 			r := &RunReply{Rows: make(Rows, n), RowsText: make(Texts, n), TotalRows: n}
@@ -221,6 +224,77 @@ func TestWireDecodeAllocsFlat(t *testing.T) {
 			t.Errorf("%s: %.0f allocations to decode 1k items, %.0f for 10k; want the same small constant", tc.name, small, large)
 		}
 	}
+}
+
+// segmentOf frames pairs, in the order given, as a shuffle segment.
+func segmentOf(kvs []mapreduce.KV) KVs {
+	var l pairList = kvs
+	frame, _ := l.GobEncode()
+	var seg KVs
+	if err := seg.GobDecode(frame); err != nil {
+		panic(err)
+	}
+	return seg
+}
+
+// pairsOf reads a segment's pairs out, as views of its bytes.
+func pairsOf(t *testing.T, seg KVs) []mapreduce.KV {
+	t.Helper()
+	var kvs []mapreduce.KV
+	if err := mapreduce.Segment(seg).Each(func(kv mapreduce.KV) bool {
+		kvs = append(kvs, kv)
+		return true
+	}); err != nil {
+		t.Fatalf("reading segment: %v", err)
+	}
+	return kvs
+}
+
+// pairList is the shuffle segment's wire type as it was before segments, a
+// list of pairs framed and decoded pair by pair; the segment's frame must
+// stay byte-identical to it.
+type pairList []mapreduce.KV
+
+// GobEncode frames the pairs, each as its key then its value.
+func (kvs pairList) GobEncode() ([]byte, error) {
+	n := codec.UvarintLen(uint64(len(kvs)))
+	for _, kv := range kvs {
+		n += bytesLen(len(kv.Key)) + bytesLen(len(kv.Value))
+	}
+	b := codec.NewBuffer(n)
+	b.PutUvarint(uint64(len(kvs)))
+	for _, kv := range kvs {
+		b.PutBytes(kv.Key)
+		b.PutBytes(kv.Value)
+	}
+	return b.Bytes(), nil
+}
+
+// GobDecode decodes a frame into pairs that share one copy of it.
+func (kvs *pairList) GobDecode(blob []byte) (err error) {
+	defer wrapFrameErr("KVs", &err)
+	n, body, err := openFrame(blob, 2, true)
+	if err != nil {
+		return err
+	}
+	r := codec.NewReader(body)
+	var out pairList
+	if n > 0 {
+		out = make(pairList, n)
+	}
+	for i := range out {
+		if out[i].Key, err = item(r); err != nil {
+			return err
+		}
+		if out[i].Value, err = item(r); err != nil {
+			return err
+		}
+	}
+	if err := closeFrame(r); err != nil {
+		return err
+	}
+	*kvs = out
+	return nil
 }
 
 func toRecords(outputs [][][]byte) []Records {
@@ -258,8 +332,10 @@ func checkCapped(t *testing.T, label string, items [][]byte) {
 // decoder runs inside the net/rpc server, so any bytes must give an error or
 // a value, never a panic; a value holds no more items than the frame has
 // bytes (counts are checked before anything is allocated for them) and
-// survives an encode/decode round trip unchanged. The seed corpus under
-// testdata/fuzz holds real encodings and truncations of them.
+// survives an encode/decode round trip unchanged. A shuffle segment must
+// also decode to exactly the pairs the pair-list decoder it replaced gives,
+// and fail where it fails. The seed corpus under testdata/fuzz holds real
+// encodings and truncations of them.
 func FuzzWireDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, records, kvs, rows, texts []byte) {
 		var rs Records
@@ -268,9 +344,17 @@ func FuzzWireDecode(f *testing.F) {
 			checkReencodes(t, rs, new(Records))
 		}
 		var ks KVs
-		if err := ks.GobDecode(kvs); err == nil {
-			checkItems(t, "KVs", len(ks), kvs)
+		var ref pairList
+		err, refErr := ks.GobDecode(kvs), ref.GobDecode(kvs)
+		if (err == nil) != (refErr == nil) {
+			t.Errorf("KVs: decoding gives %v, the pair-list decoder %v", err, refErr)
+		}
+		if err == nil {
+			checkItems(t, "KVs", ks.Pairs, kvs)
 			checkReencodes(t, ks, new(KVs))
+			if pairs := pairsOf(t, ks); !reflect.DeepEqual(pairs, []mapreduce.KV(ref)) {
+				t.Errorf("KVs: decoded %q, the pair-list decoder %q", pairs, ref)
+			}
 		}
 		var ws Rows
 		if err := ws.GobDecode(rows); err == nil {

@@ -122,7 +122,7 @@ type Worker struct {
 	hbEvery    time.Duration
 	leaseEvery time.Duration
 	plans      map[string]queryPlan
-	outs       map[outKey][][]mapreduce.KV
+	outs       map[outKey][]mapreduce.Segment
 	peers      map[string]*peerConn
 	// retiredPeerRetries/-Redials carry evicted peers' counters forward so
 	// the heartbeat totals never go backwards.
@@ -163,7 +163,7 @@ func NewWorker(cfg WorkerConfig, tr Transport, masterAddr string) *Worker {
 		ctx:        ctx,
 		cancel:     cancel,
 		plans:      make(map[string]queryPlan),
-		outs:       make(map[outKey][][]mapreduce.KV),
+		outs:       make(map[outKey][]mapreduce.Segment),
 		peers:      make(map[string]*peerConn),
 		rng:        rand.New(rand.NewSource(seed)),
 	}
@@ -728,15 +728,15 @@ func (w *Worker) runTask(ts *TaskSpec, rep *ReportArgs) error {
 			return err
 		}
 	case "reduce":
-		parts := make([][]mapreduce.KV, len(ts.Maps))
+		parts := make([]mapreduce.Segment, len(ts.Maps))
 		var lost []int
 		for i, ml := range ts.Maps {
-			kvs, err := w.fetchMap(ts, ml)
+			seg, err := w.fetchMap(ts, ml)
 			if err != nil {
 				lost = append(lost, ml.Task)
 				continue
 			}
-			parts[i] = kvs
+			parts[i] = seg
 		}
 		if len(lost) > 0 {
 			return &fetchError{lost: lost}
@@ -774,7 +774,7 @@ func (w *Worker) readSplit(sp mapreduce.Split) ([][]byte, error) {
 // failures FetchRetries times (with backoff and re-dial) before giving up;
 // a holder that *answers* but has no output (it restarted, or pruned the
 // query) fails immediately — retrying cannot conjure the segment back.
-func (w *Worker) fetchMap(ts *TaskSpec, ml MapLoc) ([]mapreduce.KV, error) {
+func (w *Worker) fetchMap(ts *TaskSpec, ml MapLoc) (mapreduce.Segment, error) {
 	key := outKey{ts.QueryID, ts.JobID, ml.Task}
 	if ml.Worker == w.ID() {
 		w.mu.Lock()
@@ -783,7 +783,7 @@ func (w *Worker) fetchMap(ts *TaskSpec, ml MapLoc) ([]mapreduce.KV, error) {
 		if parts != nil {
 			return parts[ts.Partition], nil
 		}
-		return nil, fmt.Errorf("cluster: own map output for task %d missing", ml.Task)
+		return mapreduce.Segment{}, fmt.Errorf("cluster: own map output for task %d missing", ml.Task)
 	}
 	peer := w.peer(ml.Addr)
 	var reply FetchReply
@@ -794,9 +794,9 @@ func (w *Worker) fetchMap(ts *TaskSpec, ml MapLoc) ([]mapreduce.KV, error) {
 		Partition: ts.Partition,
 	}, &reply)
 	if err != nil {
-		return nil, err
+		return mapreduce.Segment{}, err
 	}
-	return reply.KVs, nil
+	return mapreduce.Segment(reply.KVs), nil
 }
 
 // peer returns the pooled retrying client for a holder address, dialing
@@ -895,6 +895,6 @@ func (r *workerRPC) Fetch(args *FetchArgs, reply *FetchReply) error {
 	if args.Partition < 0 || args.Partition >= len(parts) {
 		return fmt.Errorf("cluster: partition %d out of range (%d)", args.Partition, len(parts))
 	}
-	reply.KVs = parts[args.Partition]
+	reply.KVs = KVs(parts[args.Partition])
 	return nil
 }

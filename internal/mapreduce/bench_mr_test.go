@@ -155,7 +155,7 @@ func BenchmarkSpill_16KB(b *testing.B)      { benchmarkSpill(b, 16<<10) }
 func BenchmarkSpill_4KB(b *testing.B)       { benchmarkSpill(b, 4<<10) }
 
 // BenchmarkSortKVs isolates the shuffle sort over 200k distinct random
-// 8-byte keys.
+// 8-byte keys: buffering the pairs and sorting them.
 func BenchmarkSortKVs(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	base := make([]KV, 200000)
@@ -166,13 +166,11 @@ func BenchmarkSortKVs(b *testing.B) {
 		rng.Read(v)
 		base[i] = KV{k, v}
 	}
-	var s kvSorter
+	var s sortBuffer
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cp := make([]KV, len(base))
-		copy(cp, base)
-		s.sort(cp)
+		bufferAndSort(b, &s, base)
 	}
 }
 
@@ -184,16 +182,26 @@ func BenchmarkSortKVsShuffleShaped(b *testing.B) {
 	for _, n := range []int{600, 5000} {
 		b.Run(fmt.Sprint(n), func(b *testing.B) {
 			base := shuffleShapedKVs(n)
-			cp := make([]KV, n)
-			var s kvSorter
+			var s sortBuffer
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				copy(cp, base)
-				s.sort(cp)
+				bufferAndSort(b, &s, base)
 			}
 		})
 	}
+}
+
+// bufferAndSort empties s, buffers kvs in it under 8 partitions, as a map
+// task's emitter would, and sorts them.
+func bufferAndSort(b *testing.B, s *sortBuffer, kvs []KV) {
+	s.reset()
+	for _, kv := range kvs {
+		if err := s.add(HashPartitioner(kv.Key, 8), kv.Key, kv.Value); err != nil {
+			b.Fatal(err)
+		}
+	}
+	s.sort()
 }
 
 // shuffleShapedKVs builds n pairs over about n/8 subjects whose IDs encode

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -188,7 +189,7 @@ func wfTmpRoot(wf string) string {
 // ("ntga-group", "hive-join0", ...), so two in-flight queries would
 // otherwise race on the same attempt paths.
 func tmpRoot(wf, job string) string {
-	return fmt.Sprintf("_tmp/%s/%s/", wf, job)
+	return "_tmp/" + wf + "/" + job + "/"
 }
 
 // tmpPartName is the attempt-private name a task attempt streams its
@@ -197,7 +198,13 @@ func tmpRoot(wf, job string) string {
 // never touch each other's files, the winner's are promoted atomically by
 // rename, and losers' are deleted wholesale.
 func tmpPartName(wf, job, kind string, task, attempt int, base string, part int) string {
-	return fmt.Sprintf("%s%s-%05d/%d/%s._part-%05d", tmpRoot(wf, job), kind, task, attempt, base, part)
+	var buf [128]byte
+	b := append(buf[:0], "_tmp/"...)
+	b = append(append(append(append(b, wf...), '/'), job...), '/')
+	b = appendIndex(append(append(b, kind...), '-'), task)
+	b = strconv.AppendInt(append(b, '/'), int64(attempt), 10)
+	b = appendIndex(append(append(append(b, '/'), base...), "._part-"...), part)
+	return string(b)
 }
 
 // partOut is one output base's attempt-temp part file with the final name
@@ -590,7 +597,7 @@ func (e *Engine) run(job *Job, jsp *trace.Span, wf string) (JobMetrics, error) {
 				recNext[i]++
 				atomic.AddInt64(&js.taskRetries, 1)
 				ac := &attemptCtx{
-					e: e, js: js, ctl: newTaskCtl(), kind: "map", task: i,
+					e: e, js: js, ctl: &taskCtl{winner: -1}, kind: "map", task: i,
 					attempt: a, node: e.taskNode(i, a), killed: make(chan struct{}),
 				}
 				nte, err := e.mapAttempt(job, jsp, splits[i], nReducers, ac)
@@ -617,21 +624,24 @@ func (e *Engine) run(job *Job, jsp *trace.Span, wf string) (JobMetrics, error) {
 			if err := ac.checkpoint("reduce"); err != nil {
 				return err
 			}
-			var sources []kvSource
-			var runSrcs []*runSource
+			g := newGroupIter()
+			defer g.release()
 			var lostErr error
 			emMu.RLock()
 			for _, te := range emitters {
-				if len(te.parts[p]) > 0 {
-					sources = append(sources, &memSource{kvs: te.parts[p]})
+				if seg := te.segs[p]; seg.Pairs > 0 {
+					g.add(memSegSource(seg))
 				}
+			}
+			nMem := len(g.m.srcs)
+			for _, te := range emitters {
 				for _, run := range te.runs {
-					if seg := run.segs[p]; seg.records > 0 {
+					if seg := run.segs[p]; seg.Pairs > 0 {
 						if run.spill.Lost() {
 							lostErr = fmt.Errorf("reduce partition %d: map output run lost: %w", p, hdfs.ErrNodeLost)
 							break
 						}
-						runSrcs = append(runSrcs, newRunSource(run.spill, seg))
+						g.add(runSegSource(run.spill, seg))
 					}
 				}
 				if lostErr != nil {
@@ -651,26 +661,24 @@ func (e *Engine) run(job *Job, jsp *trace.Span, wf string) (JobMetrics, error) {
 					r.release()
 				}
 			}()
-			if len(runSrcs) > e.cfg.MergeFactor {
+			if runs := g.m.srcs[nMem:]; len(runs) > e.cfg.MergeFactor {
 				var err error
-				runSrcs, temps, err = e.mergeRuns(runSrcs, e.cfg.MergeFactor, tsp, ac,
+				runs, temps, err = e.mergeRuns(runs, e.cfg.MergeFactor, tsp, ac,
 					&localPasses, &localSpilledRecs, &localSpilledBytes)
 				if err != nil {
 					return fmt.Errorf("reduce partition %d merge: %w", p, err)
 				}
+				g.m.srcs = append(g.m.srcs[:nMem], runs...)
 			}
-			if len(runSrcs) > 0 {
+			if len(g.m.srcs) > nMem {
 				localPasses++ // the final merge reads at least one on-disk run
-			}
-			for _, rs := range runSrcs {
-				sources = append(sources, rs)
 			}
 			col, err := e.openParts(job, ac, p, tsp != nil)
 			if err != nil {
 				return err
 			}
 			defer col.abortUnlessCommitted(js)
-			st, err := runReduceTask(job, p, sources, col, ac.hooks(tsp))
+			st, err := runReduceTask(job, p, g, col, ac.hooks(tsp))
 			if err != nil {
 				return err
 			}

@@ -751,16 +751,45 @@ func TestReduceSkewMetric(t *testing.T) {
 }
 
 func TestSortKVsProperties(t *testing.T) {
-	// Property: the prefix sort yields exactly the order of a stable sort
-	// by bytes.Compare on (key, value), on keys that straddle the 8-byte
-	// prefix, share long prefixes and tie on zero padding.
-	f := func(seed int64) bool {
-		kvs := boundaryKVs(rand.New(rand.NewSource(seed)), 300)
-		want := append([]KV(nil), kvs...)
-		sort.SliceStable(want, func(i, j int) bool { return compareKV(&want[i], &want[j]) < 0 })
-		var s kvSorter
-		s.sort(kvs)
-		return sameKVs(kvs, want)
+	// Property: the sort buffer yields exactly the order of a stable sort
+	// by (partition, key, value) in bytes.Compare order, on keys that
+	// straddle the 8-byte prefix, share long prefixes and tie on zero
+	// padding, over a partition count that needs one byte or two.
+	f := func(seed int64, wide bool) bool {
+		rng := rand.New(rand.NewSource(seed))
+		kvs := boundaryKVs(rng, 300)
+		nParts := 3
+		if wide {
+			nParts = 300
+		}
+		parts := make([]int, len(kvs))
+		var s sortBuffer
+		for i, kv := range kvs {
+			parts[i] = rng.Intn(nParts)
+			if err := s.add(parts[i], kv.Key, kv.Value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var want []KV
+		for p := 0; p < nParts; p++ {
+			var part []KV
+			for i, kv := range kvs {
+				if parts[i] == p {
+					part = append(part, kv)
+				}
+			}
+			sort.SliceStable(part, func(i, j int) bool { return compareKV(&part[i], &part[j]) < 0 })
+			want = append(want, part...)
+		}
+		s.sort()
+		got := make([]KV, len(s.ents))
+		for i := range s.ents {
+			got[i] = s.pair(&s.ents[i])
+			if i > 0 && s.ents[i].part < s.ents[i-1].part {
+				return false
+			}
+		}
+		return sameKVs(got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -85,11 +85,7 @@ type taskCtl struct {
 	mu      sync.Mutex
 	claimed bool
 	winner  int
-	kills   map[int]chan struct{}
-}
-
-func newTaskCtl() *taskCtl {
-	return &taskCtl{winner: -1, kills: make(map[int]chan struct{})}
+	kills   map[int]chan struct{} // nil while attempts cannot overlap
 }
 
 // killCh registers an attempt and returns its kill channel.
@@ -151,7 +147,7 @@ type jobRunState struct {
 	nodeKillsLeft int64 // atomic
 
 	specMu   sync.Mutex
-	specDone map[string][]time.Duration // completed task durations per kind
+	specDone map[string][]time.Duration // completed task durations per kind, under speculation
 
 	// Counters (atomics), folded into JobMetrics at job end — on the
 	// failure path too, so a failed job's metrics still report how hard
@@ -166,7 +162,7 @@ type jobRunState struct {
 }
 
 func newJobRunState(e *Engine, wf, job string) *jobRunState {
-	js := &jobRunState{e: e, wf: wf, job: job, plan: e.cfg.Faults, specDone: make(map[string][]time.Duration)}
+	js := &jobRunState{e: e, wf: wf, job: job, plan: e.cfg.Faults}
 	if js.plan != nil {
 		js.nodeKillsLeft = int64(js.plan.MaxNodeKills)
 	}
@@ -181,9 +177,16 @@ func (js *jobRunState) reclaim(bytes int64) {
 	}
 }
 
-// noteDone records a winning attempt's duration for the speculation policy.
+// noteDone records a winning attempt's duration for the speculation policy;
+// without speculation nothing reads it, and nothing is recorded.
 func (js *jobRunState) noteDone(kind string, d time.Duration) {
+	if !js.e.cfg.Speculation {
+		return
+	}
 	js.specMu.Lock()
+	if js.specDone == nil {
+		js.specDone = make(map[string][]time.Duration)
+	}
 	js.specDone[kind] = append(js.specDone[kind], d)
 	js.specMu.Unlock()
 }
@@ -326,115 +329,157 @@ func (a *attemptCtx) hooks(tsp *trace.Span) TaskHooks {
 func (e *Engine) runTask(js *jobRunState, kind string, task int, durs []time.Duration,
 	recover func() error, body func(*attemptCtx) error) error {
 
-	ctl := newTaskCtl()
-	budget := e.cfg.TaskMaxAttempts
-	next := 0
-	var lastErr error
-	type result struct {
-		attempt int
-		err     error
-		dur     time.Duration
-	}
-	resCh := make(chan result, budget+1)
-	running := 0
-
-	// launch starts the next attempt; it returns false when the budget is
-	// exhausted.
-	launch := func() bool {
-		if next >= budget {
-			return false
-		}
-		a := next
-		next++
-		if a > 0 {
-			atomic.AddInt64(&js.taskRetries, 1)
-		}
-		ac := &attemptCtx{
-			e: e, js: js, ctl: ctl, kind: kind, task: task,
-			attempt: a, node: e.taskNode(task, a), killed: ctl.killCh(a),
-		}
-		running++
-		go func() {
-			t0 := time.Now()
-			err := body(ac)
-			resCh <- result{a, err, time.Since(t0)}
-		}()
-		return true
-	}
-
-	exhausted := func() error {
-		return fmt.Errorf("%s task %d failed after %d attempts: %w", kind, task, budget, lastErr)
-	}
-	if !launch() {
-		return exhausted()
-	}
-
-	var tick <-chan time.Time
+	t := &taskRun{e: e, js: js, kind: kind, task: task, body: body, budget: e.cfg.TaskMaxAttempts}
+	t.ctl.winner = -1
 	if e.cfg.Speculation {
-		t := time.NewTicker(500 * time.Microsecond)
-		defer t.Stop()
-		tick = t.C
+		t.ctl.kills = make(map[int]chan struct{})
+		t.results = make(chan attemptResult, t.budget+1)
+		tk := time.NewTicker(500 * time.Microsecond)
+		defer tk.Stop()
+		t.tick = tk.C
+	}
+	var lastErr error
+	if !t.launch() {
+		return errExhausted(kind, task, t.budget, lastErr)
 	}
 	started := time.Now()
 	backupAttempt := -1
 	won := false
-
 	for {
-		select {
-		case r := <-resCh:
-			running--
-			ctl.drop(r.attempt)
-			switch {
-			case r.err == nil:
-				won = true
-				durs[task] = r.dur
-				js.noteDone(kind, r.dur)
-				if r.attempt == backupAttempt && backupAttempt >= 0 {
-					atomic.AddInt64(&js.specWins, 1)
-				}
-			case attemptNeutral(r.err):
-				// A rival committed (or will commit) — this attempt's
-				// temporaries are already reclaimed by the body.
-				atomic.AddInt64(&js.killedAttempts, 1)
-			default:
-				lastErr = r.err
-				// A dead engine context makes the failure non-retryable:
-				// relaunching an attempt that will cancel at its first
-				// checkpoint only burns the budget. Drain any rival still
-				// running (it owns temp state to clean up) and report.
-				if e.ctxErr() != nil {
-					for running > 0 {
-						<-resCh
-						running--
-					}
-					return fmt.Errorf("%s task %d: %w", kind, task, r.err)
-				}
-				if errors.Is(r.err, hdfs.ErrNodeLost) && recover != nil {
-					if rerr := recover(); rerr != nil {
-						for running > 0 {
-							<-resCh
-							running--
-						}
-						return fmt.Errorf("%s task %d: %w", kind, task, rerr)
-					}
-				}
+		r, ok := t.wait()
+		if !ok { // the speculation tick: back up a straggling sole attempt
+			if backupAttempt < 0 && !won && t.running == 1 && t.next < t.budget &&
+				js.shouldSpeculate(kind, time.Since(started)) && t.launch() {
+				backupAttempt = t.next - 1
+				atomic.AddInt64(&js.specLaunched, 1)
 			}
-			if won && running == 0 {
+			continue
+		}
+		t.running--
+		t.ctl.drop(r.attempt)
+		if r.err == nil {
+			won = true
+			durs[task] = r.dur
+			js.noteDone(kind, r.dur)
+			if r.attempt == backupAttempt && backupAttempt >= 0 {
+				atomic.AddInt64(&js.specWins, 1)
+			}
+		} else if err := e.attemptFailed(js, kind, task, r.err, recover, &lastErr); err != nil {
+			// Drain any rival still running: it owns temp state to clean
+			// up.
+			for ; t.running > 0; t.running-- {
+				<-t.results
+			}
+			return err
+		}
+		if t.running == 0 {
+			if won {
 				return nil
 			}
-			if !won && running == 0 {
-				if !launch() {
-					return exhausted()
-				}
-			}
-		case <-tick:
-			if backupAttempt < 0 && !won && running == 1 && next < budget &&
-				js.shouldSpeculate(kind, time.Since(started)) {
-				if launch() {
-					backupAttempt = next - 1
-					atomic.AddInt64(&js.specLaunched, 1)
-				}
+			if !t.launch() {
+				return errExhausted(kind, task, t.budget, lastErr)
 			}
 		}
 	}
+}
+
+// taskRun is one task's attempts under runTask. Without speculation no
+// backup is ever launched, so attempts never overlap: each runs on the
+// task's goroutine in the task's one attemptCtx, and no rival can kill it,
+// so it has no kill channel. With speculation each attempt runs on its own
+// goroutine and reports on results.
+type taskRun struct {
+	e       *Engine
+	js      *jobRunState
+	kind    string
+	task    int
+	body    func(*attemptCtx) error
+	budget  int
+	next    int // attempts launched
+	running int // attempts launched and not yet reported
+	ctl     taskCtl
+	ac      attemptCtx         // the launched attempt, without speculation
+	results chan attemptResult // nil without speculation
+	tick    <-chan time.Time   // the speculation check's ticker
+}
+
+type attemptResult struct {
+	attempt int
+	err     error
+	dur     time.Duration
+}
+
+// launch starts the next attempt; it returns false when the budget is
+// exhausted. Without speculation the attempt waits in t.ac for wait to run
+// it.
+func (t *taskRun) launch() bool {
+	if t.next >= t.budget {
+		return false
+	}
+	a := t.next
+	t.next++
+	if a > 0 {
+		atomic.AddInt64(&t.js.taskRetries, 1)
+	}
+	t.running++
+	ac := attemptCtx{e: t.e, js: t.js, ctl: &t.ctl, kind: t.kind, task: t.task, attempt: a, node: t.e.taskNode(t.task, a)}
+	if t.results == nil {
+		t.ac = ac
+		return true
+	}
+	ac.killed = t.ctl.killCh(a)
+	own := new(attemptCtx)
+	*own = ac
+	go func() {
+		t0 := time.Now()
+		err := t.body(own)
+		t.results <- attemptResult{a, err, time.Since(t0)}
+	}()
+	return true
+}
+
+// wait returns the next attempt's result. Without speculation it runs the
+// launched attempt on the task's goroutine; with it, it waits for an
+// attempt's report, and returns ok false when the speculation tick comes
+// first.
+func (t *taskRun) wait() (r attemptResult, ok bool) {
+	if t.results == nil {
+		t0 := time.Now()
+		err := t.body(&t.ac)
+		return attemptResult{t.ac.attempt, err, time.Since(t0)}, true
+	}
+	select {
+	case r = <-t.results:
+		return r, true
+	case <-t.tick:
+		return r, false
+	}
+}
+
+// attemptFailed accounts for an attempt that returned err. A neutral error
+// (a rival committed, or an earlier attempt claimed the commit) counts a
+// killed attempt; any other becomes *lastErr. It returns the error that ends
+// the task at once, or nil when another attempt may run: a dead engine
+// context makes the failure non-retryable, since an attempt relaunched
+// would cancel at its first checkpoint and only burn the budget, and a lost
+// node first has its map output recovered.
+func (e *Engine) attemptFailed(js *jobRunState, kind string, task int, err error, recover func() error, lastErr *error) error {
+	if attemptNeutral(err) {
+		atomic.AddInt64(&js.killedAttempts, 1)
+		return nil
+	}
+	*lastErr = err
+	if e.ctxErr() != nil {
+		return fmt.Errorf("%s task %d: %w", kind, task, err)
+	}
+	if errors.Is(err, hdfs.ErrNodeLost) && recover != nil {
+		if rerr := recover(); rerr != nil {
+			return fmt.Errorf("%s task %d: %w", kind, task, rerr)
+		}
+	}
+	return nil
+}
+
+func errExhausted(kind string, task, budget int, lastErr error) error {
+	return fmt.Errorf("%s task %d failed after %d attempts: %w", kind, task, budget, lastErr)
 }

@@ -38,9 +38,11 @@ func TestHashPartitionerMatchesFNV(t *testing.T) {
 	}
 }
 
-// TestEmitAmortisedAllocs: Emit copies both buffers into chunked slabs, so a
-// pair costs slab and partition-slice growth only. Before: 2.01 allocations
-// per pair (one copy each of key and value); after: 0.012.
+// TestEmitAmortisedAllocs: Emit copies both buffers into the attempt's sort
+// buffer, so a pair costs only the buffer's amortised growth (and nothing
+// once a pooled buffer has grown). Before slabs: 2.01 allocations per pair
+// (one copy each of key and value); with slabs and per-partition pair
+// slices: 0.012.
 func TestEmitAmortisedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")

@@ -464,3 +464,50 @@ func TestMapOnlySpillConfigIrrelevant(t *testing.T) {
 		t.Errorf("map-only job spilled: %+v", m)
 	}
 }
+
+// TestSpillMergeReleaseLeavesNoSource: an intermediate merge pass shrinks a
+// reduce attempt's source list in place, as the engine's reduce does, and
+// releasing the attempt's groupIter must then drop every source the list
+// ever held, past its new length too, so the pooled iterator keeps no spill
+// run's bytes alive.
+func TestSpillMergeReleaseLeavesNoSource(t *testing.T) {
+	e := NewEngine(hdfs.New(hdfs.Config{Nodes: 2}), EngineConfig{})
+	ac := &attemptCtx{e: e, js: newJobRunState(e, "wf", "job"), ctl: &taskCtl{winner: -1}}
+	g := newGroupIter()
+	g.add(memSegSource(Segment{Pairs: 1, Data: []byte{1, 'k', 1, 'v'}}))
+	nMem := len(g.m.srcs)
+	var spills []*hdfs.Spill
+	for k := 0; k < 5; k++ {
+		w := e.dfs.CreateSpillOn(0)
+		if _, err := w.Write([]byte{1, byte('a' + k), 1, 'v'}); err != nil {
+			t.Fatal(err)
+		}
+		s := w.Close()
+		spills = append(spills, s)
+		g.add(runSegSource(s, Segment{Pairs: 1, Data: s.Slice(0, int(s.Size()))}))
+	}
+	var passes, recs, size int64
+	runs, temps, err := e.mergeRuns(g.m.srcs[nMem:], 2, nil, ac, &passes, &recs, &size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range temps {
+		spills = append(spills, r.spill)
+	}
+	defer func() {
+		for _, s := range spills {
+			s.Release()
+		}
+	}()
+	g.m.srcs = append(g.m.srcs[:nMem], runs...)
+	if passes != 3 || len(g.m.srcs) != nMem+2 {
+		t.Fatalf("5 runs at merge factor 2: %d passes and %d sources, want 3 and %d", passes, len(g.m.srcs), nMem+2)
+	}
+	held := g.m.srcs[:cap(g.m.srcs)]
+	g.release()
+	for i, s := range held {
+		if s.spill != nil || s.seg.Data != nil {
+			t.Errorf("released groupIter still holds source %d of %d", i, len(held))
+		}
+	}
+}

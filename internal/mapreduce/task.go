@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strconv"
 	"time"
 
 	"ntga/internal/chunk"
@@ -189,10 +190,11 @@ func runMapTask(job *Job, task int, input string, src RecordSource, te *taskEmit
 }
 
 // MapOutput is what one map task attempt produced: one (key, value)-sorted,
-// combiner-folded segment per reduce partition, the pre-combine map-output
-// counts (Hadoop's "Map output records") and the attempt's counters.
+// combiner-folded segment per reduce partition, all in one slab, the
+// pre-combine map-output counts (Hadoop's "Map output records") and the
+// attempt's counters.
 type MapOutput struct {
-	Parts          [][]KV
+	Parts          []Segment
 	Records, Bytes int64
 	Counters       Counters
 }
@@ -205,7 +207,7 @@ func RunMapTask(job *Job, task int, input string, nReducers int, src RecordSourc
 	if err := runMapTask(job, task, input, src, te, h); err != nil {
 		return MapOutput{}, err
 	}
-	return MapOutput{Parts: te.parts, Records: te.records, Bytes: te.bytes, Counters: te.counters}, nil
+	return MapOutput{Parts: te.segs, Records: te.records, Bytes: te.bytes, Counters: te.counters}, nil
 }
 
 // RunMapOnlyTask is the shuffle-free task body (Job.ShuffleFree). A map-only
@@ -346,9 +348,9 @@ type ReduceStats struct {
 }
 
 // runReduceTask is the reduce task body for one partition: merge the sorted
-// sources into one stream, group by key, and feed the job's reducer, which
-// streams output records into col.
-func runReduceTask(job *Job, partition int, sources []kvSource, col Collector, h TaskHooks) (st ReduceStats, err error) {
+// segments added to g into one stream, group by key, and feed the job's
+// reducer, which streams output records into col.
+func runReduceTask(job *Job, partition int, g *groupIter, col Collector, h TaskHooks) (st ReduceStats, err error) {
 	wrap := func(err error) error { return fmt.Errorf("reduce partition %d: %w", partition, err) }
 	reducer := job.StreamReducer
 	if f, ok := reducer.(TaskReducerFactory); ok {
@@ -356,25 +358,21 @@ func runReduceTask(job *Job, partition int, sources []kvSource, col Collector, h
 		defer tr.Done()
 		reducer = tr
 	}
-	mi, err := newMergeIter(sources)
-	if err != nil {
-		return st, wrap(err)
-	}
-	g, err := newGroupIter(mi)
-	if err != nil {
+	if err := g.start(); err != nil {
 		return st, wrap(err)
 	}
 	loopStart := time.Now()
-	vals := &groupValues{g: g}
+	vals := &g.vals
 	for g.ok {
 		if st.Groups%64 == 0 {
 			if err := h.checkpoint("reduce"); err != nil {
 				return st, err
 			}
 		}
-		vals.key, vals.head, vals.done = g.cur.Key, true, false
+		key := g.key()
+		vals.key, vals.head, vals.done = key, true, false
 		st.Groups++
-		if err := reducer.Reduce(g.cur.Key, vals, col); err != nil {
+		if err := reducer.Reduce(key, vals, col); err != nil {
 			return st, wrap(err)
 		}
 		if err := vals.drain(); err != nil {
@@ -386,16 +384,17 @@ func runReduceTask(job *Job, partition int, sources []kvSource, col Collector, h
 }
 
 // RunReduceTask runs the reduce body over fetched map outputs: segs[t] is
-// map task t's sorted segment for this partition (nil or empty when the map
-// emitted nothing here).
-func RunReduceTask(job *Job, partition int, segs [][]KV, col Collector, h TaskHooks) (ReduceStats, error) {
-	var sources []kvSource
+// map task t's segment for this partition (empty when the map emitted
+// nothing here).
+func RunReduceTask(job *Job, partition int, segs []Segment, col Collector, h TaskHooks) (ReduceStats, error) {
+	g := newGroupIter()
+	defer g.release()
 	for _, seg := range segs {
-		if len(seg) > 0 {
-			sources = append(sources, &memSource{kvs: seg})
+		if seg.Pairs > 0 {
+			g.add(memSegSource(seg))
 		}
 	}
-	return runReduceTask(job, partition, sources, col, h)
+	return runReduceTask(job, partition, g, col, h)
 }
 
 // MemCollector buffers a task's output records per output base, in
@@ -458,7 +457,19 @@ func (c *MemCollector) CollectTo(output string, record []byte) error {
 // attempt publishes its output as; CommitParts splices the parts into the
 // job output once every task has committed.
 func PartName(base string, i int) string {
-	return fmt.Sprintf("%s._part-%05d", base, i)
+	var buf [128]byte
+	return string(appendIndex(append(append(buf[:0], base...), "._part-"...), i))
+}
+
+// appendIndex appends a task or part index i ≥ 0 to b as fmt's %05d
+// formats it: at least five digits, zero-padded.
+func appendIndex(b []byte, i int) []byte {
+	var tmp [20]byte
+	digits := strconv.AppendInt(tmp[:0], int64(i), 10)
+	for n := len(digits); n < 5; n++ {
+		b = append(b, '0')
+	}
+	return append(b, digits...)
 }
 
 // CommitParts assembles each job output from its nParts per-task part files

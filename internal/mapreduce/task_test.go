@@ -68,7 +68,7 @@ func workerStyle(d *hdfs.DFS, job *Job, splitRecords, nReducers int) (map[string
 			}
 		}
 	}
-	maps := make([][][]KV, len(splits))
+	maps := make([][]Segment, len(splits))
 	for i, sp := range splits {
 		recs, err := d.ReadRange(sp.Input, sp.Off, sp.N)
 		if err != nil {
@@ -100,7 +100,7 @@ func workerStyle(d *hdfs.DFS, job *Job, splitRecords, nReducers int) (map[string
 	if !job.ShuffleFree() {
 		reduces = make([]ReduceStats, nReducers)
 		for p := range reduces {
-			segs := make([][]KV, len(maps))
+			segs := make([]Segment, len(maps))
 			for t := range maps {
 				segs[t] = maps[t][p]
 			}
@@ -247,5 +247,23 @@ func TestTaskBodyParity(t *testing.T) {
 				t.Errorf("error text differs:\n local %q\nworker %q (want %q in both)", lerr, werr, tc.errPart)
 			}
 		})
+	}
+}
+
+// TestPartNamesMatchSprintf pins the hand-built part-file names to the
+// fmt forms they replaced, so committed file names never move.
+func TestPartNamesMatchSprintf(t *testing.T) {
+	for _, i := range []int{0, 7, 42, 12345, 99999, 100000, 1234567} {
+		if got, want := PartName("out/x", i), fmt.Sprintf("%s._part-%05d", "out/x", i); got != want {
+			t.Errorf("PartName(%d) = %q, want %q", i, got, want)
+		}
+		got := tmpPartName("wf-000001", "ntga-group", "reduce", i, 3, "out", i+1)
+		want := fmt.Sprintf("_tmp/%s/%s/%s-%05d/%d/%s._part-%05d", "wf-000001", "ntga-group", "reduce", i, 3, "out", i+1)
+		if got != want {
+			t.Errorf("tmpPartName(%d) = %q, want %q", i, got, want)
+		}
+	}
+	if got := tmpRoot("wf-000001", "ntga-group"); got != "_tmp/wf-000001/ntga-group/" {
+		t.Errorf("tmpRoot = %q", got)
 	}
 }

@@ -14,9 +14,10 @@
 //   - a workflow is a sequence of stages; jobs within a stage may run
 //     concurrently (Pig-style independent-job parallelism).
 //
-// Map and reduce tasks execute in parallel, each on its own goroutine under a
-// slot leased from a SlotPool, so wall-clock measurements of a workflow
-// reflect genuine parallel dataflow execution.
+// Map and reduce tasks execute in parallel, each under a slot leased from a
+// SlotPool (or, without one, on one of its phase's GOMAXPROCS goroutines), so
+// wall-clock measurements of a workflow reflect genuine parallel dataflow
+// execution.
 //
 // # Bounded-memory shuffle
 //
@@ -28,10 +29,12 @@
 // (multi-pass when there are many runs — see JobMetrics.MergePasses). The
 // order is (key, value) by bytes.Compare. Both the sort and the merge decide
 // it on 8-byte key prefixes kept in memory beside the pairs, and read the
-// pairs' bytes only when two prefixes tie: the sort radix-sorts a
-// pointer-free array of (prefix, index) entries and then moves each pair
-// once. The prefixes are never spilled, shuffled or charged to the budget,
-// which counts key and value bytes only.
+// pairs' bytes only when two prefixes tie: the sort radix-sorts the
+// pointer-free index entries of the pairs framed in one buffer, and never
+// moves a pair. The prefixes are never spilled, shuffled or charged to the
+// budget, which counts key and value bytes only. Sorted map output is a
+// Segment, the one format of sealed map output, spill runs and the
+// cluster's shuffle.
 // A StreamReducer consumes each group's values through a ValueIter fed
 // straight from the merge, so neither the map output nor a reduce group need
 // ever be resident in memory. Reduce output streams into the DFS writer
@@ -394,9 +397,10 @@ func (j *Job) taskMapper(task int, side [][]byte) (MapOnlyMapper, error) {
 	return j.MapOnly, nil
 }
 
-// KV is one intermediate key/value pair, in memory and on the wire alike:
-// committed map output crosses the cluster transport as ordered []KV
-// segments, one per reduce partition.
+// KV is one intermediate key/value pair as it is read out of a Segment, both
+// slices aliasing the segment's bytes. Map output itself is never held as
+// KVs: it is framed Segments, one per reduce partition, in memory, in spill
+// runs and on the cluster transport alike.
 type KV struct {
 	Key, Value []byte
 }
