@@ -19,7 +19,12 @@ all: build check test
 # into one job total. The shuffle's tests run three times over under -race:
 # a map attempt's sort scratch and a reduce attempt's merge state come from
 # pools shared by concurrent attempts, and a worker's sealed segment is read
-# by its own reduce and by its Fetch server at once. The master's scheduling core (internal/cluster/sched.go)
+# by its own reduce and by its Fetch server at once. A DFS file's framed
+# chunks are read by concurrent tasks and by the master's ReadRange server
+# while other files are written and spliced, and a map-only join attempt
+# hands its pooled index and Scratches to the next attempt, so the frame,
+# part-file, concat, map-only and placement tests also run three times over
+# under -race. The master's scheduling core (internal/cluster/sched.go)
 # runs its event-driven tests — the late-report and report cases, the
 # exhaustive small-scope walk and the replay — three times over under -race:
 # the core must give one action sequence for one event sequence, so any
@@ -32,8 +37,10 @@ all: build check test
 # parser every /ingest line goes through, FuzzParseSPARQL over the SPARQL
 # parser every /query body goes through, and FuzzShuffleOrder over the
 # prefix-sorted shuffle (arbitrary pairs through a tiny sort buffer, spills
-# and multi-pass merges, checked against bytes.Compare order; the plain test
-# runs replay only their seed corpora). The warehouse and catalog-scan tests run five times
+# and multi-pass merges, checked against bytes.Compare order), and
+# FuzzDFSFrames over the DFS's framed records (random records written as
+# part files, spliced, and read back through every read path against the
+# records themselves; the plain test runs replay only their seed corpora). The warehouse and catalog-scan tests run five times
 # over under -race: every query reads a warehouse view while Ingest and
 # Compact install new ones, and the catalog scan's retried attempts share one
 # mapper. The triplegroup join tests run five times over under -race too: one
@@ -51,6 +58,7 @@ check:
 	go test -race -count=10 -short -run 'Sink|Decode' ./internal/engine/
 	go test -race -count=10 -short -run 'AttemptCounters' ./internal/mapreduce/
 	go test -race -count=3 -run 'Shuffle|Spill|Segment|AllocationCeiling' ./internal/mapreduce/ ./internal/cluster/
+	go test -race -count=3 -run 'Frame|PartFile|Concat|MapOnly|Placement' ./internal/hdfs/ ./internal/mapreduce/ ./internal/ntgamr/ ./internal/cluster/
 	go test -race -short ./internal/cluster/
 	go test -race -count=3 -run 'Sched|ReportRejects|FetchFailuresCharge|RevivalCarries' ./internal/cluster/
 	go test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 10s ./internal/cluster/
@@ -58,6 +66,7 @@ check:
 	go test -run '^$$' -fuzz '^FuzzParseTriple$$' -fuzztime 10s ./internal/rdf/
 	go test -run '^$$' -fuzz '^FuzzParseSPARQL$$' -fuzztime 10s ./internal/sparql/
 	go test -run '^$$' -fuzz '^FuzzShuffleOrder$$' -fuzztime 10s ./internal/mapreduce/
+	go test -run '^$$' -fuzz '^FuzzDFSFrames$$' -fuzztime 10s ./internal/hdfs/
 	go test -race ./internal/ingest/
 	go test -race -count=5 -run 'Warehouse|Catalog.*Fault' ./internal/ingest/ ./internal/plan/
 	go test -race -count=5 -run 'SharedOperators|PinAllOracle|LeftsWithoutRight' ./internal/ntgamr/
@@ -84,8 +93,8 @@ test-race:
 # A local convenience only: `go test ./...` (the `test` target and CI's Test
 # step) runs without -short and so already executes TestChaos* and TestFuzz*;
 # CI has no separate chaos step (its -fuzz runs, FuzzWireDecode,
-# FuzzResponseDecode, FuzzParseTriple, FuzzParseSPARQL and FuzzShuffleOrder, are
-# in check).
+# FuzzResponseDecode, FuzzParseTriple, FuzzParseSPARQL, FuzzShuffleOrder and
+# FuzzDFSFrames, are in check).
 chaos:
 	go test ./internal/integration -run TestChaos -count=1 -timeout 15m
 

@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"ntga/internal/codec"
 	"ntga/internal/query"
+	"ntga/internal/rdf"
 	"ntga/internal/refengine"
 	"ntga/internal/sparql"
 )
@@ -448,5 +450,21 @@ func TestPhiMForScale(t *testing.T) {
 	}
 	if PhiMForScale(1000) != 1024 {
 		t.Errorf("large scale = %d, want clamp at 1024", PhiMForScale(1000))
+	}
+}
+
+// TestGraphBytesMatchesEncoding pins GraphBytes to what it measures: the
+// length of every triple's codec encoding, summed.
+func TestGraphBytesMatchesEncoding(t *testing.T) {
+	g := rdf.NewGraph()
+	for _, tr := range []rdf.Triple{{S: 1, P: 2, O: 3}, {S: 127, P: 128, O: 16383}, {S: 16384, P: 1 << 21, O: 1<<32 - 1}, {}} {
+		g.AddID(tr)
+	}
+	var want int64
+	for _, tr := range g.Triples {
+		want += int64(len(codec.EncodeTriple(tr)))
+	}
+	if got := GraphBytes(g); got != want {
+		t.Errorf("GraphBytes = %d, the encodings' length %d", got, want)
 	}
 }

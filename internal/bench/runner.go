@@ -41,8 +41,8 @@ func Dataset(name string, scale int, seed int64) (*rdf.Graph, error) {
 // size" capacity ratios are expressed against.
 func GraphBytes(g *rdf.Graph) int64 {
 	var total int64
-	for _, t := range g.Triples {
-		total += int64(len(codec.EncodeTriple(t)))
+	for _, t := range g.Triples { // codec.EncodeTriple's length, without the encode
+		total += int64(codec.UvarintLen(uint64(t.S)) + codec.UvarintLen(uint64(t.P)) + codec.UvarintLen(uint64(t.O)))
 	}
 	return total
 }

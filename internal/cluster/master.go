@@ -102,8 +102,9 @@ type Master struct {
 
 // jobRun is the shell's side of one scheduled job.
 type jobRun struct {
-	jsp  *trace.Span
-	done chan struct{} // closed when the core settles the job
+	jsp   *trace.Span
+	done  chan struct{}    // closed when the core settles the job
+	parts *mapreduce.Parts // the part files written for winning reports
 }
 
 // NewMaster builds a coordinator over the given graph: a warehouse over a
@@ -222,6 +223,7 @@ func (m *Master) apply(acts []action) {
 					err = fmt.Errorf("committing %s: %w", p.name, err)
 					break
 				}
+				m.runs[a.job].parts.Publish(p.base, a.task.idx, p.name)
 			}
 			m.apply(m.s.committed(a, err))
 		case actSettle:
@@ -354,6 +356,7 @@ func (m *Master) runJob(ctx context.Context, q *queryState, jsp *trace.Span, job
 	run := &jobRun{jsp: jsp, done: make(chan struct{})}
 	m.mu.Lock()
 	js := m.s.addJob(q, job, splits, cfg.DefaultReducers)
+	run.parts = mapreduce.NewParts(job, len(js.outTasks()))
 	m.runs[js] = run
 	m.mu.Unlock()
 
@@ -372,19 +375,18 @@ func (m *Master) runJob(ctx context.Context, q *queryState, jsp *trace.Span, job
 	}
 	err = js.err
 	sunk := js.fold(&jm)
-	nParts := len(js.outTasks())
 	m.s.dropJob(js)
 	delete(m.runs, js)
 	m.mu.Unlock()
 
 	if err == nil {
-		err = mapreduce.CommitParts(m.dfs, job, nParts)
+		err = run.parts.Commit(m.dfs)
 	}
 	if err == nil && job.Sink != nil {
 		err = feedSink(job.Sink, sunk)
 	}
 	if err != nil {
-		mapreduce.RemoveOutputs(m.dfs, job, nParts)
+		run.parts.Remove(m.dfs)
 	}
 	return jm, err
 }

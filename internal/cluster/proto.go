@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"ntga/internal/engines"
+	"ntga/internal/hdfs"
 	"ntga/internal/mapreduce"
 	"ntga/internal/rdf"
 )
@@ -237,9 +238,11 @@ type ReadRangeArgs struct {
 	N    int
 }
 
-// ReadRangeReply carries the records.
+// ReadRangeReply carries the records as the DFS frames them. gob names the
+// field's type by its unqualified name, so the reply is byte-identical to
+// one carrying the same records as a Records list.
 type ReadRangeReply struct {
-	Records Records
+	Records hdfs.Records
 }
 
 // FetchArgs asks a worker for one map task's committed output segment for

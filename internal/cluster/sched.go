@@ -56,8 +56,10 @@ type action struct {
 	err   error        // settle
 }
 
-// partOutput is one part file a winning report commits.
+// partOutput is one part file a winning report commits: the records it
+// shipped for output base (an index into Job.OutputBases).
 type partOutput struct {
+	base int
 	name string
 	recs Records
 }
@@ -518,10 +520,12 @@ func (s *sched) report(a *ReportArgs) []action {
 	}
 	write := action{op: actWrite, job: js, task: ts, rep: a}
 	for b, base := range bases {
-		if b == 0 && js.job.Sunk() {
+		// An output the task wrote nothing to gets no part file, as a local
+		// attempt creates none.
+		if b == 0 && js.job.Sunk() || len(a.Outputs[b]) == 0 {
 			continue
 		}
-		write.parts = append(write.parts, partOutput{mapreduce.PartName(base, a.Task), a.Outputs[b]})
+		write.parts = append(write.parts, partOutput{b, mapreduce.PartName(base, a.Task), a.Outputs[b]})
 	}
 	return append(acts, write)
 }

@@ -20,14 +20,17 @@ import (
 // every item it returns is a sub-slice of one of them capped at its own
 // length, so appending to one item never overwrites the next. Nil and empty
 // lists both decode as nil, and an empty record, key, value or row as nil,
-// exactly as gob decodes the plain slice types.
+// exactly as gob decodes the plain slice types. A split is the exception in
+// one respect: it travels as the hdfs.Records the DFS read it as, whose
+// frame is a Records frame and whose empty record is an empty view.
 //
 // A decoder runs inside the net/rpc server, so it returns an error for any
 // malformed frame and checks every count against the bytes that remain
 // before it allocates for it.
 
-// Records is a list of DFS records: a map split (ReadRangeReply) or one
-// output base of a task attempt's output (ReportArgs).
+// Records is a list of DFS records: one output base of a task attempt's
+// output (ReportArgs). A map split travels in the same frame as the
+// hdfs.Records the DFS reads it as (ReadRangeReply).
 type Records [][]byte
 
 // KVs is one map task's sorted segment for one reduce partition

@@ -5,10 +5,12 @@ import (
 	"encoding/gob"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"ntga/internal/codec"
+	"ntga/internal/hdfs"
 	"ntga/internal/mapreduce"
 	"ntga/internal/query"
 	"ntga/internal/rdf"
@@ -30,6 +32,26 @@ type (
 		RowsText []string
 	}
 )
+
+// splitOf returns recs as the master's DFS serves them as a split.
+func splitOf(t *testing.T, recs [][]byte) hdfs.Records {
+	t.Helper()
+	d := hdfs.New(hdfs.Config{Nodes: 1})
+	if err := d.WriteFile("split", recs); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := d.ReadRange("split", 0, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs
+}
+
+// sameRecords reports whether a and b hold the same records, an empty
+// record and a nil one alike.
+func sameRecords(a, b [][]byte) bool {
+	return slices.EqualFunc(a, b, bytes.Equal) && (a == nil) == (b == nil)
+}
 
 func gobRoundTrip(t *testing.T, in, out any) {
 	t.Helper()
@@ -59,12 +81,12 @@ func TestWireRoundTripMatchesPlainGob(t *testing.T) {
 	for name, recs := range recordCases {
 		var got ReadRangeReply
 		var want plainRange
-		gobRoundTrip(t, &ReadRangeReply{Records: recs}, &got)
+		gobRoundTrip(t, &ReadRangeReply{Records: splitOf(t, recs)}, &got)
 		gobRoundTrip(t, &plainRange{Records: recs}, &want)
-		if !reflect.DeepEqual([][]byte(got.Records), want.Records) {
-			t.Errorf("ReadRangeReply %s: %q, plain gob gives %q", name, got.Records, want.Records)
+		if split := got.Records.Slices(); !sameRecords(split, want.Records) {
+			t.Errorf("ReadRangeReply %s: %q, plain gob gives %q", name, split, want.Records)
 		}
-		checkCapped(t, "ReadRangeReply "+name, got.Records)
+		checkCapped(t, "ReadRangeReply "+name, got.Records.Slices())
 
 		outputs := [][][]byte{recs, nil, recs}
 		var gotRep ReportArgs
@@ -144,10 +166,11 @@ func TestWireRoundTripMatchesPlainGob(t *testing.T) {
 // to one must reallocate rather than overwrite its neighbour.
 func TestWireItemsDoNotShareGrowth(t *testing.T) {
 	var rr ReadRangeReply
-	gobRoundTrip(t, &ReadRangeReply{Records: Records{[]byte("ab"), []byte("cd")}}, &rr)
-	_ = append(rr.Records[0], 'X')
-	if string(rr.Records[1]) != "cd" {
-		t.Errorf("appending to record 0 overwrote record 1: %q", rr.Records[1])
+	gobRoundTrip(t, &ReadRangeReply{Records: splitOf(t, [][]byte{[]byte("ab"), []byte("cd")})}, &rr)
+	split := rr.Records.Slices()
+	_ = append(split[0], 'X')
+	if string(split[1]) != "cd" {
+		t.Errorf("appending to record 0 overwrote record 1: %q", split[1])
 	}
 	var fr FetchReply
 	gobRoundTrip(t, &FetchReply{KVs: segmentOf([]mapreduce.KV{{Key: []byte("k"), Value: []byte("v")}, {Key: []byte("l"), Value: []byte("w")}})}, &fr)
@@ -179,11 +202,11 @@ func TestWireDecodeAllocsFlat(t *testing.T) {
 		into func() any
 	}{
 		{"ReadRangeReply", func(n int) any {
-			r := &ReadRangeReply{Records: make(Records, n)}
-			for i := range r.Records {
-				r.Records[i] = record(i)
+			recs := make([][]byte, n)
+			for i := range recs {
+				recs[i] = record(i)
 			}
-			return r
+			return &ReadRangeReply{Records: splitOf(t, recs)}
 		}, func() any { return new(ReadRangeReply) }},
 		{"FetchReply", func(n int) any {
 			kvs := make([]mapreduce.KV, n)

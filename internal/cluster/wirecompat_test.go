@@ -5,11 +5,14 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
+	"ntga/internal/chunk"
 	"ntga/internal/cluster"
 	"ntga/internal/codec"
+	"ntga/internal/hdfs"
 	"ntga/internal/mapreduce"
 )
 
@@ -20,6 +23,93 @@ type (
 	FetchReply struct{ KVs KVs }
 	KVs        []mapreduce.KV
 )
+
+// ReadRangeReply and Records are the split reply as it was before the DFS
+// framed its records: a list of records framed one by one.
+type (
+	ReadRangeReply struct{ Records Records }
+	Records        [][]byte
+)
+
+// GobEncode frames the records as the old list did: the record count, then
+// each record behind its uvarint length.
+func (rs Records) GobEncode() ([]byte, error) {
+	var b codec.Buffer
+	b.PutUvarint(uint64(len(rs)))
+	for _, r := range rs {
+		b.PutBytes(r)
+	}
+	return b.Bytes(), nil
+}
+
+// GobDecode reads the records one by one, as the old list did.
+func (rs *Records) GobDecode(blob []byte) error {
+	r := codec.NewReader(blob)
+	n, err := r.Uvarint()
+	if err != nil {
+		return err
+	}
+	out := make(Records, n)
+	for i := range out {
+		if out[i], err = r.Bytes(); err != nil {
+			return err
+		}
+	}
+	*rs = out
+	return nil
+}
+
+// TestReadRangeReplyOfFramesMatchesRecordList: a split the master ships as
+// the DFS's own frames encodes to the same frame as the old reply carrying
+// the same records as a list — a range inside one chunk, one spanning
+// chunks, an empty one — gob names both field types Records, and either
+// reply decodes as the other.
+func TestReadRangeReplyOfFramesMatchesRecordList(t *testing.T) {
+	d := hdfs.New(hdfs.Config{Nodes: 1})
+	var recs [][]byte
+	for i := 0; i < 5000; i++ { // several chunks
+		recs = append(recs, []byte(fmt.Sprintf("rec-%d", i*i)))
+	}
+	recs[7] = nil
+	recs = append(recs, bytes.Repeat([]byte("z"), 3*chunk.Max))
+	if err := d.WriteFile("f", recs); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range [][2]int{{0, 3}, {5, 10}, {100, 4000}, {0, -1}, {4990, -1}, {len(recs), 5}} {
+		split, err := d.ReadRange("f", r[0], r[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		end := len(recs)
+		if r[1] >= 0 {
+			end = min(r[0]+r[1], len(recs))
+		}
+		old := ReadRangeReply{Records: recs[r[0]:end]}
+		frame, _ := split.GobEncode()
+		oldFrame, _ := old.Records.GobEncode()
+		if !bytes.Equal(frame, oldFrame) {
+			t.Fatalf("range %v: frame %.40q, the record list's %.40q", r, frame, oldFrame)
+		}
+		// gob leaves a zero field off the stream: an empty range of a
+		// non-empty file is sent, as its empty list was.
+		if reflect.ValueOf(split).IsZero() != reflect.ValueOf(old.Records).IsZero() {
+			t.Errorf("range %v: the framed reply is zero %v, the record list %v", r, reflect.ValueOf(split).IsZero(), reflect.ValueOf(old.Records).IsZero())
+		}
+		var asOld ReadRangeReply
+		gobTo(t, &cluster.ReadRangeReply{Records: split}, &asOld)
+		var asNew cluster.ReadRangeReply
+		gobTo(t, &old, &asNew)
+		got := asNew.Records.Slices()
+		if len(asOld.Records) != end-r[0] || len(got) != end-r[0] {
+			t.Fatalf("range %v: decoded %d and %d records, want %d", r, len(asOld.Records), len(got), end-r[0])
+		}
+		for i := range got {
+			if !bytes.Equal(asOld.Records[i], recs[r[0]+i]) || !bytes.Equal(got[i], recs[r[0]+i]) {
+				t.Fatalf("range %v: record %d decoded as %.20q and %.20q", r, i, asOld.Records[i], got[i])
+			}
+		}
+	}
+}
 
 // GobEncode frames the pairs as the old list did: the pair count, then each
 // key and value behind its uvarint length.

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"ntga/internal/engine"
+	"ntga/internal/hdfs"
 	"ntga/internal/mapreduce"
 	"ntga/internal/plan"
 	"ntga/internal/query"
@@ -705,9 +706,8 @@ func (w *Worker) runTask(ts *TaskSpec, rep *ReportArgs) error {
 		if err != nil {
 			return err
 		}
-		src := mapreduce.NewSliceSource(recs)
 		if ts.Kind == "map" {
-			mo, err := mapreduce.RunMapTask(job, ts.Task, input, ts.NumReducers, src, hooks)
+			mo, err := mapreduce.RunMapTask(job, ts.Task, input, ts.NumReducers, &recs, hooks)
 			if err != nil {
 				return err
 			}
@@ -719,12 +719,13 @@ func (w *Worker) runTask(ts *TaskSpec, rep *ReportArgs) error {
 		}
 		var side [][]byte
 		if ts.SideInput != "" {
-			side, err = w.readSplit(mapreduce.Split{Input: ts.SideInput, N: -1})
+			sideRecs, err := w.readSplit(mapreduce.Split{Input: ts.SideInput, N: -1})
 			if err != nil {
 				return err
 			}
+			side = sideRecs.Slices()
 		}
-		if _, err := mapreduce.RunMapOnlyTask(job, ts.Task, input, side, src, col, hooks); err != nil {
+		if _, err := mapreduce.RunMapOnlyTask(job, ts.Task, input, side, &recs, col, hooks); err != nil {
 			return err
 		}
 	case "reduce":
@@ -760,10 +761,10 @@ func (w *Worker) runTask(ts *TaskSpec, rep *ReportArgs) error {
 // readSplit pulls a map split's records through the master's DFS, charging
 // the master-side read counters exactly as a local streamed scan would
 // (a retried task re-charges its re-read).
-func (w *Worker) readSplit(sp mapreduce.Split) ([][]byte, error) {
+func (w *Worker) readSplit(sp mapreduce.Split) (hdfs.Records, error) {
 	var reply ReadRangeReply
 	if err := w.master.Call(context.Background(), "Master.ReadRange", &ReadRangeArgs{Name: sp.Input, Off: sp.Off, N: sp.N}, &reply); err != nil {
-		return nil, fmt.Errorf("cluster: reading split %s[%d:+%d]: %w", sp.Input, sp.Off, sp.N, err)
+		return hdfs.Records{}, fmt.Errorf("cluster: reading split %s[%d:+%d]: %w", sp.Input, sp.Off, sp.N, err)
 	}
 	return reply.Records, nil
 }

@@ -12,6 +12,7 @@ package hash64
 import (
 	"fmt"
 	"hash/fnv"
+	"strconv"
 )
 
 // Sum returns the fnv64a hash of fmt.Sprintf(format, args...) without
@@ -48,26 +49,22 @@ func Bucket(v uint64, n int) int {
 	return int(h % uint64(n))
 }
 
-// Hasher accumulates formatted writes into one fnv64a state — the streaming
-// form Sum cannot express (e.g. content-hashing a triple relation).
+// Hasher accumulates an fnv64a stream — the streaming form Sum cannot
+// express (e.g. content-hashing a triple relation). Its state is fnv64a's
+// running sum, updated in place, so feeding it allocates nothing.
 type Hasher struct {
-	h interface {
-		Write(p []byte) (int, error)
-		Sum64() uint64
-	}
+	state uint64
 }
 
 // New returns a fresh Hasher.
-func New() *Hasher { return &Hasher{h: fnv.New64a()} }
+func New() *Hasher { return &Hasher{state: fnv64aOffset} }
 
 // Resume returns a Hasher whose state continues from a previously observed
 // Sum64 value. fnv64a's running state *is* its current sum, so
 // Resume(h.Sum64()) extends the exact stream h was hashing — this is what
 // lets the versioned dataset manifest persist one 64-bit running hash and
 // extend it per ingested delta instead of rehashing the whole relation.
-func Resume(sum uint64) *Hasher {
-	return &Hasher{h: &resumed{state: sum}}
-}
+func Resume(sum uint64) *Hasher { return &Hasher{state: sum} }
 
 // FNV-1a's 64-bit offset basis and multiplication prime (matching hash/fnv).
 const (
@@ -75,28 +72,27 @@ const (
 	fnv64aPrime  = 1099511628211
 )
 
-// resumed is an fnv64a state seeded from an arbitrary prior sum.
-type resumed struct{ state uint64 }
-
-func (r *resumed) Write(p []byte) (int, error) {
-	s := r.state
+func (h *Hasher) write(p []byte) {
+	s := h.state
 	for _, b := range p {
 		s ^= uint64(b)
 		s *= fnv64aPrime
 	}
-	r.state = s
-	return len(p), nil
+	h.state = s
 }
 
-func (r *resumed) Sum64() uint64 { return r.state }
-
-// Addf feeds fmt.Sprintf(format, args...) into the hash.
-func (h *Hasher) Addf(format string, args ...any) {
-	fmt.Fprintf(h.h, format, args...)
+// AddTriple feeds one triple of IDs in the form dataset versions and delta
+// block hashes hash it: fmt's "%d,%d,%d;".
+func (h *Hasher) AddTriple(s, p, o uint64) {
+	var buf [3*20 + 3]byte
+	b := append(strconv.AppendUint(buf[:0], s, 10), ',')
+	b = append(strconv.AppendUint(b, p, 10), ',')
+	b = append(strconv.AppendUint(b, o, 10), ';')
+	h.write(b)
 }
 
 // Sum64 returns the current hash value.
-func (h *Hasher) Sum64() uint64 { return h.h.Sum64() }
+func (h *Hasher) Sum64() uint64 { return h.state }
 
 // Hex returns the current hash as the fixed-width form dataset versions
 // take ("%016x").

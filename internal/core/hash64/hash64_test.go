@@ -85,10 +85,10 @@ func TestPinNetDraw(t *testing.T) {
 }
 
 func TestPinVersionHash(t *testing.T) {
-	triples := [][3]uint32{{1, 2, 3}, {4, 5, 6}, {1, 2, 7}, {900, 12, 77}}
+	triples := [][3]uint32{{1, 2, 3}, {4, 5, 6}, {1, 2, 7}, {900, 12, 77}, {0, 0, 0}, {1<<32 - 1, 1 << 31, 10}}
 	h := New()
 	for _, tr := range triples {
-		h.Addf("%d,%d,%d;", tr[0], tr[1], tr[2])
+		h.AddTriple(uint64(tr[0]), uint64(tr[1]), uint64(tr[2]))
 	}
 	if got, want := h.Hex(), legacyVersion(triples); got != want {
 		t.Fatalf("version hash drifted: got %s want %s", got, want)
@@ -125,13 +125,13 @@ func TestBucket(t *testing.T) {
 // stream — the property the versioned dataset manifest depends on.
 func TestResumeContinuesStream(t *testing.T) {
 	whole := New()
-	whole.Addf("%d,%d,%d;", 1, 2, 3)
-	whole.Addf("%d,%d,%d;", 4, 5, 6)
+	whole.AddTriple(1, 2, 3)
+	whole.AddTriple(4, 5, 6)
 
 	first := New()
-	first.Addf("%d,%d,%d;", 1, 2, 3)
+	first.AddTriple(1, 2, 3)
 	rest := Resume(first.Sum64())
-	rest.Addf("%d,%d,%d;", 4, 5, 6)
+	rest.AddTriple(4, 5, 6)
 
 	if rest.Sum64() != whole.Sum64() {
 		t.Fatalf("resumed hash %016x != whole-stream hash %016x", rest.Sum64(), whole.Sum64())

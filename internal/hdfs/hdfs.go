@@ -118,9 +118,20 @@ type block struct {
 }
 
 type file struct {
-	records [][]byte
-	size    int64 // sum of record lengths
-	blocks  []block
+	chunks []fileChunk // the records, framed (io.go)
+	n      int         // records
+	size   int64       // sum of record lengths
+	blocks []block
+}
+
+// writtenFile is a file and the room its Writer starts it in: a file that
+// stays small — most part files — keeps its chunk list, its block list and
+// its block's replica list here, and costs no allocation for them.
+type writtenFile struct {
+	file
+	chunk1 [1]fileChunk
+	block1 [1]block
+	nodes1 [4]int
 }
 
 // DFS is a simulated distributed file system. All methods are safe for
@@ -137,6 +148,7 @@ type DFS struct {
 	dead          []bool // per-node liveness (KillNode)
 	nodesKilled   int
 	metrics       Metrics
+	order         nodeOrder // placeBlock's live nodes, reused from block to block
 
 	// Read counters charged without mu, per record on the scan path.
 	bytesRead, recordsRead atomic.Int64 // Metrics.BytesRead, RecordsRead
@@ -149,7 +161,7 @@ func New(cfg Config) *DFS {
 	if cfg.Replication > cfg.Nodes {
 		panic(fmt.Sprintf("hdfs: replication %d exceeds node count %d", cfg.Replication, cfg.Nodes))
 	}
-	return &DFS{
+	d := &DFS{
 		cfg:       cfg,
 		files:     make(map[string]*file),
 		used:      make([]int64, cfg.Nodes),
@@ -157,6 +169,8 @@ func New(cfg Config) *DFS {
 		spillReg:  make(map[*spillState]struct{}),
 		dead:      make([]bool, cfg.Nodes),
 	}
+	d.order = nodeOrder{ids: make([]int, 0, cfg.Nodes), used: d.used}
+	return d
 }
 
 // Config returns the cluster configuration.
@@ -229,7 +243,7 @@ func (d *DFS) RecordCount(name string) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
-	return len(f.records), nil
+	return f.n, nil
 }
 
 // List returns the names of all files, sorted.
@@ -435,36 +449,40 @@ func (d *DFS) KillNode(n int) (lostSpillBytes int64, ok bool) {
 }
 
 // placeBlock charges one block of the given size to rep distinct live
-// nodes, choosing the nodes with most free space. Caller holds d.mu. When
-// fewer live nodes than the replication factor remain, the block is placed
-// under-replicated rather than failing the write.
-func (d *DFS) placeBlock(size int64) ([]int, error) {
+// nodes, choosing the nodes with most free space, and appends them to dst.
+// Caller holds d.mu. When fewer live nodes than the replication factor
+// remain, the block is placed under-replicated rather than failing the
+// write.
+func (d *DFS) placeBlock(dst []int, size int64) ([]int, error) {
 	rep := d.cfg.Replication
 	if alive := d.aliveLocked(); rep > alive {
 		rep = alive
 	}
-	order := make([]int, 0, len(d.used))
+	o := &d.order
+	o.ids = o.ids[:0]
 	for i := range d.used {
 		if !d.dead[i] {
-			order = append(order, i)
+			o.ids = append(o.ids, i)
 		}
 	}
-	sort.Slice(order, func(a, b int) bool { return d.used[order[a]] < d.used[order[b]] })
-	nodes := make([]int, 0, rep)
-	for _, n := range order {
+	// sort.Sort runs the algorithm sort.Slice runs, so nodes of equal usage
+	// come out in the same order, and placement with them.
+	sort.Sort(o)
+	placed := 0
+	for _, n := range o.ids {
 		if d.cfg.CapacityPerNode != 0 && d.used[n]+size > d.cfg.CapacityPerNode {
 			continue
 		}
-		nodes = append(nodes, n)
-		if len(nodes) == rep {
+		dst = append(dst, n)
+		if placed++; placed == rep {
 			break
 		}
 	}
-	if len(nodes) < rep {
-		return nil, fmt.Errorf("%w: need %d replicas of %d bytes, placed %d",
-			ErrDiskFull, rep, size, len(nodes))
+	if placed < rep {
+		return dst[:len(dst)-placed], fmt.Errorf("%w: need %d replicas of %d bytes, placed %d",
+			ErrDiskFull, rep, size, placed)
 	}
-	for _, n := range nodes {
+	for _, n := range dst[len(dst)-rep:] {
 		d.used[n] += size
 	}
 	var total int64
@@ -474,8 +492,18 @@ func (d *DFS) placeBlock(size int64) ([]int, error) {
 	if total > d.peakUsed {
 		d.peakUsed = total
 	}
-	return nodes, nil
+	return dst, nil
 }
+
+// nodeOrder sorts node indices by the bytes each stores (sort.Interface).
+type nodeOrder struct {
+	ids  []int
+	used []int64
+}
+
+func (o *nodeOrder) Len() int           { return len(o.ids) }
+func (o *nodeOrder) Less(a, b int) bool { return o.used[o.ids[a]] < o.used[o.ids[b]] }
+func (o *nodeOrder) Swap(a, b int)      { o.ids[a], o.ids[b] = o.ids[b], o.ids[a] }
 
 // PeakUsed reports the high-water mark of physical bytes stored — the
 // maximum simultaneous disk footprint seen since creation (or the last

@@ -232,10 +232,11 @@ func TestRangeClampsHugeAndNegativeCounts(t *testing.T) {
 		{"negative offset starts at zero", -5, 1, []string{"0"}},
 		{"exact range", 1, 2, []string{"11", "222"}},
 	} {
-		got, err := d.ReadRange("f", tc.off, tc.n)
+		rs, err := d.ReadRange("f", tc.off, tc.n)
 		if err != nil {
 			t.Fatalf("%s: ReadRange: %v", tc.name, err)
 		}
+		got := collect(rs)
 		if len(got) != len(tc.want) {
 			t.Fatalf("%s: ReadRange = %q, want %q", tc.name, got, tc.want)
 		}
@@ -343,4 +344,14 @@ func TestConcurrentReadsChargeExactly(t *testing.T) {
 	if m := d.Metrics(); m.BytesRead != 0 || m.RecordsRead != 0 {
 		t.Errorf("after ResetMetrics: BytesRead=%d RecordsRead=%d, want 0, 0", m.BytesRead, m.RecordsRead)
 	}
+}
+
+// collect reads every record of rs.
+func collect(rs Records) [][]byte {
+	var out [][]byte
+	for rs.Len() > 0 {
+		rec, _ := rs.Next()
+		out = append(out, rec)
+	}
+	return out
 }

@@ -2,6 +2,8 @@ package ingest
 
 import (
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"reflect"
 	"strings"
 	"testing"
@@ -331,5 +333,29 @@ func TestCompactMaintainsPartitionLayout(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("bucket %d differs from full rebuild (%d vs %d records)", b, len(got), len(want))
 		}
+	}
+}
+
+// TestIngestHashesMatchFmt pins a delta block's hash and the running
+// version to the form they have always had: fnv64a over fmt's "%d,%d,%d;"
+// of each triple, the block's alone and the whole relation's.
+func TestIngestHashesMatchFmt(t *testing.T) {
+	_, st := setup(t)
+	res, err := st.Ingest(strings.NewReader(delta1NT))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmtHash := func(triples []rdf.Triple) string {
+		h := fnv.New64a()
+		for _, tr := range triples {
+			fmt.Fprintf(h, "%d,%d,%d;", tr.S, tr.P, tr.O)
+		}
+		return fmt.Sprintf("%016x", h.Sum64())
+	}
+	if got, want := res.Block.Hash, fmtHash(res.Triples); got != want {
+		t.Errorf("block hash %s, the fmt form %s", got, want)
+	}
+	if got, want := res.Version, fmtHash(st.Graph().Triples); got != want {
+		t.Errorf("version %s, the fmt form %s", got, want)
 	}
 }

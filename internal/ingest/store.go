@@ -143,8 +143,8 @@ func (s *Store) Ingest(r io.Reader) (*Result, error) {
 			w.Abort()
 			return nil, err
 		}
-		blockHash.Addf("%d,%d,%d;", t.S, t.P, t.O)
-		running.Addf("%d,%d,%d;", t.S, t.P, t.O)
+		blockHash.AddTriple(uint64(t.S), uint64(t.P), uint64(t.O))
+		running.AddTriple(uint64(t.S), uint64(t.P), uint64(t.O))
 	}
 	if err := w.Close(); err != nil {
 		w.Abort()

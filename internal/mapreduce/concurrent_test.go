@@ -71,11 +71,15 @@ func TestFailedJobSweepsOnlyItsOwnWorkflow(t *testing.T) {
 		Inputs: []string{"in"},
 		Output: "out-a",
 		MapOnly: MapOnlyFunc(func(_ string, rec []byte, col Collector) error {
-			// Announce that attempt temp files exist, then hold them open
-			// until the rival job has failed and swept.
+			// A part file is created on its first record: collect, announce
+			// that the attempt's temp file exists, then hold it open until
+			// the rival job has failed and swept.
+			if err := col.Collect(rec); err != nil {
+				return err
+			}
 			once.Do(func() { close(started) })
 			<-proceed
-			return col.Collect(rec)
+			return nil
 		}),
 	}
 	a := NewEngine(dfs, EngineConfig{SplitRecords: 64, Slots: newCountingPool(1)})

@@ -195,8 +195,9 @@ func tmpRoot(wf, job string) string {
 // tmpPartName is the attempt-private name a task attempt streams its
 // output into. Keeping every attempt's bytes under its own name is what
 // turns at-least-once execution into exactly-once output: rival attempts
-// never touch each other's files, the winner's are promoted atomically by
-// rename, and losers' are deleted wholesale.
+// never touch each other's files, the winner's are recorded in the job's
+// Parts and spliced from there by the commit, and losers' are deleted
+// wholesale.
 func tmpPartName(wf, job, kind string, task, attempt int, base string, part int) string {
 	var buf [128]byte
 	b := append(buf[:0], "_tmp/"...)
@@ -207,28 +208,25 @@ func tmpPartName(wf, job, kind string, task, attempt int, base string, part int)
 	return string(b)
 }
 
-// partOut is one output base's attempt-temp part file with the final name
-// the commit step promotes it to.
-type partOut struct {
-	w          *hdfs.Writer
-	tmp, final string
-}
-
 // streamCollector streams one task attempt's output records straight into
 // attempt-private DFS part files as they are collected, so a job that
 // overruns cluster capacity fails mid-reduce (hdfs.ErrDiskFull while
-// records are produced), not at a commit step afterwards. A job with a Sink
-// hands its main-output records to the attempt's SinkAttempt as well (or,
-// when the output is sunk, instead, and then offers the operator that sink
-// attempt for records it hands over unencoded: DirectCollector). publish
-// renames the temps to their final part names and commits the sink attempt;
-// abort deletes the temps, and an uncommitted sink attempt is dropped. Like
-// the records, the attempt's counters count only if it commits.
+// records are produced), not at a commit step afterwards. A part file is
+// created on the first record to its output, so an output the attempt never
+// writes costs nothing. A job with a Sink hands its main-output records to
+// the attempt's SinkAttempt as well (or, when the output is sunk, instead,
+// and then offers the operator that sink attempt for records it hands over
+// unencoded: DirectCollector). publish records the part files in the job's
+// Parts and commits the sink attempt; abort deletes them, and an
+// uncommitted sink attempt is dropped. Like the records, the attempt's
+// counters count only if it commits.
 type streamCollector struct {
-	files  []partOut    // every DFS part file of the attempt
-	main   *hdfs.Writer // the main output's, nil when it is sunk
-	sink   SinkAttempt  // nil without a Job.Sink
-	extras map[string]*hdfs.Writer
+	ac    *attemptCtx
+	job   *Job
+	files []*hdfs.Writer // per output base (Job.OutputBases), nil until its first record
+	// toDFS says the main output is written to the DFS: it is not sunk.
+	toDFS bool
+	sink  SinkAttempt // nil without a Job.Sink
 	// records and bytes count everything collected; sunkRecords and
 	// sunkBytes the part of it that went to the sink alone.
 	records, bytes         int64
@@ -242,32 +240,29 @@ type streamCollector struct {
 	committed bool
 }
 
-// openParts creates the attempt-private part files for task index i of the
-// job: one per output written to the DFS — the main output unless it is
-// sunk, and one per declared extra output — and the attempt's sink share.
-func (e *Engine) openParts(job *Job, ac *attemptCtx, i int, timed bool) (*streamCollector, error) {
-	col := &streamCollector{timed: timed}
+// newCollector returns the output collector of a task attempt: the
+// attempt's sink share, and no part file yet.
+func newCollector(job *Job, ac *attemptCtx, timed bool) *streamCollector {
+	col := &streamCollector{ac: ac, job: job, files: make([]*hdfs.Writer, 1+len(job.ExtraOutputs)), toDFS: !job.Sunk(), timed: timed}
 	if job.Sink != nil {
 		col.sink = job.Sink.Attempt()
 	}
-	for _, base := range job.fileBases() {
-		tmp := tmpPartName(ac.js.wf, job.Name, ac.kind, ac.task, ac.attempt, base, i)
-		w, err := e.dfs.Create(tmp)
-		if err != nil {
-			col.abort(ac.js)
-			return nil, fmt.Errorf("creating output %s: %w", base, err)
+	return col
+}
+
+// append writes record to output base b, creating the attempt's part file
+// of it on its first record.
+func (c *streamCollector) append(b int, record []byte) error {
+	w := c.files[b]
+	if w == nil {
+		ac := c.ac
+		var err error
+		if w, err = ac.e.dfs.Create(tmpPartName(ac.js.wf, c.job.Name, ac.kind, ac.task, ac.attempt, c.job.outputBase(b), ac.task)); err != nil {
+			return fmt.Errorf("creating output %s: %w", c.job.outputBase(b), err)
 		}
-		col.files = append(col.files, partOut{w: w, tmp: tmp, final: PartName(base, i)})
-		if base == job.Output {
-			col.main = w
-			continue
-		}
-		if col.extras == nil {
-			col.extras = make(map[string]*hdfs.Writer, len(job.ExtraOutputs))
-		}
-		col.extras[base] = w
+		c.files[b] = w
 	}
-	return col, nil
+	return w.Append(record)
 }
 
 // Inc implements Counter.
@@ -279,8 +274,8 @@ func (c *streamCollector) Collect(record []byte) error {
 		t0 = time.Now()
 	}
 	var err error
-	if c.main != nil {
-		err = c.main.Append(record)
+	if c.toDFS {
+		err = c.append(0, record)
 	}
 	if err == nil && c.sink != nil {
 		err = c.sink.Collect(record)
@@ -293,7 +288,7 @@ func (c *streamCollector) Collect(record []byte) error {
 	}
 	c.records++
 	c.bytes += int64(len(record))
-	if c.main == nil {
+	if !c.toDFS {
 		c.sunkRecords++
 		c.sunkBytes += int64(len(record))
 	}
@@ -303,7 +298,7 @@ func (c *streamCollector) Collect(record []byte) error {
 // Direct implements DirectCollector: the sink attempt, when the main output
 // goes to it alone.
 func (c *streamCollector) Direct() SinkAttempt {
-	if c.main != nil {
+	if c.toDFS {
 		return nil
 	}
 	return c.sink
@@ -318,15 +313,15 @@ func (c *streamCollector) Handed(size int) {
 }
 
 func (c *streamCollector) CollectTo(output string, record []byte) error {
-	w, ok := c.extras[output]
-	if !ok {
+	b := c.ac.js.parts.base(output)
+	if b < 0 {
 		return fmt.Errorf("mapreduce: CollectTo(%q): not a declared extra output", output)
 	}
 	var t0 time.Time
 	if c.timed {
 		t0 = time.Now()
 	}
-	err := w.Append(record)
+	err := c.append(b, record)
 	if c.timed {
 		c.writeDur += time.Since(t0)
 	}
@@ -344,30 +339,35 @@ func (c *streamCollector) CollectTo(output string, record []byte) error {
 // handed to the sink alone.
 func (c *streamCollector) written() (records, bytes int64) {
 	r, b := c.sunkRecords, c.sunkBytes
-	for _, f := range c.files {
-		wr, wb := f.w.Written()
-		r += wr
-		b += wb
+	for _, w := range c.files {
+		if w != nil {
+			wr, wb := w.Written()
+			r += wr
+			b += wb
+		}
 	}
 	return r, b
 }
 
 // publish seals every part file and, if the attempt wins its task's commit
-// claim, atomically promotes the temps to their final part names and commits
-// the sink attempt. On any error — errLostRace included — the deferred
-// abortUnlessCommitted reclaims the attempt's files.
+// claim, records them in the job's Parts — the commit splices them from
+// where they were written — and commits the sink attempt. On any error —
+// errLostRace included — the deferred abortUnlessCommitted reclaims the
+// attempt's files.
 func (c *streamCollector) publish(ac *attemptCtx) error {
-	for _, f := range c.files {
-		if err := f.w.Close(); err != nil {
-			return err
+	for _, w := range c.files {
+		if w != nil {
+			if err := w.Close(); err != nil {
+				return err
+			}
 		}
 	}
 	if !ac.claim() {
 		return errLostRace
 	}
-	for _, f := range c.files {
-		if err := ac.e.dfs.Rename(f.tmp, f.final); err != nil {
-			return fmt.Errorf("committing %s: %w", f.final, err)
+	for b, w := range c.files {
+		if w != nil {
+			ac.js.parts.Publish(b, ac.task, w.Name())
 		}
 	}
 	if c.sink != nil {
@@ -381,11 +381,11 @@ func (c *streamCollector) publish(ac *attemptCtx) error {
 // attempt, accounting the reclaimed bytes to the job's recovery counters.
 func (c *streamCollector) abort(js *jobRunState) {
 	var reclaimed int64
-	for _, f := range c.files {
-		if f.w != nil {
-			_, b := f.w.Written()
+	for _, w := range c.files {
+		if w != nil {
+			_, b := w.Written()
 			reclaimed += b
-			f.w.Abort()
+			w.Abort()
 		}
 	}
 	js.reclaim(reclaimed)
@@ -418,12 +418,14 @@ func (e *Engine) run(job *Job, jsp *trace.Span, wf string) (JobMetrics, error) {
 	start := time.Now()
 	m := JobMetrics{Job: job.Name, MapOnly: job.ShuffleFree(), Sunk: job.Sunk()}
 	js := newJobRunState(e, wf, job.Name)
-	nParts := 0                 // part files per output base once tasks are planned
 	var emitters []*taskEmitter // committed map winners (set once the map phase plans)
 	fail := func(err error) (JobMetrics, error) {
 		m.Failed = true
 		m.Err = err.Error()
-		RemoveOutputs(e.dfs, job, nParts)
+		if js.parts == nil { // failed before its tasks were planned
+			js.parts = NewParts(job, 0)
+		}
+		js.parts.Remove(e.dfs)
 		// A dead job's committed map outputs are garbage too: the spill runs
 		// its winning map attempts parked on local disk will never be merged,
 		// so tearing them down is reclamation (failed attempts already
@@ -454,7 +456,7 @@ func (e *Engine) run(job *Job, jsp *trace.Span, wf string) (JobMetrics, error) {
 			m.Counters.Add(o.counters)
 		}
 		csp := jsp.Child(trace.KindCommit, "commit", len(mapDurs)+len(reduces))
-		err := CommitParts(e.dfs, job, nParts)
+		err := js.parts.Commit(e.dfs)
 		csp.Finish()
 		if err != nil {
 			return fail(err)
@@ -500,7 +502,7 @@ func (e *Engine) run(job *Job, jsp *trace.Span, wf string) (JobMetrics, error) {
 	mapDurs = make([]time.Duration, len(splits))
 
 	if job.ShuffleFree() {
-		nParts = len(splits)
+		js.parts = NewParts(job, len(splits))
 		outs = make([]taskOut, len(splits))
 		if err := e.dispatch("map", len(splits), func(i int) error {
 			return e.runTask(js, "map", i, mapDurs, nil, func(ac *attemptCtx) error {
@@ -563,7 +565,7 @@ func (e *Engine) run(job *Job, jsp *trace.Span, wf string) (JobMetrics, error) {
 	// Each reduce task merges its partition's sorted segments (in-memory
 	// and spilled) into one stream, groups by key, and feeds the reducer,
 	// streaming output records into its attempt-private part files.
-	nParts = nReducers
+	js.parts = NewParts(job, nReducers)
 	var spilledRecs, spilledBytes, mergePasses atomic.Int64
 	reduceDurs = make([]time.Duration, nReducers)
 	reduces = make([]ReduceStats, nReducers)
@@ -673,10 +675,7 @@ func (e *Engine) run(job *Job, jsp *trace.Span, wf string) (JobMetrics, error) {
 			if len(g.m.srcs) > nMem {
 				localPasses++ // the final merge reads at least one on-disk run
 			}
-			col, err := e.openParts(job, ac, p, tsp != nil)
-			if err != nil {
-				return err
-			}
+			col := newCollector(job, ac, tsp != nil)
 			defer col.abortUnlessCommitted(js)
 			st, err := runReduceTask(job, p, g, col, ac.hooks(tsp))
 			if err != nil {
@@ -761,10 +760,7 @@ func (e *Engine) mapOnlyAttempt(job *Job, jsp *trace.Span, sp Split, ac *attempt
 			return fmt.Errorf("map task %d side input %s: %w", i, job.TaskSideInputs[i], err)
 		}
 	}
-	col, err := e.openParts(job, ac, i, tsp != nil)
-	if err != nil {
-		return err
-	}
+	col := newCollector(job, ac, tsp != nil)
 	defer col.abortUnlessCommitted(ac.js)
 	r, err := e.dfs.OpenRange(sp.Input, sp.Off, sp.N)
 	if err != nil {

@@ -143,6 +143,9 @@ type jobRunState struct {
 	wf   string // workflow ID scoping this run's temp namespace
 	job  string
 	plan *FaultPlan
+	// parts records the part files the winning attempts publish; set once
+	// the job's output tasks are planned.
+	parts *Parts
 
 	nodeKillsLeft int64 // atomic
 

@@ -413,3 +413,61 @@ func TestEngineConfigValidateRejections(t *testing.T) {
 		}
 	}
 }
+
+// TestMapOnlyUnwrittenOutputsCreateNoPartFile: a task attempt creates a
+// part file on its first record to an output, so a job whose tasks write
+// only some of its declared outputs creates parts of those alone, and the
+// commit still makes every output a file — an empty one where no task
+// wrote. Task 1 writes nothing at all; no task writes copy1.
+func TestMapOnlyUnwrittenOutputsCreateNoPartFile(t *testing.T) {
+	e := newTestEngine(t, hdfs.Config{})
+	writeInts(t, e.DFS(), "in0", 1, 2)
+	writeInts(t, e.DFS(), "in1")
+	writeInts(t, e.DFS(), "in2", 3)
+	job := &Job{
+		Name:            "sparse-outputs",
+		Inputs:          []string{"in0", "in1", "in2"},
+		Output:          "out",
+		ExtraOutputs:    []string{"copy0", "copy1", "copy2"},
+		WholeFileSplits: true,
+		MapOnlyFactory:  &sumFactory{extras: []string{"copy0", "", "copy2"}},
+	}
+	before := e.DFS().Metrics().FilesCreated
+	if _, err := e.Run(job); err != nil {
+		t.Fatal(err)
+	}
+	// Tasks 0 and 2 each write out and their own copy: four part files; the
+	// commit makes the four outputs.
+	if got := e.DFS().Metrics().FilesCreated - before; got != 4+4 {
+		t.Errorf("%d files created, want 4 part files and 4 outputs", got)
+	}
+	for name, want := range map[string]int{"out": 3, "copy0": 2, "copy1": 0, "copy2": 1} {
+		if n, err := e.DFS().RecordCount(name); err != nil || n != want {
+			t.Errorf("%s: %d records (%v), want %d", name, n, err, want)
+		}
+	}
+	if left := e.DFS().ListPrefix("_tmp/"); len(left) != 0 {
+		t.Errorf("temporaries left behind: %v", left)
+	}
+
+	// No task writes anything: no part file at all, every output empty.
+	silent := &Job{
+		Name:         "silent",
+		Inputs:       []string{"in0", "in2"},
+		Output:       "silent-out",
+		ExtraOutputs: []string{"silent-x", "silent-y"},
+		MapOnly:      MapOnlyFunc(func(string, []byte, Collector) error { return nil }),
+	}
+	before = e.DFS().Metrics().FilesCreated
+	if _, err := e.Run(silent); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.DFS().Metrics().FilesCreated - before; got != 3 {
+		t.Errorf("%d files created, want the 3 outputs alone", got)
+	}
+	for _, name := range silent.OutputBases() {
+		if n, err := e.DFS().RecordCount(name); err != nil || n != 0 {
+			t.Errorf("%s: %d records (%v), want an empty file", name, n, err)
+		}
+	}
+}

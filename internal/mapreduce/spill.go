@@ -2,12 +2,14 @@ package mapreduce
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
 	"time"
 	"unsafe"
 
+	"ntga/internal/chunk"
 	"ntga/internal/hdfs"
 	"ntga/internal/trace"
 )
@@ -329,6 +331,47 @@ func (t *taskEmitter) lost() bool {
 	return false
 }
 
+// passWriter batches a merge pass's framed pairs into spill writes of up to
+// chunk.Max bytes: one lock and one charge per batch, not per pair. A batch
+// the node's spill disk cannot hold is written again pair by pair, so the
+// pass fails at the very pair, with the very bytes charged before it, that
+// writing pair by pair would.
+type passWriter struct {
+	w    *hdfs.SpillWriter
+	buf  []byte // framed pairs not yet written
+	ends []int  // the end of each of them in buf
+}
+
+func (p *passWriter) add(pair []byte) error {
+	if len(p.buf)+len(pair) > chunk.Max && len(p.buf) > 0 {
+		if err := p.flush(); err != nil {
+			return err
+		}
+	}
+	p.buf = append(p.buf, pair...)
+	p.ends = append(p.ends, len(p.buf))
+	return nil
+}
+
+// flush writes the pending pairs.
+func (p *passWriter) flush() error {
+	if len(p.buf) == 0 {
+		return nil
+	}
+	_, err := p.w.Write(p.buf)
+	if errors.Is(err, hdfs.ErrDiskFull) {
+		start := 0
+		for _, end := range p.ends {
+			if _, err = p.w.Write(p.buf[start:end]); err != nil {
+				break
+			}
+			start = end
+		}
+	}
+	p.buf, p.ends = p.buf[:0], p.ends[:0]
+	return err
+}
+
 // mergeRuns reduces the number of on-disk run sources to at most factor by
 // merging batches of them into new single-segment runs on the attempt's
 // local disk, one merge pass per batch (Hadoop's multi-pass external merge
@@ -342,6 +385,7 @@ func (e *Engine) mergeRuns(srcs []segSource, factor int, tsp *trace.Span, ac *at
 	var temps []*spillRun
 	traced := tsp != nil
 	var mi mergeIter
+	var pw passWriter
 	for len(srcs) > factor {
 		if err := ac.checkpoint("merge"); err != nil {
 			return srcs, temps, err
@@ -360,19 +404,21 @@ func (e *Engine) mergeRuns(srcs []segSource, factor int, tsp *trace.Span, ac *at
 		}
 		w := e.dfs.CreateSpillOn(ac.node)
 		w.Grow(size) // the merged run copies exactly its inputs' pairs
+		pw.w = w
 		nrec := 0
 		for {
 			ref, ok, err := mi.next()
+			if err == nil && ok {
+				err = pw.add(mi.framed(ref))
+			} else if err == nil {
+				err = pw.flush()
+			}
 			if err != nil {
 				w.Abort()
 				return srcs, temps, err
 			}
 			if !ok {
 				break
-			}
-			if _, err := w.Write(mi.framed(ref)); err != nil {
-				w.Abort()
-				return srcs, temps, err
 			}
 			nrec++
 		}

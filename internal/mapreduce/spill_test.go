@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
@@ -508,6 +509,67 @@ func TestSpillMergeReleaseLeavesNoSource(t *testing.T) {
 	for i, s := range held {
 		if s.spill != nil || s.seg.Data != nil {
 			t.Errorf("released groupIter still holds source %d of %d", i, len(held))
+		}
+	}
+}
+
+// TestSpillBatchedPassFailsAtTheSamePair: a merge pass writes its pairs in
+// batches, but a pass that runs out of spill disk must fail exactly where
+// writing pair by pair did — with the same error, the same bytes written
+// and charged before it, and the same peak — whatever the disk's size and
+// whatever another spill already holds on the node.
+func TestSpillBatchedPassFailsAtTheSamePair(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var pairs [][]byte
+	total := 0
+	for i := 0; i < 3000; i++ {
+		p := bytes.Repeat([]byte{byte(i)}, 2+rng.Intn(200))
+		pairs, total = append(pairs, p), total+len(p)
+	}
+	for _, capacity := range []int64{1, 100, 65536, 65537, 100003, int64(total) - 1, int64(total), int64(total) + 500} {
+		for _, held := range []int{0, 77} {
+			run := func(batched bool) (int, hdfs.Metrics, int64, string) {
+				d := hdfs.New(hdfs.Config{Nodes: 1, LocalSpillPerNode: capacity + int64(held)})
+				if held > 0 {
+					other := d.CreateSpillOn(0)
+					if _, err := other.Write(make([]byte, held)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				w := d.CreateSpillOn(0)
+				var err error
+				if batched {
+					pw := passWriter{w: w}
+					for _, p := range pairs {
+						if err = pw.add(p); err != nil {
+							break
+						}
+					}
+					if err == nil {
+						err = pw.flush()
+					}
+				} else {
+					for _, p := range pairs {
+						if _, err = w.Write(p); err != nil {
+							break
+						}
+					}
+				}
+				msg := ""
+				if err != nil {
+					if !errors.Is(err, hdfs.ErrDiskFull) {
+						t.Fatalf("capacity %d: %v", capacity, err)
+					}
+					msg = err.Error()
+				}
+				return w.Len(), d.Metrics(), d.PeakSpillUsed(), msg
+			}
+			n, m, peak, msg := run(true)
+			wn, wm, wpeak, wmsg := run(false)
+			if n != wn || m != wm || peak != wpeak || msg != wmsg {
+				t.Errorf("capacity %d, %d held: batched wrote %d bytes (metrics %+v, peak %d, %q); pair by pair %d (%+v, %d, %q)",
+					capacity, held, n, m, peak, msg, wn, wm, wpeak, wmsg)
+			}
 		}
 	}
 }

@@ -61,8 +61,8 @@ func PlanSplits(d *hdfs.DFS, job *Job, splitRecords int, m *JobMetrics) ([]Split
 }
 
 // RecordSource yields a task's input records one at a time; io.EOF ends the
-// stream. *hdfs.FileReader is one; workers wrap an RPC-fetched split in a
-// SliceSource.
+// stream. *hdfs.FileReader is one, and so is *hdfs.Records, the split a
+// worker fetches from the master.
 type RecordSource interface {
 	Next() ([]byte, error)
 }
@@ -230,6 +230,9 @@ func RunMapOnlyTask(job *Job, task int, input string, side [][]byte, src RecordS
 		tm, err := job.taskMapper(task, side)
 		if err != nil {
 			return ScanStats{}, fmt.Errorf("map task %d (%s): %w", task, input, err)
+		}
+		if done, ok := tm.(TaskMapper); ok {
+			defer done.Done()
 		}
 		fn = func(rec []byte) error { return tm.MapRecord(input, rec, col) }
 	} else {
@@ -453,9 +456,9 @@ func (c *MemCollector) CollectTo(output string, record []byte) error {
 	return nil
 }
 
-// PartName is the per-task part file a reduce (or map-only) task's winning
-// attempt publishes its output as; CommitParts splices the parts into the
-// job output once every task has committed.
+// PartName is the per-task part file a worker's winning report is written
+// to (on the cluster's master), before the commit splices it into the job
+// output.
 func PartName(base string, i int) string {
 	var buf [128]byte
 	return string(appendIndex(append(append(buf[:0], base...), "._part-"...), i))
@@ -472,30 +475,76 @@ func appendIndex(b []byte, i int) []byte {
 	return append(b, digits...)
 }
 
-// CommitParts assembles each job output from its nParts per-task part files
-// in task order — a pure block splice (hdfs.Concat), since every record was
-// already written (and paid for) by the task that produced it. A sunk main
-// output has no part files and is skipped.
-func CommitParts(d *hdfs.DFS, job *Job, nParts int) error {
-	for _, base := range job.fileBases() {
-		names := make([]string, nParts)
-		for i := range names {
-			names[i] = PartName(base, i)
+// Parts records the part files the output tasks of one job published: for
+// each output base (Job.OutputBases) and task, the file holding what the
+// task's winning attempt wrote to that output, if it wrote anything. A task
+// attempt creates a part file on its first record to that output, so an
+// output a task never wrote has no part of it. Each task publishes only its
+// own entries, so tasks may publish concurrently.
+type Parts struct {
+	job   *Job
+	tasks int
+	names []string       // [base*tasks + task]; "" where the task wrote nothing
+	extra map[string]int // the index of each extra output in OutputBases
+}
+
+// NewParts returns an empty record of the parts of a job with the given
+// number of output tasks.
+func NewParts(job *Job, tasks int) *Parts {
+	p := &Parts{job: job, tasks: tasks, names: make([]string, len(job.ExtraOutputs)*tasks+tasks)}
+	if len(job.ExtraOutputs) > 0 {
+		p.extra = make(map[string]int, len(job.ExtraOutputs))
+		for i, eo := range job.ExtraOutputs {
+			p.extra[eo] = i + 1
 		}
-		if err := d.Concat(base, names); err != nil {
+	}
+	return p
+}
+
+// base returns the index in Job.OutputBases of the named extra output, or
+// -1 when the job declares no such output.
+func (p *Parts) base(output string) int {
+	if b, ok := p.extra[output]; ok {
+		return b
+	}
+	return -1
+}
+
+// Publish records name as task's part of output base b (an index into
+// Job.OutputBases).
+func (p *Parts) Publish(b, task int, name string) { p.names[b*p.tasks+task] = name }
+
+// Commit assembles each output written to the DFS from its published parts
+// in task order — a pure block splice (hdfs.Concat), since every record was
+// already written (and paid for) by the task that produced it. An output no
+// task wrote is committed empty; a sunk main output is skipped.
+func (p *Parts) Commit(d *hdfs.DFS) error {
+	srcs := make([]string, 0, p.tasks)
+	for b, base := range p.job.OutputBases() {
+		if b == 0 && p.job.Sunk() {
+			continue
+		}
+		srcs = srcs[:0]
+		for _, name := range p.names[b*p.tasks : (b+1)*p.tasks] {
+			if name != "" {
+				srcs = append(srcs, name)
+			}
+		}
+		if err := d.Concat(base, srcs); err != nil {
 			return fmt.Errorf("committing output %s: %w", base, err)
 		}
 	}
 	return nil
 }
 
-// RemoveOutputs deletes a failed job's outputs and whichever of its nParts
-// part files per output were already published.
-func RemoveOutputs(d *hdfs.DFS, job *Job, nParts int) {
-	for _, base := range job.fileBases() {
+// Remove deletes a failed job's outputs and the parts published so far.
+func (p *Parts) Remove(d *hdfs.DFS) {
+	for _, base := range p.job.fileBases() {
 		d.DeleteIfExists(base)
-		for i := 0; i < nParts; i++ {
-			d.DeleteIfExists(PartName(base, i))
+	}
+	for _, name := range p.names {
+		if name != "" {
+			d.DeleteIfExists(name)
 		}
 	}
 }

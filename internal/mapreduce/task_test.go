@@ -75,7 +75,7 @@ func workerStyle(d *hdfs.DFS, job *Job, splitRecords, nReducers int) (map[string
 			return nil, m, err
 		}
 		if !job.ShuffleFree() {
-			mo, err := RunMapTask(job, i, sp.Input, nReducers, NewSliceSource(recs), TaskHooks{})
+			mo, err := RunMapTask(job, i, sp.Input, nReducers, &recs, TaskHooks{})
 			if err != nil {
 				return nil, m, err
 			}
@@ -91,7 +91,7 @@ func workerStyle(d *hdfs.DFS, job *Job, splitRecords, nReducers int) (map[string
 			}
 		}
 		col := NewMemCollector(job)
-		if _, err := RunMapOnlyTask(job, i, sp.Input, side, NewSliceSource(recs), col, TaskHooks{}); err != nil {
+		if _, err := RunMapOnlyTask(job, i, sp.Input, side, &recs, col, TaskHooks{}); err != nil {
 			return nil, m, err
 		}
 		gather(col)

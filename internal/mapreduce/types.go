@@ -226,9 +226,19 @@ type TaskReducer interface {
 // operators with attempt-private state never see a rival attempt's. The
 // side argument carries the records of the task's side input
 // (Job.TaskSideInputs), already fetched by the engine; nil when the task
-// has none.
+// has none. It mirrors TaskReducerFactory: an operator it builds that is
+// also a TaskMapper is told when the attempt ends.
 type TaskMapperFactory interface {
 	NewTask(task int, side [][]byte) (MapOnlyMapper, error)
+}
+
+// TaskMapper is a map-only operator built for one task attempt
+// (TaskMapperFactory) that holds working memory. The engine calls Done once
+// the attempt has mapped its last record, or has failed, and never calls the
+// operator again, so Done may give its working memory back.
+type TaskMapper interface {
+	MapOnlyMapper
+	Done()
 }
 
 // MapOnlyFunc adapts a function to the MapOnlyMapper interface.
@@ -370,7 +380,7 @@ func (j *Job) ShuffleFree() bool {
 
 // OutputBases lists the job's output files in part order — the main output
 // followed by the declared extra outputs — matching the Outputs slots of a
-// MemCollector and the part files CommitParts splices.
+// MemCollector and the entries of Parts.
 func (j *Job) OutputBases() []string {
 	return append([]string{j.Output}, j.ExtraOutputs...)
 }
@@ -386,6 +396,14 @@ func (j *Job) fileBases() []string {
 		return j.ExtraOutputs
 	}
 	return j.OutputBases()
+}
+
+// outputBase returns OutputBases()[b].
+func (j *Job) outputBase(b int) string {
+	if b == 0 {
+		return j.Output
+	}
+	return j.ExtraOutputs[b-1]
 }
 
 // taskMapper builds the map-only operator for one task attempt: the

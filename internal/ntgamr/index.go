@@ -14,7 +14,8 @@ import (
 // right record and probed by each right as it streams past. Both
 // triplegroup joins use it: the shuffled join's reduce task attempt takes
 // one from a pool and fills it per reduce group, reset between groups; the
-// map-only join task builds one per bucket.
+// map-only join task takes one from the same pool and fills it with its
+// bucket's lefts, giving it back when the attempt ends.
 //
 // Every left record is filed under each join value it can take. A left
 // already resolved at its join position (a subject, a pinned slot, a pinned

@@ -2,6 +2,7 @@ package ntgamr
 
 import (
 	"fmt"
+	"sync"
 
 	"ntga/internal/core"
 	"ntga/internal/core/hash64"
@@ -104,13 +105,28 @@ func (r *jlRoute) emit(s *core.Scratch, q *query.Query, comps []core.AnnTG, nc m
 // holds every left record routed to this bucket, filed in a joinIndex, and
 // the task streams the grouped bucket joining right-side records (whose
 // subject is the join value — map-only joins always bind the right star
-// through its subject, so right subjects co-hash with their lefts).
+// through its subject, so right subjects co-hash with their lefts). The task,
+// its index and both Scratches come from their pools and go back on Done
+// (mapreduce.TaskMapper).
 type joinTask struct {
 	q     *query.Query
 	join  query.Join
 	lefts *joinIndex
-	next  *jlRoute // the following map-only join's left routing (nil when last)
-	sc    core.Scratch
+	ls    *core.Scratch // the decoded lefts, for the whole task
+	sc    *core.Scratch // one right record's working memory
+	next  *jlRoute      // the following map-only join's left routing (nil when last)
+}
+
+var joinTaskPool = sync.Pool{New: func() any { return new(joinTask) }}
+
+// Done implements mapreduce.TaskMapper: the task, its index and its
+// Scratches go back to their pools.
+func (j *joinTask) Done() {
+	j.lefts.release()
+	j.ls.Release()
+	j.sc.Release()
+	*j = joinTask{}
+	joinTaskPool.Put(j)
 }
 
 func (j *joinTask) MapRecord(_ string, record []byte, out mapreduce.Collector) error {
@@ -144,7 +160,7 @@ func (j *joinTask) MapRecord(_ string, record []byte, out mapreduce.Collector) e
 		if !ok {
 			return fmt.Errorf("ntgamr: collector lacks MultipleOutputs support")
 		}
-		if err := j.next.emit(&j.sc, j.q, joined, nc); err != nil {
+		if err := j.next.emit(j.sc, j.q, joined, nc); err != nil {
 			return err
 		}
 	}
@@ -165,18 +181,19 @@ type joinTaskFactory struct {
 // that falls in this bucket — the others are the same left's records in
 // other buckets.
 func (f *joinTaskFactory) NewTask(task int, side [][]byte) (mapreduce.MapOnlyMapper, error) {
-	lefts := newJoinIndex(len(side))
-	var ls core.Scratch // the lefts live in its slabs for the whole task
+	j := joinTaskPool.Get().(*joinTask)
+	*j = joinTask{q: f.q, join: f.join, lefts: getJoinIndex(), ls: core.GetScratch(), sc: core.GetScratch(), next: f.next}
 	for _, rec := range side {
-		comps, err := ls.DecodeJoined(rec)
-		if err != nil {
-			return nil, err
+		comps, err := j.ls.DecodeJoined(rec)
+		if err == nil {
+			_, err = j.lefts.addLeft(f.q, f.join.Left, comps, layoutBucket, f.buckets, task)
 		}
-		if _, err := lefts.addLeft(f.q, f.join.Left, comps, layoutBucket, f.buckets, task); err != nil {
+		if err != nil {
+			j.Done()
 			return nil, err
 		}
 	}
-	return &joinTask{q: f.q, join: f.join, lefts: lefts, next: f.next}, nil
+	return j, nil
 }
 
 // tempBuckets names (and tracks for cleanup) one intermediate bucket set.

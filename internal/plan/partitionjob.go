@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"ntga/internal/codec"
@@ -18,16 +19,38 @@ import (
 // key) with the (P,O) tail as the value — the exact key/value encoding the
 // NTGA grouping cycle shuffles, so the engine's byte-wise (key, value)
 // shuffle sort leaves each bucket file subject-contiguous with (P,O) pairs
-// in the same order a flat grouping reducer would see them.
+// in the same order a flat grouping reducer would see them. The record is
+// PutID(S) PutID(P) PutID(O), so once DecodeTriple has checked it, its own
+// bytes split after the subject varint are the pair.
 func partitionLoadMapper(_ string, record []byte, out mapreduce.Emitter) error {
-	t, err := codec.DecodeTriple(record)
-	if err != nil {
+	if _, err := codec.DecodeTriple(record); err != nil {
 		return err
 	}
-	var val codec.Buffer
-	val.PutID(t.P)
-	val.PutID(t.O)
-	return out.Emit(codec.EncodeID(t.S), val.Bytes())
+	_, k := binary.Uvarint(record)
+	return out.Emit(record[:k], record[k:])
+}
+
+// collectTriples writes one subject's run of the loader shuffle to file:
+// key ++ value is PutID(S) PutID(P) PutID(O), the codec triple encoding,
+// re-assembled in one buffer the call reuses from triple to triple.
+// Duplicates are kept — the bucket files hold the exact multiset of input
+// triples.
+func collectTriples(key []byte, values mapreduce.ValueIter, out mapreduce.Collector, file string) error {
+	nc, ok := out.(mapreduce.NamedCollector)
+	if !ok {
+		return fmt.Errorf("plan: loader collector lacks MultipleOutputs support")
+	}
+	var rec []byte
+	for {
+		v, ok, err := values.Next()
+		if err != nil || !ok {
+			return err
+		}
+		rec = append(append(rec[:0], key...), v...)
+		if err := nc.CollectTo(file, rec); err != nil {
+			return err
+		}
+	}
 }
 
 // partitionLoadPartitioner routes each subject to its bucket: the same
@@ -61,11 +84,12 @@ func BuildPartitionLayout(mr *mapreduce.Engine, input, dir string, buckets int, 
 	// ReadLayout, not one that validates against the old manifest.
 	dfs.DeleteIfExists(dir + "/" + hdfs.LayoutManifestName)
 	scan := dir + "/_scan"
+	files := layout.Files()
 	job := &mapreduce.Job{
 		Name:         "partition-load",
 		Inputs:       []string{input},
 		Output:       scan,
-		ExtraOutputs: layout.Files(),
+		ExtraOutputs: files,
 		Mapper:       mapreduce.MapperFunc(partitionLoadMapper),
 		Partitioner:  partitionLoadPartitioner,
 		NumReducers:  buckets,
@@ -74,29 +98,7 @@ func BuildPartitionLayout(mr *mapreduce.Engine, input, dir string, buckets int, 
 			if err != nil {
 				return err
 			}
-			bucket := layout.BucketFile(hash64.Bucket(uint64(s), buckets))
-			nc, ok := out.(mapreduce.NamedCollector)
-			if !ok {
-				return fmt.Errorf("plan: partition-load collector lacks MultipleOutputs support")
-			}
-			// Re-assemble the triple record: key ++ value is PutID(S) PutID(P)
-			// PutID(O), the codec triple encoding. Duplicates are kept — the
-			// bucket files hold the exact multiset of input triples.
-			for {
-				v, ok, err := values.Next()
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return nil
-				}
-				rec := make([]byte, 0, len(key)+len(v))
-				rec = append(rec, key...)
-				rec = append(rec, v...)
-				if err := nc.CollectTo(bucket, rec); err != nil {
-					return err
-				}
-			}
+			return collectTriples(key, values, out, files[hash64.Bucket(uint64(s), buckets)])
 		}),
 	}
 	defer dfs.DeleteIfExists(scan)
@@ -181,25 +183,7 @@ func RewritePartitionBuckets(mr *mapreduce.Engine, dir string, deltas []string, 
 			if temp == "" {
 				return fmt.Errorf("plan: partition-rewrite saw subject %d outside the rebuilt buckets", s)
 			}
-			nc, ok := out.(mapreduce.NamedCollector)
-			if !ok {
-				return fmt.Errorf("plan: partition-rewrite collector lacks MultipleOutputs support")
-			}
-			for {
-				v, ok, err := values.Next()
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return nil
-				}
-				rec := make([]byte, 0, len(key)+len(v))
-				rec = append(rec, key...)
-				rec = append(rec, v...)
-				if err := nc.CollectTo(temp, rec); err != nil {
-					return err
-				}
-			}
+			return collectTriples(key, values, out, temp)
 		}),
 	}
 	defer dfs.DeleteIfExists(scan)

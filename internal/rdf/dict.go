@@ -30,17 +30,22 @@ func NewDict() *Dict {
 // term has not been seen before. Encode panics if the dictionary has been
 // frozen and the term is unknown: freezing exists to catch accidental
 // dictionary growth during query execution, which must never mint terms.
+//
+// The term's key is built in a stack buffer (for keys that fit it) and
+// looked up without being made a string, so a term already interned costs no
+// allocation; only an insert allocates its key.
 func (d *Dict) Encode(t Term) ID {
-	key := t.Key()
+	var buf [keyBuf]byte
+	key := t.appendKey(buf[:0])
 	d.mu.RLock()
-	id, ok := d.byKey[key]
+	id, ok := d.byKey[string(key)]
 	d.mu.RUnlock()
 	if ok {
 		return id
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if id, ok := d.byKey[key]; ok {
+	if id, ok := d.byKey[string(key)]; ok {
 		return id
 	}
 	if d.frozen {
@@ -48,16 +53,22 @@ func (d *Dict) Encode(t Term) ID {
 	}
 	d.terms = append(d.terms, t)
 	id = ID(len(d.terms))
-	d.byKey[key] = id
+	d.byKey[string(key)] = id
 	return id
 }
+
+// keyBuf is the stack buffer Encode and Lookup build a term's key in: the
+// keys of IRIs and short literals fit.
+const keyBuf = 128
 
 // Lookup returns the ID for a term without interning it. The second result
 // reports whether the term was present.
 func (d *Dict) Lookup(t Term) (ID, bool) {
+	var buf [keyBuf]byte
+	key := t.appendKey(buf[:0])
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	id, ok := d.byKey[t.Key()]
+	id, ok := d.byKey[string(key)]
 	return id, ok
 }
 

@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"fmt"
+	"hash/fnv"
 	"strings"
 	"sync"
 	"testing"
@@ -182,4 +183,57 @@ func TestDictAppendNT(t *testing.T) {
 		}
 	}()
 	d.AppendNT(nil, '\t', ID(d.Len()+1))
+}
+
+// TestDictKeyFormsAndHitAllocs: a term's dictionary key keeps its form for
+// every kind, and Encode and Lookup of a term already interned build the
+// key without allocating it.
+func TestDictKeyFormsAndHitAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		term Term
+		key  string
+	}{
+		{NewIRI("http://ex.org/s"), "ihttp://ex.org/s"},
+		{NewBlank("b0"), "bb0"},
+		{NewLiteral("v"), "pv"},
+		{NewLangLiteral("v", "en"), "len\x00v"},
+		{NewTypedLiteral("1", "http://xsd/int"), "thttp://xsd/int\x001"},
+		{NewLiteral(strings.Repeat("long ", 60)), "p" + strings.Repeat("long ", 60)},
+	} {
+		if got := tc.term.Key(); got != tc.key {
+			t.Errorf("%v: key %q, want %q", tc.term, got, tc.key)
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	d := NewDict()
+	terms := []Term{NewIRI("http://ex.org/s"), NewLangLiteral("v", "en"), NewTypedLiteral("1", "http://xsd/int"), NewBlank("b0")}
+	for _, term := range terms {
+		d.Encode(term)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		for _, term := range terms {
+			d.Encode(term)
+			d.Lookup(term)
+		}
+	}); got != 0 {
+		t.Errorf("Encode and Lookup of interned terms: %.0f allocations, want 0", got)
+	}
+}
+
+// TestGraphVersionMatchesFmt pins the dataset version to the form it has
+// always had: fnv64a over fmt's "%d,%d,%d;" of every triple.
+func TestGraphVersionMatchesFmt(t *testing.T) {
+	g := NewGraph()
+	g.AddID(Triple{1, 2, 3})
+	g.AddID(Triple{4294967295, 128, 0})
+	g.AddID(Triple{70000, 9, 123456789})
+	h := fnv.New64a()
+	for _, tr := range g.Triples {
+		fmt.Fprintf(h, "%d,%d,%d;", tr.S, tr.P, tr.O)
+	}
+	if got, want := g.Version(), fmt.Sprintf("%016x", h.Sum64()); got != want {
+		t.Errorf("Version = %s, the fmt form %s", got, want)
+	}
 }

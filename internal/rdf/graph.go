@@ -37,7 +37,7 @@ func (g *Graph) AddID(t Triple) { g.Triples = append(g.Triples, t) }
 func (g *Graph) Version() string {
 	h := hash64.New()
 	for _, t := range g.Triples {
-		h.Addf("%d,%d,%d;", t.S, t.P, t.O)
+		h.AddTriple(uint64(t.S), uint64(t.P), uint64(t.O))
 	}
 	return h.Hex()
 }

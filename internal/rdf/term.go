@@ -125,20 +125,23 @@ func (t *Term) ntLen() int {
 // Key returns a canonical string that uniquely identifies the term; it is
 // used as the dictionary key. It is cheaper than String for literals that
 // need no escaping and is injective across kinds.
-func (t Term) Key() string {
+func (t Term) Key() string { return string(t.appendKey(nil)) }
+
+// appendKey appends Key's bytes to b.
+func (t Term) appendKey(b []byte) []byte {
 	switch t.Kind {
 	case IRI:
-		return "i" + t.Value
+		return append(append(b, 'i'), t.Value...)
 	case Blank:
-		return "b" + t.Value
+		return append(append(b, 'b'), t.Value...)
 	default:
 		if t.Lang != "" {
-			return "l" + t.Lang + "\x00" + t.Value
+			return append(append(append(append(b, 'l'), t.Lang...), 0), t.Value...)
 		}
 		if t.Datatype != "" {
-			return "t" + t.Datatype + "\x00" + t.Value
+			return append(append(append(append(b, 't'), t.Datatype...), 0), t.Value...)
 		}
-		return "p" + t.Value
+		return append(append(b, 'p'), t.Value...)
 	}
 }
 
