@@ -29,6 +29,10 @@ all: build check test
 # exhaustive small-scope walk and the replay — three times over under -race:
 # the core must give one action sequence for one event sequence, so any
 # dependence on map order or timing shows up as a difference between runs.
+# The master's lease and heartbeat tests run three times over under -race
+# too: a Lease call held at the master waits on one wake channel that
+# reports, heartbeats, ticks and new jobs close under the master's lock,
+# and a heartbeat reclaims leases its worker's executors are being granted.
 # The cluster's wire decoders run inside the net/rpc
 # server, so FuzzWireDecode also explores for ten seconds, and so does
 # FuzzResponseDecode over the hand-written /query and /jobs body codec that
@@ -61,6 +65,7 @@ check:
 	go test -race -count=3 -run 'Frame|PartFile|Concat|MapOnly|Placement' ./internal/hdfs/ ./internal/mapreduce/ ./internal/ntgamr/ ./internal/cluster/
 	go test -race -short ./internal/cluster/
 	go test -race -count=3 -run 'Sched|ReportRejects|FetchFailuresCharge|RevivalCarries' ./internal/cluster/
+	go test -race -count=3 -run 'Lease|Heartbeat|Reclaim|Table' ./internal/cluster/
 	go test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 10s ./internal/cluster/
 	go test -run '^$$' -fuzz '^FuzzResponseDecode$$' -fuzztime 10s ./internal/server/
 	go test -run '^$$' -fuzz '^FuzzParseTriple$$' -fuzztime 10s ./internal/rdf/

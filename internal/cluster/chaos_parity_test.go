@@ -184,6 +184,8 @@ func TestCrossTransportChaosParity(t *testing.T) {
 			if st := net.Stats(); st.DroppedDials == 0 && st.Severed == 0 && st.Delayed == 0 {
 				t.Error("chaos plan injected nothing; the parity sweep proved nothing")
 			}
+			st := tc.master.Status()
+			t.Logf("leases expired %d, reclaimed %d", st.LeasesExpired, st.LeasesReclaimed)
 		})
 	}
 }

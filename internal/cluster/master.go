@@ -42,7 +42,9 @@ type MasterConfig struct {
 	// min(HeartbeatTimeout, LeaseTimeout)/16.
 	HeartbeatTimeout time.Duration
 	// HeartbeatEvery/LeaseEvery are advertised to workers at registration:
-	// how often to ping, and how long to idle between empty lease polls.
+	// how often to ping, and how long to idle after a failed Lease call. A
+	// Lease call finding no task waits at the master for one, at most
+	// HeartbeatEvery.
 	HeartbeatEvery time.Duration
 	LeaseEvery     time.Duration
 	// MaxTaskAttempts is the per-task attempt budget; a task whose budget
@@ -75,7 +77,9 @@ func (c MasterConfig) withDefaults() MasterConfig {
 // compiles and plans queries, and leases task attempts to workers. It is
 // the shell around the scheduling core (sched): each RPC handler locks,
 // stamps the time, hands the event to the core and applies the actions it
-// returns — lease spans, part-file writes, job wake-ups.
+// returns — lease spans, part-file writes, job wake-ups — and a Lease call
+// the core has no task for waits in the shell until an event can have made
+// one leasable.
 type Master struct {
 	cfg   MasterConfig
 	dfs   *hdfs.DFS
@@ -98,6 +102,11 @@ type Master struct {
 	// open lease's task span.
 	runs  map[*jobState]*jobRun
 	spans map[*taskState]*trace.Span
+	// wake is closed and cleared by any event that can make a task
+	// leasable, waking every held Lease call; a call about to wait makes
+	// it when there is none. held counts the calls waiting on it.
+	wake chan struct{}
+	held int
 }
 
 // jobRun is the shell's side of one scheduled job.
@@ -192,9 +201,21 @@ func (m *Master) ticker() {
 			return
 		case <-t.C:
 			m.mu.Lock()
-			m.apply(m.s.tick(time.Now()))
+			acts, wake := m.s.tick(time.Now())
+			m.apply(acts)
+			if wake {
+				m.wakeLeases()
+			}
 			m.mu.Unlock()
 		}
+	}
+}
+
+// wakeLeases wakes every held Lease call to ask the core again (m.mu held).
+func (m *Master) wakeLeases() {
+	if m.wake != nil {
+		close(m.wake)
+		m.wake = nil
 	}
 }
 
@@ -250,6 +271,7 @@ func (r *masterRPC) Register(args *RegisterArgs, reply *RegisterReply) error {
 	}
 	m.mu.Lock()
 	reply.Worker = m.s.register(time.Now(), args)
+	m.wakeLeases()
 	m.mu.Unlock()
 	reply.Epoch = m.s.epoch
 	reply.Terms, reply.DatasetVersion = m.wh.Terms(0)
@@ -262,7 +284,11 @@ func (r *masterRPC) Register(args *RegisterArgs, reply *RegisterReply) error {
 func (r *masterRPC) Heartbeat(args *HeartbeatArgs, reply *HeartbeatReply) error {
 	m := r.m
 	m.mu.Lock()
-	live, err := m.s.heartbeat(time.Now(), args)
+	live, acts, wake, err := m.s.heartbeat(time.Now(), args)
+	m.apply(acts)
+	if wake {
+		m.wakeLeases()
+	}
 	m.mu.Unlock()
 	if err != nil {
 		return err
@@ -281,14 +307,44 @@ func (r *masterRPC) Sync(args *SyncArgs, reply *SyncReply) error {
 	return nil
 }
 
+// Lease grants the worker a task of the kind. When the core has none, the
+// call is held: it releases m.mu and waits until an event wakes it
+// (wakeLeases), then asks again; after HeartbeatEvery, or once the master
+// closes, it asks a last time and returns, empty or not, and the worker
+// calls again at once. A worker's executors thus wait for work at the
+// master instead of polling for it.
 func (r *masterRPC) Lease(args *LeaseArgs, reply *LeaseReply) error {
 	m := r.m
+	var limit *time.Timer
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	task, acts, err := m.s.lease(time.Now(), args)
-	m.apply(acts)
-	reply.Task = task
-	return err
+	for last := false; ; {
+		task, acts, err := m.s.lease(time.Now(), args)
+		m.apply(acts)
+		if task != nil || err != nil || last {
+			reply.Task = task
+			return err
+		}
+		if limit == nil {
+			limit = time.NewTimer(m.cfg.HeartbeatEvery)
+			defer limit.Stop()
+		}
+		if m.wake == nil {
+			m.wake = make(chan struct{})
+		}
+		wake := m.wake
+		m.held++
+		m.mu.Unlock()
+		select {
+		case <-wake:
+		case <-limit.C:
+			last = true
+		case <-m.ctx.Done():
+			last = true
+		}
+		m.mu.Lock()
+		m.held--
+	}
 }
 
 func (r *masterRPC) Report(args *ReportArgs, reply *ReportReply) error {
@@ -296,6 +352,7 @@ func (r *masterRPC) Report(args *ReportArgs, reply *ReportReply) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.apply(m.s.report(args))
+	m.wakeLeases()
 	return nil
 }
 
@@ -358,6 +415,7 @@ func (m *Master) runJob(ctx context.Context, q *queryState, jsp *trace.Span, job
 	js := m.s.addJob(q, job, splits, cfg.DefaultReducers)
 	run.parts = mapreduce.NewParts(job, len(js.outTasks()))
 	m.runs[js] = run
+	m.wakeLeases()
 	m.mu.Unlock()
 
 	var cause error
@@ -464,10 +522,20 @@ func (m *Master) RunQuery(ctx context.Context, args *RunArgs) (*RunReply, error)
 		PeakDFSUsed:   res.PeakDFSUsed,
 		Workflow:      res.Workflow,
 	}
-	// Render header and text rows master-side for dictionary-less callers,
-	// exactly as a local ntga-run would print them.
-	reply.Header, reply.RowsText = q.Render(res.Rows)
-	reply.TotalRows = len(reply.RowsText)
+	// Render the rows master-side for dictionary-less callers, as a term
+	// table that Client.Run turns into exactly the rows a local ntga-run
+	// prints. A zero-width row has no cell to count it by.
+	header, terms, cells := q.RenderTable(res.Rows)
+	if reply.Table, err = newTable(terms, cells); err != nil {
+		return nil, err
+	}
+	reply.Header = header
+	if w := len(header); w > 0 {
+		reply.TotalRows = len(cells) / w
+	} else {
+		_, text := q.Render(res.Rows)
+		reply.TotalRows = len(text)
+	}
 	return reply, nil
 }
 

@@ -147,11 +147,24 @@ type TransportCounts struct {
 	FetchRetries int64
 }
 
-// HeartbeatArgs is a worker liveness ping with its transport counts.
+// HeartbeatArgs is a worker liveness ping with its transport counts and
+// the attempts it holds. The master reclaims a lease of the worker that
+// Held does not name, if it was granted before the worker's previous
+// heartbeat.
 type HeartbeatArgs struct {
 	Worker int
 	Epoch  int64
 	TransportCounts
+	Held []HeldAttempt
+}
+
+// HeldAttempt names one task attempt a worker holds: from the moment its
+// lease reply arrives until its Report call returns.
+type HeldAttempt struct {
+	JobID   int64
+	Kind    string
+	Task    int
+	Attempt int
 }
 
 // HeartbeatReply carries the IDs of queries still in flight, so workers can
@@ -276,14 +289,18 @@ type RunArgs struct {
 }
 
 // RunReply is a completed query: the raw binding rows (for callers holding
-// the master's dictionary) and the master-rendered header/text rows (for
+// the master's dictionary) and the master-rendered header and rows (for
 // callers without one), plus the workflow metrics a local run would report.
+// The rendered rows travel as a term table, every distinct term once and
+// one index per projected cell (Table); Client.Run rebuilds RowsText from
+// it. The master leaves RowsText empty, so it does not travel.
 type RunReply struct {
 	Engine    string
 	IsCount   bool
 	Count     int64
 	Rows      Rows
 	Header    []string
+	Table     Table
 	RowsText  Texts
 	TotalRows int
 
@@ -332,4 +349,10 @@ type StatusReply struct {
 	// tasks leased to the worker that already processed the same bucket
 	// earlier in the query (warm-path scheduling over the layout).
 	AffineLeases int64
+
+	// LeasesExpired counts leases ended by their deadline (LeaseTimeout);
+	// LeasesReclaimed counts leases a heartbeat ended because the worker no
+	// longer held them (a grant or a report lost on the wire).
+	LeasesExpired   int64
+	LeasesReclaimed int64
 }

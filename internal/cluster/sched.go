@@ -70,6 +70,9 @@ type partOutput struct {
 type workerState struct {
 	WorkerStatus
 	lastBeat time.Time
+	// beats counts the heartbeats this boot has taken from the worker; a
+	// lease records the count it was granted at (reclaim).
+	beats int64
 	// counts are the transport-recovery totals shipped in heartbeats and
 	// registrations, max-merged (foldCounts).
 	counts TransportCounts
@@ -96,12 +99,14 @@ type queryState struct {
 
 // lease is one granted task attempt. It is named by the worker, the master
 // boot the worker quoted (epoch) and the attempt number: a report ends it
-// only when it names all three.
+// only when it names all three. beat is the worker's heartbeat count when
+// it was granted.
 type lease struct {
 	worker   int
 	epoch    int64
 	attempt  int
 	deadline time.Time
+	beat     int64
 }
 
 // taskState is one task of one job instance.
@@ -126,12 +131,13 @@ type taskState struct {
 	// fetchFailed counts this reduce task's attempts that failed only
 	// fetching map output; they are charged to the maps, not to the task's
 	// attempt budget (charged). fetchFailures counts the fetch-failure
-	// reports naming this map task's committed output.
-	fetchFailed, fetchFailures int
+	// reports naming this map task's committed output. reclaimed counts the
+	// attempts whose lease a heartbeat reclaimed, also uncharged.
+	fetchFailed, fetchFailures, reclaimed int
 }
 
 // charged is how many of the task's attempts count against its budget.
-func (ts *taskState) charged() int { return ts.attempts - ts.fetchFailed }
+func (ts *taskState) charged() int { return ts.attempts - ts.fetchFailed - ts.reclaimed }
 
 // pending reports whether the task waits for a lease.
 func (ts *taskState) pending() bool { return !ts.done && ts.lease == nil }
@@ -298,23 +304,55 @@ func (s *sched) register(now time.Time, a *RegisterArgs) int {
 	return w.ID
 }
 
-// heartbeat records a liveness ping and returns the live query IDs. Besides
+// heartbeat records a liveness ping, reclaims the worker's leases lost on
+// the wire and returns the live query IDs, with the reclaims' actions. Besides
 // register it is the only event that revives a worker declared dead (its
 // map outputs were already re-queued, so it simply becomes a lease target
 // again), and both carry the transport counts: a revived worker never reads
-// alive without them.
-func (s *sched) heartbeat(now time.Time, a *HeartbeatArgs) ([]string, error) {
+// alive without them. wake reports a revival or a reclaim: either can make
+// a task leasable.
+func (s *sched) heartbeat(now time.Time, a *HeartbeatArgs) (live []string, acts []action, wake bool, err error) {
 	w, err := s.worker(a.Worker, a.Epoch)
 	if err != nil {
-		return nil, err
+		return nil, nil, false, err
 	}
+	wake = !w.Alive
 	w.Alive, w.lastBeat = true, now
 	w.foldCounts(a.TransportCounts)
-	var live []string
+	acts = s.reclaim(w, a.Held)
+	w.beats++
 	for _, q := range s.queries {
 		live = append(live, q.id)
 	}
-	return live, nil
+	return live, acts, wake || len(acts) > 0, nil
+}
+
+// reclaim ends every open lease of the worker that its heartbeat does not
+// name (held), if it was granted before the worker's previous heartbeat:
+// the worker held the attempt then, or never got the grant, and holds it no
+// more — the grant's reply or the attempt's report was lost on the wire. The
+// task goes back to the queue and the attempt is not charged, since it did
+// not fail. A grant whose reply is slower than a heartbeat interval is
+// reclaimed wrongly; that costs a duplicate attempt, as the first OK report
+// wins the task.
+func (s *sched) reclaim(w *workerState, held []HeldAttempt) []action {
+	var acts []action
+	for _, js := range s.jobs {
+		for _, tasks := range [2][]*taskState{js.maps, js.reduces} {
+			for _, ts := range tasks {
+				l := ts.lease
+				if l == nil || l.worker != w.ID || l.beat >= w.beats || slices.ContainsFunc(held, func(h HeldAttempt) bool {
+					return h.JobID == js.id && (h.Kind == "reduce") == ts.reduce && h.Task == ts.idx && h.Attempt == l.attempt
+				}) {
+					continue
+				}
+				ts.reclaimed++
+				s.counts.LeasesReclaimed++
+				acts = s.release(js, ts, acts)
+			}
+		}
+	}
+	return acts
 }
 
 // lease grants the worker the first task of the kind any unsettled job
@@ -367,7 +405,7 @@ func (s *sched) lease(now time.Time, a *LeaseArgs) (*TaskSpec, []action, error) 
 		js.retries++
 	}
 	ts.attempts++
-	ts.lease = &lease{worker: w.ID, epoch: s.epoch, attempt: spec.Attempt, deadline: now.Add(s.cfg.LeaseTimeout)}
+	ts.lease = &lease{worker: w.ID, epoch: s.epoch, attempt: spec.Attempt, deadline: now.Add(s.cfg.LeaseTimeout), beat: w.beats}
 	s.counts.TasksDispatched++
 	if affine {
 		s.counts.AffineLeases++
@@ -417,26 +455,27 @@ func (s *sched) settle(js *jobState, err error, acts []action) []action {
 }
 
 // tick declares workers silent for longer than the heartbeat timeout dead,
-// returning their work to the queue, then expires overdue leases.
-func (s *sched) tick(now time.Time) []action {
-	var acts []action
+// returning their work to the queue, then expires overdue leases. wake
+// reports either: both can make a task leasable.
+func (s *sched) tick(now time.Time) (acts []action, wake bool) {
 	for _, w := range s.workers {
 		if w.Alive && now.Sub(w.lastBeat) > s.cfg.HeartbeatTimeout {
 			w.Alive = false
 			s.counts.WorkersLost++
-			acts = s.lose(w, acts)
+			acts, wake = s.lose(w, acts), true
 		}
 	}
 	for _, js := range s.jobs {
 		for _, tasks := range [2][]*taskState{js.maps, js.reduces} {
 			for _, ts := range tasks {
 				if ts.lease != nil && now.After(ts.lease.deadline) {
-					acts = s.charge(js, ts, "lease expired", s.release(js, ts, acts))
+					s.counts.LeasesExpired++
+					acts, wake = s.charge(js, ts, "lease expired", s.release(js, ts, acts)), true
 				}
 			}
 		}
 	}
-	return acts
+	return acts, wake
 }
 
 // lose returns a dead worker's work to the queue: its open leases, and —

@@ -100,8 +100,10 @@ func (r *rig) register(args RegisterArgs) int {
 	return r.s.register(r.now, &args)
 }
 
-func (r *rig) heartbeat(worker int, counts TransportCounts) error {
-	_, err := r.s.heartbeat(r.now, &HeartbeatArgs{Worker: worker, Epoch: r.s.epoch, TransportCounts: counts})
+// heartbeat delivers a heartbeat naming the attempts the worker holds.
+func (r *rig) heartbeat(worker int, counts TransportCounts, held ...HeldAttempt) error {
+	_, acts, _, err := r.s.heartbeat(r.now, &HeartbeatArgs{Worker: worker, Epoch: r.s.epoch, TransportCounts: counts, Held: held})
+	r.apply(acts)
 	return err
 }
 
@@ -123,7 +125,8 @@ func (r *rig) report(args ReportArgs) {
 // tick advances the clock by d and ticks the core.
 func (r *rig) tick(d time.Duration) {
 	r.now = r.now.Add(d)
-	r.apply(r.s.tick(r.now))
+	acts, _ := r.s.tick(r.now)
+	r.apply(acts)
 }
 
 // shuffleJob enqueues a shuffle job with two outputs over n splits and one
@@ -183,15 +186,27 @@ type simWorker struct {
 	killed  bool         // stopped for good: never beats, polls or reports again
 	cut     bool         // partitioned from the master until it beats or re-registers
 	running []simAttempt // leased attempts it has not reported yet
+	// lost are attempts the master granted it that it does not hold, and
+	// whose report the master never got: the grant's reply or the report
+	// was lost on the wire.
+	lost  []simAttempt
+	beats int // heartbeats the master has taken from it
 }
 
 // simAttempt is one attempt a worker runs, with the lease the master granted
 // it. orphaned marks an attempt whose worker the master has since declared
-// dead: its lease ended then.
+// dead: its lease ended then. A lost attempt's beat is the worker's
+// heartbeat count when it was lost.
 type simAttempt struct {
 	spec     *TaskSpec
 	lease    *lease
 	orphaned bool
+	beat     int
+}
+
+// held names an attempt as the worker's heartbeat does.
+func (a simAttempt) held() HeldAttempt {
+	return HeldAttempt{JobID: a.spec.JobID, Kind: a.spec.Kind, Task: a.spec.Task, Attempt: a.spec.Attempt}
 }
 
 // sim is the small scope: two workers, each running up to two attempts at
@@ -200,14 +215,16 @@ type simAttempt struct {
 // map report counts 10 map output records and the counter "c" once; every
 // reduce report ships a unique sink record and three records of the extra
 // output. A tick advances the clock by tickStep after every worker that is
-// neither killed nor cut has heartbeated.
+// neither killed nor cut has heartbeated, naming the attempts it runs.
 type sim struct {
 	*rig
-	js       *jobState
-	w        [2]simWorker
-	killed   bool // the one kill has happened
-	cut      bool // the one partition has happened
-	finished bool // the job settled (the exploration stops there)
+	js         *jobState
+	w          [2]simWorker
+	killed     bool // the one kill has happened
+	cut        bool // the one partition has happened
+	grantLost  bool // the one lost grant has happened
+	reportLost bool // the one lost report has happened
+	finished   bool // the job settled (the exploration stops there)
 }
 
 const (
@@ -218,13 +235,17 @@ const (
 	simExtraRecords  = 3
 	simTasks         = 3
 	simMaxWorkerLoad = 2
+	simMaxFaults     = 2 // of the four one-time faults, any two
 )
 
 // simEvent is one step of the exploration: "poll" (lease a map, else a
 // reduce), "finish" or "crash" (the worker reports running attempt i: a
 // finish fails only on fetching from a killed holder), "tick", "kill",
-// "cut", and the two ways a cut worker heals: "beat" (a heartbeat) and
-// "rejoin" (a re-registration naming its ID and the master's epoch).
+// "cut", the two ways a cut worker heals: "beat" (a heartbeat) and
+// "rejoin" (a re-registration naming its ID and the master's epoch), and
+// the two messages the wire can lose: "drop-grant" (a poll whose granted
+// lease never reaches the worker) and "drop-report" (the worker stops
+// holding running attempt i, but its report never reaches the master).
 type simEvent struct {
 	op   string
 	w, i int
@@ -234,7 +255,7 @@ func (e simEvent) String() string {
 	switch e.op {
 	case "tick":
 		return "tick"
-	case "finish", "crash":
+	case "finish", "crash", "drop-report":
 		return fmt.Sprintf("%s w%d#%d", e.op, e.w+1, e.i)
 	}
 	return fmt.Sprintf("%s w%d", e.op, e.w+1)
@@ -249,6 +270,18 @@ func newSim() *sim {
 	return s
 }
 
+// faults counts the one-time faults that have happened: the kill, the
+// partition, the lost grant and the lost report.
+func (s *sim) faults() int {
+	n := 0
+	for _, f := range []bool{s.killed, s.cut, s.grantLost, s.reportLost} {
+		if f {
+			n++
+		}
+	}
+	return n
+}
+
 // enabled lists the events possible in the current state, in a fixed order.
 func (s *sim) enabled() []simEvent {
 	var evs []simEvent
@@ -258,9 +291,15 @@ func (s *sim) enabled() []simEvent {
 		}
 		if len(sw.running) < simMaxWorkerLoad {
 			evs = append(evs, simEvent{op: "poll", w: w})
+			if !s.grantLost && s.faults() < simMaxFaults {
+				evs = append(evs, simEvent{op: "drop-grant", w: w})
+			}
 		}
 		for i := range sw.running {
 			evs = append(evs, simEvent{op: "finish", w: w, i: i}, simEvent{op: "crash", w: w, i: i})
+			if !s.reportLost && s.faults() < simMaxFaults {
+				evs = append(evs, simEvent{op: "drop-report", w: w, i: i})
+			}
 		}
 	}
 	evs = append(evs, simEvent{op: "tick"})
@@ -268,10 +307,10 @@ func (s *sim) enabled() []simEvent {
 		switch {
 		case sw.cut && !sw.killed:
 			evs = append(evs, simEvent{op: "beat", w: w}, simEvent{op: "rejoin", w: w})
-		case !sw.killed && !s.cut:
+		case !sw.killed && !s.cut && s.faults() < simMaxFaults:
 			evs = append(evs, simEvent{op: "cut", w: w})
 		}
-		if !sw.killed && !s.killed {
+		if !sw.killed && !s.killed && s.faults() < simMaxFaults {
 			evs = append(evs, simEvent{op: "kill", w: w})
 		}
 	}
@@ -283,18 +322,24 @@ func (s *sim) enabled() []simEvent {
 func (s *sim) step(e simEvent) string {
 	sw := &s.w[e.w]
 	switch e.op {
-	case "poll":
+	case "poll", "drop-grant":
 		spec := s.lease(sw.id, "map")
 		if spec == nil {
 			spec = s.lease(sw.id, "reduce")
 		}
 		if spec != nil {
-			ts := s.js.maps[spec.Task]
-			if spec.Kind == "reduce" {
-				ts = s.js.reduces[spec.Task]
+			a := simAttempt{spec: spec, lease: s.taskOf(spec).lease, beat: sw.beats}
+			if e.op == "poll" {
+				sw.running = append(sw.running, a)
+			} else {
+				sw.lost, s.grantLost = append(sw.lost, a), true
 			}
-			sw.running = append(sw.running, simAttempt{spec: spec, lease: ts.lease})
 		}
+	case "drop-report":
+		a := sw.running[e.i]
+		a.beat = sw.beats
+		sw.running = slices.Delete(sw.running, e.i, e.i+1)
+		sw.lost, s.reportLost = append(sw.lost, a), true
 	case "finish", "crash":
 		spec := sw.running[e.i].spec
 		sw.running = slices.Delete(sw.running, e.i, e.i+1)
@@ -303,12 +348,15 @@ func (s *sim) step(e simEvent) string {
 		}
 	case "tick":
 		s.now = s.now.Add(tickStep)
-		for _, w := range s.w {
-			if !w.killed && !w.cut {
-				s.heartbeat(w.id, TransportCounts{})
+		for i := range s.w {
+			if w := &s.w[i]; !w.killed && !w.cut {
+				if msg := s.beat(w); msg != "" {
+					return msg
+				}
 			}
 		}
-		s.apply(s.s.tick(s.now))
+		acts, _ := s.s.tick(s.now)
+		s.apply(acts)
 		for i, w := range s.s.workers {
 			for j := range s.w[i].running {
 				s.w[i].running[j].orphaned = s.w[i].running[j].orphaned || !w.Alive
@@ -320,14 +368,18 @@ func (s *sim) step(e simEvent) string {
 		sw.cut, s.cut = true, true
 	case "beat":
 		sw.cut = false
-		if err := s.heartbeat(sw.id, TransportCounts{}); err != nil {
-			return fmt.Sprintf("heartbeat after the partition: %v", err)
+		if msg := s.beat(sw); msg != "" {
+			return msg
 		}
 	case "rejoin":
 		sw.cut = false
 		if id := s.register(RegisterArgs{Addr: fmt.Sprintf("w%d", e.w+1), MapSlots: 1, ReduceSlots: 1, PrevWorker: sw.id, PrevEpoch: s.s.epoch}); id != sw.id {
 			return fmt.Sprintf("re-registration of worker %d assigned ID %d", sw.id, id)
 		}
+	}
+	// A lost attempt whose lease has ended is out of the invariants' reach.
+	for i := range s.w {
+		s.w[i].lost = slices.DeleteFunc(s.w[i].lost, func(a simAttempt) bool { return s.taskOf(a.spec).lease != a.lease })
 	}
 	if !s.finished && s.js.settled {
 		s.finished = true
@@ -336,6 +388,45 @@ func (s *sim) step(e simEvent) string {
 		}
 	}
 	return s.invariants()
+}
+
+// taskOf is the task an attempt's spec names.
+func (s *sim) taskOf(spec *TaskSpec) *taskState {
+	if spec.Kind == "reduce" {
+		return s.js.reduces[spec.Task]
+	}
+	return s.js.maps[spec.Task]
+}
+
+// beat delivers a heartbeat of worker sw naming the attempts it runs. The
+// heartbeat may reclaim leases, but never charges an attempt: a task whose
+// lease it reclaims takes back the charge of that lease's grant, and every
+// other task's charge stays as it was.
+func (s *sim) beat(sw *simWorker) string {
+	var charged [simTasks]int
+	var leased [simTasks]bool
+	tasks := slices.Concat(s.js.maps, s.js.reduces)
+	for i, ts := range tasks {
+		charged[i], leased[i] = ts.charged(), ts.lease != nil
+	}
+	held := make([]HeldAttempt, len(sw.running))
+	for i, a := range sw.running {
+		held[i] = a.held()
+	}
+	if err := s.heartbeat(sw.id, TransportCounts{}, held...); err != nil {
+		return fmt.Sprintf("heartbeat of worker %d: %v", sw.id, err)
+	}
+	sw.beats++
+	for i, ts := range tasks {
+		want := charged[i]
+		if leased[i] && ts.lease == nil {
+			want--
+		}
+		if ts.charged() != want {
+			return fmt.Sprintf("a heartbeat of worker %d moved %s/%d's charged attempts %d → %d, want %d", sw.id, s.js.kind(ts), ts.idx, charged[i], ts.charged(), want)
+		}
+	}
+	return ""
 }
 
 // deliver reports one attempt of worker sw. A reduce attempt fetches every
@@ -366,10 +457,7 @@ func (s *sim) deliver(sw *simWorker, spec *TaskSpec, crash bool) string {
 		rep.OK, rep.Groups = true, 1
 		rep.Outputs = []Records{{[]byte(fmt.Sprintf("row from worker %d attempt %d", sw.id, spec.Attempt))}, extra}
 	}
-	ts := s.js.reduces[0]
-	if spec.Kind == "map" {
-		ts = s.js.maps[spec.Task]
-	}
+	ts := s.taskOf(spec)
 	l := ts.lease
 	named := l != nil && l.worker == sw.id && l.attempt == spec.Attempt
 	before := ts.charged()
@@ -410,20 +498,25 @@ func (s *sim) settled() string {
 
 // invariants checks the state after every step: the action stream's open
 // leases are the core's; no lease outlives its worker or its job; each
-// worker's busy counts equal its open leases; and an attempt still running
+// worker's busy counts equal its open leases; an attempt still running
 // keeps its lease until it reports, the lease expires, its worker is
 // declared dead or its job settles — another attempt's report never ends
-// it.
+// it; and two heartbeats after a worker lost an attempt (its grant or its
+// report), no task waits on that attempt's lease.
 func (s *sim) invariants() string {
 	if s.fault != "" {
 		return s.fault
 	}
 	for _, sw := range s.w {
-		for _, r := range sw.running {
-			ts := s.js.maps[r.spec.Task]
-			if r.spec.Kind == "reduce" {
-				ts = s.js.reduces[r.spec.Task]
+		for _, a := range sw.lost {
+			if sw.beats-a.beat >= 2 && s.taskOf(a.spec).lease == a.lease {
+				return fmt.Sprintf("%s/%d attempt %d: worker %d lost it %d heartbeats ago, but the task still waits on its lease", a.spec.Kind, a.spec.Task, a.spec.Attempt, sw.id, sw.beats-a.beat)
 			}
+		}
+	}
+	for _, sw := range s.w {
+		for _, r := range sw.running {
+			ts := s.taskOf(r.spec)
 			if !r.orphaned && !s.js.settled && !s.now.After(r.lease.deadline) && ts.lease != r.lease {
 				return fmt.Sprintf("%s/%d attempt %d still runs on worker %d, but its lease ended (the task's lease is %+v)", r.spec.Kind, r.spec.Task, r.spec.Attempt, sw.id, ts.lease)
 			}
@@ -474,20 +567,28 @@ func (s *sim) fingerprint(b []byte) uint64 {
 	// The core only compares times with now, so times relative to now merge
 	// states that differ only in when they happened.
 	ms := func(t time.Time) int64 { return t.Sub(s.now).Milliseconds() }
-	num(flag(s.killed), flag(s.cut))
+	num(flag(s.killed), flag(s.cut), flag(s.grantLost), flag(s.reportLost))
 	for i, w := range s.s.workers {
 		num(flag(w.Alive), ms(w.lastBeat), int64(w.MapBusy), int64(w.ReduceBusy), flag(s.w[i].killed), flag(s.w[i].cut))
 		for _, r := range s.w[i].running {
 			b = append(b, r.spec.Kind...)
 			num(int64(r.spec.Task), int64(r.spec.Attempt), ms(r.lease.deadline), flag(r.orphaned))
 		}
+		b = append(b, '/')
+		// Only whether two heartbeats have passed since a loss matters.
+		for _, r := range s.w[i].lost {
+			b = append(b, r.spec.Kind...)
+			num(int64(r.spec.Task), int64(r.spec.Attempt), int64(min(s.w[i].beats-r.beat, 2)))
+		}
 		b = append(b, '|')
 	}
 	num(flag(s.js.settled), int64(s.js.mapsDone))
 	for _, ts := range slices.Concat(s.js.maps, s.js.reduces) {
-		num(flag(ts.done), flag(ts.won), int64(ts.holder), int64(ts.attempts), int64(ts.fetchFailed), int64(ts.fetchFailures), ts.records)
+		num(flag(ts.done), flag(ts.won), int64(ts.holder), int64(ts.attempts), int64(ts.fetchFailed), int64(ts.fetchFailures), int64(ts.reclaimed), ts.records)
 		if l := ts.lease; l != nil {
-			num(int64(l.worker), int64(l.attempt), ms(l.deadline))
+			// Only whether the lease predates its worker's last heartbeat
+			// matters to a reclaim.
+			num(int64(l.worker), int64(l.attempt), ms(l.deadline), min(s.s.workers[l.worker-1].beats-l.beat, 1))
 		}
 		if w := s.writes[pos(s.js, ts)]; w != nil {
 			num(int64(w.Worker), int64(w.Attempt))
@@ -500,14 +601,15 @@ func (s *sim) fingerprint(b []byte) uint64 {
 }
 
 // TestSchedExhaustiveSmallScope walks every order of the small scope's
-// events up to simDepth steps — one kill and one partition at most —
-// visiting each distinct state once at the shallowest depth it is reached,
-// and checks the invariants after every step.
+// events up to simDepth steps — any two of one kill, one partition, one lost
+// grant and one lost report — visiting each distinct state once at the
+// shallowest depth it is reached, and checks the invariants after every
+// step. Some orders must complete the job after a reclaim.
 func TestSchedExhaustiveSmallScope(t *testing.T) {
 	const simDepth = 11
 	seen := make(map[uint64]int)
-	buf := make([]byte, 0, 256)
-	var states, settledOK, settledErr int
+	buf := make([]byte, 0, 1024)
+	var states, settledOK, settledErr, reclaimedOK int
 	var walk func(s *sim, path []simEvent) bool
 	walk = func(s *sim, path []simEvent) bool {
 		for _, e := range s.enabled() {
@@ -526,6 +628,9 @@ func TestSchedExhaustiveSmallScope(t *testing.T) {
 			if child.finished {
 				if child.js.err == nil {
 					settledOK++
+					if child.s.counts.LeasesReclaimed > 0 {
+						reclaimedOK++
+					}
 				} else {
 					settledErr++
 				}
@@ -538,9 +643,9 @@ func TestSchedExhaustiveSmallScope(t *testing.T) {
 		return true
 	}
 	walk(newSim(), nil)
-	t.Logf("%d states, %d settled OK, %d failed", states, settledOK, settledErr)
-	if settledOK == 0 {
-		t.Errorf("no explored order completed the job")
+	t.Logf("%d states, %d settled OK (%d after a reclaim), %d failed", states, settledOK, reclaimedOK, settledErr)
+	if settledOK == 0 || reclaimedOK == 0 {
+		t.Errorf("no explored order completed the job (after a reclaim: %d)", reclaimedOK)
 	}
 }
 
@@ -549,14 +654,14 @@ func TestSchedExhaustiveSmallScope(t *testing.T) {
 func (s *sim) clone() *sim {
 	c, r, sc := *s, *s.rig, *s.s
 	c.rig, r.s = &r, &sc
-	sc.workers = nil
+	sc.workers = make([]*workerState, 0, len(s.s.workers))
 	for _, w := range s.s.workers {
 		wc := *w
 		sc.workers = append(sc.workers, &wc)
 	}
 	q := *s.js.q // its bucketHolder stays empty: the job is not bucket-aligned
 	js := *s.js
-	js.q, js.maps, js.reduces = &q, nil, nil
+	js.q, js.maps, js.reduces = &q, make([]*taskState, 0, len(s.js.maps)), make([]*taskState, 0, len(s.js.reduces))
 	sc.queries, sc.jobs, c.js = []*queryState{&q}, []*jobState{&js}, &js
 	tasks := make([]taskState, 0, simTasks)
 	for _, ts := range s.js.maps {
@@ -569,6 +674,7 @@ func (s *sim) clone() *sim {
 	}
 	for i := range c.w {
 		c.w[i].running = slices.Clone(s.w[i].running)
+		c.w[i].lost = slices.Clone(s.w[i].lost)
 	}
 	return &c
 }

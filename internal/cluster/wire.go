@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"strings"
 
 	"ntga/internal/codec"
 	"ntga/internal/mapreduce"
@@ -11,8 +13,8 @@ import (
 	"ntga/internal/rdf"
 )
 
-// The four bulk payloads of the protocol — a split's records, a shuffle
-// segment, a task's output and a query's rows — would cost gob one
+// The bulk payloads of the protocol — a split's records, a shuffle segment,
+// a task's output, a query's rows and its term table — would cost gob one
 // allocation per element. Each travels instead as one gob byte string,
 // framed like a spill run: a uvarint item count, then every item
 // length-prefixed. An encoder sizes its frame exactly and allocates it once;
@@ -44,8 +46,21 @@ type KVs mapreduce.Segment
 // Rows is a query's binding rows (RunReply).
 type Rows []query.Row
 
-// Texts is a query's rendered result rows (RunReply).
+// Texts is a query's rendered result rows (RunReply.RowsText).
 type Texts []string
+
+// Table is a query's rendered rows as a term table (RunReply.Table, built
+// from query.RenderTable): every distinct rendered term once, then one index
+// into them per projected cell, row-major. Its frame is the term count, each
+// term length-prefixed (a Texts frame), then the cell count and each cell as
+// a uvarint. A decoder rejects a cell that names no term, and holds any
+// table in two slabs: one string of the terms back to back, and one []uint32
+// of each term's end in it followed by the cells.
+type Table struct {
+	text  string
+	idx   []uint32 // the terms' ends in text, then the cells
+	terms int      // how many of idx are term ends
+}
 
 // GobEncode frames the records.
 func (rs Records) GobEncode() ([]byte, error) {
@@ -222,6 +237,128 @@ func (ts *Texts) GobDecode(blob []byte) (err error) {
 		return err
 	}
 	*ts = out
+	return nil
+}
+
+// newTable holds a term table (query.RenderTable's terms and cells) as a
+// Table.
+func newTable(terms []string, cells []uint32) (Table, error) {
+	n := 0
+	for _, t := range terms {
+		n += len(t)
+	}
+	if n > math.MaxUint32 {
+		return Table{}, fmt.Errorf("cluster: %d bytes of terms", n)
+	}
+	if len(terms)+len(cells) == 0 {
+		return Table{}, nil
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	idx := make([]uint32, len(terms), len(terms)+len(cells))
+	for i, t := range terms {
+		sb.WriteString(t)
+		idx[i] = uint32(sb.Len())
+	}
+	return Table{text: sb.String(), idx: append(idx, cells...), terms: len(terms)}, nil
+}
+
+// term is term i of the table.
+func (t Table) term(i uint32) string {
+	start := uint32(0)
+	if i > 0 {
+		start = t.idx[i-1]
+	}
+	return t.text[start:t.idx[i]]
+}
+
+// cells are the table's cells.
+func (t Table) cells() []uint32 { return t.idx[t.terms:] }
+
+// termList is the table's terms, each a substring of its text.
+func (t Table) termList() []string {
+	if t.terms == 0 {
+		return nil
+	}
+	terms := make([]string, t.terms)
+	for i := range terms {
+		terms[i] = t.term(uint32(i))
+	}
+	return terms
+}
+
+// GobEncode frames the table: its terms as a Texts frame, then its cells.
+func (t Table) GobEncode() ([]byte, error) {
+	cells := t.cells()
+	n := codec.UvarintLen(uint64(t.terms)) + codec.UvarintLen(uint64(len(cells)))
+	for i := range t.terms {
+		n += bytesLen(len(t.term(uint32(i))))
+	}
+	for _, c := range cells {
+		n += codec.UvarintLen(uint64(c))
+	}
+	b := codec.NewBuffer(n)
+	b.PutUvarint(uint64(t.terms))
+	for i := range t.terms {
+		b.PutString(t.term(uint32(i)))
+	}
+	b.PutUvarint(uint64(len(cells)))
+	for _, c := range cells {
+		b.PutUvarint(uint64(c))
+	}
+	return b.Bytes(), nil
+}
+
+// GobDecode decodes a frame in two passes: the first sizes the terms' text
+// and checks the counts, the second copies the terms and reads the cells.
+func (t *Table) GobDecode(blob []byte) (err error) {
+	defer wrapFrameErr("Table", &err)
+	r := codec.NewReader(blob)
+	nt, err := count(r, 1)
+	if err != nil {
+		return err
+	}
+	scan, size := *r, 0
+	for range nt {
+		p, err := scan.Bytes()
+		if err != nil {
+			return err
+		}
+		size += len(p)
+	}
+	if size > math.MaxUint32 {
+		return fmt.Errorf("%w: %d bytes of terms", codec.ErrCorrupt, size)
+	}
+	nc, err := count(&scan, 1)
+	if err != nil {
+		return err
+	}
+	out := Table{terms: nt}
+	if nt+nc > 0 {
+		var sb strings.Builder
+		sb.Grow(size)
+		out.idx = make([]uint32, nt, nt+nc)
+		for i := range nt {
+			p, _ := r.Bytes() // the first pass read it
+			sb.Write(p)
+			out.idx[i] = uint32(sb.Len())
+		}
+		out.text = sb.String()
+	}
+	for range nc {
+		c, err := scan.Uvarint()
+		if err != nil {
+			return err
+		}
+		if c >= uint64(nt) {
+			return fmt.Errorf("%w: a cell names term %d of %d", codec.ErrCorrupt, c, nt)
+		}
+		out.idx = append(out.idx, uint32(c))
+	}
+	if err := closeFrame(&scan); err != nil {
+		return err
+	}
+	*t = out
 	return nil
 }
 

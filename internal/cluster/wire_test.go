@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"ntga/internal/codec"
+	"ntga/internal/enginetest"
 	"ntga/internal/hdfs"
 	"ntga/internal/mapreduce"
 	"ntga/internal/query"
@@ -28,8 +29,9 @@ type (
 	plainRange  struct{ Records [][]byte }
 	plainFetch  struct{ KVs []mapreduce.KV }
 	plainRun    struct {
-		Rows     []query.Row
-		RowsText []string
+		Rows  []query.Row
+		Terms []string
+		Cells []uint32
 	}
 )
 
@@ -135,30 +137,66 @@ func TestWireRoundTripMatchesPlainGob(t *testing.T) {
 	}
 
 	for name, tc := range map[string]struct {
-		rows []query.Row
-		text []string
+		rows  []query.Row
+		terms []string
+		cells []uint32
 	}{
-		"nil":       {nil, nil},
-		"empty":     {[]query.Row{}, []string{}},
-		"width 0":   {[]query.Row{{}, nil, {}}, []string{"", "", ""}},
-		"mixed":     {[]query.Row{{1, 2, 3}, {}, {rdf.ID(1 << 31), 0, 127, 128}}, []string{"<a>\t\"b\"", "", "\x00é"}},
-		"long text": {[]query.Row{{5}}, []string{strings.Repeat("t", 1000)}},
+		"nil":       {nil, nil, nil},
+		"empty":     {[]query.Row{}, []string{}, []uint32{}},
+		"width 0":   {[]query.Row{{}, nil, {}}, []string{""}, []uint32{0, 0, 0}},
+		"mixed":     {[]query.Row{{1, 2, 3}, {}, {rdf.ID(1 << 31), 0, 127, 128}}, []string{"<a>\t\"b\"", "", "\x00é"}, []uint32{0, 1, 2, 2, 1, 0}},
+		"long text": {[]query.Row{{5}}, []string{strings.Repeat("t", 1000)}, []uint32{0}},
 	} {
+		table, err := newTable(tc.terms, tc.cells)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var got RunReply
 		var want plainRun
-		gobRoundTrip(t, &RunReply{Rows: tc.rows, RowsText: tc.text, TotalRows: len(tc.text)}, &got)
-		gobRoundTrip(t, &plainRun{Rows: tc.rows, RowsText: tc.text}, &want)
-		if !reflect.DeepEqual([]query.Row(got.Rows), want.Rows) || !reflect.DeepEqual([]string(got.RowsText), want.RowsText) {
-			t.Errorf("RunReply %s: %v %q, plain gob gives %v %q", name, got.Rows, got.RowsText, want.Rows, want.RowsText)
+		gobRoundTrip(t, &RunReply{Rows: tc.rows, Table: table, TotalRows: len(tc.rows)}, &got)
+		gobRoundTrip(t, &plainRun{Rows: tc.rows, Terms: tc.terms, Cells: tc.cells}, &want)
+		terms, cells := tableOf(got.Table)
+		if !reflect.DeepEqual([]query.Row(got.Rows), want.Rows) || !reflect.DeepEqual(terms, want.Terms) || !reflect.DeepEqual(cells, want.Cells) {
+			t.Errorf("RunReply %s: %v %q %v, plain gob gives %v %q %v", name, got.Rows, terms, cells, want.Rows, want.Terms, want.Cells)
 		}
-		if got.TotalRows != len(tc.text) {
-			t.Errorf("RunReply %s: TotalRows %d, want %d", name, got.TotalRows, len(tc.text))
+		if got.TotalRows != len(tc.rows) {
+			t.Errorf("RunReply %s: TotalRows %d, want %d", name, got.TotalRows, len(tc.rows))
 		}
 		for _, row := range got.Rows {
 			if cap(row) != len(row) {
 				t.Errorf("RunReply %s: row %v has capacity %d", name, row, cap(row))
 			}
 		}
+	}
+}
+
+// TestRunReplyTableRendersUnboundCells: rows with unbound cells, handed to
+// the master's rendering directly, travel as a term table and come back from
+// Client.Run's rebuild as the rows query.Render gives, "_" cells and all.
+func TestRunReplyTableRendersUnboundCells(t *testing.T) {
+	g := enginetest.BioGraph()
+	q := enginetest.Compile(t, g, `SELECT ?o ?s WHERE { ?s ?p ?o . }`)
+	var rows []query.Row
+	for i, tr := range g.Triples[:6] {
+		r := query.Row{tr.S, tr.P, tr.O}
+		if i%2 == 0 {
+			r[q.VarIdx["o"]] = rdf.NoID
+		}
+		rows = append(rows, r)
+	}
+	header, terms, cells := q.RenderTable(rows)
+	table, err := newTable(terms, cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got RunReply
+	gobRoundTrip(t, &RunReply{Rows: rows, Header: header, Table: table, TotalRows: len(rows)}, &got)
+	if err := got.unpackText(); err != nil {
+		t.Fatal(err)
+	}
+	wantHeader, want := q.Render(rows)
+	if !slices.Equal(got.Header, wantHeader) || !slices.Equal(got.RowsText, want) || !slices.Contains(terms, "_") {
+		t.Errorf("rebuilt %q %q from terms %q; Render gives %q %q", got.Header, got.RowsText, terms, wantHeader, want)
 	}
 }
 
@@ -216,10 +254,16 @@ func TestWireDecodeAllocsFlat(t *testing.T) {
 			return &FetchReply{KVs: segmentOf(kvs)}
 		}, func() any { return new(FetchReply) }},
 		{"RunReply", func(n int) any {
-			r := &RunReply{Rows: make(Rows, n), RowsText: make(Texts, n), TotalRows: n}
+			r := &RunReply{Rows: make(Rows, n), TotalRows: n}
+			terms, cells := make([]string, n), make([]uint32, 0, 3*n)
 			for i := range r.Rows {
 				r.Rows[i] = query.Row{rdf.ID(i), rdf.ID(i * 7), rdf.ID(i * 131)}
-				r.RowsText[i] = string(record(i))
+				terms[i] = string(record(i))
+				cells = append(cells, uint32(i), uint32(i*7%n), uint32(i*131%n))
+			}
+			var err error
+			if r.Table, err = newTable(terms, cells); err != nil {
+				t.Fatal(err)
 			}
 			return r
 		}, func() any { return new(RunReply) }},
@@ -320,6 +364,16 @@ func (kvs *pairList) GobDecode(blob []byte) (err error) {
 	return nil
 }
 
+// tableOf reads a table's terms and cells out, nil when there are none, as
+// gob decodes the plain slices.
+func tableOf(t Table) (terms []string, cells []uint32) {
+	terms = t.termList()
+	if len(t.cells()) > 0 {
+		cells = slices.Clone(t.cells())
+	}
+	return terms, cells
+}
+
 func toRecords(outputs [][][]byte) []Records {
 	if outputs == nil {
 		return nil
@@ -357,10 +411,11 @@ func checkCapped(t *testing.T, label string, items [][]byte) {
 // bytes (counts are checked before anything is allocated for them) and
 // survives an encode/decode round trip unchanged. A shuffle segment must
 // also decode to exactly the pairs the pair-list decoder it replaced gives,
-// and fail where it fails. The seed corpus under testdata/fuzz holds real
-// encodings and truncations of them.
+// and fail where it fails, and a term table holds no cell naming a term past
+// its terms. The seed corpus under testdata/fuzz holds real encodings and
+// truncations of them.
 func FuzzWireDecode(f *testing.F) {
-	f.Fuzz(func(t *testing.T, records, kvs, rows, texts []byte) {
+	f.Fuzz(func(t *testing.T, records, kvs, rows, texts, table []byte) {
 		var rs Records
 		if err := rs.GobDecode(records); err == nil {
 			checkItems(t, "Records", len(rs), records)
@@ -392,6 +447,19 @@ func FuzzWireDecode(f *testing.F) {
 		if err := ts.GobDecode(texts); err == nil {
 			checkItems(t, "Texts", len(ts), texts)
 			checkReencodes(t, ts, new(Texts))
+		}
+		var tb Table
+		if err := tb.GobDecode(table); err == nil {
+			checkItems(t, "Table", len(tb.idx), table)
+			checkReencodes(t, tb, new(Table))
+			for i, c := range tb.cells() {
+				if int(c) >= tb.terms {
+					t.Fatalf("Table: cell %d names term %d of %d", i, c, tb.terms)
+				}
+			}
+			if rows, err := query.TableRows(1, tb.termList(), tb.cells()); err != nil || len(rows) != len(tb.cells()) {
+				t.Errorf("Table: one-wide rows %q, %v; want one row per cell", rows, err)
+			}
 		}
 	})
 }

@@ -124,7 +124,10 @@ type Worker struct {
 	leaseEvery time.Duration
 	plans      map[string]queryPlan
 	outs       map[outKey][]mapreduce.Segment
-	peers      map[string]*peerConn
+	// held are the attempts leased to this worker whose Report call has not
+	// returned; every heartbeat names them.
+	held  map[HeldAttempt]struct{}
+	peers map[string]*peerConn
 	// retiredPeerRetries/-Redials carry evicted peers' counters forward so
 	// the heartbeat totals never go backwards.
 	retiredPeerRetries int64
@@ -165,6 +168,7 @@ func NewWorker(cfg WorkerConfig, tr Transport, masterAddr string) *Worker {
 		cancel:     cancel,
 		plans:      make(map[string]queryPlan),
 		outs:       make(map[outKey][]mapreduce.Segment),
+		held:       make(map[HeldAttempt]struct{}),
 		peers:      make(map[string]*peerConn),
 		rng:        rand.New(rand.NewSource(seed)),
 	}
@@ -381,7 +385,7 @@ func (w *Worker) heartbeatLoop() {
 		}
 		var reply HeartbeatReply
 		id, epoch := w.ident()
-		args := &HeartbeatArgs{Worker: id, Epoch: epoch, TransportCounts: w.transportCounts()}
+		args := &HeartbeatArgs{Worker: id, Epoch: epoch, TransportCounts: w.transportCounts(), Held: w.heldAttempts()}
 		err := w.master.Call(context.Background(), "Master.Heartbeat", args, &reply)
 		switch {
 		case err == nil:
@@ -465,6 +469,17 @@ func (w *Worker) reregister() bool {
 	return true
 }
 
+// heldAttempts lists the attempts the worker holds, for a heartbeat.
+func (w *Worker) heldAttempts() []HeldAttempt {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	held := make([]HeldAttempt, 0, len(w.held))
+	for h := range w.held {
+		held = append(held, h)
+	}
+	return held
+}
+
 // prune drops cached plans and map outputs of queries the master no longer
 // tracks, bounding worker memory to the in-flight working set.
 func (w *Worker) prune(live []string) {
@@ -488,6 +503,9 @@ func (w *Worker) prune(live []string) {
 
 // executor is one task slot: lease, run, report, repeat. Map slots execute
 // both "map" and "maponly" specs; the kind only selects the lease queue.
+// The master holds a Lease call until it has a task or a heartbeat interval
+// has passed, so an empty reply is followed by the next call at once; only
+// a failed call pauses (LeaseEvery).
 func (w *Worker) executor(kind string) {
 	defer w.wg.Done()
 	for {
@@ -500,7 +518,7 @@ func (w *Worker) executor(kind string) {
 		if err != nil && isUnknownWorker(err) {
 			w.reregister()
 		}
-		if err != nil || reply.Task == nil {
+		if err != nil {
 			select {
 			case <-w.ctx.Done():
 				return
@@ -508,7 +526,9 @@ func (w *Worker) executor(kind string) {
 			}
 			continue
 		}
-		w.execute(reply.Task, id, epoch)
+		if reply.Task != nil {
+			w.execute(reply.Task, id, epoch)
+		}
 	}
 }
 
@@ -526,8 +546,18 @@ func (e *fetchError) Error() string {
 }
 
 // execute runs one attempt leased under the worker's id and epoch and
-// reports its outcome under them.
+// reports its outcome under them. The attempt is held, and named in every
+// heartbeat, until its Report call returns.
 func (w *Worker) execute(ts *TaskSpec, id int, epoch int64) {
+	h := HeldAttempt{JobID: ts.JobID, Kind: ts.Kind, Task: ts.Task, Attempt: ts.Attempt}
+	w.mu.Lock()
+	w.held[h] = struct{}{}
+	w.mu.Unlock()
+	defer func() {
+		w.mu.Lock()
+		delete(w.held, h)
+		w.mu.Unlock()
+	}()
 	if w.cfg.TaskDelay > 0 {
 		select {
 		case <-w.ctx.Done():
@@ -558,7 +588,8 @@ func (w *Worker) execute(ts *TaskSpec, id int, epoch int64) {
 		rep.OK = true
 	}
 	var ack ReportReply
-	// A lost report re-queues via lease expiry.
+	// A lost report re-queues when the master reclaims its lease: the next
+	// heartbeats no longer name the attempt.
 	w.master.Call(context.Background(), "Master.Report", rep, &ack)
 }
 

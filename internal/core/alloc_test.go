@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"ntga/internal/chunk"
 	"ntga/internal/query"
 	"ntga/internal/rdf"
 )
@@ -160,14 +161,14 @@ func mustRows(t *testing.T, q *query.Query, comps []AnnTG) []query.Row {
 	return rows
 }
 
-// TestReleaseDropsOversizedSlabs: a pooled Scratch may not keep more than one
-// sort-buffer chunk, or one huge reduce group would stay in the live heap.
+// TestReleaseDropsOversizedSlabs: a pooled Scratch may not keep more than
+// chunk.MaxPooled bytes, or one huge reduce group would stay in the live heap.
 func TestReleaseDropsOversizedSlabs(t *testing.T) {
 	_, gene, _ := allocFixture(t)
 	small, big := new(Scratch), new(Scratch)
 	small.Concat([]AnnTG{gene}, nil)
 	small.Buf = append(small.Buf, 1)
-	for 96*cap(big.tgs) <= maxPooledBytes { // the slab in use, not the full ones left behind
+	for 96*cap(big.tgs) <= chunk.MaxPooled { // the slab in use, not the full ones left behind
 		big.Concat([]AnnTG{gene}, nil)
 	}
 	small.Release()
@@ -177,6 +178,6 @@ func TestReleaseDropsOversizedSlabs(t *testing.T) {
 			len(small.tgs), cap(small.tgs), cap(small.Buf))
 	}
 	if cap(big.tgs) != 0 {
-		t.Errorf("Release kept a %d-component slab (over %d bytes)", cap(big.tgs), maxPooledBytes)
+		t.Errorf("Release kept a %d-component slab (over %d bytes)", cap(big.tgs), chunk.MaxPooled)
 	}
 }

@@ -69,22 +69,18 @@ func (s *Scratch) Join(a, b []AnnTG) []AnnTG {
 	return s.joined
 }
 
-// maxPooledBytes bounds what a pooled Scratch may hold on to — one map-side
-// sort-buffer chunk (chunk.Max bytes) — so one oversized group cannot ratchet
-// the live heap up for the rest of the process.
-const maxPooledBytes = chunk.Max
-
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
 // GetScratch returns an empty Scratch from the pool.
 func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 
-// Release resets s and returns it to the pool; s and everything built in it
-// must not be used afterwards.
+// Release resets s and returns it to the pool, emptied of its slabs if they
+// outgrew chunk.MaxPooled; s and everything built in it must not be used
+// afterwards.
 func (s *Scratch) Release() {
 	const word, tg = 8, 96 // bytes per PO or int, and per AnnTG or PartialTG
 	if word*(cap(s.Pairs)+cap(s.pos)+cap(s.ints)+cap(s.idx)+cap(s.bkt))+tg*(cap(s.tgs)+cap(s.parts)+cap(s.joined))+
-		cap(s.Buf)+cap(s.keep)+cap(s.keep2) > maxPooledBytes {
+		cap(s.Buf)+cap(s.keep)+cap(s.keep2) > chunk.MaxPooled {
 		*s = Scratch{}
 	}
 	clear(s.joined[:cap(s.joined)]) // drop another Scratch's components

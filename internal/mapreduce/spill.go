@@ -89,16 +89,12 @@ type sortScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(sortScratch) }}
 
-// maxPooledScratch bounds the bytes a pooled sortScratch may hold on to, so
-// one huge buffer cannot pin its arrays for the rest of the process.
-const maxPooledScratch = 4 << 20
-
 // release empties s and returns it to the pool, or drops it if it outgrew
-// the bound.
+// chunk.MaxPooled.
 func (s *sortScratch) release() {
 	const entry, slice = int(unsafe.Sizeof(pairEntry{})), int(unsafe.Sizeof([]byte(nil)))
 	s.reset()
-	if cap(s.buf)+entry*(cap(s.ents)+cap(s.tmp))+cap(s.enc)+slice*cap(s.vals) <= maxPooledScratch {
+	if cap(s.buf)+entry*(cap(s.ents)+cap(s.tmp))+cap(s.enc)+slice*cap(s.vals) <= chunk.MaxPooled {
 		scratchPool.Put(s)
 	}
 }

@@ -6,7 +6,9 @@ import (
 	"io"
 	"slices"
 	"strconv"
+	"sync"
 	"time"
+	"unsafe"
 
 	"ntga/internal/chunk"
 	"ntga/internal/hdfs"
@@ -215,9 +217,9 @@ func RunMapTask(job *Job, task int, input string, nReducers int, src RecordSourc
 // WholeFileSplits) is built fresh from the pre-fetched side input, so a
 // retried attempt never sees a rival's state, and every record of src goes
 // through it into col. A whole-file job with a reducer instead streams its
-// mapper's pairs through a fresh runEmitter, which reduces each key run into
-// col as the next one starts and the last one after the split ends, still
-// inside the attempt so a fault retries the whole task.
+// mapper's pairs through a runEmitter from the pool, which reduces each key
+// run into col as the next one starts and the last one after the split
+// ends, still inside the attempt so a fault retries the whole task.
 func RunMapOnlyTask(job *Job, task int, input string, side [][]byte, src RecordSource, col Collector, h TaskHooks) (ScanStats, error) {
 	if err := h.checkpoint("scan"); err != nil {
 		return ScanStats{}, err
@@ -242,7 +244,8 @@ func RunMapOnlyTask(job *Job, task int, input string, side [][]byte, src RecordS
 			defer tr.Done()
 			reducer = tr
 		}
-		runs = newRunEmitter(job, reducer, col)
+		runs = getRunEmitter(job, reducer, col)
+		defer runs.release()
 		fn = func(rec []byte) error { return job.Mapper.Map(input, rec, runs) }
 	}
 	st, err := scanLoop(task, input, src, h, fn)
@@ -264,8 +267,8 @@ func RunMapOnlyTask(job *Job, task int, input string, side [][]byte, src RecordS
 // runEmitter is the Emitter of a whole-file task that reduces in place: it
 // buffers the current key run's values and hands the run to the job's
 // reducer once a higher key arrives (or the split ends). The buffers are
-// reused from run to run, so a task allocates only while its largest run
-// grows.
+// reused from run to run, and from task to task through runEmitterPool, so
+// a stream of tasks allocates only while the largest run grows.
 type runEmitter struct {
 	job     *Job
 	reducer StreamReducer
@@ -279,8 +282,23 @@ type runEmitter struct {
 	run     runValues
 }
 
-func newRunEmitter(job *Job, reducer StreamReducer, col Collector) *runEmitter {
-	return &runEmitter{job: job, reducer: reducer, col: col, sorted: true}
+var runEmitterPool = sync.Pool{New: func() any { return new(runEmitter) }}
+
+// getRunEmitter takes an empty runEmitter from the pool for one task.
+func getRunEmitter(job *Job, reducer StreamReducer, col Collector) *runEmitter {
+	r := runEmitterPool.Get().(*runEmitter)
+	r.job, r.reducer, r.col, r.sorted = job, reducer, col, true
+	return r
+}
+
+// release empties r and returns it to the pool, unless its buffers outgrew
+// chunk.MaxPooled; r must not be used afterwards.
+func (r *runEmitter) release() {
+	const slice = int(unsafe.Sizeof([]byte(nil)))
+	*r = runEmitter{key: r.key[:0], vals: r.vals[:0], ends: r.ends[:0], run: runValues{vals: r.run.vals[:0]}}
+	if cap(r.key)+cap(r.vals)+8*cap(r.ends)+slice*cap(r.run.vals) <= chunk.MaxPooled {
+		runEmitterPool.Put(r)
+	}
 }
 
 // Inc implements Counter: the reducer's collector holds the attempt's

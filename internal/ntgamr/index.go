@@ -126,11 +126,6 @@ func nestedSlot(a core.AnnTG, pos query.Pos) bool {
 	return pos.Role == query.RoleSlotObj && a.SlotSel[pos.Idx] == core.Nested
 }
 
-// maxPooledIndexBytes bounds what a pooled joinIndex may hold on to, as
-// core.Scratch's pool does, so one oversized task cannot ratchet the live
-// heap up for the rest of the process.
-const maxPooledIndexBytes = chunk.Max
-
 var joinIndexPool = sync.Pool{New: func() any { return newJoinIndex(0) }}
 
 func getJoinIndex() *joinIndex { return joinIndexPool.Get().(*joinIndex) }
@@ -144,11 +139,11 @@ func (x *joinIndex) reset() {
 }
 
 // release resets x and returns it to the pool, unless it has grown past
-// maxPooledIndexBytes; x must not be used afterwards.
+// chunk.MaxPooled; x must not be used afterwards.
 func (x *joinIndex) release() {
 	x.reset()
 	const entry, head = 48, 16 // bytes per leftEntry, and per heads slot
-	if entry*cap(x.entries)+head*x.peak+8*cap(x.cands) > maxPooledIndexBytes {
+	if entry*cap(x.entries)+head*x.peak+8*cap(x.cands) > chunk.MaxPooled {
 		return
 	}
 	joinIndexPool.Put(x)

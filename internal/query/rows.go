@@ -226,6 +226,50 @@ func (q *Query) RenderTable(rows []Row) (header, terms []string, cells []uint32)
 	return header, terms, cells
 }
 
+// MaxTableBytes bounds the text TableRows rebuilds. A term table is smaller
+// than its rows, so a table that fits a reader's size limit could otherwise
+// name one long term a million times and ask for terabytes.
+const MaxTableBytes = 1 << 30
+
+// TableRows is RenderTable's inverse: it rebuilds a term table's rows, each
+// the row's terms joined by '\t' (the row Render gives, byte for byte), into
+// one exactly sized string of which every row is a substring. It returns an
+// error, never panics, for a table RenderTable could not have made: a cell
+// naming a term that is not there, a cell count that does not fill whole
+// rows width wide, or rows longer in total than MaxTableBytes.
+func TableRows(width int, terms []string, cells []uint32) ([]string, error) {
+	if len(cells) == 0 {
+		return nil, nil
+	}
+	if width == 0 || len(cells)%width != 0 {
+		return nil, fmt.Errorf("query: %d cells do not fill rows %d wide", len(cells), width)
+	}
+	nrows := len(cells) / width
+	n := nrows * (width - 1) // the tabs
+	for i, c := range cells {
+		if uint64(c) >= uint64(len(terms)) {
+			return nil, fmt.Errorf("query: cell %d names term %d of %d", i, c, len(terms))
+		}
+		if n += len(terms[c]); n > MaxTableBytes {
+			return nil, fmt.Errorf("query: rows exceed %d bytes", MaxTableBytes)
+		}
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	rows := make([]string, nrows)
+	for i := range rows {
+		start := sb.Len()
+		for j, c := range cells[i*width : (i+1)*width] {
+			if j > 0 {
+				sb.WriteByte('\t')
+			}
+			sb.WriteString(terms[c])
+		}
+		rows[i] = sb.String()[start:]
+	}
+	return rows, nil
+}
+
 // columns returns the rows a rendering reads and, appended to idx, the
 // column of each selected variable in them: the full rows as they are, or
 // under DISTINCT the projected distinct rows (ProjectAll).

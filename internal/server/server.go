@@ -333,7 +333,7 @@ func (s *Server) admit() (func(), error) {
 // cache, result cache, and — on a miss — a slot-pool-scheduled MR
 // execution under the request deadline. The response carries Rows,
 // rebuilt from its term table; an answer whose rows would pass
-// maxRowBytes (1 GiB) is an error, as it is for Client.Query.
+// query.MaxTableBytes (1 GiB) is an error, as it is for Client.Query.
 func (s *Server) Evaluate(ctx context.Context, req Request) (*Response, error) {
 	resp, err := s.evaluateTable(ctx, req)
 	if err != nil {
