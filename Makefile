@@ -25,10 +25,13 @@ all: build check test
 # hands its pooled index and Scratches to the next attempt, so the frame,
 # part-file, concat, map-only and placement tests also run three times over
 # under -race. The master's scheduling core (internal/cluster/sched.go)
-# runs its event-driven tests — the late-report and report cases, the
-# exhaustive small-scope walk and the replay — three times over under -race:
-# the core must give one action sequence for one event sequence, so any
-# dependence on map order or timing shows up as a difference between runs.
+# runs its event-driven tests — the late-report and report cases and the
+# replay — three times over under -race: the core must give one action
+# sequence for one event sequence, so any dependence on map order or timing
+# shows up as a difference between runs. The exhaustive small-scope walk is
+# one goroutine stepping the core through every event order (about 30 s
+# under -race), so it runs under -race once, on a line of its own, and not
+# in the -short pass over the cluster; the plain test suite runs it too.
 # The master's lease and heartbeat tests run three times over under -race
 # too: a Lease call held at the master waits on one wake channel that
 # reports, heartbeats, ticks and new jobs close under the master's lock,
@@ -63,8 +66,9 @@ check:
 	go test -race -count=10 -short -run 'AttemptCounters' ./internal/mapreduce/
 	go test -race -count=3 -run 'Shuffle|Spill|Segment|AllocationCeiling' ./internal/mapreduce/ ./internal/cluster/
 	go test -race -count=3 -run 'Frame|PartFile|Concat|MapOnly|Placement' ./internal/hdfs/ ./internal/mapreduce/ ./internal/ntgamr/ ./internal/cluster/
-	go test -race -short ./internal/cluster/
-	go test -race -count=3 -run 'Sched|ReportRejects|FetchFailuresCharge|RevivalCarries' ./internal/cluster/
+	go test -race -short -skip '^TestSchedExhaustiveSmallScope$$' ./internal/cluster/
+	go test -race -count=3 -run 'Sched|ReportRejects|FetchFailuresCharge|RevivalCarries' -skip '^TestSchedExhaustiveSmallScope$$' ./internal/cluster/
+	go test -race -run '^TestSchedExhaustiveSmallScope$$' ./internal/cluster/
 	go test -race -count=3 -run 'Lease|Heartbeat|Reclaim|Table' ./internal/cluster/
 	go test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 10s ./internal/cluster/
 	go test -run '^$$' -fuzz '^FuzzResponseDecode$$' -fuzztime 10s ./internal/server/

@@ -38,10 +38,11 @@ func TestBenchmarkHarnessVets(t *testing.T) {
 // scripts and CI build or run naming a command that exists, so deleting a
 // script, a target or a binary cannot leave a dangling reference that only
 // fails when somebody runs it. Every command also has a main_test.go, so
-// no binary's flag handling goes untested. Every -run and -fuzz pattern of
-// the check target selects a test in each package its line names: go test
-// passes silently when a pattern matches nothing, so renaming a test could
-// otherwise turn a race or fuzz step into a no-op.
+// no binary's flag handling goes untested. Every -run, -fuzz and -skip
+// pattern of the check target selects a test in each package its line
+// names: go test passes silently when a pattern matches nothing, so renaming
+// a test could otherwise turn a race or fuzz step into a no-op, or a skipped
+// test back into a repeated one.
 func TestToolingReferencesResolve(t *testing.T) {
 	read := func(path string) string {
 		raw, err := os.ReadFile(path)
@@ -110,7 +111,7 @@ func TestToolingReferencesResolve(t *testing.T) {
 	if check == nil {
 		t.Fatal("Makefile has no check target")
 	}
-	pattern := regexp.MustCompile(`-(run|fuzz) '([^']*)'`)
+	pattern := regexp.MustCompile(`-(run|fuzz|skip) '([^']*)'`)
 	for _, line := range strings.Split(strings.ReplaceAll(check[1], "$$", "$"), "\n") {
 		var pkgs []string
 		for _, f := range strings.Fields(line) {

@@ -60,22 +60,16 @@ func (c *Client) Run(ctx context.Context, args *RunArgs) (*RunReply, error) {
 	return reply, nil
 }
 
-// unpackText sets RowsText from the reply's term table. A zero-width row
-// has no cell, so TotalRows alone says how many "" rows there are; it never
-// exceeds the binding rows, of which the rendered rows are a projection.
+// unpackText sets RowsText from the reply's term table, TotalRows rows of
+// len(Header) cells ("" rows for a width of 0). TotalRows never exceeds the
+// binding rows, of which the rendered rows are a projection.
 func (r *RunReply) unpackText() error {
 	if r.TotalRows < 0 || r.TotalRows > len(r.Rows) {
 		return fmt.Errorf("cluster: reply renders %d rows of %d", r.TotalRows, len(r.Rows))
 	}
-	text, err := query.TableRows(len(r.Header), r.Table.termList(), r.Table.cells())
+	text, err := query.TableRows(len(r.Header), r.TotalRows, r.Table.termList(), r.Table.cells())
 	if err != nil {
 		return fmt.Errorf("cluster: %w", err)
-	}
-	if len(r.Header) == 0 && r.TotalRows > 0 {
-		text = make([]string, r.TotalRows)
-	}
-	if len(text) != r.TotalRows {
-		return fmt.Errorf("cluster: reply's table holds %d rows, TotalRows %d", len(text), r.TotalRows)
 	}
 	r.RowsText = text
 	return nil

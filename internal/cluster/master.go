@@ -524,18 +524,16 @@ func (m *Master) RunQuery(ctx context.Context, args *RunArgs) (*RunReply, error)
 	}
 	// Render the rows master-side for dictionary-less callers, as a term
 	// table that Client.Run turns into exactly the rows a local ntga-run
-	// prints. A zero-width row has no cell to count it by.
+	// prints.
+	sp := m.cfg.Tracer.Start(trace.KindRender, "render")
 	header, terms, cells := q.RenderTable(res.Rows)
+	sp.SetIO(int64(len(res.Rows)), 0)
+	sp.Finish()
 	if reply.Table, err = newTable(terms, cells); err != nil {
 		return nil, err
 	}
 	reply.Header = header
-	if w := len(header); w > 0 {
-		reply.TotalRows = len(cells) / w
-	} else {
-		_, text := q.Render(res.Rows)
-		reply.TotalRows = len(text)
-	}
+	reply.TotalRows = q.TableLen(res.Rows, cells)
 	return reply, nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"ntga/internal/bench"
 	"ntga/internal/cluster"
 	"ntga/internal/enginetest"
+	"ntga/internal/trace"
 )
 
 // tableProbes are the bsbm queries beside the catalog that the term table
@@ -25,7 +26,8 @@ const bsbmPrefix = "PREFIX bsbm: <http://bsbm.example.org/>\n"
 // TestRunReplyTableIsRender: for every catalog query, and the probes, over
 // a loopback cluster, the rows Client.Run rebuilds from the reply's term
 // table are byte for byte the rows query.Render renders from the reply's
-// binding rows with the master's dictionary, under the same header.
+// binding rows with the master's dictionary, under the same header; and the
+// master renders each table inside a render span.
 func TestRunReplyTableIsRender(t *testing.T) {
 	ctx := context.Background()
 	byDataset := make(map[string][]string)
@@ -39,7 +41,9 @@ func TestRunReplyTableIsRender(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tc := startTestCluster(t, g, 3, cluster.WorkerConfig{MapSlots: 2, ReduceSlots: 2}, cluster.MasterConfig{Reducers: parityReducers, SplitRecords: paritySplit})
+			tr := trace.New()
+			tc := startTestCluster(t, g, 3, cluster.WorkerConfig{MapSlots: 2, ReduceSlots: 2}, cluster.MasterConfig{Reducers: parityReducers, SplitRecords: paritySplit, Tracer: tr})
+			var bindings []int64
 			for _, src := range srcs {
 				q := enginetest.Compile(t, g, src)
 				reply, err := tc.client.Run(ctx, &cluster.RunArgs{Query: src, TimeoutMS: 120_000})
@@ -50,6 +54,17 @@ func TestRunReplyTableIsRender(t *testing.T) {
 				if !slices.Equal(reply.Header, header) || !slices.Equal(reply.RowsText, text) || reply.TotalRows != len(text) {
 					t.Errorf("%s: header %q, %d rows (TotalRows %d); Render gives %q, %d rows", src, reply.Header, len(reply.RowsText), reply.TotalRows, header, len(text))
 				}
+				bindings = append(bindings, int64(len(reply.Rows)))
+			}
+			// Each Run renders its table inside a render span of its own.
+			var rendered []int64
+			for _, root := range tr.Roots() {
+				if root.Kind == trace.KindRender {
+					rendered = append(rendered, root.Records)
+				}
+			}
+			if !slices.Equal(rendered, bindings) {
+				t.Errorf("render spans over %v binding rows; the runs returned %v", rendered, bindings)
 			}
 		})
 	}

@@ -457,7 +457,7 @@ func FuzzWireDecode(f *testing.F) {
 					t.Fatalf("Table: cell %d names term %d of %d", i, c, tb.terms)
 				}
 			}
-			if rows, err := query.TableRows(1, tb.termList(), tb.cells()); err != nil || len(rows) != len(tb.cells()) {
+			if rows, err := query.TableRows(1, len(tb.cells()), tb.termList(), tb.cells()); err != nil || len(rows) != len(tb.cells()) {
 				t.Errorf("Table: one-wide rows %q, %v; want one row per cell", rows, err)
 			}
 		}

@@ -58,11 +58,11 @@ func (a AnnTG) String() string {
 
 // BoundCandidates appends to dst the indices of pairs that can match bound
 // pattern bi, honoring a pinned selection.
-func (a AnnTG) BoundCandidates(dst []int, st *query.Star, bi int) []int {
+func (a *AnnTG) BoundCandidates(dst []int, st *query.Star, bi int) []int {
 	if a.BoundSel[bi] != Nested {
 		return append(dst, a.BoundSel[bi])
 	}
-	b := st.Bound[bi]
+	b := &st.Bound[bi]
 	for i, p := range a.Triples {
 		if p.P == b.Prop && b.Obj.Match(p.O) {
 			dst = append(dst, i)
@@ -73,11 +73,11 @@ func (a AnnTG) BoundCandidates(dst []int, st *query.Star, bi int) []int {
 
 // SlotCandidates appends to dst the indices of pairs that can match unbound
 // slot si, honoring a pinned selection.
-func (a AnnTG) SlotCandidates(dst []int, st *query.Star, si int) []int {
+func (a *AnnTG) SlotCandidates(dst []int, st *query.Star, si int) []int {
 	if a.SlotSel[si] != Nested {
 		return append(dst, a.SlotSel[si])
 	}
-	sl := st.Slots[si]
+	sl := &st.Slots[si]
 	for i, p := range a.Triples {
 		if sl.Prop.Match(p.P) && sl.Obj.Match(p.O) {
 			dst = append(dst, i)
@@ -128,13 +128,13 @@ func (s *Scratch) FilterForStar(tg TripleGroup, st *query.Star) (AnnTG, bool) {
 	start := len(s.pos)
 	for _, p := range tg.Triples {
 		relevant := false
-		for bi, b := range st.Bound {
-			if p.P == b.Prop && b.Obj.Match(p.O) {
+		for bi := range st.Bound {
+			if b := &st.Bound[bi]; p.P == b.Prop && b.Obj.Match(p.O) {
 				matched[bi], relevant = true, true
 			}
 		}
-		for si, sl := range st.Slots {
-			if sl.Prop.Match(p.P) && sl.Obj.Match(p.O) {
+		for si := range st.Slots {
+			if sl := &st.Slots[si]; sl.Prop.Match(p.P) && sl.Obj.Match(p.O) {
 				matched[nb+si], relevant = true, true
 			}
 		}
@@ -218,18 +218,19 @@ func (s *Scratch) Compact(st *query.Star, a AnnTG) AnnTG {
 // candidate.
 func (s *Scratch) needed(st *query.Star, a AnnTG, skip int) []bool {
 	keep := bitmap(&s.keep, len(a.Triples))
-	for bi, b := range st.Bound {
+	for bi := range st.Bound {
 		if a.BoundSel[bi] != Nested {
 			keep[a.BoundSel[bi]] = true
 			continue
 		}
+		b := &st.Bound[bi]
 		for i, p := range a.Triples {
 			if p.P == b.Prop && b.Obj.Match(p.O) {
 				keep[i] = true
 			}
 		}
 	}
-	for si, sl := range st.Slots {
+	for si := range st.Slots {
 		if si == skip {
 			continue
 		}
@@ -237,6 +238,7 @@ func (s *Scratch) needed(st *query.Star, a AnnTG, skip int) []bool {
 			keep[a.SlotSel[si]] = true
 			continue
 		}
+		sl := &st.Slots[si]
 		for i, p := range a.Triples {
 			if sl.Prop.Match(p.P) && sl.Obj.Match(p.O) {
 				keep[i] = true

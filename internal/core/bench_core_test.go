@@ -155,6 +155,37 @@ func BenchmarkExpand(b *testing.B) {
 	}
 }
 
+// BenchmarkAppendExpanded expands every AnnTG of BenchmarkExpand's fixture
+// into one reused slab, as a result sink does: by columns (AppendExpanded)
+// and, for the before row, by rows (the oracle in expand_oracle_test.go).
+// Both allocate nothing once the slab has grown.
+func BenchmarkAppendExpanded(b *testing.B) {
+	q, groups := benchFixture(b, 200, 12)
+	var anntgs []AnnTG
+	for _, tg := range groups {
+		anntgs = append(anntgs, UnbGrpFilter(tg, q.Stars)...)
+	}
+	for _, c := range []struct {
+		name   string
+		expand func([]rdf.ID, *query.Query, []AnnTG) ([]rdf.ID, int, error)
+	}{{"columns", AppendExpanded}, {"rows", appendExpandedByRow}} {
+		b.Run(c.name, func(b *testing.B) {
+			var slab []rdf.ID
+			rows := 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rows = 0
+				for j := range anntgs {
+					var n int
+					slab, n, _ = c.expand(slab[:0], q, anntgs[j:j+1])
+					rows += n
+				}
+			}
+			b.ReportMetric(float64(rows), "rows/op")
+		})
+	}
+}
+
 func BenchmarkAnnTGCodec(b *testing.B) {
 	q, groups := benchFixture(b, 500, 16)
 	var encoded [][]byte

@@ -25,11 +25,14 @@ func Expand(q *query.Query, a AnnTG) []query.Row {
 
 // binder is one digit of AppendExpanded's odometer: a binding pattern of one
 // component, its n candidate pairs idx[lo:lo+n], the row columns it fills
-// (-1 for none), and how many rows pass between two steps of the digit. A
-// component's subject variable is a one-candidate binder with lo < 0.
+// (-1 for none), and how many consecutive rows hold one candidate (every).
+// A component's subject variable is a one-candidate binder with lo < 0.
+// joined says an earlier binder filled oCol already (a join variable), so
+// each of its cells must agree rather than be written.
 type binder struct {
 	comp, lo, n, every int
 	pCol, oCol         int
+	joined             bool
 }
 
 // ExpandJoined enumerates the full rows of a joined result, as
@@ -47,21 +50,20 @@ func ExpandJoined(q *query.Query, comps []AnnTG) ([]query.Row, error) {
 // row, each len(q.AllVars) IDs wide, and returns the extended slab and the
 // number of rows appended. The rows are the cross product of every pattern's
 // candidates over all components, the first pattern of the first component
-// varying slowest. Components are AnnTGs of distinct stars whose join
-// variables were pinned when the join executed, so two components never bind
-// one variable to different IDs: that would be an engine bug, and is an
-// error, with dst returned as it came. Nothing is allocated unless dst has to
-// grow.
+// varying slowest; a column no pattern binds holds NoID. Components are
+// AnnTGs of distinct stars whose join variables were pinned when the join
+// executed, so two components never bind one variable to different IDs:
+// that would be an engine bug, and is an error, with dst returned as it
+// came. Nothing is allocated unless dst has to grow (or the query has more
+// than 64 variables).
+//
+// The slab is filled column by column: a pattern's column is runs of every
+// equal cells, one run per candidate, repeated until the rows end, so the
+// cost is one store per cell and one pair lookup per run.
 func AppendExpanded(dst []rdf.ID, q *query.Query, comps []AnnTG) ([]rdf.ID, int, error) {
 	var idxBuf [64]int
 	var binderBuf [16]binder
 	idx, binders := idxBuf[:0], binderBuf[:0]
-	col := func(v string) int {
-		if v == "" {
-			return -1
-		}
-		return q.VarIdx[v]
-	}
 	total := min(len(comps), 1)
 	add := func(ci, pCol, oCol, lo int) {
 		n := len(idx) - lo
@@ -75,49 +77,87 @@ func AppendExpanded(dst []rdf.ID, q *query.Query, comps []AnnTG) ([]rdf.ID, int,
 		total *= n
 		binders = append(binders, binder{comp: ci, lo: lo, n: n, pCol: pCol, oCol: oCol})
 	}
-	for ci, a := range comps {
+	for ci := range comps {
+		a := &comps[ci]
 		st := q.Stars[a.EC]
-		if c := col(st.SubjVar); c >= 0 {
-			binders = append(binders, binder{comp: ci, lo: -1, n: 1, pCol: -1, oCol: c})
+		if st.SubjCol >= 0 {
+			binders = append(binders, binder{comp: ci, lo: -1, n: 1, pCol: -1, oCol: st.SubjCol})
 		}
-		for bi, b := range st.Bound {
+		for bi := range st.Bound {
 			lo := len(idx)
 			idx = a.BoundCandidates(idx, st, bi)
-			add(ci, -1, col(b.OVar), lo)
+			add(ci, -1, st.Bound[bi].OCol, lo)
 		}
-		for si, sl := range st.Slots {
+		for si := range st.Slots {
 			lo := len(idx)
 			idx = a.SlotCandidates(idx, st, si)
-			add(ci, col(sl.PVar), col(sl.OVar), lo)
+			add(ci, st.Slots[si].PCol, st.Slots[si].OCol, lo)
 		}
 	}
 	if total == 0 {
 		return dst, 0, nil
 	}
+	width := len(q.AllVars)
+	var filledBuf [64]bool // filled[c]: some binder writes column c
+	filled := filledBuf[:min(width, len(filledBuf))]
+	if width > len(filledBuf) {
+		filled = make([]bool, width)
+	}
 	for i, every := len(binders)-1, 1; i >= 0; i-- {
 		binders[i].every = every
 		every *= binders[i].n
 	}
-	width := len(q.AllVars)
+	for i := range binders {
+		b := &binders[i]
+		if b.pCol >= 0 {
+			filled[b.pCol] = true
+		}
+		if b.oCol >= 0 {
+			b.joined = filled[b.oCol]
+			filled[b.oCol] = true
+		}
+	}
+
 	start := len(dst)
 	out := slices.Grow(dst, total*width)[:start+total*width]
-	clear(out[start:])
-	for r := 0; r < total; r++ {
-		row := out[start+r*width : start+(r+1)*width]
-		for _, b := range binders {
-			c := &comps[b.comp]
-			pair := PO{O: c.Subject}
-			if b.lo >= 0 {
-				pair = c.Triples[idx[b.lo+r/b.every%b.n]]
+	rows := out[start:]
+	for col, f := range filled {
+		if !f {
+			for p := col; p < len(rows); p += width {
+				rows[p] = rdf.NoID
 			}
-			if b.pCol >= 0 {
-				row[b.pCol] = pair.P
-			}
-			if b.oCol >= 0 {
-				if row[b.oCol] != rdf.NoID && row[b.oCol] != pair.O {
-					return dst, 0, fmt.Errorf("core: conflicting bindings while expanding joined triplegroup (ec=%d)", c.EC)
+		}
+	}
+	for _, b := range binders {
+		c := &comps[b.comp]
+		run := b.every * width // slab cells of one candidate's run
+		for base := 0; base < len(rows); {
+			for k := range b.n {
+				pair := PO{O: c.Subject}
+				if b.lo >= 0 {
+					pair = c.Triples[idx[b.lo+k]]
 				}
-				row[b.oCol] = pair.O
+				end := base + run
+				if b.pCol >= 0 {
+					for p := base + b.pCol; p < end; p += width {
+						rows[p] = pair.P
+					}
+				}
+				switch {
+				case b.oCol < 0:
+				case b.joined:
+					for p := base + b.oCol; p < end; p += width {
+						if rows[p] != rdf.NoID && rows[p] != pair.O {
+							return dst, 0, fmt.Errorf("core: conflicting bindings while expanding joined triplegroup (ec=%d)", c.EC)
+						}
+						rows[p] = pair.O
+					}
+				default:
+					for p := base + b.oCol; p < end; p += width {
+						rows[p] = pair.O
+					}
+				}
+				base = end
 			}
 		}
 	}
@@ -147,12 +187,12 @@ func CountExpansions(q *query.Query, a AnnTG) int64 {
 	st := q.Stars[a.EC]
 	var buf [64]int
 	total := int64(1)
-	for bi, b := range st.Bound {
+	for bi := range st.Bound {
 		n := int64(len(a.BoundCandidates(buf[:0], st, bi)))
 		if n == 0 {
 			return 0
 		}
-		if b.OVar != "" {
+		if st.Bound[bi].OCol >= 0 {
 			total *= n
 		}
 	}

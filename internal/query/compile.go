@@ -81,9 +81,7 @@ func (q *Query) buildStars() error {
 				return err
 			}
 			st = &Star{Index: len(q.Stars), Subj: subjPred}
-			if tp.S.IsVar {
-				st.SubjVar = tp.S.Var
-			}
+			st.SubjVar, st.SubjCol = q.column(tp.S)
 			starOf[key] = st
 			q.Stars = append(q.Stars, st)
 		}
@@ -91,10 +89,7 @@ func (q *Query) buildStars() error {
 		if err != nil {
 			return err
 		}
-		oVar := ""
-		if tp.O.IsVar {
-			oVar = tp.O.Var
-		}
+		oVar, oCol := q.column(tp.O)
 		if tp.P.IsVar {
 			propPred, err := compilePred(q.Dict, tp.P, src.Filters)
 			if err != nil {
@@ -102,15 +97,26 @@ func (q *Query) buildStars() error {
 			}
 			st.Slots = append(st.Slots, UnboundSlot{
 				PVar: tp.P.Var, Prop: propPred, OVar: oVar, Obj: objPred, PatIdx: pi,
+				PCol: q.VarIdx[tp.P.Var], OCol: oCol,
 			})
 		} else {
 			prop, _ := q.Dict.Lookup(tp.P.Term) // NoID marks a property absent from the data
 			st.Bound = append(st.Bound, BoundPattern{
-				Prop: prop, OVar: oVar, Obj: objPred, PatIdx: pi,
+				Prop: prop, OVar: oVar, Obj: objPred, PatIdx: pi, OCol: oCol,
 			})
 		}
 	}
 	return nil
+}
+
+// column returns a pattern position's variable and its Row index, or "" and
+// -1 for a constant: the column each binding pattern fills, compiled once so
+// that expanding a result never looks a variable up.
+func (q *Query) column(t sparql.PatternTerm) (string, int) {
+	if !t.IsVar {
+		return "", -1
+	}
+	return t.Var, q.VarIdx[t.Var]
 }
 
 // varUse tracks every structural position a variable occupies.

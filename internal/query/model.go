@@ -20,6 +20,8 @@ type BoundPattern struct {
 	Obj Pred
 	// PatIdx is the index of the source pattern in the parsed WHERE clause.
 	PatIdx int
+	// OCol is OVar's Row index, -1 for a constant object.
+	OCol int
 }
 
 // UnboundSlot is an unbound-property triple pattern inside a star: the
@@ -38,6 +40,9 @@ type UnboundSlot struct {
 	Obj Pred
 	// PatIdx is the index of the source pattern in the parsed WHERE clause.
 	PatIdx int
+	// PCol and OCol are PVar's and OVar's Row indexes, OCol -1 for a
+	// constant object.
+	PCol, OCol int
 }
 
 // Star is a star subpattern: all patterns sharing one subject.
@@ -47,6 +52,8 @@ type Star struct {
 	Index int
 	// SubjVar is the shared subject variable, or "" for a constant subject.
 	SubjVar string
+	// SubjCol is SubjVar's Row index, -1 for a constant subject.
+	SubjCol int
 	// Subj is the pushed-down predicate on the subject position.
 	Subj Pred
 	// Bound and Slots partition the star's patterns by property boundness.
@@ -73,13 +80,13 @@ func (s *Star) NPatterns() int { return len(s.Bound) + len(s.Slots) }
 // star: a bound-pattern match or an unbound-slot candidate. Subject
 // constraints are NOT checked here (the caller routes by subject).
 func (s *Star) TripleMatchesStar(t rdf.Triple) bool {
-	for _, b := range s.Bound {
-		if t.P == b.Prop && b.Obj.Match(t.O) {
+	for i := range s.Bound {
+		if b := &s.Bound[i]; t.P == b.Prop && b.Obj.Match(t.O) {
 			return true
 		}
 	}
-	for _, sl := range s.Slots {
-		if sl.Prop.Match(t.P) && sl.Obj.Match(t.O) {
+	for i := range s.Slots {
+		if sl := &s.Slots[i]; sl.Prop.Match(t.P) && sl.Obj.Match(t.O) {
 			return true
 		}
 	}

@@ -187,26 +187,18 @@ func (q *Query) Render(rows []Row) (header, text []string) {
 //
 // Header and terms are written into one string, sized exactly up front, of
 // which each returned string is a substring, and every term is rendered
-// once: the cost follows the distinct terms, not the cells.
+// once: the cost follows the distinct terms, not the cells. Cells are
+// numbered through a pooled termIndex, not a map, so a rendering allocates
+// the same few times however many rows and terms it has.
 func (q *Query) RenderTable(rows []Row) (header, terms []string, cells []uint32) {
 	if q.IsCount() {
 		return []string{"?" + q.Src.CountVar}, nil, nil
 	}
 	rows, idx := q.columns(rows, make([]int, 0, 16))
-	cells = make([]uint32, 0, len(rows)*len(idx))
-	index := make(map[rdf.ID]uint32)
-	var ids []rdf.ID // ids[t] is the ID of term t
-	for _, r := range rows {
-		for _, c := range idx {
-			t, ok := index[r[c]]
-			if !ok {
-				t = uint32(len(ids))
-				index[r[c]] = t
-				ids = append(ids, r[c])
-			}
-			cells = append(cells, t)
-		}
-	}
+	cells = make([]uint32, len(rows)*len(idx))
+	x := getTermIndex(q.Dict.Len()+1, len(cells))
+	x.number(cells, rows, idx)
+	ids := x.ids // ids[t] is the ID of term t
 
 	n := q.headerLen()
 	if len(ids) > 0 {
@@ -223,7 +215,26 @@ func (q *Query) RenderTable(rows []Row) (header, terms []string, cells []uint32)
 		sb.Write(term)
 		terms[i] = sb.String()[start:]
 	}
+	x.release()
 	return header, terms, cells
+}
+
+// TableLen is the number of rows in the term table RenderTable(rows) made,
+// given its cells: the cells fill whole rows, except that a row with no
+// selected variable has no cell, and Render gives one "" row per binding
+// row for it (one in all under DISTINCT, none for no binding row). A COUNT
+// query's table has no rows.
+func (q *Query) TableLen(rows []Row, cells []uint32) int {
+	switch {
+	case q.IsCount():
+		return 0
+	case len(q.Select) > 0:
+		return len(cells) / len(q.Select)
+	case q.Distinct:
+		return min(len(rows), 1)
+	default:
+		return len(rows)
+	}
 }
 
 // MaxTableBytes bounds the text TableRows rebuilds. A term table is smaller
@@ -231,20 +242,28 @@ func (q *Query) RenderTable(rows []Row) (header, terms []string, cells []uint32)
 // name one long term a million times and ask for terabytes.
 const MaxTableBytes = 1 << 30
 
-// TableRows is RenderTable's inverse: it rebuilds a term table's rows, each
-// the row's terms joined by '\t' (the row Render gives, byte for byte), into
-// one exactly sized string of which every row is a substring. It returns an
-// error, never panics, for a table RenderTable could not have made: a cell
-// naming a term that is not there, a cell count that does not fill whole
-// rows width wide, or rows longer in total than MaxTableBytes.
-func TableRows(width int, terms []string, cells []uint32) ([]string, error) {
-	if len(cells) == 0 {
+// TableRows is RenderTable's inverse: it rebuilds the nrows rows of a term
+// table width cells wide, each the row's terms joined by '\t' (the row Render
+// gives, byte for byte), into one exactly sized string of which every row is
+// a substring. A table of width 0 has no cell, and its rows are ""
+// (TableLen counts them). It returns an error, never panics, for a table
+// RenderTable could not have made: a cell naming a term that is not there, a
+// cell count other than nrows·width, or rows longer in total than
+// MaxTableBytes (for rows of width 0, more of them than MaxTableBytes/16,
+// the size of their string headers).
+func TableRows(width, nrows int, terms []string, cells []uint32) ([]string, error) {
+	if nrows < 0 || width < 0 || width > 0 && nrows > len(cells) || len(cells) != nrows*width {
+		return nil, fmt.Errorf("query: %d cells do not fill %d rows %d wide", len(cells), nrows, width)
+	}
+	if nrows == 0 {
 		return nil, nil
 	}
-	if width == 0 || len(cells)%width != 0 {
-		return nil, fmt.Errorf("query: %d cells do not fill rows %d wide", len(cells), width)
+	if width == 0 {
+		if nrows > MaxTableBytes/16 {
+			return nil, fmt.Errorf("query: %d empty rows exceed %d bytes", nrows, MaxTableBytes)
+		}
+		return make([]string, nrows), nil
 	}
-	nrows := len(cells) / width
 	n := nrows * (width - 1) // the tabs
 	for i, c := range cells {
 		if uint64(c) >= uint64(len(terms)) {

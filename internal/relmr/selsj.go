@@ -143,7 +143,7 @@ func (m *edgeJoinMapper) Map(_ string, record []byte, out mapreduce.Emitter) err
 	}
 	emitSide := func(tag byte, pos query.Pos) error {
 		st := m.q.Stars[pos.Star]
-		b := st.Bound[pos.Idx]
+		b := &st.Bound[pos.Idx]
 		if t.P != b.Prop || !b.Obj.Match(t.O) || !st.Subj.Match(t.S) {
 			return nil
 		}

@@ -67,7 +67,8 @@ func decodePairs(w wire, q *query.Query, values mapreduce.ValueIter) ([]core.PO,
 // pattern has no candidate (the subject does not match the star).
 func patternCandidates(st *query.Star, pairs []core.PO) ([][]core.PO, bool) {
 	cands := make([][]core.PO, 0, patternCount(st))
-	for _, b := range st.Bound {
+	for i := range st.Bound {
+		b := &st.Bound[i]
 		var c []core.PO
 		for _, p := range pairs {
 			if p.P == b.Prop && b.Obj.Match(p.O) {
@@ -79,7 +80,8 @@ func patternCandidates(st *query.Star, pairs []core.PO) ([][]core.PO, bool) {
 		}
 		cands = append(cands, c)
 	}
-	for _, sl := range st.Slots {
+	for i := range st.Slots {
+		sl := &st.Slots[i]
 		var c []core.PO
 		for _, p := range pairs {
 			if sl.Prop.Match(p.P) && sl.Obj.Match(p.O) {

@@ -157,20 +157,20 @@ func appendTupleRow(dst []rdf.ID, q *query.Query, t Tuple) []rdf.ID {
 	row := dst[start:]
 	for _, seg := range t {
 		st := q.Stars[seg.Star]
-		if st.SubjVar != "" {
-			row[q.VarIdx[st.SubjVar]] = seg.Subject
+		if st.SubjCol >= 0 {
+			row[st.SubjCol] = seg.Subject
 		}
 		for i, pi := range seg.PatIdxs {
 			pair := seg.Pairs[i]
 			if pi < len(st.Bound) {
-				if v := st.Bound[pi].OVar; v != "" {
-					row[q.VarIdx[v]] = pair.O
+				if c := st.Bound[pi].OCol; c >= 0 {
+					row[c] = pair.O
 				}
 			} else {
-				sl := st.Slots[pi-len(st.Bound)]
-				row[q.VarIdx[sl.PVar]] = pair.P
-				if sl.OVar != "" {
-					row[q.VarIdx[sl.OVar]] = pair.O
+				sl := &st.Slots[pi-len(st.Bound)]
+				row[sl.PCol] = pair.P
+				if sl.OCol >= 0 {
+					row[sl.OCol] = pair.O
 				}
 			}
 		}

@@ -88,6 +88,9 @@ func appendResponseObject(dst []byte, r *Response) []byte {
 		dst = appendCells(append(dst, `,"cells":`...), r.Cells)
 	}
 	dst = strconv.AppendInt(append(dst, `,"total_rows":`...), int64(r.TotalRows), 10)
+	if r.EmptyRows != 0 {
+		dst = strconv.AppendInt(append(dst, `,"empty_rows":`...), int64(r.EmptyRows), 10)
+	}
 	dst = strconv.AppendInt(append(dst, `,"cycles":`...), int64(r.Cycles), 10)
 	dst = strconv.AppendInt(append(dst, `,"shuffle_bytes":`...), r.ShuffleBytes, 10)
 	dst = strconv.AppendInt(append(dst, `,"est_shuffle_bytes":`...), r.EstShuffleBytes, 10)
@@ -340,7 +343,7 @@ func (d *decoder) jobStatusField(st *JobStatus, key []byte) error {
 }
 
 var responseKeys = []string{"engine", "cache", "plan_cache", "is_count", "count", "header", "terms", "cells",
-	"total_rows", "cycles", "shuffle_bytes", "est_shuffle_bytes", "output_records", "output_bytes",
+	"total_rows", "empty_rows", "cycles", "shuffle_bytes", "est_shuffle_bytes", "output_records", "output_bytes",
 	"task_retries", "temp_bytes_reclaimed", "duration_ms", "join_order", "tenant", "jobs", "timeline"}
 
 func (d *decoder) response(r *Response) error {
@@ -367,6 +370,8 @@ func (d *decoder) responseField(r *Response, key []byte) error {
 		return d.cells(&r.Cells)
 	case "total_rows":
 		return d.int(&r.TotalRows)
+	case "empty_rows":
+		return d.int(&r.EmptyRows)
 	case "cycles":
 		return d.int(&r.Cycles)
 	case "shuffle_bytes":

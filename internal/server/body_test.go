@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -84,7 +85,7 @@ func fullResponse() *Response {
 	return &Response{
 		Engine: "NTGA-Lazy", Cache: "miss", PlanCache: "hit", IsCount: true, Count: -7,
 		Header: []string{"?s", "?o"}, Terms: nastyTerms(), Cells: []uint32{0, 1, 2, 3, 4, 42},
-		TotalRows: 3, Cycles: 4, ShuffleBytes: 5, EstShuffleBytes: 6, OutputRecords: 7, OutputBytes: 8,
+		TotalRows: 3, EmptyRows: 12, Cycles: 4, ShuffleBytes: 5, EstShuffleBytes: 6, OutputRecords: 7, OutputBytes: 8,
 		TaskRetries: 9, TempBytesReclaimed: 10, DurationMS: 11, JoinOrder: []int{2, 0, 1}, Tenant: "t\"1",
 		Jobs: []JobSummary{
 			{Job: "ntga-job1", DurationMS: 1, MapInputBytes: 2, ShuffleBytes: 3, ReduceOutputBytes: 4, SpilledBytes: 5, TaskRetries: 6, TempBytesReclaimed: 7},
@@ -235,8 +236,12 @@ func checkRows(t *testing.T, r *Response) {
 		return
 	}
 	if len(r.Cells) == 0 {
-		if r.Rows != nil {
-			t.Errorf("no cells, %d rows", len(r.Rows))
+		want := 0 // a table with columns but no cell has no row
+		if len(r.Header) == 0 {
+			want = r.EmptyRows // rows with no column: "" each
+		}
+		if len(r.Rows) != want || slices.ContainsFunc(r.Rows, func(row string) bool { return row != "" }) {
+			t.Errorf("no cells, %d columns, empty_rows %d: rows %q", len(r.Header), r.EmptyRows, r.Rows)
 		}
 		return
 	}

@@ -117,9 +117,7 @@ func newResultEntry(q *query.Query, engine string, rows []query.Row, isCount boo
 		outBytes:   outBytes,
 	}
 	e.header, e.terms, e.cells = q.RenderTable(rows)
-	if len(e.header) > 0 {
-		e.totalRows = len(e.cells) / len(e.header)
-	}
+	e.totalRows = q.TableLen(rows, e.cells)
 	return e
 }
 

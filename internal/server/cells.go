@@ -9,8 +9,14 @@ import "ntga/internal/query"
 // with '\t' (query.TableRows) to rebuild exactly the rows query.Render
 // would have rendered.
 
-// unpackRows sets Rows from the response's term table.
+// unpackRows sets Rows from the response's term table. The cells count the
+// rows, limit-truncated or not, except that a row with no column has no
+// cell: EmptyRows counts those, "" each.
 func (r *Response) unpackRows() (err error) {
-	r.Rows, err = query.TableRows(len(r.Header), r.Terms, r.Cells)
+	w, n := len(r.Header), r.EmptyRows
+	if w > 0 {
+		n = len(r.Cells) / w
+	}
+	r.Rows, err = query.TableRows(w, n, r.Terms, r.Cells)
 	return err
 }

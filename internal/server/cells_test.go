@@ -13,13 +13,15 @@ import (
 	"time"
 
 	"ntga/internal/bench"
+	"ntga/internal/query"
+	"ntga/internal/rdf"
 )
 
 // Every path that answers a query — Client.Query over HTTP, an async job
 // polled with Client.Job, and the in-process Evaluate — gives the same
 // header, rows and row count for the serve mix's catalog queries over BSBM
 // scale 1, whole, under Limit 1 and under a limit above the row count, and
-// for a COUNT and an empty result. A truncated response ships exactly the
+// for a COUNT, an empty result and rows with no column. A truncated response ships exactly the
 // prefix of the terms its cells name.
 func TestTableParity(t *testing.T) {
 	if testing.Short() {
@@ -78,6 +80,10 @@ func TestTableParity(t *testing.T) {
 	probes = append(probes,
 		probe{"count", bsbmPrefix + `SELECT (COUNT(*) AS ?n) WHERE { ?prod bsbm:label ?l . ?prod bsbm:producer ?pr . }`},
 		probe{"empty", bsbmPrefix + `SELECT * WHERE { ?prod bsbm:label ?l . ?prod bsbm:producer bsbm:noSuchProducer . }`},
+		// No variable, so rows with no column: one "" row, as ntga-run
+		// prints it, whether or not the query asks for DISTINCT.
+		probe{"zero-width", bsbmPrefix + `SELECT * WHERE { bsbm:Producer0 bsbm:label "producer 0" . }`},
+		probe{"zero-width distinct", bsbmPrefix + `SELECT DISTINCT * WHERE { bsbm:Producer0 bsbm:label "producer 0" . bsbm:Producer0 bsbm:country bsbm:Country0 . }`},
 	)
 	for _, p := range probes {
 		want, err := s.Evaluate(ctx, Request{Query: p.src, NoCache: true})
@@ -92,6 +98,10 @@ func TestTableParity(t *testing.T) {
 		case "empty":
 			if want.TotalRows != 0 || want.Rows != nil || len(want.Header) == 0 {
 				t.Fatalf("empty: %+v, want a header and no rows", want)
+			}
+		case "zero-width", "zero-width distinct":
+			if want.TotalRows != 1 || !slices.Equal(want.Rows, []string{""}) || len(want.Header) != 0 {
+				t.Fatalf("%s: header %q, rows %q of %d; want one \"\" row and no column", p.id, want.Header, want.Rows, want.TotalRows)
 			}
 		default:
 			if want.TotalRows == 0 || len(want.Rows) != want.TotalRows {
@@ -134,6 +144,76 @@ func TestTableParity(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestEmptyRowsHonourLimit: an answer of three rows with no column (a
+// query with no variable, three binding rows), rendered as the server
+// renders it under each Limit, comes back from Evaluate's unpacking, from
+// Client.Query and from Client.Job as the same min(Limit, 3) "" rows, with
+// TotalRows 3. The MapReduce engines match a constant pattern once, so the
+// answer is made here rather than by a query.
+func TestEmptyRowsHonourLimit(t *testing.T) {
+	g := rdf.NewGraph()
+	g.Add(rdf.NewIRI("http://ex/a"), rdf.NewIRI("http://ex/p"), rdf.NewIRI("http://ex/b"))
+	q, err := query.Parse(`SELECT * WHERE { <http://ex/a> <http://ex/p> <http://ex/b> . }`, g.Dict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newResultEntry(q, "NTGA-Lazy", make([]query.Row, 3), false, 0, 3, 0)
+	s := &Server{}
+	var body []byte // the response the handler below sends
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		if r.URL.Path == "/query" {
+			_, _ = w.Write(body)
+			return
+		}
+		_, _ = w.Write(appendJobStatus(nil, &JobStatus{ID: "job-000001", State: JobDone, Response: decodeResponse(t, body)}))
+	}))
+	t.Cleanup(ts.Close)
+	c := NewClient(ts.URL)
+	ctx := context.Background()
+
+	for _, limit := range []int{0, 1, 2, 3, 4} {
+		want := 3
+		if limit > 0 {
+			want = min(limit, 3)
+		}
+		ev := new(Response)
+		s.renderRows(ev, e, limit)
+		body = appendResponse(nil, ev)
+		if err := ev.unpackRows(); err != nil {
+			t.Fatal(err)
+		}
+		cl, err := c.Query(ctx, Request{Query: "q", Limit: limit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := c.Job(ctx, "job-000001")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []struct {
+			path string
+			resp *Response
+		}{{"Evaluate", ev}, {"Client.Query", cl}, {"Client.Job", st.Response}} {
+			if len(r.resp.Header) != 0 || r.resp.TotalRows != 3 || len(r.resp.Rows) != want ||
+				slices.ContainsFunc(r.resp.Rows, func(row string) bool { return row != "" }) {
+				t.Errorf("limit %d, %s: header %q, rows %q of %d; want %d \"\" rows of 3",
+					limit, r.path, r.resp.Header, r.resp.Rows, r.resp.TotalRows, want)
+			}
+		}
+	}
+}
+
+// decodeResponse decodes a /query body.
+func decodeResponse(t *testing.T, body []byte) *Response {
+	t.Helper()
+	var r Response
+	if err := (&decoder{b: body}).responseBody(&r); err != nil {
+		t.Fatal(err)
+	}
+	return &r
 }
 
 // bsbmPrefix is the prefix of the BSBM catalog queries.

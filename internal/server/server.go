@@ -293,6 +293,10 @@ type Response struct {
 	// Response (JobStatus, WaitJob) carries the table only.
 	Rows      []string `json:"-"`
 	TotalRows int      `json:"total_rows"`
+	// EmptyRows is the number of returned rows, after Limit, when a row
+	// has no column (an empty Header, and not a COUNT): such a row has no
+	// cell, so the cells cannot count it. Each is "" in Rows.
+	EmptyRows int `json:"empty_rows,omitempty"`
 
 	// Cycles is the number of MR jobs this request actually executed —
 	// zero when served from the result cache.
@@ -480,7 +484,10 @@ func (s *Server) evaluate(ctx context.Context, req Request) (*Response, error) {
 		return resp, err
 	}
 
+	sp := tracer.Start(trace.KindRender, "render")
 	cached := newResultEntry(q, res.Engine, res.Rows, res.IsCount, res.Count, res.OutputRecords, res.OutputBytes)
+	sp.SetIO(int64(len(res.Rows)), 0)
+	sp.Finish()
 	s.results.put(resultKey, cached, cid)
 	resp.Engine = cached.engine
 	s.renderRows(resp, cached, req.Limit)
@@ -558,6 +565,13 @@ func (s *Server) renderRows(resp *Response, e resultEntry, limit int) {
 	}
 	resp.TotalRows = e.totalRows
 	resp.Terms, resp.Cells = e.terms, e.cells
+	if len(e.header) == 0 {
+		resp.EmptyRows = e.totalRows
+		if limit > 0 {
+			resp.EmptyRows = min(limit, e.totalRows)
+		}
+		return
+	}
 	if limit <= 0 || limit >= e.totalRows {
 		return
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ntga/internal/enginetest"
+	"ntga/internal/trace"
 )
 
 const exPrefix = "PREFIX ex: <http://ex/>\n"
@@ -26,6 +27,39 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	}
 	t.Cleanup(s.Close)
 	return s
+}
+
+// TestRenderSpan: a traced server renders each executed answer inside a
+// root render span that starts after the query's workflow ends and counts
+// the binding rows; a cache hit renders nothing, so it opens none.
+func TestRenderSpan(t *testing.T) {
+	tr := trace.New()
+	s := newTestServer(t, Config{Tracer: tr})
+	ctx := context.Background()
+	resp, err := s.Evaluate(ctx, Request{Query: twoStarQuery})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Evaluate(ctx, Request{Query: twoStarQuery}); err != nil {
+		t.Fatal(err)
+	}
+	var workflowEnd time.Time
+	var renders []*trace.Span
+	for _, root := range tr.Roots() {
+		switch root.Kind {
+		case trace.KindWorkflow:
+			workflowEnd = root.End
+		case trace.KindRender:
+			renders = append(renders, root)
+		}
+	}
+	if len(renders) != 1 {
+		t.Fatalf("%d render spans for one executed query and one cache hit", len(renders))
+	}
+	if sp := renders[0]; sp.Records != int64(resp.TotalRows) || sp.Start.Before(workflowEnd) || sp.End.Before(sp.Start) {
+		t.Errorf("render span %d records over [%v, %v], workflow ended %v; want %d records after it",
+			sp.Records, sp.Start, sp.End, workflowEnd, resp.TotalRows)
+	}
 }
 
 func TestEvaluateBasicAndResultCache(t *testing.T) {

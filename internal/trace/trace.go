@@ -52,6 +52,7 @@ const (
 	KindReduce   Kind = "reduce" // merge-group iteration + user reduce function
 	KindWrite    Kind = "write"  // streaming output records into the DFS
 	KindCommit   Kind = "commit" // splicing part files into the job outputs
+	KindRender   Kind = "render" // a query's rows rendered as a term table, after its workflow
 )
 
 // Span is one node of the execution tree. Exported fields are read-only
